@@ -18,6 +18,15 @@ else
     echo "clippy not installed; skipping"
 fi
 
+echo "== one op scope, one latency taxonomy (removed APIs stay removed) =="
+# Layers bracket operations with telemetry::Scope only; the hand-paired
+# calls and the stall taxonomy must not come back outside the crate.
+if grep -rnE 'Stall|push_context|stall_exact|begin_frame|end_frame|trace_begin|trace_end' \
+    crates src tests examples | grep -v '^crates/telemetry/'; then
+    echo "removed telemetry API referenced above" >&2
+    exit 1
+fi
+
 echo "== cargo test -q =="
 cargo test --workspace -q
 
@@ -52,15 +61,6 @@ cargo run -p bench --release -q --bin recovery -- \
 test -s "$TRACE_TMP/recovery.json"
 grep -q '"schema":"durassd.recovery.v1"' "$TRACE_TMP/recovery.json"
 
-echo "== perf smoke (tiny ops, schema-validated BENCH_perf.json) =="
-# No absolute-speed gate: CI machines are noisy. --check fails on schema
-# drift, NaN or zero throughput; that is the invariant worth pinning.
-cargo run -p bench --release -q --bin perf -- \
-    --fio-ops 2000 --ycsb-records 200 --ycsb-ops 400 --warehouses 1 --txns 20 \
-    --out "$TRACE_TMP/perf.json" --check >"$TRACE_TMP/perf.out"
-test -s "$TRACE_TMP/perf.json"
-grep -q '"schema": *"durassd.perf.v1"' "$TRACE_TMP/perf.json"
-
 echo "== waf smoke (write-provenance conservation, schema-validated BENCH_waf.json) =="
 # --check fails on schema drift, any row whose per-cause counts do not sum
 # to its totals (attribution leak), or durable < volatile absorption.
@@ -87,5 +87,11 @@ cargo run -p bench --release -q --bin tail -- \
     --ops 20000 --json "$TRACE_TMP/tail.json" --check >"$TRACE_TMP/tail.out"
 test -s "$TRACE_TMP/tail.json"
 grep -q '"schema":"durassd.latency.v1"' "$TRACE_TMP/tail.json"
+
+echo "== repo benchmark (out-of-workspace package: unit tests + reduced-scale smoke) =="
+# benchmark/ builds against the workspace crates by path, so an API change
+# that breaks it must fail here, not in the benchmark pipeline.
+(cd benchmark && cargo test --release --offline -q)
+benchmark/smoke.sh
 
 echo "tier-1 gate: OK"

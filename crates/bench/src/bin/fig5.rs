@@ -12,8 +12,10 @@
 //!
 //! Run: `cargo run -p bench --release --bin fig5 [--nodes N] [--ops N]`
 
-use bench::{arg_u64, durassd_bench, fmt_rate, print_telemetry, rule, TelemetrySink};
-use relstore::{Engine, EngineConfig};
+use bench::{
+    arg_u64, durassd_engine, fmt_rate, print_telemetry, row_telemetry, rule, TelemetrySink,
+};
+use relstore::EngineConfig;
 use telemetry::Telemetry;
 use workloads::linkbench::{load, run, LinkBenchSpec};
 
@@ -44,10 +46,7 @@ fn run_cell(
         .data_pages((est_db_bytes * 4 / page_size as u64).max(8192))
         .log_file_blocks(8192) // 32MB each
         .build();
-    let data = durassd_bench(true);
-    let log = durassd_bench(true);
-    let (mut engine, t0) = Engine::create(data, log, cfg, 0).into_parts();
-    engine.set_group_commit(true);
+    let (mut engine, t0) = durassd_engine(cfg, tel);
     let spec = LinkBenchSpec { warmup_ops: ops / 5, ops, ..LinkBenchSpec::scaled(nodes, ops) };
     let (mut graph, t1) = load(&mut engine, &spec, t0);
     engine.attach_telemetry(tel.clone()); // after load: measure the run only
@@ -66,7 +65,7 @@ fn main() {
     for (label, paper) in PAPER {
         let barriers = label.starts_with("ON");
         let double_write = label.ends_with("ON ");
-        let tel = Telemetry::new();
+        let tel = row_telemetry();
         let mut tps = Vec::new();
         for page_size in [16384usize, 8192, 4096] {
             let (v, _) = run_cell(barriers, double_write, page_size, nodes, ops, &tel);

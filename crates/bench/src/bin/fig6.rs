@@ -10,8 +10,10 @@
 //!
 //! Run: `cargo run -p bench --release --bin fig6 [--nodes N] [--ops N]`
 
-use bench::{arg_u64, durassd_bench, fmt_rate, print_telemetry, rule, TelemetrySink};
-use relstore::{Engine, EngineConfig};
+use bench::{
+    arg_u64, durassd_engine, fmt_rate, print_telemetry, row_telemetry, rule, TelemetrySink,
+};
+use relstore::EngineConfig;
 use telemetry::Telemetry;
 use workloads::linkbench::{load, run, LinkBenchSpec};
 
@@ -30,9 +32,7 @@ fn run_cell(
         .data_pages((est_db_bytes * 4 / page_size as u64).max(8192))
         .log_file_blocks(8192)
         .build();
-    let (mut engine, t0) =
-        Engine::create(durassd_bench(true), durassd_bench(true), cfg, 0).into_parts();
-    engine.set_group_commit(true);
+    let (mut engine, t0) = durassd_engine(cfg, tel);
     let spec = LinkBenchSpec {
         warmup_ops: ops / 4,
         ops,
@@ -57,7 +57,7 @@ fn main() {
     println!("Buffer axis: % of database size (paper: 2-10GB of a 100GB DB).\n");
     let mut miss = vec![vec![0.0; buffers.len()]; sizes.len()];
     let mut tps = vec![vec![0.0; buffers.len()]; sizes.len()];
-    let tels: Vec<Telemetry> = sizes.iter().map(|_| Telemetry::new()).collect();
+    let tels: Vec<Telemetry> = sizes.iter().map(|_| row_telemetry()).collect();
     for (i, &ps) in sizes.iter().enumerate() {
         for (j, &b) in buffers.iter().enumerate() {
             let (m, t) = run_cell(ps, b, nodes, ops, &tels[i]);
@@ -93,7 +93,7 @@ fn main() {
         }
         println!();
     }
-    println!("\n(c) Stall attribution and latency per page size (whole sweep)");
+    println!("\n(c) Segment mix and latency per page size (whole sweep)");
     for (i, &ps) in sizes.iter().enumerate() {
         println!("{}KB:", ps / 1024);
         print_telemetry("    ", &tels[i], &["engine.commit", "engine.get", "pool.miss_stall"]);

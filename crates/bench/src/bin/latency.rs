@@ -31,16 +31,10 @@
 
 use bench::schema::{check_latency_report, LATENCY_SCHEMA};
 use bench::{
-    arg_flag, arg_str, arg_u64, durassd_bench, fmt_ns, latency_row_json, rule, ssd_a_bench,
-    write_atomic,
+    arg_flag, arg_str, arg_u64, deployment_labels, fio_cell, fmt_ns, latency_row_json, rule,
+    tpcc_cell, write_atomic, ycsb_cell,
 };
-use docstore::{DocStore, DocStoreConfig};
-use durassd::Ssd;
-use relstore::{Engine, EngineConfig};
-use storage::volume::Volume;
 use telemetry::{SegKind, Telemetry};
-use workloads::fio::FioSpec;
-use workloads::{fio, tpcc, ycsb};
 
 /// One workload × deployment cell; the row keeps its whole registry so the
 /// renderer can read commit histograms, segment histograms, and outliers.
@@ -62,99 +56,44 @@ fn row_tel(top_k: u64, trace: bool) -> Telemetry {
     tel
 }
 
-/// The device under test for one deployment mode: DuraSSD (nobarrier) or
-/// SSD-A (barriers). Returns the device and whether barriers are honoured.
-fn device_for(durable: bool) -> (Ssd, bool, &'static str) {
-    if durable {
-        (durassd_bench(true), false, "durassd")
-    } else {
-        (ssd_a_bench(true), true, "ssd_a")
-    }
-}
-
-fn mode_name(durable: bool) -> &'static str {
-    if durable {
-        "durable"
-    } else {
-        "volatile"
-    }
-}
-
-/// fio with an fsync after every 4KB write. The commit op is the fsync
-/// itself: a real FLUSH CACHE frame when barriers are on, the in-kernel
-/// soft-fsync frame (pure `wal_fsync` time) on the nobarrier deployment.
-fn fio_row(durable: bool, ops: u64, span: u64, top_k: u64, trace: bool) -> LatRow {
-    let (mut dev, barriers, device) = device_for(durable);
-    let tel = row_tel(top_k, trace);
-    dev.attach_telemetry(tel.clone());
-    let mut vol = Volume::new(dev, barriers);
-    vol.attach_telemetry(tel.clone(), "fio");
-    let spec = FioSpec::random_write_4k(span, Some(1), ops);
-    fio::run(&mut vol, &spec, 0);
-    LatRow {
-        workload: "fio_overwrite_4k",
-        mode: mode_name(durable),
-        device,
-        commit_op: if durable { "dev.fio.fsync_soft" } else { "dev.fio.flush" },
-        tel,
-    }
-}
-
-/// YCSB-A on the document store; the commit op is `doc.set` (batched
-/// commits close inside the set frame that triggered them).
-fn ycsb_row(durable: bool, records: u64, ops: u64, top_k: u64, trace: bool) -> LatRow {
-    let (mut dev, barriers, device) = device_for(durable);
-    let tel = row_tel(top_k, trace);
-    dev.attach_telemetry(tel.clone());
-    let cfg = DocStoreConfig {
-        batch_size: 10,
-        barriers,
-        file_blocks: 200_000,
-        auto_compact_pct: 0,
-        checkpoint_every_n_commits: 8,
+/// The six cells (see `bench::{fio_cell, ycsb_cell, tpcc_cell}`), durable
+/// before volatile, each with its own registry attached at every layer.
+///
+/// The commit op is what acknowledges durability in each workload: for fio
+/// the fsync itself — a real FLUSH CACHE frame when barriers are on, the
+/// in-kernel soft-fsync frame (pure `wal_fsync` time) on the nobarrier
+/// deployment; for YCSB `doc.set` (batched commits close inside the set
+/// frame that triggered them); for TPC-C `engine.commit` (WAL group commit
+/// + log flush).
+fn rows(
+    (fio_ops, fio_span): (u64, u64),
+    (records, ycsb_ops): (u64, u64),
+    (warehouses, txns): (u32, u64),
+    top_k: u64,
+    trace: bool,
+) -> Vec<LatRow> {
+    let row = |workload, commit_op, durable, tel| {
+        let (mode, device) = deployment_labels(durable);
+        LatRow { workload, mode, device, commit_op, tel }
     };
-    let mut store = DocStore::create(dev, cfg);
-    store.attach_telemetry(tel.clone());
-    let spec = ycsb::YcsbSpec::workload_a(records, ops);
-    let t0 = ycsb::load(&mut store, &spec, 0);
-    ycsb::run(&mut store, &spec, t0);
-    LatRow {
-        workload: "ycsb_a_docstore",
-        mode: mode_name(durable),
-        device,
-        commit_op: "doc.set",
-        tel,
+    let mut rows = Vec::new();
+    for durable in [true, false] {
+        let tel = row_tel(top_k, trace);
+        fio_cell(durable, fio_ops, fio_span, Some(&tel));
+        let commit_op = if durable { "dev.fio.fsync_soft" } else { "dev.fio.flush" };
+        rows.push(row("fio_overwrite_4k", commit_op, durable, tel));
     }
-}
-
-/// A TPC-C slice on the relational engine; the commit op is
-/// `engine.commit` (WAL group commit + log flush).
-fn tpcc_row(durable: bool, warehouses: u32, txns: u64, top_k: u64, trace: bool) -> LatRow {
-    let (mut data, barriers, device) = device_for(durable);
-    let (mut log, _, _) = device_for(durable);
-    let tel = row_tel(top_k, trace);
-    data.attach_telemetry(tel.clone());
-    log.attach_telemetry(tel.clone());
-    let spec = tpcc::TpccSpec { clients: 8, ..tpcc::TpccSpec::scaled(warehouses, txns) };
-    let est = warehouses as u64
-        * (spec.items as u64 * 300 + spec.districts as u64 * spec.customers as u64 * 470 + 40_960);
-    let ecfg = EngineConfig::builder(4096)
-        .buffer_pool_bytes((est / 10).max(512 * 1024))
-        .barriers(barriers)
-        .data_pages((est * 4 / 4096).max(16_384))
-        .log_file_blocks(8_192)
-        .build();
-    let (mut engine, t0) = Engine::create(data, log, ecfg, 0).into_parts();
-    engine.attach_telemetry(tel.clone());
-    let (mut db, t1) = tpcc::load(&mut engine, &spec, t0);
-    tpcc::run(&mut engine, &mut db, &spec, t1);
-    LatRow {
-        workload: "tpcc_relstore",
-        mode: mode_name(durable),
-        device,
-        commit_op: "engine.commit",
-        tel,
+    for durable in [true, false] {
+        let tel = row_tel(top_k, trace);
+        ycsb_cell(durable, records, ycsb_ops, Some(&tel));
+        rows.push(row("ycsb_a_docstore", "doc.set", durable, tel));
     }
+    for durable in [true, false] {
+        let tel = row_tel(top_k, trace);
+        tpcc_cell(durable, warehouses, txns, Some(&tel));
+        rows.push(row("tpcc_relstore", "engine.commit", durable, tel));
+    }
+    rows
 }
 
 fn render_json(rows: &[LatRow]) -> String {
@@ -190,14 +129,8 @@ fn main() {
     println!("durable = DuraSSD nobarrier; volatile = SSD-A with barriers\n");
 
     let trace = trace_out.is_some();
-    let rows = vec![
-        fio_row(true, fio_ops, fio_span, top_k, trace),
-        fio_row(false, fio_ops, fio_span, top_k, trace),
-        ycsb_row(true, ycsb_records, ycsb_ops, top_k, trace),
-        ycsb_row(false, ycsb_records, ycsb_ops, top_k, trace),
-        tpcc_row(true, warehouses, txns, top_k, trace),
-        tpcc_row(false, warehouses, txns, top_k, trace),
-    ];
+    let rows =
+        rows((fio_ops, fio_span), (ycsb_records, ycsb_ops), (warehouses, txns), top_k, trace);
 
     println!(
         "{:<18} {:<9} {:<20} {:>8} {:>10} {:>10} {:>10} {:>10}",

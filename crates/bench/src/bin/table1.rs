@@ -7,8 +7,8 @@
 //! Run: `cargo run -p bench --release --bin table1 [--ops N]`
 
 use bench::{
-    durassd_bench, fmt_rate, hdd_bench, print_telemetry, rule, ssd_a_bench, ssd_b_bench,
-    ssd_health_line, TelemetrySink,
+    durassd_bench, fmt_rate, hdd_bench, observed_hdd, observed_ssd, print_telemetry, row_telemetry,
+    rule, ssd_a_bench, ssd_b_bench, ssd_health_line, TelemetrySink,
 };
 use forensics::{DeviceHealth, Forensic};
 use storage::device::BlockDevice;
@@ -78,23 +78,24 @@ fn main() {
     println!("{:<16} {hdr}", "Device/Cache");
     rule(16 + 8 * FREQS.len());
     for (row, paper_vals) in PAPER {
-        // One telemetry domain per device row: the stall mix is a property
+        // One telemetry domain per device row: the segment mix is a property
         // of the device/barrier combination, aggregated across fsync freqs.
-        let tel = Telemetry::new();
+        let tel = row_telemetry();
+        let (ssd, hdd) = (|d| observed_ssd(d, &tel), |d| observed_hdd(d, &tel));
         let mut cells = Vec::new();
         let mut health: Option<DeviceHealth> = None;
         for (i, &freq) in FREQS.iter().enumerate() {
             let ops = ops_for(row, freq);
             let (iops, h) = match *row {
-                "HDD        OFF" => measure(hdd_bench(false), true, freq, ops, &tel),
-                "HDD        ON " => measure(hdd_bench(true), true, freq, ops, &tel),
-                "SSD-A      OFF" => measure(ssd_a_bench(false), true, freq, ops, &tel),
-                "SSD-A      ON " => measure(ssd_a_bench(true), true, freq, ops, &tel),
-                "SSD-B      OFF" => measure(ssd_b_bench(false), true, freq, ops, &tel),
-                "SSD-B      ON " => measure(ssd_b_bench(true), true, freq, ops, &tel),
-                "DuraSSD    OFF" => measure(durassd_bench(false), true, freq, ops, &tel),
-                "DuraSSD    ON " => measure(durassd_bench(true), true, freq, ops, &tel),
-                "DuraSSD NoBarr" => measure(durassd_bench(true), false, freq, ops, &tel),
+                "HDD        OFF" => measure(hdd(hdd_bench(false)), true, freq, ops, &tel),
+                "HDD        ON " => measure(hdd(hdd_bench(true)), true, freq, ops, &tel),
+                "SSD-A      OFF" => measure(ssd(ssd_a_bench(false)), true, freq, ops, &tel),
+                "SSD-A      ON " => measure(ssd(ssd_a_bench(true)), true, freq, ops, &tel),
+                "SSD-B      OFF" => measure(ssd(ssd_b_bench(false)), true, freq, ops, &tel),
+                "SSD-B      ON " => measure(ssd(ssd_b_bench(true)), true, freq, ops, &tel),
+                "DuraSSD    OFF" => measure(ssd(durassd_bench(false)), true, freq, ops, &tel),
+                "DuraSSD    ON " => measure(ssd(durassd_bench(true)), true, freq, ops, &tel),
+                "DuraSSD NoBarr" => measure(ssd(durassd_bench(true)), false, freq, ops, &tel),
                 _ => unreachable!(),
             };
             health = h.or(health);
@@ -113,7 +114,7 @@ fn main() {
     }
     sink.finish();
     println!(
-        "\nNote the attribution shift: barriered rows burn their time in `flush`,\n\
+        "\nNote the attribution shift: barriered rows burn their time in `flush_cache`,\n\
          while `DuraSSD NoBarr` spends ~0% there — the durable cache absorbs it."
     );
 }

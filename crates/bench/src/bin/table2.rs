@@ -7,7 +7,10 @@
 //!
 //! Run: `cargo run -p bench --release --bin table2 [--ops N]`
 
-use bench::{arg_u64, durassd_bench, fmt_rate, hdd_bench, print_telemetry, rule, TelemetrySink};
+use bench::{
+    arg_u64, durassd_bench, fmt_rate, hdd_bench, observed_hdd, observed_ssd, print_telemetry,
+    row_telemetry, rule, TelemetrySink,
+};
 use storage::device::BlockDevice;
 use storage::volume::Volume;
 use telemetry::Telemetry;
@@ -99,12 +102,12 @@ fn main() {
     println!("{:<30} {:>10} {:>10} {:>10}", "", "16KB", "8KB", "4KB");
     rule(64);
     for row in &dura_rows {
-        let tel = Telemetry::new();
+        let tel = row_telemetry();
         let mut meas = Vec::new();
         for &sz in &SIZES {
             let ops =
                 if row.fsync_every == Some(1) && row.barriers { base_ops / 6 } else { base_ops };
-            meas.push(measure(durassd_bench(true), row, sz, ops, &tel));
+            meas.push(measure(observed_ssd(durassd_bench(true), &tel), row, sz, ops, &tel));
         }
         println!(
             "{:<30} {:>10} {:>10} {:>10}",
@@ -145,13 +148,13 @@ fn main() {
     println!("{:<30} {:>10} {:>10} {:>10}", "", "16KB", "8KB", "4KB");
     rule(64);
     for row in &hdd_rows {
-        let tel = Telemetry::new();
+        let tel = row_telemetry();
         let mut meas = Vec::new();
         for &sz in &SIZES {
             // Reads are mechanical (few ops suffice); writes must fill the
             // 16MB cache to reach the sustained destage rate.
             let ops = if row.op == FioOp::Read { base_ops / 6 } else { base_ops * 2 };
-            meas.push(measure(hdd_bench(true), row, sz, ops, &tel));
+            meas.push(measure(observed_hdd(hdd_bench(true), &tel), row, sz, ops, &tel));
         }
         println!(
             "{:<30} {:>10} {:>10} {:>10}",

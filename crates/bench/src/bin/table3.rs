@@ -7,8 +7,8 @@
 //!
 //! Run: `cargo run -p bench --release --bin table3 [--nodes N] [--ops N]`
 
-use bench::{arg_u64, durassd_bench, print_telemetry, rule, TelemetrySink};
-use relstore::{Engine, EngineConfig};
+use bench::{arg_u64, durassd_engine, print_telemetry, row_telemetry, rule, TelemetrySink};
+use relstore::EngineConfig;
 use telemetry::Telemetry;
 use workloads::linkbench::{load, run, LinkBenchReport, LinkBenchSpec};
 
@@ -27,13 +27,12 @@ fn run_config(
         .data_pages((est_db_bytes * 4 / page_size as u64).max(8192))
         .log_file_blocks(8192)
         .build();
-    let (mut engine, t0) =
-        Engine::create(durassd_bench(true), durassd_bench(true), cfg, 0).into_parts();
-    engine.set_group_commit(true);
+    let tel = row_telemetry();
+    let (mut engine, t0) = durassd_engine(cfg, &tel);
     let spec = LinkBenchSpec { warmup_ops: ops / 5, ops, ..LinkBenchSpec::scaled(nodes, ops) };
     let (mut graph, t1) = load(&mut engine, &spec, t0);
-    let tel = Telemetry::new();
-    engine.attach_telemetry(tel.clone()); // after load: measure the run only
+    tel.reset(); // measure the run only
+    engine.attach_telemetry(tel.clone());
     let rep = run(&mut engine, &mut graph, &spec, t1);
     (rep, tel)
 }

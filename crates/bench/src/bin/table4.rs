@@ -8,8 +8,10 @@
 //!
 //! Run: `cargo run -p bench --release --bin table4 [--warehouses N] [--txns N]`
 
-use bench::{arg_u64, durassd_bench, fmt_rate, print_telemetry, rule, TelemetrySink};
-use relstore::{Engine, EngineConfig};
+use bench::{
+    arg_u64, durassd_engine, fmt_rate, print_telemetry, row_telemetry, rule, TelemetrySink,
+};
+use relstore::EngineConfig;
 use telemetry::Telemetry;
 use workloads::tpcc::{load, run, TpccSpec};
 
@@ -31,9 +33,7 @@ fn run_cell(barriers: bool, page_size: usize, warehouses: u32, txns: u64, tel: &
         .data_pages((est_db_bytes * 4 / page_size as u64).max(16384))
         .log_file_blocks(8192)
         .build();
-    let (mut engine, t0) =
-        Engine::create(durassd_bench(true), durassd_bench(true), cfg, 0).into_parts();
-    engine.set_group_commit(true);
+    let (mut engine, t0) = durassd_engine(cfg, tel);
     let (mut db, t1) = load(&mut engine, &spec, t0);
     engine.attach_telemetry(tel.clone()); // after load: measure the run only
     let rep = run(&mut engine, &mut db, &spec, t1);
@@ -51,7 +51,7 @@ fn main() {
     for (label, barriers, paper) in
         [("Barrier On", true, PAPER_ON), ("Barrier Off", false, PAPER_OFF)]
     {
-        let tel = Telemetry::new();
+        let tel = row_telemetry();
         let mut row = Vec::new();
         for page_size in [16384usize, 8192, 4096] {
             let t = if barriers { txns / 4 } else { txns };

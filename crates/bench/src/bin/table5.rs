@@ -7,7 +7,10 @@
 //!
 //! Run: `cargo run -p bench --release --bin table5 [--records N] [--ops N]`
 
-use bench::{arg_u64, durassd_bench, fmt_rate, print_telemetry, rule, TelemetrySink};
+use bench::{
+    arg_u64, durassd_bench, fmt_rate, observed_ssd, print_telemetry, row_telemetry, rule,
+    TelemetrySink,
+};
 use docstore::{DocStore, DocStoreConfig};
 use telemetry::Telemetry;
 use workloads::ycsb::{load, run, YcsbSpec};
@@ -35,7 +38,7 @@ fn run_cell(
         auto_compact_pct: 0,
         checkpoint_every_n_commits: 8,
     };
-    let mut store = DocStore::create(durassd_bench(true), cfg);
+    let mut store = DocStore::create(observed_ssd(durassd_bench(true), tel), cfg);
     let mut spec = YcsbSpec::workload_a(records, ops);
     spec.update_fraction = update;
     let t = load(&mut store, &spec, 0);
@@ -55,7 +58,7 @@ fn main() {
     println!();
     rule(28 + 9 * BATCHES.len());
     for (label, barriers, update, paper) in PAPER {
-        let tel = Telemetry::new();
+        let tel = row_telemetry();
         let mut row = Vec::new();
         for &b in &BATCHES {
             let cell_ops = if *barriers && b <= 2 { ops / 4 } else { ops };

@@ -22,9 +22,12 @@
 //!
 //! Run: `cargo run -p bench --release --bin trace -- --check`
 
-use bench::{arg_flag, arg_str, arg_u64, durassd_bench, write_atomic, TelemetrySink};
-use docstore::{DocStore, DocStoreConfig};
-use relstore::{Engine, EngineConfig};
+use bench::{
+    arg_flag, arg_str, arg_u64, durassd_bench, tpcc_cell_config, write_atomic, ycsb_cell_config,
+    TelemetrySink,
+};
+use docstore::DocStore;
+use relstore::Engine;
 use telemetry::{parse_json, validate_chrome_json, JsonValue, Telemetry};
 use workloads::tpcc;
 use workloads::ycsb;
@@ -56,14 +59,7 @@ fn main() {
     // Phase 1: YCSB-A on the document store (fsync batch 10, barriers on).
     let mut doc_dev = durassd_bench(true);
     doc_dev.attach_telemetry(tel.clone());
-    let cfg = DocStoreConfig {
-        batch_size: 10,
-        barriers: true,
-        file_blocks: 200_000,
-        auto_compact_pct: 0,
-        checkpoint_every_n_commits: 8,
-    };
-    let mut store = DocStore::create(doc_dev, cfg);
+    let mut store = DocStore::create(doc_dev, ycsb_cell_config(true));
     store.attach_telemetry(tel.clone());
     let spec = ycsb::YcsbSpec::workload_a(records, ops);
     let t0 = ycsb::load(&mut store, &spec, 0);
@@ -79,15 +75,7 @@ fn main() {
     data.attach_telemetry(tel.clone());
     let mut log = durassd_bench(true);
     log.attach_telemetry(tel.clone());
-    let spec = tpcc::TpccSpec { clients: 8, ..tpcc::TpccSpec::scaled(warehouses, txns) };
-    let est = warehouses as u64
-        * (spec.items as u64 * 300 + spec.districts as u64 * spec.customers as u64 * 470 + 40_960);
-    let ecfg = EngineConfig::builder(4096)
-        .buffer_pool_bytes((est / 10).max(512 * 1024))
-        .barriers(true)
-        .data_pages((est * 4 / 4096).max(16_384))
-        .log_file_blocks(8_192)
-        .build();
+    let (spec, ecfg) = tpcc_cell_config(warehouses, txns, true);
     let (mut engine, t2) = Engine::create(data, log, ecfg, t1).into_parts();
     engine.attach_telemetry(tel.clone());
     let (mut db, t3) = tpcc::load(&mut engine, &spec, t2);
@@ -166,9 +154,9 @@ fn self_check(trace_json: &str, series_csv: &str, tel: &Telemetry) -> Vec<String
         failures.push("series CSV has no samples".to_string());
     }
 
-    // 4. The registry JSON (counters, stalls, histograms, series) round-trips.
+    // 4. The registry JSON (counters, gauges, histograms, series) round-trips.
     let reg_json = tel.to_json();
-    match telemetry::Registry::from_json(&reg_json) {
+    match Telemetry::from_json(&reg_json) {
         Err(e) => failures.push(format!("registry JSON does not re-parse: {e}")),
         Ok(reg) => {
             if reg.to_json() != reg_json {

@@ -27,14 +27,12 @@
 //! Run: `cargo run -p bench --release --bin waf`
 
 use bench::schema::{check_waf_report, WAF_SCHEMA};
-use bench::{arg_flag, arg_str, arg_u64, durassd_bench, rule, ssd_a_bench, write_atomic};
-use docstore::{DocStore, DocStoreConfig};
+use bench::{
+    arg_flag, arg_str, arg_u64, deployment_labels, fio_cell, rule, tpcc_cell, write_atomic,
+    ycsb_cell,
+};
 use durassd::Ssd;
-use relstore::{Engine, EngineConfig};
 use storage::device::{BlockDevice, CauseCounts, DeviceStats, WriteCause};
-use storage::volume::Volume;
-use workloads::fio::FioSpec;
-use workloads::{fio, tpcc, ycsb};
 
 /// One workload × deployment cell of the observatory.
 struct WafRow {
@@ -69,8 +67,8 @@ fn wear_spread(ssd: &Ssd) -> u32 {
     max - min
 }
 
-/// Fold one SSD's counters into a row (TPC-C calls this twice, once per
-/// device, summing element-wise: conservation survives addition).
+/// Fold one SSD's counters into a row, summing element-wise: conservation
+/// survives addition.
 fn accumulate(row: &mut WafRow, ssd: &Ssd) {
     let s: DeviceStats = ssd.stats();
     row.host_pages += s.pages_written;
@@ -84,8 +82,12 @@ fn accumulate(row: &mut WafRow, ssd: &Ssd) {
     }
 }
 
-fn empty_row(workload: &'static str, mode: &'static str, device: &'static str) -> WafRow {
-    WafRow {
+/// The row of one finished cell: the counters of every SSD under it (the
+/// TPC-C cell sums its data and log devices, so the per-cause split shows
+/// the whole engine).
+fn row_of(workload: &'static str, durable: bool, devices: &[&Ssd]) -> WafRow {
+    let (mode, device) = deployment_labels(durable);
+    let mut row = WafRow {
         workload,
         mode,
         device,
@@ -96,80 +98,37 @@ fn empty_row(workload: &'static str, mode: &'static str, device: &'static str) -
         wear_spread: 0,
         host_by_cause: CauseCounts::default(),
         media_by_cause: CauseCounts::default(),
-    }
-}
-
-/// The device under test for one deployment mode: DuraSSD (nobarrier) or
-/// SSD-A (barriers). Returns the device and whether barriers are honoured.
-fn device_for(durable: bool) -> (Ssd, bool, &'static str) {
-    if durable {
-        (durassd_bench(true), false, "durassd")
-    } else {
-        (ssd_a_bench(true), true, "ssd_a")
-    }
-}
-
-/// fio-style 4KB random writes over a deliberately small span (default
-/// 2048 blocks = 8MB) with an fsync after every write — the strictest
-/// durability demand. The volatile deployment turns each fsync into a full
-/// cache drain, so no overwrite can ever find a still-dirty slot (absorbed
-/// is exactly zero); the durable deployment acknowledges fsync from the
-/// capacitor-backed cache and keeps coalescing.
-fn fio_row(durable: bool, ops: u64, span: u64) -> WafRow {
-    let (dev, barriers, device) = device_for(durable);
-    let mut vol = Volume::new(dev, barriers);
-    let spec = FioSpec::random_write_4k(span, Some(1), ops);
-    fio::run(&mut vol, &spec, 0);
-    let mut row =
-        empty_row("fio_overwrite_4k", if durable { "durable" } else { "volatile" }, device);
-    accumulate(&mut row, vol.device());
-    row
-}
-
-/// YCSB-A (50/50 read/update) on the couchstore-style document store. The
-/// append space rewrites its partial tail block on every batch, so the same
-/// LPNs are overwritten continuously — absorbed in DRAM when durable.
-fn ycsb_row(durable: bool, records: u64, ops: u64) -> WafRow {
-    let (dev, barriers, device) = device_for(durable);
-    let cfg = DocStoreConfig {
-        batch_size: 10,
-        barriers,
-        file_blocks: 200_000,
-        auto_compact_pct: 0,
-        checkpoint_every_n_commits: 8,
     };
-    let mut store = DocStore::create(dev, cfg);
-    let spec = ycsb::YcsbSpec::workload_a(records, ops);
-    let t0 = ycsb::load(&mut store, &spec, 0);
-    ycsb::run(&mut store, &spec, t0);
-    let mut row =
-        empty_row("ycsb_a_docstore", if durable { "durable" } else { "volatile" }, device);
-    accumulate(&mut row, store.device());
+    for ssd in devices {
+        accumulate(&mut row, ssd);
+    }
     row
 }
 
-/// A TPC-C slice on the relational engine: WAL appends and double-write
-/// page images on the log device, home-page writes on the data device. The
-/// row sums both devices, so the per-cause split shows the whole engine.
-fn tpcc_row(durable: bool, warehouses: u32, txns: u64) -> WafRow {
-    let (data, barriers, device) = device_for(durable);
-    let (log, _, _) = device_for(durable);
-    let spec = tpcc::TpccSpec { clients: 8, ..tpcc::TpccSpec::scaled(warehouses, txns) };
-    let est = warehouses as u64
-        * (spec.items as u64 * 300 + spec.districts as u64 * spec.customers as u64 * 470 + 40_960);
-    let ecfg = EngineConfig::builder(4096)
-        .buffer_pool_bytes((est / 10).max(512 * 1024))
-        .barriers(barriers)
-        .data_pages((est * 4 / 4096).max(16_384))
-        .log_file_blocks(8_192)
-        .build();
-    let (mut engine, t0) = Engine::create(data, log, ecfg, 0).into_parts();
-    let (mut db, t1) = tpcc::load(&mut engine, &spec, t0);
-    tpcc::run(&mut engine, &mut db, &spec, t1);
-    let mut row = empty_row("tpcc_relstore", if durable { "durable" } else { "volatile" }, device);
-    accumulate(&mut row, engine.data_volume().device());
-    accumulate(&mut row, engine.log_volume().device());
-    row
+/// The six cells (see `bench::{fio_cell, ycsb_cell, tpcc_cell}`), durable
+/// before volatile. In the fio cell the volatile deployment drains the
+/// cache on every fsync, so no overwrite can ever find a still-dirty slot
+/// (absorbed is exactly zero).
+fn rows(
+    (fio_ops, fio_span): (u64, u64),
+    (records, ycsb_ops): (u64, u64),
+    (warehouses, txns): (u32, u64),
+) -> Vec<WafRow> {
+    let mut rows = Vec::new();
+    for durable in [true, false] {
+        let vol = fio_cell(durable, fio_ops, fio_span, None);
+        rows.push(row_of("fio_overwrite_4k", durable, &[vol.device()]));
+    }
+    for durable in [true, false] {
+        let store = ycsb_cell(durable, records, ycsb_ops, None);
+        rows.push(row_of("ycsb_a_docstore", durable, &[store.device()]));
+    }
+    for durable in [true, false] {
+        let engine = tpcc_cell(durable, warehouses, txns, None);
+        let devices = [engine.data_volume().device(), engine.log_volume().device()];
+        rows.push(row_of("tpcc_relstore", durable, &devices));
+    }
+    rows
 }
 
 fn by_cause_json(counts: &CauseCounts) -> String {
@@ -231,14 +190,7 @@ fn main() {
     );
     println!("durable = DuraSSD nobarrier; volatile = SSD-A with barriers\n");
 
-    let rows = vec![
-        fio_row(true, fio_ops, fio_span),
-        fio_row(false, fio_ops, fio_span),
-        ycsb_row(true, ycsb_records, ycsb_ops),
-        ycsb_row(false, ycsb_records, ycsb_ops),
-        tpcc_row(true, warehouses, txns),
-        tpcc_row(false, warehouses, txns),
-    ];
+    let rows = rows((fio_ops, fio_span), (ycsb_records, ycsb_ops), (warehouses, txns));
 
     println!(
         "{:<18} {:<9} {:>10} {:>10} {:>6} {:>10} {:>8} {:>6}",

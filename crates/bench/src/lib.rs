@@ -5,10 +5,16 @@
 //! shape comparison is immediate. Scales are chosen so each cell finishes in
 //! seconds of wall-clock time; override with `--scale N` where supported.
 
+use docstore::{DocStore, DocStoreConfig};
 use durassd::{Ssd, SsdConfig};
 use forensics::DeviceHealth;
 use hdd::{Hdd, HddConfig};
+use relstore::{Engine, EngineConfig};
+use storage::volume::Volume;
 use telemetry::{OpBreakdown, SegKind, Telemetry};
+use workloads::fio::FioSpec;
+use workloads::tpcc::TpccSpec;
+use workloads::{fio, tpcc, ycsb};
 
 pub mod schema;
 
@@ -38,6 +44,145 @@ pub fn ssd_b_bench(cache_on: bool) -> Ssd {
 pub fn hdd_bench(cache_on: bool) -> Hdd {
     let cfg = HddConfig { cache_enabled: cache_on, ..HddConfig::default() };
     Hdd::new(cfg)
+}
+
+// ---- the shared workload × deployment cells -------------------------------
+//
+// `waf` and `latency` run the same six cells — fio fsync-per-write random
+// writes, YCSB-A on the document store, a TPC-C slice on the relational
+// engine — each in two deployments, and differ only in what they read off
+// the finished cell (device counters vs the attached telemetry). `trace`
+// runs the YCSB and TPC-C configurations on one shared timeline.
+
+/// `(mode, device)` labels of a deployment: **durable** is DuraSSD
+/// (capacitor-backed cache) with barriers OFF, the paper's deployment;
+/// **volatile** is SSD-A (volatile cache) with barriers ON.
+pub fn deployment_labels(durable: bool) -> (&'static str, &'static str) {
+    if durable {
+        ("durable", "durassd")
+    } else {
+        ("volatile", "ssd_a")
+    }
+}
+
+/// The device under test for one deployment, with `tel` attached if given.
+/// Barriers are honoured exactly when the cache is not durable.
+fn cell_device(durable: bool, tel: Option<&Telemetry>) -> Ssd {
+    let dev = if durable { durassd_bench(true) } else { ssd_a_bench(true) };
+    match tel {
+        Some(tel) => observed_ssd(dev, tel),
+        None => dev,
+    }
+}
+
+/// fio-style 4KB random writes over a deliberately small span with an
+/// fsync after every write — the strictest durability demand. The volatile
+/// deployment turns each fsync into a full cache drain; the durable one
+/// acknowledges fsync from the capacitor-backed cache and keeps coalescing.
+/// Returns the volume after the run.
+pub fn fio_cell(durable: bool, ops: u64, span: u64, tel: Option<&Telemetry>) -> Volume<Ssd> {
+    let mut vol = Volume::new(cell_device(durable, tel), !durable);
+    if let Some(tel) = tel {
+        vol.attach_telemetry(tel.clone(), "fio");
+    }
+    fio::run(&mut vol, &FioSpec::random_write_4k(span, Some(1), ops), 0);
+    vol
+}
+
+/// Document-store configuration of the YCSB cell: fsync batch 10, no
+/// auto-compaction, a checkpoint anchor every 8 headers.
+pub fn ycsb_cell_config(barriers: bool) -> DocStoreConfig {
+    DocStoreConfig {
+        batch_size: 10,
+        barriers,
+        file_blocks: 200_000,
+        auto_compact_pct: 0,
+        checkpoint_every_n_commits: 8,
+    }
+}
+
+/// YCSB-A (50/50 read/update) on the couchstore-style document store. The
+/// append space rewrites its partial tail block on every batch, so the same
+/// LPNs are overwritten continuously. Returns the store after load + run.
+pub fn ycsb_cell(durable: bool, records: u64, ops: u64, tel: Option<&Telemetry>) -> DocStore<Ssd> {
+    let mut store = DocStore::create(cell_device(durable, tel), ycsb_cell_config(!durable));
+    if let Some(tel) = tel {
+        store.attach_telemetry(tel.clone());
+    }
+    let spec = ycsb::YcsbSpec::workload_a(records, ops);
+    let t0 = ycsb::load(&mut store, &spec, 0);
+    ycsb::run(&mut store, &spec, t0);
+    store
+}
+
+/// Workload and engine sizing of the TPC-C cell: 8 clients, a buffer pool
+/// of a tenth of the estimated database, data file four times it.
+pub fn tpcc_cell_config(warehouses: u32, txns: u64, barriers: bool) -> (TpccSpec, EngineConfig) {
+    let spec = TpccSpec { clients: 8, ..TpccSpec::scaled(warehouses, txns) };
+    let est = warehouses as u64
+        * (spec.items as u64 * 300 + spec.districts as u64 * spec.customers as u64 * 470 + 40_960);
+    let ecfg = EngineConfig::builder(4096)
+        .buffer_pool_bytes((est / 10).max(512 * 1024))
+        .barriers(barriers)
+        .data_pages((est * 4 / 4096).max(16_384))
+        .log_file_blocks(8_192)
+        .build();
+    (spec, ecfg)
+}
+
+/// A TPC-C slice on the relational engine: WAL appends and double-write
+/// page images on the log device, home-page writes on the data device.
+/// Returns the engine after load + run.
+pub fn tpcc_cell(
+    durable: bool,
+    warehouses: u32,
+    txns: u64,
+    tel: Option<&Telemetry>,
+) -> Engine<Ssd, Ssd> {
+    let (spec, ecfg) = tpcc_cell_config(warehouses, txns, !durable);
+    let (data, log) = (cell_device(durable, tel), cell_device(durable, tel));
+    let (mut engine, t0) = Engine::create(data, log, ecfg, 0).into_parts();
+    if let Some(tel) = tel {
+        engine.attach_telemetry(tel.clone());
+    }
+    let (mut db, t1) = tpcc::load(&mut engine, &spec, t0);
+    tpcc::run(&mut engine, &mut db, &spec, t1);
+    engine
+}
+
+/// A telemetry domain for one report row, with the latency anatomy on so
+/// [`segment_mix`] has data to read.
+pub fn row_telemetry() -> Telemetry {
+    let tel = Telemetry::new();
+    tel.enable_anatomy(1);
+    tel
+}
+
+/// `dev` with `tel` attached: the device then charges its own latency
+/// segments (transfer, media, cache admission, GC, FLUSH CACHE) into the
+/// frames the layers above it open. Attach before handing the device to an
+/// engine — the device's own histograms (`nand.*`, `ssd.*`) then cover load
+/// and run, while op and segment histograms start with the engine's attach.
+pub fn observed_ssd(mut dev: Ssd, tel: &Telemetry) -> Ssd {
+    dev.attach_telemetry(tel.clone());
+    dev
+}
+
+/// [`observed_ssd`] for the disk.
+pub fn observed_hdd(mut dev: Hdd, tel: &Telemetry) -> Hdd {
+    dev.attach_telemetry(tel.clone());
+    dev
+}
+
+/// A relational engine over two observed DuraSSDs with group commit on — the
+/// setup of every LinkBench and TPC-C table cell. Returns the engine and the
+/// time it is ready.
+pub fn durassd_engine(cfg: EngineConfig, tel: &Telemetry) -> (Engine<Ssd, Ssd>, simkit::Nanos) {
+    let (data, log) =
+        (observed_ssd(durassd_bench(true), tel), observed_ssd(durassd_bench(true), tel));
+    let (mut engine, t0) = Engine::create(data, log, cfg, 0).into_parts();
+    engine.set_group_commit(true);
+    (engine, t0)
 }
 
 /// Parse `--flag value` style arguments with a default.
@@ -78,7 +223,7 @@ pub fn write_atomic(path: &str, content: &str) -> std::io::Result<()> {
 /// [`TelemetrySink::finish`] at the end. When the bin was invoked with
 /// `--telemetry-out <path>`, finish writes one JSON document — an object
 /// keyed by section label, each value the full registry export
-/// ([`Telemetry::to_json`]: counters, gauges, stalls, histograms, and the
+/// ([`Telemetry::to_json`]: counters, gauges, histograms, and the
 /// sampled time-series when sampling was enabled) — atomically (tmp +
 /// rename) and prints the path. Without the flag everything is a no-op, so
 /// the human-readable tables stay the default interface.
@@ -164,33 +309,35 @@ pub fn rule(width: usize) {
     println!("{}", "-".repeat(width));
 }
 
-/// One-line stall breakdown: where every blocked nanosecond went, by kind.
+/// One-line segment mix: where the run's attributed nanoseconds went, as
+/// shares of the `seg.*` histogram sums (so the domain needs
+/// `enable_anatomy`, and the device needs the handle attached to charge its
+/// own segments). `flush_cache` always prints, then every other kind with a
+/// non-zero share.
 ///
 /// This is the attribution the paper argues about in prose: a durable cache
-/// deployment (nobarrier) should show `flush 0.0%`, while a volatile cache
+/// deployment (nobarrier) shows `flush_cache 0.0%`, while a volatile cache
 /// with barriers pays most of its time there.
-pub fn stall_breakdown(tel: &Telemetry) -> String {
-    let s = tel.stall_totals();
-    let total = s.total();
+pub fn segment_mix(tel: &Telemetry) -> String {
+    let sums = SegKind::ALL.map(|k| tel.histogram(k.hist_name()).map_or(0, |h| h.sum()));
+    let total: u128 = sums.iter().sum();
     if total == 0 {
-        return "stalls: none recorded".to_string();
+        return "segments: none recorded".to_string();
     }
-    let pct = |v: u64| 100.0 * v as f64 / total as f64;
-    format!(
-        "stalls {:>9.1}ms | media {:5.1}%  flush {:5.1}%  gc {:4.1}%  wal {:5.1}%  evict {:4.1}%",
-        total as f64 / 1e6,
-        pct(s.media),
-        pct(s.flush_cache),
-        pct(s.gc),
-        pct(s.wal_fsync),
-        pct(s.pool_eviction)
-    )
+    let mut out = format!("segments {:>9.1}ms |", total as f64 / 1e6);
+    let others =
+        SegKind::ALL.into_iter().filter(|&k| k != SegKind::FlushCache && sums[k.index()] > 0);
+    for k in std::iter::once(SegKind::FlushCache).chain(others) {
+        let pct = 100.0 * sums[k.index()] as f64 / total as f64;
+        out.push_str(&format!(" {} {pct:4.1}% ", k.label()));
+    }
+    out.trim_end().to_string()
 }
 
 /// One-line durability-health summary for a device that tracks it
 /// ([`forensics::Forensic::health`]): shorn reads, emergency dumps (and how
 /// many blew the capacitor budget), the largest dump, recovery runs, and
-/// acked slots destroyed. Printed next to the stall breakdown so a run's
+/// acked slots destroyed. Printed next to the segment mix so a run's
 /// performance story and its durability story sit on adjacent lines.
 pub fn ssd_health_line(h: &DeviceHealth) -> String {
     // WAF is media pages per host page; absorption is the share of host
@@ -245,10 +392,10 @@ pub fn latency_line(tel: &Telemetry, name: &str) -> Option<String> {
     ))
 }
 
-/// Print the standard per-run telemetry epilogue: the stall breakdown plus
+/// Print the standard per-run telemetry epilogue: the segment mix plus
 /// latency percentiles for every histogram in `names` that has samples.
 pub fn print_telemetry(indent: &str, tel: &Telemetry, names: &[&str]) {
-    println!("{indent}{}", stall_breakdown(tel));
+    println!("{indent}{}", segment_mix(tel));
     for name in names {
         if let Some(line) = latency_line(tel, name) {
             println!("{indent}{line}");
@@ -374,14 +521,20 @@ mod tests {
     }
 
     #[test]
-    fn stall_breakdown_and_latency_lines() {
+    fn segment_mix_and_latency_lines() {
         let t = Telemetry::new();
-        assert_eq!(stall_breakdown(&t), "stalls: none recorded");
-        t.stall_exact(telemetry::Stall::Media, 3_000_000);
-        t.stall_exact(telemetry::Stall::FlushCache, 1_000_000);
-        let line = stall_breakdown(&t);
-        assert!(line.contains("media  75.0%"), "{line}");
-        assert!(line.contains("flush  25.0%"), "{line}");
+        t.enable_anatomy(1);
+        assert_eq!(segment_mix(&t), "segments: none recorded");
+        let frame = t.frame("dev.x.write", 0);
+        t.seg(SegKind::MediaProgram, 3_000_000);
+        frame.end(3_000_000);
+        assert!(segment_mix(&t).contains("flush_cache  0.0%"), "{}", segment_mix(&t));
+        let frame = t.frame("dev.x.flush", 0);
+        t.seg(SegKind::FlushCache, 1_000_000);
+        frame.end(1_000_000);
+        let line = segment_mix(&t);
+        assert!(line.starts_with("segments       4.0ms | flush_cache 25.0%"), "{line}");
+        assert!(line.ends_with("media_program 75.0%"), "{line}");
         assert!(latency_line(&t, "missing").is_none());
         t.record("dev.x.write", 5_000);
         let lat = latency_line(&t, "dev.x.write").unwrap();

@@ -1,9 +1,10 @@
 //! Structural validators for every machine-readable artifact the bench bins
 //! write.
 //!
-//! Four bins emit schema-tagged JSON documents at the repo root — `perf`
-//! (`BENCH_perf.json`), `recovery` (`BENCH_recovery.json`), `crashmatrix`
-//! (`--json`), and `waf` (`BENCH_waf.json`) — and each offers a `--check`
+//! Four bins emit schema-tagged JSON documents — `recovery`
+//! (`BENCH_recovery.json`), `crashmatrix` (`--json`), `waf`
+//! (`BENCH_waf.json`) and `latency` (`BENCH_latency.json`, also written by
+//! `tail --json`) — and each offers a `--check`
 //! flag that `ci.sh` runs as a regression gate. The checks used to live next
 //! to each bin (and one in the forensics crate), three hand-rolled copies of
 //! the same parse / tag / walk-the-rows skeleton. This module is the single
@@ -15,8 +16,6 @@ use std::collections::BTreeMap;
 use storage::device::WriteCause;
 use telemetry::JsonValue;
 
-/// Schema tag for `BENCH_perf.json` (the `perf` bin).
-pub const PERF_SCHEMA: &str = "durassd.perf.v1";
 /// Schema tag for `BENCH_recovery.json` (the `recovery` bin).
 pub const RECOVERY_SCHEMA: &str = "durassd.recovery.v1";
 /// Schema tag for crash-campaign reports (`crashmatrix --json`).
@@ -49,47 +48,6 @@ fn check_tag(obj: &Obj, want: &str, failures: &mut Vec<String>) {
 /// Fetch a numeric field as f64 (accepts any JSON number).
 fn num(row: &Obj, key: &str) -> Option<f64> {
     row.get(key).and_then(|v| v.as_f64())
-}
-
-/// Validate a serialized `BENCH_perf.json` document: parses, carries the
-/// [`PERF_SCHEMA`] tag, and every scenario has positive finite wall and sim
-/// throughput.
-pub fn check_perf_report(doc: &str) -> Vec<String> {
-    let v = match top_object(doc, "BENCH_perf.json") {
-        Ok(v) => v,
-        Err(f) => return f,
-    };
-    let obj = v.as_object().expect("checked by top_object");
-    let mut failures = Vec::new();
-    check_tag(obj, PERF_SCHEMA, &mut failures);
-    match obj.get("scenarios").and_then(|s| s.as_array()) {
-        None => failures.push("scenarios array missing".into()),
-        Some(list) if list.is_empty() => failures.push("scenarios array empty".into()),
-        Some(list) => {
-            for s in list {
-                let Some(s) = s.as_object() else {
-                    failures.push("scenario is not an object".into());
-                    continue;
-                };
-                let name = s.get("name").and_then(|v| v.as_str()).unwrap_or("?");
-                for key in ["wall_ops_per_sec", "sim_ops_per_sec"] {
-                    match num(s, key) {
-                        Some(x) if x.is_finite() && x > 0.0 => {}
-                        other => {
-                            failures.push(format!("{name}.{key} = {other:?}: want finite positive"))
-                        }
-                    }
-                }
-                for key in ["ops", "wall_ns", "sim_ns"] {
-                    match num(s, key) {
-                        Some(x) if x > 0.0 => {}
-                        other => failures.push(format!("{name}.{key} = {other:?}: want positive")),
-                    }
-                }
-            }
-        }
-    }
-    failures
 }
 
 /// Validate a serialized `BENCH_recovery.json` document:
@@ -821,18 +779,5 @@ mod tests {
         let empty =
             "{\"schema\":\"durassd.forensics.v1\",\"seed\":1,\"keys\":1,\"cuts\":1,\"rows\":[]}";
         assert!(!check_forensics_report(empty).is_empty());
-    }
-
-    #[test]
-    fn perf_report_validation() {
-        let good = format!(
-            "{{\"schema\":\"{PERF_SCHEMA}\",\"peak_rss_bytes\":1,\"scenarios\":[\
-             {{\"name\":\"fio\",\"ops\":10,\"wall_ns\":20,\"wall_ops_per_sec\":5.0,\
-             \"sim_ns\":30,\"sim_ops_per_sec\":7.0,\"allocs\":0,\"allocs_per_op\":0}}]}}"
-        );
-        assert!(check_perf_report(&good).is_empty(), "{:?}", check_perf_report(&good));
-        let zero = good.replace("\"wall_ops_per_sec\":5.0", "\"wall_ops_per_sec\":0");
-        assert!(check_perf_report(&zero).iter().any(|f| f.contains("wall_ops_per_sec")));
-        assert!(!check_perf_report("{}").is_empty());
     }
 }

@@ -145,13 +145,14 @@ fn telemetry_recording() {
 
 fn disabled_tracing() {
     let tel = Telemetry::new();
-    // Tracing never enabled: every trace call must early-out without
-    // touching the heap (no interning, no ring work).
+    // Tracing and anatomy never enabled: every scope must open and close
+    // without touching the heap (no interning, no ring work, no frame).
     let allocs = allocs_during(|| {
         for i in 0..1_000u64 {
-            tel.trace_begin("dev", "op", i);
+            let op = tel.op("dev", "op", i);
             tel.trace_instant("dev", "tick", i);
-            tel.trace_end("dev", "op", i + 1);
+            tel.complete("nand", "nand.program", i, i + 1);
+            op.end(i + 1);
         }
     });
     assert_eq!(allocs, 0, "disabled tracing must be free");

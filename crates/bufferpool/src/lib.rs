@@ -17,7 +17,7 @@
 
 use simkit::Nanos;
 use std::collections::HashMap;
-use telemetry::{Stall, Telemetry};
+use telemetry::Telemetry;
 
 /// Storage interface the pool evicts to and faults from.
 pub trait PageBackend {
@@ -82,9 +82,8 @@ pub struct BufferPool {
     /// the `pool.dirty_pages` gauge on every transition (the O(n)
     /// [`BufferPool::dirty_count`] stays as the ground truth for tests).
     ndirty: usize,
-    /// Optional telemetry sink. Dirty-victim writes run under a
-    /// `PoolEviction` stall context so the paper's "read blocked behind a
-    /// write" time is attributed to `pool_eviction`.
+    /// Optional telemetry sink. The paper's "read blocked behind a write"
+    /// time is the sum of the `pool.eviction_write` histogram.
     tel: Option<Telemetry>,
 }
 
@@ -119,8 +118,7 @@ impl BufferPool {
     /// Attach a telemetry sink: records `pool.eviction_write` (time a miss
     /// spends writing the dirty LRU-tail batch before its own read can
     /// start — Fig. 1's blocked read) and `pool.miss_stall` (total fault
-    /// time) histograms, with the eviction write attributed to the
-    /// `pool_eviction` stall bucket.
+    /// time) histograms, under `pool.eviction` / `pool.miss` trace spans.
     pub fn attach_telemetry(&mut self, tel: Telemetry) {
         self.tel = Some(tel);
     }
@@ -234,15 +232,11 @@ impl BufferPool {
                 *slot = (self.frames[i].page_no, &*self.frames[i].data);
             }
             let write_start = now;
-            if let Some(tel) = &self.tel {
-                tel.push_context(Stall::PoolEviction);
-                tel.trace_begin("pool", "pool.eviction", write_start);
-            }
+            let scope = self.tel.as_ref().map(|tel| tel.span("pool", "pool.eviction", now));
             now = backend.write_batch(&batch[..nb], now);
-            if let Some(tel) = &self.tel {
-                tel.pop_context();
+            if let (Some(scope), Some(tel)) = (scope, &self.tel) {
                 tel.record("pool.eviction_write", now.saturating_sub(write_start));
-                tel.trace_end("pool", "pool.eviction", now);
+                scope.end(now);
             }
             for &i in &batch_idx[..nb] {
                 if self.frames[i].dirty {
@@ -276,14 +270,12 @@ impl BufferPool {
             return (idx, now);
         }
         self.stats.misses += 1;
-        if let Some(tel) = &self.tel {
-            tel.trace_begin("pool", "pool.miss", now);
-        }
+        let scope = self.tel.as_ref().map(|tel| tel.span("pool", "pool.miss", now));
         let (idx, t) = self.take_frame(backend, now);
         let t = backend.read_page(page_no, &mut self.frames[idx].data, t);
-        if let Some(tel) = &self.tel {
+        if let (Some(scope), Some(tel)) = (scope, &self.tel) {
             tel.record("pool.miss_stall", t.saturating_sub(now));
-            tel.trace_end("pool", "pool.miss", t);
+            scope.end(t);
         }
         self.install(idx, page_no);
         (idx, t)

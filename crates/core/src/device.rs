@@ -319,15 +319,13 @@ impl Ssd {
             *cause = self.cache.cause_of(lpn);
             *slot = (lpn, self.cache.get(lpn).expect("popped entry is present"));
         }
-        if let Some(tel) = &self.tel {
-            tel.trace_begin("ssd", "ssd.cache_drain", t);
-        }
+        let scope = self.tel.as_ref().map(|tel| tel.span("ssd", "ssd.cache_drain", t));
         let done = self
             .ftl
             .program_slots_tagged(&mut self.nand, &items[..n], &causes[..n], grant)
             .map_err(Error::into_dev)?;
-        if let Some(tel) = &self.tel {
-            tel.trace_end("ssd", "ssd.cache_drain", done);
+        if let Some(scope) = scope {
+            scope.end(done);
         }
         for &lpn in &lpns[..n] {
             self.cache.set_draining(lpn, done);
@@ -722,12 +720,12 @@ impl BlockDevice for Ssd {
         self.note_arrival(now);
         self.stats.flushes += 1;
         let start = now.max(self.barrier_until);
-        if let Some(tel) = &self.tel {
+        // The span every barrier pays and DuraSSD's nobarrier mount never
+        // emits: the trace-level twin of the flush_cache segment.
+        let scope = self.tel.as_ref().map(|tel| {
             tel.set_gauge("ssd.cache_occupancy", self.cache.occupied() as i64);
-            // The span every barrier pays and DuraSSD's nobarrier mount
-            // never emits: the trace-level twin of the flush_cache stall.
-            tel.trace_begin("ssd", "flush_cache", start);
-        }
+            tel.span("ssd", "flush_cache", start)
+        });
         let gc_before = self.ftl.gc_time();
         let drained = self.drain_all(start)?;
         if let Some(tel) = &self.tel {
@@ -760,8 +758,8 @@ impl BlockDevice for Ssd {
                 + self.cfg.flush_fixed_cost,
         );
         self.barrier_until = done;
-        if let Some(tel) = &self.tel {
-            tel.trace_end("ssd", "flush_cache", done);
+        if let Some(scope) = scope {
+            scope.end(done);
         }
         if let Some(ledger) = &self.ledger {
             // A FLUSH CACHE completion is by definition a barrier ack.
@@ -898,9 +896,7 @@ impl BlockDevice for Ssd {
         }
         self.powered = true;
         self.last_arrival = 0;
-        if let Some(tel) = &self.tel {
-            tel.trace_begin("ssd", "postmortem_recovery", now);
-        }
+        let scope = self.tel.as_ref().map(|tel| tel.span("ssd", "postmortem_recovery", now));
         // Torn-erase sweep: a cut during an in-flight erase leaves the
         // block refusing programs until it is erased again — but the FTL
         // already recycled it. Repair before serving I/O; skipping this
@@ -947,8 +943,8 @@ impl BlockDevice for Ssd {
         self.last_arrival = self.last_arrival.max(ready);
         snap.ready_at = ready;
         self.recovery = Some(snap);
-        if let Some(tel) = &self.tel {
-            tel.trace_end("ssd", "postmortem_recovery", ready);
+        if let Some(scope) = scope {
+            scope.end(ready);
         }
         ready
     }
@@ -1482,9 +1478,8 @@ mod tests {
         now: Nanos,
         f: impl FnOnce(&mut Ssd, Nanos) -> DevResult<Nanos>,
     ) -> (Nanos, telemetry::OpBreakdown) {
-        tel.begin_frame(name, now);
-        let done = f(d, now).unwrap();
-        tel.end_frame(name, done);
+        let frame = tel.frame(name, now);
+        let done = frame.end(f(d, now).unwrap());
         let bd = tel.last_breakdown().expect("frame closed");
         assert_eq!(bd.wall, done - now, "{name}: wall is the op latency");
         assert!(bd.is_conserved(), "{name}: segments must sum to wall");
@@ -1638,11 +1633,9 @@ mod tests {
         // deterministic k·S (k-1)/2 total of a D/D/1 queue exactly.
         let (mut b, btel) = anatomy_dev(SsdConfig::tiny_test());
         let k = 8u64;
-        let mut last = 0;
         for i in 0..k {
-            btel.begin_frame("dev.write", 0);
-            last = b.write(i, &page(1), 0).unwrap();
-            btel.end_frame("dev.write", last);
+            let frame = btel.frame("dev.write", 0);
+            frame.end(b.write(i, &page(1), 0).unwrap());
         }
         let svc = (btel.histogram("seg.xfer").unwrap().sum() / k as u128) as u64;
         let waits = btel.histogram("seg.ncq_wait").unwrap();
@@ -1652,7 +1645,6 @@ mod tests {
         assert!(btel.gauge("ssd.cache_dirty").is_some());
         assert!(btel.gauge("ssd.ncq_backlog_ns").is_some());
         assert!(btel.gauge("nand.ch0.queue").is_some());
-        let _ = last;
     }
 
     #[test]

@@ -344,8 +344,7 @@ impl Ftl {
             self.stats.gc_ns += pause;
             if let Some(tel) = &self.tel {
                 tel.record("ftl.gc_pause", pause);
-                tel.trace_begin("ftl", "ftl.gc", now);
-                tel.trace_end("ftl", "ftl.gc", gc_end);
+                tel.complete("ftl", "ftl.gc", now, gc_end);
             }
         }
         let done = self.program_on_plane(nand, plane, items, now);
@@ -602,15 +601,13 @@ impl Ftl {
         let geo = *nand.geometry();
         let entries_per_page = geo.page_size / 8; // (lpn, slot) pairs, 8B packed
         let pages = self.up_list.len().div_ceil(entries_per_page).max(1);
-        if let Some(tel) = &self.tel {
-            tel.trace_begin("ftl", "ftl.map_persist", now);
-        }
+        let scope = self.tel.as_ref().map(|tel| tel.span("ftl", "ftl.map_persist", now));
         let mut t = now;
         for _ in 0..pages {
             t = self.program_meta_page(nand, t);
         }
-        if let Some(tel) = &self.tel {
-            tel.trace_end("ftl", "ftl.map_persist", t);
+        if let Some(scope) = scope {
+            scope.end(t);
         }
         self.clear_unpersisted();
         t

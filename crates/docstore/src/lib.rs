@@ -29,7 +29,7 @@ use std::collections::HashMap;
 use storage::device::BlockDevice;
 use storage::file::PageFile;
 use storage::volume::{Volume, VolumeManager};
-use telemetry::Telemetry;
+use telemetry::{Scope, Telemetry};
 use wal::LogRecord;
 
 const HEADER_MAGIC: u64 = 0x434f_5543_4848_4452;
@@ -199,27 +199,15 @@ impl<D: BlockDevice> DocStore<D> {
         self.ledger = Some(ledger);
     }
 
-    /// Open a per-operation trace scope (see `relstore::Engine::begin_op`):
-    /// spans emitted below the store while the operation runs share the
-    /// trace-ID allocated here, and with latency anatomy enabled the scope
-    /// is also the attribution frame lower layers charge segments against
-    /// (frames nest: `doc.set` may contain a `doc.commit` frame; both see
-    /// the same segments, so each level's conservation identity holds).
-    /// Paired with the `end_op` in `note_op`.
-    fn begin_op(&self, name: &str, now: Nanos) {
-        if let Some(tel) = &self.tel {
-            tel.begin_op("doc", name, now);
-        }
-    }
-
-    /// Record a store-level operation latency, close the trace scope, and
-    /// let the gauge sampler take a cadence-gated snapshot.
-    fn note_op(&self, name: &str, start: Nanos, done: Nanos) {
-        if let Some(tel) = &self.tel {
-            tel.record(name, done.saturating_sub(start));
-            tel.end_op("doc", name, done);
-            tel.sample(done);
-        }
+    /// Open the scope of one store operation (see `relstore::Engine`):
+    /// spans emitted below the store while it runs share the trace-ID
+    /// allocated here, and with latency anatomy enabled the scope is also
+    /// the attribution frame lower layers charge segments against (frames
+    /// nest: `doc.set` may contain a `doc.commit` frame; both see the same
+    /// segments, so each level's conservation identity holds). Closing
+    /// records the op latency under `name` and ticks the gauge sampler.
+    fn scope(&self, name: &'static str, now: Nanos) -> Option<Scope<'static>> {
+        self.tel.as_ref().map(|tel| tel.op("doc", name, now))
     }
 
     /// Tree depth (levels of internal nodes above the leaves).
@@ -406,21 +394,19 @@ impl<D: BlockDevice> DocStore<D> {
     /// `checkpoint_every_n_commits`-th header is promoted to a checkpoint
     /// anchor automatically.
     pub fn commit_header(&mut self, now: Nanos) -> Nanos {
-        self.begin_op("doc.commit", now);
+        let scope = self.scope("doc.commit", now);
         let due = self.headers_since_ckpt + 1 >= self.cfg.checkpoint_every_n_commits;
         let done = self.commit_header_inner(due, now);
-        self.note_op("doc.commit", now, done);
-        done
+        scope.map_or(done, |s| s.close(done))
     }
 
     /// Commit with a forced checkpoint anchor: the header-chain analogue of
     /// the relational engine's `checkpoint`. Recovery measures its header
     /// walk (the `skipped` count) back to the newest anchor.
     pub fn commit_checkpoint(&mut self, now: Nanos) -> Nanos {
-        self.begin_op("doc.checkpoint", now);
+        let scope = self.scope("doc.checkpoint", now);
         let done = self.commit_header_inner(true, now);
-        self.note_op("doc.checkpoint", now, done);
-        done
+        scope.map_or(done, |s| s.close(done))
     }
 
     fn commit_header_inner(&mut self, anchor: bool, now: Nanos) -> Nanos {
@@ -463,7 +449,7 @@ impl<D: BlockDevice> DocStore<D> {
     /// Insert or update a document. Returns the completion time.
     pub fn set(&mut self, key: &[u8], doc: &[u8], now: Nanos) -> Nanos {
         self.stats.sets += 1;
-        self.begin_op("doc.set", now);
+        let scope = self.scope("doc.set", now);
         if let Some(ledger) = &self.ledger {
             ledger.pend(UnitKind::DocstoreUpdate, key, Ledger::digest(doc), now);
         }
@@ -474,14 +460,13 @@ impl<D: BlockDevice> DocStore<D> {
         let t = self.apply_tree_update(key, entry, now);
         self.doc_cache.insert(key.to_vec(), Some(doc.to_vec()));
         let done = self.finish_update(t);
-        self.note_op("doc.set", now, done);
-        done
+        scope.map_or(done, |s| s.close(done))
     }
 
     /// Delete a document (tombstone entry).
     pub fn delete(&mut self, key: &[u8], now: Nanos) -> Nanos {
         self.stats.deletes += 1;
-        self.begin_op("doc.delete", now);
+        let scope = self.scope("doc.delete", now);
         if let Some(ledger) = &self.ledger {
             // Tombstone digest: a surviving delete reads back as Missing.
             ledger.pend(UnitKind::DocstoreUpdate, key, Ledger::digest(&[]), now);
@@ -495,17 +480,15 @@ impl<D: BlockDevice> DocStore<D> {
         let t = self.apply_tree_update(key, entry, now);
         self.doc_cache.insert(key.to_vec(), None);
         let done = self.finish_update(t);
-        self.note_op("doc.delete", now, done);
-        done
+        scope.map_or(done, |s| s.close(done))
     }
 
     /// Fetch a document. Memory-first: the object cache serves hot keys; a
     /// miss walks the on-disk tree.
     pub fn get(&mut self, key: &[u8], now: Nanos) -> Timed<Option<Vec<u8>>> {
-        self.begin_op("doc.get", now);
+        let scope = self.scope("doc.get", now);
         let (v, done) = self.get_inner(key, now);
-        self.note_op("doc.get", now, done);
-        Timed::new(v, done)
+        Timed::new(v, scope.map_or(done, |s| s.close(done)))
     }
 
     fn get_inner(&mut self, key: &[u8], now: Nanos) -> (Option<Vec<u8>>, Nanos) {

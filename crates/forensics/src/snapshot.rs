@@ -85,8 +85,8 @@ pub struct RecoverySnap {
     pub scan_only: bool,
 }
 
-/// Durability-relevant device health counters, surfaced next to the stall
-/// breakdown in the experiment binaries (`bench::ssd_health_line`).
+/// Durability-relevant device health counters, surfaced next to the segment
+/// mix in the experiment binaries (`bench::ssd_health_line`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DeviceHealth {
     /// Host reads that found a shorn/corrupt page after recovery.

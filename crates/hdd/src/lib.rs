@@ -241,8 +241,7 @@ impl Hdd {
             if done > now {
                 // Span only when the arm actually moved; zero-length
                 // destages (empty cache) would just be trace noise.
-                tel.trace_begin("hdd", "hdd.destage", now);
-                tel.trace_end("hdd", "hdd.destage", done);
+                tel.complete("hdd", "hdd.destage", now, done);
             }
         }
         done
@@ -379,9 +378,7 @@ impl BlockDevice for Hdd {
         let arrival = now;
         let now = now.max(self.barrier_until);
         self.seg(SegKind::FlushCache, now - arrival);
-        if let Some(tel) = &self.tel {
-            tel.trace_begin("hdd", "flush_cache", now);
-        }
+        let scope = self.tel.as_ref().map(|tel| tel.span("hdd", "flush_cache", now));
         let drained = self.destage_all(now);
         self.seg(SegKind::HddDestage, drained - now);
         self.draining.clear();
@@ -390,8 +387,8 @@ impl BlockDevice for Hdd {
         self.seg(SegKind::FlushCache, done - drained);
         let done = done + self.cfg.command_overhead;
         self.barrier_until = done;
-        if let Some(tel) = &self.tel {
-            tel.trace_end("hdd", "flush_cache", done);
+        if let Some(scope) = scope {
+            scope.end(done);
         }
         Ok(done)
     }
@@ -430,8 +427,7 @@ impl BlockDevice for Hdd {
         // Spin-up.
         let ready = now + 5_000_000_000;
         if let Some(tel) = &self.tel {
-            tel.trace_begin("hdd", "postmortem_recovery", now);
-            tel.trace_end("hdd", "postmortem_recovery", ready);
+            tel.complete("hdd", "postmortem_recovery", now, ready);
         }
         self.recovery = Some(RecoverySnap {
             device: "hdd".into(),
@@ -490,14 +486,12 @@ mod tests {
         tel.enable_anatomy(2);
         let mut d = disk(true);
         d.attach_telemetry(tel.clone());
-        tel.begin_frame("w", 0);
-        let t = d.write(0, &page(1), 0).unwrap();
-        tel.end_frame("w", t);
+        let frame = tel.frame("w", 0);
+        let t = frame.end(d.write(0, &page(1), 0).unwrap());
         assert!(tel.last_breakdown().unwrap().is_conserved());
         // Flush: cache destage plus journal commit, fully attributed.
-        tel.begin_frame("f", t);
-        let t2 = d.flush(t).unwrap();
-        tel.end_frame("f", t2);
+        let frame = tel.frame("f", t);
+        frame.end(d.flush(t).unwrap());
         let bd = tel.last_breakdown().unwrap();
         assert!(bd.seg(SegKind::HddDestage) > 0, "destage span attributed");
         assert!(bd.seg(SegKind::FlushCache) > 0, "journal commit attributed");
@@ -505,9 +499,8 @@ mod tests {
         // Write-through disk: mechanical service shows up as media program.
         let mut d2 = disk(false);
         d2.attach_telemetry(tel.clone());
-        tel.begin_frame("w2", 0);
-        let t = d2.write(0, &page(1), 0).unwrap();
-        tel.end_frame("w2", t);
+        let frame = tel.frame("w2", 0);
+        frame.end(d2.write(0, &page(1), 0).unwrap());
         let bd = tel.last_breakdown().unwrap();
         assert!(bd.seg(SegKind::MediaProgram) > 0);
         assert!(bd.is_conserved());

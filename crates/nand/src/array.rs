@@ -220,8 +220,7 @@ impl NandArray {
     /// virtual completion time).
     fn trace_span(&self, name: &str, start: Nanos, done: Nanos) {
         if let Some(tel) = &self.tel {
-            tel.trace_begin("nand", name, start);
-            tel.trace_end("nand", name, done);
+            tel.complete("nand", name, start, done);
         }
     }
 

@@ -44,7 +44,7 @@ use std::collections::HashMap;
 use storage::device::{BlockDevice, DevError, WriteCause};
 use storage::file::PageFile;
 use storage::volume::{Volume, VolumeManager};
-use telemetry::Telemetry;
+use telemetry::{Scope, Telemetry};
 use wal::{CheckpointPolicy, LogRecord, Lsn, Wal, WalStats};
 
 /// Identifier of a tree (table/index) within the engine.
@@ -398,10 +398,11 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
     }
 
     /// Attach a telemetry sink to every layer under this engine: the data
-    /// and log volumes (device latency histograms + media/gc/flush-cache
-    /// stall attribution), the buffer pool (`pool_eviction` stalls), the
-    /// WAL (`wal_fsync` stalls), and the engine itself (`engine.put` /
-    /// `engine.get` / `engine.commit` … latency histograms).
+    /// and log volumes (device latency histograms and the anatomy frame of
+    /// every command), the buffer pool (`pool.miss_stall`,
+    /// `pool.eviction_write`), the WAL (`wal.*` spans and group-commit
+    /// waits), and the engine itself (`engine.put` / `engine.get` /
+    /// `engine.commit` … op scopes).
     ///
     /// Device-internal histograms (GC pauses, NAND program/erase, cache
     /// drain) require attaching the same handle to the device *before*
@@ -429,30 +430,17 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
         self.ledger = Some(ledger);
     }
 
-    /// Open a per-operation trace scope: every span emitted below the
-    /// engine while this operation runs (WAL flush, pool eviction, device
-    /// write, cache drain, NAND program, ...) carries the trace-ID
-    /// allocated here, so a whole commit renders as one track in Perfetto.
-    /// When latency anatomy is enabled the same scope doubles as the op's
-    /// attribution frame: device, WAL, and cache layers charge queueing and
-    /// service segments against it, and the close in [`Engine::note_op`]
-    /// audits that the segments never exceed the op's wall latency.
-    /// Paired with the `end_op` inside [`Engine::note_op`].
-    fn begin_op(&self, name: &str, now: Nanos) {
-        if let Some(tel) = &self.tel {
-            tel.begin_op("engine", name, now);
-        }
-    }
-
-    /// Record an engine-level operation latency, close the trace scope
-    /// opened by [`Engine::begin_op`], and give the gauge sampler a chance
-    /// to take a cadence-gated snapshot.
-    fn note_op(&self, name: &str, start: Nanos, done: Nanos) {
-        if let Some(tel) = &self.tel {
-            tel.record(name, done.saturating_sub(start));
-            tel.end_op("engine", name, done);
-            tel.sample(done);
-        }
+    /// Open the scope of one engine operation: every span emitted below
+    /// the engine while it runs (WAL flush, pool eviction, device write,
+    /// cache drain, NAND program, ...) carries the trace-ID allocated here,
+    /// so a whole commit renders as one track in Perfetto. With latency
+    /// anatomy enabled the scope is also the op's attribution frame —
+    /// device, WAL and cache layers charge queueing and service segments
+    /// against it, and closing it audits that they never exceed the op's
+    /// wall latency. Closing records the op latency under `name` and ticks
+    /// the gauge sampler.
+    fn scope(&self, name: &'static str, now: Nanos) -> Option<Scope<'static>> {
+        self.tel.as_ref().map(|tel| tel.op("engine", name, now))
     }
 
     /// Engine configuration.
@@ -637,7 +625,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             self.trees.len()
         );
         self.stats.puts += 1;
-        self.begin_op("engine.put", now);
+        let scope = self.scope("engine.put", now);
         let root_before = self.trees[tree as usize].root();
         let height_before = self.trees[tree as usize].height();
         let (_, summary, t) =
@@ -656,8 +644,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
         if let Some(ledger) = &self.ledger {
             ledger.pend(UnitKind::RelstoreCommit, key, Ledger::digest(value), now);
         }
-        self.note_op("engine.put", now, t);
-        t
+        scope.map_or(t, |s| s.close(t))
     }
 
     /// Point lookup.
@@ -668,13 +655,12 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             return Timed::new(None, now);
         }
         self.stats.gets += 1;
-        self.begin_op("engine.get", now);
+        let scope = self.scope("engine.get", now);
         let (r, summary, t) = self.op(now, |trees, view, t| trees[tree as usize].get(view, key, t));
         for idx in summary.retained {
             self.pool.unpin(idx);
         }
-        self.note_op("engine.get", now, t);
-        Timed::new(r, t)
+        Timed::new(r, scope.map_or(t, |s| s.close(t)))
     }
 
     /// Delete a key; returns whether it existed.
@@ -683,7 +669,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             return Timed::new(false, now); // tree lost with the catalog: nothing to delete
         }
         self.stats.deletes += 1;
-        self.begin_op("engine.delete", now);
+        let scope = self.scope("engine.delete", now);
         let (existed, summary, t) =
             self.op(now, |trees, view, t| trees[tree as usize].delete(view, key, t));
         self.log_op(Some(LogRecord::Delete { tree, key: key.to_vec() }), summary, None);
@@ -692,8 +678,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             // the reconciler expects `Missing` for a surviving delete.
             ledger.pend(UnitKind::RelstoreCommit, key, Ledger::digest(&[]), now);
         }
-        self.note_op("engine.delete", now, t);
-        Timed::new(existed, t)
+        Timed::new(existed, scope.map_or(t, |s| s.close(t)))
     }
 
     /// Ordered scan from `from`, up to `limit` entries, collecting pairs.
@@ -709,7 +694,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             return Timed::new(Vec::new(), now); // tree lost with the catalog: empty scan
         }
         self.stats.gets += 1;
-        self.begin_op("engine.scan", now);
+        let scope = self.scope("engine.scan", now);
         let mut out = Vec::with_capacity(limit);
         let (_, summary, t) = self.op(now, |trees, view, t| {
             trees[tree as usize].scan(view, from, t, |k, v| {
@@ -720,8 +705,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
         for idx in summary.retained {
             self.pool.unpin(idx);
         }
-        self.note_op("engine.scan", now, t);
-        Timed::new(out, t)
+        Timed::new(out, scope.map_or(t, |s| s.close(t)))
     }
 
     /// Commit: make everything logged so far durable (group commit). Under
@@ -730,7 +714,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
     /// polling [`Engine::needs_checkpoint`].
     pub fn commit(&mut self, now: Nanos) -> Nanos {
         self.stats.commits += 1;
-        self.begin_op("engine.commit", now);
+        let scope = self.scope("engine.commit", now);
         let target = self.wal.next_lsn();
         let mut t = self.wal.commit(&mut self.logv, target, now);
         if let Some(ledger) = &self.ledger {
@@ -739,7 +723,9 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             // issues FLUSH on fsync.
             ledger.ack_all_pending(t, self.cfg.barriers);
         }
-        self.note_op("engine.commit", now, t);
+        if let Some(scope) = scope {
+            scope.close(t);
+        }
         if matches!(self.cfg.checkpoint_policy, CheckpointPolicy::EveryNCommits(_))
             && self.wal.needs_checkpoint()
         {
@@ -775,7 +761,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
     /// that pair is what lets replay prove which records to skip.
     pub fn checkpoint(&mut self, now: Nanos) -> Nanos {
         self.stats.checkpoints += 1;
-        self.begin_op("engine.checkpoint", now);
+        let scope = self.scope("engine.checkpoint", now);
         let t = self.wal.quiesce(&mut self.logv, now);
         let begin_lsn = self.wal.append(&LogRecord::CheckpointBegin { lsn: self.wal.next_lsn() });
         let t = {
@@ -822,8 +808,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
         if let Some(ledger) = &self.ledger {
             ledger.evidence(EvidenceKind::Checkpoint, begin_lsn, t, self.cfg.barriers);
         }
-        self.note_op("engine.checkpoint", now, t);
-        t
+        scope.map_or(t, |s| s.close(t))
     }
 
     fn encode_catalog(&self) -> Vec<u8> {

@@ -1,6 +1,6 @@
 //! A counting wrapper around the system allocator.
 //!
-//! The perf harness and the zero-allocation regression tests both need to
+//! The repo benchmark and the zero-allocation regression tests both need to
 //! know how many heap allocations a stretch of code performed. Rust allows
 //! exactly one `#[global_allocator]` per binary, so this module only
 //! *defines* the wrapper; each binary that wants counting registers it

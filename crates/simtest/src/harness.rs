@@ -181,20 +181,30 @@ impl DeviceCase {
     }
 
     /// Run one device command inside an anatomy frame, auditing the
-    /// conservation identity and GC attribution when it closes. Failed
-    /// commands close the frame at issue time so no frame dangles.
+    /// conservation identity and GC attribution when it closes. A failed
+    /// command drops its frame, which closes it at issue time, so no frame
+    /// dangles.
+    fn framed_raw<E>(
+        &mut self,
+        name: &'static str,
+        issue: Nanos,
+        f: impl FnOnce(&mut Ssd) -> Result<Nanos, E>,
+    ) -> Result<Result<Nanos, E>, String> {
+        self.gc_mark = self.dev.gc_time();
+        let frame = self.tel.frame(name, issue);
+        let res = f(&mut self.dev).map(|done| frame.end(done));
+        self.audit(name)?;
+        Ok(res)
+    }
+
+    /// [`DeviceCase::framed_raw`] for commands that must succeed.
     fn framed<E: std::fmt::Display>(
         &mut self,
         name: &'static str,
         issue: Nanos,
         f: impl FnOnce(&mut Ssd) -> Result<Nanos, E>,
     ) -> Result<Nanos, String> {
-        self.gc_mark = self.dev.gc_time();
-        self.tel.begin_frame(name, issue);
-        let res = f(&mut self.dev);
-        self.tel.end_frame(name, *res.as_ref().unwrap_or(&issue));
-        self.audit(name)?;
-        res.map_err(|e| format!("{name} failed: {e}"))
+        self.framed_raw(name, issue, f)?.map_err(|e| format!("{name} failed: {e}"))
     }
 
     fn audit(&self, name: &str) -> Result<(), String> {
@@ -228,12 +238,7 @@ impl DeviceCase {
     fn checked_read(&mut self, lpn: u64, pages: u32) -> Result<(), String> {
         let mut buf = vec![0u8; pages as usize * LOGICAL_PAGE];
         let now = self.now;
-        self.gc_mark = self.dev.gc_time();
-        self.tel.begin_frame("dev.read", now);
-        let res = self.dev.read(lpn, pages, &mut buf, now);
-        self.tel.end_frame("dev.read", *res.as_ref().unwrap_or(&now));
-        self.audit("dev.read")?;
-        match res {
+        match self.framed_raw("dev.read", now, |d| d.read(lpn, pages, &mut buf, now))? {
             Ok(done) => {
                 self.now = self.now.max(done);
                 for i in 0..pages as u64 {

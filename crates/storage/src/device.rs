@@ -211,9 +211,9 @@ pub trait BlockDevice {
     }
 
     /// Cumulative host-visible delay (ns) caused by background garbage
-    /// collection stalling foreground commands (SSDs only). The telemetry
-    /// layer samples this around each command to split `gc` stall time out
-    /// of raw `media` time. Default: a device with no GC reports 0.
+    /// collection delaying foreground commands (SSDs only); harnesses
+    /// sample it around a command to tell whether GC ran underneath it.
+    /// Default: a device with no GC reports 0.
     fn gc_time(&self) -> Nanos {
         0
     }

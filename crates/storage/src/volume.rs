@@ -6,7 +6,7 @@ use crate::device::{
 };
 use forensics::{EvidenceKind, Ledger};
 use simkit::Nanos;
-use telemetry::{SegKind, Stall, Telemetry};
+use telemetry::{SegKind, Telemetry};
 
 /// Cost of an `fsync` that does **not** reach the device (metadata bookkeeping
 /// in the kernel): a couple of microseconds. This is what the paper's
@@ -34,12 +34,9 @@ struct VolumeTel {
 ///   trades durability for speed.
 ///
 /// A volume is the natural place to observe *host-visible* device latency,
-/// so when a [`Telemetry`] handle is attached every read/write/flush latency
-/// is histogrammed per device and every blocked nanosecond is attributed:
-/// raw service time to [`Stall::Media`], GC-induced delay (sampled via
-/// [`BlockDevice::gc_time`]) to [`Stall::Gc`], and barrier flushes to
-/// [`Stall::FlushCache`] — unless an upper layer (WAL commit, buffer-pool
-/// eviction) pushed a more specific attribution context.
+/// so when a [`Telemetry`] handle is attached every read/write/flush/discard
+/// is one telemetry scope: a `dev` trace span, a per-device latency
+/// histogram and the anatomy frame the device charges its segments into.
 pub struct Volume<D: BlockDevice> {
     dev: D,
     barriers: bool,
@@ -47,8 +44,7 @@ pub struct Volume<D: BlockDevice> {
     tel: Option<VolumeTel>,
     ledger: Option<Ledger>,
     /// Write-provenance stack: the innermost pushed cause tags every write
-    /// until popped ([`WriteCause::HostData`] when empty). Same discipline
-    /// as the telemetry stall-context stack.
+    /// until popped ([`WriteCause::HostData`] when empty).
     cause_stack: Vec<WriteCause>,
     /// Host-issued logical pages per declared cause (host boundary of the
     /// WAF pipeline; the device counts its own received/media boundaries).
@@ -128,49 +124,28 @@ impl<D: BlockDevice> Volume<D> {
         self.barriers = on;
     }
 
-    /// Record a completed media command: histogram its latency and split the
-    /// blocked time into GC-induced delay vs raw media service time.
-    fn note_media(tel: &VolumeTel, name: usize, dur: Nanos, gc: Nanos) {
-        let key = match name {
-            0 => &tel.read,
-            1 => &tel.write,
-            _ => &tel.discard,
-        };
-        tel.tel.record(key, dur);
-        let gc = gc.min(dur);
-        if gc > 0 {
-            tel.tel.stall(Stall::Gc, gc);
-        }
-        tel.tel.stall(Stall::Media, dur - gc);
+    /// Issue one device command inside its scope: a `dev` trace span, an
+    /// anatomy frame and a latency sample, all under the command's
+    /// pre-formatted name. The frame makes the device's segment charges —
+    /// NCQ wait, channel wait, media service, GC, flush-cache — land both in
+    /// the command's own breakdown and, because frames nest, in whatever
+    /// host operation (engine commit, docstore set) encloses it. A failed
+    /// command drops the scope, which closes it at `now` without a sample,
+    /// so no frame dangles to corrupt later attribution.
+    fn command(
+        &mut self,
+        name: fn(&VolumeTel) -> &str,
+        now: Nanos,
+        issue: impl FnOnce(&mut D) -> DevResult<Nanos>,
+    ) -> DevResult<Nanos> {
+        let scope = self.tel.as_ref().map(|t| t.tel.framed_span("dev", name(t), now));
+        let end = issue(&mut self.dev)?;
+        Ok(scope.map_or(end, |s| s.close(end)))
     }
 
     /// Direct read of logical pages.
-    ///
-    /// The volume opens a latency-anatomy frame around every device
-    /// command (`begin_frame`/`end_frame`), so the device's segment
-    /// charges — NCQ wait, channel wait, media service, GC, flush-cache —
-    /// land both in the command's own breakdown and, because frames nest,
-    /// in whatever host operation (engine commit, docstore set) encloses
-    /// it.
     pub fn read(&mut self, lpn: u64, pages: u32, buf: &mut [u8], now: Nanos) -> DevResult<Nanos> {
-        let gc0 = self.tel.as_ref().map(|_| self.dev.gc_time());
-        if let Some(tel) = &self.tel {
-            tel.tel.trace_begin("dev", &tel.read, now);
-            tel.tel.begin_frame(&tel.read, now);
-        }
-        let res = self.dev.read(lpn, pages, buf, now);
-        if let (Some(tel), Some(gc0)) = (&self.tel, gc0) {
-            // Close the frame on the error path too (at `now`): a failed
-            // command must not leave a dangling frame that would corrupt
-            // the attribution of every later operation.
-            let end = *res.as_ref().unwrap_or(&now);
-            if res.is_ok() {
-                Self::note_media(tel, 0, end.saturating_sub(now), self.dev.gc_time() - gc0);
-            }
-            tel.tel.end_frame(&tel.read, end);
-            tel.tel.trace_end("dev", &tel.read, end);
-        }
-        res
+        self.command(|t| &t.read, now, |dev| dev.read(lpn, pages, buf, now))
     }
 
     /// Direct write of logical pages, tagged with the innermost pushed
@@ -179,81 +154,43 @@ impl<D: BlockDevice> Volume<D> {
         let cause = self.current_cause();
         self.host_pages_by_cause[cause.index()] += (data.len() / LOGICAL_PAGE) as u64;
         self.dev.set_write_cause(cause);
-        let gc0 = self.tel.as_ref().map(|_| self.dev.gc_time());
-        if let Some(tel) = &self.tel {
-            tel.tel.trace_begin("dev", &tel.write, now);
-            tel.tel.begin_frame(&tel.write, now);
-        }
-        let res = self.dev.write(lpn, data, now);
-        if let (Some(tel), Some(gc0)) = (&self.tel, gc0) {
-            let end = *res.as_ref().unwrap_or(&now);
-            if res.is_ok() {
-                Self::note_media(tel, 1, end.saturating_sub(now), self.dev.gc_time() - gc0);
-            }
-            tel.tel.end_frame(&tel.write, end);
-            tel.tel.trace_end("dev", &tel.write, end);
-        }
-        res
+        self.command(|t| &t.write, now, |dev| dev.write(lpn, data, now))
     }
 
     /// `fsync`: flush the device cache if barriers are on, otherwise only
     /// pay the in-kernel cost.
     ///
-    /// With barriers the entire wait is a FLUSH CACHE drain and is attributed
-    /// to [`Stall::FlushCache`] (minus any GC share). Without barriers no
-    /// FLUSH CACHE is issued: the soft in-kernel cost is histogrammed
-    /// separately and **not** counted as flush stall — which is exactly why
-    /// a durable-cache device mounted `nobarrier` shows a near-zero
-    /// `flush_cache` line in the benchmark reports.
+    /// With barriers the entire wait is a FLUSH CACHE command, which the
+    /// device charges as `flush_cache` segments. Without barriers no FLUSH
+    /// CACHE is issued: the soft in-kernel cost is histogrammed separately
+    /// and charged as `wal_fsync` — which is exactly why a durable-cache
+    /// device mounted `nobarrier` shows a zero `flush_cache` share in the
+    /// benchmark reports.
     pub fn fsync(&mut self, now: Nanos) -> DevResult<Nanos> {
         self.fsyncs += 1;
-        if self.barriers {
-            let gc0 = self.tel.as_ref().map(|_| self.dev.gc_time());
-            if let Some(tel) = &self.tel {
-                tel.tel.trace_begin("dev", &tel.flush, now);
-                tel.tel.begin_frame(&tel.flush, now);
-            }
-            let res = self.dev.flush(now);
-            if let (Some(tel), Some(gc0)) = (&self.tel, gc0) {
-                let end = *res.as_ref().unwrap_or(&now);
-                if res.is_ok() {
-                    let dur = end.saturating_sub(now);
-                    let gc = (self.dev.gc_time() - gc0).min(dur);
-                    tel.tel.record(&tel.flush, dur);
-                    if gc > 0 {
-                        tel.tel.stall(Stall::Gc, gc);
-                    }
-                    tel.tel.stall(Stall::FlushCache, dur - gc);
-                }
-                tel.tel.end_frame(&tel.flush, end);
-                tel.tel.trace_end("dev", &tel.flush, end);
-            }
-            let done = res?;
-            if let Some(ledger) = &self.ledger {
-                ledger.evidence(EvidenceKind::FsyncAck, self.fsyncs, done, true);
-            }
-            Ok(done)
+        let done = if self.barriers {
+            self.command(|t| &t.flush, now, |dev| dev.flush(now))?
         } else {
             let done = now + FSYNC_SOFT_COST;
             if let Some(tel) = &self.tel {
-                tel.tel.record(&tel.fsync_soft, FSYNC_SOFT_COST);
                 tel.tel.trace_instant("dev", &tel.fsync_soft, now);
                 // The in-kernel cost of a nobarrier fsync is WAL-fsync
                 // time in the anatomy: it is what commit-time durability
                 // costs when no FLUSH CACHE is issued, and it is the
                 // *only* durability segment a durable-cache deployment
                 // should ever show.
-                tel.tel.begin_frame(&tel.fsync_soft, now);
+                let frame = tel.tel.frame(&tel.fsync_soft, now);
                 tel.tel.seg(SegKind::WalFsync, FSYNC_SOFT_COST);
-                tel.tel.end_frame(&tel.fsync_soft, done);
+                frame.close(done);
             }
-            if let Some(ledger) = &self.ledger {
-                // No barrier was issued: the ack rides on the device cache's
-                // own contract.
-                ledger.evidence(EvidenceKind::FsyncAck, self.fsyncs, done, false);
-            }
-            Ok(done)
+            done
+        };
+        if let Some(ledger) = &self.ledger {
+            // With barriers the ack is backed by a device flush; without,
+            // it rides on the device cache's own contract.
+            ledger.evidence(EvidenceKind::FsyncAck, self.fsyncs, done, self.barriers);
         }
+        Ok(done)
     }
 
     /// Number of fsync calls made against this volume.
@@ -268,21 +205,7 @@ impl<D: BlockDevice> Volume<D> {
 
     /// TRIM a range (file deletion, compaction).
     pub fn discard(&mut self, lpn: u64, pages: u32, now: Nanos) -> DevResult<Nanos> {
-        let gc0 = self.tel.as_ref().map(|_| self.dev.gc_time());
-        if let Some(tel) = &self.tel {
-            tel.tel.trace_begin("dev", &tel.discard, now);
-            tel.tel.begin_frame(&tel.discard, now);
-        }
-        let res = self.dev.discard(lpn, pages, now);
-        if let (Some(tel), Some(gc0)) = (&self.tel, gc0) {
-            let end = *res.as_ref().unwrap_or(&now);
-            if res.is_ok() {
-                Self::note_media(tel, 2, end.saturating_sub(now), self.dev.gc_time() - gc0);
-            }
-            tel.tel.end_frame(&tel.discard, end);
-            tel.tel.trace_end("dev", &tel.discard, end);
-        }
-        res
+        self.command(|t| &t.discard, now, |dev| dev.discard(lpn, pages, now))
     }
 
     /// Cut power to the underlying device.
@@ -494,9 +417,9 @@ mod tests {
         let mut v = Volume::new(MemDevice::new(16), false);
         v.attach_telemetry(tel.clone(), "t");
         // Enclosing host-op frame, as a commit would open.
-        tel.begin_frame("engine.commit", 0);
+        let commit = tel.frame("engine.commit", 0);
         let done = v.fsync(0).unwrap();
-        tel.end_frame("engine.commit", done);
+        commit.end(done);
         let bd = tel.last_breakdown().unwrap();
         assert_eq!(bd.seg(SegKind::WalFsync), FSYNC_SOFT_COST, "soft cost is wal_fsync");
         assert_eq!(bd.seg(SegKind::FlushCache), 0, "nobarrier: no flush segment, ever");

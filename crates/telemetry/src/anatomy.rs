@@ -1,9 +1,9 @@
 //! Latency anatomy: per-operation critical-path attribution.
 //!
-//! The stall taxonomy in [`crate::Stall`] answers "where did the run block,
-//! in aggregate"; it cannot answer "why was *this* p999 commit slow". This
-//! module adds the per-operation counterpart: every host operation opens a
-//! **frame**, layers underneath charge causally attributed **segments**
+//! Aggregate histograms answer "where did the run wait"; they cannot answer
+//! "why was *this* p999 commit slow". This module is the per-operation
+//! answer, and the only latency taxonomy in the repo: every host operation
+//! opens a **frame**, layers underneath charge causally attributed **segments**
 //! (queueing wait vs service time per resource) into every open frame, and
 //! closing the frame yields an [`OpBreakdown`] that satisfies a hard
 //! **conservation identity**:
@@ -26,6 +26,14 @@
 //! wall is inside the parent's, so the parent's identity still holds — its
 //! own `host` remainder simply shrinks. Only the innermost frame's remainder
 //! is *computed*; parents absorb their children's totals transparently.
+//!
+//! The one exception is **background work** started inside a frame that does
+//! not wait for it (the WAL firing a queued group flush retroactively, at a
+//! virtual time before the enclosing op even began): its charged window is
+//! *not* inside the open frames' walls, so charging them would break their
+//! identity. [`Anatomy::suspend`] raises a floor below which frames are not
+//! charged until [`Anatomy::resume`]; frames the background work opens
+//! itself sit above the floor and conserve as usual.
 //!
 //! On top of the per-op breakdowns sit two aggregate views:
 //!
@@ -323,6 +331,8 @@ impl OutlierCap {
 #[derive(Debug, Clone)]
 pub struct Anatomy {
     frames: Vec<Frame>,
+    /// Frames below this index are not charged (see [`Anatomy::suspend`]).
+    floor: usize,
     last: Option<OpBreakdown>,
     violations: u64,
     outliers: OutlierCap,
@@ -331,7 +341,13 @@ pub struct Anatomy {
 impl Anatomy {
     /// Fresh anatomy state capturing the `k` slowest ops per name.
     pub fn new(k: usize) -> Self {
-        Self { frames: Vec::new(), last: None, violations: 0, outliers: OutlierCap::new(k) }
+        Self {
+            frames: Vec::new(),
+            floor: 0,
+            last: None,
+            violations: 0,
+            outliers: OutlierCap::new(k),
+        }
     }
 
     /// Open a frame for the named op at `ts` under trace-ID `trace`.
@@ -339,17 +355,28 @@ impl Anatomy {
         self.frames.push(Frame { name: name.to_string(), start: ts, trace, segs: [0; N_SEG] });
     }
 
-    /// Charge `ns` of `kind` into every open frame. Returns `true` if at
-    /// least one frame was charged (the caller then records the per-kind
-    /// histogram sample).
+    /// Charge `ns` of `kind` into every open frame above the suspension
+    /// floor. Returns `true` if at least one frame was charged (the caller
+    /// then records the per-kind histogram sample).
     pub fn charge(&mut self, kind: SegKind, ns: Nanos) -> bool {
-        if self.frames.is_empty() {
-            return false;
-        }
-        for f in &mut self.frames {
+        let floor = self.floor.min(self.frames.len());
+        let charged = &mut self.frames[floor..];
+        for f in charged.iter_mut() {
             f.segs[kind.index()] += ns;
         }
-        true
+        !charged.is_empty()
+    }
+
+    /// Stop charging the frames that are open now (background work they do
+    /// not wait for is about to run). Returns the previous floor, to be
+    /// handed back to [`Anatomy::resume`].
+    pub fn suspend(&mut self) -> usize {
+        std::mem::replace(&mut self.floor, self.frames.len())
+    }
+
+    /// Restore the floor returned by the matching [`Anatomy::suspend`].
+    pub fn resume(&mut self, floor: usize) {
+        self.floor = floor;
     }
 
     /// Close the innermost frame at `ts`: compute wall, audit the
@@ -400,6 +427,7 @@ impl Anatomy {
     /// count, outliers); anatomy stays enabled.
     pub fn clear(&mut self) {
         self.frames.clear();
+        self.floor = 0;
         self.last = None;
         self.violations = 0;
         self.outliers.clear();
@@ -485,6 +513,27 @@ mod tests {
         a.begin("op", 0, 0);
         a.end("op", 10);
         assert_eq!(a.last().unwrap().seg(SegKind::MediaRead), 0);
+    }
+
+    #[test]
+    fn suspended_frames_are_not_charged() {
+        let mut a = Anatomy::new(4);
+        a.begin("op", 1_000, 0);
+        let floor = a.suspend();
+        assert!(!a.charge(SegKind::FlushCache, 900), "no frame above the floor");
+        // A background command that began before the op did.
+        a.begin("bg", 100, 0);
+        assert!(a.charge(SegKind::FlushCache, 900));
+        a.end("bg", 1_000);
+        assert!(a.last().unwrap().is_conserved());
+        a.resume(floor);
+        assert!(a.charge(SegKind::Xfer, 5));
+        a.end("op", 1_010);
+        let op = a.last().unwrap();
+        assert_eq!(op.seg(SegKind::FlushCache), 0, "background time is not the op's");
+        assert_eq!(op.seg(SegKind::Xfer), 5);
+        assert!(op.is_conserved());
+        assert_eq!(a.violations(), 0);
     }
 
     #[test]

@@ -1,45 +1,48 @@
 //! Per-layer latency telemetry for the DuraSSD reproduction.
 //!
 //! The paper's central claims (Tables 1–5, Figs 5–6) are about *where the
-//! host stalls*: FLUSH CACHE latency, fsync tail latency, and commit-time
+//! host waits*: FLUSH CACHE latency, fsync tail latency, and commit-time
 //! variance between a durable-cache SSD and volatile-cache baselines. Coarse
-//! cumulative counters cannot express a p99 or attribute a stall to a layer,
+//! cumulative counters cannot express a p99 or attribute a wait to a layer,
 //! so this crate provides the measurement substrate used by every layer of
 //! the stack:
 //!
 //! * [`Histogram`] — HDR-style log-bucketed latency histogram (power-of-two
 //!   buckets with 16 linear sub-buckets each) with p50/p90/p99/p999/max.
-//! * [`Registry`] — named histograms, counters, and gauges plus per-kind
-//!   stall totals.
-//! * [`Telemetry`] — a cheaply clonable handle (`Rc<RefCell<Registry>>`; the
-//!   simulation is single-threaded virtual time) that layers embed.
-//! * [`Span`] — a scope recorder keyed on virtual [`Nanos`]: open at `now`,
-//!   close at the operation's virtual completion time.
-//! * [`Stall`] — the stall taxonomy: every nanosecond the host blocks is
-//!   tagged `media`, `flush_cache`, `gc`, `wal_fsync`, or `pool_eviction`.
-//! * [`SegKind`] / [`OpBreakdown`] — the per-operation latency anatomy:
-//!   each host op carries a segment breakdown (queueing wait vs service per
-//!   resource) that sums exactly to its wall latency, plus per-kind
-//!   histograms and a bounded tail-outlier capturer (see [`anatomy`](crate)
-//!   module docs).
-//! * JSON export/import ([`Telemetry::to_json`], [`Registry::from_json`]) —
+//! * [`Telemetry`] — a cheaply clonable handle (the simulation is
+//!   single-threaded virtual time, so `Rc<RefCell<_>>`) to one domain's
+//!   named histograms, counters and gauges, plus — each opt-in — the event
+//!   trace ring, the gauge sampler and the latency anatomy.
+//! * [`Scope`] — the one way to bracket an operation: a guard that owns the
+//!   trace `Begin`/`End` pair, the anatomy frame and the latency histogram
+//!   sample of one op, and closes all three on every exit path.
+//! * [`SegKind`] / [`OpBreakdown`] — the latency taxonomy: each host op
+//!   carries a segment breakdown (queueing wait vs service per resource)
+//!   that sums exactly to its wall latency, plus per-kind `seg.*`
+//!   histograms and a bounded tail-outlier capturer (see the anatomy module
+//!   docs).
+//! * JSON export/import ([`Telemetry::to_json`], [`Telemetry::from_json`]) —
 //!   hand-rolled, no external dependencies, exact round-trip.
 //!
-//! # Stall attribution
+//! # Op scopes
 //!
-//! Lower layers (the volume) observe raw device time but do not know *why*
-//! the host is waiting; upper layers (WAL, buffer pool) know why but not how
-//! long the device took. The registry therefore keeps a small **context
-//! stack**: when the WAL flushes its buffer it pushes [`Stall::WalFsync`],
-//! so every media/flush nanosecond the volume reports underneath is
-//! re-attributed to `wal_fsync` instead of double-counted as generic media
-//! time. The invariant is that each blocked nanosecond lands in exactly one
-//! bucket.
+//! [`Telemetry::op`] opens a *host operation* (an engine or docstore call):
+//! it allocates a fresh [`TraceId`] that every event emitted underneath
+//! inherits, emits `Begin`, and opens an anatomy frame. [`Telemetry::span`]
+//! brackets an inner step (a WAL flush, a cache drain) with a `Begin`/`End`
+//! pair under the current trace-ID; [`Telemetry::framed_span`] additionally
+//! opens a frame (one device command at the volume), and
+//! [`Telemetry::frame`] opens only the frame. [`Scope::close`] ends the
+//! scope at the operation's virtual completion time and records
+//! `end - start` into the histogram named like the scope; [`Scope::end`]
+//! does the same without the histogram sample, for spans whose metric has
+//! another name or none. A scope that is merely dropped — an early `?`
+//! return — ends at its opening time with no sample, so an error path can
+//! neither leak a frame nor leave a `Begin` unmatched.
 
 use simkit::Nanos;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::fmt;
 use std::rc::Rc;
 
 mod anatomy;
@@ -55,128 +58,13 @@ pub use trace::{
     CHROME_EVENT_FIELDS,
 };
 
-/// Why the host is blocked — the paper's stall taxonomy.
-///
-/// Every nanosecond of host-visible blocking is attributed to exactly one of
-/// these causes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Stall {
-    /// Raw media/interconnect service time of reads and writes.
-    Media,
-    /// Waiting for a FLUSH CACHE (write-barrier) to drain the device cache.
-    FlushCache,
-    /// Waiting for FTL garbage collection that delayed a host command.
-    Gc,
-    /// Waiting for a WAL buffer flush + fsync at commit time.
-    WalFsync,
-    /// Waiting for a dirty-victim eviction write in the buffer pool.
-    PoolEviction,
-}
-
-impl Stall {
-    /// All kinds, in display order.
-    pub const ALL: [Stall; 5] =
-        [Stall::Media, Stall::FlushCache, Stall::Gc, Stall::WalFsync, Stall::PoolEviction];
-
-    /// Stable snake_case name used in JSON and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Stall::Media => "media",
-            Stall::FlushCache => "flush_cache",
-            Stall::Gc => "gc",
-            Stall::WalFsync => "wal_fsync",
-            Stall::PoolEviction => "pool_eviction",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            Stall::Media => 0,
-            Stall::FlushCache => 1,
-            Stall::Gc => 2,
-            Stall::WalFsync => 3,
-            Stall::PoolEviction => 4,
-        }
-    }
-}
-
-impl fmt::Display for Stall {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Totals (in nanoseconds of host blocking) per stall kind.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StallTotals {
-    /// Raw media service time.
-    pub media: Nanos,
-    /// FLUSH CACHE drain time.
-    pub flush_cache: Nanos,
-    /// GC-induced delay.
-    pub gc: Nanos,
-    /// WAL fsync waits.
-    pub wal_fsync: Nanos,
-    /// Buffer-pool eviction writes.
-    pub pool_eviction: Nanos,
-}
-
-impl StallTotals {
-    /// Sum over all kinds.
-    pub fn total(&self) -> Nanos {
-        self.media + self.flush_cache + self.gc + self.wal_fsync + self.pool_eviction
-    }
-
-    /// Value for one kind.
-    pub fn get(&self, kind: Stall) -> Nanos {
-        match kind {
-            Stall::Media => self.media,
-            Stall::FlushCache => self.flush_cache,
-            Stall::Gc => self.gc,
-            Stall::WalFsync => self.wal_fsync,
-            Stall::PoolEviction => self.pool_eviction,
-        }
-    }
-}
-
-/// A point-in-time copy of a registry's counters (see
-/// [`Registry::snapshot`]): the start or end edge of a measurement window.
-#[derive(Debug, Clone, Default)]
-pub struct CounterSnapshot {
-    counters: BTreeMap<String, u64>,
-}
-
-impl CounterSnapshot {
-    /// Value of `name` at snapshot time (0 if the counter did not exist).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Per-counter increase from `self` (the earlier edge) to `later`.
-    /// Counters born inside the window count from zero; counters that did
-    /// not move are omitted.
-    pub fn delta(&self, later: &CounterSnapshot) -> BTreeMap<String, u64> {
-        let mut out = BTreeMap::new();
-        for (name, &v) in &later.counters {
-            let d = v.saturating_sub(self.counter(name));
-            if d > 0 {
-                out.insert(name.clone(), d);
-            }
-        }
-        out
-    }
-}
-
-/// The backing store for one telemetry domain: named histograms, counters,
-/// gauges, per-kind stall totals, the stall-attribution context stack, and
-/// (when enabled) the event-trace ring, trace-ID stack and gauge sampler.
-#[derive(Debug, Default, Clone)]
-pub struct Registry {
+/// The backing store of one telemetry domain. Plain data: every operation
+/// on it is a method of [`Telemetry`].
+#[derive(Debug, Default)]
+struct State {
     hists: BTreeMap<String, Histogram>,
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, i64>,
-    stalls: [Nanos; 5],
-    context: Vec<Stall>,
     trace: Option<TraceBuf>,
     trace_stack: Vec<TraceId>,
     next_trace: u64,
@@ -184,631 +72,425 @@ pub struct Registry {
     anatomy: Option<Anatomy>,
 }
 
-impl Registry {
-    /// Fresh, empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one latency sample into the named histogram.
-    ///
-    /// Steady-state recording is allocation-free: the name is only turned
-    /// into an owned `String` the first time it is seen.
-    pub fn record(&mut self, name: &str, ns: Nanos) {
-        if let Some(h) = self.hists.get_mut(name) {
-            h.record(ns);
-        } else {
-            self.hists.entry(name.to_string()).or_default().record(ns);
-        }
-    }
-
-    /// Add to a named counter (allocation-free after the first sample).
-    pub fn incr(&mut self, name: &str, by: u64) {
-        if let Some(c) = self.counters.get_mut(name) {
-            *c += by;
-        } else {
-            self.counters.insert(name.to_string(), by);
-        }
-    }
-
-    /// Set a named gauge (allocation-free after the first sample).
-    pub fn set_gauge(&mut self, name: &str, value: i64) {
-        if let Some(g) = self.gauges.get_mut(name) {
-            *g = value;
-        } else {
-            self.gauges.insert(name.to_string(), value);
-        }
-    }
-
-    /// Attribute `ns` nanoseconds of host blocking. If an attribution
-    /// context is active (e.g. the WAL is inside a commit flush), the time
-    /// is charged to the innermost context instead of `kind`, so a
-    /// nanosecond is never double-counted.
-    pub fn stall(&mut self, kind: Stall, ns: Nanos) {
-        let attributed = *self.context.last().unwrap_or(&kind);
-        self.stalls[attributed.index()] += ns;
-    }
-
-    /// Attribute `ns` to `kind` unconditionally, ignoring the context stack.
-    pub fn stall_exact(&mut self, kind: Stall, ns: Nanos) {
-        self.stalls[kind.index()] += ns;
-    }
-
-    /// Push an attribution context (see [`Registry::stall`]).
-    pub fn push_context(&mut self, kind: Stall) {
-        self.context.push(kind);
-    }
-
-    /// Pop the innermost attribution context.
-    pub fn pop_context(&mut self) {
-        self.context.pop();
-    }
-
-    /// Per-kind stall totals.
-    pub fn stall_totals(&self) -> StallTotals {
-        StallTotals {
-            media: self.stalls[0],
-            flush_cache: self.stalls[1],
-            gc: self.stalls[2],
-            wal_fsync: self.stalls[3],
-            pool_eviction: self.stalls[4],
-        }
-    }
-
-    /// Named histogram, if any samples were recorded.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.hists.get(name)
-    }
-
-    /// Named counter (0 if never incremented).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Point-in-time copy of every named counter. Counters are cumulative;
-    /// to measure a steady-state window (excluding warm-up), snapshot at
-    /// the window edges and diff with [`CounterSnapshot::delta`].
-    pub fn snapshot(&self) -> CounterSnapshot {
-        CounterSnapshot { counters: self.counters.clone() }
-    }
-
-    /// Named gauge, if set.
-    pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// Names of all histograms with at least one sample.
-    pub fn histogram_names(&self) -> Vec<String> {
-        self.hists.keys().cloned().collect()
-    }
-
-    /// Start recording trace events into a ring of `capacity` events.
-    pub fn enable_tracing(&mut self, capacity: usize) {
-        self.trace = Some(TraceBuf::new(capacity));
-    }
-
-    /// True once [`Registry::enable_tracing`] was called.
-    pub fn tracing_enabled(&self) -> bool {
-        self.trace.is_some()
-    }
-
-    /// The trace ring, if tracing is enabled.
-    pub fn trace_buf(&self) -> Option<&TraceBuf> {
-        self.trace.as_ref()
-    }
-
-    /// Open a host-operation scope: allocates a fresh [`TraceId`], pushes
-    /// it on the trace-ID stack (every event emitted underneath — WAL,
-    /// volume, device, NAND — inherits it), and records the opening
-    /// `Begin`. When anatomy is enabled, also opens an attribution frame
-    /// (see [`Registry::begin_frame`]). Pair with [`Registry::end_op`].
-    /// Returns 0 (no trace-ID) when tracing is disabled; the anatomy frame
-    /// opens regardless.
-    pub fn begin_op(&mut self, cat: &str, name: &str, ts: Nanos) -> TraceId {
-        let mut id = 0;
-        if let Some(t) = self.trace.as_mut() {
-            self.next_trace += 1;
-            id = self.next_trace;
-            self.trace_stack.push(id);
-            t.push(ts, id, Phase::Begin, cat, name);
-        }
-        self.begin_frame(name, ts);
-        id
-    }
-
-    /// Close the innermost host-operation scope opened by
-    /// [`Registry::begin_op`]: closes the anatomy frame (if enabled), then
-    /// pops the trace-ID and records the `End` event.
-    pub fn end_op(&mut self, cat: &str, name: &str, ts: Nanos) {
-        self.end_frame(name, ts);
-        if let Some(t) = self.trace.as_mut() {
-            let id = self.trace_stack.pop().unwrap_or(0);
-            t.push(ts, id, Phase::End, cat, name);
-        }
-    }
-
-    /// The trace-ID of the operation currently in scope (0 if none).
-    pub fn current_trace(&self) -> TraceId {
-        *self.trace_stack.last().unwrap_or(&0)
-    }
-
-    /// Record a `Begin` event under the current trace-ID. No-op when
-    /// tracing is disabled — returns before any name interning or
-    /// trace-stack work happens.
-    pub fn trace_begin(&mut self, cat: &str, name: &str, ts: Nanos) {
-        let Some(t) = self.trace.as_mut() else { return };
-        let id = *self.trace_stack.last().unwrap_or(&0);
-        t.push(ts, id, Phase::Begin, cat, name);
-    }
-
-    /// Record an `End` event under the current trace-ID.
-    pub fn trace_end(&mut self, cat: &str, name: &str, ts: Nanos) {
-        let Some(t) = self.trace.as_mut() else { return };
-        let id = *self.trace_stack.last().unwrap_or(&0);
-        t.push(ts, id, Phase::End, cat, name);
-    }
-
-    /// Record an `Instant` event under the current trace-ID.
-    pub fn trace_instant(&mut self, cat: &str, name: &str, ts: Nanos) {
-        let Some(t) = self.trace.as_mut() else { return };
-        let id = *self.trace_stack.last().unwrap_or(&0);
-        t.push(ts, id, Phase::Instant, cat, name);
-    }
-
-    /// Start sampling all gauges every `cadence` virtual nanoseconds.
-    pub fn enable_sampling(&mut self, cadence: Nanos) {
-        self.sampler = Some(Sampler::new(cadence));
-    }
-
-    /// Tick the sampler at virtual time `now` (no-op unless sampling is
-    /// enabled and the cadence has elapsed). The engine and docstore call
-    /// this once per operation, so bench bins never need loop access.
-    pub fn sample(&mut self, now: Nanos) {
-        if let Some(s) = self.sampler.as_mut() {
-            s.sample_if_due(now, &self.gauges);
-        }
-    }
-
-    /// Take the final sample at end-of-run (always fires; see
-    /// [`Sampler::finish`]).
-    pub fn finish_sampling(&mut self, now: Nanos) {
-        if let Some(s) = self.sampler.as_mut() {
-            s.finish(now, &self.gauges);
-        }
-    }
-
-    /// The gauge sampler, if sampling is enabled.
-    pub fn sampler(&self) -> Option<&Sampler> {
-        self.sampler.as_ref()
-    }
-
-    /// Start per-operation latency-anatomy tracking, capturing the `k`
-    /// slowest ops per name in the tail-outlier capturer. Until this is
-    /// called, every frame/segment hook is a free no-op.
-    pub fn enable_anatomy(&mut self, k: usize) {
-        self.anatomy = Some(Anatomy::new(k));
-    }
-
-    /// True once [`Registry::enable_anatomy`] was called.
-    pub fn anatomy_enabled(&self) -> bool {
-        self.anatomy.is_some()
-    }
-
-    /// Open an attribution frame for op `name` at `ts` without emitting
-    /// any trace event (used for device-level ops that are not trace
-    /// scopes, and by [`Registry::begin_op`] for ops that are). The frame
-    /// inherits the current trace-ID. No-op when anatomy is disabled.
-    pub fn begin_frame(&mut self, name: &str, ts: Nanos) {
-        let trace = *self.trace_stack.last().unwrap_or(&0);
-        if let Some(a) = self.anatomy.as_mut() {
-            a.begin(name, ts, trace);
-        }
-    }
-
-    /// Close the innermost attribution frame at `ts`: audits the
-    /// conservation identity, sweeps the unattributed remainder into
-    /// [`SegKind::Host`] (recording it in the `seg.host` histogram), and
-    /// offers the breakdown to the outlier capturer. No-op when anatomy is
-    /// disabled or no frame is open.
-    pub fn end_frame(&mut self, name: &str, ts: Nanos) {
-        let host = match self.anatomy.as_mut() {
-            Some(a) => a.end(name, ts),
-            None => None,
-        };
-        if let Some(host) = host {
-            if host > 0 {
-                self.record(SegKind::Host.hist_name(), host);
-            }
-        }
-    }
-
-    /// Charge `ns` nanoseconds of causally attributed segment `kind` into
-    /// every open frame and the per-kind `seg.<label>` histogram. A charge
-    /// with no open frame (background work outside any host op) is
-    /// dropped; zero-length charges are free no-ops.
-    pub fn seg(&mut self, kind: SegKind, ns: Nanos) {
-        if ns == 0 {
-            return;
-        }
-        let charged = match self.anatomy.as_mut() {
-            Some(a) => a.charge(kind, ns),
-            None => false,
-        };
-        if charged {
-            self.record(kind.hist_name(), ns);
-        }
-    }
-
-    /// Ops whose claimed segments exceeded wall latency (must stay 0; the
-    /// anatomy conservation audit).
-    pub fn anatomy_violations(&self) -> u64 {
-        self.anatomy.as_ref().map_or(0, |a| a.violations())
-    }
-
-    /// The most recently closed per-op breakdown, if anatomy is enabled
-    /// and at least one frame has closed.
-    pub fn last_breakdown(&self) -> Option<&OpBreakdown> {
-        self.anatomy.as_ref().and_then(|a| a.last())
-    }
-
-    /// Number of attribution frames currently open.
-    pub fn frame_depth(&self) -> usize {
-        self.anatomy.as_ref().map_or(0, |a| a.depth())
-    }
-
-    /// The tail-outlier capturer, if anatomy is enabled.
-    pub fn outliers(&self) -> Option<&OutlierCap> {
-        self.anatomy.as_ref().map(|a| a.outliers())
-    }
-
-    /// Drop all recorded data (contexts are preserved; tracing and
-    /// sampling stay enabled but their buffers empty).
-    pub fn reset(&mut self) {
-        self.hists.clear();
-        self.counters.clear();
-        self.gauges.clear();
-        self.stalls = [0; 5];
-        if let Some(t) = &mut self.trace {
-            t.clear();
-        }
-        if let Some(s) = &mut self.sampler {
-            s.clear();
-        }
-        if let Some(a) = &mut self.anatomy {
-            a.clear();
-        }
-    }
-
-    /// Serialise the registry to a JSON object. Histograms are exported
-    /// with their raw (index, count) bucket list so the export is lossless.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push('{');
-        out.push_str("\"stalls\":{");
-        for (i, kind) in Stall::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", kind.name(), self.stalls[kind.index()]));
-        }
-        out.push_str("},\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{}", json::quote(k), v));
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{}", json::quote(k), v));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (k, h)) in self.hists.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{}", json::quote(k), h.to_json()));
-        }
-        out.push('}');
-        if let Some(s) = &self.sampler {
-            out.push_str(",\"series\":");
-            out.push_str(&s.to_json());
-        }
-        out.push('}');
-        out
-    }
-
-    /// Rebuild a registry from the output of [`Registry::to_json`].
-    /// `from_json(to_json(r)).to_json() == to_json(r)` holds exactly.
-    pub fn from_json(s: &str) -> Result<Self, String> {
-        let v = json::parse(s)?;
-        let obj = v.as_object().ok_or("registry: expected object")?;
-        let mut reg = Registry::new();
-        if let Some(stalls) = obj.get("stalls").and_then(|v| v.as_object()) {
-            for kind in Stall::ALL {
-                if let Some(n) = stalls.get(kind.name()).and_then(|v| v.as_u64()) {
-                    reg.stalls[kind.index()] = n;
-                }
-            }
-        }
-        if let Some(cs) = obj.get("counters").and_then(|v| v.as_object()) {
-            for (k, v) in cs {
-                reg.counters.insert(k.clone(), v.as_u64().ok_or("counter: expected u64")?);
-            }
-        }
-        if let Some(gs) = obj.get("gauges").and_then(|v| v.as_object()) {
-            for (k, v) in gs {
-                reg.gauges.insert(k.clone(), v.as_i64().ok_or("gauge: expected i64")?);
-            }
-        }
-        if let Some(hs) = obj.get("histograms").and_then(|v| v.as_object()) {
-            for (k, v) in hs {
-                reg.hists.insert(k.clone(), Histogram::from_json_value(v)?);
-            }
-        }
-        if let Some(sv) = obj.get("series") {
-            reg.sampler = Some(Sampler::from_json_value(sv)?);
-        }
-        Ok(reg)
+/// Record one sample into a named histogram. Steady-state recording is
+/// allocation-free: the name is only turned into an owned `String` the
+/// first time it is seen.
+fn record_into(hists: &mut BTreeMap<String, Histogram>, name: &str, ns: Nanos) {
+    if let Some(h) = hists.get_mut(name) {
+        h.record(ns);
+    } else {
+        hists.entry(name.to_string()).or_default().record(ns);
     }
 }
 
-/// Cheaply clonable handle to a shared [`Registry`]. The simulation runs on
+/// Cheaply clonable handle to one telemetry domain. The simulation runs on
 /// a single thread in virtual time, so interior mutability via `RefCell` is
 /// sufficient (and keeps recording on the hot path allocation-free for
 /// existing names).
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
-    inner: Rc<RefCell<Registry>>,
+    inner: Rc<RefCell<State>>,
 }
 
 impl Telemetry {
-    /// Fresh handle with an empty registry.
+    /// Fresh handle with an empty domain.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Record one latency sample into the named histogram.
     pub fn record(&self, name: &str, ns: Nanos) {
-        self.inner.borrow_mut().record(name, ns);
+        record_into(&mut self.inner.borrow_mut().hists, name, ns);
     }
 
-    /// Add to a named counter.
+    /// Add to a named counter (allocation-free after the first sample).
     pub fn incr(&self, name: &str, by: u64) {
-        self.inner.borrow_mut().incr(name, by);
+        let s = &mut *self.inner.borrow_mut();
+        if let Some(c) = s.counters.get_mut(name) {
+            *c += by;
+        } else {
+            s.counters.insert(name.to_string(), by);
+        }
     }
 
-    /// Set a named gauge.
+    /// Set a named gauge (allocation-free after the first sample).
     pub fn set_gauge(&self, name: &str, value: i64) {
-        self.inner.borrow_mut().set_gauge(name, value);
+        let s = &mut *self.inner.borrow_mut();
+        if let Some(g) = s.gauges.get_mut(name) {
+            *g = value;
+        } else {
+            s.gauges.insert(name.to_string(), value);
+        }
     }
 
-    /// Attribute host blocking time (context-aware; see [`Registry::stall`]).
-    pub fn stall(&self, kind: Stall, ns: Nanos) {
-        self.inner.borrow_mut().stall(kind, ns);
-    }
-
-    /// Attribute host blocking time to `kind` regardless of context.
-    pub fn stall_exact(&self, kind: Stall, ns: Nanos) {
-        self.inner.borrow_mut().stall_exact(kind, ns);
-    }
-
-    /// Push a stall-attribution context; pair with [`Telemetry::pop_context`].
-    pub fn push_context(&self, kind: Stall) {
-        self.inner.borrow_mut().push_context(kind);
-    }
-
-    /// Pop the innermost stall-attribution context.
-    pub fn pop_context(&self) {
-        self.inner.borrow_mut().pop_context();
-    }
-
-    /// Open a [`Span`] at virtual time `start`; close it with
-    /// [`Span::finish`] at the operation's virtual completion time.
-    pub fn span(&self, name: &str, start: Nanos) -> Span {
-        Span { tel: self.clone(), name: name.to_string(), start }
-    }
-
-    /// Per-kind stall totals.
-    pub fn stall_totals(&self) -> StallTotals {
-        self.inner.borrow().stall_totals()
-    }
-
-    /// Clone of the named histogram, if present.
+    /// Clone of the named histogram, if any samples were recorded.
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.inner.borrow().histogram(name).cloned()
+        self.inner.borrow().hists.get(name).cloned()
     }
 
-    /// Named counter value.
+    /// Named counter (0 if never incremented).
     pub fn counter(&self, name: &str) -> u64 {
-        self.inner.borrow().counter(name)
+        self.inner.borrow().counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Copy of every counter, for steady-state delta windows (see
-    /// [`Registry::snapshot`]).
-    pub fn snapshot(&self) -> CounterSnapshot {
-        self.inner.borrow().snapshot()
-    }
-
-    /// Named gauge value.
+    /// Named gauge, if set.
     pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.inner.borrow().gauge(name)
+        self.inner.borrow().gauges.get(name).copied()
     }
 
-    /// Names of all histograms with samples.
-    pub fn histogram_names(&self) -> Vec<String> {
-        self.inner.borrow().histogram_names()
+    /// Open a host-operation scope: allocates a fresh [`TraceId`] (every
+    /// event emitted underneath — WAL, volume, device, NAND — inherits it),
+    /// emits `Begin`, and opens an anatomy frame. Closing it also ticks the
+    /// gauge sampler, so bench loops never need to.
+    pub fn op<'a>(&self, cat: &'a str, name: &'a str, now: Nanos) -> Scope<'a> {
+        self.open(Some(cat), name, now, true, true)
+    }
+
+    /// Open an inner span: a `Begin`/`End` pair under the current trace-ID.
+    pub fn span<'a>(&self, cat: &'a str, name: &'a str, now: Nanos) -> Scope<'a> {
+        self.open(Some(cat), name, now, false, false)
+    }
+
+    /// Open a span that is also an anatomy frame (one device command): the
+    /// device's segment charges land in the command's own breakdown and,
+    /// because frames nest, in whatever host op encloses it.
+    pub fn framed_span<'a>(&self, cat: &'a str, name: &'a str, now: Nanos) -> Scope<'a> {
+        self.open(Some(cat), name, now, false, true)
+    }
+
+    /// Open an anatomy frame that emits no trace events.
+    pub fn frame<'a>(&self, name: &'a str, now: Nanos) -> Scope<'a> {
+        self.open(None, name, now, false, true)
+    }
+
+    fn open<'a>(
+        &self,
+        cat: Option<&'a str>,
+        name: &'a str,
+        now: Nanos,
+        fresh: bool,
+        framed: bool,
+    ) -> Scope<'a> {
+        let s = &mut *self.inner.borrow_mut();
+        if let (Some(t), Some(cat)) = (s.trace.as_mut(), cat) {
+            if fresh {
+                s.next_trace += 1;
+                s.trace_stack.push(s.next_trace);
+            }
+            t.push(now, *s.trace_stack.last().unwrap_or(&0), Phase::Begin, cat, name);
+        }
+        if framed {
+            if let Some(a) = s.anatomy.as_mut() {
+                a.begin(name, now, *s.trace_stack.last().unwrap_or(&0));
+            }
+        }
+        Scope { tel: self.clone(), cat, name, start: now, fresh, framed, open: true }
+    }
+
+    /// Emit a completed span (`Begin` at `start`, `End` at `end`) under the
+    /// current trace-ID: a media operation whose completion time is already
+    /// known when it is reported.
+    pub fn complete(&self, cat: &str, name: &str, start: Nanos, end: Nanos) {
+        let s = &mut *self.inner.borrow_mut();
+        let Some(t) = s.trace.as_mut() else { return };
+        let id = *s.trace_stack.last().unwrap_or(&0);
+        t.push(start, id, Phase::Begin, cat, name);
+        t.push(end, id, Phase::End, cat, name);
+    }
+
+    /// Record an `Instant` event under the current trace-ID. No-op when
+    /// tracing is disabled — returns before any name interning happens.
+    pub fn trace_instant(&self, cat: &str, name: &str, ts: Nanos) {
+        let s = &mut *self.inner.borrow_mut();
+        let Some(t) = s.trace.as_mut() else { return };
+        t.push(ts, *s.trace_stack.last().unwrap_or(&0), Phase::Instant, cat, name);
+    }
+
+    /// Run background work — work no enclosing op waits for, such as a
+    /// queued group flush fired retroactively — without charging the frames
+    /// that are open now. Frames opened while the guard lives (the device
+    /// commands of the background work itself) are charged as usual.
+    pub fn background(&self) -> Background {
+        let floor = self.inner.borrow_mut().anatomy.as_mut().map_or(0, |a| a.suspend());
+        Background { tel: self.clone(), floor }
     }
 
     /// Start recording trace events into a ring of `capacity` events.
     pub fn enable_tracing(&self, capacity: usize) {
-        self.inner.borrow_mut().enable_tracing(capacity);
+        self.inner.borrow_mut().trace = Some(TraceBuf::new(capacity));
     }
 
     /// True once tracing was enabled on this domain.
     pub fn tracing_enabled(&self) -> bool {
-        self.inner.borrow().tracing_enabled()
-    }
-
-    /// Open a host-operation trace scope (see [`Registry::begin_op`]).
-    pub fn begin_op(&self, cat: &str, name: &str, ts: Nanos) -> TraceId {
-        self.inner.borrow_mut().begin_op(cat, name, ts)
-    }
-
-    /// Close the innermost host-operation trace scope.
-    pub fn end_op(&self, cat: &str, name: &str, ts: Nanos) {
-        self.inner.borrow_mut().end_op(cat, name, ts);
-    }
-
-    /// Trace-ID of the operation currently in scope (0 if none).
-    pub fn current_trace(&self) -> TraceId {
-        self.inner.borrow().current_trace()
-    }
-
-    /// Record a `Begin` trace event under the current trace-ID.
-    pub fn trace_begin(&self, cat: &str, name: &str, ts: Nanos) {
-        self.inner.borrow_mut().trace_begin(cat, name, ts);
-    }
-
-    /// Record an `End` trace event under the current trace-ID.
-    pub fn trace_end(&self, cat: &str, name: &str, ts: Nanos) {
-        self.inner.borrow_mut().trace_end(cat, name, ts);
-    }
-
-    /// Record an `Instant` trace event under the current trace-ID.
-    pub fn trace_instant(&self, cat: &str, name: &str, ts: Nanos) {
-        self.inner.borrow_mut().trace_instant(cat, name, ts);
+        self.inner.borrow().trace.is_some()
     }
 
     /// Export the trace ring as Chrome trace-event JSON, if tracing is
     /// enabled.
     pub fn trace_chrome_json(&self) -> Option<String> {
-        self.inner.borrow().trace_buf().map(|t| t.to_chrome_json())
+        self.inner.borrow().trace.as_ref().map(|t| t.to_chrome_json())
     }
 
     /// `(recorded, dropped)` event totals of the trace ring, if enabled.
     pub fn trace_counts(&self) -> Option<(u64, u64)> {
-        self.inner.borrow().trace_buf().map(|t| (t.recorded(), t.dropped()))
+        self.inner.borrow().trace.as_ref().map(|t| (t.recorded(), t.dropped()))
     }
 
-    /// Start sampling all gauges every `cadence` virtual nanoseconds.
+    /// Start sampling all gauges every `cadence` virtual nanoseconds. The
+    /// sampler is ticked whenever an [`Telemetry::op`] scope closes.
     pub fn enable_sampling(&self, cadence: Nanos) {
-        self.inner.borrow_mut().enable_sampling(cadence);
+        self.inner.borrow_mut().sampler = Some(Sampler::new(cadence));
     }
 
-    /// Tick the sampler at virtual time `now` (cadence-gated no-op).
-    pub fn sample(&self, now: Nanos) {
-        self.inner.borrow_mut().sample(now);
-    }
-
-    /// Take the final sample at end-of-run.
+    /// Take the final sample at end-of-run (always fires; see
+    /// [`Sampler::finish`]).
     pub fn finish_sampling(&self, now: Nanos) {
-        self.inner.borrow_mut().finish_sampling(now);
+        let s = &mut *self.inner.borrow_mut();
+        if let Some(sm) = s.sampler.as_mut() {
+            sm.finish(now, &s.gauges);
+        }
     }
 
     /// Export the sampled gauge series as CSV, if sampling is enabled.
     pub fn series_csv(&self) -> Option<String> {
-        self.inner.borrow().sampler().map(|s| s.to_csv())
+        self.inner.borrow().sampler.as_ref().map(|s| s.to_csv())
     }
 
-    /// Start per-op latency anatomy (top-`k` tail outliers per op name).
+    /// Start per-operation latency-anatomy tracking, capturing the `k`
+    /// slowest ops per name in the tail-outlier capturer. Until this is
+    /// called, every frame and segment hook is a free no-op.
     pub fn enable_anatomy(&self, k: usize) {
-        self.inner.borrow_mut().enable_anatomy(k);
+        self.inner.borrow_mut().anatomy = Some(Anatomy::new(k));
     }
 
-    /// True once anatomy was enabled on this domain.
-    pub fn anatomy_enabled(&self) -> bool {
-        self.inner.borrow().anatomy_enabled()
-    }
-
-    /// Open an attribution frame (see [`Registry::begin_frame`]).
-    pub fn begin_frame(&self, name: &str, ts: Nanos) {
-        self.inner.borrow_mut().begin_frame(name, ts);
-    }
-
-    /// Close the innermost attribution frame (see [`Registry::end_frame`]).
-    pub fn end_frame(&self, name: &str, ts: Nanos) {
-        self.inner.borrow_mut().end_frame(name, ts);
-    }
-
-    /// Charge an attributed latency segment (see [`Registry::seg`]).
+    /// Charge `ns` nanoseconds of causally attributed segment `kind` into
+    /// every open frame and the per-kind `seg.<label>` histogram. A charge
+    /// with no open frame (background work outside any host op) is
+    /// dropped; zero-length charges are free no-ops.
     pub fn seg(&self, kind: SegKind, ns: Nanos) {
-        self.inner.borrow_mut().seg(kind, ns);
+        if ns == 0 {
+            return;
+        }
+        let s = &mut *self.inner.borrow_mut();
+        if s.anatomy.as_mut().is_some_and(|a| a.charge(kind, ns)) {
+            record_into(&mut s.hists, kind.hist_name(), ns);
+        }
     }
 
-    /// Conservation-audit counter: ops that over-claimed segments.
+    /// Ops whose claimed segments exceeded wall latency (must stay 0; the
+    /// anatomy conservation audit).
     pub fn anatomy_violations(&self) -> u64 {
-        self.inner.borrow().anatomy_violations()
+        self.inner.borrow().anatomy.as_ref().map_or(0, |a| a.violations())
     }
 
-    /// Clone of the most recently closed per-op breakdown.
+    /// Clone of the most recently closed per-op breakdown, if anatomy is
+    /// enabled and at least one frame has closed.
     pub fn last_breakdown(&self) -> Option<OpBreakdown> {
-        self.inner.borrow().last_breakdown().cloned()
+        self.inner.borrow().anatomy.as_ref().and_then(|a| a.last()).cloned()
     }
 
     /// Number of attribution frames currently open.
     pub fn frame_depth(&self) -> usize {
-        self.inner.borrow().frame_depth()
+        self.inner.borrow().anatomy.as_ref().map_or(0, |a| a.depth())
     }
 
     /// Retained tail outliers for one op name, slowest first.
     pub fn outliers_for(&self, name: &str) -> Vec<OpBreakdown> {
-        self.inner.borrow().outliers().map_or_else(Vec::new, |o| o.for_op(name).to_vec())
+        let s = self.inner.borrow();
+        s.anatomy.as_ref().map_or_else(Vec::new, |a| a.outliers().for_op(name).to_vec())
     }
 
     /// JSON export of the tail-outlier capturer (written next to the
     /// Chrome trace), if anatomy is enabled.
     pub fn outliers_json(&self) -> Option<String> {
-        self.inner.borrow().outliers().map(|o| o.to_json())
+        self.inner.borrow().anatomy.as_ref().map(|a| a.outliers().to_json())
     }
 
-    /// Drop all recorded data.
+    /// Drop all recorded data (tracing, sampling and anatomy stay enabled
+    /// but their buffers empty).
     pub fn reset(&self) {
-        self.inner.borrow_mut().reset();
+        let s = &mut *self.inner.borrow_mut();
+        s.hists.clear();
+        s.counters.clear();
+        s.gauges.clear();
+        if let Some(t) = &mut s.trace {
+            t.clear();
+        }
+        if let Some(sm) = &mut s.sampler {
+            sm.clear();
+        }
+        if let Some(a) = &mut s.anatomy {
+            a.clear();
+        }
     }
 
-    /// Run `f` with direct access to the registry.
-    pub fn with<T>(&self, f: impl FnOnce(&Registry) -> T) -> T {
-        f(&self.inner.borrow())
-    }
-
-    /// JSON export of the whole registry (lossless; see
-    /// [`Registry::from_json`]).
+    /// Serialise the domain to a JSON object. Histograms are exported with
+    /// their raw (index, count) bucket list so the export is lossless.
+    /// Anatomy outliers and the trace ring export separately.
     pub fn to_json(&self) -> String {
-        self.inner.borrow().to_json()
+        let s = self.inner.borrow();
+        let mut out = String::with_capacity(4096);
+        out.push_str("{\"counters\":{");
+        for (i, (k, v)) in s.counters.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!("{}:{}", json::quote(k), v));
+        }
+        out.push_str("},\"gauges\":{");
+        for (i, (k, v)) in s.gauges.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!("{}:{}", json::quote(k), v));
+        }
+        out.push_str("},\"histograms\":{");
+        for (i, (k, h)) in s.hists.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!("{}:{}", json::quote(k), h.to_json()));
+        }
+        out.push('}');
+        if let Some(sm) = &s.sampler {
+            out.push_str(",\"series\":");
+            out.push_str(&sm.to_json());
+        }
+        out.push('}');
+        out
+    }
+
+    /// Rebuild a domain from the output of [`Telemetry::to_json`].
+    /// `from_json(to_json(t)).to_json() == to_json(t)` holds exactly. Keys
+    /// this version does not write (the `stalls` object of older documents)
+    /// are ignored.
+    pub fn from_json(doc: &str) -> Result<Self, String> {
+        let v = json::parse(doc)?;
+        let obj = v.as_object().ok_or("telemetry: expected object")?;
+        let mut s = State::default();
+        if let Some(cs) = obj.get("counters").and_then(|v| v.as_object()) {
+            for (k, v) in cs {
+                s.counters.insert(k.clone(), v.as_u64().ok_or("counter: expected u64")?);
+            }
+        }
+        if let Some(gs) = obj.get("gauges").and_then(|v| v.as_object()) {
+            for (k, v) in gs {
+                s.gauges.insert(k.clone(), v.as_i64().ok_or("gauge: expected i64")?);
+            }
+        }
+        if let Some(hs) = obj.get("histograms").and_then(|v| v.as_object()) {
+            for (k, v) in hs {
+                s.hists.insert(k.clone(), Histogram::from_json_value(v)?);
+            }
+        }
+        if let Some(sv) = obj.get("series") {
+            s.sampler = Some(Sampler::from_json_value(sv)?);
+        }
+        Ok(Self { inner: Rc::new(RefCell::new(s)) })
     }
 }
 
-/// An open measurement scope keyed on virtual time. Created by
-/// [`Telemetry::span`]; call [`Span::finish`] with the virtual completion
-/// time to record `end - start` into the named histogram.
+/// An open operation scope (see the crate docs): created by
+/// [`Telemetry::op`], [`Telemetry::span`], [`Telemetry::framed_span`] or
+/// [`Telemetry::frame`]. It borrows its name and holds only a handle clone,
+/// so opening one allocates nothing beyond the anatomy frame itself.
 #[derive(Debug)]
-pub struct Span {
+#[must_use = "a scope that is dropped at once ends at its opening time"]
+pub struct Scope<'a> {
     tel: Telemetry,
-    name: String,
+    /// `None` for a frame-only scope that emits no trace events.
+    cat: Option<&'a str>,
+    name: &'a str,
     start: Nanos,
+    /// Owns a trace-ID and ticks the sampler (a host op).
+    fresh: bool,
+    framed: bool,
+    open: bool,
 }
 
-impl Span {
-    /// Close the span at virtual time `end` and record its duration.
+impl Scope<'_> {
+    /// Close the scope at virtual time `end`: emit `End`, close the frame
+    /// and record `end - start` into the histogram named like the scope.
     /// Returns `end` so call sites can thread the clock through.
-    pub fn finish(self, end: Nanos) -> Nanos {
-        self.tel.record(&self.name, end.saturating_sub(self.start));
+    pub fn close(mut self, end: Nanos) -> Nanos {
+        self.finish(end, true);
         end
     }
 
-    /// The span's opening time.
-    pub fn start(&self) -> Nanos {
-        self.start
+    /// [`Scope::close`] without the histogram sample, for a span whose
+    /// metric is recorded under another name or not at all.
+    pub fn end(mut self, end: Nanos) -> Nanos {
+        self.finish(end, false);
+        end
+    }
+
+    fn finish(&mut self, end: Nanos, sample: bool) {
+        self.open = false;
+        let s = &mut *self.tel.inner.borrow_mut();
+        if sample {
+            record_into(&mut s.hists, self.name, end.saturating_sub(self.start));
+        }
+        if self.framed {
+            // Sweep the frame's unattributed remainder into `seg.host`.
+            let host = s.anatomy.as_mut().and_then(|a| a.end(self.name, end));
+            if let Some(host) = host.filter(|&h| h > 0) {
+                record_into(&mut s.hists, SegKind::Host.hist_name(), host);
+            }
+        }
+        if let (Some(t), Some(cat)) = (s.trace.as_mut(), self.cat) {
+            let id = if self.fresh {
+                s.trace_stack.pop().unwrap_or(0)
+            } else {
+                *s.trace_stack.last().unwrap_or(&0)
+            };
+            t.push(end, id, Phase::End, cat, self.name);
+        }
+        if self.fresh {
+            if let Some(sm) = s.sampler.as_mut() {
+                sm.sample_if_due(end, &s.gauges);
+            }
+        }
+    }
+}
+
+impl Drop for Scope<'_> {
+    fn drop(&mut self) {
+        if self.open {
+            self.finish(self.start, false);
+        }
+    }
+}
+
+/// Guard returned by [`Telemetry::background`]; dropping it resumes
+/// charging the frames that were open when it was taken.
+#[derive(Debug)]
+#[must_use = "background work is only uncharged while the guard lives"]
+pub struct Background {
+    tel: Telemetry,
+    floor: usize,
+}
+
+impl Drop for Background {
+    fn drop(&mut self) {
+        if let Some(a) = self.tel.inner.borrow_mut().anatomy.as_mut() {
+            a.resume(self.floor);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Telemetry {
+        /// Tick the sampler directly (ops do it when they close).
+        fn sample(&self, now: Nanos) {
+            let s = &mut *self.inner.borrow_mut();
+            if let Some(sm) = s.sampler.as_mut() {
+                sm.sample_if_due(now, &s.gauges);
+            }
+        }
+    }
 
     #[test]
     fn counters_and_gauges() {
@@ -823,79 +505,53 @@ mod tests {
     }
 
     #[test]
-    fn counter_snapshot_deltas_bound_a_window() {
-        let t = Telemetry::new();
-        t.incr("warmup_only", 7);
-        t.incr("ops", 10);
-        let start = t.snapshot();
-        t.incr("ops", 5);
-        t.incr("born_in_window", 2);
-        let end = t.snapshot();
-        // Snapshots are frozen copies: later increments don't leak in.
-        t.incr("ops", 100);
-        let d = start.delta(&end);
-        assert_eq!(d.get("ops"), Some(&5));
-        assert_eq!(d.get("born_in_window"), Some(&2));
-        // Unchanged counters are omitted from the delta entirely.
-        assert!(!d.contains_key("warmup_only"));
-        assert_eq!(start.counter("ops"), 10);
-        assert_eq!(end.counter("ops"), 15);
-        assert_eq!(end.counter("never_seen"), 0);
-    }
-
-    #[test]
-    fn spans_record_durations() {
-        let t = Telemetry::new();
-        let sp = t.span("wal.commit", 100);
-        assert_eq!(sp.start(), 100);
-        let end = sp.finish(350);
-        assert_eq!(end, 350);
-        let h = t.histogram("wal.commit").unwrap();
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.max(), 250);
-    }
-
-    #[test]
-    fn stall_attribution_respects_context() {
-        let t = Telemetry::new();
-        t.stall(Stall::Media, 100);
-        t.push_context(Stall::WalFsync);
-        t.stall(Stall::Media, 40); // re-attributed
-        t.stall(Stall::FlushCache, 60); // re-attributed
-        t.pop_context();
-        t.stall(Stall::FlushCache, 7);
-        t.stall_exact(Stall::Gc, 5);
-        let s = t.stall_totals();
-        assert_eq!(s.media, 100);
-        assert_eq!(s.wal_fsync, 100);
-        assert_eq!(s.flush_cache, 7);
-        assert_eq!(s.gc, 5);
-        assert_eq!(s.pool_eviction, 0);
-        assert_eq!(s.total(), 212);
-    }
-
-    #[test]
-    fn nested_contexts_use_innermost() {
-        let t = Telemetry::new();
-        t.push_context(Stall::WalFsync);
-        t.push_context(Stall::PoolEviction);
-        t.stall(Stall::Media, 10);
-        t.pop_context();
-        t.stall(Stall::Media, 5);
-        t.pop_context();
-        let s = t.stall_totals();
-        assert_eq!(s.pool_eviction, 10);
-        assert_eq!(s.wal_fsync, 5);
-        assert_eq!(s.media, 0);
-    }
-
-    #[test]
     fn shared_handle_sees_all_writes() {
         let a = Telemetry::new();
         let b = a.clone();
         a.incr("x", 1);
         b.incr("x", 1);
         assert_eq!(a.counter("x"), 2);
+    }
+
+    #[test]
+    fn closed_scopes_record_durations_and_thread_the_clock() {
+        let t = Telemetry::new();
+        let sp = t.span("wal", "wal.commit", 100);
+        assert_eq!(sp.close(350), 350);
+        let h = t.histogram("wal.commit").unwrap();
+        assert_eq!(h.count(), 1);
+        assert_eq!(h.max(), 250);
+        // `end` is `close` without the sample.
+        assert_eq!(t.span("pool", "pool.miss", 0).end(40), 40);
+        assert!(t.histogram("pool.miss").is_none());
+    }
+
+    /// A fallible layer: the scope is open across the `?`.
+    fn command(t: &Telemetry, now: Nanos, res: Result<Nanos, ()>) -> Result<Nanos, ()> {
+        let scope = t.framed_span("dev", "dev.x.write", now);
+        let end = res?;
+        Ok(scope.close(end))
+    }
+
+    #[test]
+    fn dropped_scope_closes_everything_at_its_opening_time() {
+        let t = Telemetry::new();
+        t.enable_tracing(64);
+        t.enable_anatomy(2);
+        assert!(command(&t, 500, Err(())).is_err());
+        assert_eq!(t.frame_depth(), 0, "error path must close its frame");
+        let bd = t.last_breakdown().unwrap();
+        assert_eq!((bd.name.as_str(), bd.start, bd.wall), ("dev.x.write", 500, 0));
+        assert!(bd.is_conserved());
+        assert_eq!(t.anatomy_violations(), 0);
+        assert!(t.histogram("dev.x.write").is_none(), "a failed command is not a sample");
+        let doc = t.trace_chrome_json().unwrap();
+        let chk = validate_chrome_json(&doc).expect("Begin matched by End");
+        assert_eq!((chk.events, chk.begins), (2, 1));
+        // The success path through the same code records the sample.
+        assert_eq!(command(&t, 600, Ok(900)), Ok(900));
+        assert_eq!(t.histogram("dev.x.write").unwrap().max(), 300);
+        assert_eq!(t.last_breakdown().unwrap().wall, 300);
     }
 
     #[test]
@@ -908,51 +564,64 @@ mod tests {
             t.record("dev.write", v);
         }
         t.record("odd \"name\" \\ here", 77);
-        t.stall(Stall::FlushCache, 1234);
-        t.stall(Stall::Media, 9);
         let j1 = t.to_json();
-        let reg = Registry::from_json(&j1).expect("parse back");
-        let j2 = reg.to_json();
-        assert_eq!(j1, j2, "round trip must be lossless");
-        assert_eq!(reg.counter("engine.commits"), 42);
-        assert_eq!(reg.gauge("neg"), Some(-3));
-        assert_eq!(reg.stall_totals().flush_cache, 1234);
-        let h = reg.histogram("dev.write").unwrap();
+        assert!(!j1.contains("stalls"), "the stall taxonomy is gone from the export");
+        let back = Telemetry::from_json(&j1).expect("parse back");
+        assert_eq!(back.to_json(), j1, "round trip must be lossless");
+        assert_eq!(back.counter("engine.commits"), 42);
+        assert_eq!(back.gauge("neg"), Some(-3));
+        let h = back.histogram("dev.write").unwrap();
         assert_eq!(h.count(), 6);
         assert_eq!(h.max(), u64::MAX);
         assert_eq!(h.min(), 0);
+        // A document written before the stall totals were removed still
+        // parses; the object is ignored.
+        let old = j1.replacen('{', "{\"stalls\":{\"media\":9,\"flush_cache\":1234},", 1);
+        assert_eq!(Telemetry::from_json(&old).expect("old document").to_json(), j1);
     }
 
     #[test]
     fn op_scopes_assign_trace_ids_and_nest() {
         let t = Telemetry::new();
-        // Disabled: begin_op is a free no-op returning 0.
-        assert_eq!(t.begin_op("engine", "engine.put", 0), 0);
-        assert_eq!(t.current_trace(), 0);
+        // Disabled: an op is a free no-op on trace-ID 0.
+        t.op("engine", "engine.put", 0).end(0);
+        assert_eq!(t.trace_counts(), None);
         t.enable_tracing(1024);
-        let id1 = t.begin_op("engine", "engine.put", 10);
-        assert_eq!(id1, 1);
-        assert_eq!(t.current_trace(), id1);
-        t.trace_begin("wal", "wal.append", 12);
-        t.trace_end("wal", "wal.append", 20);
-        t.end_op("engine", "engine.put", 25);
-        assert_eq!(t.current_trace(), 0);
-        let id2 = t.begin_op("engine", "engine.commit", 30);
-        assert_eq!(id2, 2, "each op gets a fresh trace-ID");
-        t.end_op("engine", "engine.commit", 40);
+        t.enable_anatomy(2);
+        let put = t.op("engine", "engine.put", 10);
+        t.span("wal", "wal.append", 12).end(20);
+        // A nested op gets its own trace-ID and hands the outer one back.
+        let inner = t.op("engine", "engine.checkpoint", 21);
+        assert_eq!(t.frame_depth(), 2);
+        inner.close(23);
+        assert_eq!(t.last_breakdown().unwrap().trace, 2);
+        t.complete("nand", "nand.program", 23, 24);
+        put.close(25);
+        assert_eq!(t.last_breakdown().unwrap().trace, 1, "outer trace-ID restored");
+        t.op("engine", "engine.commit", 30).close(40);
+        assert_eq!(t.last_breakdown().unwrap().trace, 3, "each op gets a fresh trace-ID");
+        t.trace_instant("dev", "power_cut", 50);
         let doc = t.trace_chrome_json().unwrap();
         let chk = validate_chrome_json(&doc).expect("valid chrome trace");
-        assert_eq!(chk.begins, 3);
-        assert_eq!(chk.tracks, 2);
-        // The wal event inherited op 1's trace-ID.
-        assert!(doc.contains(
-            "\"name\":\"wal.append\",\"cat\":\"wal\",\"ph\":\"B\",\"ts\":0.012,\"pid\":1,\"tid\":1"
-        ));
-        assert_eq!(t.trace_counts(), Some((6, 0)));
+        assert_eq!((chk.begins, chk.instants, chk.tracks), (5, 1, 4));
+        // Inner spans inherited op 1's trace-ID, before and after the
+        // nested op; the instant is outside any op.
+        for (name, cat, ph, ts, tid) in [
+            ("wal.append", "wal", "B", "0.012", 1),
+            ("nand.program", "nand", "E", "0.024", 1),
+            ("power_cut", "dev", "i", "0.050", 0),
+        ] {
+            let ev = format!(
+                "\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"{ph}\",\"ts\":{ts},\"pid\":1,\"tid\":{tid}"
+            );
+            assert!(doc.contains(&ev), "{ev} not in {doc}");
+        }
+        assert_eq!(t.trace_counts(), Some((11, 0)));
+        assert_eq!(t.histogram("engine.put").unwrap().max(), 15);
     }
 
     #[test]
-    fn registry_json_round_trips_with_series() {
+    fn json_round_trips_with_series() {
         let t = Telemetry::new();
         t.enable_sampling(100);
         t.set_gauge("pool.dirty_pages", 5);
@@ -964,26 +633,28 @@ mod tests {
         t.incr("ops", 2);
         let j1 = t.to_json();
         assert!(j1.contains("\"series\":{"), "series section must be exported");
-        let reg = Registry::from_json(&j1).expect("parse back");
-        assert_eq!(reg.to_json(), j1, "series round trip must be lossless");
-        let s = reg.sampler().unwrap();
-        assert_eq!(s.times(), &[0, 150, 220]);
-        assert_eq!(s.series()["ssd.cache_occupancy"].start, 1);
+        let back = Telemetry::from_json(&j1).expect("parse back");
+        assert_eq!(back.to_json(), j1, "series round trip must be lossless");
+        // A gauge born mid-run has no points before its first sample.
+        assert_eq!(
+            back.series_csv().unwrap(),
+            "t_ns,pool.dirty_pages,ssd.cache_occupancy\n0,5,\n150,9,3\n220,9,3\n"
+        );
     }
 
     #[test]
-    fn sampling_is_cadence_gated() {
+    fn sampling_is_cadence_gated_and_ticked_by_ops() {
         let t = Telemetry::new();
         t.sample(0); // no-op before enable
         t.enable_sampling(1_000);
         t.set_gauge("g", 1);
-        t.sample(0);
-        t.sample(10); // below cadence: skipped
-        t.sample(999);
-        t.sample(1_000);
+        t.op("doc", "doc.set", 0).close(0);
+        t.op("doc", "doc.set", 5).close(10); // below cadence: skipped
+        t.span("wal", "wal.flush", 10).close(5_000); // only ops tick
+        t.op("doc", "doc.set", 990).close(999);
+        t.op("doc", "doc.set", 999).close(1_000);
         t.finish_sampling(1_500);
-        let csv = t.series_csv().unwrap();
-        assert_eq!(csv, "t_ns,g\n0,1\n1000,1\n1500,1\n");
+        assert_eq!(t.series_csv().unwrap(), "t_ns,g\n0,1\n1000,1\n1500,1\n");
     }
 
     #[test]
@@ -992,9 +663,7 @@ mod tests {
         t.enable_tracing(64);
         t.enable_sampling(10);
         t.set_gauge("g", 1);
-        let id = t.begin_op("engine", "op", 0);
-        t.end_op("engine", "op", 5);
-        t.sample(0);
+        t.op("engine", "op", 0).close(5);
         t.reset();
         assert!(t.tracing_enabled());
         assert_eq!(t.trace_counts().map(|(r, _)| r), Some(2), "counters survive reset");
@@ -1002,35 +671,35 @@ mod tests {
         assert_eq!(validate_chrome_json(&doc).unwrap().events, 0);
         assert!(t.series_csv().unwrap().lines().count() == 1, "header only");
         // Trace-IDs keep advancing; no reuse after reset.
-        t.set_gauge("g", 2);
-        assert!(t.begin_op("engine", "op", 10) > id);
+        t.op("engine", "op", 10).close(11);
+        assert!(t.trace_chrome_json().unwrap().contains("\"tid\":2"));
     }
 
     #[test]
     fn anatomy_frames_ride_op_scopes_and_conserve() {
         let t = Telemetry::new();
         // Disabled: all hooks are free no-ops.
-        t.begin_frame("engine.commit", 0);
+        let f = t.frame("engine.commit", 0);
         t.seg(SegKind::WalFsync, 10);
-        t.end_frame("engine.commit", 100);
+        f.end(100);
         assert!(t.last_breakdown().is_none());
         assert_eq!(t.anatomy_violations(), 0);
 
         t.enable_anatomy(4);
-        // Frames open via begin_op even with tracing disabled (trace-ID 0).
-        assert_eq!(t.begin_op("engine", "engine.commit", 1_000), 0);
+        // Ops open frames even with tracing disabled (trace-ID 0).
+        let op = t.op("engine", "engine.commit", 1_000);
         assert_eq!(t.frame_depth(), 1);
-        t.begin_frame("dev.log.write", 1_100);
+        let dev = t.framed_span("dev", "dev.log.write", 1_100);
         t.seg(SegKind::MediaProgram, 300);
         t.seg(SegKind::NcqWait, 50);
-        t.end_frame("dev.log.write", 1_500);
+        dev.close(1_500);
         let dev = t.last_breakdown().unwrap();
         assert_eq!(dev.wall, 400);
         assert_eq!(dev.seg(SegKind::MediaProgram), 300);
         assert_eq!(dev.seg(SegKind::Host), 50, "400 - 350 attributed");
         assert!(dev.is_conserved());
         t.seg(SegKind::WalFsync, 200);
-        t.end_op("engine", "engine.commit", 2_000);
+        op.close(2_000);
         let op = t.last_breakdown().unwrap();
         assert_eq!(op.name, "engine.commit");
         assert_eq!(op.wall, 1_000);
@@ -1051,17 +720,39 @@ mod tests {
     }
 
     #[test]
-    fn anatomy_frames_inherit_trace_ids() {
+    fn background_work_does_not_charge_the_open_op() {
+        let t = Telemetry::new();
+        t.enable_anatomy(2);
+        let op = t.op("engine", "engine.commit", 1_000);
+        {
+            // A queued flush fired retroactively: it began before the op.
+            let _bg = t.background();
+            let dev = t.framed_span("dev", "dev.log.flush", 200);
+            t.seg(SegKind::FlushCache, 700);
+            dev.close(900);
+            assert!(t.last_breakdown().unwrap().is_conserved());
+        }
+        t.seg(SegKind::WalFsync, 30);
+        op.close(1_040);
+        let bd = t.last_breakdown().unwrap();
+        assert_eq!(bd.seg(SegKind::FlushCache), 0);
+        assert_eq!(bd.seg(SegKind::WalFsync), 30);
+        assert!(bd.is_conserved());
+        assert_eq!(t.anatomy_violations(), 0);
+        assert_eq!(t.histogram("seg.flush_cache").unwrap().sum(), 700, "still in the run total");
+    }
+
+    #[test]
+    fn frames_inherit_trace_ids_and_emit_no_events() {
         let t = Telemetry::new();
         t.enable_tracing(256);
         t.enable_anatomy(2);
-        let id = t.begin_op("doc", "doc.set", 10);
-        t.begin_frame("dev.doc.write", 20);
-        t.end_frame("dev.doc.write", 30);
-        assert_eq!(t.last_breakdown().unwrap().trace, id, "frame carries op trace-ID");
-        t.end_op("doc", "doc.set", 40);
-        assert_eq!(t.last_breakdown().unwrap().trace, id);
-        // Frames emit no trace events: only the op's Begin/End pair exists.
+        let op = t.op("doc", "doc.set", 10);
+        t.frame("dev.doc.fsync_soft", 20).end(30);
+        assert_eq!(t.last_breakdown().unwrap().trace, 1, "frame carries op trace-ID");
+        op.close(40);
+        assert_eq!(t.last_breakdown().unwrap().trace, 1);
+        // Only the op's Begin/End pair exists.
         assert_eq!(t.trace_counts(), Some((2, 0)));
     }
 
@@ -1075,10 +766,7 @@ mod tests {
         let walls = [700u64, 23, 9_999, 140, 3, 9_999, 512];
         let mut now = 0;
         for w in walls {
-            t.begin_frame("doc.set", now);
-            t.end_frame("doc.set", now + w);
-            t.record("doc.set", w);
-            now += w;
+            now = t.frame("doc.set", now).close(now + w);
         }
         let h = t.histogram("doc.set").unwrap();
         assert_eq!(h.max(), 9_999);
@@ -1100,37 +788,26 @@ mod tests {
         let before = t.to_json();
         t.enable_anatomy(4);
         assert_eq!(t.to_json(), before);
-        let reg = Registry::from_json(&before).expect("parse back");
-        assert_eq!(reg.to_json(), before);
     }
 
     #[test]
-    fn reset_clears_anatomy_but_keeps_it_enabled() {
+    fn reset_clears_everything_but_keeps_anatomy_enabled() {
         let t = Telemetry::new();
         t.enable_anatomy(3);
-        t.begin_frame("op", 0);
-        t.seg(SegKind::Xfer, 10);
-        t.end_frame("op", 50);
-        assert!(t.last_breakdown().is_some());
-        t.reset();
-        assert!(t.anatomy_enabled());
-        assert!(t.last_breakdown().is_none());
-        assert_eq!(t.anatomy_violations(), 0);
-        assert!(t.outliers_for("op").is_empty());
-        t.begin_frame("op2", 100);
-        t.end_frame("op2", 130);
-        assert_eq!(t.last_breakdown().unwrap().wall, 30);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let t = Telemetry::new();
         t.incr("a", 1);
         t.record("h", 10);
-        t.stall(Stall::Gc, 5);
+        let f = t.frame("op", 0);
+        t.seg(SegKind::Xfer, 10);
+        f.end(50);
+        assert!(t.last_breakdown().is_some());
         t.reset();
         assert_eq!(t.counter("a"), 0);
         assert!(t.histogram("h").is_none());
-        assert_eq!(t.stall_totals().total(), 0);
+        assert!(t.histogram("seg.xfer").is_none());
+        assert!(t.last_breakdown().is_none());
+        assert_eq!(t.anatomy_violations(), 0);
+        assert!(t.outliers_for("op").is_empty());
+        t.frame("op2", 100).end(130);
+        assert_eq!(t.last_breakdown().unwrap().wall, 30);
     }
 }

@@ -1,6 +1,6 @@
 //! Event tracing and gauge time-series sampling.
 //!
-//! Aggregates (histograms, stall totals) answer *how much*; they cannot
+//! Aggregates (histograms, segment sums) answer *how much*; they cannot
 //! answer *which* NAND program or cache drain made one specific commit slow.
 //! This module adds the causal layer:
 //!

@@ -50,7 +50,7 @@ use simkit::{crc32, Nanos};
 use storage::device::{BlockDevice, WriteCause, LOGICAL_PAGE};
 use storage::file::PageFile;
 use storage::volume::{Volume, VolumeManager};
-use telemetry::{SegKind, Stall, Telemetry};
+use telemetry::{SegKind, Telemetry};
 
 pub use record::{CheckpointPolicy, LogRecord, RECORD_VERSION};
 
@@ -169,8 +169,7 @@ pub struct Wal {
     /// across flushes so steady-state commits do not allocate.
     run_scratch: Vec<u8>,
     stats: WalStats,
-    /// Optional telemetry sink. Physical flushes run under a `WalFsync`
-    /// stall context so device-level blocked time is attributed to the log.
+    /// Optional telemetry sink.
     tel: Option<Telemetry>,
     /// Optional durability ledger: each physical flush completion is
     /// recorded as `wal-flush` evidence with the LSN it covered.
@@ -222,12 +221,10 @@ impl Wal {
         self.stats
     }
 
-    /// Attach a telemetry sink. Records `wal.commit` / `wal.quiesce` /
-    /// `wal.checkpoint` latency histograms and runs physical log flushes
-    /// under a [`Stall::WalFsync`] context so that every nanosecond the
-    /// host blocks inside the log — device media time, FLUSH CACHE waits,
-    /// group-commit queueing — is attributed to `wal_fsync` rather than
-    /// generic media time.
+    /// Attach a telemetry sink. Records `wal.flush` / `wal.commit` /
+    /// `wal.quiesce` / `wal.checkpoint` spans and latency histograms, and
+    /// charges time a committer spends queued behind a flush it did not
+    /// issue to the enclosing op's anatomy (see [`Wal::commit`]).
     pub fn attach_telemetry(&mut self, tel: Telemetry) {
         self.tel = Some(tel);
     }
@@ -333,12 +330,7 @@ impl Wal {
     /// completion time. Caller manages `inflight`/`durable_lsn`.
     fn flush_buffer<D: BlockDevice>(&mut self, vol: &mut Volume<D>, now: Nanos) -> Nanos {
         debug_assert!(!self.buf.is_empty());
-        // Everything the host waits on inside a log flush is log-commit
-        // time: re-attribute device stalls to `wal_fsync`.
-        if let Some(tel) = &self.tel {
-            tel.push_context(Stall::WalFsync);
-            tel.trace_begin("wal", "wal.flush", now);
-        }
+        let scope = self.tel.as_ref().map(|tel| tel.span("wal", "wal.flush", now));
         // Provenance: a flush dominated by full-page-image sidecars is
         // page-image traffic, otherwise plain log appends. (One flush covers
         // one cause — block-granular classification by majority byte count,
@@ -400,10 +392,8 @@ impl Wal {
         self.buf.clear();
         self.run_scratch = run;
         self.stats.flushes += 1;
-        if let Some(tel) = &self.tel {
-            tel.pop_context();
-            tel.record("wal.flush", t.saturating_sub(now));
-            tel.trace_end("wal", "wal.flush", t);
+        if let (Some(scope), Some(tel)) = (scope, &self.tel) {
+            scope.close(t);
             tel.set_gauge("wal.buffered_bytes", 0);
         }
         if let Some(ledger) = &self.ledger {
@@ -422,9 +412,8 @@ impl Wal {
     }
 
     /// Charge time spent waiting on an in-flight or promised log flush (a
-    /// wait that never reaches the device layer) to the `wal_fsync` stall
-    /// bucket, and — when latency anatomy is enabled — to the enclosing
-    /// op's breakdown so group-commit queueing shows up per op. The segment
+    /// wait that never reaches the device layer) to the enclosing op's
+    /// breakdown, so group-commit queueing shows up per op. The segment
     /// kind follows what the awaited flush *is*: with write barriers the
     /// flush is overwhelmingly a FLUSH CACHE drain, so queueing behind it
     /// is `flush_cache` time; on a nobarrier (durable-cache) deployment it
@@ -432,14 +421,16 @@ impl Wal {
     fn note_wait(&self, ns: Nanos, barriers: bool) {
         if ns > 0 {
             if let Some(tel) = &self.tel {
-                tel.stall_exact(Stall::WalFsync, ns);
                 tel.seg(if barriers { SegKind::FlushCache } else { SegKind::WalFsync }, ns);
             }
         }
     }
 
     /// Retire a completed in-flight flush and, in group-commit mode, fire
-    /// the queued group flush.
+    /// the queued group flush. That flush runs retroactively, from the
+    /// moment the previous one ended — possibly before the calling op even
+    /// began — so it is background work to every open anatomy frame: an op
+    /// that really waits on it charges the wait through `note_wait`.
     fn advance<D: BlockDevice>(&mut self, vol: &mut Volume<D>, now: Nanos) {
         if let Some((end, upto)) = self.inflight {
             if end <= now {
@@ -449,7 +440,9 @@ impl Wal {
                     // The queued group flush starts right where the previous
                     // one ended.
                     let covers = self.next_lsn;
+                    let background = self.tel.as_ref().map(Telemetry::background);
                     let done = self.flush_buffer(vol, end);
+                    drop(background);
                     self.last_flush_dur = done.saturating_sub(end).max(1);
                     self.inflight = Some((done, covers));
                     self.durable_lsn = covers;
@@ -463,16 +456,10 @@ impl Wal {
     /// flush already in flight just waits for it; in group-commit mode, a
     /// commit whose records are *not* covered joins the next batched flush.
     pub fn commit<D: BlockDevice>(&mut self, vol: &mut Volume<D>, lsn: Lsn, now: Nanos) -> Nanos {
-        if let Some(tel) = &self.tel {
-            tel.trace_begin("wal", "wal.commit", now);
-        }
+        let scope = self.tel.as_ref().map(|tel| tel.span("wal", "wal.commit", now));
         self.commits_since_ckpt += 1;
         let done = self.commit_inner(vol, lsn, now);
-        if let Some(tel) = &self.tel {
-            tel.record("wal.commit", done.saturating_sub(now));
-            tel.trace_end("wal", "wal.commit", done);
-        }
-        done
+        scope.map_or(done, |s| s.close(done))
     }
 
     fn commit_inner<D: BlockDevice>(&mut self, vol: &mut Volume<D>, lsn: Lsn, now: Nanos) -> Nanos {
@@ -528,9 +515,7 @@ impl Wal {
     /// checkpoints and by crash harnesses that need strict durability under
     /// group-commit mode. Returns the completion time.
     pub fn quiesce<D: BlockDevice>(&mut self, vol: &mut Volume<D>, now: Nanos) -> Nanos {
-        if let Some(tel) = &self.tel {
-            tel.trace_begin("wal", "wal.quiesce", now);
-        }
+        let scope = self.tel.as_ref().map(|tel| tel.span("wal", "wal.quiesce", now));
         let mut t = now;
         if let Some((end, upto)) = self.inflight.take() {
             self.note_wait(end.saturating_sub(t), vol.barriers());
@@ -543,11 +528,7 @@ impl Wal {
             t = self.flush_buffer(vol, t);
             self.durable_lsn = covers;
         }
-        if let Some(tel) = &self.tel {
-            tel.record("wal.quiesce", t.saturating_sub(now));
-            tel.trace_end("wal", "wal.quiesce", t);
-        }
-        t
+        scope.map_or(t, |s| s.close(t))
     }
 
     /// Record a checkpoint at `lsn`: everything older may be overwritten.
@@ -562,15 +543,9 @@ impl Wal {
         assert!(lsn <= self.next_lsn);
         self.checkpoint_lsn = self.checkpoint_lsn.max(lsn);
         self.commits_since_ckpt = 0;
-        if let Some(tel) = &self.tel {
-            tel.trace_begin("wal", "wal.checkpoint", now);
-        }
+        let scope = self.tel.as_ref().map(|tel| tel.span("wal", "wal.checkpoint", now));
         let done = self.write_header(vol, now);
-        if let Some(tel) = &self.tel {
-            tel.record("wal.checkpoint", done.saturating_sub(now));
-            tel.trace_end("wal", "wal.checkpoint", done);
-        }
-        done
+        scope.map_or(done, |s| s.close(done))
     }
 
     fn write_header<D: BlockDevice>(&mut self, vol: &mut Volume<D>, now: Nanos) -> Nanos {
@@ -579,16 +554,10 @@ impl Wal {
         hdr[8..16].copy_from_slice(&self.checkpoint_lsn.to_le_bytes());
         let crc = crc32(&hdr[..16]);
         hdr[16..20].copy_from_slice(&crc.to_le_bytes());
-        if let Some(tel) = &self.tel {
-            tel.push_context(Stall::WalFsync);
-        }
         vol.push_cause(WriteCause::WalAppend);
         let t = self.files[0].write_page(vol, 0, &hdr, now).expect("header block exists");
         let t = vol.fsync(t).expect("log device reachable");
         vol.pop_cause();
-        if let Some(tel) = &self.tel {
-            tel.pop_context();
-        }
         t
     }
 
@@ -805,6 +774,43 @@ mod tests {
         assert_eq!(t3, t1 / 2 + 1, "b was covered by c's flush");
         assert_eq!(wal.stats().piggybacked_commits, 1);
         assert_eq!(wal.stats().flushes, 2);
+    }
+
+    #[test]
+    fn retroactive_group_flush_is_not_charged_to_the_calling_op() {
+        use durassd::{Ssd, SsdConfig};
+        let tel = Telemetry::new();
+        tel.enable_anatomy(2);
+        let mut dev = Ssd::new(SsdConfig::ssd_a(16));
+        dev.attach_telemetry(tel.clone());
+        let mut vol = Volume::new(dev, true);
+        vol.attach_telemetry(tel.clone(), "log");
+        let mut vm = VolumeManager::new(vol.capacity_pages());
+        let (mut wal, t0) = Wal::create(&mut vol, &mut vm, 3, 64, 0);
+        wal.attach_telemetry(tel.clone());
+        wal.set_group_commit(true);
+        let a = wal.append(&rec(b"a"));
+        let t1 = wal.commit(&mut vol, a, t0);
+        // A second committer arrives mid-flush and joins the queued group.
+        let b = wal.append(&rec(b"b"));
+        let promised = wal.commit(&mut vol, b, (t0 + t1) / 2);
+        assert_eq!(wal.stats().group_joins, 1);
+        // A third arrives long after the first flush ended, inside its own
+        // op frame. Its commit fires the queued flush retroactively at `t1`
+        // — barrier-backed device time from before the op began.
+        let c = wal.append(&rec(b"c"));
+        let late = promised + 10_000_000;
+        let op = tel.frame("engine.commit", late);
+        let done = wal.commit(&mut vol, c, late);
+        assert_eq!(wal.stats().flushes, 2, "the queued group flush ran");
+        op.end(done);
+        let bd = tel.last_breakdown().unwrap();
+        assert_eq!((bd.name.as_str(), bd.wall), ("engine.commit", done - late));
+        assert!(bd.is_conserved(), "{}", bd.to_json());
+        assert_eq!(tel.anatomy_violations(), 0);
+        assert_eq!(tel.frame_depth(), 0);
+        // The flush itself was still measured, in its own device frames.
+        assert!(!tel.outliers_for("dev.log.flush").is_empty());
     }
 
     #[test]

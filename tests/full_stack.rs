@@ -5,6 +5,7 @@
 use docstore::{DocStore, DocStoreConfig};
 use durassd::{Ssd, SsdConfig};
 use relstore::{Engine, EngineConfig};
+use telemetry::{SegKind, Telemetry};
 use workloads::{linkbench, tpcc, ycsb};
 
 fn dura() -> Ssd {
@@ -205,9 +206,9 @@ fn ssd_gc_under_database_load_preserves_data() {
     assert_eq!(e.stats().corrupt_reads, 0);
 }
 
-/// Run the same commit-heavy workload and return where the engine's blocked
-/// time went, per the telemetry stall taxonomy.
-fn stalls_for(data: Ssd, log: Ssd, barriers: bool) -> telemetry::StallTotals {
+/// Run one commit-heavy workload with `tel` attached end to end (devices
+/// *before* the engine, so firmware spans and segment charges record).
+fn commit_heavy(mut data: Ssd, mut log: Ssd, barriers: bool, tel: &Telemetry) {
     let cfg = EngineConfig::builder(4096)
         .buffer_pool_bytes(32 * 4096)
         .double_write(false)
@@ -217,61 +218,6 @@ fn stalls_for(data: Ssd, log: Ssd, barriers: bool) -> telemetry::StallTotals {
         .log_file_blocks(512)
         .dwb_pages(32)
         .build();
-    let tel = telemetry::Telemetry::new();
-    let (mut e, t0) = Engine::create(data, log, cfg, 0).into_parts();
-    e.attach_telemetry(tel.clone());
-    let (tree, t1) = e.create_tree(t0).into_parts();
-    let mut now = e.checkpoint(t1);
-    for i in 0..600u64 {
-        now = e.put(tree, format!("k{:04}", i % 200).as_bytes(), &[b'x'; 256], now);
-        now = e.commit(now); // every transaction acknowledged durable
-        if e.needs_checkpoint() {
-            now = e.checkpoint(now);
-        }
-    }
-    e.checkpoint(now);
-    tel.stall_totals()
-}
-
-/// The paper's §3 deployment claim, stated as a stall-accounting identity:
-/// a capacitor-backed cache lets the host run `nobarrier`, so not one
-/// nanosecond is ever spent waiting on a device cache flush — while the
-/// volatile device, which *must* keep barriers on for the same durability
-/// guarantee, pays a flush-cache stall on every commit.
-#[test]
-fn durable_cache_eliminates_flush_stalls() {
-    // Durable cache, lean config: fsync never issues a device FLUSH.
-    let durable = stalls_for(dura(), dura(), false);
-    assert_eq!(
-        durable.flush_cache, 0,
-        "nobarrier on a durable cache must never stall on a device flush"
-    );
-    // Volatile cache: durability requires barriers, and barriers cost.
-    let volatile = stalls_for(Ssd::new(SsdConfig::ssd_a(16)), Ssd::new(SsdConfig::ssd_a(16)), true);
-    assert!(
-        volatile.flush_cache > 0,
-        "a volatile cache with barriers must attribute stall time to flush_cache"
-    );
-    // Both runs still did real I/O: the difference is attribution, not idleness.
-    assert!(durable.total() > 0, "durable run should still record media/WAL stalls");
-    assert!(volatile.total() > durable.total());
-}
-
-/// Trace-level twin of [`stalls_for`]: same commit-heavy workload with
-/// event tracing enabled end to end (devices attached *before* the engine
-/// so firmware spans record), exported as Chrome trace JSON.
-fn trace_for(mut data: Ssd, mut log: Ssd, barriers: bool) -> String {
-    let cfg = EngineConfig::builder(4096)
-        .buffer_pool_bytes(32 * 4096)
-        .double_write(false)
-        .barriers(barriers)
-        .data_pages(4096)
-        .log_files(2)
-        .log_file_blocks(512)
-        .dwb_pages(32)
-        .build();
-    let tel = telemetry::Telemetry::new();
-    tel.enable_tracing(1 << 17);
     data.attach_telemetry(tel.clone());
     log.attach_telemetry(tel.clone());
     let (mut e, t0) = Engine::create(data, log, cfg, 0).into_parts();
@@ -286,6 +232,84 @@ fn trace_for(mut data: Ssd, mut log: Ssd, barriers: bool) -> String {
         }
     }
     e.checkpoint(now);
+}
+
+/// The paper's §3 deployment claim, stated as a latency-anatomy identity:
+/// a capacitor-backed cache lets the host run `nobarrier`, so not one
+/// nanosecond of any op is ever spent waiting on a device cache flush —
+/// while the volatile device, which *must* keep barriers on for the same
+/// durability guarantee, pays flush-cache time on every commit.
+#[test]
+fn durable_cache_eliminates_flush_cache_time() {
+    let seg_ns =
+        |tel: &Telemetry, kind: SegKind| tel.histogram(kind.hist_name()).map_or(0, |h| h.sum());
+    // Durable cache, lean config: fsync never issues a device FLUSH.
+    let durable = Telemetry::new();
+    durable.enable_anatomy(1);
+    commit_heavy(dura(), dura(), false, &durable);
+    assert_eq!(
+        seg_ns(&durable, SegKind::FlushCache),
+        0,
+        "nobarrier on a durable cache must never wait on a device flush"
+    );
+    // Volatile cache: durability requires barriers, and barriers cost.
+    let volatile = Telemetry::new();
+    volatile.enable_anatomy(1);
+    commit_heavy(Ssd::new(SsdConfig::ssd_a(16)), Ssd::new(SsdConfig::ssd_a(16)), true, &volatile);
+    assert!(
+        seg_ns(&volatile, SegKind::FlushCache) > 0,
+        "a volatile cache with barriers must attribute commit time to flush_cache"
+    );
+    // Both runs still did real I/O: the difference is attribution, not idleness.
+    assert!(seg_ns(&durable, SegKind::WalFsync) > 0, "durable commits still pay the soft fsync");
+    assert!(seg_ns(&durable, SegKind::Xfer) > 0 && seg_ns(&volatile, SegKind::Xfer) > 0);
+    for tel in [&durable, &volatile] {
+        assert_eq!(tel.anatomy_violations(), 0);
+        assert_eq!(tel.frame_depth(), 0);
+    }
+}
+
+/// Group commit fires queued log flushes retroactively, inside whichever
+/// client's op happens to run next; that background device time must not
+/// be charged to the op (it began before the op did). Multi-client
+/// LinkBench with barriers and double-write on fires such flushes
+/// constantly.
+#[test]
+fn group_commit_linkbench_never_over_attributes() {
+    let nodes = 3_000u64;
+    let est = nodes * 900;
+    let cfg = EngineConfig::builder(8192)
+        .buffer_pool_bytes(est / 10)
+        .double_write(true)
+        .barriers(true)
+        .data_pages((est * 4 / 8192).max(8192))
+        .log_files(2)
+        .log_file_blocks(4096)
+        .build();
+    let tel = Telemetry::new();
+    tel.enable_anatomy(1);
+    let (mut data, mut log) = (dura(), dura());
+    data.attach_telemetry(tel.clone());
+    log.attach_telemetry(tel.clone());
+    let (mut e, t0) = Engine::create(data, log, cfg, 0).into_parts();
+    e.set_group_commit(true);
+    let mut spec = linkbench::LinkBenchSpec::scaled(nodes, 2_000);
+    spec.clients = 16;
+    spec.warmup_ops = 200;
+    let (mut g, t1) = linkbench::load(&mut e, &spec, t0);
+    e.attach_telemetry(tel.clone());
+    linkbench::run(&mut e, &mut g, &spec, t1);
+    assert!(e.wal_stats().group_joins > 0, "the workload must exercise group commit");
+    assert_eq!(tel.anatomy_violations(), 0);
+    assert_eq!(tel.frame_depth(), 0);
+}
+
+/// Trace-level twin of the anatomy runs: the same commit-heavy workload
+/// with event tracing enabled end to end, exported as Chrome trace JSON.
+fn trace_for(data: Ssd, log: Ssd, barriers: bool) -> String {
+    let tel = Telemetry::new();
+    tel.enable_tracing(1 << 17);
+    commit_heavy(data, log, barriers, &tel);
     tel.trace_chrome_json().expect("tracing enabled")
 }
 
