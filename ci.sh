@@ -26,6 +26,20 @@ if grep -rnE 'Stall|push_context|stall_exact|begin_frame|end_frame|trace_begin|t
     echo "removed telemetry API referenced above" >&2
     exit 1
 fi
+# Write causes are scoped (`Volume::with_cause`), device stats are read off
+# the device, and each report has one validator entry point.
+if grep -rnE 'push_cause|pop_cause|DeviceHealth|validate_recovery_report|check_latency_report_with' \
+    crates src tests examples; then
+    echo "removed API referenced above" >&2
+    exit 1
+fi
+
+echo "== one JSON writer (a single string escaper under crates/) =="
+escapers="$(grep -rlF 'u{:04x}' crates)"
+if [ "$escapers" != "crates/simkit/src/json.rs" ]; then
+    echo "string escaper outside simkit::json: $escapers" >&2
+    exit 1
+fi
 
 echo "== cargo test -q =="
 cargo test --workspace -q
@@ -33,6 +47,20 @@ cargo test --workspace -q
 echo "== trace smoke (tiny workload, self-checked Chrome JSON + CSV) =="
 TRACE_TMP="$(mktemp -d)"
 trap 'rm -rf "$TRACE_TMP"' EXIT
+
+# Byte-compare a smoke document with its checked-in golden: these runs are
+# deterministic, so any drift is a change to the emitted bytes. After an
+# intentional one, regenerate with UPDATE_GOLDEN=1 and review the diff
+# (same convention as tests/trace_golden.rs).
+golden() {
+    if [ -n "${UPDATE_GOLDEN:-}" ]; then
+        cp "$1" "tests/golden/$2"
+    fi
+    if ! cmp "$1" "tests/golden/$2"; then
+        echo "$2 drifted from its golden; if intentional, rerun with UPDATE_GOLDEN=1" >&2
+        exit 1
+    fi
+}
 cargo run -p bench --release -q --bin trace -- \
     --out "$TRACE_TMP/smoke" --records 400 --ops 200 --txns 60 --check \
     --telemetry-out "$TRACE_TMP/smoke_telemetry.json"
@@ -70,6 +98,7 @@ cargo run -p bench --release -q --bin waf -- \
     >"$TRACE_TMP/waf.out"
 test -s "$TRACE_TMP/waf.json"
 grep -q '"schema":"durassd.waf.v1"' "$TRACE_TMP/waf.json"
+golden "$TRACE_TMP/waf.json" waf_smoke.json
 
 echo "== latency smoke (per-op anatomy, schema-validated BENCH_latency.json) =="
 # --check fails on schema drift, a conservation violation (segments exceed
@@ -81,12 +110,14 @@ cargo run -p bench --release -q --bin latency -- \
     >"$TRACE_TMP/latency.out"
 test -s "$TRACE_TMP/latency.json"
 grep -q '"schema":"durassd.latency.v1"' "$TRACE_TMP/latency.json"
+golden "$TRACE_TMP/latency.json" latency_smoke.json
 
 echo "== tail smoke (anatomy-backed tail claim: durable runs flush-free) =="
 cargo run -p bench --release -q --bin tail -- \
     --ops 20000 --json "$TRACE_TMP/tail.json" --check >"$TRACE_TMP/tail.out"
 test -s "$TRACE_TMP/tail.json"
 grep -q '"schema":"durassd.latency.v1"' "$TRACE_TMP/tail.json"
+golden "$TRACE_TMP/tail.json" tail_smoke.json
 
 echo "== repo benchmark (out-of-workspace package: unit tests + reduced-scale smoke) =="
 # benchmark/ builds against the workspace crates by path, so an API change

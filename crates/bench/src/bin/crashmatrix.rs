@@ -27,13 +27,13 @@
 
 use bench::schema::check_forensics_report;
 use bench::{
-    arg_flag, arg_str, arg_u64, durassd_bench, hdd_bench, rule, ssd_a_bench, ssd_b_bench,
+    arg_str, arg_u64, durassd_bench, finish_report, hdd_bench, rule, ssd_a_bench, ssd_b_bench,
     ssd_health_line, write_atomic, TelemetrySink,
 };
 use docstore::{DocStore, DocStoreConfig};
+use durassd::Ssd;
 use forensics::{
-    reconcile, AckContract, CampaignReport, CutReport, DeviceHealth, Forensic, Ledger, Probe,
-    ProbeResult,
+    reconcile, AckContract, CampaignReport, CutReport, Forensic, Ledger, Probe, ProbeResult,
 };
 use relstore::{Engine, EngineConfig};
 use simkit::dist::{rng, Rng};
@@ -49,10 +49,11 @@ fn val_of(i: u64) -> Vec<u8> {
     format!("value-{i}-{}", "x".repeat(80)).into_bytes()
 }
 
-/// One trial's forensic row plus the recovered data device's health.
+/// One trial's forensic row plus the recovered data device's health line
+/// (SSDs only).
 struct TrialOut {
     row: CutReport,
-    health: Option<DeviceHealth>,
+    health: Option<String>,
 }
 
 /// Where in the commit cycle the seeded cut lands.
@@ -74,7 +75,8 @@ impl CutPhase {
 }
 
 /// One engine trial: workload to the seeded cut point, power cut, postmortem
-/// harvest, recovery, key probe, reconciliation.
+/// harvest, recovery, key probe, reconciliation. `health` renders the
+/// recovered data device's health line.
 #[allow(clippy::too_many_arguments)]
 fn engine_trial<D, L>(
     mut data: D,
@@ -85,6 +87,7 @@ fn engine_trial<D, L>(
     phase: CutPhase,
     label: &str,
     tel: &Telemetry,
+    health: fn(&D) -> Option<String>,
 ) -> TrialOut
 where
     D: BlockDevice + Forensic,
@@ -147,7 +150,7 @@ where
             let mut recs = Vec::new();
             recs.extend(e2.data_volume().device().recovery_snap().cloned());
             recs.extend(e2.log_volume().device().recovery_snap().cloned());
-            let health = e2.data_volume().device().health();
+            let health = health(e2.data_volume().device());
             let mut probes = Vec::with_capacity(cut_op as usize + 1);
             let mut t2 = ready;
             for i in 0..=cut_op {
@@ -167,8 +170,8 @@ where
 }
 
 /// One document-store trial (fsync per update; a set is its own commit).
-fn doc_trial<D: BlockDevice + Forensic>(
-    mut dev: D,
+fn doc_trial(
+    mut dev: Ssd,
     contract: AckContract,
     barriers: bool,
     cut_op: u64,
@@ -196,7 +199,7 @@ fn doc_trial<D: BlockDevice + Forensic>(
     let pms: Vec<_> = dev.take_postmortem().into_iter().collect();
     let (mut s2, mut t2) = DocStore::recover(dev, cfg, cut_at_ns + 1).into_parts();
     let recs: Vec<_> = s2.device().recovery_snap().cloned().into_iter().collect();
-    let health = s2.device().health();
+    let health = Some(ssd_health_line(s2.device()));
     let mut probes = Vec::with_capacity(cut_op as usize + 1);
     for i in 0..=cut_op {
         let (v, t3) = s2.get(&key_of(i), t2).into_parts();
@@ -227,7 +230,7 @@ fn print_row(out: &TrialOut) {
         if r.durable { "SAFE" } else { "ACKED DATA LOSS" }
     );
     if let Some(h) = &out.health {
-        println!("      {}", ssd_health_line(h));
+        println!("      {h}");
     }
     for loss in r.losses.iter().take(3) {
         println!(
@@ -249,7 +252,6 @@ fn main() {
     let cuts = arg_u64("--cuts", 2).max(1);
     let seed = arg_u64("--seed", 7);
     let json_path = arg_str("--json");
-    let check = arg_flag("--check");
     let mut cut_rng = rng(seed ^ 0xD00D_CAFE);
     println!(
         "Crash campaign: up to {keys} committed ops/trial, {cuts} seeded cut(s), seed {seed}.\n"
@@ -287,7 +289,7 @@ fn main() {
                 let out = match dev_name {
                     "Disk" => {
                         let (d, l) = (hdd_bench(true), hdd_bench(true));
-                        engine_trial(d, l, contract, safe, cut_op, phase, &label, &tel)
+                        engine_trial(d, l, contract, safe, cut_op, phase, &label, &tel, |_| None)
                     }
                     _ => {
                         let (mut d, mut l) = match dev_name {
@@ -299,7 +301,8 @@ fn main() {
                             d.attach_telemetry(tel.clone());
                             l.attach_telemetry(tel.clone());
                         }
-                        engine_trial(d, l, contract, safe, cut_op, phase, &label, &tel)
+                        let health = |d: &Ssd| Some(ssd_health_line(d));
+                        engine_trial(d, l, contract, safe, cut_op, phase, &label, &tel, health)
                     }
                 };
                 if traced {
@@ -334,32 +337,29 @@ fn main() {
     }
     sink.finish();
 
-    let doc = report.to_json();
-    if let Some(path) = &json_path {
-        write_atomic(path, &doc).expect("forensic report path is writable");
-        println!("\nforensics: wrote campaign report to {path}");
-        if let Some(trace) = &trace_json {
-            let trace_path = match path.strip_suffix(".json") {
-                Some(stem) => format!("{stem}.trace.json"),
-                None => format!("{path}.trace.json"),
-            };
-            write_atomic(&trace_path, trace).expect("trace path is writable");
-            println!("forensics: wrote DuraSSD OFF/OFF cut trace to {trace_path}");
-        }
-    }
-    if check {
-        let failures = check_forensics_report(&doc);
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("forensics: report FAILED schema validation: {f}");
-            }
-            std::process::exit(1);
-        }
-        let durassd_lost = report.acked_lost_for("DuraSSD");
+    // `--check`: the report must be schema-valid and no DuraSSD row may
+    // have lost an acknowledged unit.
+    let durassd_lost = report.acked_lost_for("DuraSSD");
+    let check = |doc: &str| {
+        let mut failures = check_forensics_report(doc);
         if durassd_lost > 0 {
-            eprintln!("forensics: DuraSSD lost {durassd_lost} acknowledged unit(s) — durable-cache claim violated");
-            std::process::exit(1);
+            failures.push(format!(
+                "DuraSSD lost {durassd_lost} acknowledged unit(s) — durable-cache claim violated"
+            ));
         }
+        failures
+    };
+    let wrote = "\nforensics: wrote campaign report to ";
+    let checked = finish_report(&report.to_json(), json_path.as_deref(), wrote, check);
+    if let (Some(path), Some(trace)) = (&json_path, &trace_json) {
+        let trace_path = match path.strip_suffix(".json") {
+            Some(stem) => format!("{stem}.trace.json"),
+            None => format!("{path}.trace.json"),
+        };
+        write_atomic(&trace_path, trace).expect("trace path is writable");
+        println!("forensics: wrote DuraSSD OFF/OFF cut trace to {trace_path}");
+    }
+    if checked {
         println!("forensics: report schema valid; DuraSSD acked_lost == 0 at every cut point");
     }
 

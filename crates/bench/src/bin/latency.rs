@@ -31,9 +31,10 @@
 
 use bench::schema::{check_latency_report, LATENCY_SCHEMA};
 use bench::{
-    arg_flag, arg_str, arg_u64, deployment_labels, fio_cell, fmt_ns, latency_row_json, rule,
-    tpcc_cell, write_atomic, ycsb_cell,
+    arg_str, arg_u64, deployment_labels, finish_report, fio_cell, fmt_ns, rule, tpcc_cell,
+    write_atomic, write_latency_row, ycsb_cell,
 };
+use simkit::json::Writer;
 use telemetry::{SegKind, Telemetry};
 
 /// One workload × deployment cell; the row keeps its whole registry so the
@@ -97,17 +98,14 @@ fn rows(
 }
 
 fn render_json(rows: &[LatRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{{\"schema\":\"{LATENCY_SCHEMA}\",\"rows\":["));
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let row = latency_row_json(r.workload, r.mode, r.device, r.commit_op, &r.tel);
-        out.push_str(&row.expect("commit op recorded and captured"));
+    let mut w = Writer::new();
+    w.obj().key("schema").str(LATENCY_SCHEMA).key("rows").arr();
+    for r in rows {
+        let ran = write_latency_row(&mut w, r.workload, r.mode, r.device, r.commit_op, &r.tel);
+        assert!(ran, "{}/{}: commit op recorded and captured", r.workload, r.mode);
     }
-    out.push_str("]}");
-    out
+    w.end().end();
+    w.finish()
 }
 
 fn main() {
@@ -120,7 +118,6 @@ fn main() {
     let top_k = arg_u64("--top-k", 8);
     let out = arg_str("--out").unwrap_or_else(|| "BENCH_latency.json".to_string());
     let trace_out = arg_str("--trace-out");
-    let check = arg_flag("--check");
 
     println!(
         "latency: per-op anatomy — fio {fio_ops} ops over {fio_span} blocks, \
@@ -187,22 +184,11 @@ fn main() {
         println!("\nwrote per-row traces and outliers under {prefix}.*");
     }
 
-    let doc = render_json(&rows);
-    write_atomic(&out, &doc).expect("latency output path is writable");
-    println!("\nwrote {out}");
-
-    if check {
-        let failures = check_latency_report(&doc);
-        if failures.is_empty() {
-            println!(
-                "check : OK (schema, conservation, durable tail flush-free, \
-                 volatile tail flush-dominated)"
-            );
-        } else {
-            for f in &failures {
-                eprintln!("check FAILED: {f}");
-            }
-            std::process::exit(1);
-        }
+    let check = |doc: &str| check_latency_report(doc, 3);
+    if finish_report(&render_json(&rows), Some(&out), "\nwrote ", check) {
+        println!(
+            "check : OK (schema, conservation, durable tail flush-free, \
+             volatile tail flush-dominated)"
+        );
     }
 }

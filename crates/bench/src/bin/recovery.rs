@@ -22,7 +22,7 @@
 //! SSD and a Cheetah-class disk both with barriers) × two checkpoint
 //! intervals, for both the relational engine and the document store.
 //! Writes `BENCH_recovery.json` (schema `durassd.recovery.v1`); `--check`
-//! re-validates it with [`bench::validate_recovery_report`] and exits
+//! re-validates it with [`bench::schema::check_recovery_report`] and exits
 //! non-zero on violation.
 //!
 //! Flags: `--commits N` (relational commits per trial), `--doc-ops N`,
@@ -30,12 +30,11 @@
 //!
 //! Run: `cargo run -p bench --release --bin recovery`
 
-use bench::{
-    arg_flag, arg_str, arg_u64, durassd_bench, fmt_ns, hdd_bench, rule, ssd_a_bench,
-    validate_recovery_report, write_atomic, RECOVERY_SCHEMA,
-};
+use bench::schema::{check_recovery_report, RECOVERY_SCHEMA};
+use bench::{arg_str, arg_u64, durassd_bench, finish_report, fmt_ns, hdd_bench, rule, ssd_a_bench};
 use docstore::{DocStore, DocStoreConfig};
 use relstore::{Engine, EngineConfig};
+use simkit::json::Writer;
 use simkit::ReplayStats;
 use storage::device::BlockDevice;
 
@@ -153,45 +152,28 @@ fn doc_trial<D: BlockDevice>(
 }
 
 fn render_json(rows: &[Row]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{{\"schema\":\"{RECOVERY_SCHEMA}\","));
-    out.push_str(&format!(
-        "\"profile\":\"{}\",",
-        if cfg!(debug_assertions) { "debug" } else { "release" }
-    ));
-    out.push_str("\"rows\":[");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"engine\":\"{}\",\"device\":\"{}\",\"ckpt_interval\":{},\"commits\":{},\
-             \"outstanding_bytes\":{},\"replayed\":{},\"skipped\":{},\"torn\":{},\
-             \"checkpoint_lsn\":{},\"recovery_wall_ns\":{},\"recovery_sim_ns\":{},\
-             \"ttfr_sim_ns\":{}}}",
-            r.engine,
-            r.device,
-            r.ckpt_interval,
-            r.commits,
-            r.outstanding_bytes,
-            r.stats.replayed,
-            r.stats.skipped,
-            r.stats.torn,
-            r.stats.checkpoint_lsn,
-            r.recovery_wall_ns,
-            r.stats.replay_ns,
-            r.ttfr_sim_ns,
-        ));
+    let mut w = Writer::new();
+    w.obj().key("schema").str(RECOVERY_SCHEMA);
+    w.key("profile").str(if cfg!(debug_assertions) { "debug" } else { "release" });
+    w.key("rows").arr();
+    for r in rows {
+        w.obj().key("engine").str(r.engine).key("device").str(r.device);
+        w.key("ckpt_interval").num(r.ckpt_interval).key("commits").num(r.commits);
+        w.key("outstanding_bytes").num(r.outstanding_bytes);
+        w.key("replayed").num(r.stats.replayed).key("skipped").num(r.stats.skipped);
+        w.key("torn").num(r.stats.torn).key("checkpoint_lsn").num(r.stats.checkpoint_lsn);
+        w.key("recovery_wall_ns").num(r.recovery_wall_ns);
+        w.key("recovery_sim_ns").num(r.stats.replay_ns);
+        w.key("ttfr_sim_ns").num(r.ttfr_sim_ns).end();
     }
-    out.push_str("]}");
-    out
+    w.end().end();
+    w.finish()
 }
 
 fn main() {
     let commits = arg_u64("--commits", 3_000);
     let doc_ops = arg_u64("--doc-ops", 3_000);
     let out = arg_str("--out").unwrap_or_else(|| "BENCH_recovery.json".to_string());
-    let check = arg_flag("--check");
 
     println!(
         "recovery: crash + time-to-first-read — {commits} relational commits, \
@@ -252,20 +234,7 @@ fn main() {
         );
     }
 
-    let doc = render_json(&rows);
-    write_atomic(&out, &doc).expect("recovery output path is writable");
-    println!();
-    println!("wrote {out}");
-
-    if check {
-        let failures = validate_recovery_report(&doc);
-        if failures.is_empty() {
-            println!("check : OK (schema, device/interval coverage, checkpoint-bounded replay)");
-        } else {
-            for f in &failures {
-                eprintln!("check FAILED: {f}");
-            }
-            std::process::exit(1);
-        }
+    if finish_report(&render_json(&rows), Some(&out), "\nwrote ", check_recovery_report) {
+        println!("check : OK (schema, device/interval coverage, checkpoint-bounded replay)");
     }
 }

@@ -10,7 +10,8 @@ use bench::{
     durassd_bench, fmt_rate, hdd_bench, observed_hdd, observed_ssd, print_telemetry, row_telemetry,
     rule, ssd_a_bench, ssd_b_bench, ssd_health_line, TelemetrySink,
 };
-use forensics::{DeviceHealth, Forensic};
+use durassd::Ssd;
+use hdd::Hdd;
 use storage::device::BlockDevice;
 use storage::volume::Volume;
 use telemetry::Telemetry;
@@ -32,13 +33,14 @@ const PAPER: &[(&str, [u64; 9])] = &[
     ("DuraSSD NoBarr", [14484, 14800, 14813, 14824, 14840, 14863, 15063, 15181, 15458]),
 ];
 
-fn measure<D: BlockDevice + Forensic>(
+/// One cell: the measured IOPS and the device as the run left it.
+fn measure<D: BlockDevice>(
     dev: D,
     barriers: bool,
     fsync_every: Option<u32>,
     ops: u64,
     tel: &Telemetry,
-) -> (f64, Option<DeviceHealth>) {
+) -> (f64, D) {
     let mut vol = Volume::new(dev, barriers);
     vol.attach_telemetry(tel.clone(), "t1");
     // Random writes over most of the device, like fio on a raw drive (for
@@ -46,7 +48,7 @@ fn measure<D: BlockDevice + Forensic>(
     let span = vol.capacity_pages() * 3 / 4;
     let spec = FioSpec::random_write_4k(span, fsync_every, ops);
     let rep = run(&mut vol, &spec, 0);
-    (rep.throughput(), vol.device().health())
+    (rep.throughput(), vol.into_device())
 }
 
 fn ops_for(row: &str, fsync_every: Option<u32>) -> u64 {
@@ -81,21 +83,26 @@ fn main() {
         // One telemetry domain per device row: the segment mix is a property
         // of the device/barrier combination, aggregated across fsync freqs.
         let tel = row_telemetry();
-        let (ssd, hdd) = (|d| observed_ssd(d, &tel), |d| observed_hdd(d, &tel));
+        let ssd = |dev: Ssd, barriers, freq, ops| {
+            let (iops, dev) = measure(observed_ssd(dev, &tel), barriers, freq, ops, &tel);
+            (iops, Some(ssd_health_line(&dev)))
+        };
+        let hdd =
+            |dev: Hdd, freq, ops| (measure(observed_hdd(dev, &tel), true, freq, ops, &tel).0, None);
         let mut cells = Vec::new();
-        let mut health: Option<DeviceHealth> = None;
+        let mut health: Option<String> = None;
         for (i, &freq) in FREQS.iter().enumerate() {
             let ops = ops_for(row, freq);
             let (iops, h) = match *row {
-                "HDD        OFF" => measure(hdd(hdd_bench(false)), true, freq, ops, &tel),
-                "HDD        ON " => measure(hdd(hdd_bench(true)), true, freq, ops, &tel),
-                "SSD-A      OFF" => measure(ssd(ssd_a_bench(false)), true, freq, ops, &tel),
-                "SSD-A      ON " => measure(ssd(ssd_a_bench(true)), true, freq, ops, &tel),
-                "SSD-B      OFF" => measure(ssd(ssd_b_bench(false)), true, freq, ops, &tel),
-                "SSD-B      ON " => measure(ssd(ssd_b_bench(true)), true, freq, ops, &tel),
-                "DuraSSD    OFF" => measure(ssd(durassd_bench(false)), true, freq, ops, &tel),
-                "DuraSSD    ON " => measure(ssd(durassd_bench(true)), true, freq, ops, &tel),
-                "DuraSSD NoBarr" => measure(ssd(durassd_bench(true)), false, freq, ops, &tel),
+                "HDD        OFF" => hdd(hdd_bench(false), freq, ops),
+                "HDD        ON " => hdd(hdd_bench(true), freq, ops),
+                "SSD-A      OFF" => ssd(ssd_a_bench(false), true, freq, ops),
+                "SSD-A      ON " => ssd(ssd_a_bench(true), true, freq, ops),
+                "SSD-B      OFF" => ssd(ssd_b_bench(false), true, freq, ops),
+                "SSD-B      ON " => ssd(ssd_b_bench(true), true, freq, ops),
+                "DuraSSD    OFF" => ssd(durassd_bench(false), true, freq, ops),
+                "DuraSSD    ON " => ssd(durassd_bench(true), true, freq, ops),
+                "DuraSSD NoBarr" => ssd(durassd_bench(true), false, freq, ops),
                 _ => unreachable!(),
             };
             health = h.or(health);
@@ -108,7 +115,7 @@ fn main() {
         println!("{:<16} {}   <- paper", "", paper_row.join(" "));
         print_telemetry("      ", &tel, &["dev.t1.write", "dev.t1.flush"]);
         if let Some(h) = &health {
-            println!("      {}", ssd_health_line(h));
+            println!("      {h}");
         }
         sink.add(row.trim_end(), &tel);
     }

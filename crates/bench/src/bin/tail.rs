@@ -17,15 +17,15 @@
 //! Run: `cargo run -p bench --release --bin tail [--ops N] [--json PATH]
 //! [--check]`
 
-use bench::schema::{check_latency_report_with, LATENCY_SCHEMA};
+use bench::schema::{check_latency_report, LATENCY_SCHEMA};
 use bench::{
-    arg_flag, arg_str, arg_u64, durassd_bench, latency_row_json, print_telemetry, rule,
-    ssd_a_bench, ssd_health_line, write_atomic, TelemetrySink,
+    arg_str, arg_u64, durassd_bench, finish_report, print_telemetry, rule, ssd_a_bench,
+    ssd_health_line, write_latency_row, TelemetrySink,
 };
 use durassd::Ssd;
-use forensics::{DeviceHealth, Forensic};
 use simkit::dist::rng;
 use simkit::dist::Rng;
+use simkit::json::Writer;
 use simkit::stats::LatencyStats;
 use simkit::ClosedLoop;
 use storage::device::LOGICAL_PAGE;
@@ -37,7 +37,7 @@ fn mixed_run(
     barriers: bool,
     ops: u64,
     tel: &Telemetry,
-) -> (LatencyStats, LatencyStats, Option<DeviceHealth>) {
+) -> (LatencyStats, LatencyStats, String) {
     let mut vol = Volume::new(dev, barriers);
     let span = vol.capacity_pages() / 2;
     // Preload so reads hit media.
@@ -77,7 +77,7 @@ fn mixed_run(
             done
         }
     });
-    let health = vol.device().health();
+    let health = ssd_health_line(vol.device());
     (reads, writes, health)
 }
 
@@ -103,18 +103,18 @@ fn report(name: &str, reads: &mut LatencyStats, writes: &mut LatencyStats) {
 
 /// Anatomy rows for one run: the slowest reads and writes with their
 /// causally attributed breakdowns.
-fn anatomy_rows(tel: &Telemetry, mode: &str, device: &str) -> Vec<String> {
-    [("tail_mixed_reads", "dev.tail.read"), ("tail_mixed_writes", "dev.tail.write")]
-        .iter()
-        .filter_map(|(workload, op)| latency_row_json(workload, mode, device, op, tel))
-        .collect()
+fn write_anatomy_rows(w: &mut Writer, tel: &Telemetry, mode: &str, device: &str) {
+    for (workload, op) in
+        [("tail_mixed_reads", "dev.tail.read"), ("tail_mixed_writes", "dev.tail.write")]
+    {
+        write_latency_row(w, workload, mode, device, op, tel);
+    }
 }
 
 fn main() {
     let mut sink = TelemetrySink::from_args();
     let ops = arg_u64("--ops", 60_000);
     let json_out = arg_str("--json");
-    let check = arg_flag("--check");
     println!("Tail latency under mixed read/write load (64 readers, 16 writers, fsync/8)\n");
     rule(110);
     let tel1 = Telemetry::new();
@@ -122,18 +122,14 @@ fn main() {
     let (mut r1, mut w1, h1) = mixed_run(ssd_a_bench(true), true, ops, &tel1);
     report("volatile SSD, barriers ON", &mut r1, &mut w1);
     print_telemetry("    ", &tel1, &["dev.tail.read", "dev.tail.flush"]);
-    if let Some(h) = &h1 {
-        println!("    {}", ssd_health_line(h));
-    }
+    println!("    {h1}");
     sink.add("volatile SSD, barriers ON", &tel1);
     let tel2 = Telemetry::new();
     tel2.enable_anatomy(8);
     let (mut r2, mut w2, h2) = mixed_run(durassd_bench(true), false, ops, &tel2);
     report("DuraSSD, nobarrier", &mut r2, &mut w2);
     print_telemetry("    ", &tel2, &["dev.tail.read", "dev.tail.flush"]);
-    if let Some(h) = &h2 {
-        println!("    {}", ssd_health_line(h));
-    }
+    println!("    {h2}");
     sink.add("DuraSSD, nobarrier", &tel2);
     sink.finish();
     rule(110);
@@ -146,27 +142,17 @@ fn main() {
         f(&mut r1, &mut r2, 99.9)
     );
 
-    if json_out.is_some() || check {
-        let mut rows = anatomy_rows(&tel1, "volatile", "ssd_a");
-        rows.extend(anatomy_rows(&tel2, "durable", "durassd"));
-        let doc = format!("{{\"schema\":\"{LATENCY_SCHEMA}\",\"rows\":[{}]}}", rows.join(","));
-        if let Some(path) = &json_out {
-            write_atomic(path, &doc).expect("tail output path is writable");
-            println!("wrote {path}");
-        }
-        if check {
-            let failures = check_latency_report_with(&doc, 2);
-            if failures.is_empty() {
-                println!(
-                    "check : OK (anatomy conserved; durable runs flush-free, \
-                     volatile tails flush-dominated)"
-                );
-            } else {
-                for fmsg in &failures {
-                    eprintln!("check FAILED: {fmsg}");
-                }
-                std::process::exit(1);
-            }
-        }
+    let mut w = Writer::new();
+    w.obj().key("schema").str(LATENCY_SCHEMA).key("rows").arr();
+    write_anatomy_rows(&mut w, &tel1, "volatile", "ssd_a");
+    write_anatomy_rows(&mut w, &tel2, "durable", "durassd");
+    w.end().end();
+    // The mixed run emits two workloads (reads and writes), not three.
+    let check = |doc: &str| check_latency_report(doc, 2);
+    if finish_report(&w.finish(), json_out.as_deref(), "wrote ", check) {
+        println!(
+            "check : OK (anatomy conserved; durable runs flush-free, \
+             volatile tails flush-dominated)"
+        );
     }
 }

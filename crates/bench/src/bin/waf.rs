@@ -28,10 +28,10 @@
 
 use bench::schema::{check_waf_report, WAF_SCHEMA};
 use bench::{
-    arg_flag, arg_str, arg_u64, deployment_labels, fio_cell, rule, tpcc_cell, write_atomic,
-    ycsb_cell,
+    arg_str, arg_u64, deployment_labels, finish_report, fio_cell, rule, tpcc_cell, ycsb_cell,
 };
 use durassd::Ssd;
+use simkit::json::Writer;
 use storage::device::{BlockDevice, CauseCounts, DeviceStats, WriteCause};
 
 /// One workload × deployment cell of the observatory.
@@ -59,14 +59,6 @@ impl WafRow {
     }
 }
 
-/// Max-minus-min erase count across the NAND blocks of one SSD.
-fn wear_spread(ssd: &Ssd) -> u32 {
-    let profile = ssd.wear_profile();
-    let min = profile.iter().map(|&(e, _)| e).min().unwrap_or(0);
-    let max = profile.iter().map(|&(e, _)| e).max().unwrap_or(0);
-    max - min
-}
-
 /// Fold one SSD's counters into a row, summing element-wise: conservation
 /// survives addition.
 fn accumulate(row: &mut WafRow, ssd: &Ssd) {
@@ -75,7 +67,8 @@ fn accumulate(row: &mut WafRow, ssd: &Ssd) {
     row.media_pages += s.media_pages_written;
     row.absorbed += ssd.absorbed_overwrites();
     row.gc_erases += s.gc_erases;
-    row.wear_spread = row.wear_spread.max(wear_spread(ssd));
+    let (wear_min, wear_max) = ssd.wear_spread();
+    row.wear_spread = row.wear_spread.max(wear_max - wear_min);
     for c in WriteCause::ALL {
         row.host_by_cause[c.index()] += s.pages_by_cause[c.index()];
         row.media_by_cause[c.index()] += s.media_pages_by_cause[c.index()];
@@ -131,47 +124,30 @@ fn rows(
     rows
 }
 
-fn by_cause_json(counts: &CauseCounts) -> String {
-    let mut out = String::from("{");
-    for (i, c) in WriteCause::ALL.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{}\":{}", c.label(), counts[c.index()]));
+fn write_by_cause(w: &mut Writer, counts: &CauseCounts) {
+    w.obj();
+    for c in WriteCause::ALL {
+        w.key(c.label()).num(counts[c.index()]);
     }
-    out.push('}');
-    out
+    w.end();
 }
 
 fn render_json(rows: &[WafRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{{\"schema\":\"{WAF_SCHEMA}\",\"rows\":["));
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"workload\":\"{}\",\"mode\":\"{}\",\"device\":\"{}\",\
-             \"host_pages\":{},\"media_pages\":{},\"waf\":{:.4},\
-             \"absorbed_overwrites\":{},\"absorption_pct\":{:.2},\
-             \"gc_erases\":{},\"wear_spread\":{},\
-             \"host_by_cause\":{},\"media_by_cause\":{}}}",
-            r.workload,
-            r.mode,
-            r.device,
-            r.host_pages,
-            r.media_pages,
-            r.waf(),
-            r.absorbed,
-            r.absorption_pct(),
-            r.gc_erases,
-            r.wear_spread,
-            by_cause_json(&r.host_by_cause),
-            by_cause_json(&r.media_by_cause),
-        ));
+    let mut w = Writer::new();
+    w.obj().key("schema").str(WAF_SCHEMA).key("rows").arr();
+    for r in rows {
+        w.obj().key("workload").str(r.workload).key("mode").str(r.mode);
+        w.key("device").str(r.device).key("host_pages").num(r.host_pages);
+        w.key("media_pages").num(r.media_pages).key("waf").num(format_args!("{:.4}", r.waf()));
+        w.key("absorbed_overwrites").num(r.absorbed);
+        w.key("absorption_pct").num(format_args!("{:.2}", r.absorption_pct()));
+        w.key("gc_erases").num(r.gc_erases).key("wear_spread").num(r.wear_spread);
+        write_by_cause(w.key("host_by_cause"), &r.host_by_cause);
+        write_by_cause(w.key("media_by_cause"), &r.media_by_cause);
+        w.end();
     }
-    out.push_str("]}");
-    out
+    w.end().end();
+    w.finish()
 }
 
 fn main() {
@@ -182,7 +158,6 @@ fn main() {
     let warehouses = arg_u64("--warehouses", 1) as u32;
     let txns = arg_u64("--txns", 300);
     let out = arg_str("--out").unwrap_or_else(|| "BENCH_waf.json".to_string());
-    let check = arg_flag("--check");
 
     println!(
         "waf: write-provenance observatory — fio {fio_ops} ops over {fio_span} blocks, \
@@ -223,19 +198,7 @@ fn main() {
         println!("{:<18} {:<9} media by cause: {}", r.workload, r.mode, parts.join("  "));
     }
 
-    let doc = render_json(&rows);
-    write_atomic(&out, &doc).expect("waf output path is writable");
-    println!("\nwrote {out}");
-
-    if check {
-        let failures = check_waf_report(&doc);
-        if failures.is_empty() {
-            println!("check : OK (schema, conservation, durable ≥ volatile absorption)");
-        } else {
-            for f in &failures {
-                eprintln!("check FAILED: {f}");
-            }
-            std::process::exit(1);
-        }
+    if finish_report(&render_json(&rows), Some(&out), "\nwrote ", check_waf_report) {
+        println!("check : OK (schema, conservation, durable ≥ volatile absorption)");
     }
 }

@@ -7,9 +7,10 @@
 
 use docstore::{DocStore, DocStoreConfig};
 use durassd::{Ssd, SsdConfig};
-use forensics::DeviceHealth;
 use hdd::{Hdd, HddConfig};
 use relstore::{Engine, EngineConfig};
+use simkit::json::Writer;
+use storage::device::BlockDevice;
 use storage::volume::Volume;
 use telemetry::{OpBreakdown, SegKind, Telemetry};
 use workloads::fio::FioSpec;
@@ -185,14 +186,25 @@ pub fn durassd_engine(cfg: EngineConfig, tel: &Telemetry) -> (Engine<Ssd, Ssd>, 
     (engine, t0)
 }
 
-/// Parse `--flag value` style arguments with a default.
+/// The value of `--flag N` in `args`, or `default` when the flag is absent.
+/// A flag without a value, or with one that is not an unsigned integer, is
+/// an error naming both — never a silent fall-back to the default scale.
+pub fn parse_arg_u64(args: &[String], name: &str, default: u64) -> Result<u64, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(default);
+    };
+    let value = args.get(i + 1).ok_or_else(|| format!("{name} needs a value"))?;
+    value.parse().map_err(|_| format!("{name}: {value:?} is not an unsigned integer"))
+}
+
+/// [`parse_arg_u64`] over the process arguments; a bad value ends the
+/// process with exit status 2.
 pub fn arg_u64(name: &str, default: u64) -> u64 {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    parse_arg_u64(&args, name, default).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
 }
 
 /// Parse a `--flag value` string argument (`None` when absent).
@@ -213,6 +225,34 @@ pub fn write_atomic(path: &str, content: &str) -> std::io::Result<()> {
     let tmp = format!("{path}.tmp");
     std::fs::write(&tmp, content)?;
     std::fs::rename(&tmp, path)
+}
+
+/// The shared epilogue of every report bin: write `doc` to `path`
+/// atomically and announce it as `{wrote}{path}`, then — when the bin was
+/// invoked with `--check` — run `check` over the document, print every
+/// violation and exit 1 if there are any. Returns whether the check ran
+/// (and passed), so the bin can print what it just proved.
+pub fn finish_report(
+    doc: &str,
+    path: Option<&str>,
+    wrote: &str,
+    check: impl FnOnce(&str) -> Vec<String>,
+) -> bool {
+    if let Some(path) = path {
+        write_atomic(path, doc).unwrap_or_else(|e| panic!("report path {path} is writable: {e}"));
+        println!("{wrote}{path}");
+    }
+    if !arg_flag("--check") {
+        return false;
+    }
+    let failures = check(doc);
+    for f in &failures {
+        eprintln!("check FAILED: {f}");
+    }
+    if !failures.is_empty() {
+        std::process::exit(1);
+    }
+    true
 }
 
 /// Machine-readable telemetry output for the experiment binaries.
@@ -268,40 +308,17 @@ impl TelemetrySink {
     /// where they went. Returns the path written, if any.
     pub fn finish(&self) -> Option<String> {
         let path = self.path.as_deref()?;
-        let mut out = String::from("{");
-        for (i, (label, json)) in self.sections.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            for c in label.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out.push_str("\":");
-            out.push_str(json);
+        let mut w = Writer::new();
+        w.obj();
+        for (label, json) in &self.sections {
+            w.key(label).raw(json);
         }
-        out.push('}');
+        w.end();
+        let out = w.finish();
         write_atomic(path, &out).expect("telemetry output path is writable");
         println!("telemetry: wrote {} section(s) to {path}", self.sections.len());
         Some(path.to_string())
     }
-}
-
-/// Schema tag the `recovery` bin writes and [`validate_recovery_report`]
-/// gates on. Re-exported from [`schema`], where all report validators live.
-pub const RECOVERY_SCHEMA: &str = schema::RECOVERY_SCHEMA;
-
-/// Validate a serialized `BENCH_recovery.json` document. Returns the list
-/// of violations (empty = valid). Thin alias for
-/// [`schema::check_recovery_report`], kept under the name the `recovery`
-/// bin grew up with.
-pub fn validate_recovery_report(doc: &str) -> Vec<String> {
-    schema::check_recovery_report(doc)
 }
 
 /// Print a rule line for report tables.
@@ -334,34 +351,35 @@ pub fn segment_mix(tel: &Telemetry) -> String {
     out.trim_end().to_string()
 }
 
-/// One-line durability-health summary for a device that tracks it
-/// ([`forensics::Forensic::health`]): shorn reads, emergency dumps (and how
-/// many blew the capacitor budget), the largest dump, recovery runs, and
-/// acked slots destroyed. Printed next to the segment mix so a run's
-/// performance story and its durability story sit on adjacent lines.
-pub fn ssd_health_line(h: &DeviceHealth) -> String {
+/// One-line durability-health summary of an SSD: shorn reads, emergency
+/// dumps (and how many blew the capacitor budget), the largest dump,
+/// recovery runs, acked slots destroyed, then WAF, cache absorption and wear
+/// spread. Printed next to the segment mix so a run's performance story and
+/// its durability story sit on adjacent lines.
+pub fn ssd_health_line(ssd: &Ssd) -> String {
+    let (x, d) = (ssd.ssd_stats(), ssd.stats());
     // WAF is media pages per host page; absorption is the share of host
     // pages the write cache coalesced away before they could reach flash.
-    let waf = if h.host_pages_written > 0 {
-        h.media_pages_written as f64 / h.host_pages_written as f64
-    } else {
-        0.0
+    let per_host_page = |n: u64| {
+        if d.pages_written > 0 {
+            n as f64 / d.pages_written as f64
+        } else {
+            0.0
+        }
     };
-    let absorption = if h.host_pages_written > 0 {
-        100.0 * h.absorbed_overwrites as f64 / h.host_pages_written as f64
-    } else {
-        0.0
-    };
+    let waf = per_host_page(d.media_pages_written);
+    let absorption = 100.0 * per_host_page(ssd.absorbed_overwrites());
+    let (wear_min, wear_max) = ssd.wear_spread();
     format!(
         "ssd health | shorn_reads {}  dumps {} (over-budget {})  max_dump {}B  recoveries {}  \
          lost_acked {}  waf {waf:.2}  absorbed {absorption:.1}%  wear_spread {}",
-        h.shorn_reads,
-        h.dumps,
-        h.dump_over_budget,
-        h.max_dump_bytes,
-        h.recoveries,
-        h.lost_acked_slots,
-        h.wear_spread
+        x.shorn_reads,
+        x.dumps,
+        x.dump_over_budget,
+        x.max_dump_bytes,
+        x.recoveries,
+        x.lost_acked_slots,
+        wear_max - wear_min
     )
 }
 
@@ -406,31 +424,15 @@ pub fn print_telemetry(indent: &str, tel: &Telemetry, names: &[&str]) {
 /// Per-segment-kind run histograms as a JSON object, empty kinds skipped:
 /// `{"<label>":{"count":..,"total_ns":..,"p50":..,"p99":..,"max":..},...}`.
 /// The table is the run-wide view of the latency anatomy — the per-op view
-/// is [`breakdown_tail_json`].
-pub fn seg_table_json(tel: &Telemetry) -> String {
-    let mut out = String::from("{");
-    let mut first = true;
+/// is [`write_breakdown_tail`].
+fn write_seg_table(w: &mut Writer, tel: &Telemetry) {
+    w.obj();
     for k in SegKind::ALL {
-        let Some(h) = tel.histogram(k.hist_name()) else { continue };
-        if h.count() == 0 {
-            continue;
-        }
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "\"{}\":{{\"count\":{},\"total_ns\":{},\"p50\":{},\"p99\":{},\"max\":{}}}",
-            k.label(),
-            h.count(),
-            h.sum(),
-            h.p50(),
-            h.p99(),
-            h.max()
-        ));
+        let Some(h) = tel.histogram(k.hist_name()).filter(|h| h.count() > 0) else { continue };
+        w.key(k.label()).obj().key("count").num(h.count()).key("total_ns").num(h.sum());
+        w.key("p50").num(h.p50()).key("p99").num(h.p99()).key("max").num(h.max()).end();
     }
-    out.push('}');
-    out
+    w.end();
 }
 
 /// One captured op breakdown rendered as a `tail` object for
@@ -438,61 +440,38 @@ pub fn seg_table_json(tel: &Telemetry) -> String {
 /// durability gate both `latency --check` and `tail --check` run on), the
 /// trace-ID for cross-referencing the Chrome trace, and the non-zero
 /// segments.
-pub fn breakdown_tail_json(bd: &OpBreakdown) -> String {
+fn write_breakdown_tail(w: &mut Writer, bd: &OpBreakdown) {
     let flush = bd.seg(SegKind::FlushCache);
     let frac = flush as f64 / bd.wall.max(1) as f64;
-    let mut segs = String::from("{");
-    let mut first = true;
-    for k in SegKind::ALL {
-        let ns = bd.seg(k);
-        if ns == 0 {
-            continue;
-        }
-        if !first {
-            segs.push(',');
-        }
-        first = false;
-        segs.push_str(&format!("\"{}\":{ns}", k.label()));
-    }
-    segs.push('}');
-    format!(
-        "{{\"wall\":{},\"flush_cache_ns\":{flush},\"flush_frac\":{frac:.4},\
-         \"trace\":{},\"segments\":{segs}}}",
-        bd.wall, bd.trace
-    )
+    w.obj().key("wall").num(bd.wall).key("flush_cache_ns").num(flush);
+    w.key("flush_frac").num(format_args!("{frac:.4}")).key("trace").num(bd.trace);
+    bd.write_segments(w.key("segments"));
+    w.end();
 }
 
-/// One `durassd.latency.v1` row for op `commit_op` out of `tel`: percentile
-/// ladder, conservation-violation count, run segment table, and the slowest
-/// captured breakdown. `None` when the op never ran (no histogram or no
-/// captured outlier).
-pub fn latency_row_json(
+/// Append one `durassd.latency.v1` row for op `commit_op` out of `tel`:
+/// percentile ladder, conservation-violation count, run segment table, and
+/// the slowest captured breakdown. Writes nothing and returns `false` when
+/// the op never ran (no histogram or no captured outlier).
+pub fn write_latency_row(
+    w: &mut Writer,
     workload: &str,
     mode: &str,
     device: &str,
     commit_op: &str,
     tel: &Telemetry,
-) -> Option<String> {
-    let h = tel.histogram(commit_op)?;
-    if h.count() == 0 {
-        return None;
-    }
+) -> bool {
+    let Some(h) = tel.histogram(commit_op).filter(|h| h.count() > 0) else { return false };
     let tail = tel.outliers_for(commit_op);
-    let tail = tail.first()?;
-    Some(format!(
-        "{{\"workload\":\"{workload}\",\"mode\":\"{mode}\",\"device\":\"{device}\",\
-         \"commit_op\":\"{commit_op}\",\"count\":{},\"min\":{},\"p50\":{},\"p99\":{},\
-         \"p999\":{},\"max\":{},\"violations\":{},\"segments\":{},\"tail\":{}}}",
-        h.count(),
-        h.min(),
-        h.p50(),
-        h.p99(),
-        h.p999(),
-        h.max(),
-        tel.anatomy_violations(),
-        seg_table_json(tel),
-        breakdown_tail_json(tail),
-    ))
+    let Some(tail) = tail.first() else { return false };
+    w.obj().key("workload").str(workload).key("mode").str(mode).key("device").str(device);
+    w.key("commit_op").str(commit_op).key("count").num(h.count()).key("min").num(h.min());
+    w.key("p50").num(h.p50()).key("p99").num(h.p99()).key("p999").num(h.p999());
+    w.key("max").num(h.max()).key("violations").num(tel.anatomy_violations());
+    write_seg_table(w.key("segments"), tel);
+    write_breakdown_tail(w.key("tail"), tail);
+    w.end();
+    true
 }
 
 /// Format an IOPS/TPS value with thousands separators.
@@ -560,11 +539,13 @@ mod tests {
         t.incr("ops", 3);
         sink.add("row A", &t);
         sink.add("row A", &t); // duplicate label gets a suffix, not clobbered
+        sink.add("tab\there", &t); // labels escape like every other string
         assert_eq!(sink.finish().as_deref(), Some(path.as_str()));
         let doc = std::fs::read_to_string(&path).unwrap();
         let v = telemetry::parse_json(&doc).unwrap();
         let obj = v.as_object().unwrap();
         assert!(obj.contains_key("row A") && obj.contains_key("row A#2"), "{doc}");
+        assert!(doc.contains(r#""tab\there":{"#), "{doc}");
         assert!(!std::path::Path::new(&format!("{path}.tmp")).exists(), "tmp file renamed away");
         // Each section round-trips through the registry parser.
         std::fs::remove_file(&path).ok();
@@ -574,59 +555,21 @@ mod tests {
         assert!(!off.enabled() && off.finish().is_none());
     }
 
-    fn recovery_row(
-        engine: &str,
-        device: &str,
-        interval: u64,
-        replayed: u64,
-        skipped: u64,
-    ) -> String {
-        format!(
-            "{{\"engine\":\"{engine}\",\"device\":\"{device}\",\"ckpt_interval\":{interval},\
-             \"replayed\":{replayed},\"skipped\":{skipped},\"torn\":0,\
-             \"outstanding_bytes\":4096,\"recovery_wall_ns\":100,\
-             \"recovery_sim_ns\":5000,\"ttfr_sim_ns\":6000}}"
-        )
-    }
-
     #[test]
-    fn recovery_report_validation() {
-        let good = format!(
-            "{{\"schema\":\"{RECOVERY_SCHEMA}\",\"rows\":[{},{},{},{}]}}",
-            recovery_row("relstore", "durassd", 256, 3, 9),
-            recovery_row("relstore", "ssd_volatile", 2048, 3, 9),
-            recovery_row("relstore", "hdd", 256, 3, 9),
-            recovery_row("docstore", "durassd", 256, 0, 4),
-        );
-        assert!(
-            validate_recovery_report(&good).is_empty(),
-            "{:?}",
-            validate_recovery_report(&good)
-        );
-
-        // DuraSSD relstore row with nothing replayed: flagged.
-        let bad = format!(
-            "{{\"schema\":\"{RECOVERY_SCHEMA}\",\"rows\":[{},{},{}]}}",
-            recovery_row("relstore", "durassd", 256, 0, 0),
-            recovery_row("relstore", "ssd_volatile", 2048, 3, 9),
-            recovery_row("relstore", "hdd", 256, 3, 9),
-        );
-        let fails = validate_recovery_report(&bad);
-        assert!(fails.iter().any(|f| f.contains("replayed")), "{fails:?}");
-        assert!(fails.iter().any(|f| f.contains("skipped")), "{fails:?}");
-
-        // Too few devices / intervals.
-        let narrow = format!(
-            "{{\"schema\":\"{RECOVERY_SCHEMA}\",\"rows\":[{}]}}",
-            recovery_row("relstore", "durassd", 256, 3, 9),
-        );
-        let fails = validate_recovery_report(&narrow);
-        assert!(fails.iter().any(|f| f.contains("distinct devices")), "{fails:?}");
-        assert!(fails.iter().any(|f| f.contains("distinct checkpoint intervals")), "{fails:?}");
-
-        // Wrong schema tag and garbage both flagged.
-        assert!(!validate_recovery_report("{\"schema\":\"nope\",\"rows\":[]}").is_empty());
-        assert!(!validate_recovery_report("not json").is_empty());
+    fn numeric_flags_parse_or_name_the_offender() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let a = args(&["waf", "--fio-ops", "4000", "--check"]);
+        assert_eq!(parse_arg_u64(&a, "--fio-ops", 7), Ok(4000));
+        assert_eq!(parse_arg_u64(&a, "--txns", 7), Ok(7), "absent flag: the default");
+        // An unparsable value must not silently run the default scale.
+        let err = parse_arg_u64(&args(&["waf", "--fio-ops", "4k"]), "--fio-ops", 7).unwrap_err();
+        assert!(err.contains("--fio-ops") && err.contains("4k"), "{err}");
+        // A flag without a value: at the end, or swallowing the next flag.
+        let err = parse_arg_u64(&args(&["waf", "--fio-ops"]), "--fio-ops", 7).unwrap_err();
+        assert!(err.contains("--fio-ops"), "{err}");
+        let swallowed = args(&["waf", "--fio-ops", "--check"]);
+        let err = parse_arg_u64(&swallowed, "--fio-ops", 7).unwrap_err();
+        assert!(err.contains("--fio-ops") && err.contains("--check"), "{err}");
     }
 
     #[test]

@@ -1,20 +1,24 @@
-//! Structural validators for every machine-readable artifact the bench bins
-//! write.
+//! Validators for every machine-readable report the bench bins write.
 //!
 //! Four bins emit schema-tagged JSON documents — `recovery`
 //! (`BENCH_recovery.json`), `crashmatrix` (`--json`), `waf`
 //! (`BENCH_waf.json`) and `latency` (`BENCH_latency.json`, also written by
-//! `tail --json`) — and each offers a `--check`
-//! flag that `ci.sh` runs as a regression gate. The checks used to live next
-//! to each bin (and one in the forensics crate), three hand-rolled copies of
-//! the same parse / tag / walk-the-rows skeleton. This module is the single
-//! home: one helper set, one validator per schema, every validator returning
-//! the full list of violations (empty = valid) so a gate can print them all
-//! instead of the first.
+//! `tail --json`) — and each offers a `--check` flag that `ci.sh` runs as a
+//! regression gate.
+//!
+//! **Structure is data, claims are code.** What a document must look like —
+//! which keys, of what type, in what range, nested how — is one static
+//! [`Field`] table per schema, walked by [`simkit::json::check`], which
+//! reports every violation. What the paper claims about the numbers
+//! (per-cause conservation, durable ≥ volatile absorption, flush-free
+//! durable tails, checkpoint-bounded replay, coverage floors) is a plain
+//! function over the rows, run once the structure is valid so it can read
+//! fields without re-checking them.
 
-use std::collections::BTreeMap;
+use simkit::json::{self, Field, JsonValue, Want::*};
+use std::collections::{BTreeMap, BTreeSet};
 use storage::device::WriteCause;
-use telemetry::JsonValue;
+use telemetry::SegKind;
 
 /// Schema tag for `BENCH_recovery.json` (the `recovery` bin).
 pub const RECOVERY_SCHEMA: &str = "durassd.recovery.v1";
@@ -26,501 +30,359 @@ pub const WAF_SCHEMA: &str = "durassd.waf.v1";
 /// bin's `--json` output.
 pub const LATENCY_SCHEMA: &str = "durassd.latency.v1";
 
-type Obj = BTreeMap<String, JsonValue>;
+/// One parsed JSON object (a report row or a nested table).
+type Row = BTreeMap<String, JsonValue>;
 
-/// Parse `doc` and return the top-level object, or the single fatal failure.
-fn top_object(doc: &str, what: &str) -> Result<JsonValue, Vec<String>> {
-    let v = telemetry::parse_json(doc).map_err(|e| vec![format!("{what} does not parse: {e}")])?;
-    if v.as_object().is_none() {
-        return Err(vec![format!("{what}: top level is not an object")]);
-    }
-    Ok(v)
+/// Structural pass of `doc` against `table`, then — only on a structurally
+/// valid document — the schema's `claims` over its `rows`.
+fn validate(
+    doc: &str,
+    table: &[Field],
+    claims: impl FnOnce(&[&Row], &mut Vec<String>),
+) -> Vec<String> {
+    let v = match json::check_document(doc, table) {
+        Ok(v) => v,
+        Err(failures) => return failures,
+    };
+    let rows = v.as_object().and_then(|o| o.get("rows")).and_then(|r| r.as_array());
+    let rows: Vec<&Row> = rows.into_iter().flatten().filter_map(|r| r.as_object()).collect();
+    let mut failures = Vec::new();
+    claims(&rows, &mut failures);
+    failures
 }
 
-/// Check the `schema` tag, appending a violation when it is absent or wrong.
-fn check_tag(obj: &Obj, want: &str, failures: &mut Vec<String>) {
-    match obj.get("schema").and_then(|s| s.as_str()) {
-        Some(s) if s == want => {}
-        other => failures.push(format!("schema tag {other:?}, want {want:?}")),
-    }
+/// A numeric field the structural pass already vouched for.
+fn num(row: &Row, key: &str) -> f64 {
+    row.get(key).and_then(|v| v.as_f64()).unwrap_or(f64::NAN)
 }
 
-/// Fetch a numeric field as f64 (accepts any JSON number).
-fn num(row: &Obj, key: &str) -> Option<f64> {
-    row.get(key).and_then(|v| v.as_f64())
+/// A string field the structural pass already vouched for.
+fn text<'a>(row: &'a Row, key: &str) -> &'a str {
+    row.get(key).and_then(|v| v.as_str()).unwrap_or("?")
 }
+
+const MODES: [&str; 2] = ["durable", "volatile"];
+
+static RECOVERY_ROW: [Field; 10] = [
+    Field::new("engine", Str),
+    Field::new("device", Str),
+    Field::new("ckpt_interval", Count),
+    Field::new("replayed", Count),
+    Field::new("skipped", Count),
+    Field::new("torn", Count),
+    Field::new("outstanding_bytes", Count),
+    Field::new("recovery_wall_ns", Count),
+    Field::new("recovery_sim_ns", Positive),
+    Field::new("ttfr_sim_ns", Count),
+];
+static RECOVERY: [Field; 2] =
+    [Field::new("schema", OneOf(&[RECOVERY_SCHEMA])), Field::new("rows", Rows(1, &RECOVERY_ROW))];
 
 /// Validate a serialized `BENCH_recovery.json` document:
 ///
 /// - parses as JSON, carries the [`RECOVERY_SCHEMA`] tag;
-/// - a non-empty `rows` array covering ≥ 3 distinct devices and ≥ 2
-///   distinct checkpoint intervals;
-/// - every row has non-negative counters, a positive simulated recovery
-///   time, and a time-to-first-read no smaller than the recovery time;
+/// - a non-empty `rows` array whose rows have non-negative counters and a
+///   positive simulated recovery time;
+/// - ≥ 3 distinct devices and ≥ 2 distinct checkpoint intervals, and a
+///   time-to-first-read no smaller than the recovery time;
 /// - the DuraSSD relational rows actually exercise checkpoint-bounded
 ///   replay: at least one record replayed *and* at least one skipped.
 pub fn check_recovery_report(doc: &str) -> Vec<String> {
-    let v = match top_object(doc, "recovery report") {
-        Ok(v) => v,
-        Err(f) => return f,
-    };
-    let obj = v.as_object().expect("checked by top_object");
-    let mut failures = Vec::new();
-    check_tag(obj, RECOVERY_SCHEMA, &mut failures);
-    let Some(rows) = obj.get("rows").and_then(|r| r.as_array()) else {
-        failures.push("rows array missing".into());
-        return failures;
-    };
-    if rows.is_empty() {
-        failures.push("rows array empty".into());
-        return failures;
-    }
-    let mut devices = std::collections::BTreeSet::new();
-    let mut intervals = std::collections::BTreeSet::new();
-    for (i, row) in rows.iter().enumerate() {
-        let Some(row) = row.as_object() else {
-            failures.push(format!("rows[{i}] is not an object"));
-            continue;
-        };
-        let engine = row.get("engine").and_then(|v| v.as_str()).unwrap_or("?");
-        let device = row.get("device").and_then(|v| v.as_str()).unwrap_or("?");
-        devices.insert(device.to_string());
-        if let Some(iv) = num(row, "ckpt_interval") {
-            intervals.insert(iv as u64);
-        } else {
-            failures.push(format!("{engine}/{device}: ckpt_interval missing"));
-        }
-        for key in ["replayed", "skipped", "torn", "outstanding_bytes", "recovery_wall_ns"] {
-            match num(row, key) {
-                Some(x) if x >= 0.0 && x.is_finite() => {}
-                other => failures
-                    .push(format!("{engine}/{device}.{key} = {other:?}: want finite non-negative")),
+    validate(doc, &RECOVERY, |rows, failures| {
+        let mut devices = BTreeSet::new();
+        let mut intervals = BTreeSet::new();
+        for row in rows {
+            let (engine, device) = (text(row, "engine"), text(row, "device"));
+            devices.insert(device);
+            intervals.insert(num(row, "ckpt_interval") as u64);
+            let (ttfr, rec) = (num(row, "ttfr_sim_ns"), num(row, "recovery_sim_ns"));
+            if ttfr < rec {
+                failures.push(format!(
+                    "{engine}/{device}: ttfr_sim_ns {ttfr} must be ≥ recovery_sim_ns {rec}"
+                ));
             }
-        }
-        let rec_sim = num(row, "recovery_sim_ns");
-        match rec_sim {
-            Some(x) if x > 0.0 => {}
-            other => {
-                failures.push(format!("{engine}/{device}.recovery_sim_ns = {other:?}: want > 0"))
-            }
-        }
-        match (num(row, "ttfr_sim_ns"), rec_sim) {
-            (Some(ttfr), Some(rec)) if ttfr >= rec => {}
-            (ttfr, rec) => failures.push(format!(
-                "{engine}/{device}: ttfr_sim_ns {ttfr:?} must be ≥ recovery_sim_ns {rec:?}"
-            )),
-        }
-        if engine == "relstore" && device == "durassd" {
             // The headline claim: recovery on DuraSSD is checkpoint-bounded
             // logical replay — some records replayed, the pre-checkpoint
             // prefix skipped.
-            if num(row, "replayed").unwrap_or(0.0) < 1.0 {
-                failures.push(format!("{engine}/{device}: expected ≥ 1 replayed record"));
-            }
-            if num(row, "skipped").unwrap_or(0.0) < 1.0 {
-                failures.push(format!("{engine}/{device}: expected ≥ 1 skipped record"));
+            if engine == "relstore" && device == "durassd" {
+                for key in ["replayed", "skipped"] {
+                    if num(row, key) < 1.0 {
+                        failures.push(format!("{engine}/{device}: expected ≥ 1 {key} record"));
+                    }
+                }
             }
         }
-    }
-    if devices.len() < 3 {
-        failures.push(format!("want ≥ 3 distinct devices, got {devices:?}"));
-    }
-    if intervals.len() < 2 {
-        failures.push(format!("want ≥ 2 distinct checkpoint intervals, got {intervals:?}"));
-    }
-    failures
+        if devices.len() < 3 {
+            failures.push(format!("want ≥ 3 distinct devices, got {devices:?}"));
+        }
+        if intervals.len() < 2 {
+            failures.push(format!("want ≥ 2 distinct checkpoint intervals, got {intervals:?}"));
+        }
+    })
 }
 
-const LOSS_CLASSES: [&str; 4] = ["acked-lost", "torn", "stale", "never-acked"];
-const LOSS_LAYERS: [&str; 6] = [
-    "cache-slot",
-    "channel-queue",
-    "lazy-ftl-map",
-    "hdd-write-cache",
-    "host-in-flight",
-    "unattributed",
+static FORENSICS_TALLY: [Field; 5] = [
+    Field::new("survived", Count),
+    Field::new("acked_lost", Count),
+    Field::new("torn", Count),
+    Field::new("stale", Count),
+    Field::new("never_acked", Count),
+];
+static FORENSICS_POSTMORTEM: [Field; 5] = [
+    Field::new("device", Str),
+    Field::new("protection", Str),
+    Field::new("dirty_slots", Count),
+    Field::new("discarded_dirty_slots", Count),
+    Field::new("nand_shorn_pages", Count),
+];
+static FORENSICS_LOSS: [Field; 4] = [
+    Field::new("unit", Str),
+    Field::new("classification", OneOf(&["acked-lost", "torn", "stale", "never-acked"])),
+    Field::new(
+        "layer",
+        OneOf(&[
+            "cache-slot",
+            "channel-queue",
+            "lazy-ftl-map",
+            "hdd-write-cache",
+            "host-in-flight",
+            "unattributed",
+        ]),
+    ),
+    Field::new("evidence", Str),
+];
+static FORENSICS_ROW: [Field; 6] = [
+    Field::new("label", Str),
+    Field::new("tally", Obj(&FORENSICS_TALLY)),
+    Field::new("verdict", Str),
+    Field::new("cut_phase", Str),
+    Field::new("postmortems", Rows(0, &FORENSICS_POSTMORTEM)),
+    Field::new("losses", Rows(0, &FORENSICS_LOSS)),
+];
+static FORENSICS: [Field; 5] = [
+    Field::new("schema", OneOf(&[FORENSICS_SCHEMA])),
+    Field::new("seed", Count),
+    Field::new("keys", Count),
+    Field::new("cuts", Count),
+    Field::new("rows", Rows(1, &FORENSICS_ROW)),
 ];
 
-/// Structurally validate a `durassd.forensics.v1` crash-campaign document.
-/// Checks the schema tag, that every row carries a tally / verdict /
-/// postmortems, and that every loss row has a known classification and
-/// layer attribution. Stops at the first problem (the walk is deep; later
-/// findings would mostly repeat it).
+/// Structurally validate a `durassd.forensics.v1` crash-campaign document:
+/// the schema tag, that every row carries a tally / verdict / postmortems,
+/// and that every loss row has a known classification and layer
+/// attribution. The schema makes no cross-row claims (the campaign's one
+/// claim, DuraSSD `acked_lost == 0`, is checked by `crashmatrix --check`
+/// on the report it just built).
 pub fn check_forensics_report(doc: &str) -> Vec<String> {
-    match forensics_first_problem(doc) {
-        Ok(()) => Vec::new(),
-        Err(e) => vec![e],
-    }
+    json::check_document(doc, &FORENSICS).err().unwrap_or_default()
 }
 
-fn forensics_first_problem(doc: &str) -> Result<(), String> {
-    let v = telemetry::parse_json(doc).map_err(|e| format!("not valid JSON: {e}"))?;
-    let obj = v.as_object().ok_or("top level is not an object")?;
-    match obj.get("schema").and_then(|s| s.as_str()) {
-        Some(s) if s == FORENSICS_SCHEMA => {}
-        Some(s) => return Err(format!("unknown schema {s:?}, expected {FORENSICS_SCHEMA:?}")),
-        None => return Err("missing schema tag".into()),
+/// One `Count` entry per [`WriteCause`] label, so the exact key set of the
+/// per-cause breakdowns can never drift from the enum.
+static BY_CAUSE: [Field; WriteCause::COUNT] = {
+    let mut table = [Field::new("", Count); WriteCause::COUNT];
+    let mut i = 0;
+    while i < table.len() {
+        table[i].key = WriteCause::ALL[i].label();
+        i += 1;
     }
-    for key in ["seed", "keys", "cuts"] {
-        obj.get(key).and_then(|n| n.as_u64()).ok_or(format!("missing numeric {key:?}"))?;
-    }
-    let rows = obj.get("rows").and_then(|r| r.as_array()).ok_or("missing rows array")?;
-    if rows.is_empty() {
-        return Err("rows array is empty".into());
-    }
-    for (i, row) in rows.iter().enumerate() {
-        let r = row.as_object().ok_or(format!("row {i} is not an object"))?;
-        let label =
-            r.get("label").and_then(|l| l.as_str()).ok_or(format!("row {i} missing label"))?;
-        let tally = r
-            .get("tally")
-            .and_then(|t| t.as_object())
-            .ok_or(format!("row {label:?} missing tally"))?;
-        for key in ["survived", "acked_lost", "torn", "stale", "never_acked"] {
-            tally
-                .get(key)
-                .and_then(|n| n.as_u64())
-                .ok_or(format!("row {label:?} tally missing {key:?}"))?;
-        }
-        r.get("verdict")
-            .and_then(|s| s.as_str())
-            .ok_or(format!("row {label:?} missing verdict"))?;
-        r.get("cut_phase")
-            .and_then(|s| s.as_str())
-            .ok_or(format!("row {label:?} missing cut_phase"))?;
-        let pms = r
-            .get("postmortems")
-            .and_then(|p| p.as_array())
-            .ok_or(format!("row {label:?} missing postmortems"))?;
-        for pm in pms {
-            let p = pm.as_object().ok_or(format!("row {label:?}: postmortem not an object"))?;
-            for key in ["device", "protection"] {
-                p.get(key)
-                    .and_then(|s| s.as_str())
-                    .ok_or(format!("row {label:?} postmortem missing {key:?}"))?;
-            }
-            for key in ["dirty_slots", "discarded_dirty_slots", "nand_shorn_pages"] {
-                p.get(key)
-                    .and_then(|n| n.as_u64())
-                    .ok_or(format!("row {label:?} postmortem missing {key:?}"))?;
-            }
-        }
-        let losses = r
-            .get("losses")
-            .and_then(|l| l.as_array())
-            .ok_or(format!("row {label:?} missing losses"))?;
-        for loss in losses {
-            let l = loss.as_object().ok_or(format!("row {label:?}: loss not an object"))?;
-            l.get("unit")
-                .and_then(|s| s.as_str())
-                .ok_or_else(|| "loss missing unit".to_string())?;
-            let class = l
-                .get("classification")
-                .and_then(|s| s.as_str())
-                .ok_or(format!("row {label:?}: loss missing classification"))?;
-            if !LOSS_CLASSES.contains(&class) {
-                return Err(format!("row {label:?}: unknown classification {class:?}"));
-            }
-            let layer = l
-                .get("layer")
-                .and_then(|s| s.as_str())
-                .ok_or(format!("row {label:?}: loss missing layer"))?;
-            if !LOSS_LAYERS.contains(&layer) {
-                return Err(format!("row {label:?}: unknown layer {layer:?}"));
-            }
-            l.get("evidence")
-                .and_then(|s| s.as_str())
-                .ok_or(format!("row {label:?}: loss missing evidence"))?;
-        }
-    }
-    Ok(())
-}
+    table
+};
+static WAF_ROW: [Field; 10] = [
+    Field::new("workload", Str),
+    Field::new("mode", OneOf(&MODES)),
+    Field::new("device", Str),
+    Field::new("host_pages", Positive),
+    Field::new("media_pages", Positive),
+    Field::new("waf", Positive),
+    Field::new("absorbed_overwrites", Count),
+    Field::new("absorption_pct", Range(0.0, 100.0)),
+    Field::new("host_by_cause", Exact(&BY_CAUSE)),
+    Field::new("media_by_cause", Exact(&BY_CAUSE)),
+];
+static WAF: [Field; 2] =
+    [Field::new("schema", OneOf(&[WAF_SCHEMA])), Field::new("rows", Rows(1, &WAF_ROW))];
 
 /// Validate a serialized `BENCH_waf.json` document:
 ///
 /// - parses as JSON, carries the [`WAF_SCHEMA`] tag;
-/// - a non-empty `rows` array covering ≥ 3 distinct workloads, each present
-///   in both a `durable` and a `volatile` row;
-/// - every row has positive host and media page counts, a finite positive
-///   `waf`, and an `absorption_pct` in `[0, 100]`;
-/// - per-row provenance conservation: the `media_by_cause` object carries
-///   exactly the [`WriteCause::ALL`] labels and its values sum to
-///   `media_pages` (and `host_by_cause` likewise to `host_pages`) — a write
-///   the attribution layer cannot explain fails the gate;
+/// - a non-empty `rows` array whose rows have positive host and media page
+///   counts, a finite positive `waf`, an `absorption_pct` in `[0, 100]` and
+///   `media_by_cause` / `host_by_cause` objects carrying exactly the
+///   [`WriteCause::ALL`] labels;
+/// - ≥ 3 distinct workloads, each present in both a `durable` and a
+///   `volatile` row;
+/// - per-row provenance conservation: the per-cause values sum to
+///   `media_pages` (and to `host_pages`) — a write the attribution layer
+///   cannot explain fails the gate;
 /// - at least one durable row absorbed overwrites, and for every workload
 ///   the durable row absorbs at least as much as its volatile twin (the
 ///   paper's claim, stated as an inequality so it is scale-independent).
 pub fn check_waf_report(doc: &str) -> Vec<String> {
-    let v = match top_object(doc, "BENCH_waf.json") {
-        Ok(v) => v,
-        Err(f) => return f,
-    };
-    let obj = v.as_object().expect("checked by top_object");
-    let mut failures = Vec::new();
-    check_tag(obj, WAF_SCHEMA, &mut failures);
-    let Some(rows) = obj.get("rows").and_then(|r| r.as_array()) else {
-        failures.push("rows array missing".into());
-        return failures;
-    };
-    if rows.is_empty() {
-        failures.push("rows array empty".into());
-        return failures;
-    }
-    let mut workloads = std::collections::BTreeSet::new();
-    // workload → (durable absorbed, volatile absorbed)
-    let mut absorbed: BTreeMap<String, (Option<f64>, Option<f64>)> = BTreeMap::new();
-    for (i, row) in rows.iter().enumerate() {
-        let Some(row) = row.as_object() else {
-            failures.push(format!("rows[{i}] is not an object"));
-            continue;
-        };
-        let workload = row.get("workload").and_then(|v| v.as_str()).unwrap_or("?");
-        let mode = row.get("mode").and_then(|v| v.as_str()).unwrap_or("?");
-        let tag = format!("{workload}/{mode}");
-        if !["durable", "volatile"].contains(&mode) {
-            failures.push(format!("{tag}: mode must be durable|volatile"));
-        }
-        workloads.insert(workload.to_string());
-        if row.get("device").and_then(|v| v.as_str()).is_none() {
-            failures.push(format!("{tag}: device missing"));
-        }
-        for key in ["host_pages", "media_pages"] {
-            match num(row, key) {
-                Some(x) if x > 0.0 && x.is_finite() => {}
-                other => failures.push(format!("{tag}.{key} = {other:?}: want positive")),
-            }
-        }
-        match num(row, "waf") {
-            Some(x) if x.is_finite() && x > 0.0 => {}
-            other => failures.push(format!("{tag}.waf = {other:?}: want finite positive")),
-        }
-        match num(row, "absorption_pct") {
-            Some(x) if (0.0..=100.0).contains(&x) => {}
-            other => failures.push(format!("{tag}.absorption_pct = {other:?}: want 0..=100")),
-        }
-        let slot = absorbed.entry(workload.to_string()).or_default();
-        match mode {
-            "durable" => slot.0 = num(row, "absorbed_overwrites"),
-            "volatile" => slot.1 = num(row, "absorbed_overwrites"),
-            _ => {}
-        }
-        // Conservation: the per-cause breakdowns must explain every page at
-        // both boundaries, label for label.
-        for (key, total_key) in [("media_by_cause", "media_pages"), ("host_by_cause", "host_pages")]
-        {
-            let Some(by_cause) = row.get(key).and_then(|v| v.as_object()) else {
-                failures.push(format!("{tag}: {key} object missing"));
-                continue;
-            };
-            let mut sum = 0.0;
-            for cause in WriteCause::ALL {
-                match by_cause.get(cause.label()).and_then(|v| v.as_f64()) {
-                    Some(x) if x >= 0.0 && x.is_finite() => sum += x,
-                    other => failures
-                        .push(format!("{tag}.{key}.{} = {other:?}: want count", cause.label())),
+    validate(doc, &WAF, |rows, failures| {
+        // workload → absorbed overwrites of its [durable, volatile] rows
+        let mut absorbed: BTreeMap<&str, [Option<f64>; 2]> = BTreeMap::new();
+        for row in rows {
+            let (workload, mode) = (text(row, "workload"), text(row, "mode"));
+            absorbed.entry(workload).or_default()[usize::from(mode == "volatile")] =
+                Some(num(row, "absorbed_overwrites"));
+            // Conservation: the per-cause breakdowns must explain every
+            // page at both boundaries.
+            for (key, total_key) in
+                [("media_by_cause", "media_pages"), ("host_by_cause", "host_pages")]
+            {
+                let by_cause = row.get(key).and_then(|v| v.as_object());
+                let sum: f64 = by_cause.into_iter().flatten().filter_map(|(_, v)| v.as_f64()).sum();
+                let total = num(row, total_key);
+                if sum != total {
+                    failures.push(format!(
+                        "{workload}/{mode}: Σ {key} = {sum} does not equal {total_key} {total} — \
+                         unattributed writes"
+                    ));
                 }
             }
-            if by_cause.len() != WriteCause::ALL.len() {
-                failures.push(format!(
-                    "{tag}.{key}: {} entries, want exactly {}",
-                    by_cause.len(),
-                    WriteCause::ALL.len()
-                ));
-            }
-            match num(row, total_key) {
-                Some(total) if sum == total => {}
-                total => failures.push(format!(
-                    "{tag}: Σ {key} = {sum} does not equal {total_key} {total:?} — \
-                     unattributed writes"
+        }
+        if absorbed.len() < 3 {
+            let names: Vec<_> = absorbed.keys().collect();
+            failures.push(format!("want ≥ 3 distinct workloads, got {names:?}"));
+        }
+        let mut any_absorbed = false;
+        for (workload, pair) in &absorbed {
+            match pair {
+                [Some(d), Some(v)] => {
+                    any_absorbed |= *d >= 1.0;
+                    if d < v {
+                        failures.push(format!(
+                            "{workload}: durable absorbed {d} < volatile absorbed {v}"
+                        ));
+                    }
+                }
+                [dur, vol] => failures.push(format!(
+                    "{workload}: need both durable and volatile rows (got durable {dur:?}, \
+                     volatile {vol:?})"
                 )),
             }
         }
-    }
-    if workloads.len() < 3 {
-        failures.push(format!("want ≥ 3 distinct workloads, got {workloads:?}"));
-    }
-    let mut any_absorbed = false;
-    for (workload, (dur, vol)) in &absorbed {
-        match (dur, vol) {
-            (Some(d), Some(v)) => {
-                if d >= &1.0 {
-                    any_absorbed = true;
-                }
-                if d < v {
-                    failures
-                        .push(format!("{workload}: durable absorbed {d} < volatile absorbed {v}"));
-                }
-            }
-            _ => failures.push(format!(
-                "{workload}: need both durable and volatile rows (got durable {dur:?}, \
-                 volatile {vol:?})"
-            )),
+        if !any_absorbed {
+            failures.push("no durable row absorbed any overwrites".into());
         }
-    }
-    if !any_absorbed {
-        failures.push("no durable row absorbed any overwrites".into());
-    }
-    failures
+    })
 }
 
-/// Validate one latency-anatomy segment table (`segments` object): every key
-/// must be a known [`telemetry::SegKind`] label and every entry must carry
-/// non-negative `count` / `total_ns` / `p50` / `p99` / `max` fields.
-fn check_segment_table(tag: &str, segs: &Obj, failures: &mut Vec<String>) {
-    let known: Vec<&str> = telemetry::SegKind::ALL.iter().map(|k| k.label()).collect();
-    for (label, entry) in segs {
-        if !known.contains(&label.as_str()) {
-            failures.push(format!("{tag}.segments.{label}: unknown segment kind"));
-            continue;
-        }
-        let Some(entry) = entry.as_object() else {
-            failures.push(format!("{tag}.segments.{label}: not an object"));
-            continue;
-        };
-        for key in ["count", "total_ns", "p50", "p99", "max"] {
-            match entry.get(key).and_then(|v| v.as_f64()) {
-                Some(x) if x >= 0.0 && x.is_finite() => {}
-                other => failures.push(format!(
-                    "{tag}.segments.{label}.{key} = {other:?}: want finite non-negative"
-                )),
-            }
-        }
-    }
-}
+static SEG_ENTRY: [Field; 5] = [
+    Field::new("count", Count),
+    Field::new("total_ns", Count),
+    Field::new("p50", Count),
+    Field::new("p99", Count),
+    Field::new("max", Count),
+];
+static LATENCY_TAIL: [Field; 4] = [
+    Field::new("wall", Positive),
+    Field::new("flush_cache_ns", Count),
+    Field::new("flush_frac", Range(0.0, 1.0)),
+    Field::new("segments", MapOf(&Count)),
+];
+static LATENCY_ROW: [Field; 13] = [
+    Field::new("workload", Str),
+    Field::new("mode", OneOf(&MODES)),
+    Field::new("device", Str),
+    Field::new("commit_op", Str),
+    Field::new("count", Positive),
+    Field::new("min", Count),
+    Field::new("p50", Count),
+    Field::new("p99", Count),
+    Field::new("p999", Count),
+    Field::new("max", Count),
+    Field::new("violations", Count),
+    Field::new("segments", MapOf(&Obj(&SEG_ENTRY))),
+    Field::new("tail", Obj(&LATENCY_TAIL)),
+];
+static LATENCY: [Field; 2] =
+    [Field::new("schema", OneOf(&[LATENCY_SCHEMA])), Field::new("rows", Rows(1, &LATENCY_ROW))];
 
 /// Validate a serialized `BENCH_latency.json` document:
 ///
 /// - parses as JSON, carries the [`LATENCY_SCHEMA`] tag;
-/// - a non-empty `rows` array covering ≥ 3 distinct workloads, each present
-///   in both a `durable` and a `volatile` row;
-/// - every row has a positive commit-op `count`, ordered percentiles
-///   (`min ≤ p50 ≤ p99 ≤ p999 ≤ max`), zero conservation `violations`, a
-///   non-empty per-segment-kind table (known labels only), and a `tail`
-///   object (slowest captured commit) whose breakdown is present;
+/// - a non-empty `rows` array whose rows have a positive commit-op `count`,
+///   a percentile ladder, a per-segment-kind table and a `tail` object
+///   (slowest captured commit) with its breakdown;
+/// - ≥ `min_workloads` distinct workloads (the full `latency` observatory
+///   emits three, the `tail` bin's mixed run two), each present in both a
+///   `durable` and a `volatile` row;
+/// - per row: ordered percentiles (`min ≤ p50 ≤ p99 ≤ p999 ≤ max`), zero
+///   conservation `violations`, a non-empty segment table of known
+///   [`SegKind`] labels;
 /// - the paper's durability claim as a latency gate: durable-mode tails
 ///   contain **zero** flush-cache time (the write cache is power-loss-proof,
 ///   so commits never wait on FLUSH CACHE), while every volatile tail is
 ///   flush-dominated (`flush_frac ≥ 0.5`).
-pub fn check_latency_report(doc: &str) -> Vec<String> {
-    check_latency_report_with(doc, 3)
-}
-
-/// [`check_latency_report`] with a caller-chosen floor on distinct
-/// workloads: the `tail` bin's mixed run emits two (reads and writes), the
-/// full `latency` observatory emits three.
-pub fn check_latency_report_with(doc: &str, min_workloads: usize) -> Vec<String> {
-    let v = match top_object(doc, "BENCH_latency.json") {
-        Ok(v) => v,
-        Err(f) => return f,
-    };
-    let obj = v.as_object().expect("checked by top_object");
-    let mut failures = Vec::new();
-    check_tag(obj, LATENCY_SCHEMA, &mut failures);
-    let Some(rows) = obj.get("rows").and_then(|r| r.as_array()) else {
-        failures.push("rows array missing".into());
-        return failures;
-    };
-    if rows.is_empty() {
-        failures.push("rows array empty".into());
-        return failures;
-    }
-    let mut workloads: BTreeMap<String, (bool, bool)> = BTreeMap::new();
-    for (i, row) in rows.iter().enumerate() {
-        let Some(row) = row.as_object() else {
-            failures.push(format!("rows[{i}] is not an object"));
-            continue;
-        };
-        let workload = row.get("workload").and_then(|v| v.as_str()).unwrap_or("?");
-        let mode = row.get("mode").and_then(|v| v.as_str()).unwrap_or("?");
-        let tag = format!("{workload}/{mode}");
-        let slot = workloads.entry(workload.to_string()).or_default();
-        match mode {
-            "durable" => slot.0 = true,
-            "volatile" => slot.1 = true,
-            _ => failures.push(format!("{tag}: mode must be durable|volatile")),
-        }
-        for key in ["device", "commit_op"] {
-            if row.get(key).and_then(|v| v.as_str()).is_none() {
-                failures.push(format!("{tag}: {key} missing"));
+pub fn check_latency_report(doc: &str, min_workloads: usize) -> Vec<String> {
+    validate(doc, &LATENCY, |rows, failures| {
+        // workload → whether its [durable, volatile] rows are present
+        let mut workloads: BTreeMap<&str, [bool; 2]> = BTreeMap::new();
+        for row in rows {
+            let (workload, mode) = (text(row, "workload"), text(row, "mode"));
+            let tag = format!("{workload}/{mode}");
+            workloads.entry(workload).or_default()[usize::from(mode == "volatile")] = true;
+            let pct = ["min", "p50", "p99", "p999", "max"].map(|k| num(row, k));
+            if pct.windows(2).any(|w| w[0] > w[1]) {
+                failures.push(format!("{tag}: percentiles not monotone: {pct:?}"));
             }
-        }
-        match num(row, "count") {
-            Some(x) if x > 0.0 => {}
-            other => failures.push(format!("{tag}.count = {other:?}: want positive")),
-        }
-        let pct: Vec<Option<f64>> =
-            ["min", "p50", "p99", "p999", "max"].iter().map(|k| num(row, k)).collect();
-        if pct.iter().any(|p| !matches!(p, Some(x) if x.is_finite() && *x >= 0.0)) {
-            failures.push(format!("{tag}: min/p50/p99/p999/max must all be present: {pct:?}"));
-        } else if pct.windows(2).any(|w| w[0] > w[1]) {
-            failures.push(format!("{tag}: percentiles not monotone: {pct:?}"));
-        }
-        match num(row, "violations") {
-            Some(0.0) => {}
-            other => failures
-                .push(format!("{tag}.violations = {other:?}: segment sums exceeded wall latency")),
-        }
-        match row.get("segments").and_then(|v| v.as_object()) {
-            None => failures.push(format!("{tag}: segments object missing")),
-            Some(segs) if segs.is_empty() => failures.push(format!("{tag}: segments object empty")),
-            Some(segs) => check_segment_table(&tag, segs, &mut failures),
-        }
-        let Some(tail) = row.get("tail").and_then(|v| v.as_object()) else {
-            failures.push(format!("{tag}: tail object missing"));
-            continue;
-        };
-        match num(tail, "wall") {
-            Some(x) if x > 0.0 => {}
-            other => failures.push(format!("{tag}.tail.wall = {other:?}: want positive")),
-        }
-        if tail.get("segments").and_then(|v| v.as_object()).is_none() {
-            failures.push(format!("{tag}.tail: segments breakdown missing"));
-        }
-        let flush_ns = num(tail, "flush_cache_ns");
-        let flush_frac = num(tail, "flush_frac");
-        match mode {
-            "durable" => {
+            let violations = num(row, "violations");
+            if violations != 0.0 {
+                failures.push(format!(
+                    "{tag}.violations = {violations}: segment sums exceeded wall latency"
+                ));
+            }
+            let segs = row.get("segments").and_then(|v| v.as_object());
+            if segs.is_none_or(|s| s.is_empty()) {
+                failures.push(format!("{tag}: segments object empty"));
+            }
+            for label in segs.into_iter().flatten().map(|(label, _)| label) {
+                if !SegKind::ALL.iter().any(|k| k.label() == label) {
+                    failures.push(format!("{tag}.segments.{label}: unknown segment kind"));
+                }
+            }
+            let Some(tail) = row.get("tail").and_then(|v| v.as_object()) else { continue };
+            if mode == "durable" {
                 // Durable cache: FLUSH CACHE is free, so the *slowest* commit
                 // observed must contain zero flush time — and so must the
                 // whole run (segment histogram absent or empty).
-                match flush_ns {
-                    Some(0.0) => {}
-                    other => failures.push(format!(
-                        "{tag}: durable tail has flush_cache time {other:?}, want 0"
-                    )),
+                let flush_ns = num(tail, "flush_cache_ns");
+                if flush_ns != 0.0 {
+                    failures.push(format!(
+                        "{tag}: durable tail has flush_cache time {flush_ns}, want 0"
+                    ));
                 }
-                if let Some(segs) = row.get("segments").and_then(|v| v.as_object()) {
-                    if let Some(fc) = segs.get("flush_cache").and_then(|v| v.as_object()) {
-                        match fc.get("count").and_then(|v| v.as_f64()) {
-                            Some(0.0) => {}
-                            c => failures.push(format!(
-                                "{tag}: durable run recorded {c:?} flush_cache segments, want 0"
-                            )),
-                        }
-                    }
+                let run = segs.and_then(|s| s.get("flush_cache")).and_then(|v| v.as_object());
+                if let Some(count) = run.map(|fc| num(fc, "count")).filter(|&c| c != 0.0) {
+                    failures.push(format!(
+                        "{tag}: durable run recorded {count} flush_cache segments, want 0"
+                    ));
+                }
+            } else {
+                let flush_frac = num(tail, "flush_frac");
+                if flush_frac < 0.5 {
+                    failures.push(format!(
+                        "{tag}: volatile tail flush_frac = {flush_frac}, want ≥ 0.5 \
+                         (flush-dominated)"
+                    ));
                 }
             }
-            "volatile" => match flush_frac {
-                Some(f) if f >= 0.5 => {}
-                other => failures.push(format!(
-                    "{tag}: volatile tail flush_frac = {other:?}, want ≥ 0.5 (flush-dominated)"
-                )),
-            },
-            _ => {}
         }
-    }
-    if workloads.len() < min_workloads {
-        let names: Vec<_> = workloads.keys().collect();
-        failures.push(format!("want ≥ {min_workloads} distinct workloads, got {names:?}"));
-    }
-    for (workload, (dur, vol)) in &workloads {
-        if !(*dur && *vol) {
-            failures.push(format!(
-                "{workload}: need both durable and volatile rows (durable {dur}, volatile {vol})"
-            ));
+        if workloads.len() < min_workloads {
+            let names: Vec<_> = workloads.keys().collect();
+            failures.push(format!("want ≥ {min_workloads} distinct workloads, got {names:?}"));
         }
-    }
-    failures
+        for (workload, [dur, vol]) in &workloads {
+            if !(*dur && *vol) {
+                failures.push(format!(
+                    "{workload}: need both durable and volatile rows (durable {dur}, \
+                     volatile {vol})"
+                ));
+            }
+        }
+    })
 }
 
 #[cfg(test)]
@@ -656,55 +518,55 @@ mod tests {
     #[test]
     fn latency_report_validation_accepts_good_documents() {
         let doc = latency_doc(&full_latency_doc());
-        let fails = check_latency_report(&doc);
+        let fails = check_latency_report(&doc, 3);
         assert!(fails.is_empty(), "{fails:?}");
     }
 
     #[test]
     fn latency_report_validation_rejects_violations() {
-        assert!(!check_latency_report("nope").is_empty());
-        assert!(!check_latency_report("{\"schema\":\"other.v1\",\"rows\":[]}").is_empty());
+        assert!(!check_latency_report("nope", 3).is_empty());
+        assert!(!check_latency_report("{\"schema\":\"other.v1\",\"rows\":[]}", 3).is_empty());
 
         // A durable tail containing flush-cache time contradicts the paper.
         let mut rows = full_latency_doc();
         rows[0] = rows[0].replace("\"flush_cache_ns\":0", "\"flush_cache_ns\":5000");
-        let fails = check_latency_report(&latency_doc(&rows));
+        let fails = check_latency_report(&latency_doc(&rows), 3);
         assert!(fails.iter().any(|f| f.contains("durable tail has flush_cache")), "{fails:?}");
 
         // A durable run recording any flush_cache segments fails too.
         let mut rows = full_latency_doc();
         let inject = format!("}},\"flush_cache\":{}}},\"tail\"", seg_entry(3, 1000));
         rows[0] = rows[0].replacen("}},\"tail\"", &inject, 1);
-        let fails = check_latency_report(&latency_doc(&rows));
+        let fails = check_latency_report(&latency_doc(&rows), 3);
         assert!(fails.iter().any(|f| f.contains("flush_cache segments")), "{fails:?}");
 
         // A volatile tail that is not flush-dominated.
         let mut rows = full_latency_doc();
         rows[1] = rows[1].replace("\"flush_frac\":0.90", "\"flush_frac\":0.10");
-        let fails = check_latency_report(&latency_doc(&rows));
+        let fails = check_latency_report(&latency_doc(&rows), 3);
         assert!(fails.iter().any(|f| f.contains("flush-dominated")), "{fails:?}");
 
         // Conservation violations gate the report outright.
         let mut rows = full_latency_doc();
         rows[2] = rows[2].replace("\"violations\":0", "\"violations\":2");
-        let fails = check_latency_report(&latency_doc(&rows));
+        let fails = check_latency_report(&latency_doc(&rows), 3);
         assert!(fails.iter().any(|f| f.contains("exceeded wall")), "{fails:?}");
 
         // Unknown segment kinds are typos, not data.
         let mut rows = full_latency_doc();
         rows[3] = rows[3].replace("\"wal_fsync\":{\"count\"", "\"wal_fsyncc\":{\"count\"");
-        let fails = check_latency_report(&latency_doc(&rows));
+        let fails = check_latency_report(&latency_doc(&rows), 3);
         assert!(fails.iter().any(|f| f.contains("unknown segment kind")), "{fails:?}");
 
         // Non-monotone percentiles.
         let mut rows = full_latency_doc();
         rows[4] = rows[4].replace("\"p999\":1000", "\"p999\":5");
-        let fails = check_latency_report(&latency_doc(&rows));
+        let fails = check_latency_report(&latency_doc(&rows), 3);
         assert!(fails.iter().any(|f| f.contains("not monotone")), "{fails:?}");
 
         // Missing mode twin.
         let rows = full_latency_doc();
-        let fails = check_latency_report(&latency_doc(&rows[..5]));
+        let fails = check_latency_report(&latency_doc(&rows[..5]), 3);
         assert!(fails.iter().any(|f| f.contains("both durable and volatile")), "{fails:?}");
     }
 
@@ -779,5 +641,72 @@ mod tests {
         let empty =
             "{\"schema\":\"durassd.forensics.v1\",\"seed\":1,\"keys\":1,\"cuts\":1,\"rows\":[]}";
         assert!(!check_forensics_report(empty).is_empty());
+    }
+
+    fn recovery_row(
+        engine: &str,
+        device: &str,
+        interval: u64,
+        replayed: u64,
+        skipped: u64,
+    ) -> String {
+        format!(
+            "{{\"engine\":\"{engine}\",\"device\":\"{device}\",\"ckpt_interval\":{interval},\
+             \"replayed\":{replayed},\"skipped\":{skipped},\"torn\":0,\
+             \"outstanding_bytes\":4096,\"recovery_wall_ns\":100,\
+             \"recovery_sim_ns\":5000,\"ttfr_sim_ns\":6000}}"
+        )
+    }
+
+    #[test]
+    fn recovery_report_validation() {
+        let good = format!(
+            "{{\"schema\":\"{RECOVERY_SCHEMA}\",\"rows\":[{},{},{},{}]}}",
+            recovery_row("relstore", "durassd", 256, 3, 9),
+            recovery_row("relstore", "ssd_volatile", 2048, 3, 9),
+            recovery_row("relstore", "hdd", 256, 3, 9),
+            recovery_row("docstore", "durassd", 256, 0, 4),
+        );
+        assert!(check_recovery_report(&good).is_empty(), "{:?}", check_recovery_report(&good));
+
+        // DuraSSD relstore row with nothing replayed: flagged.
+        let bad = format!(
+            "{{\"schema\":\"{RECOVERY_SCHEMA}\",\"rows\":[{},{},{}]}}",
+            recovery_row("relstore", "durassd", 256, 0, 0),
+            recovery_row("relstore", "ssd_volatile", 2048, 3, 9),
+            recovery_row("relstore", "hdd", 256, 3, 9),
+        );
+        let fails = check_recovery_report(&bad);
+        assert!(fails.iter().any(|f| f.contains("replayed")), "{fails:?}");
+        assert!(fails.iter().any(|f| f.contains("skipped")), "{fails:?}");
+
+        // Too few devices / intervals.
+        let narrow = format!(
+            "{{\"schema\":\"{RECOVERY_SCHEMA}\",\"rows\":[{}]}}",
+            recovery_row("relstore", "durassd", 256, 3, 9),
+        );
+        let fails = check_recovery_report(&narrow);
+        assert!(fails.iter().any(|f| f.contains("distinct devices")), "{fails:?}");
+        assert!(fails.iter().any(|f| f.contains("distinct checkpoint intervals")), "{fails:?}");
+
+        // Wrong schema tag and garbage both flagged.
+        assert!(!check_recovery_report("{\"schema\":\"nope\",\"rows\":[]}").is_empty());
+        assert!(!check_recovery_report("not json").is_empty());
+    }
+
+    #[test]
+    fn forensics_validation_reports_every_violation() {
+        // Three independent defects in one document: all three come back
+        // (the hand-walked validator stopped at the first).
+        let bad = sample_campaign()
+            .to_json()
+            .replace("\"seed\":7", "\"seed\":\"seven\"")
+            .replace("\"acked-lost\"", "\"evaporated\"")
+            .replace("\"layer\":\"host-in-flight\"", "\"layer\":\"the-cloud\"");
+        let errs = check_forensics_report(&bad);
+        assert_eq!(errs.len(), 3, "{errs:?}");
+        for needle in ["seed", "classification", "layer"] {
+            assert!(errs.iter().any(|e| e.contains(needle)), "no {needle} in {errs:?}");
+        }
     }
 }

@@ -33,13 +33,6 @@ pub struct SsdConfig {
     pub cache_slots: usize,
     /// Cache durability model.
     pub protection: CacheProtection,
-    /// NCQ depth (SATA: 31–32). Informational: the closed-loop drivers
-    /// bound outstanding commands; an explicit admission queue proved
-    /// numerically unstable in the timeline model and is not enforced.
-    pub ncq_depth: usize,
-    /// DuraSSD's ordered NCQ variant (§3.3): command order is preserved so
-    /// durability does not depend on flush-cache barriers.
-    pub ordered_ncq: bool,
     /// Firmware + protocol overhead per host *write* command (ns).
     pub host_write_overhead: Nanos,
     /// Firmware + protocol overhead per host *read* command (ns).
@@ -90,8 +83,6 @@ impl SsdConfig {
             // DRAM holds the mapping table, §3.1.2); 16MB here.
             cache_slots: 4096,
             protection: CacheProtection::Volatile,
-            ncq_depth: 32,
-            ordered_ncq: false,
             host_write_overhead: 55_000,
             host_read_overhead: 20_000,
             sata_bytes_per_us: 550,
@@ -113,7 +104,6 @@ impl SsdConfig {
     pub fn durassd(blocks_per_plane: usize) -> Self {
         Self {
             protection: CacheProtection::CapacitorBacked,
-            ordered_ncq: true,
             host_write_overhead: 52_000,
             flush_fixed_cost: 3_000_000,
             // Enough to dump the cache high-water mark plus mapping delta.
@@ -159,8 +149,6 @@ impl SsdConfig {
             cache_enabled: true,
             cache_slots: 16,
             protection: CacheProtection::CapacitorBacked,
-            ncq_depth: 4,
-            ordered_ncq: true,
             host_write_overhead: 50_000,
             host_read_overhead: 20_000,
             sata_bytes_per_us: 550,
@@ -180,7 +168,6 @@ impl SsdConfig {
     pub fn tiny_volatile() -> Self {
         Self {
             protection: CacheProtection::Volatile,
-            ordered_ncq: false,
             capacitor_energy_bytes: 0,
             ..Self::tiny_test()
         }
@@ -316,39 +303,9 @@ impl SsdConfigBuilder {
         self
     }
 
-    /// DuraSSD's ordered NCQ variant (§3.3).
-    pub fn ordered_ncq(mut self, on: bool) -> Self {
-        self.cfg.ordered_ncq = on;
-        self
-    }
-
     /// Capacitor energy budget in bytes (0 for volatile devices).
     pub fn capacitor_energy_bytes(mut self, bytes: u64) -> Self {
         self.cfg.capacitor_energy_bytes = bytes;
-        self
-    }
-
-    /// Firmware + protocol overhead per host write command (ns).
-    pub fn host_write_overhead(mut self, ns: Nanos) -> Self {
-        self.cfg.host_write_overhead = ns;
-        self
-    }
-
-    /// Firmware + protocol overhead per host read command (ns).
-    pub fn host_read_overhead(mut self, ns: Nanos) -> Self {
-        self.cfg.host_read_overhead = ns;
-        self
-    }
-
-    /// Fixed firmware cost of a FLUSH CACHE (ns).
-    pub fn flush_fixed_cost(mut self, ns: Nanos) -> Self {
-        self.cfg.flush_fixed_cost = ns;
-        self
-    }
-
-    /// Whether FLUSH CACHE persists the mapping journal.
-    pub fn persist_mapping_on_flush(mut self, on: bool) -> Self {
-        self.cfg.persist_mapping_on_flush = on;
         self
     }
 
@@ -367,12 +324,6 @@ impl SsdConfigBuilder {
     /// Blocks per plane reserved as the always-clean dump area (§3.4.1).
     pub fn dump_reserve_blocks(mut self, blocks: usize) -> Self {
         self.cfg.dump_reserve_blocks = blocks;
-        self
-    }
-
-    /// Capacitor recharge time before recovery starts at reboot (ns).
-    pub fn recharge_time(mut self, ns: Nanos) -> Self {
-        self.cfg.recharge_time = ns;
         self
     }
 
@@ -429,7 +380,6 @@ mod tests {
         let c = SsdConfig::durassd(16);
         assert_eq!(c.protection, CacheProtection::CapacitorBacked);
         assert!(c.capacitor_energy_bytes > 0);
-        assert!(c.ordered_ncq);
     }
 
     #[test]

@@ -6,8 +6,7 @@ use crate::config::{CacheProtection, SsdConfig};
 use crate::error::Error;
 use crate::ftl::{Ftl, SlotRead};
 use forensics::{
-    CacheSlotSnap, DeviceHealth, DevicePostmortem, DumpOutcome, EvidenceKind, Forensic, Ledger,
-    RecoverySnap,
+    CacheSlotSnap, DevicePostmortem, DumpOutcome, EvidenceKind, Forensic, Ledger, RecoverySnap,
 };
 use nand::NandArray;
 use simkit::{BufPool, Nanos, Timeline};
@@ -991,23 +990,6 @@ impl Forensic for Ssd {
     fn attach_ledger(&mut self, ledger: Ledger) {
         Ssd::attach_ledger(self, ledger);
     }
-
-    fn health(&self) -> Option<DeviceHealth> {
-        let d = self.stats();
-        let (wear_min, wear_max) = self.wear_spread();
-        Some(DeviceHealth {
-            shorn_reads: self.xstats.shorn_reads,
-            dumps: self.xstats.dumps,
-            dump_over_budget: self.xstats.dump_over_budget,
-            max_dump_bytes: self.xstats.max_dump_bytes,
-            recoveries: self.xstats.recoveries,
-            lost_acked_slots: self.xstats.lost_acked_slots,
-            host_pages_written: d.pages_written,
-            media_pages_written: d.media_pages_written,
-            absorbed_overwrites: self.absorbed_overwrites(),
-            wear_spread: wear_max - wear_min,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -1450,7 +1432,7 @@ mod tests {
         t = d.flush(t).unwrap();
         d.check_invariants().unwrap();
         let s = d.stats();
-        assert!(d.health().unwrap().dumps >= 1, "capacitor dump must have fired");
+        assert!(d.ssd_stats().dumps >= 1, "capacitor dump must have fired");
         assert!(
             s.media_pages_by_cause[WriteCause::EmergencyDump.index()] > 0,
             "requeued dump slots must be attributed to the dump replay"

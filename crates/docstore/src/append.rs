@@ -121,12 +121,11 @@ impl AppendSpace {
         // Everything this space writes — docs, B-tree path nodes, commit
         // headers — is copy-on-write rewrite traffic of the couchstore-style
         // engine; tag it for the per-cause WAF breakdown.
-        vol.push_cause(WriteCause::DocRewrite);
-        let t = self
-            .file
-            .write_pages(vol, start_block, &run, now)
-            .expect("append space sized at creation");
-        vol.pop_cause();
+        let t = vol.with_cause(WriteCause::DocRewrite, |vol| {
+            self.file
+                .write_pages(vol, start_block, &run, now)
+                .expect("append space sized at creation")
+        });
         // Remember the new durable tail image.
         let tail_off = (end % BLOCK as u64) as usize;
         if tail_off == 0 {

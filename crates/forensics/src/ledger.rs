@@ -20,7 +20,7 @@
 //!   is kept per kind.
 //!
 //! The ledger is a shared `Rc<RefCell<..>>` handle (the same pattern as
-//! [`telemetry::Telemetry`]): the campaign driver creates one per trial,
+//! `telemetry::Telemetry`): the campaign driver creates one per trial,
 //! attaches it to the engine / document store (which forward it to the WAL
 //! and volumes), and reads it back after recovery. When no ledger is
 //! attached, every recording call is skipped — the hot paths stay free.

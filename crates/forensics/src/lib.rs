@@ -31,6 +31,4 @@ pub use reconcile::{
     reconcile, Classification, CutReport, LossLayer, Probe, ProbeResult, Tally, UnitFinding,
 };
 pub use report::{CampaignReport, SCHEMA};
-pub use snapshot::{
-    CacheSlotSnap, DeviceHealth, DevicePostmortem, DumpOutcome, Forensic, RecoverySnap,
-};
+pub use snapshot::{CacheSlotSnap, DevicePostmortem, DumpOutcome, Forensic, RecoverySnap};

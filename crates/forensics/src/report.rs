@@ -9,6 +9,7 @@
 
 use crate::reconcile::CutReport;
 use crate::snapshot::DevicePostmortem;
+use simkit::json::Writer;
 
 /// Schema tag stamped into every report; bump on incompatible changes.
 pub const SCHEMA: &str = "durassd.forensics.v1";
@@ -30,147 +31,102 @@ pub struct CampaignReport {
     pub rows: Vec<CutReport>,
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+fn write_postmortem(w: &mut Writer, p: &DevicePostmortem) {
+    w.obj().key("device").str(&p.device).key("protection").str(&p.protection);
+    w.key("cut_at").num(p.cut_at).key("dirty_slots").num(p.dirty_slots.len());
+    w.key("dirty_slot_sample").arr();
+    for s in p.dirty_slots.iter().take(SNAPSHOT_LIST_CAP) {
+        w.obj().key("lpn").num(s.lpn).key("draining").bool(s.draining);
+        w.key("ackable_at").num(s.ackable_at).end();
     }
-    out.push('"');
-    out
-}
-
-fn postmortem_json(p: &DevicePostmortem) -> String {
-    let mut o = String::from("{");
-    o.push_str(&format!("\"device\":{},", esc(&p.device)));
-    o.push_str(&format!("\"protection\":{},", esc(&p.protection)));
-    o.push_str(&format!("\"cut_at\":{},", p.cut_at));
-    o.push_str(&format!("\"dirty_slots\":{},", p.dirty_slots.len()));
-    let lpns: Vec<String> = p
-        .dirty_slots
-        .iter()
-        .take(SNAPSHOT_LIST_CAP)
-        .map(|s| {
-            format!(
-                "{{\"lpn\":{},\"draining\":{},\"ackable_at\":{}}}",
-                s.lpn, s.draining, s.ackable_at
-            )
-        })
-        .collect();
-    o.push_str(&format!("\"dirty_slot_sample\":[{}],", lpns.join(",")));
-    o.push_str(&format!("\"discarded_dirty_slots\":{},", p.discarded_dirty_slots));
-    let drains: Vec<String> = p.channel_drain_positions.iter().map(|t| t.to_string()).collect();
-    o.push_str(&format!("\"channel_drain_positions\":[{}],", drains.join(",")));
+    w.end().key("discarded_dirty_slots").num(p.discarded_dirty_slots);
+    w.key("channel_drain_positions").arr();
+    for t in &p.channel_drain_positions {
+        w.num(t);
+    }
+    w.end().key("dump");
     match &p.dump {
-        Some(d) => o.push_str(&format!(
-            "\"dump\":{{\"bytes\":{},\"budget_bytes\":{},\"within_budget\":{}}},",
-            d.bytes, d.budget_bytes, d.within_budget
-        )),
-        None => o.push_str("\"dump\":null,"),
+        Some(d) => {
+            w.obj().key("bytes").num(d.bytes).key("budget_bytes").num(d.budget_bytes);
+            w.key("within_budget").bool(d.within_budget).end()
+        }
+        None => w.null(),
+    };
+    w.key("unpersisted_map_entries").num(p.unpersisted_map.len());
+    w.key("unpersisted_map_sample").arr();
+    for (lpn, old) in p.unpersisted_map.iter().take(SNAPSHOT_LIST_CAP) {
+        w.obj().key("lpn").num(lpn).key("old_slot");
+        match old {
+            Some(s) => w.num(s),
+            None => w.null(),
+        };
+        w.end();
     }
-    o.push_str(&format!("\"unpersisted_map_entries\":{},", p.unpersisted_map.len()));
-    let umap: Vec<String> = p
-        .unpersisted_map
-        .iter()
-        .take(SNAPSHOT_LIST_CAP)
-        .map(|(lpn, old)| match old {
-            Some(s) => format!("{{\"lpn\":{lpn},\"old_slot\":{s}}}"),
-            None => format!("{{\"lpn\":{lpn},\"old_slot\":null}}"),
-        })
-        .collect();
-    o.push_str(&format!("\"unpersisted_map_sample\":[{}],", umap.join(",")));
-    o.push_str(&format!("\"rolled_back_map_entries\":{},", p.rolled_back_map_entries));
-    o.push_str(&format!("\"nand_shorn_pages\":{},", p.nand_shorn_pages));
-    o.push_str(&format!("\"aborted_inflight_writes\":{}", p.aborted_inflight_writes));
-    o.push('}');
-    o
+    w.end().key("rolled_back_map_entries").num(p.rolled_back_map_entries);
+    w.key("nand_shorn_pages").num(p.nand_shorn_pages);
+    w.key("aborted_inflight_writes").num(p.aborted_inflight_writes).end();
 }
 
-fn row_json(r: &CutReport) -> String {
-    let mut o = String::from("{");
-    o.push_str(&format!("\"label\":{},", esc(&r.label)));
-    o.push_str(&format!("\"cut_at_op\":{},", r.cut_at_op));
-    o.push_str(&format!("\"cut_phase\":{},", esc(&r.cut_phase)));
-    o.push_str(&format!("\"cut_at_ns\":{},", r.cut_at_ns));
-    o.push_str(&format!(
-        "\"tally\":{{\"survived\":{},\"acked_lost\":{},\"torn\":{},\"stale\":{},\"never_acked\":{}}},",
-        r.tally.survived, r.tally.acked_lost, r.tally.torn, r.tally.stale, r.tally.never_acked
-    ));
-    o.push_str(&format!("\"durable\":{},", r.durable));
-    o.push_str(&format!("\"verdict\":{},", esc(&r.verdict)));
-    let losses: Vec<String> = r
-        .losses
-        .iter()
-        .map(|f| {
-            let mut l = String::from("{");
-            l.push_str(&format!("\"unit\":{},", esc(&f.unit)));
-            l.push_str(&format!("\"kind\":{},", esc(f.kind.as_str())));
-            l.push_str(&format!("\"classification\":{},", esc(f.classification.as_str())));
-            match f.contract {
-                Some(c) => l.push_str(&format!("\"contract\":{},", esc(c.as_str()))),
-                None => l.push_str("\"contract\":null,"),
-            }
-            match f.acked_at {
-                Some(t) => l.push_str(&format!("\"acked_at\":{t},")),
-                None => l.push_str("\"acked_at\":null,"),
-            }
-            let layer = f.layer.map(|x| x.as_str()).unwrap_or("unattributed");
-            l.push_str(&format!("\"layer\":{},", esc(layer)));
-            l.push_str(&format!("\"evidence\":{}", esc(&f.evidence)));
-            l.push('}');
-            l
-        })
-        .collect();
-    o.push_str(&format!("\"losses\":[{}],", losses.join(",")));
-    let pms: Vec<String> = r.postmortems.iter().map(postmortem_json).collect();
-    o.push_str(&format!("\"postmortems\":[{}],", pms.join(",")));
-    let recs: Vec<String> = r
-        .recoveries
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"device\":{},\"ready_at\":{},\"requeued_slots\":{},\"recovered_via_dump\":{},\"scan_only\":{}}}",
-                esc(&s.device), s.ready_at, s.requeued_slots, s.recovered_via_dump, s.scan_only
-            )
-        })
-        .collect();
-    o.push_str(&format!("\"recoveries\":[{}],", recs.join(",")));
-    let ev: Vec<String> = r
-        .ack_evidence
-        .iter()
-        .map(|(k, row)| {
-            let contract = row.last_contract.map(|c| esc(c.as_str())).unwrap_or("null".into());
-            format!(
-                "{}:{{\"count\":{},\"first_at\":{},\"last_at\":{},\"last_contract\":{},\"last_detail\":{}}}",
-                esc(k.as_str()), row.count, row.first_at, row.last_at, contract, row.last_detail
-            )
-        })
-        .collect();
-    o.push_str(&format!("\"ack_evidence\":{{{}}}", ev.join(",")));
-    o.push('}');
-    o
+fn write_row(w: &mut Writer, r: &CutReport) {
+    w.obj().key("label").str(&r.label).key("cut_at_op").num(r.cut_at_op);
+    w.key("cut_phase").str(&r.cut_phase).key("cut_at_ns").num(r.cut_at_ns);
+    let t = &r.tally;
+    w.key("tally").obj().key("survived").num(t.survived).key("acked_lost").num(t.acked_lost);
+    w.key("torn").num(t.torn).key("stale").num(t.stale);
+    w.key("never_acked").num(t.never_acked).end();
+    w.key("durable").bool(r.durable).key("verdict").str(&r.verdict);
+    w.key("losses").arr();
+    for f in &r.losses {
+        w.obj().key("unit").str(&f.unit).key("kind").str(f.kind.as_str());
+        w.key("classification").str(f.classification.as_str()).key("contract");
+        match f.contract {
+            Some(c) => w.str(c.as_str()),
+            None => w.null(),
+        };
+        w.key("acked_at");
+        match f.acked_at {
+            Some(t) => w.num(t),
+            None => w.null(),
+        };
+        w.key("layer").str(f.layer.map_or("unattributed", |x| x.as_str()));
+        w.key("evidence").str(&f.evidence).end();
+    }
+    w.end().key("postmortems").arr();
+    for p in &r.postmortems {
+        write_postmortem(w, p);
+    }
+    w.end().key("recoveries").arr();
+    for s in &r.recoveries {
+        w.obj().key("device").str(&s.device).key("ready_at").num(s.ready_at);
+        w.key("requeued_slots").num(s.requeued_slots);
+        w.key("recovered_via_dump").bool(s.recovered_via_dump);
+        w.key("scan_only").bool(s.scan_only).end();
+    }
+    w.end().key("ack_evidence").obj();
+    for (k, row) in &r.ack_evidence {
+        w.key(k.as_str()).obj().key("count").num(row.count);
+        w.key("first_at").num(row.first_at).key("last_at").num(row.last_at);
+        w.key("last_contract");
+        match row.last_contract {
+            Some(c) => w.str(c.as_str()),
+            None => w.null(),
+        };
+        w.key("last_detail").num(row.last_detail).end();
+    }
+    w.end().end();
 }
 
 impl CampaignReport {
     /// Serialize to the `durassd.forensics.v1` JSON document.
     pub fn to_json(&self) -> String {
-        let rows: Vec<String> = self.rows.iter().map(row_json).collect();
-        format!(
-            "{{\"schema\":{},\"seed\":{},\"keys\":{},\"cuts\":{},\"rows\":[{}]}}",
-            esc(SCHEMA),
-            self.seed,
-            self.keys,
-            self.cuts,
-            rows.join(",")
-        )
+        let mut w = Writer::new();
+        w.obj().key("schema").str(SCHEMA).key("seed").num(self.seed);
+        w.key("keys").num(self.keys).key("cuts").num(self.cuts).key("rows").arr();
+        for r in &self.rows {
+            write_row(&mut w, r);
+        }
+        w.end().end();
+        w.finish()
     }
 
     /// Total acked-lost units across rows whose label contains `needle`.
@@ -260,10 +216,39 @@ mod tests {
     }
 
     #[test]
+    fn report_bytes_are_pinned() {
+        assert_eq!(
+            sample_report().to_json(),
+            concat!(
+                r#"{"schema":"durassd.forensics.v1","seed":7,"keys":3,"cuts":1,"rows":[{"#,
+                r#""label":"engine SSD-A OFF/OFF","cut_at_op":2,"cut_phase":"after-commit","#,
+                r#""cut_at_ns":20,"tally":{"survived":1,"acked_lost":1,"torn":0,"stale":0,"#,
+                r#""never_acked":1},"durable":false,"verdict":"ACKED DATA LOSS — 1 acked-lost, "#,
+                r#"0 torn, 0 stale of 3 probed unit(s)","losses":[{"unit":"k1","#,
+                r#""kind":"relstore-commit","classification":"acked-lost","contract":"volatile","#,
+                r#""acked_at":9,"layer":"cache-slot","#,
+                r#""evidence":"1 acked dirty slot(s) discarded from the volatile cache"},"#,
+                r#"{"unit":"k2","kind":"relstore-commit","classification":"never-acked","#,
+                r#""contract":null,"acked_at":null,"layer":"host-in-flight","evidence":"#,
+                r#""no acknowledgement recorded before the cut — loss permitted by contract"}],"#,
+                r#""postmortems":[{"device":"ssd","protection":"volatile","cut_at":20,"#,
+                r#""dirty_slots":1,"dirty_slot_sample":[{"lpn":3,"draining":true,"ackable_at":8}],"#,
+                r#""discarded_dirty_slots":1,"channel_drain_positions":[0,15],"#,
+                r#""dump":{"bytes":4096,"budget_bytes":8192,"within_budget":true},"#,
+                r#""unpersisted_map_entries":2,"unpersisted_map_sample":[{"lpn":3,"old_slot":null},"#,
+                r#"{"lpn":4,"old_slot":9}],"rolled_back_map_entries":2,"nand_shorn_pages":1,"#,
+                r#""aborted_inflight_writes":1}],"recoveries":[{"device":"ssd","ready_at":500,"#,
+                r#""requeued_slots":0,"recovered_via_dump":false,"scan_only":true}],"#,
+                r#""ack_evidence":{}}]}"#,
+            )
+        );
+    }
+
+    #[test]
     fn report_json_round_trips() {
         let rep = sample_report();
         let doc = rep.to_json();
-        let v = telemetry::parse_json(&doc).unwrap();
+        let v = simkit::json::parse(&doc).unwrap();
         let o = v.as_object().unwrap();
         assert_eq!(o["schema"].as_str(), Some(SCHEMA));
         let row = o["rows"].as_array().unwrap()[0].as_object().unwrap();
@@ -279,7 +264,7 @@ mod tests {
         assert_eq!(pm["dirty_slots"].as_u64(), Some(1));
         assert_eq!(
             pm["dump"].as_object().unwrap()["within_budget"],
-            telemetry::JsonValue::Bool(true)
+            simkit::json::JsonValue::Bool(true)
         );
         assert_eq!(pm["rolled_back_map_entries"].as_u64(), Some(2));
         assert_eq!(rep.acked_lost_for("SSD-A"), 1);

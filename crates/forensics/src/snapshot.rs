@@ -85,34 +85,6 @@ pub struct RecoverySnap {
     pub scan_only: bool,
 }
 
-/// Durability-relevant device health counters, surfaced next to the segment
-/// mix in the experiment binaries (`bench::ssd_health_line`).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DeviceHealth {
-    /// Host reads that found a shorn/corrupt page after recovery.
-    pub shorn_reads: u64,
-    /// Emergency capacitor dumps performed.
-    pub dumps: u64,
-    /// Emergency dumps abandoned because they exceeded the capacitor budget.
-    pub dump_over_budget: u64,
-    /// Bytes written by the largest emergency dump.
-    pub max_dump_bytes: u64,
-    /// Recovery runs at reboot.
-    pub recoveries: u64,
-    /// Acked 4KB slots destroyed by power cuts (zero on DuraSSD).
-    pub lost_acked_slots: u64,
-    /// Logical pages received from the host (WAF denominator).
-    pub host_pages_written: u64,
-    /// Logical-page-sized media writes (WAF numerator: NAND programs for
-    /// SSDs, platter writes for HDDs).
-    pub media_pages_written: u64,
-    /// Host page overwrites coalesced in the write cache — media programs
-    /// the cache absorbed.
-    pub absorbed_overwrites: u64,
-    /// Wear-leveling spread: `max - min` per-block erase count.
-    pub wear_spread: u32,
-}
-
 /// Devices that can testify about a power cut. Implemented by the SSD and
 /// HDD models; the campaign driver bounds its device type parameters on
 /// `BlockDevice + Forensic` to collect snapshots between `crash` and
@@ -128,8 +100,4 @@ pub trait Forensic {
     /// (atomic-write acks, FLUSH CACHE completions). Default: devices
     /// without device-level evidence ignore the ledger.
     fn attach_ledger(&mut self, _ledger: Ledger) {}
-    /// Durability-relevant health counters, if the device tracks them.
-    fn health(&self) -> Option<DeviceHealth> {
-        None
-    }
 }

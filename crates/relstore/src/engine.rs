@@ -190,11 +190,11 @@ impl<D: BlockDevice, L: BlockDevice> PageBackend for Backend<'_, D, L> {
             // DWB copies are redundant page images by definition — tag them
             // so the device's WAF report can attribute them separately from
             // the home-location page writes.
-            self.vol.push_cause(WriteCause::PageImage);
-            t = self.dwb.write_pages(self.vol, first_slot, &run, t).expect("dwb run");
-            // The copies must be durable before any home write starts.
-            t = self.vol.fsync(t).expect("data volume");
-            self.vol.pop_cause();
+            t = self.vol.with_cause(WriteCause::PageImage, |vol| {
+                let t = self.dwb.write_pages(vol, first_slot, &run, t).expect("dwb run");
+                // The copies must be durable before any home write starts.
+                vol.fsync(t).expect("data volume")
+            });
             self.stats.dwb_writes += pages.len() as u64;
         }
         for (page_no, data) in pages {

@@ -16,6 +16,7 @@ pub mod clock;
 pub mod crc;
 pub mod dist;
 pub mod driver;
+pub mod json;
 pub mod pool;
 pub mod recovered;
 pub mod resource;

@@ -114,7 +114,7 @@ impl WriteCause {
     }
 
     /// Stable snake_case label (JSON keys, report columns).
-    pub fn label(self) -> &'static str {
+    pub const fn label(self) -> &'static str {
         match self {
             WriteCause::HostData => "host_data",
             WriteCause::WalAppend => "wal_append",

@@ -43,9 +43,10 @@ pub struct Volume<D: BlockDevice> {
     fsyncs: u64,
     tel: Option<VolumeTel>,
     ledger: Option<Ledger>,
-    /// Write-provenance stack: the innermost pushed cause tags every write
-    /// until popped ([`WriteCause::HostData`] when empty).
-    cause_stack: Vec<WriteCause>,
+    /// Write provenance: the cause every write is tagged with, set for the
+    /// duration of a [`Volume::with_cause`] scope ([`WriteCause::HostData`]
+    /// outside any).
+    cause: WriteCause,
     /// Host-issued logical pages per declared cause (host boundary of the
     /// WAF pipeline; the device counts its own received/media boundaries).
     host_pages_by_cause: CauseCounts,
@@ -60,25 +61,23 @@ impl<D: BlockDevice> Volume<D> {
             fsyncs: 0,
             tel: None,
             ledger: None,
-            cause_stack: Vec::new(),
+            cause: WriteCause::default(),
             host_pages_by_cause: CauseCounts::default(),
         }
     }
 
-    /// Push a write-provenance cause: every write until the matching
-    /// [`Volume::pop_cause`] is tagged with it (innermost wins).
-    pub fn push_cause(&mut self, cause: WriteCause) {
-        self.cause_stack.push(cause);
-    }
-
-    /// Pop the innermost write-provenance cause.
-    pub fn pop_cause(&mut self) {
-        self.cause_stack.pop();
+    /// Run `f` with every write tagged `cause`; the enclosing cause is
+    /// restored when `f` returns, so scopes nest and the innermost wins.
+    pub fn with_cause<R>(&mut self, cause: WriteCause, f: impl FnOnce(&mut Self) -> R) -> R {
+        let outer = std::mem::replace(&mut self.cause, cause);
+        let r = f(self);
+        self.cause = outer;
+        r
     }
 
     /// The cause the next write would be tagged with.
     pub fn current_cause(&self) -> WriteCause {
-        self.cause_stack.last().copied().unwrap_or_default()
+        self.cause
     }
 
     /// Host-issued logical pages per cause (see [`WriteCause::index`]).
@@ -148,7 +147,7 @@ impl<D: BlockDevice> Volume<D> {
         self.command(|t| &t.read, now, |dev| dev.read(lpn, pages, buf, now))
     }
 
-    /// Direct write of logical pages, tagged with the innermost pushed
+    /// Direct write of logical pages, tagged with the innermost declared
     /// cause (provenance for the WAF accounting at every boundary below).
     pub fn write(&mut self, lpn: u64, data: &[u8], now: Nanos) -> DevResult<Nanos> {
         let cause = self.current_cause();
@@ -362,7 +361,7 @@ mod tests {
     }
 
     #[test]
-    fn cause_stack_innermost_wins_and_defaults_to_host_data() {
+    fn cause_scopes_nest_innermost_wins_and_default_to_host_data() {
         use crate::device::WriteCause;
         let mut v = Volume::new(MemDevice::new(16), true);
         let data = vec![7u8; LOGICAL_PAGE];
@@ -370,15 +369,15 @@ mod tests {
         assert_eq!(v.current_cause(), WriteCause::HostData);
         v.write(0, &data, 0).unwrap();
         // Nested contexts: the innermost annotation wins.
-        v.push_cause(WriteCause::WalAppend);
-        v.write(1, &data, 10).unwrap();
-        v.push_cause(WriteCause::PageImage);
-        assert_eq!(v.current_cause(), WriteCause::PageImage);
-        v.write(2, &data, 20).unwrap();
-        v.pop_cause();
-        v.write(3, &data, 30).unwrap();
-        v.pop_cause();
-        // Popped back to the default.
+        v.with_cause(WriteCause::WalAppend, |v| {
+            v.write(1, &data, 10).unwrap();
+            v.with_cause(WriteCause::PageImage, |v| {
+                assert_eq!(v.current_cause(), WriteCause::PageImage);
+                v.write(2, &data, 20).unwrap();
+            });
+            v.write(3, &data, 30).unwrap();
+        });
+        // Back to the default outside every scope.
         v.write(4, &data, 40).unwrap();
         let by_cause = v.host_pages_by_cause();
         assert_eq!(by_cause[WriteCause::HostData.index()], 2);

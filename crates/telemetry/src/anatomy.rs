@@ -49,7 +49,7 @@
 //! and segment hooks return before any allocation or arithmetic, preserving
 //! the zero-cost steady state of domains that never asked for anatomy.
 
-use crate::json;
+use simkit::json::Writer;
 use simkit::Nanos;
 use std::collections::BTreeMap;
 
@@ -228,27 +228,28 @@ impl OpBreakdown {
 
     /// JSON object: name, trace, start, wall and the non-zero segments.
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"name\":{},\"trace\":{},\"start\":{},\"wall\":{},\"segments\":{{",
-            json::quote(&self.name),
-            self.trace,
-            self.start,
-            self.wall
-        );
-        let mut first = true;
+        let mut w = Writer::new();
+        self.write_json(&mut w);
+        w.finish()
+    }
+
+    fn write_json(&self, w: &mut Writer) {
+        w.obj().key("name").str(&self.name).key("trace").num(self.trace);
+        w.key("start").num(self.start).key("wall").num(self.wall);
+        self.write_segments(w.key("segments"));
+        w.end();
+    }
+
+    /// The non-zero segments as a `{"<label>":ns,...}` object.
+    pub fn write_segments(&self, w: &mut Writer) {
+        w.obj();
         for kind in SegKind::ALL {
-            let v = self.seg(kind);
-            if v == 0 {
-                continue;
+            let ns = self.seg(kind);
+            if ns != 0 {
+                w.key(kind.label()).num(ns);
             }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("\"{}\":{}", kind.label(), v));
         }
-        out.push_str("}}");
-        out
+        w.end();
     }
 }
 
@@ -306,22 +307,17 @@ impl OutlierCap {
     /// JSON document: `{"k":K,"ops":{"<name>":[<breakdown>...]}}`, written
     /// next to the Chrome trace by bench bins.
     pub fn to_json(&self) -> String {
-        let mut out = format!("{{\"k\":{},\"ops\":{{", self.k);
-        for (i, (name, v)) in self.per_op.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        let mut w = Writer::new();
+        w.obj().key("k").num(self.k).key("ops").obj();
+        for (name, v) in &self.per_op {
+            w.key(name).arr();
+            for bd in v {
+                bd.write_json(&mut w);
             }
-            out.push_str(&format!("{}:[", json::quote(name)));
-            for (j, bd) in v.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&bd.to_json());
-            }
-            out.push(']');
+            w.end();
         }
-        out.push_str("}}");
-        out
+        w.end().end();
+        w.finish()
     }
 }
 

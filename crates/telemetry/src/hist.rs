@@ -7,7 +7,7 @@
 
 use simkit::Nanos;
 
-use crate::json::JsonValue;
+use simkit::json::{JsonValue, Writer};
 
 /// log2 of the number of linear sub-buckets per power-of-two magnitude.
 const SUB_BITS: u32 = 4;
@@ -173,30 +173,19 @@ impl Histogram {
 
     /// JSON object with summary fields plus the raw sparse bucket list, so
     /// the encoding is lossless.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str(&format!(
-            "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"p999\":{},\"buckets\":[",
-            self.count,
-            self.sum,
-            self.min(),
-            self.max,
-            self.p50(),
-            self.p90(),
-            self.p99(),
-            self.p999(),
-        ));
-        for (i, (idx, c)) in self.buckets().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("[{idx},{c}]"));
+    pub(crate) fn write_json(&self, w: &mut Writer) {
+        w.obj().key("count").num(self.count).key("sum").num(self.sum);
+        w.key("min").num(self.min()).key("max").num(self.max);
+        w.key("p50").num(self.p50()).key("p90").num(self.p90());
+        w.key("p99").num(self.p99()).key("p999").num(self.p999());
+        w.key("buckets").arr();
+        for (idx, c) in self.buckets() {
+            w.arr().num(idx).num(c).end();
         }
-        out.push_str("]}");
-        out
+        w.end().end();
     }
 
-    /// Rebuild from the JSON produced by [`Histogram::to_json`].
+    /// Rebuild from the JSON produced by `write_json`.
     pub(crate) fn from_json_value(v: &JsonValue) -> Result<Self, String> {
         let obj = v.as_object().ok_or("histogram: expected object")?;
         let mut h = Histogram::new();

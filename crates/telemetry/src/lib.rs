@@ -22,7 +22,8 @@
 //!   histograms and a bounded tail-outlier capturer (see the anatomy module
 //!   docs).
 //! * JSON export/import ([`Telemetry::to_json`], [`Telemetry::from_json`]) —
-//!   hand-rolled, no external dependencies, exact round-trip.
+//!   on the workspace's one writer and parser ([`simkit::json`]), exact
+//!   round-trip.
 //!
 //! # Op scopes
 //!
@@ -40,6 +41,7 @@
 //! return — ends at its opening time with no sample, so an error path can
 //! neither leak a frame nor leave a `Begin` unmatched.
 
+use simkit::json::Writer;
 use simkit::Nanos;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -47,12 +49,11 @@ use std::rc::Rc;
 
 mod anatomy;
 mod hist;
-mod json;
 mod trace;
 
 pub use anatomy::{Anatomy, OpBreakdown, OutlierCap, SegKind, N_SEG};
 pub use hist::Histogram;
-pub use json::{parse as parse_json, JsonValue};
+pub use simkit::json::{parse as parse_json, JsonValue};
 pub use trace::{
     validate_chrome_json, Event, Phase, Sampler, Series, TraceBuf, TraceCheck, TraceId,
     CHROME_EVENT_FIELDS,
@@ -329,35 +330,25 @@ impl Telemetry {
     /// Anatomy outliers and the trace ring export separately.
     pub fn to_json(&self) -> String {
         let s = self.inner.borrow();
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\"counters\":{");
-        for (i, (k, v)) in s.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{}", json::quote(k), v));
+        let mut w = Writer::new();
+        w.obj().key("counters").obj();
+        for (k, v) in &s.counters {
+            w.key(k).num(v);
         }
-        out.push_str("},\"gauges\":{");
-        for (i, (k, v)) in s.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{}", json::quote(k), v));
+        w.end().key("gauges").obj();
+        for (k, v) in &s.gauges {
+            w.key(k).num(v);
         }
-        out.push_str("},\"histograms\":{");
-        for (i, (k, h)) in s.hists.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{}", json::quote(k), h.to_json()));
+        w.end().key("histograms").obj();
+        for (k, h) in &s.hists {
+            h.write_json(w.key(k));
         }
-        out.push('}');
+        w.end();
         if let Some(sm) = &s.sampler {
-            out.push_str(",\"series\":");
-            out.push_str(&sm.to_json());
+            sm.write_json(w.key("series"));
         }
-        out.push('}');
-        out
+        w.end();
+        w.finish()
     }
 
     /// Rebuild a domain from the output of [`Telemetry::to_json`].
@@ -365,7 +356,7 @@ impl Telemetry {
     /// this version does not write (the `stalls` object of older documents)
     /// are ignored.
     pub fn from_json(doc: &str) -> Result<Self, String> {
-        let v = json::parse(doc)?;
+        let v = parse_json(doc)?;
         let obj = v.as_object().ok_or("telemetry: expected object")?;
         let mut s = State::default();
         if let Some(cs) = obj.get("counters").and_then(|v| v.as_object()) {
@@ -639,6 +630,31 @@ mod tests {
         assert_eq!(
             back.series_csv().unwrap(),
             "t_ns,pool.dirty_pages,ssd.cache_occupancy\n0,5,\n150,9,3\n220,9,3\n"
+        );
+    }
+
+    #[test]
+    fn json_export_bytes_are_pinned() {
+        let t = Telemetry::new();
+        t.enable_sampling(100);
+        t.set_gauge("pool.dirty \"pages\"", -5);
+        t.sample(0);
+        t.set_gauge("ssd.cache_occupancy", 3);
+        t.finish_sampling(220);
+        t.incr("ops", 2);
+        t.record("dev.write", 7);
+        t.record("dev.write", 70_000);
+        assert_eq!(
+            t.to_json(),
+            concat!(
+                r#"{"counters":{"ops":2},"#,
+                r#""gauges":{"pool.dirty \"pages\"":-5,"ssd.cache_occupancy":3},"#,
+                r#""histograms":{"dev.write":{"count":2,"sum":70007,"min":7,"max":70000,"#,
+                r#""p50":7,"p90":70000,"p99":70000,"p999":70000,"buckets":[[7,1],[209,1]]}},"#,
+                r#""series":{"cadence":100,"times":[0,220],"gauges":{"#,
+                r#""pool.dirty \"pages\"":{"start":0,"values":[-5,-5]},"#,
+                r#""ssd.cache_occupancy":{"start":1,"values":[3]}}}}"#,
+            )
         );
     }
 

@@ -31,7 +31,7 @@
 //! **causal extent**, not the host-visible latency (which lives in the
 //! histograms). See DESIGN.md.
 
-use crate::json::{self, JsonValue};
+use simkit::json::{self, Field, JsonValue, Want, Writer};
 use simkit::Nanos;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt::Write as _;
@@ -182,7 +182,7 @@ impl TraceBuf {
         struct Out {
             name: u32,
             cat: u32,
-            ph: char,
+            ph: &'static str,
             ts: Nanos,
             tid: TraceId,
         }
@@ -202,18 +202,18 @@ impl TraceBuf {
             match ev.ph {
                 Phase::Begin => {
                     tr.open.push(out.len());
-                    out.push(Out { name: ev.name, cat: ev.cat, ph: 'B', ts, tid: ev.trace });
+                    out.push(Out { name: ev.name, cat: ev.cat, ph: "B", ts, tid: ev.trace });
                 }
                 Phase::End => {
                     // Emission-order matching: this E closes the innermost
                     // open B on its track. If there is none, its B was
                     // evicted by the ring — drop the orphan.
                     if tr.open.pop().is_some() {
-                        out.push(Out { name: ev.name, cat: ev.cat, ph: 'E', ts, tid: ev.trace });
+                        out.push(Out { name: ev.name, cat: ev.cat, ph: "E", ts, tid: ev.trace });
                     }
                 }
                 Phase::Instant => {
-                    out.push(Out { name: ev.name, cat: ev.cat, ph: 'i', ts, tid: ev.trace });
+                    out.push(Out { name: ev.name, cat: ev.cat, ph: "i", ts, tid: ev.trace });
                 }
             }
         }
@@ -224,7 +224,7 @@ impl TraceBuf {
                 tr.open.iter().rev().map(|&i| Out {
                     name: out[i].name,
                     cat: out[i].cat,
-                    ph: 'E',
+                    ph: "E",
                     ts: max_ts,
                     tid: *tid,
                 })
@@ -232,27 +232,19 @@ impl TraceBuf {
             .collect();
         out.extend(closers);
 
-        let mut s = String::with_capacity(out.len() * 96 + 64);
-        s.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-        for (i, e) in out.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
+        let mut w = Writer::new();
+        w.obj().key("displayTimeUnit").str("ns").key("traceEvents").arr();
+        for e in &out {
+            w.obj().key("name").str(&self.names[e.name as usize]);
+            w.key("cat").str(&self.names[e.cat as usize]);
+            w.key("ph").str(e.ph);
             // Chrome `ts` is in microseconds; keep nanosecond precision as
             // a three-digit fraction.
-            let _ = write!(
-                s,
-                "{{\"name\":{},\"cat\":{},\"ph\":\"{}\",\"ts\":{}.{:03},\"pid\":1,\"tid\":{}}}",
-                json::quote(&self.names[e.name as usize]),
-                json::quote(&self.names[e.cat as usize]),
-                e.ph,
-                e.ts / 1000,
-                e.ts % 1000,
-                e.tid
-            );
+            w.key("ts").num(format_args!("{}.{:03}", e.ts / 1000, e.ts % 1000));
+            w.key("pid").num(1).key("tid").num(e.tid).end();
         }
-        s.push_str("]}");
-        s
+        w.end().end();
+        w.finish()
     }
 }
 
@@ -272,52 +264,51 @@ pub struct TraceCheck {
 
 /// The Chrome trace-event fields every exported event must carry. Golden:
 /// checked by `tests/trace_golden.rs` and the CI smoke step.
-pub const CHROME_EVENT_FIELDS: [&str; 6] = ["name", "cat", "ph", "ts", "pid", "tid"];
+pub static CHROME_EVENT_FIELDS: [Field; 6] = [
+    Field::new("name", Want::Str),
+    Field::new("cat", Want::Str),
+    Field::new("ph", Want::OneOf(&["B", "E", "i"])),
+    Field::new("ts", Want::Num),
+    Field::new("pid", Want::Num),
+    Field::new("tid", Want::Count),
+];
+
+static CHROME_TRACE: [Field; 1] = [Field::new("traceEvents", Want::Rows(0, &CHROME_EVENT_FIELDS))];
 
 /// Validate a Chrome trace-event JSON document produced by
 /// [`TraceBuf::to_chrome_json`] (or any conforming tool): every event
 /// carries [`CHROME_EVENT_FIELDS`], every `B` has a matching `E` on its
 /// track, and timestamps are monotone non-decreasing per track.
 pub fn validate_chrome_json(doc: &str) -> Result<TraceCheck, String> {
-    let v = json::parse(doc)?;
-    let obj = v.as_object().ok_or("trace: expected top-level object")?;
-    let evs = obj
-        .get("traceEvents")
-        .and_then(|v| v.as_array())
-        .ok_or("trace: missing traceEvents array")?;
-    let mut open: HashMap<u64, Vec<String>> = HashMap::new();
+    let v =
+        json::check_document(doc, &CHROME_TRACE).map_err(|f| format!("trace: {}", f.join("; ")))?;
+    let evs = v.as_object().and_then(|o| o["traceEvents"].as_array()).expect("checked above");
+    let mut open: HashMap<u64, Vec<&str>> = HashMap::new();
     let mut last_ts: HashMap<u64, f64> = HashMap::new();
     let mut begins = 0usize;
     let mut instants = 0usize;
     for (i, e) in evs.iter().enumerate() {
-        let o = e.as_object().ok_or(format!("event {i}: expected object"))?;
-        for field in CHROME_EVENT_FIELDS {
-            if !o.contains_key(field) {
-                return Err(format!("event {i}: missing field \"{field}\""));
-            }
-        }
-        let name = o["name"].as_str().ok_or(format!("event {i}: name not a string"))?;
-        o["cat"].as_str().ok_or(format!("event {i}: cat not a string"))?;
-        let ph = o["ph"].as_str().ok_or(format!("event {i}: ph not a string"))?;
-        let ts = o["ts"].as_f64().ok_or(format!("event {i}: ts not a number"))?;
+        let o = e.as_object().expect("checked above");
+        let field = |k: &str| o[k].as_str().expect("checked above");
+        let name = field("name");
+        let ts = o["ts"].as_f64().expect("checked above");
         let tid = o["tid"].as_u64().ok_or(format!("event {i}: tid not a u64"))?;
         let last = last_ts.entry(tid).or_insert(ts);
         if ts < *last {
             return Err(format!("event {i} ({name}): ts {ts} < previous {last} on tid {tid}"));
         }
         *last = ts;
-        match ph {
+        match field("ph") {
             "B" => {
                 begins += 1;
-                open.entry(tid).or_default().push(name.to_string());
+                open.entry(tid).or_default().push(name);
             }
             "E" => {
                 if open.entry(tid).or_default().pop().is_none() {
                     return Err(format!("event {i} ({name}): E without open B on tid {tid}"));
                 }
             }
-            "i" => instants += 1,
-            other => return Err(format!("event {i} ({name}): unknown ph \"{other}\"")),
+            _ => instants += 1,
         }
     }
     for (tid, stack) in &open {
@@ -452,34 +443,24 @@ impl Sampler {
     }
 
     /// JSON object form, embedded in the registry export as `"series"`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(out, "{{\"cadence\":{},\"times\":[", self.cadence);
-        for (i, t) in self.times.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{t}");
+    pub(crate) fn write_json(&self, w: &mut Writer) {
+        w.obj().key("cadence").num(self.cadence).key("times").arr();
+        for t in &self.times {
+            w.num(t);
         }
-        out.push_str("],\"gauges\":{");
-        for (i, (k, s)) in self.series.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        w.end().key("gauges").obj();
+        for (k, s) in &self.series {
+            w.key(k).obj().key("start").num(s.start).key("values").arr();
+            for v in &s.values {
+                w.num(v);
             }
-            let _ = write!(out, "{}:{{\"start\":{},\"values\":[", json::quote(k), s.start);
-            for (j, v) in s.values.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{v}");
-            }
-            out.push_str("]}");
+            w.end().end();
         }
-        out.push_str("}}");
-        out
+        w.end().end();
     }
 
-    /// Rebuild from the output of [`Sampler::to_json`]; exact round-trip.
+    /// Rebuild from the `"series"` object of the registry export; exact
+    /// round-trip.
     pub fn from_json_value(v: &JsonValue) -> Result<Self, String> {
         let obj = v.as_object().ok_or("series: expected object")?;
         let cadence =
@@ -667,9 +648,14 @@ mod tests {
         s.sample_if_due(0, &gauges(&[("a", -5)]));
         s.sample_if_due(7, &gauges(&[("a", 6), ("b", 9)]));
         s.finish(11, &gauges(&[("a", 7), ("b", 10)]));
-        let j1 = s.to_json();
+        let to_json = |s: &Sampler| {
+            let mut w = Writer::new();
+            s.write_json(&mut w);
+            w.finish()
+        };
+        let j1 = to_json(&s);
         let back = Sampler::from_json_value(&json::parse(&j1).unwrap()).unwrap();
-        assert_eq!(back.to_json(), j1);
+        assert_eq!(to_json(&back), j1);
         assert_eq!(back.series()["b"].start, 1);
         assert_eq!(back.cadence(), 7);
     }
@@ -685,8 +671,8 @@ mod tests {
         assert_eq!(o["displayTimeUnit"].as_str(), Some("ns"));
         let ev = &o["traceEvents"].as_array().unwrap()[0];
         let eo = ev.as_object().unwrap();
-        for f in CHROME_EVENT_FIELDS {
-            assert!(eo.contains_key(f), "missing {f}");
+        for f in &CHROME_EVENT_FIELDS {
+            assert!(eo.contains_key(f.key), "missing {}", f.key);
         }
         // Microsecond ts with nanosecond fraction.
         assert_eq!(eo["ts"].as_f64(), Some(1234.567));

@@ -340,7 +340,6 @@ impl Wal {
         } else {
             WriteCause::WalAppend
         };
-        vol.push_cause(cause);
         self.image_bytes_buffered = 0;
         let start_block = self.buf_start / BLOCK as u64;
         let start_off = (self.buf_start % BLOCK as u64) as usize;
@@ -357,28 +356,29 @@ impl Wal {
         run[..start_off].copy_from_slice(&self.tail_image[..start_off]);
         run[start_off..start_off + self.buf.len()].copy_from_slice(&self.buf);
         // Issue per-block-run writes, splitting at file boundaries and wrap.
-        let mut t = now;
-        let mut b = 0usize;
-        while b < nblocks {
-            let (file, in_file) = self.locate(start_block + b as u64);
-            // Contiguous run within this file.
-            let mut len = 1usize;
-            while b + len < nblocks {
-                let (f2, if2) = self.locate(start_block + (b + len) as u64);
-                if f2 != file || if2 != in_file + len as u64 {
-                    break;
+        let t = vol.with_cause(cause, |vol| {
+            let mut t = now;
+            let mut b = 0usize;
+            while b < nblocks {
+                let (file, in_file) = self.locate(start_block + b as u64);
+                // Contiguous run within this file.
+                let mut len = 1usize;
+                while b + len < nblocks {
+                    let (f2, if2) = self.locate(start_block + (b + len) as u64);
+                    if f2 != file || if2 != in_file + len as u64 {
+                        break;
+                    }
+                    len += 1;
                 }
-                len += 1;
+                let data = &run[b * BLOCK..(b + len) * BLOCK];
+                t = self.files[file]
+                    .write_pages(vol, in_file, data, t)
+                    .expect("log geometry is static");
+                self.stats.bytes_written += (len * BLOCK) as u64;
+                b += len;
             }
-            let data = &run[b * BLOCK..(b + len) * BLOCK];
-            t = self.files[file]
-                .write_pages(vol, in_file, data, t)
-                .expect("log geometry is static");
-            self.stats.bytes_written += (len * BLOCK) as u64;
-            b += len;
-        }
-        let t = vol.fsync(t).expect("log device reachable");
-        vol.pop_cause();
+            vol.fsync(t).expect("log device reachable")
+        });
         // Remember the new partial tail image.
         let tail_off = (end % BLOCK as u64) as usize;
         if tail_off == 0 {
@@ -554,11 +554,10 @@ impl Wal {
         hdr[8..16].copy_from_slice(&self.checkpoint_lsn.to_le_bytes());
         let crc = crc32(&hdr[..16]);
         hdr[16..20].copy_from_slice(&crc.to_le_bytes());
-        vol.push_cause(WriteCause::WalAppend);
-        let t = self.files[0].write_page(vol, 0, &hdr, now).expect("header block exists");
-        let t = vol.fsync(t).expect("log device reachable");
-        vol.pop_cause();
-        t
+        vol.with_cause(WriteCause::WalAppend, |vol| {
+            let t = self.files[0].write_page(vol, 0, &hdr, now).expect("header block exists");
+            vol.fsync(t).expect("log device reachable")
+        })
     }
 
     /// Recover the log from a volume after a crash: read the header, scan

@@ -71,8 +71,8 @@ fn golden_trace_is_valid_and_has_exactly_the_schema_fields() {
     for ev in events {
         let obj = ev.as_object().expect("event is an object");
         assert_eq!(obj.len(), CHROME_EVENT_FIELDS.len(), "no extra fields: {obj:?}");
-        for field in CHROME_EVENT_FIELDS {
-            assert!(obj.contains_key(field), "event missing {field}: {obj:?}");
+        for field in &CHROME_EVENT_FIELDS {
+            assert!(obj.contains_key(field.key), "event missing {}: {obj:?}", field.key);
         }
     }
 }
