@@ -125,4 +125,18 @@ echo "== repo benchmark (out-of-workspace package: unit tests + reduced-scale sm
 (cd benchmark && cargo test --release --offline -q)
 benchmark/smoke.sh
 
+echo "== docstore allocation gate (noise-free proxy for the ycsb_doc host path) =="
+# allocs_per_op repeats exactly for a seed and scale, so it can gate where
+# host ops/s cannot. This commit measures 5.10625 at this scale (the
+# driver's key_of and get's owned return, plus the cold gets of the
+# end-of-run verification); the parent measured 116.15. Fail at 2x.
+ALLOC_GATE=10.2125
+"${CARGO_TARGET_DIR:-benchmark/target}/release/benchmark" \
+    --workload ycsb_doc --seed 1 --seconds 1 --scale-pct 4 --trace 0 | tail -n 1 |
+    python3 -c "
+import json, sys
+got = json.loads(sys.stdin.read())['metrics']['allocs_per_op']['value']
+print(f'ycsb_doc allocs_per_op {got} (gate $ALLOC_GATE)')
+sys.exit(got > $ALLOC_GATE)"
+
 echo "tier-1 gate: OK"

@@ -23,9 +23,11 @@
 //!    warm-up, exercising cache drain, FTL program, GC and mapping persist
 //!    with every pool at its high-water mark.
 
+use docstore::{DocStore, DocStoreConfig};
 use durassd::{Ssd, SsdConfig};
 use simkit::alloc::{alloc_count, CountingAlloc};
 use simkit::dist::{rng, Rng};
+use simkit::Nanos;
 use storage::volume::Volume;
 use telemetry::Telemetry;
 
@@ -159,10 +161,68 @@ fn disabled_tracing() {
     assert!(!tel.tracing_enabled());
 }
 
+/// Steady-state `DocStore::set`: overwrites of existing keys on a warmed
+/// store rewrite the root-to-leaf path into recycled node buffers, frame
+/// the document and the header in the append buffer, and overwrite the
+/// cached body in place.
+///
+/// Warm here means the store has compacted a few times (node spares, append
+/// buffer and the device's pools at their high-water marks, the NAND
+/// frontier wrapped by the rewritten file region) and the measured sets fit
+/// the append file without another compaction.
+fn docstore_steady_state_set() {
+    // The tiny geometry with 256 blocks per plane: 128 MiB raw, 32 MiB
+    // exported, so a 24 MiB append file cycles the frontier in five fills.
+    let mut dev = Ssd::new(
+        SsdConfig::tiny_test()
+            .to_builder()
+            .blocks_per_plane(256)
+            .logical_capacity_pages(8192)
+            .build(),
+    );
+    dev.prewarm();
+    let cfg = DocStoreConfig {
+        batch_size: 1,
+        barriers: false,
+        file_blocks: 6_144,
+        auto_compact_pct: 0,
+        ..DocStoreConfig::new()
+    };
+    let mut store = DocStore::create(dev, cfg);
+    let keys: Vec<Vec<u8>> = (0..400u64).map(|i| format!("user{i:012}").into_bytes()).collect();
+    let mut doc = vec![b'v'; 200];
+    let mut r = rng(0xD0C);
+    let mut t = 0;
+    for key in &keys {
+        t = store.set(key, &doc, t);
+    }
+    assert!(store.depth() >= 1, "the measured path has an internal level");
+    let mut overwrite = |store: &mut DocStore<Ssd>, t: Nanos, n: u64| {
+        let mut t = t;
+        for i in 0..n {
+            doc[..8].copy_from_slice(&i.to_le_bytes());
+            t = store.set(&keys[r.gen_range(0..keys.len())], &doc, t);
+        }
+        t
+    };
+    for _ in 0..8 {
+        t = overwrite(&mut store, t, 1_200);
+        t = store.compact(t);
+    }
+    t = overwrite(&mut store, t, 200);
+    let allocs = allocs_during(|| {
+        t = overwrite(&mut store, t, 1_000);
+    });
+    assert_eq!(allocs, 0, "steady-state DocStore::set must be allocation-free");
+    assert_eq!(store.stats().compactions, 8, "no compaction inside the measurement");
+    assert_eq!(store.get(&keys[0], t).value.map(|v| v.len()), Some(200));
+}
+
 #[test]
 fn hot_paths_are_allocation_free() {
     telemetry_recording();
     disabled_tracing();
     steady_state_drained_writes();
     cache_hit_reads();
+    docstore_steady_state_set();
 }

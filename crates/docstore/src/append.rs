@@ -22,42 +22,40 @@ pub struct AppendSpace {
     file: PageFile,
     /// Logical end of file (bytes appended so far).
     len: u64,
-    /// Bytes appended but not yet handed to the device.
-    pending: Vec<u8>,
-    /// Byte offset where `pending` starts.
+    /// The file's bytes from the start of the block holding `pending_start`
+    /// up to `len`: the durable prefix of the partial tail block, then the
+    /// bytes appended but not yet handed to the device. Padded to whole
+    /// blocks it is exactly the next device write, so one buffer serves as
+    /// pending bytes, tail image and write run, and keeps its capacity.
+    buf: Vec<u8>,
+    /// Byte offset where the not-yet-written bytes start.
     pending_start: u64,
-    /// Durable image of the current partial tail block.
-    tail_image: Vec<u8>,
     /// File length as of the last fsync (journaled fs metadata).
     durable_len: u64,
-}
-
-/// Statistics for the append space.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AppendStats {
-    /// Bytes appended (logical).
-    pub appended_bytes: u64,
-    /// Device write commands issued.
-    pub device_writes: u64,
 }
 
 impl AppendSpace {
     /// Wrap a pre-allocated file region.
     pub fn new(file: PageFile) -> Self {
-        assert_eq!(file.page_size(), BLOCK);
-        Self {
-            file,
-            len: 0,
-            pending: Vec::new(),
-            pending_start: 0,
-            tail_image: vec![0u8; BLOCK],
-            durable_len: 0,
-        }
+        Self::reopen(file, 0)
     }
 
-    /// Re-open after recovery, positioned at `len` (all durable).
-    pub fn reopen(file: PageFile, len: u64, tail_image: Vec<u8>) -> Self {
-        Self { file, len, pending: Vec::new(), pending_start: len, tail_image, durable_len: len }
+    /// Re-open after recovery, positioned at the block boundary `len` (all
+    /// durable).
+    pub fn reopen(file: PageFile, len: u64) -> Self {
+        assert_eq!(file.page_size(), BLOCK);
+        assert_eq!(len % BLOCK as u64, 0, "a recovered space resumes on a block boundary");
+        Self { file, len, buf: Vec::new(), pending_start: len, durable_len: len }
+    }
+
+    /// An empty space over the same file that takes over this one's buffer
+    /// (compaction's "new file"). Nothing may be pending: `self` stays
+    /// readable, every byte it holds being on the device.
+    pub fn successor(&mut self) -> Self {
+        assert_eq!(self.pending_start, self.len, "successor of a space with unwritten bytes");
+        let mut buf = std::mem::take(&mut self.buf);
+        buf.clear();
+        Self { file: self.file, len: 0, buf, pending_start: 0, durable_len: 0 }
     }
 
     /// Current logical length in bytes.
@@ -80,17 +78,28 @@ impl AppendSpace {
         self.file.pages() * BLOCK as u64
     }
 
+    /// File offset of `buf[0]`.
+    fn buf_base(&self) -> u64 {
+        self.len - self.buf.len() as u64
+    }
+
     /// Append bytes; returns their offset. Data is buffered until
     /// [`AppendSpace::write_out`].
     pub fn append(&mut self, data: &[u8]) -> u64 {
-        assert!(
-            self.len + data.len() as u64 <= self.capacity(),
-            "append space full: compaction required"
-        );
+        self.append_with(|buf| buf.extend_from_slice(data)).0
+    }
+
+    /// Append whatever `encode` pushes onto the buffer it is handed (which
+    /// already holds earlier bytes it must leave alone); returns the offset
+    /// and length of the new bytes. Lets records be framed in place.
+    pub fn append_with(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> (u64, usize) {
+        let before = self.buf.len();
+        encode(&mut self.buf);
+        let added = self.buf.len().checked_sub(before).expect("append_with only appends");
         let off = self.len;
-        self.pending.extend_from_slice(data);
-        self.len += data.len() as u64;
-        off
+        self.len += added as u64;
+        assert!(self.len <= self.capacity(), "append space full: compaction required");
+        (off, added)
     }
 
     /// Round the cursor up to the next block boundary (headers are
@@ -99,7 +108,7 @@ impl AppendSpace {
         let rem = (self.len % BLOCK as u64) as usize;
         if rem != 0 {
             let pad = BLOCK - rem;
-            self.pending.extend(std::iter::repeat_n(0, pad));
+            self.buf.resize(self.buf.len() + pad, 0);
             self.len += pad as u64;
         }
     }
@@ -107,36 +116,26 @@ impl AppendSpace {
     /// Push all buffered bytes to the device as block writes. Returns the
     /// completion time.
     pub fn write_out<D: BlockDevice>(&mut self, vol: &mut Volume<D>, now: Nanos) -> Nanos {
-        if self.pending.is_empty() {
+        if self.pending_start == self.len {
             return now;
         }
-        let start_block = self.pending_start / BLOCK as u64;
-        let start_off = (self.pending_start % BLOCK as u64) as usize;
-        let end = self.pending_start + self.pending.len() as u64;
-        let end_block = end.div_ceil(BLOCK as u64);
-        let nblocks = (end_block - start_block) as usize;
-        let mut run = vec![0u8; nblocks * BLOCK];
-        run[..start_off].copy_from_slice(&self.tail_image[..start_off]);
-        run[start_off..start_off + self.pending.len()].copy_from_slice(&self.pending);
+        let start_block = self.buf_base() / BLOCK as u64;
+        let tail_off = self.buf.len() % BLOCK;
+        let run_len = self.buf.len().next_multiple_of(BLOCK);
+        self.buf.resize(run_len, 0);
         // Everything this space writes — docs, B-tree path nodes, commit
         // headers — is copy-on-write rewrite traffic of the couchstore-style
         // engine; tag it for the per-cause WAF breakdown.
         let t = vol.with_cause(WriteCause::DocRewrite, |vol| {
             self.file
-                .write_pages(vol, start_block, &run, now)
+                .write_pages(vol, start_block, &self.buf, now)
                 .expect("append space sized at creation")
         });
-        // Remember the new durable tail image.
-        let tail_off = (end % BLOCK as u64) as usize;
-        if tail_off == 0 {
-            self.tail_image.fill(0);
-        } else {
-            self.tail_image[..tail_off]
-                .copy_from_slice(&run[(nblocks - 1) * BLOCK..(nblocks - 1) * BLOCK + tail_off]);
-            self.tail_image[tail_off..].fill(0);
-        }
-        self.pending.clear();
-        self.pending_start = end;
+        // Keep the durable image of the partial tail block: the next write
+        // starts with it.
+        self.buf.copy_within(run_len - BLOCK..run_len - BLOCK + tail_off, 0);
+        self.buf.truncate(tail_off);
+        self.pending_start = self.len;
         t
     }
 
@@ -149,38 +148,41 @@ impl AppendSpace {
         t
     }
 
-    /// Read `len` bytes at `offset` (may span blocks). Unwritten regions
-    /// read as zero; a shorn block surfaces as `Err`.
+    /// Read `len` bytes at `offset` (may span blocks) into `out`, replacing
+    /// its contents. Unwritten regions read as zero; a shorn block surfaces
+    /// as `Err` (and leaves `out` unspecified).
     pub fn read<D: BlockDevice>(
         &self,
         vol: &mut Volume<D>,
         offset: u64,
         len: usize,
         now: Nanos,
-    ) -> Result<(Vec<u8>, Nanos), DevError> {
-        // Serve from the pending buffer if the range is still in memory.
-        if offset >= self.pending_start {
-            let rel = (offset - self.pending_start) as usize;
-            if rel + len <= self.pending.len() {
-                return Ok((self.pending[rel..rel + len].to_vec(), now));
-            }
+        out: &mut Vec<u8>,
+    ) -> Result<Nanos, DevError> {
+        out.clear();
+        let end = offset + len as u64;
+        // Serve from the pending bytes if the range is still in memory.
+        if offset >= self.pending_start && end <= self.len {
+            let rel = (offset - self.buf_base()) as usize;
+            out.extend_from_slice(&self.buf[rel..rel + len]);
+            return Ok(now);
         }
         let first = offset / BLOCK as u64;
-        let last = (offset + len as u64).div_ceil(BLOCK as u64);
-        let nblocks = (last - first) as usize;
-        let mut buf = vec![0u8; nblocks * BLOCK];
-        let t = self.file.read_pages(vol, first, &mut buf, now)?;
+        let nblocks = (end.div_ceil(BLOCK as u64) - first) as usize;
+        out.resize(nblocks * BLOCK, 0);
+        let t = self.file.read_pages(vol, first, out, now)?;
         let rel = (offset - first * BLOCK as u64) as usize;
-        let mut out = buf[rel..rel + len].to_vec();
+        out.copy_within(rel..rel + len, 0);
+        out.truncate(len);
         // Overlay any pending bytes that cover the tail of the range.
-        if offset + len as u64 > self.pending_start && !self.pending.is_empty() {
+        if end > self.pending_start && self.len > self.pending_start {
             let overlay_from = self.pending_start.max(offset);
             let dst = (overlay_from - offset) as usize;
-            let src = (overlay_from - self.pending_start) as usize;
-            let n = (len - dst).min(self.pending.len() - src);
-            out[dst..dst + n].copy_from_slice(&self.pending[src..src + n]);
+            let src = (overlay_from - self.buf_base()) as usize;
+            let n = (len - dst).min(self.buf.len() - src);
+            out[dst..dst + n].copy_from_slice(&self.buf[src..src + n]);
         }
-        Ok((out, t))
+        Ok(t)
     }
 }
 
@@ -197,24 +199,66 @@ mod tests {
         (vol, AppendSpace::new(file))
     }
 
+    fn read(sp: &AppendSpace, vol: &mut Volume<MemDevice>, off: u64, len: usize) -> Vec<u8> {
+        let mut out = vec![0xEE; 3]; // stale contents must be replaced
+        sp.read(vol, off, len, 100, &mut out).unwrap();
+        out
+    }
+
     #[test]
     fn append_read_round_trip() {
         let (mut vol, mut sp) = setup();
         let a = sp.append(b"hello");
         let b = sp.append(&vec![7u8; 10_000]);
         sp.sync(&mut vol, 0);
-        let (d, _) = sp.read(&mut vol, a, 5, 100).unwrap();
-        assert_eq!(d, b"hello");
-        let (d, _) = sp.read(&mut vol, b, 10_000, 100).unwrap();
-        assert_eq!(d, vec![7u8; 10_000]);
+        assert_eq!(read(&sp, &mut vol, a, 5), b"hello");
+        assert_eq!(read(&sp, &mut vol, b, 10_000), vec![7u8; 10_000]);
+    }
+
+    #[test]
+    fn every_write_out_rewrites_the_partial_tail_block_with_its_durable_prefix() {
+        // Appends that straddle, end on and start inside block boundaries,
+        // written out one by one: the file must read back as their
+        // concatenation (the retained tail image is what makes it so).
+        let (mut vol, mut sp) = setup();
+        let mut want = Vec::new();
+        for (i, n) in [5usize, 4091, 1, 9000, 3287, 4096, 17].into_iter().enumerate() {
+            let chunk = vec![i as u8 + 1; n];
+            assert_eq!(sp.append(&chunk), want.len() as u64);
+            want.extend_from_slice(&chunk);
+            sp.write_out(&mut vol, 0);
+        }
+        assert_eq!(read(&sp, &mut vol, 0, want.len()), want);
+    }
+
+    #[test]
+    fn append_with_frames_in_place() {
+        let (mut vol, mut sp) = setup();
+        sp.append(b"abc");
+        let (off, n) = sp.append_with(|buf| buf.extend_from_slice(b"defgh"));
+        assert_eq!((off, n, sp.len()), (3, 5, 8));
+        sp.sync(&mut vol, 0);
+        assert_eq!(read(&sp, &mut vol, 0, 8), b"abcdefgh");
+    }
+
+    #[test]
+    fn successor_starts_empty_and_leaves_the_old_space_readable() {
+        let (mut vol, mut sp) = setup();
+        let a = sp.append(&vec![9u8; 5000]);
+        sp.sync(&mut vol, 0);
+        let mut next = sp.successor();
+        assert_eq!((next.len(), next.durable_len()), (0, 0));
+        next.append(b"new file");
+        assert_eq!(read(&sp, &mut vol, a, 5000), vec![9u8; 5000]);
+        next.sync(&mut vol, 0);
+        assert_eq!(read(&next, &mut vol, 0, 8), b"new file");
     }
 
     #[test]
     fn pending_bytes_are_readable_before_sync() {
         let (mut vol, mut sp) = setup();
         let off = sp.append(b"inflight");
-        let (d, _) = sp.read(&mut vol, off, 8, 0).unwrap();
-        assert_eq!(d, b"inflight");
+        assert_eq!(read(&sp, &mut vol, off, 8), b"inflight");
     }
 
     #[test]
@@ -223,7 +267,7 @@ mod tests {
         let a = sp.append(&vec![1u8; 3000]);
         sp.sync(&mut vol, 0);
         sp.append(&vec![2u8; 3000]);
-        let (d, _) = sp.read(&mut vol, a, 6000, 100).unwrap();
+        let d = read(&sp, &mut vol, a, 6000);
         assert_eq!(&d[..3000], &vec![1u8; 3000][..]);
         assert_eq!(&d[3000..], &vec![2u8; 3000][..]);
     }

@@ -10,7 +10,8 @@
 //! This crate reproduces that design:
 //!
 //! * [`append::AppendSpace`] — the append-only file substrate,
-//! * [`cowtree`] — immutable (copy-on-write) node encoding,
+//! * [`cowtree`] — immutable (copy-on-write) nodes, held flat in their
+//!   on-disk encoding,
 //! * [`DocStore`] — the store: memory-first document cache (the memcached
 //!   layer), COW updates, batched fsync, block-aligned headers, backward
 //!   header scan on recovery, and compaction.
@@ -19,18 +20,17 @@ pub mod append;
 pub mod cowtree;
 
 use append::{AppendSpace, BLOCK};
-use cowtree::{
-    decode_node, encode_node, node_size, route, split_entries, Entry, KIND_INTERNAL, KIND_LEAF,
-    NODE_CAP,
-};
+use cowtree::{EntryRef, Node, KIND_INTERNAL, KIND_LEAF};
 use forensics::{Ledger, UnitKind};
 use simkit::{crc32, Nanos, Recovered, ReplayStats, Timed};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use storage::device::BlockDevice;
 use storage::file::PageFile;
 use storage::volume::{Volume, VolumeManager};
 use telemetry::{Scope, Telemetry};
-use wal::LogRecord;
+use wal::{DocSetRef, LogRecord};
 
 const HEADER_MAGIC: u64 = 0x434f_5543_4848_4452;
 /// Offset sentinel: "no such header".
@@ -125,29 +125,27 @@ pub struct DocStore<D: BlockDevice> {
     cfg: DocStoreConfig,
     /// Memory-first object cache (Couchbase's managed-cache layer).
     doc_cache: HashMap<Vec<u8>, Option<Vec<u8>>>,
-    /// Immutable node cache (OS page cache stand-in; nodes never change).
-    node_cache: HashMap<u64, (u8, Vec<Entry>)>,
+    /// The live tree's nodes by offset (OS page cache stand-in; nodes never
+    /// change). The write path takes the node it rewrites *out*: once the
+    /// replacement is appended no root reaches the old offset again, so the
+    /// cache never holds garbage. Hashed with fixed keys: every set removes
+    /// and inserts entries, and under per-process random keys the table's
+    /// tombstones, and with them whether a rehash grows it, differed between
+    /// two runs of one seed (`benchmark/smoke.sh` compares allocation counts
+    /// exactly).
+    node_cache: HashMap<u64, Node, BuildHasherDefault<DefaultHasher>>,
+    /// Buffers of rewritten nodes, reused for the nodes the next update
+    /// appends.
+    spare: Vec<Node>,
+    /// Scratch of the write path: the parent entries replacing the subtree
+    /// just rewritten.
+    repl: Node,
     updates_since_sync: u32,
     stats: DocStats,
     /// Optional telemetry sink; see [`DocStore::attach_telemetry`].
     tel: Option<Telemetry>,
     /// Optional durability ledger; see [`DocStore::attach_ledger`].
     ledger: Option<Ledger>,
-}
-
-/// Frame a document for the append space as a self-describing
-/// [`LogRecord::DocSet`] — the same versioned, CRC-guarded framing the WAL
-/// uses, so the append file's record stream is decodable on its own.
-fn frame_doc(key: &[u8], doc: &[u8]) -> Vec<u8> {
-    LogRecord::DocSet { key: key.to_vec(), value: doc.to_vec() }.encode()
-}
-
-/// Unframe a [`frame_doc`]'d record; `None` on corruption.
-fn unframe_doc(framed: &[u8]) -> Option<Vec<u8>> {
-    match LogRecord::decode(framed) {
-        Some((LogRecord::DocSet { value, .. }, _)) => Some(value),
-        _ => None,
-    }
 }
 
 impl<D: BlockDevice> DocStore<D> {
@@ -168,7 +166,9 @@ impl<D: BlockDevice> DocStore<D> {
             headers_since_ckpt: 0,
             cfg,
             doc_cache: HashMap::new(),
-            node_cache: HashMap::new(),
+            node_cache: HashMap::default(),
+            spare: Vec::new(),
+            repl: Node::default(),
             updates_since_sync: 0,
             stats: DocStats::default(),
             tel: None,
@@ -252,126 +252,134 @@ impl<D: BlockDevice> DocStore<D> {
         self.doc_cache.clear();
     }
 
-    fn read_node(&mut self, ptr: u64, len: u32, now: Nanos) -> (Option<(u8, Vec<Entry>)>, Nanos) {
-        if let Some(n) = self.node_cache.get(&ptr) {
-            return (Some(n.clone()), now);
+    /// Read and decode the node at `ptr` from the append space; an
+    /// unreadable one is counted in `corrupt_reads`.
+    fn load_node(&mut self, ptr: u64, len: u32, now: Nanos) -> (Option<Node>, Nanos) {
+        let mut bytes = Vec::new();
+        let (node, t) = match self.space.read(&mut self.vol, ptr, len as usize, now, &mut bytes) {
+            Ok(t) => (Node::from_bytes(bytes), t),
+            Err(_) => (None, now),
+        };
+        if node.is_none() {
+            self.stats.corrupt_reads += 1;
         }
-        match self.space.read(&mut self.vol, ptr, len as usize, now) {
-            Ok((bytes, t)) => match decode_node(&bytes) {
-                Some(node) => {
-                    self.node_cache.insert(ptr, node.clone());
-                    (Some(node), t)
-                }
-                None => {
-                    self.stats.corrupt_reads += 1;
-                    (None, t)
-                }
-            },
-            Err(_) => {
-                self.stats.corrupt_reads += 1;
-                (None, now)
+        (node, t)
+    }
+
+    /// The node at `ptr`, through the cache.
+    fn read_node(&mut self, ptr: u64, len: u32, now: Nanos) -> (Option<&Node>, Nanos) {
+        let mut t = now;
+        if !self.node_cache.contains_key(&ptr) {
+            let (node, t2) = self.load_node(ptr, len, now);
+            t = t2;
+            if let Some(node) = node {
+                self.node_cache.insert(ptr, node);
             }
         }
+        (self.node_cache.get(&ptr), t)
     }
 
-    fn append_node(&mut self, kind: u8, entries: &[Entry]) -> (u64, u32) {
-        let bytes = encode_node(kind, entries);
-        let ptr = self.space.append(&bytes);
-        self.stats.bytes_appended += bytes.len() as u64;
-        self.node_cache.insert(ptr, (kind, entries.to_vec()));
-        (ptr, bytes.len() as u32)
+    /// The node at `ptr`, owned, for a caller about to make it unreachable
+    /// (a path rewrite, the compaction walk): taken out of the cache.
+    fn take_node(&mut self, ptr: u64, len: u32, now: Nanos) -> (Option<Node>, Nanos) {
+        match self.node_cache.remove(&ptr) {
+            Some(node) => (Some(node), now),
+            None => self.load_node(ptr, len, now),
+        }
     }
 
-    /// Recursive COW insert. Returns the replacement entries for this
-    /// subtree (1 normally, more after splits).
+    /// An empty node of `kind` on a recycled buffer.
+    fn spare_node(&mut self, kind: u8) -> Node {
+        let mut node = self.spare.pop().unwrap_or_default();
+        node.reset(kind);
+        node
+    }
+
+    /// Seal, append and cache `node`; its parent entry (max key, offset,
+    /// length) is pushed onto `parents`.
+    fn append_node(&mut self, mut node: Node, parents: &mut Node) {
+        node.seal();
+        let ptr = self.space.append(node.bytes());
+        let len = node.bytes().len() as u32;
+        self.stats.bytes_appended += len as u64;
+        parents.push(EntryRef { key: node.entry(node.len() - 1).key, ptr, len });
+        self.node_cache.insert(ptr, node);
+    }
+
+    /// [`DocStore::append_node`] for a non-empty list that may overflow one
+    /// node: the rare overflow is cut into byte-balanced nodes.
+    fn append_chunked(&mut self, list: Node, parents: &mut Node) {
+        if list.fits() {
+            return self.append_node(list, parents);
+        }
+        for range in list.chunks() {
+            let mut part = self.spare_node(list.kind());
+            part.extend_from(&list, range);
+            self.append_node(part, parents);
+        }
+        self.spare.push(list);
+    }
+
+    /// Recursive COW insert of `doc` under the node at `ptr`. Leaves in
+    /// `repl` the parent entries of the rewritten subtree (1 normally, more
+    /// after splits).
     fn insert_rec(
         &mut self,
-        ptr: u64,
-        len: u32,
+        (ptr, len): (u64, u32),
         level: u32,
-        key: &[u8],
-        doc_entry: &Entry,
+        doc: EntryRef<'_>,
         now: Nanos,
-    ) -> (Vec<Entry>, Nanos) {
-        let (node, t) = self.read_node(ptr, len, now);
-        let Some((kind, mut entries)) = node else {
+        repl: &mut Node,
+    ) -> Nanos {
+        let (node, mut t) = self.take_node(ptr, len, now);
+        let mut new = self.spare_node(KIND_LEAF);
+        match &node {
             // Corrupt node: rebuild this subtree as a single-leaf with the
             // new entry (data under it is lost; counted in corrupt_reads).
-            let (p, l) = self.append_node(KIND_LEAF, std::slice::from_ref(doc_entry));
-            return (vec![Entry { key: key.to_vec(), ptr: p, len: l }], now);
-        };
-        if level == 0 {
-            debug_assert_eq!(kind, KIND_LEAF);
-            match entries.binary_search_by(|e| e.key.as_slice().cmp(key)) {
-                Ok(i) => entries[i] = doc_entry.clone(),
-                Err(i) => entries.insert(i, doc_entry.clone()),
+            None => new.push(doc),
+            Some(old) if level == 0 => {
+                debug_assert_eq!(old.kind(), KIND_LEAF);
+                let at = match old.search(doc.key) {
+                    Ok(i) => i..i + 1,
+                    Err(i) => i..i,
+                };
+                old.splice(at, [doc], &mut new);
             }
-            let chunks = split_entries(entries);
-            let out = chunks
-                .into_iter()
-                .map(|c| {
-                    let max_key = c.last().expect("chunks non-empty").key.clone();
-                    let (p, l) = self.append_node(KIND_LEAF, &c);
-                    Entry { key: max_key, ptr: p, len: l }
-                })
-                .collect();
-            (out, t)
-        } else {
-            debug_assert_eq!(kind, KIND_INTERNAL);
-            let idx = route(&entries, key);
-            let child = entries[idx].clone();
-            let (repl, t) = self.insert_rec(child.ptr, child.len, level - 1, key, doc_entry, t);
-            entries.splice(idx..idx + 1, repl);
-            let chunks = split_entries(entries);
-            let out = chunks
-                .into_iter()
-                .map(|c| {
-                    let max_key = c.last().expect("chunks non-empty").key.clone();
-                    let (p, l) = self.append_node(KIND_INTERNAL, &c);
-                    Entry { key: max_key, ptr: p, len: l }
-                })
-                .collect();
-            (out, t)
+            Some(old) => {
+                debug_assert_eq!(old.kind(), KIND_INTERNAL);
+                let idx = old.route(doc.key);
+                let child = old.entry(idx);
+                t = self.insert_rec((child.ptr, child.len), level - 1, doc, t, repl);
+                old.splice(idx..idx + 1, repl.entries(), &mut new);
+            }
         }
+        repl.reset(KIND_INTERNAL);
+        self.append_chunked(new, repl);
+        self.spare.extend(node);
+        t
     }
 
-    fn apply_tree_update(&mut self, key: &[u8], doc_entry: Entry, now: Nanos) -> Nanos {
-        let mut t = now;
-        let replacements = match self.root {
+    fn apply_tree_update(&mut self, doc: EntryRef<'_>, now: Nanos) -> Nanos {
+        let mut repl = std::mem::take(&mut self.repl);
+        let t = match self.root {
             None => {
-                let (p, l) = self.append_node(KIND_LEAF, std::slice::from_ref(&doc_entry));
-                vec![Entry { key: key.to_vec(), ptr: p, len: l }]
+                let mut leaf = self.spare_node(KIND_LEAF);
+                leaf.push(doc);
+                repl.reset(KIND_INTERNAL);
+                self.append_node(leaf, &mut repl);
+                now
             }
-            Some((rp, rl)) => {
-                let depth = self.depth;
-                let (repl, t2) = self.insert_rec(rp, rl, depth, key, &doc_entry, now);
-                t = t2;
-                repl
-            }
+            Some(root) => self.insert_rec(root, self.depth, doc, now, &mut repl),
         };
         // Grow the root while the replacement set does not fit one node.
-        let mut tops = replacements;
-        while tops.len() > 1 {
-            if node_size(&tops) <= NODE_CAP {
-                let max_key = tops.last().expect("non-empty").key.clone();
-                let (p, l) = self.append_node(KIND_INTERNAL, &tops);
-                tops = vec![Entry { key: max_key, ptr: p, len: l }];
-                self.depth += 1;
-            } else {
-                let chunks = split_entries(tops);
-                tops = chunks
-                    .into_iter()
-                    .map(|c| {
-                        let max_key = c.last().expect("non-empty").key.clone();
-                        let (p, l) = self.append_node(KIND_INTERNAL, &c);
-                        Entry { key: max_key, ptr: p, len: l }
-                    })
-                    .collect();
-                self.depth += 1;
-            }
+        while repl.len() > 1 {
+            let tops = std::mem::replace(&mut repl, self.spare_node(KIND_INTERNAL));
+            self.append_chunked(tops, &mut repl);
+            self.depth += 1;
         }
-        let top = &tops[0];
+        let top = repl.entry(0);
         self.root = Some((top.ptr, top.len));
+        self.repl = repl;
         t
     }
 
@@ -421,20 +429,25 @@ impl<D: BlockDevice> DocStore<D> {
         }
         // Header block: magic, seq, root, depth, then the backward chain —
         // the previous header's offset and the newest anchor's offset.
-        let mut hdr = vec![0u8; BLOCK];
-        hdr[..8].copy_from_slice(&HEADER_MAGIC.to_le_bytes());
-        hdr[8..16].copy_from_slice(&self.seq.to_le_bytes());
+        let (seq, depth, prev_off, ckpt_off) =
+            (self.seq, self.depth, self.prev_header_off, self.ckpt_off);
         let (rp, rl) = self.root.unwrap_or((u64::MAX, 0));
-        hdr[16..24].copy_from_slice(&rp.to_le_bytes());
-        hdr[24..28].copy_from_slice(&rl.to_le_bytes());
-        hdr[28..32].copy_from_slice(&self.depth.to_le_bytes());
-        hdr[32..40].copy_from_slice(&self.prev_header_off.to_le_bytes());
-        hdr[40..48].copy_from_slice(&self.ckpt_off.to_le_bytes());
-        let crc = crc32(&hdr[..48]);
-        hdr[48..52].copy_from_slice(&crc.to_le_bytes());
-        self.space.append(&hdr);
+        self.space.append_with(|out| {
+            let at = out.len();
+            out.resize(at + BLOCK, 0);
+            let hdr = &mut out[at..];
+            hdr[..8].copy_from_slice(&HEADER_MAGIC.to_le_bytes());
+            hdr[8..16].copy_from_slice(&seq.to_le_bytes());
+            hdr[16..24].copy_from_slice(&rp.to_le_bytes());
+            hdr[24..28].copy_from_slice(&rl.to_le_bytes());
+            hdr[28..32].copy_from_slice(&depth.to_le_bytes());
+            hdr[32..40].copy_from_slice(&prev_off.to_le_bytes());
+            hdr[40..48].copy_from_slice(&ckpt_off.to_le_bytes());
+            let crc = crc32(&hdr[..48]);
+            hdr[48..52].copy_from_slice(&crc.to_le_bytes());
+        });
         self.prev_header_off = off;
-        self.stats.bytes_appended += hdr.len() as u64;
+        self.stats.bytes_appended += BLOCK as u64;
         self.stats.headers += 1;
         self.updates_since_sync = 0;
         let done = self.space.sync(&mut self.vol, now);
@@ -453,12 +466,24 @@ impl<D: BlockDevice> DocStore<D> {
         if let Some(ledger) = &self.ledger {
             ledger.pend(UnitKind::DocstoreUpdate, key, Ledger::digest(doc), now);
         }
-        let framed = frame_doc(key, doc);
-        let ptr = self.space.append(&framed);
-        self.stats.bytes_appended += framed.len() as u64;
-        let entry = Entry { key: key.to_vec(), ptr, len: framed.len() as u32 };
-        let t = self.apply_tree_update(key, entry, now);
-        self.doc_cache.insert(key.to_vec(), Some(doc.to_vec()));
+        // The document is framed as a self-describing `DocSet` record — the
+        // same versioned, CRC-guarded framing the WAL uses, so the append
+        // file's record stream is decodable on its own.
+        let (ptr, len) =
+            self.space.append_with(|out| DocSetRef { key, value: doc }.encode_into(out));
+        self.stats.bytes_appended += len as u64;
+        let t = self.apply_tree_update(EntryRef { key, ptr, len: len as u32 }, now);
+        match self.doc_cache.get_mut(key) {
+            // Overwrite in place: the cached body's buffer is reused.
+            Some(slot) => {
+                let body = slot.get_or_insert_with(Vec::new);
+                body.clear();
+                body.extend_from_slice(doc);
+            }
+            None => {
+                self.doc_cache.insert(key.to_vec(), Some(doc.to_vec()));
+            }
+        }
         let done = self.finish_update(t);
         scope.map_or(done, |s| s.close(done))
     }
@@ -473,11 +498,10 @@ impl<D: BlockDevice> DocStore<D> {
         }
         // Breadcrumb record: the tombstone itself lives in the tree entry
         // (ptr 0 / len 0), but the append stream stays self-describing.
-        let framed = LogRecord::DocDelete { key: key.to_vec() }.encode();
-        self.space.append(&framed);
-        self.stats.bytes_appended += framed.len() as u64;
-        let entry = Entry { key: key.to_vec(), ptr: 0, len: 0 };
-        let t = self.apply_tree_update(key, entry, now);
+        let breadcrumb = LogRecord::DocDelete { key: key.to_vec() };
+        let (_, len) = self.space.append_with(|out| breadcrumb.encode_into(out));
+        self.stats.bytes_appended += len as u64;
+        let t = self.apply_tree_update(EntryRef { key, ptr: 0, len: 0 }, now);
         self.doc_cache.insert(key.to_vec(), None);
         let done = self.finish_update(t);
         scope.map_or(done, |s| s.close(done))
@@ -505,100 +529,90 @@ impl<D: BlockDevice> DocStore<D> {
         loop {
             let (node, t2) = self.read_node(ptr, len, t);
             t = t2;
-            let Some((kind, entries)) = node else {
+            let Some(node) = node else {
                 return (None, t);
             };
-            if kind == KIND_LEAF {
-                let found = match entries.binary_search_by(|e| e.key.as_slice().cmp(key)) {
-                    Ok(i) => {
-                        let e = &entries[i];
-                        if e.len == 0 {
-                            None // tombstone
-                        } else {
-                            match self.space.read(&mut self.vol, e.ptr, e.len as usize, t) {
-                                Ok((framed, t2)) => {
-                                    t = t2;
-                                    match unframe_doc(&framed) {
-                                        Some(body) => Some(body),
-                                        None => {
-                                            self.stats.corrupt_reads += 1;
-                                            None
-                                        }
-                                    }
-                                }
-                                Err(_) => {
-                                    self.stats.corrupt_reads += 1;
-                                    None
-                                }
-                            }
-                        }
-                    }
-                    Err(_) => None,
+            if node.kind() == KIND_LEAF {
+                let hit = node.search(key).ok().map(|i| node.entry(i));
+                // A missing key, or a tombstone.
+                let Some((at, n)) = hit.filter(|e| e.len != 0).map(|e| (e.ptr, e.len)) else {
+                    return (None, t);
                 };
-                if let Some(doc) = &found {
-                    self.doc_cache.insert(key.to_vec(), Some(doc.clone()));
+                let mut framed = Vec::new();
+                let mut found = None;
+                if let Ok(t2) = self.space.read(&mut self.vol, at, n as usize, t, &mut framed) {
+                    t = t2;
+                    found = DocSetRef::decode(&framed).map(|(doc, _)| doc.value.to_vec());
+                }
+                match &found {
+                    Some(doc) => {
+                        self.doc_cache.insert(key.to_vec(), Some(doc.clone()));
+                    }
+                    None => self.stats.corrupt_reads += 1,
                 }
                 return (found, t);
             }
-            if entries.is_empty() {
+            if node.is_empty() {
                 return (None, t);
             }
-            let idx = route(&entries, key);
+            let child = node.entry(node.route(key));
             // A key greater than every max-key cannot be in the tree.
-            if key > entries[idx].key.as_slice() {
+            if key > child.key {
                 return (None, t);
             }
-            ptr = entries[idx].ptr;
-            len = entries[idx].len;
+            (ptr, len) = (child.ptr, child.len);
         }
-    }
-
-    /// All live `(key, doc)` pairs in order (compaction walk).
-    #[allow(clippy::type_complexity)]
-    fn collect_live(&mut self, now: Nanos) -> (Vec<(Vec<u8>, Vec<u8>)>, Nanos) {
-        let Some((rp, rl)) = self.root else {
-            return (Vec::new(), now);
-        };
-        let mut out = Vec::new();
-        let mut t = now;
-        let mut stack = vec![(rp, rl, self.depth)];
-        while let Some((ptr, len, level)) = stack.pop() {
-            let (node, t2) = self.read_node(ptr, len, t);
-            t = t2;
-            let Some((kind, entries)) = node else { continue };
-            if kind == KIND_LEAF {
-                for e in entries {
-                    if e.len == 0 {
-                        continue;
-                    }
-                    if let Ok((framed, t3)) =
-                        self.space.read(&mut self.vol, e.ptr, e.len as usize, t)
-                    {
-                        t = t3;
-                        if let Some(body) = unframe_doc(&framed) {
-                            out.push((e.key, body));
-                        }
-                    }
-                }
-            } else {
-                for e in entries.into_iter().rev() {
-                    stack.push((e.ptr, e.len, level.saturating_sub(1)));
-                }
-            }
-        }
-        (out, t)
     }
 
     /// Compaction: rewrite the live data as a fresh, dense tree at the start
     /// of the file (modelling couchstore's copy-compaction into a new file),
     /// then TRIM the reclaimed tail so the SSD can drop the stale blocks.
+    ///
+    /// The walk streams: each live document is read once, its record CRC
+    /// checked, and its framed bytes copied as they are — re-framing the
+    /// key and body of a record that decodes yields the same bytes.
     pub fn compact(&mut self, now: Nanos) -> Nanos {
         self.stats.compactions += 1;
         let old_len = self.space.len();
-        let (live, t) = self.collect_live(now);
-        // Fresh space over the same region.
-        let file = self.space_file();
-        self.space = AppendSpace::new(file);
+        // The new file. Its bytes stay in memory until the commit below, so
+        // the old one is read undisturbed although both cover one region.
+        let mut fresh = self.space.successor();
+        // Parent entries of the level being written: first every live
+        // document in key order, then each level of nodes.
+        let mut level = self.spare_node(KIND_LEAF);
+        let mut framed = Vec::new();
+        let mut t = now;
+        let mut stack: Vec<(u64, u32)> = self.root.into_iter().collect();
+        while let Some((ptr, len)) = stack.pop() {
+            // The old tree dies with this walk, so its nodes are taken.
+            let (node, t2) = self.take_node(ptr, len, t);
+            t = t2;
+            let Some(node) = node else { continue };
+            if node.kind() == KIND_LEAF {
+                for e in node.entries().filter(|e| e.len != 0) {
+                    let mut record = None;
+                    if let Ok(t2) =
+                        self.space.read(&mut self.vol, e.ptr, e.len as usize, t, &mut framed)
+                    {
+                        t = t2;
+                        record = DocSetRef::decode(&framed).map(|(_, used)| &framed[..used]);
+                    }
+                    match record {
+                        Some(record) => {
+                            let ptr = fresh.append(record);
+                            self.stats.bytes_appended += record.len() as u64;
+                            level.push(EntryRef { key: e.key, ptr, len: record.len() as u32 });
+                        }
+                        // The document is lost, as on a `get`.
+                        None => self.stats.corrupt_reads += 1,
+                    }
+                }
+            } else {
+                stack.extend(node.entries().rev().map(|e| (e.ptr, e.len)));
+            }
+            self.spare.push(node);
+        }
+        self.space = fresh;
         self.node_cache.clear();
         self.root = None;
         self.depth = 0;
@@ -606,30 +620,20 @@ impl<D: BlockDevice> DocStore<D> {
         self.prev_header_off = NO_OFF;
         self.ckpt_off = NO_OFF;
         self.headers_since_ckpt = 0;
-        // Bulk-load bottom-up: docs + leaves, then internal levels.
-        let mut level_entries: Vec<Entry> = Vec::new();
-        for (key, doc) in &live {
-            let framed = frame_doc(key, doc);
-            let ptr = self.space.append(&framed);
-            self.stats.bytes_appended += framed.len() as u64;
-            level_entries.push(Entry { key: key.clone(), ptr, len: framed.len() as u32 });
-        }
-        if !level_entries.is_empty() {
-            let mut kind = KIND_LEAF;
+        // Bulk-load bottom-up: the leaves, then internal levels.
+        if level.is_empty() {
+            self.spare.push(level);
+        } else {
             loop {
-                let chunks = split_entries(level_entries);
-                let mut next: Vec<Entry> = Vec::with_capacity(chunks.len());
-                for c in chunks {
-                    let max_key = c.last().expect("non-empty").key.clone();
-                    let (p, l) = self.append_node(kind, &c);
-                    next.push(Entry { key: max_key, ptr: p, len: l });
-                }
-                if next.len() == 1 {
-                    self.root = Some((next[0].ptr, next[0].len));
+                let mut parents = self.spare_node(KIND_INTERNAL);
+                self.append_chunked(level, &mut parents);
+                if parents.len() == 1 {
+                    let top = parents.entry(0);
+                    self.root = Some((top.ptr, top.len));
+                    self.spare.push(parents);
                     break;
                 }
-                level_entries = next;
-                kind = KIND_INTERNAL;
+                level = parents;
                 self.depth += 1;
             }
         }
@@ -645,12 +649,6 @@ impl<D: BlockDevice> DocStore<D> {
         } else {
             t
         }
-    }
-
-    fn space_file(&self) -> PageFile {
-        // The layout is deterministic: one file at the start of the volume.
-        let mut vm = VolumeManager::new(self.vol.capacity_pages());
-        PageFile::create(&mut vm, self.cfg.file_blocks.min(self.vol.capacity_pages()), BLOCK)
     }
 
     /// Crash: cut device power and surrender the device.
@@ -735,7 +733,7 @@ impl<D: BlockDevice> DocStore<D> {
                     prev = u64::from_le_bytes(buf[32..40].try_into().expect("hdr"));
                 }
                 let resume = (blk + 1) * BLOCK as u64;
-                let space = AppendSpace::reopen(file, resume, vec![0u8; BLOCK]);
+                let space = AppendSpace::reopen(file, resume);
                 let root = if root == u64::MAX { None } else { Some((root, len)) };
                 let ckpt = if ckpt_off == NO_OFF { NO_OFF } else { ckpt_off };
                 (space, root, depth, seq, newest_off, ckpt)
@@ -753,7 +751,9 @@ impl<D: BlockDevice> DocStore<D> {
             headers_since_ckpt: 0,
             cfg,
             doc_cache: HashMap::new(),
-            node_cache: HashMap::new(),
+            node_cache: HashMap::default(),
+            spare: Vec::new(),
+            repl: Node::default(),
             updates_since_sync: 0,
             stats: DocStats::default(),
             tel: None,
@@ -933,6 +933,94 @@ mod tests {
             t = t2;
             assert_eq!(v.unwrap(), doc(4000 + i));
         }
+    }
+
+    /// Flip one byte of the append file at byte offset `off`, behind the
+    /// store's back, through the device's own write command.
+    fn flip_byte(dev: &mut MemDevice, off: u64) {
+        let (lpn, at) = (off / BLOCK as u64, (off % BLOCK as u64) as usize);
+        let mut block = vec![0u8; BLOCK];
+        dev.read(lpn, 1, &mut block, 0).unwrap();
+        block[at] ^= 0x5A;
+        dev.write(lpn, &block, 0).unwrap();
+    }
+
+    #[test]
+    fn compaction_counts_the_document_it_cannot_copy() {
+        let mut s = store(1);
+        let cfg = s.cfg;
+        let mut t = 0;
+        for i in 0..50u64 {
+            t = s.set(format!("k{i:03}").as_bytes(), &doc(i), t);
+        }
+        let mut dev = s.crash(t);
+        // The first append of the file is k000's framed document.
+        flip_byte(&mut dev, 40);
+        let (mut s, t) = DocStore::recover(dev, cfg, t + 1).into_parts();
+        let mut t = s.compact(t);
+        assert_eq!(s.stats().corrupt_reads, 1, "the dropped document is counted");
+        assert_eq!(s.stats().compactions, 1);
+        for i in 1..50u64 {
+            let (v, t2) = s.get(format!("k{i:03}").as_bytes(), t).into_parts();
+            t = t2;
+            assert_eq!(v.unwrap(), doc(i), "k{i:03}");
+        }
+        assert!(s.get(b"k000", t).value.is_none(), "the corrupt document is gone");
+        assert_eq!(s.stats().corrupt_reads, 1, "and no longer in the tree");
+    }
+
+    #[test]
+    fn set_through_a_corrupt_leaf_pays_for_the_read() {
+        // Batch of 100: the set below writes out once and commits nothing,
+        // so its latency is one read plus one write.
+        let mut s = store(100);
+        let cfg = s.cfg;
+        let t = s.set(b"k1", &doc(1), 0);
+        let t = s.commit_header(t);
+        let (leaf, _) = s.root.expect("one leaf");
+        let mut dev = s.crash(t);
+        flip_byte(&mut dev, leaf + 12);
+        let (mut s, t) = DocStore::recover(dev, cfg, t + 1).into_parts();
+        let done = s.set(b"k2", &doc(2), t);
+        assert_eq!(s.stats().corrupt_reads, 1);
+        // MemDevice: READ_NS = 10 us for the leaf, WRITE_NS = 20 us.
+        assert_eq!(done - t, 10_000 + 20_000, "the failed node read stays in the latency");
+        assert_eq!(s.get(b"k2", done).value.unwrap(), doc(2));
+    }
+
+    /// Nodes reachable from the root, all of which must be cached.
+    fn reachable_nodes(s: &DocStore<MemDevice>) -> usize {
+        let mut n = 0;
+        let mut stack: Vec<u64> = s.root.iter().map(|&(ptr, _)| ptr).collect();
+        while let Some(ptr) = stack.pop() {
+            let node = s.node_cache.get(&ptr).expect("live node is cached");
+            n += 1;
+            if node.kind() == KIND_INTERNAL {
+                stack.extend(node.entries().map(|e| e.ptr));
+            }
+        }
+        n
+    }
+
+    #[test]
+    fn node_cache_holds_only_the_live_tree() {
+        let mut s = store(100);
+        let mut t = 0;
+        for i in 0..2000u64 {
+            t = s.set(format!("key{:06}", i * 37 % 2000).as_bytes(), &doc(i), t);
+        }
+        assert!(s.depth() >= 1);
+        let live = reachable_nodes(&s);
+        assert_eq!(s.node_cache.len(), live, "splits and rewrites leave no garbage");
+        for round in 0..500u64 {
+            t = s.set(b"key000777", &doc(round), t);
+        }
+        assert_eq!(reachable_nodes(&s), live, "overwrites do not reshape the tree");
+        assert_eq!(s.node_cache.len(), live, "each rewritten node left the cache");
+        // The rewritten path's buffers circulate: one spare per level.
+        assert!(s.spare.len() <= s.depth() as usize + 2, "{} spares", s.spare.len());
+        s.compact(t);
+        assert_eq!(s.node_cache.len(), reachable_nodes(&s));
     }
 
     #[test]

@@ -39,7 +39,7 @@ use btree::{node as bnode, BTree, PageStore};
 use bufferpool::{BufferPool, PageBackend, PoolStats};
 use durassd::Error;
 use forensics::{EvidenceKind, Ledger, UnitKind};
-use simkit::{crc32, Nanos, Recovered, ReplayStats, Timed};
+use simkit::{crc32_bytewise, Nanos, Recovered, ReplayStats, Timed};
 use std::collections::HashMap;
 use storage::device::{BlockDevice, DevError, WriteCause};
 use storage::file::PageFile;
@@ -104,13 +104,13 @@ fn trailer_ok(buf: &[u8], page_no: u64) -> bool {
     let stored_no = u64::from_le_bytes(buf[n - 16..n - 8].try_into().unwrap());
     let stored_crc = u32::from_le_bytes(buf[n - 8..n - 4].try_into().unwrap());
     let magic = u32::from_le_bytes(buf[n - 4..].try_into().unwrap());
-    magic == PAGE_MAGIC && stored_no == page_no && stored_crc == crc32(&buf[..n - 16])
+    magic == PAGE_MAGIC && stored_no == page_no && stored_crc == crc32_bytewise(&buf[..n - 16])
 }
 
 /// Stamp the trailer onto a physical page buffer.
 fn stamp_trailer(buf: &mut [u8], page_no: u64) {
     let n = buf.len();
-    let crc = crc32(&buf[..n - 16]);
+    let crc = crc32_bytewise(&buf[..n - 16]);
     buf[n - 16..n - 8].copy_from_slice(&page_no.to_le_bytes());
     buf[n - 8..n - 4].copy_from_slice(&crc.to_le_bytes());
     buf[n - 4..].copy_from_slice(&PAGE_MAGIC.to_le_bytes());
@@ -823,7 +823,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             buf[off + 8] = t.height();
             off += 9;
         }
-        let crc = crc32(&buf[..off]);
+        let crc = crc32_bytewise(&buf[..off]);
         let n = buf.len();
         buf[n - 4..].copy_from_slice(&crc.to_le_bytes());
         buf
@@ -894,7 +894,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
                 continue;
             }
             let crc = u32::from_le_bytes(buf[buf.len() - 4..].try_into().unwrap());
-            if crc != crc32(&buf[..body_len]) {
+            if crc != crc32_bytewise(&buf[..body_len]) {
                 continue;
             }
             let seq = u64::from_le_bytes(buf[8..16].try_into().unwrap());

@@ -25,7 +25,7 @@ pub mod stats;
 pub mod timed;
 
 pub use clock::{Nanos, MICROS, MILLIS, SECS};
-pub use crc::crc32;
+pub use crc::{crc32, crc32_bytewise};
 pub use driver::{ClosedLoop, DriverReport};
 pub use pool::{BufPool, PageBuf};
 pub use recovered::{Recovered, ReplayStats};

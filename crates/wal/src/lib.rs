@@ -46,13 +46,13 @@
 pub mod record;
 
 use forensics::{EvidenceKind, Ledger};
-use simkit::{crc32, Nanos};
+use simkit::{crc32_bytewise, Nanos};
 use storage::device::{BlockDevice, WriteCause, LOGICAL_PAGE};
 use storage::file::PageFile;
 use storage::volume::{Volume, VolumeManager};
 use telemetry::{SegKind, Telemetry};
 
-pub use record::{CheckpointPolicy, LogRecord, RECORD_VERSION};
+pub use record::{CheckpointPolicy, DocSetRef, LogRecord, RECORD_VERSION};
 
 /// Log sequence number: byte offset in the infinite log stream.
 pub type Lsn = u64;
@@ -284,12 +284,15 @@ impl Wal {
         }
     }
 
-    /// Append a typed record; returns its LSN. Not yet durable.
+    /// Append a typed record; returns its LSN. Not yet durable. The record
+    /// is encoded straight into the tail buffer (no staging vec).
     pub fn append(&mut self, rec: &LogRecord) -> Lsn {
-        let before = self.buf.len();
-        let lsn = self.append_raw(&rec.encode());
+        let at = self.buf.len();
+        self.buf.extend_from_slice(&[0u8; REC_HDR]);
+        rec.encode_into(&mut self.buf);
+        let lsn = self.frame_tail(at);
         if matches!(rec, LogRecord::PageImages { .. }) {
-            self.image_bytes_buffered += (self.buf.len() - before) as u64;
+            self.image_bytes_buffered += (self.buf.len() - at) as u64;
         }
         lsn
     }
@@ -299,18 +302,25 @@ impl Wal {
     /// decode what it scans.
     #[doc(hidden)]
     pub fn append_raw(&mut self, payload: &[u8]) -> Lsn {
+        let at = self.buf.len();
+        self.buf.extend_from_slice(&[0u8; REC_HDR]);
+        self.buf.extend_from_slice(payload);
+        self.frame_tail(at)
+    }
+
+    /// Fill in the record header reserved at `buf[at..at + REC_HDR]` for the
+    /// payload that follows it to the end of the tail buffer.
+    fn frame_tail(&mut self, at: usize) -> Lsn {
         let lsn = self.next_lsn;
-        // Frame the record directly into the tail buffer (no staging vec).
-        self.next_lsn += (REC_HDR + payload.len()) as u64;
+        self.next_lsn += (self.buf.len() - at) as u64;
         assert!(
             self.live_bytes() < self.capacity_bytes(),
             "log overflow: checkpoint was not taken in time"
         );
-        self.buf.reserve(REC_HDR + payload.len());
-        self.buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.buf.extend_from_slice(&lsn.to_le_bytes());
-        self.buf.extend_from_slice(&crc32(payload).to_le_bytes());
-        self.buf.extend_from_slice(payload);
+        let (hdr, payload) = self.buf[at..].split_at_mut(REC_HDR);
+        hdr[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        hdr[4..12].copy_from_slice(&lsn.to_le_bytes());
+        hdr[12..].copy_from_slice(&crc32_bytewise(payload).to_le_bytes());
         self.stats.appends += 1;
         if let Some(tel) = &self.tel {
             tel.set_gauge("wal.buffered_bytes", self.buf.len() as i64);
@@ -552,7 +562,7 @@ impl Wal {
         let mut hdr = [0u8; BLOCK];
         hdr[..8].copy_from_slice(&HDR_MAGIC.to_le_bytes());
         hdr[8..16].copy_from_slice(&self.checkpoint_lsn.to_le_bytes());
-        let crc = crc32(&hdr[..16]);
+        let crc = crc32_bytewise(&hdr[..16]);
         hdr[16..20].copy_from_slice(&crc.to_le_bytes());
         vol.with_cause(WriteCause::WalAppend, |vol| {
             let t = self.files[0].write_page(vol, 0, &hdr, now).expect("header block exists");
@@ -598,7 +608,7 @@ impl Wal {
         let magic = u64::from_le_bytes(hdr[..8].try_into().unwrap());
         let ckpt = u64::from_le_bytes(hdr[8..16].try_into().unwrap());
         let crc = u32::from_le_bytes(hdr[16..20].try_into().unwrap());
-        if magic != HDR_MAGIC || crc != crc32(&hdr[..16]) {
+        if magic != HDR_MAGIC || crc != crc32_bytewise(&hdr[..16]) {
             // Unformatted or corrupt header: empty log.
             return (wal, scan, t);
         }
@@ -638,7 +648,7 @@ impl Wal {
             for (i, b) in payload.iter_mut().enumerate() {
                 *b = read_byte(&wal, vol, lsn + (REC_HDR + i) as u64, &mut t);
             }
-            if crc32(&payload) != crc {
+            if crc32_bytewise(&payload) != crc {
                 // A record frame that matches this position but fails its
                 // CRC is a partially-persisted write: a torn tail.
                 scan.tear = Some(Tear { lsn, kind: TearKind::TornFrame });

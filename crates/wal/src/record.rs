@@ -88,12 +88,7 @@ impl LogRecord {
                 out.extend_from_slice(&(key.len() as u16).to_le_bytes());
                 out.extend_from_slice(key);
             }
-            LogRecord::DocSet { key, value } => {
-                out.extend_from_slice(&(key.len() as u16).to_le_bytes());
-                out.extend_from_slice(&(value.len() as u32).to_le_bytes());
-                out.extend_from_slice(key);
-                out.extend_from_slice(value);
-            }
+            LogRecord::DocSet { key, value } => DocSetRef { key, value }.encode_body(out),
             LogRecord::DocDelete { key } => {
                 out.extend_from_slice(&(key.len() as u16).to_le_bytes());
                 out.extend_from_slice(key);
@@ -124,15 +119,14 @@ impl LogRecord {
     /// Serialise to the framed wire format.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(FRAME + 64);
-        out.push(RECORD_VERSION);
-        out.push(self.kind());
-        out.extend_from_slice(&[0u8; 8]); // body_len + crc patched below
-        self.encode_body(&mut out);
-        let body_len = (out.len() - FRAME) as u32;
-        let crc = crc32(&out[FRAME..]);
-        out[2..6].copy_from_slice(&body_len.to_le_bytes());
-        out[6..10].copy_from_slice(&crc.to_le_bytes());
+        self.encode_into(&mut out);
         out
+    }
+
+    /// Append the framed wire format to `out` (the log tail, the append
+    /// space's pending bytes): no staging buffer.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        frame_into(self.kind(), out, |out| self.encode_body(out));
     }
 
     /// Try to decode a record starting at `buf[0]`. Returns the record and
@@ -141,24 +135,9 @@ impl LogRecord {
     /// kind, plausible length) run before the CRC, so a scanner may probe
     /// arbitrary offsets without quadratic cost.
     pub fn decode(buf: &[u8]) -> Option<(Self, usize)> {
-        if buf.len() < FRAME || buf[0] != RECORD_VERSION {
-            return None;
-        }
-        let kind = buf[1];
-        if !(KIND_PUT..=KIND_PAGE_IMAGES).contains(&kind) {
-            return None;
-        }
-        let body_len = u32::from_le_bytes(buf[2..6].try_into().ok()?) as usize;
-        if body_len > MAX_BODY || buf.len() < FRAME + body_len {
-            return None;
-        }
-        let crc = u32::from_le_bytes(buf[6..10].try_into().ok()?);
-        let body = &buf[FRAME..FRAME + body_len];
-        if crc32(body) != crc {
-            return None;
-        }
+        let (kind, body) = unframe(buf)?;
         let rec = Self::decode_body(kind, body)?;
-        Some((rec, FRAME + body_len))
+        Some((rec, FRAME + body.len()))
     }
 
     fn decode_body(kind: u8, buf: &[u8]) -> Option<Self> {
@@ -187,11 +166,9 @@ impl LogRecord {
                 LogRecord::Delete { tree, key }
             }
             KIND_DOC_SET => {
-                let klen = u16::from_le_bytes(take(&mut pos, 2)?.try_into().ok()?) as usize;
-                let vlen = u32::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?) as usize;
-                let key = take(&mut pos, klen)?.to_vec();
-                let value = take(&mut pos, vlen)?.to_vec();
-                LogRecord::DocSet { key, value }
+                let doc = DocSetRef::decode_body(buf)?;
+                pos = buf.len();
+                LogRecord::DocSet { key: doc.key.to_vec(), value: doc.value.to_vec() }
             }
             KIND_DOC_DELETE => {
                 let klen = u16::from_le_bytes(take(&mut pos, 2)?.try_into().ok()?) as usize;
@@ -238,6 +215,84 @@ impl LogRecord {
             return None; // trailing garbage inside a CRC-valid body
         }
         Some(rec)
+    }
+}
+
+/// Append one framed record of `kind` to `out`; `body` appends its body.
+fn frame_into(kind: u8, out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    out.push(RECORD_VERSION);
+    out.push(kind);
+    out.extend_from_slice(&[0u8; 8]); // body_len + crc patched below
+    body(out);
+    let body_at = at + FRAME;
+    let body_len = (out.len() - body_at) as u32;
+    let crc = crc32(&out[body_at..]);
+    out[at + 2..at + 6].copy_from_slice(&body_len.to_le_bytes());
+    out[at + 6..body_at].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// The kind and CRC-checked body of the record frame `buf` starts with.
+fn unframe(buf: &[u8]) -> Option<(u8, &[u8])> {
+    if buf.len() < FRAME || buf[0] != RECORD_VERSION {
+        return None;
+    }
+    let kind = buf[1];
+    if !(KIND_PUT..=KIND_PAGE_IMAGES).contains(&kind) {
+        return None;
+    }
+    let body_len = u32::from_le_bytes(buf[2..6].try_into().ok()?) as usize;
+    if body_len > MAX_BODY || buf.len() < FRAME + body_len {
+        return None;
+    }
+    let crc = u32::from_le_bytes(buf[6..10].try_into().ok()?);
+    let body = &buf[FRAME..FRAME + body_len];
+    (crc32(body) == crc).then_some((kind, body))
+}
+
+/// A [`LogRecord::DocSet`] over borrowed bytes: the document store frames
+/// and checks one per update and one per compacted document, and owns
+/// neither the key nor the value while it does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DocSetRef<'a> {
+    /// Document key.
+    pub key: &'a [u8],
+    /// Document body.
+    pub value: &'a [u8],
+}
+
+impl<'a> DocSetRef<'a> {
+    fn encode_body(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&(self.key.len() as u16).to_le_bytes());
+        out.extend_from_slice(&(self.value.len() as u32).to_le_bytes());
+        out.extend_from_slice(self.key);
+        out.extend_from_slice(self.value);
+    }
+
+    fn decode_body(body: &'a [u8]) -> Option<Self> {
+        let klen = u16::from_le_bytes(body.get(..2)?.try_into().ok()?) as usize;
+        let vlen = u32::from_le_bytes(body.get(2..6)?.try_into().ok()?) as usize;
+        // Exact: trailing garbage inside a CRC-valid body is rejected.
+        if body.len() - 6 != klen.checked_add(vlen)? {
+            return None;
+        }
+        Some(Self { key: &body[6..6 + klen], value: &body[6 + klen..] })
+    }
+
+    /// Append the framed record to `out`; byte-identical to
+    /// [`LogRecord::encode`] of the owned `DocSet`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        frame_into(KIND_DOC_SET, out, |out| self.encode_body(out));
+    }
+
+    /// [`LogRecord::decode`] for a buffer that must start with a `DocSet`:
+    /// the same frame and CRC checks, and the bytes consumed — re-encoding
+    /// the result reproduces exactly `buf[..consumed]`.
+    pub fn decode(buf: &'a [u8]) -> Option<(Self, usize)> {
+        match unframe(buf)? {
+            (KIND_DOC_SET, body) => Some((Self::decode_body(body)?, FRAME + body.len())),
+            _ => None,
+        }
     }
 }
 
@@ -335,6 +390,35 @@ mod tests {
             pos += used;
         }
         assert_eq!(out, recs);
+    }
+
+    #[test]
+    fn borrowed_doc_set_is_the_owned_record_byte_for_byte() {
+        let owned = LogRecord::DocSet { key: b"doc1".to_vec(), value: vec![7; 300] };
+        let enc = owned.encode();
+        // Appended after earlier bytes, which stay untouched.
+        let mut out = b"earlier".to_vec();
+        DocSetRef { key: b"doc1", value: &[7; 300] }.encode_into(&mut out);
+        assert_eq!(&out[..7], b"earlier");
+        assert_eq!(&out[7..], enc);
+        owned.encode_into(&mut out);
+        assert_eq!(&out[7 + enc.len()..], enc);
+        // Decoding borrows the same fields and reports the frame length.
+        let mut stream = enc.clone();
+        stream.extend_from_slice(&[0xAB; 9]);
+        let (doc, used) = DocSetRef::decode(&stream).unwrap();
+        assert_eq!((doc.key, doc.value, used), (&b"doc1"[..], &[7u8; 300][..], enc.len()));
+        // Whatever the owned decoder rejects, or decodes as another kind,
+        // the borrowed one rejects.
+        for rec in samples() {
+            let enc = rec.encode();
+            let is_doc_set = matches!(rec, LogRecord::DocSet { .. });
+            assert_eq!(DocSetRef::decode(&enc).is_some(), is_doc_set);
+            assert!(DocSetRef::decode(&enc[..enc.len() - 1]).is_none());
+        }
+        let mut bad = enc.clone();
+        *bad.last_mut().unwrap() ^= 0x40;
+        assert!(DocSetRef::decode(&bad).is_none());
     }
 
     #[test]
