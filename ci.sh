@@ -34,6 +34,13 @@ if grep -rnE 'push_cause|pop_cause|DeviceHealth|validate_recovery_report|check_l
     exit 1
 fi
 
+# The seven table/figure bins are rows of `paper` now; nothing may tell a
+# reader to run them.
+if grep -rnE -e '--bin (table[1-5]|fig[56])' ./*.md ci.sh crates .claude; then
+    echo "removed bench bin referenced above (use: --bin paper -- <id>)" >&2
+    exit 1
+fi
+
 echo "== one JSON writer (a single string escaper under crates/) =="
 escapers="$(grep -rlF 'u{:04x}' crates)"
 if [ "$escapers" != "crates/simkit/src/json.rs" ]; then
@@ -118,6 +125,20 @@ cargo run -p bench --release -q --bin tail -- \
 test -s "$TRACE_TMP/tail.json"
 grep -q '"schema":"durassd.latency.v1"' "$TRACE_TMP/tail.json"
 golden "$TRACE_TMP/tail.json" tail_smoke.json
+
+echo "== paper (Tables 1-5, Figs 5/6 at full scale: shape claims + byte-identical document) =="
+# --check fails when a shape claim expected to hold does not, or when a
+# divergence written down in the document starts holding. The document is
+# deterministic and has no wall-clock field, so the checked-in file is the
+# golden; after an intended change regenerate it with
+# `paper --out BENCH_paper.json --check` and review the diff.
+cargo run -p bench --release -q --bin paper -- \
+    --out "$TRACE_TMP/paper.json" --check >"$TRACE_TMP/paper.out"
+grep -q '"schema":"durassd.paper.v1"' "$TRACE_TMP/paper.json"
+if ! cmp "$TRACE_TMP/paper.json" BENCH_paper.json; then
+    echo "BENCH_paper.json drifted from what paper measures; if intentional, regenerate it" >&2
+    exit 1
+fi
 
 echo "== repo benchmark (out-of-workspace package: unit tests + reduced-scale smoke) =="
 # benchmark/ builds against the workspace crates by path, so an API change

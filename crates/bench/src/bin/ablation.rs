@@ -11,14 +11,12 @@
 //!
 //! Run: `cargo run -p bench --release --bin ablation`
 
-use bench::{durassd_bench, fmt_rate, rule, TelemetrySink};
+use bench::{durassd_bench, fmt_rate, linkbench_cell, rule, LinkCell, TelemetrySink};
 use durassd::{Ssd, SsdConfig};
-use relstore::{Engine, EngineConfig};
 use storage::device::{BlockDevice, LOGICAL_PAGE};
 use storage::volume::Volume;
 use telemetry::Telemetry;
 use workloads::fio::{run as fio_run, FioSpec};
-use workloads::linkbench::{load, run, LinkBenchSpec};
 
 fn torn_page_protection(sink: &mut TelemetrySink) {
     let tel = Telemetry::new();
@@ -33,23 +31,12 @@ fn torn_page_protection(sink: &mut TelemetrySink) {
         ("full-page-writes", false, true),
         ("none (DuraSSD)", false, false),
     ] {
-        let nodes = 20_000u64;
-        let ops = 8_000u64;
-        let est = nodes * 900;
-        let cfg = EngineConfig::builder(4096)
-            .buffer_pool_bytes(est / 10)
-            .double_write(dwb)
-            .full_page_writes(fpw)
-            .data_pages((est * 4 / 4096).max(8192))
-            .log_file_blocks(16_384)
-            .build();
-        let (mut e, t0) =
-            Engine::create(durassd_bench(true), durassd_bench(true), cfg, 0).into_parts();
-        e.attach_telemetry(tel.clone());
-        e.set_group_commit(true);
-        let spec = LinkBenchSpec { warmup_ops: ops / 5, ops, ..LinkBenchSpec::scaled(nodes, ops) };
-        let (mut g, t1) = load(&mut e, &spec, t0);
-        let rep = run(&mut e, &mut g, &spec, t1);
+        let cell = LinkCell {
+            full_page_writes: fpw,
+            log_file_blocks: 16_384,
+            ..LinkCell::fig5(true, dwb, 4096, 20_000, 8_000)
+        };
+        let (rep, e) = linkbench_cell(&cell, &tel);
         let log_mb = e.wal_stats().bytes_written as f64 / 1e6;
         let host = e.data_volume().device_stats().pages_written;
         let media = e.data_volume().device_stats().media_pages_written;

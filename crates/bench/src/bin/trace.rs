@@ -59,7 +59,7 @@ fn main() {
     // Phase 1: YCSB-A on the document store (fsync batch 10, barriers on).
     let mut doc_dev = durassd_bench(true);
     doc_dev.attach_telemetry(tel.clone());
-    let mut store = DocStore::create(doc_dev, ycsb_cell_config(true));
+    let mut store = DocStore::create(doc_dev, ycsb_cell_config(true, 10));
     store.attach_telemetry(tel.clone());
     let spec = ycsb::YcsbSpec::workload_a(records, ops);
     let t0 = ycsb::load(&mut store, &spec, 0);

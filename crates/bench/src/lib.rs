@@ -1,9 +1,10 @@
-//! Shared helpers for the experiment binaries (one per paper table/figure)
-//! and the Criterion microbenches.
+//! Shared helpers for the experiment binaries: the benchmark-scale devices,
+//! the workload × deployment cells the bins run, flag parsing, the report
+//! epilogue and the formatting helpers of the human-readable tables.
 //!
-//! Every binary prints the paper's rows next to the measured values so the
-//! shape comparison is immediate. Scales are chosen so each cell finishes in
-//! seconds of wall-clock time; override with `--scale N` where supported.
+//! `paper` prints the paper's rows next to the measured values so the shape
+//! comparison is immediate, and writes both into one checked document.
+//! Scales are chosen so each cell finishes in seconds of wall-clock time.
 
 use docstore::{DocStore, DocStoreConfig};
 use durassd::{Ssd, SsdConfig};
@@ -13,7 +14,8 @@ use simkit::json::Writer;
 use storage::device::BlockDevice;
 use storage::volume::Volume;
 use telemetry::{OpBreakdown, SegKind, Telemetry};
-use workloads::fio::FioSpec;
+use workloads::fio::{FioOp, FioSpec};
+use workloads::linkbench::{self, LinkBenchReport, LinkBenchSpec};
 use workloads::tpcc::TpccSpec;
 use workloads::{fio, tpcc, ycsb};
 
@@ -90,23 +92,25 @@ pub fn fio_cell(durable: bool, ops: u64, span: u64, tel: Option<&Telemetry>) -> 
     vol
 }
 
-/// Document-store configuration of the YCSB cell: fsync batch 10, no
-/// auto-compaction, a checkpoint anchor every 8 headers.
-pub fn ycsb_cell_config(barriers: bool) -> DocStoreConfig {
+/// Document-store configuration of the YCSB cells: an fsync every
+/// `batch_size` updates, no auto-compaction, a checkpoint anchor every 8
+/// headers.
+pub fn ycsb_cell_config(barriers: bool, batch_size: u32) -> DocStoreConfig {
     DocStoreConfig {
-        batch_size: 10,
+        batch_size,
         barriers,
-        file_blocks: 200_000,
+        file_blocks: 400_000,
         auto_compact_pct: 0,
         checkpoint_every_n_commits: 8,
     }
 }
 
-/// YCSB-A (50/50 read/update) on the couchstore-style document store. The
-/// append space rewrites its partial tail block on every batch, so the same
-/// LPNs are overwritten continuously. Returns the store after load + run.
+/// YCSB-A (50/50 read/update) on the couchstore-style document store, fsync
+/// batch 10. The append space rewrites its partial tail block on every
+/// batch, so the same LPNs are overwritten continuously. Returns the store
+/// after load + run.
 pub fn ycsb_cell(durable: bool, records: u64, ops: u64, tel: Option<&Telemetry>) -> DocStore<Ssd> {
-    let mut store = DocStore::create(cell_device(durable, tel), ycsb_cell_config(!durable));
+    let mut store = DocStore::create(cell_device(durable, tel), ycsb_cell_config(!durable, 10));
     if let Some(tel) = tel {
         store.attach_telemetry(tel.clone());
     }
@@ -116,19 +120,34 @@ pub fn ycsb_cell(durable: bool, records: u64, ops: u64, tel: Option<&Telemetry>)
     store
 }
 
-/// Workload and engine sizing of the TPC-C cell: 8 clients, a buffer pool
-/// of a tenth of the estimated database, data file four times it.
-pub fn tpcc_cell_config(warehouses: u32, txns: u64, barriers: bool) -> (TpccSpec, EngineConfig) {
-    let spec = TpccSpec { clients: 8, ..TpccSpec::scaled(warehouses, txns) };
+/// Workload and engine sizing of a TPC-C cell: `clients` terminals on
+/// `profile` (page size, barriers, write mode), the buffer pool `pool_pct`
+/// percent of the estimated database but at least `pool_floor` bytes, the
+/// data file four times the database, 8,192-block logs.
+pub fn tpcc_sized_config(
+    profile: EngineConfig,
+    clients: usize,
+    (pool_pct, pool_floor): (u64, u64),
+    warehouses: u32,
+    txns: u64,
+) -> (TpccSpec, EngineConfig) {
+    let spec = TpccSpec { clients, ..TpccSpec::scaled(warehouses, txns) };
     let est = warehouses as u64
         * (spec.items as u64 * 300 + spec.districts as u64 * spec.customers as u64 * 470 + 40_960);
-    let ecfg = EngineConfig::builder(4096)
-        .buffer_pool_bytes((est / 10).max(512 * 1024))
-        .barriers(barriers)
-        .data_pages((est * 4 / 4096).max(16_384))
+    let ecfg = profile
+        .to_builder()
+        .buffer_pool_bytes((est * pool_pct / 100).max(pool_floor))
+        .data_pages((est * 4 / profile.page_size as u64).max(16_384))
         .log_file_blocks(8_192)
         .build();
     (spec, ecfg)
+}
+
+/// The TPC-C slice of `waf`, `latency` and `trace`: 8 clients on the
+/// MySQL-like engine at 4 KB pages, a buffer pool of a tenth of the database.
+pub fn tpcc_cell_config(warehouses: u32, txns: u64, barriers: bool) -> (TpccSpec, EngineConfig) {
+    let profile = EngineConfig { barriers, ..EngineConfig::mysql_like(4096) };
+    tpcc_sized_config(profile, 8, (10, 512 * 1024), warehouses, txns)
 }
 
 /// A TPC-C slice on the relational engine: WAL appends and double-write
@@ -151,14 +170,6 @@ pub fn tpcc_cell(
     engine
 }
 
-/// A telemetry domain for one report row, with the latency anatomy on so
-/// [`segment_mix`] has data to read.
-pub fn row_telemetry() -> Telemetry {
-    let tel = Telemetry::new();
-    tel.enable_anatomy(1);
-    tel
-}
-
 /// `dev` with `tel` attached: the device then charges its own latency
 /// segments (transfer, media, cache admission, GC, FLUSH CACHE) into the
 /// frames the layers above it open. Attach before handing the device to an
@@ -169,21 +180,135 @@ pub fn observed_ssd(mut dev: Ssd, tel: &Telemetry) -> Ssd {
     dev
 }
 
-/// [`observed_ssd`] for the disk.
-pub fn observed_hdd(mut dev: Hdd, tel: &Telemetry) -> Hdd {
-    dev.attach_telemetry(tel.clone());
-    dev
+// ---- the paper's cells -----------------------------------------------------
+//
+// `paper` runs these over its experiment table and reads different fields
+// of the results (Fig. 5, Fig. 6 and Table 3 are all views of
+// `linkbench_cell` runs); Tables 4 and 5 go through `tpcc_sized_config` and
+// `ycsb_cell_config`.
+
+/// One cell of the raw-device grids (Tables 1 and 2): `spec` spread over
+/// three quarters of `dev`, like fio on a raw drive (for the disk, the span
+/// determines seek distances). Reads first get a slice of the span written
+/// so they hit the media; the volume's telemetry attaches after that, so
+/// `tel` reflects the measured phase only. Returns IOPS.
+pub fn fio_grid_cell<D: BlockDevice>(
+    dev: D,
+    barriers: bool,
+    spec: FioSpec,
+    tel: &Telemetry,
+) -> f64 {
+    let mut vol = Volume::new(dev, barriers);
+    let pages_per_block = (spec.block_size / storage::device::LOGICAL_PAGE) as u64;
+    let spec = FioSpec { span_blocks: vol.capacity_pages() * 3 / 4 / pages_per_block, ..spec };
+    if spec.op == FioOp::Read {
+        let preload = FioSpec {
+            op: FioOp::Write,
+            fsync_every: None,
+            jobs: 1,
+            total_ops: (spec.total_ops / 4).min(20_000),
+            ..spec
+        };
+        let t = fio::run(&mut vol, &preload, 0).finished_at;
+        vol.fsync(t).expect("device reachable");
+    }
+    vol.attach_telemetry(tel.clone(), "fio");
+    fio::run(&mut vol, &spec, FIO_GRID_START).throughput()
 }
 
+/// When the measured phase of a [`fio_grid_cell`] starts: long after any
+/// preload has drained.
+const FIO_GRID_START: simkit::Nanos = 1_000_000_000_000;
+
 /// A relational engine over two observed DuraSSDs with group commit on — the
-/// setup of every LinkBench and TPC-C table cell. Returns the engine and the
-/// time it is ready.
+/// setup of every LinkBench and TPC-C cell of `paper`. Returns the engine and
+/// the time it is ready.
 pub fn durassd_engine(cfg: EngineConfig, tel: &Telemetry) -> (Engine<Ssd, Ssd>, simkit::Nanos) {
     let (data, log) =
         (observed_ssd(durassd_bench(true), tel), observed_ssd(durassd_bench(true), tel));
     let (mut engine, t0) = Engine::create(data, log, cfg, 0).into_parts();
     engine.set_group_commit(true);
     (engine, t0)
+}
+
+/// Parameters of one LinkBench cell: the engine knobs the paper turns plus
+/// the scale of the run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct LinkCell {
+    /// Write barriers on the data volume.
+    pub barriers: bool,
+    /// InnoDB-style double-write buffer.
+    pub double_write: bool,
+    /// PostgreSQL-style full-page writes.
+    pub full_page_writes: bool,
+    /// Database page size in bytes.
+    pub page_size: usize,
+    /// Buffer pool as a percentage of the estimated database (the paper's
+    /// 10 GB pool against a 100 GB database is 10).
+    pub pool_pct: u64,
+    /// Size of each redo log file in 4 KB blocks.
+    pub log_file_blocks: u64,
+    /// Graph nodes loaded.
+    pub nodes: u64,
+    /// Measured operations.
+    pub ops: u64,
+    /// Warm-up operations (discarded).
+    pub warmup_ops: u64,
+    /// Host software cost per operation, in core-nanoseconds.
+    pub cpu_per_op: u64,
+}
+
+impl LinkCell {
+    /// The Fig. 5 calibration: a pool a tenth of the database (the paper's
+    /// 10 GB : 100 GB), 32 MB logs, a fifth of the ops again as warm-up,
+    /// 0.55 core-ms of host software per op.
+    pub fn fig5(
+        barriers: bool,
+        double_write: bool,
+        page_size: usize,
+        nodes: u64,
+        ops: u64,
+    ) -> Self {
+        Self {
+            barriers,
+            double_write,
+            full_page_writes: false,
+            page_size,
+            pool_pct: 10,
+            log_file_blocks: 8192,
+            nodes,
+            ops,
+            warmup_ops: ops / 5,
+            cpu_per_op: 550_000,
+        }
+    }
+}
+
+/// LinkBench on the relational engine over two DuraSSDs, 128 clients, group
+/// commit. A loaded graph costs ~900 B/node across the three trees (with
+/// B+-tree fill factor); the tablespace gets generous headroom for churn.
+/// The engine's telemetry attaches after the load, so `tel` measures the
+/// run only. Returns the report and the engine as the run left it.
+pub fn linkbench_cell(cell: &LinkCell, tel: &Telemetry) -> (LinkBenchReport, Engine<Ssd, Ssd>) {
+    let est_db_bytes = cell.nodes * 900;
+    let cfg = EngineConfig::builder(cell.page_size)
+        .buffer_pool_bytes((est_db_bytes * cell.pool_pct / 100).max(512 * 1024))
+        .double_write(cell.double_write)
+        .full_page_writes(cell.full_page_writes)
+        .barriers(cell.barriers)
+        .data_pages((est_db_bytes * 4 / cell.page_size as u64).max(8192))
+        .log_file_blocks(cell.log_file_blocks)
+        .build();
+    let (mut engine, t0) = durassd_engine(cfg, tel);
+    let spec = LinkBenchSpec {
+        warmup_ops: cell.warmup_ops,
+        cpu_per_op: cell.cpu_per_op,
+        ..LinkBenchSpec::scaled(cell.nodes, cell.ops)
+    };
+    let (mut graph, t1) = linkbench::load(&mut engine, &spec, t0);
+    engine.attach_telemetry(tel.clone());
+    let rep = linkbench::run(&mut engine, &mut graph, &spec, t1);
+    (rep, engine)
 }
 
 /// The value of `--flag N` in `args`, or `default` when the flag is absent.
@@ -201,16 +326,34 @@ pub fn parse_arg_u64(args: &[String], name: &str, default: u64) -> Result<u64, S
 /// process with exit status 2.
 pub fn arg_u64(name: &str, default: u64) -> u64 {
     let args: Vec<String> = std::env::args().collect();
-    parse_arg_u64(&args, name, default).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2)
-    })
+    parse_arg_u64(&args, name, default).unwrap_or_else(|e| exit_usage(&e))
 }
 
-/// Parse a `--flag value` string argument (`None` when absent).
+/// The value of `--flag value` in `args`, `None` when the flag is absent. A
+/// flag at the end of the line, or followed by another `--flag`, is an error
+/// naming it — never a file called `--check`, never silently no output.
+pub fn parse_arg_str(args: &[String], name: &str) -> Result<Option<String>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(value) if !value.starts_with("--") => Ok(Some(value.clone())),
+        Some(flag) => Err(format!("{name} needs a value, got the flag {flag}")),
+        None => Err(format!("{name} needs a value")),
+    }
+}
+
+/// [`parse_arg_str`] over the process arguments; a missing value ends the
+/// process with exit status 2.
 pub fn arg_str(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
+    parse_arg_str(&args, name).unwrap_or_else(|e| exit_usage(&e))
+}
+
+/// Report a command-line error and end the process with exit status 2.
+pub fn exit_usage(error: &str) -> ! {
+    eprintln!("error: {error}");
+    std::process::exit(2)
 }
 
 /// Whether a bare `--flag` is present.
@@ -394,30 +537,21 @@ pub fn fmt_ns(ns: u64) -> String {
     }
 }
 
-/// One-line latency summary (p50/p99/p999/max) for a named histogram.
-pub fn latency_line(tel: &Telemetry, name: &str) -> Option<String> {
-    let h = tel.histogram(name)?;
-    if h.count() == 0 {
-        return None;
-    }
-    Some(format!(
-        "{name}: p50 {:>8}  p99 {:>8}  p999 {:>8}  max {:>8}  ({} samples)",
-        fmt_ns(h.p50()),
-        fmt_ns(h.p99()),
-        fmt_ns(h.p999()),
-        fmt_ns(h.max()),
-        h.count()
-    ))
-}
-
-/// Print the standard per-run telemetry epilogue: the segment mix plus
-/// latency percentiles for every histogram in `names` that has samples.
+/// Print the standard per-run telemetry epilogue: the segment mix plus one
+/// latency line (p50/p99/p999/max) for every histogram in `names` that has
+/// samples.
 pub fn print_telemetry(indent: &str, tel: &Telemetry, names: &[&str]) {
     println!("{indent}{}", segment_mix(tel));
     for name in names {
-        if let Some(line) = latency_line(tel, name) {
-            println!("{indent}{line}");
-        }
+        let Some(h) = tel.histogram(name).filter(|h| h.count() > 0) else { continue };
+        println!(
+            "{indent}{name}: p50 {:>8}  p99 {:>8}  p999 {:>8}  max {:>8}  ({} samples)",
+            fmt_ns(h.p50()),
+            fmt_ns(h.p99()),
+            fmt_ns(h.p999()),
+            fmt_ns(h.max()),
+            h.count()
+        );
     }
 }
 
@@ -500,7 +634,7 @@ mod tests {
     }
 
     #[test]
-    fn segment_mix_and_latency_lines() {
+    fn segment_mix_shares() {
         let t = Telemetry::new();
         t.enable_anatomy(1);
         assert_eq!(segment_mix(&t), "segments: none recorded");
@@ -514,10 +648,6 @@ mod tests {
         let line = segment_mix(&t);
         assert!(line.starts_with("segments       4.0ms | flush_cache 25.0%"), "{line}");
         assert!(line.ends_with("media_program 75.0%"), "{line}");
-        assert!(latency_line(&t, "missing").is_none());
-        t.record("dev.x.write", 5_000);
-        let lat = latency_line(&t, "dev.x.write").unwrap();
-        assert!(lat.contains("p50") && lat.contains("p999"), "{lat}");
     }
 
     #[test]
@@ -570,6 +700,20 @@ mod tests {
         let swallowed = args(&["waf", "--fio-ops", "--check"]);
         let err = parse_arg_u64(&swallowed, "--fio-ops", 7).unwrap_err();
         assert!(err.contains("--fio-ops") && err.contains("--check"), "{err}");
+    }
+
+    #[test]
+    fn string_flags_parse_or_name_the_offender() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let a = args(&["waf", "--out", "w.json", "--check"]);
+        assert_eq!(parse_arg_str(&a, "--out"), Ok(Some("w.json".to_string())));
+        assert_eq!(parse_arg_str(&a, "--telemetry-out"), Ok(None), "absent flag");
+        // `--out --check` must not write a file named `--check` and skip the check.
+        let err = parse_arg_str(&args(&["waf", "--out", "--check"]), "--out").unwrap_err();
+        assert!(err.contains("--out") && err.contains("--check"), "{err}");
+        // A trailing flag must not silently disable the output.
+        let err = parse_arg_str(&args(&["waf", "--telemetry-out"]), "--telemetry-out").unwrap_err();
+        assert!(err.contains("--telemetry-out"), "{err}");
     }
 
     #[test]

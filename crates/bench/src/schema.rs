@@ -1,10 +1,10 @@
 //! Validators for every machine-readable report the bench bins write.
 //!
-//! Four bins emit schema-tagged JSON documents — `recovery`
+//! Five bins emit schema-tagged JSON documents — `recovery`
 //! (`BENCH_recovery.json`), `crashmatrix` (`--json`), `waf`
-//! (`BENCH_waf.json`) and `latency` (`BENCH_latency.json`, also written by
-//! `tail --json`) — and each offers a `--check` flag that `ci.sh` runs as a
-//! regression gate.
+//! (`BENCH_waf.json`), `latency` (`BENCH_latency.json`, also written by
+//! `tail --json`) and `paper` (`BENCH_paper.json`) — and each offers a
+//! `--check` flag that `ci.sh` runs as a regression gate.
 //!
 //! **Structure is data, claims are code.** What a document must look like —
 //! which keys, of what type, in what range, nested how — is one static
@@ -13,12 +13,15 @@
 //! (per-cause conservation, durable ≥ volatile absorption, flush-free
 //! durable tails, checkpoint-bounded replay, coverage floors) is a plain
 //! function over the rows, run once the structure is valid so it can read
-//! fields without re-checking them.
+//! fields without re-checking them. The paper's own shape claims are a table
+//! of such functions ([`PAPER_CLAIMS`]), each with the outcome this
+//! reproduction is known to give.
 
-use simkit::json::{self, Field, JsonValue, Want::*};
+use simkit::json::{self, Field, JsonValue, Want::*, Writer};
 use std::collections::{BTreeMap, BTreeSet};
 use storage::device::WriteCause;
 use telemetry::SegKind;
+use workloads::linkbench::OP_TYPES;
 
 /// Schema tag for `BENCH_recovery.json` (the `recovery` bin).
 pub const RECOVERY_SCHEMA: &str = "durassd.recovery.v1";
@@ -29,6 +32,9 @@ pub const WAF_SCHEMA: &str = "durassd.waf.v1";
 /// Schema tag for `BENCH_latency.json` (the `latency` bin) and the `tail`
 /// bin's `--json` output.
 pub const LATENCY_SCHEMA: &str = "durassd.latency.v1";
+
+/// Schema tag for `BENCH_paper.json` (the `paper` bin).
+pub const PAPER_SCHEMA: &str = "durassd.paper.v1";
 
 /// One parsed JSON object (a report row or a nested table).
 type Row = BTreeMap<String, JsonValue>;
@@ -385,6 +391,450 @@ pub fn check_latency_report(doc: &str, min_workloads: usize) -> Vec<String> {
     })
 }
 
+/// Ids of the paper's experiments, in the order `paper` runs them.
+pub const PAPER_IDS: [&str; 7] = ["table1", "table2", "fig5", "fig6", "table3", "table4", "table5"];
+
+/// One experiment's cells as the claims read them: per row its label, the
+/// measured cells and the paper's (NaN where the paper prints no number).
+#[derive(Debug, Default)]
+pub struct PaperTable {
+    rows: Vec<(String, Vec<f64>, Vec<f64>)>,
+}
+
+impl PaperTable {
+    /// Append a row; `measured` and `paper` are in column order.
+    pub fn push(&mut self, label: &str, measured: Vec<f64>, paper: Vec<f64>) {
+        self.rows.push((label.to_string(), measured, paper));
+    }
+
+    /// The `(measured, paper)` cells of row `label`. A missing row reads as a
+    /// lone NaN, so a claim over a malformed document fails instead of
+    /// panicking or passing on nothing.
+    fn cells(&self, label: &str) -> (&[f64], &[f64]) {
+        match self.rows.iter().find(|(l, ..)| l == label) {
+            Some((_, measured, paper)) => (measured, paper),
+            None => (&[f64::NAN], &[f64::NAN]),
+        }
+    }
+
+    fn row(&self, label: &str) -> &[f64] {
+        self.cells(label).0
+    }
+}
+
+/// Cell `i` of a row (NaN past its end).
+fn at(xs: &[f64], i: usize) -> f64 {
+    xs.get(i).copied().unwrap_or(f64::NAN)
+}
+
+fn last(xs: &[f64]) -> f64 {
+    at(xs, xs.len().wrapping_sub(1))
+}
+
+/// `pick` over the values, NaN if any is NaN or there are none: a claim
+/// never holds over cells that are not there.
+fn fold(xs: impl IntoIterator<Item = f64>, pick: fn(f64, f64) -> f64) -> f64 {
+    let pick = |a: f64, x: f64| if a.is_nan() || x.is_nan() { f64::NAN } else { pick(a, x) };
+    xs.into_iter().reduce(pick).unwrap_or(f64::NAN)
+}
+
+fn lo(xs: impl IntoIterator<Item = f64>) -> f64 {
+    fold(xs, f64::min)
+}
+
+fn hi(xs: impl IntoIterator<Item = f64>) -> f64 {
+    fold(xs, f64::max)
+}
+
+/// How far a row moves: largest cell over smallest, minus one.
+fn spread(xs: &[f64]) -> f64 {
+    hi(xs.iter().copied()) / lo(xs.iter().copied()) - 1.0
+}
+
+/// Each cell over the one before it.
+fn steps(xs: &[f64]) -> impl Iterator<Item = f64> + '_ {
+    xs.windows(2).map(|w| w[1] / w[0])
+}
+
+/// Column by column, `a` over `b`.
+fn ratios<'a>(a: &'a [f64], b: &'a [f64]) -> impl Iterator<Item = f64> + 'a {
+    a.iter().zip(b).map(|(a, b)| a / b)
+}
+
+/// Table 1's storage-cache gain of `dev`: no-fsync IOPS, cache ON over OFF.
+fn cache_gain(t: &PaperTable, dev: &str) -> f64 {
+    last(t.row(&format!("{dev} ON"))) / last(t.row(&format!("{dev} OFF")))
+}
+
+/// Fig. 6's `metric` rows of the 4 KB engine over those of each larger page
+/// size, column by column.
+fn fig6_4k_over_others<'a>(t: &'a PaperTable, metric: &str) -> impl Iterator<Item = f64> + 'a {
+    let row = |size: &str| t.row(&format!("{metric} {size}"));
+    let small = row("4KB");
+    [row("16KB"), row("8KB")].into_iter().flat_map(move |other| ratios(small, other))
+}
+
+/// Table 3's smallest improvement of column `col` (ON/ON 16 KB over OFF/OFF
+/// 4 KB) across the op types that have samples in both runs.
+fn table3_gain(t: &PaperTable, col: usize) -> f64 {
+    lo(OP_TYPES.iter().filter_map(|op| {
+        let on = t.row(&format!("ON/ON 16KB {}", op.label()));
+        let off = t.row(&format!("OFF/OFF 4KB {}", op.label()));
+        (at(on, 0) != 0.0 && at(off, 0) != 0.0).then(|| at(on, col) / at(off, col))
+    }))
+}
+
+/// Table 4's barrier-off gain per page size.
+fn table4_gain(t: &PaperTable) -> Vec<f64> {
+    ratios(t.row("Barrier Off"), t.row("Barrier On")).collect()
+}
+
+/// Table 5's batch-1 → batch-100 gap of a row.
+fn batch_gap(t: &PaperTable, row: &str) -> f64 {
+    last(t.row(row)) / at(t.row(row), 0)
+}
+
+/// One shape claim of the paper's evaluation over one experiment's cells.
+pub struct Claim {
+    /// `<experiment id>.<name>`.
+    pub id: &'static str,
+    /// The claim in words, bound included.
+    pub text: &'static str,
+    /// The number the claim is about, and whether it satisfies the bound.
+    eval: fn(&PaperTable) -> (f64, bool),
+    /// `None`: this reproduction is expected to satisfy the claim. `Some`:
+    /// it is known not to, for the stated reason.
+    pub diverges: Option<&'static str>,
+}
+
+impl Claim {
+    /// Id of the experiment whose cells the claim reads.
+    pub fn experiment(&self) -> &'static str {
+        self.id.split_once('.').map_or(self.id, |(experiment, _)| experiment)
+    }
+
+    /// `(measured, holds)` over `table`.
+    pub fn eval(&self, table: &PaperTable) -> (f64, bool) {
+        (self.eval)(table)
+    }
+}
+
+/// Write the `claims` array of experiment `id`: every claim of
+/// [`PAPER_CLAIMS`] about it, evaluated over `table`, as `{id, text,
+/// measured, expect, [reason], holds}`. A measure that is not a number is
+/// written as `null`, which the structural pass rejects.
+pub fn write_paper_claims(w: &mut Writer, id: &str, table: &PaperTable) {
+    w.arr();
+    for claim in PAPER_CLAIMS.iter().filter(|c| c.experiment() == id) {
+        let (measured, holds) = claim.eval(table);
+        w.obj().key("id").str(claim.id).key("text").str(claim.text).key("measured");
+        if measured.is_finite() {
+            w.num(format_args!("{measured:.4}"));
+        } else {
+            w.null();
+        }
+        w.key("expect").str(if claim.diverges.is_some() { "diverges" } else { "holds" });
+        if let Some(reason) = claim.diverges {
+            w.key("reason").str(reason);
+        }
+        w.key("holds").bool(holds).end();
+    }
+    w.end();
+}
+
+const fn holds(
+    id: &'static str,
+    text: &'static str,
+    eval: fn(&PaperTable) -> (f64, bool),
+) -> Claim {
+    Claim { id, text, eval, diverges: None }
+}
+
+const fn diverges(
+    id: &'static str,
+    text: &'static str,
+    eval: fn(&PaperTable) -> (f64, bool),
+    reason: &'static str,
+) -> Claim {
+    Claim { id, text, eval, diverges: Some(reason) }
+}
+
+/// The shape claims of the paper's evaluation. All bounds are ratios, so
+/// they are statements about shape, not about calibration.
+pub static PAPER_CLAIMS: [Claim; 27] = [
+    holds(
+        "table1.nobarrier_flat",
+        "DuraSSD NoBarrier IOPS is flat from fsync-every-write to no fsync (spread <= 5 %)",
+        |t| {
+            let m = spread(t.row("DuraSSD NoBarrier"));
+            (m, m <= 0.05)
+        },
+    ),
+    holds(
+        "table1.cache_gain_ssd_a",
+        "SSD-A gains >= 10x from its write cache without fsync",
+        |t| {
+            let m = cache_gain(t, "SSD-A");
+            (m, m >= 10.0)
+        },
+    ),
+    holds("table1.cache_gain_ssd_b", "SSD-B gains >= 5x from its write cache without fsync", |t| {
+        let m = cache_gain(t, "SSD-B");
+        (m, m >= 5.0)
+    }),
+    holds(
+        "table1.cache_gain_durassd",
+        "DuraSSD gains >= 10x from its write cache without fsync",
+        |t| {
+            let m = cache_gain(t, "DuraSSD");
+            (m, m >= 10.0)
+        },
+    ),
+    holds(
+        "table1.cache_gain_hdd",
+        "the disk gains <= 4x from its write cache without fsync",
+        |t| {
+            let m = cache_gain(t, "HDD");
+            (m, m <= 4.0)
+        },
+    ),
+    holds(
+        "table1.fsync_collapse",
+        "fsync on every write holds every cached device with barriers below 1,000 IOPS",
+        |t| {
+            let cached = ["HDD ON", "SSD-A ON", "SSD-B ON", "DuraSSD ON"];
+            let m = hi(cached.map(|row| at(t.row(row), 0)));
+            (m, m < 1000.0)
+        },
+    ),
+    holds(
+        "table2.read_page_size",
+        "DuraSSD reads: 4 KB pages give >= 2.5x the IOPS of 16 KB",
+        |t| {
+            let row = t.row("DuraSSD read 128 thr");
+            let m = at(row, 2) / at(row, 0);
+            (m, m >= 2.5)
+        },
+    ),
+    holds(
+        "table2.fsync1_flat",
+        "DuraSSD fsync-every-write IOPS does not depend on page size (spread <= 5 %)",
+        |t| {
+            let m = spread(t.row("DuraSSD write fsync-1"));
+            (m, m <= 0.05)
+        },
+    ),
+    holds("table2.disk_flat", "disk IOPS moves < 15 % across page sizes", |t| {
+        let m = hi(["HDD read 128 thr", "HDD write 128 thr"].map(|row| spread(t.row(row))));
+        (m, m < 0.15)
+    }),
+    holds(
+        "fig5.barrier_dominates",
+        "turning barriers off gains more than turning double-write off, at every page size",
+        |t| {
+            let m = lo(ratios(t.row("OFF/ON"), t.row("ON/OFF")));
+            (m, m > 1.0)
+        },
+    ),
+    holds("fig5.best_over_worst", "OFF/OFF at 4 KB is >= 10x ON/ON at 16 KB", |t| {
+        let m = at(t.row("OFF/OFF"), 2) / at(t.row("ON/ON"), 0);
+        (m, m >= 10.0)
+    }),
+    holds("fig5.small_pages_win", "with barriers off, 4 KB pages beat 16 KB pages", |t| {
+        let m = lo(["OFF/ON", "OFF/OFF"].map(|row| at(t.row(row), 2) / at(t.row(row), 0)));
+        (m, m > 1.0)
+    }),
+    diverges(
+        "fig5.on_rows_4k_below_8k",
+        "with barriers on, 4 KB pages are slower than 8 KB pages (the deeper-B+-tree anomaly)",
+        |t| {
+            let m = hi(["ON/ON", "ON/OFF"].map(|row| at(t.row(row), 2) / at(t.row(row), 1)));
+            (m, m < 1.0)
+        },
+        "our redo records are slimmer than InnoDB's, so the deeper 4 KB tree costs less here \
+         (and at 1/1000 of the paper's data the depth difference is coarser)",
+    ),
+    holds("fig6.miss_falls", "per page size, the miss ratio never rises as the pool grows", |t| {
+        let m = hi(["16KB", "8KB", "4KB"].map(|size| hi(steps(t.row(&format!("miss % {size}"))))));
+        (m, m <= 1.0)
+    }),
+    holds("fig6.tps_rises", "per page size, TPS rises with every pool step (no saturation)", |t| {
+        let m = lo(["16KB", "8KB", "4KB"].map(|size| lo(steps(t.row(&format!("TPS {size}"))))));
+        (m, m > 1.0)
+    }),
+    holds("fig6.tps_4k_highest", "4 KB pages have the highest TPS at every pool size", |t| {
+        let m = lo(fig6_4k_over_others(t, "TPS"));
+        (m, m > 1.0)
+    }),
+    holds(
+        "fig6.miss_4k_lowest_at_10",
+        "4 KB pages have the lowest miss ratio at the 10 % pool",
+        |t| {
+            let small = last(t.row("miss % 4KB"));
+            let m = hi(["16KB", "8KB"].map(|size| small / last(t.row(&format!("miss % {size}")))));
+            (m, m < 1.0)
+        },
+    ),
+    diverges(
+        "fig6.miss_4k_lowest_everywhere",
+        "4 KB pages have the lowest miss ratio at every pool size",
+        |t| {
+            let m = hi(fig6_4k_over_others(t, "miss %"));
+            (m, m <= 1.0)
+        },
+        "at the smallest scaled pools the 4 KB B+-tree is one level deeper and its extra \
+         internal pages compete for the tiny pool: a scale-down artifact, absent at 100 GB",
+    ),
+    holds(
+        "table3.mean_improves",
+        "mean latency improves >= 10x from ON/ON 16 KB to OFF/OFF 4 KB for every op type",
+        |t| {
+            let m = table3_gain(t, 1);
+            (m, m >= 10.0)
+        },
+    ),
+    holds(
+        "table3.p99_improves",
+        "P99 latency improves >= 10x from ON/ON 16 KB to OFF/OFF 4 KB for every op type",
+        |t| {
+            let m = table3_gain(t, 5);
+            (m, m >= 10.0)
+        },
+    ),
+    holds("table4.barrier_off_gain", "barriers off gain >= 4x tpmC at every page size", |t| {
+        let m = lo(table4_gain(t));
+        (m, m >= 4.0)
+    }),
+    holds("table4.gain_grows", "the barrier-off gain grows as pages shrink", |t| {
+        let m = lo(steps(&table4_gain(t)));
+        (m, m > 1.0)
+    }),
+    diverges(
+        "table4.gain_magnitude",
+        "barriers off gain >= 15x tpmC at every page size (the paper's 15-23x)",
+        |t| {
+            let m = lo(table4_gain(t));
+            (m, m >= 15.0)
+        },
+        "the barrier-on row is less damaged than the paper's: the simulated engine issues no \
+         synchronous I/O beyond evictions and commits, and host software is one constant per \
+         transaction",
+    ),
+    holds(
+        "table5.batch_gap_on_100",
+        "barriers on, 100 % updates: batch 100 is > 20x batch 1",
+        |t| {
+            let m = batch_gap(t, "barrier ON, update 100%");
+            (m, m > 20.0)
+        },
+    ),
+    holds("table5.batch_gap_on_50", "barriers on, 50 % updates: batch 100 is > 10x batch 1", |t| {
+        let m = batch_gap(t, "barrier ON, update 50%");
+        (m, m > 10.0)
+    }),
+    holds("table5.batch_gap_off", "barriers off: batch 100 is < 3x batch 1 on both mixes", |t| {
+        let rows = ["barrier OFF, update 100%", "barrier OFF, update 50%"];
+        let m = hi(rows.map(|row| batch_gap(t, row)));
+        (m, m < 3.0)
+    }),
+    diverges(
+        "table5.on_50_batch1_near_paper",
+        "barriers on, 50 % updates, batch 1: throughput within 25 % of the paper's",
+        |t| {
+            let (measured, paper) = t.cells("barrier ON, update 50%");
+            let m = at(measured, 0) / at(paper, 0);
+            (m, (0.75..=1.25).contains(&m))
+        },
+        "our reads are nearly free in the object cache while Couchbase's measured reads \
+         apparently were not, so the half-read mix runs about twice the paper's rate",
+    ),
+];
+
+static PAPER_CELL: [Field; 2] = [Field::new("col", Str), Field::new("measured", Num)];
+static PAPER_ROW: [Field; 2] =
+    [Field::new("label", Str), Field::new("cells", Rows(1, &PAPER_CELL))];
+static PAPER_CLAIM: [Field; 4] = [
+    Field::new("id", Str),
+    Field::new("text", Str),
+    Field::new("measured", Num),
+    Field::new("expect", OneOf(&["holds", "diverges"])),
+];
+static PAPER_EXPERIMENT: [Field; 5] = [
+    Field::new("id", OneOf(&PAPER_IDS)),
+    Field::new("title", Str),
+    Field::new("unit", Str),
+    Field::new("rows", Rows(1, &PAPER_ROW)),
+    Field::new("claims", Rows(0, &PAPER_CLAIM)),
+];
+static PAPER: [Field; 3] = [
+    Field::new("schema", OneOf(&[PAPER_SCHEMA])),
+    Field::new("scale_pct", Positive),
+    Field::new("experiments", Rows(1, &PAPER_EXPERIMENT)),
+];
+
+/// The objects of the array under `key` (the structural pass vouched for it).
+fn objects<'a>(row: &'a Row, key: &str) -> impl Iterator<Item = &'a Row> {
+    row.get(key).and_then(|v| v.as_array()).into_iter().flatten().filter_map(|v| v.as_object())
+}
+
+/// Validate a serialized `BENCH_paper.json` document (or a slice of it: any
+/// non-empty subset of the experiments):
+///
+/// - parses as JSON, carries the [`PAPER_SCHEMA`] tag; every experiment has a
+///   known id, rows of `{col, measured}` cells and a `claims` array;
+/// - every row of an experiment spans the same columns;
+/// - the `claims` array is exactly what [`PAPER_CLAIMS`] says about the
+///   document's own cells — so bending a cell without re-deriving the claims
+///   is caught;
+/// - every claim expected to hold does, and every claim written down as a
+///   known divergence still diverges (a note that went stale fails too).
+pub fn check_paper_report(doc: &str) -> Vec<String> {
+    let v = match json::check_document(doc, &PAPER) {
+        Ok(v) => v,
+        Err(failures) => return failures,
+    };
+    let mut failures = Vec::new();
+    let top = v.as_object().expect("check_document vouched for an object");
+    for (i, exp) in objects(top, "experiments").enumerate() {
+        let (at, id) = (format!("experiments[{i}]"), text(exp, "id"));
+        let mut table = PaperTable::default();
+        let mut columns: Option<Vec<&str>> = None;
+        for (j, row) in objects(exp, "rows").enumerate() {
+            let cols: Vec<&str> = objects(row, "cells").map(|c| text(c, "col")).collect();
+            let columns = columns.get_or_insert_with(|| cols.clone());
+            if cols != *columns {
+                failures.push(format!("{at}.rows[{j}].cells: columns {cols:?}, want {columns:?}"));
+            }
+            let paper = |c: &Row| c.get("paper").and_then(|p| p.as_f64()).unwrap_or(f64::NAN);
+            table.push(
+                text(row, "label"),
+                objects(row, "cells").map(|c| num(c, "measured")).collect(),
+                objects(row, "cells").map(paper).collect(),
+            );
+        }
+        let mut w = Writer::new();
+        write_paper_claims(&mut w, id, &table);
+        let derived = json::parse(&w.finish()).expect("the writer emits valid JSON");
+        if exp.get("claims") != Some(&derived) {
+            failures.push(format!("{at}.claims: not what the claim table derives from the cells"));
+        }
+        for claim in PAPER_CLAIMS.iter().filter(|c| c.experiment() == id) {
+            let (Claim { id, text, .. }, (m, holds)) = (claim, claim.eval(&table));
+            match (holds, claim.diverges) {
+                (false, None) => {
+                    failures.push(format!("claim {id} fails (measured {m:.4}): {text}"))
+                }
+                (true, Some(reason)) => failures.push(format!(
+                    "claim {id} now holds (measured {m:.4}) but is written down as a divergence \
+                     ({reason}): stale note, expect it to hold"
+                )),
+                _ => {}
+            }
+        }
+    }
+    failures
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -568,6 +1018,115 @@ mod tests {
         let rows = full_latency_doc();
         let fails = check_latency_report(&latency_doc(&rows[..5]), 3);
         assert!(fails.iter().any(|f| f.contains("both durable and volatile")), "{fails:?}");
+    }
+
+    /// A one-experiment `durassd.paper.v1` document over `(label, measured,
+    /// paper)` rows, its claims derived the way `paper` derives them.
+    fn paper_doc(id: &str, rows: &[(&str, Vec<f64>, Vec<f64>)]) -> String {
+        let mut table = PaperTable::default();
+        let mut w = Writer::new();
+        w.obj().key("schema").str(PAPER_SCHEMA).key("scale_pct").num(100).key("experiments").arr();
+        w.obj().key("id").str(id).key("title").str("t").key("unit").str("u").key("rows").arr();
+        for (label, measured, paper) in rows {
+            w.obj().key("label").str(label).key("cells").arr();
+            for (i, (m, p)) in measured.iter().zip(paper).enumerate() {
+                w.obj().key("col").str(&i.to_string()).key("measured").num(m).key("paper").num(p);
+                w.key("rel_err").num(format_args!("{:.4}", (m - p) / p)).end();
+            }
+            w.end().end();
+            table.push(label, measured.clone(), paper.clone());
+        }
+        w.end();
+        write_paper_claims(w.key("claims"), id, &table);
+        w.end().end().end();
+        w.finish()
+    }
+
+    /// Table 1 reduced to its first and last column (fsync every write, no
+    /// fsync), which is all its claims read.
+    fn table1_rows(nobarrier_first: f64) -> Vec<(&'static str, Vec<f64>, Vec<f64>)> {
+        vec![
+            ("HDD OFF", vec![71.0, 170.0], vec![58.0, 158.0]),
+            ("HDD ON", vec![71.0, 492.0], vec![59.0, 387.0]),
+            ("SSD-A OFF", vec![184.0, 504.0], vec![168.0, 494.0]),
+            ("SSD-A ON", vec![223.0, 11984.0], vec![256.0, 11681.0]),
+            ("SSD-B OFF", vec![726.0, 1286.0], vec![603.0, 1157.0]),
+            ("SSD-B ON", vec![725.0, 8588.0], vec![655.0, 8456.0]),
+            ("DuraSSD OFF", vec![169.0, 509.0], vec![249.0, 498.0]),
+            ("DuraSSD ON", vec![201.0, 15761.0], vec![225.0, 15319.0]),
+            ("DuraSSD NoBarrier", vec![nobarrier_first, 15761.0], vec![14484.0, 15458.0]),
+        ]
+    }
+
+    #[test]
+    fn paper_report_validation_accepts_a_document_whose_claims_hold() {
+        let fails = check_paper_report(&paper_doc("table1", &table1_rows(15280.0)));
+        assert!(fails.is_empty(), "{fails:?}");
+    }
+
+    #[test]
+    fn paper_report_validation_names_the_claim_a_bent_row_breaks() {
+        // The NoBarrier row bent 10 %, claims re-derived: the claim fails.
+        let fails = check_paper_report(&paper_doc("table1", &table1_rows(13752.0)));
+        assert_eq!(fails.len(), 1, "{fails:?}");
+        assert!(fails[0].contains("claim table1.nobarrier_flat fails"), "{fails:?}");
+        // Bent in place, claims left as they were: they no longer follow
+        // from the cells either.
+        let bent = paper_doc("table1", &table1_rows(15280.0))
+            .replace("\"measured\":15280,", "\"measured\":13752,");
+        let fails = check_paper_report(&bent);
+        assert!(fails.iter().any(|f| f.contains("table1.nobarrier_flat")), "{fails:?}");
+        assert!(fails.iter().any(|f| f.contains("experiments[0].claims")), "{fails:?}");
+    }
+
+    #[test]
+    fn paper_report_validation_locates_a_missing_cell() {
+        let good = paper_doc("table1", &table1_rows(15280.0));
+        // A cell without its measurement is a structural failure with a path,
+        // found before any claim runs.
+        let fails = check_paper_report(&good.replace("\"measured\":492,", ""));
+        assert_eq!(fails, ["experiments[0].rows[1].cells[1].measured: missing"]);
+        // A row one cell short no longer spans the experiment's columns.
+        let cut = good.find(",{\"col\":\"1\",\"measured\":492").unwrap();
+        let end = cut + good[cut..].find('}').unwrap() + 1;
+        let fails = check_paper_report(&format!("{}{}", &good[..cut], &good[end..]));
+        assert!(
+            fails.iter().any(|f| f.contains("experiments[0].rows[1].cells: columns")),
+            "{fails:?}"
+        );
+        // Not JSON, wrong tag, unknown experiment.
+        assert!(!check_paper_report("nope").is_empty());
+        assert!(!check_paper_report(&good.replace(PAPER_SCHEMA, "other.v1")).is_empty());
+        let fails = check_paper_report(&good.replace("\"id\":\"table1\"", "\"id\":\"table9\""));
+        assert!(fails.iter().any(|f| f.contains("experiments[0].id")), "{fails:?}");
+    }
+
+    #[test]
+    fn paper_report_validation_flags_a_divergence_note_gone_stale() {
+        let rows = |on_50_batch1: f64| {
+            vec![
+                ("barrier ON, update 100%", vec![190.0, 4118.0], vec![206.0, 4692.0]),
+                ("barrier ON, update 50%", vec![on_50_batch1, 5533.0], vec![195.0, 4921.0]),
+                ("barrier OFF, update 100%", vec![3797.0, 5165.0], vec![2404.0, 5101.0]),
+                ("barrier OFF, update 50%", vec![5233.0, 6385.0], vec![2406.0, 6208.0]),
+            ]
+        };
+        // As measured: twice the paper's rate, written down as a divergence.
+        let noted = paper_doc("table5", &rows(381.0));
+        assert!(noted.contains("\"expect\":\"diverges\",\"reason\":"), "{noted}");
+        assert!(check_paper_report(&noted).is_empty(), "{:?}", check_paper_report(&noted));
+        // The model moves within 25 % of the paper: the note must go.
+        let fails = check_paper_report(&paper_doc("table5", &rows(200.0)));
+        assert_eq!(fails.len(), 1, "{fails:?}");
+        assert!(fails[0].contains("table5.on_50_batch1_near_paper"), "{fails:?}");
+        assert!(fails[0].contains("stale note"), "{fails:?}");
+    }
+
+    #[test]
+    fn every_claim_names_a_known_experiment() {
+        for claim in &PAPER_CLAIMS {
+            assert!(PAPER_IDS.contains(&claim.experiment()), "{}", claim.id);
+        }
     }
 
     fn sample_campaign() -> forensics::CampaignReport {
