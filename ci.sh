@@ -33,6 +33,12 @@ if grep -rnE 'push_cause|pop_cause|DeviceHealth|validate_recovery_report|check_l
     echo "removed API referenced above" >&2
     exit 1
 fi
+# The page LSN in the trailer is the WAL rule and the redo guard; the side
+# table it replaced and the knob nothing read must not come back.
+if grep -rnE 'dirty_lsn|o_dsync' crates src tests examples; then
+    echo "removed relstore name referenced above" >&2
+    exit 1
+fi
 
 # The seven table/figure bins are rows of `paper` now; nothing may tell a
 # reader to run them.

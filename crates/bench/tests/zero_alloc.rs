@@ -25,9 +25,11 @@
 
 use docstore::{DocStore, DocStoreConfig};
 use durassd::{Ssd, SsdConfig};
+use relstore::{Engine, EngineConfig};
 use simkit::alloc::{alloc_count, CountingAlloc};
 use simkit::dist::{rng, Rng};
 use simkit::Nanos;
+use storage::testdev::MemDevice;
 use storage::volume::Volume;
 use telemetry::Telemetry;
 
@@ -218,6 +220,38 @@ fn docstore_steady_state_set() {
     assert_eq!(store.get(&keys[0], t).value.map(|v| v.len()), Some(200));
 }
 
+/// A warmed, non-structural `Engine::put` + `commit` — an overwrite of one
+/// of sixteen 100-byte values in a one-leaf tree, on `MemDevice` so nothing
+/// below the engine allocates. Not zero yet: the count is pinned exactly so
+/// that it can only be ratcheted down (ROADMAP, "Spend the ladder on the
+/// relational path"). `btree::put_leaf` owns 31 of the 34: every overwrite
+/// extracts the other fifteen cells into owned pairs (2 × 15, plus the
+/// vector) and rebuilds the leaf. The engine adds the owned key and value of
+/// its `LogRecord::Put` and the list of pinned frames.
+fn engine_warmed_put_commit() {
+    let cfg = EngineConfig::builder(4096)
+        .buffer_pool_bytes(16 * 4096)
+        .data_pages(64)
+        .log_files(2)
+        .log_file_blocks(64)
+        .build();
+    let mut e = Engine::create(MemDevice::new(1024), MemDevice::new(256), cfg, 0).value;
+    let (tree, mut t) = e.create_tree(0).into_parts();
+    let keys: Vec<Vec<u8>> = (0..16u64).map(|i| format!("key{i:05}").into_bytes()).collect();
+    let val = vec![b'v'; 100];
+    // Two rounds: insert, then overwrite (the log's buffers reach their size).
+    for key in keys.iter().chain(&keys) {
+        t = e.put(tree, key, &val, t);
+        t = e.commit(t);
+    }
+    let allocs = allocs_during(|| {
+        t = e.put(tree, &keys[7], &val, t);
+        t = e.commit(t);
+    });
+    assert_eq!(allocs, 34, "warmed non-structural Engine::put + commit");
+    assert_eq!(e.pool_stats().misses, 0, "the whole tree stayed resident");
+}
+
 #[test]
 fn hot_paths_are_allocation_free() {
     telemetry_recording();
@@ -225,4 +259,5 @@ fn hot_paths_are_allocation_free() {
     steady_state_drained_writes();
     cache_hit_reads();
     docstore_steady_state_set();
+    engine_warmed_put_commit();
 }

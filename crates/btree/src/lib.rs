@@ -321,21 +321,28 @@ impl BTree {
         }
     }
 
-    /// Delete `key`; returns whether it existed.
-    pub fn delete<S: PageStore>(&mut self, store: &mut S, key: &[u8], now: Nanos) -> (bool, Nanos) {
+    /// Read-only descent from the root to the leaf whose key range holds
+    /// `key`; returns that leaf's page number. The engine's redo uses it to
+    /// find the page whose LSN decides whether a logged record still applies.
+    pub fn leaf_for<S: PageStore>(&self, store: &mut S, key: &[u8], now: Nanos) -> (u64, Nanos) {
         let mut page = self.root;
         let mut t = now;
         loop {
-            let (next, t2) = store.with_page(page, t, |buf| match node::kind(buf) {
-                Kind::Internal => Err(node::route(buf, key)),
-                Kind::Leaf => Ok(()),
+            let (child, t2) = store.with_page(page, t, |buf| match node::kind(buf) {
+                Kind::Internal => Some(node::route(buf, key)),
+                Kind::Leaf => None,
             });
             t = t2;
-            match next {
-                Ok(()) => break,
-                Err(child) => page = child,
+            match child {
+                Some(child) => page = child,
+                None => return (page, t),
             }
         }
+    }
+
+    /// Delete `key`; returns whether it existed.
+    pub fn delete<S: PageStore>(&mut self, store: &mut S, key: &[u8], now: Nanos) -> (bool, Nanos) {
+        let (page, t) = self.leaf_for(store, key, now);
         store.with_page_mut(page, t, |buf| match node::search(buf, key) {
             Ok(i) => {
                 node::remove_slot(buf, i);
@@ -354,20 +361,7 @@ impl BTree {
         now: Nanos,
         mut f: impl FnMut(&[u8], &[u8]) -> bool,
     ) -> (u64, Nanos) {
-        // Descend to the first candidate leaf.
-        let mut page = self.root;
-        let mut t = now;
-        loop {
-            let (next, t2) = store.with_page(page, t, |buf| match node::kind(buf) {
-                Kind::Internal => Err(node::route(buf, from)),
-                Kind::Leaf => Ok(()),
-            });
-            t = t2;
-            match next {
-                Ok(()) => break,
-                Err(child) => page = child,
-            }
-        }
+        let (mut page, mut t) = self.leaf_for(store, from, now);
         let mut visited = 0u64;
         loop {
             let ((stop, next_page), t2) = store.with_page(page, t, |buf| {

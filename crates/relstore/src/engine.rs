@@ -9,8 +9,11 @@
 //!   sidecar is appended *before* the logical record carrying full images
 //!   of every page it rewrote, so any CRC-valid log prefix describes a
 //!   structurally consistent tree.
-//! * A dirty page may reach the data volume only after the records that
-//!   touched it are durable (checked at eviction against a per-page LSN).
+//! * Every page carries a **page LSN** in its trailer: the end LSN of the
+//!   last operation that changed it. A dirty page may reach the data volume
+//!   only once the log is durable up to its LSN (the WAL rule, checked
+//!   where the batch is written), and redo applies a record only to a page
+//!   whose LSN says the record is still news (below).
 //! * `commit` group-flushes the log tail; whether that reaches flash is the
 //!   barrier policy's business (the paper's experiment knob).
 //!
@@ -21,13 +24,45 @@
 //! checkpoint's Begin (lag-one). Recovery therefore always scans across at
 //! least one complete Begin/End pair: records at or before the newest
 //! `CheckpointEnd` are provably reflected on the data volume and are
-//! *skipped*; everything after is replayed through the normal BTree write
-//! API with the WAL disabled (replay never grows the log, and replaying
-//! twice is idempotent: put = upsert, delete of a missing key = no-op).
+//! *skipped*; everything after is redone with the WAL left alone.
+//!
+//! ## Redo under a stealing pool
+//!
+//! Between checkpoints the pool writes a dirty page whenever it wants the
+//! frame, so after a crash every page on the data volume sits at its own
+//! point of the log: some older than the record redo is looking at, some
+//! newer (and fuller). Logical records name a key, not a page, so they are
+//! only safe to replay against pages whose LSN is tested:
+//!
+//! * **Structure first.** Every `PageImages` record past the bound, in log
+//!   order: an image is installed iff the page's LSN ≤ the record's LSN,
+//!   and the frame then carries the record's end LSN; root changes apply
+//!   unconditionally. Only structural operations touch internal pages, and
+//!   they log every page they touch, so after this pass the routing
+//!   structure *is* the tree at the end of the log — one version, where
+//!   replay in log order would descend through parents and children from
+//!   different moments and could land a record on the wrong leaf.
+//! * **Then data.** Every `Put`/`Delete` past the bound, in log order, is
+//!   routed by [`BTree::leaf_for`] and applied iff `0 < leaf LSN ≤ record
+//!   LSN` (the leaf then carries the record's end LSN). A leaf that is
+//!   ahead already contains the record; a page with LSN 0 has no history to
+//!   redo onto (never written, or torn with nothing to repair it from).
+//! * **Redo never allocates.** A leaf that takes a record has no image
+//!   later in the log (it would be ahead), so it was not split after that
+//!   record: its key range is final, it meets exactly the records the
+//!   foreground applied to it, in order, from the same content — a
+//!   replayed put fits because the original did. A replayed record that
+//!   allocates means a device that lost acknowledged writes or a bug, and
+//!   recovery fails with [`Error::Recovery`] naming the LSN rather than let
+//!   the new page collide with one a later image owns.
+//!
+//! Redo changes pages only forward and stamps what it changes, so a second
+//! recovery of the same image — or of one cut mid-recovery — converges on
+//! the same state.
 //!
 //! ## Torn-page protection
 //!
-//! Every physical page carries a 16-byte trailer `[page_no][crc][magic]`.
+//! Every physical page carries a 16-byte trailer `[page_lsn][page_no][crc]`.
 //! With `double_write` on, each eviction writes the page to the double-write
 //! area, fsyncs, then writes it home (InnoDB §2.1); recovery scans the area
 //! and repairs any home page whose trailer fails. With `double_write` off,
@@ -40,19 +75,19 @@ use bufferpool::{BufferPool, PageBackend, PoolStats};
 use durassd::Error;
 use forensics::{EvidenceKind, Ledger, UnitKind};
 use simkit::{crc32_bytewise, Nanos, Recovered, ReplayStats, Timed};
-use std::collections::HashMap;
+use std::collections::HashSet;
 use storage::device::{BlockDevice, DevError, WriteCause};
 use storage::file::PageFile;
 use storage::volume::{Volume, VolumeManager};
 use telemetry::{Scope, Telemetry};
-use wal::{CheckpointPolicy, LogRecord, Lsn, Wal, WalStats};
+use wal::{CheckpointPolicy, LogRecord, Lsn, ScannedRecord, Wal, WalStats};
 
 /// Identifier of a tree (table/index) within the engine.
 pub type TreeId = u32;
 
-/// Page trailer: `[page_no u64][crc u32][magic u32]`.
+/// Page trailer: `[page_lsn u64][page_no u32][crc u32]`. The CRC covers the
+/// page up to itself, LSN included; a never-written page is all zero.
 const TRAILER: usize = 16;
-const PAGE_MAGIC: u32 = 0x44757261; // "Dura"
 const CATALOG_MAGIC: u64 = 0x44555241_43415431;
 
 /// Engine statistics.
@@ -82,71 +117,85 @@ pub struct EngineStats {
     pub replayed_records: u64,
 }
 
-/// The storage backend the buffer pool faults from / evicts to. Implements
-/// the WAL rule and the double-write protocol.
-struct Backend<'a, D: BlockDevice, L: BlockDevice> {
-    vol: &'a mut Volume<D>,
-    logv: &'a mut Volume<L>,
-    wal: &'a mut Wal,
+/// The engine's I/O half: both volumes, the log, the tablespace and the
+/// double-write area. It is what the buffer pool faults from and evicts to,
+/// and it implements the WAL rule and the double-write protocol.
+struct Io<D: BlockDevice, L: BlockDevice> {
+    data: Volume<D>,
+    logv: Volume<L>,
+    wal: Wal,
     ts: PageFile,
     dwb: PageFile,
     double_write: bool,
-    dwb_cursor: &'a mut u64,
-    dirty_lsn: &'a mut HashMap<u64, Lsn>,
-    scratch: &'a mut Vec<u8>,
-    stats: &'a mut EngineStats,
+    dwb_cursor: u64,
+    scratch: Vec<u8>,
+    stats: EngineStats,
+}
+
+/// A physical page's LSN: the end LSN of the last operation (or redone
+/// record) that changed it; 0 for a page with no history.
+fn page_lsn(page: &[u8]) -> Lsn {
+    let n = page.len();
+    u64::from_le_bytes(page[n - 16..n - 8].try_into().unwrap())
+}
+
+fn set_page_lsn(page: &mut [u8], lsn: Lsn) {
+    let n = page.len();
+    page[n - 16..n - 8].copy_from_slice(&lsn.to_le_bytes());
+}
+
+/// The page number a physical page was sealed for.
+fn sealed_page_no(page: &[u8]) -> u64 {
+    let n = page.len();
+    u32::from_le_bytes(page[n - 8..n - 4].try_into().unwrap()) as u64
+}
+
+/// Whether nothing was ever written where this physical page was read.
+fn never_written(page: &[u8]) -> bool {
+    page[page.len() - TRAILER..].iter().all(|&b| b == 0)
 }
 
 /// Verify a physical page's trailer against its page number. Returns true
 /// when the page is intact.
-fn trailer_ok(buf: &[u8], page_no: u64) -> bool {
-    let n = buf.len();
-    let stored_no = u64::from_le_bytes(buf[n - 16..n - 8].try_into().unwrap());
-    let stored_crc = u32::from_le_bytes(buf[n - 8..n - 4].try_into().unwrap());
-    let magic = u32::from_le_bytes(buf[n - 4..].try_into().unwrap());
-    magic == PAGE_MAGIC && stored_no == page_no && stored_crc == crc32_bytewise(&buf[..n - 16])
+fn trailer_ok(page: &[u8], page_no: u64) -> bool {
+    let n = page.len();
+    let stored_crc = u32::from_le_bytes(page[n - 4..].try_into().unwrap());
+    sealed_page_no(page) == page_no && stored_crc == crc32_bytewise(&page[..n - 4])
 }
 
-/// Stamp the trailer onto a physical page buffer.
-fn stamp_trailer(buf: &mut [u8], page_no: u64) {
-    let n = buf.len();
-    let crc = crc32_bytewise(&buf[..n - 16]);
-    buf[n - 16..n - 8].copy_from_slice(&page_no.to_le_bytes());
-    buf[n - 8..n - 4].copy_from_slice(&crc.to_le_bytes());
-    buf[n - 4..].copy_from_slice(&PAGE_MAGIC.to_le_bytes());
+/// Seal a physical page for writing: page number and CRC behind the LSN the
+/// frame already carries.
+fn stamp_trailer(page: &mut [u8], page_no: u64) {
+    let n = page.len();
+    page[n - 8..n - 4].copy_from_slice(&(page_no as u32).to_le_bytes());
+    let crc = crc32_bytewise(&page[..n - 4]);
+    page[n - 4..].copy_from_slice(&crc.to_le_bytes());
 }
 
-impl<D: BlockDevice, L: BlockDevice> PageBackend for Backend<'_, D, L> {
+impl<D: BlockDevice, L: BlockDevice> PageBackend for Io<D, L> {
     fn read_page(&mut self, page_no: u64, buf: &mut [u8], now: Nanos) -> Nanos {
         self.stats.page_reads += 1;
-        let t = match self.ts.read_page(self.vol, page_no, buf, now) {
-            Ok(t) => t,
+        let t = match self.ts.read_page(&mut self.data, page_no, buf, now) {
+            Ok(t) if never_written(buf) => t,
+            Ok(t) if trailer_ok(buf, page_no) => return t,
+            Ok(t) => {
+                // Torn write the device could not detect (e.g. lost cache
+                // lines recombined): surface as corruption.
+                self.stats.corrupt_reads += 1;
+                t
+            }
             Err(DevError::ShornPage { .. }) => {
                 // Device detected a torn write under this page.
                 self.stats.corrupt_reads += 1;
-                let lp = buf.len() - TRAILER;
-                bnode::init(&mut buf[..lp], bnode::Kind::Leaf, 0);
-                stamp_trailer(buf, page_no);
-                return now;
+                now
             }
             Err(e) => panic!("tablespace read failed: {e}"),
         };
-        let all_zero_magic = u32::from_le_bytes(buf[buf.len() - 4..].try_into().unwrap()) == 0;
-        if all_zero_magic {
-            // Never-written page: hand back a fresh empty leaf.
-            let lp = buf.len() - TRAILER;
-            bnode::init(&mut buf[..lp], bnode::Kind::Leaf, 0);
-            stamp_trailer(buf, page_no);
-            return t;
-        }
-        if !trailer_ok(buf, page_no) {
-            // Torn write the device could not detect (e.g. lost cache lines
-            // recombined): surface as corruption, degrade to an empty leaf.
-            self.stats.corrupt_reads += 1;
-            let lp = buf.len() - TRAILER;
-            bnode::init(&mut buf[..lp], bnode::Kind::Leaf, 0);
-            stamp_trailer(buf, page_no);
-        }
+        // Nothing usable on the volume: hand back an empty leaf with no
+        // history (LSN 0), which only a logged page image may fill in redo.
+        let lp = buf.len() - TRAILER;
+        bnode::init(&mut buf[..lp], bnode::Kind::Leaf, 0);
+        buf[lp..].fill(0);
         t
     }
 
@@ -161,36 +210,32 @@ impl<D: BlockDevice, L: BlockDevice> PageBackend for Backend<'_, D, L> {
         if pages.is_empty() {
             return now;
         }
-        // WAL rule: records that dirtied any page in the batch first.
+        // WAL rule: the log is durable up to the newest page LSN in the
+        // batch before any of it reaches the data volume.
         let mut t = now;
-        let mut max_lsn = 0;
-        for (page_no, _) in pages {
-            if let Some(lsn) = self.dirty_lsn.remove(page_no) {
-                max_lsn = max_lsn.max(lsn);
-            }
-        }
+        let max_lsn = pages.iter().map(|(_, data)| page_lsn(data)).fold(0, Lsn::max);
         if max_lsn > self.wal.durable_lsn() {
-            t = self.wal.quiesce(self.logv, t);
+            t = self.wal.quiesce(&mut self.logv, t);
         }
         self.stats.page_writes += pages.len() as u64;
         if self.double_write {
             // Contiguous run of DWB slots, one device command, one fsync.
             let ps = self.dwb.page_size();
-            if (*self.dwb_cursor % self.dwb.pages()) + pages.len() as u64 > self.dwb.pages() {
-                *self.dwb_cursor = 0; // wrap to keep the run contiguous
+            if (self.dwb_cursor % self.dwb.pages()) + pages.len() as u64 > self.dwb.pages() {
+                self.dwb_cursor = 0; // wrap to keep the run contiguous
             }
-            let first_slot = *self.dwb_cursor % self.dwb.pages();
+            let first_slot = self.dwb_cursor % self.dwb.pages();
             let mut run = vec![0u8; pages.len() * ps];
             for (i, (page_no, data)) in pages.iter().enumerate() {
                 let dst = &mut run[i * ps..(i + 1) * ps];
                 dst[..data.len()].copy_from_slice(data);
                 stamp_trailer(dst, *page_no);
             }
-            *self.dwb_cursor += pages.len() as u64;
+            self.dwb_cursor += pages.len() as u64;
             // DWB copies are redundant page images by definition — tag them
             // so the device's WAF report can attribute them separately from
             // the home-location page writes.
-            t = self.vol.with_cause(WriteCause::PageImage, |vol| {
+            t = self.data.with_cause(WriteCause::PageImage, |vol| {
                 let t = self.dwb.write_pages(vol, first_slot, &run, t).expect("dwb run");
                 // The copies must be durable before any home write starts.
                 vol.fsync(t).expect("data volume")
@@ -200,32 +245,36 @@ impl<D: BlockDevice, L: BlockDevice> PageBackend for Backend<'_, D, L> {
         for (page_no, data) in pages {
             self.scratch.clear();
             self.scratch.extend_from_slice(data);
-            stamp_trailer(self.scratch, *page_no);
-            t = self.ts.write_page(self.vol, *page_no, self.scratch, t).expect("home page");
+            stamp_trailer(&mut self.scratch, *page_no);
+            t = self.ts.write_page(&mut self.data, *page_no, &self.scratch, t).expect("home page");
         }
-        // One data-volume fsync seals the batch: `fil_flush` for the
-        // MySQL-like engine; for the O_DSYNC engine the write call itself
-        // carries the barrier request — either way it is per batch, which is
-        // also one write call.
-        t = self.vol.fsync(t).expect("data volume");
+        // One data-volume fsync seals the batch (`fil_flush`; an O_DSYNC
+        // engine's write call carries the same barrier request) — per batch,
+        // which is also one write call.
+        t = self.data.fsync(t).expect("data volume");
         t
     }
 }
 
-/// Page-store view handed to the B+-tree for one engine operation. Records
-/// which pages the operation mutated/allocated and keeps them pinned until
-/// the operation's redo record is appended.
+/// Page-store view handed to the B+-tree for one engine operation. Keeps
+/// the frames the operation mutated pinned until [`Engine::finish_op`] has
+/// stamped them with the LSN of the log records that describe the change.
 struct View<'a, D: BlockDevice, L: BlockDevice> {
     pool: &'a mut BufferPool,
-    be: Backend<'a, D, L>,
-    logical_ps: usize,
+    io: &'a mut Io<D, L>,
     next_page: &'a mut u64,
+    logical_ps: usize,
     data_pages: u64,
+    summary: OpSummary,
+}
+
+/// What one operation left behind for [`Engine::finish_op`].
+#[derive(Default)]
+struct OpSummary {
+    /// Pinned frames the operation mutated, one entry per mutable access.
     retained: Vec<usize>,
-    mut_pages: Vec<u64>,
-    allocated: Vec<u64>,
-    /// Capture images of every mutated page (full-page-writes mode).
-    image_all: bool,
+    /// Whether the operation allocated a page.
+    structural: bool,
 }
 
 impl<D: BlockDevice, L: BlockDevice> PageStore for View<'_, D, L> {
@@ -237,12 +286,12 @@ impl<D: BlockDevice, L: BlockDevice> PageStore for View<'_, D, L> {
         let p = *self.next_page;
         assert!(p < self.data_pages, "tablespace full ({p} pages)");
         *self.next_page += 1;
-        self.allocated.push(p);
+        self.summary.structural = true;
         p
     }
 
     fn with_page<R>(&mut self, page_no: u64, now: Nanos, f: impl FnOnce(&[u8]) -> R) -> (R, Nanos) {
-        let (idx, t) = self.pool.get(page_no, &mut self.be, now);
+        let (idx, t) = self.pool.get(page_no, self.io, now);
         let r = f(&self.pool.data(idx)[..self.logical_ps]);
         self.pool.unpin(idx);
         (r, t)
@@ -254,11 +303,9 @@ impl<D: BlockDevice, L: BlockDevice> PageStore for View<'_, D, L> {
         now: Nanos,
         f: impl FnOnce(&mut [u8]) -> R,
     ) -> (R, Nanos) {
-        let (idx, t) = self.pool.get(page_no, &mut self.be, now);
+        let (idx, t) = self.pool.get(page_no, self.io, now);
         let r = f(&mut self.pool.data_mut(idx)[..self.logical_ps]);
-        // Keep the pin until the redo record is on the log (View summary).
-        self.retained.push(idx);
-        self.mut_pages.push(page_no);
+        self.summary.retained.push(idx);
         (r, t)
     }
 
@@ -268,74 +315,54 @@ impl<D: BlockDevice, L: BlockDevice> PageStore for View<'_, D, L> {
         now: Nanos,
         f: impl FnOnce(&mut [u8]) -> R,
     ) -> (R, Nanos) {
-        let (idx, t) = self.pool.create(page_no, &mut self.be, now);
+        let (idx, t) = self.pool.create(page_no, self.io, now);
         let r = f(&mut self.pool.data_mut(idx)[..self.logical_ps]);
-        self.retained.push(idx);
-        self.mut_pages.push(page_no);
+        self.summary.retained.push(idx);
         (r, t)
     }
 }
 
-/// What one operation touched; computed before the view's borrows end.
-struct OpSummary {
-    retained: Vec<usize>,
-    touched: Vec<u64>,
-    structural: bool,
-    images: Vec<(u64, Vec<u8>)>,
-}
-
 impl<D: BlockDevice, L: BlockDevice> View<'_, D, L> {
-    fn summarize(self) -> OpSummary {
-        let structural = !self.allocated.is_empty();
-        let mut touched: Vec<u64> = self.mut_pages;
-        touched.extend_from_slice(&self.allocated);
-        touched.sort_unstable();
-        touched.dedup();
-        let images = if structural || self.image_all {
-            touched
-                .iter()
-                .map(|&p| {
-                    // Pages are retained-pinned, so they are resident.
-                    let idx = self
-                        .retained
-                        .iter()
-                        .copied()
-                        .find(|&i| self.pool.page_no(i) == p)
-                        .expect("touched page still pinned");
-                    (p, self.pool.data(idx)[..self.logical_ps].to_vec())
-                })
-                .collect()
+    /// The LSN `page_no` carries right now (redo's guard).
+    fn page_lsn(&mut self, page_no: u64, now: Nanos) -> (Lsn, Nanos) {
+        let (idx, t) = self.pool.get(page_no, self.io, now);
+        let lsn = page_lsn(self.pool.data(idx));
+        self.pool.unpin(idx);
+        (lsn, t)
+    }
+
+    /// Redo of one logged page image: the frame takes it unless the page is
+    /// already ahead of the record at `lsn`.
+    fn install_image(&mut self, page_no: u64, image: &[u8], lsn: Lsn, now: Nanos) -> Nanos {
+        // The page was allocated when the record was logged, installed or not.
+        *self.next_page = (*self.next_page).max(page_no + 1);
+        let (idx, t) = self.pool.get(page_no, self.io, now);
+        if page_lsn(self.pool.data(idx)) <= lsn {
+            self.pool.data_mut(idx)[..image.len()].copy_from_slice(image);
+            self.summary.retained.push(idx);
         } else {
-            Vec::new()
-        };
-        OpSummary { retained: self.retained, touched, structural, images }
+            self.pool.unpin(idx);
+        }
+        t
     }
 }
 
 /// The storage engine over a data device `D` and a log device `L`.
 pub struct Engine<D: BlockDevice, L: BlockDevice> {
     cfg: EngineConfig,
-    data: Volume<D>,
-    logv: Volume<L>,
+    io: Io<D, L>,
     catalog: PageFile,
-    dwb: PageFile,
-    ts: PageFile,
     pool: BufferPool,
-    wal: Wal,
     trees: Vec<BTree>,
     next_page: u64,
-    dwb_cursor: u64,
     catalog_seq: u64,
     /// Begin LSN of the most recent completed checkpoint. The log header
     /// lags one checkpoint behind (it points at the *previous* Begin) so a
     /// recovery scan always crosses a complete Begin/End pair.
     last_ckpt_begin: Lsn,
-    dirty_lsn: HashMap<u64, Lsn>,
     /// Pages whose full image has been logged since the last checkpoint
     /// (full-page-writes mode).
-    fpw_logged: std::collections::HashSet<u64>,
-    scratch: Vec<u8>,
-    stats: EngineStats,
+    fpw_logged: HashSet<u64>,
     /// Optional telemetry sink; see [`Engine::attach_telemetry`].
     tel: Option<Telemetry>,
     /// Optional durability ledger; see [`Engine::attach_ledger`].
@@ -358,41 +385,51 @@ fn layout(cfg: &EngineConfig, data_capacity: u64, log_capacity: u64) -> Layout {
 }
 
 impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
+    /// An engine over opened volumes and a positioned log, with an empty
+    /// catalog (`create` persists it as is, `recover` fills it in).
+    fn assemble(
+        cfg: EngineConfig,
+        data: Volume<D>,
+        logv: Volume<L>,
+        (catalog, dwb, ts): (PageFile, PageFile, PageFile),
+        mut wal: Wal,
+    ) -> Self {
+        wal.set_checkpoint_policy(cfg.checkpoint_policy);
+        Self {
+            io: Io {
+                data,
+                logv,
+                wal,
+                ts,
+                dwb,
+                double_write: cfg.double_write,
+                dwb_cursor: 0,
+                scratch: Vec::with_capacity(cfg.page_size),
+                stats: EngineStats::default(),
+            },
+            catalog,
+            pool: BufferPool::new(cfg.pool_frames(), cfg.page_size),
+            trees: Vec::new(),
+            next_page: 0,
+            catalog_seq: 0,
+            last_ckpt_begin: 0,
+            fpw_logged: HashSet::new(),
+            tel: None,
+            ledger: None,
+            cfg,
+        }
+    }
+
     /// Create a fresh database on the given devices. Returns the engine and
     /// the time after initialisation (catalog + log header writes).
     pub fn create(data_dev: D, log_dev: L, cfg: EngineConfig, now: Nanos) -> Timed<Self> {
         cfg.validate();
         let data = Volume::new(data_dev, cfg.barriers);
         let mut logv = Volume::new(log_dev, cfg.barriers);
-        let (catalog, dwb, ts, _log_layout) =
-            layout(&cfg, data.capacity_pages(), logv.capacity_pages());
-        let (mut wal, t) = {
-            let mut lvm = VolumeManager::new(logv.capacity_pages());
-            Wal::create(&mut logv, &mut lvm, cfg.log_files, cfg.log_file_blocks, now)
-        };
-        wal.set_checkpoint_policy(cfg.checkpoint_policy);
-        let pool = BufferPool::new(cfg.pool_frames(), cfg.page_size);
-        let mut eng = Self {
-            data,
-            logv,
-            catalog,
-            dwb,
-            ts,
-            pool,
-            wal,
-            trees: Vec::new(),
-            next_page: 0,
-            dwb_cursor: 0,
-            catalog_seq: 0,
-            last_ckpt_begin: 0,
-            dirty_lsn: HashMap::new(),
-            fpw_logged: std::collections::HashSet::new(),
-            scratch: Vec::with_capacity(cfg.page_size),
-            stats: EngineStats::default(),
-            tel: None,
-            ledger: None,
-            cfg,
-        };
+        let (catalog, dwb, ts, _) = layout(&cfg, data.capacity_pages(), logv.capacity_pages());
+        let mut lvm = VolumeManager::new(logv.capacity_pages());
+        let (wal, t) = Wal::create(&mut logv, &mut lvm, cfg.log_files, cfg.log_file_blocks, now);
+        let mut eng = Self::assemble(cfg, data, logv, (catalog, dwb, ts), wal);
         let t = eng.write_catalog(t);
         Timed::new(eng, t)
     }
@@ -408,10 +445,10 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
     /// drain) require attaching the same handle to the device *before*
     /// handing it to [`Engine::create`] — e.g. `ssd.attach_telemetry(...)`.
     pub fn attach_telemetry(&mut self, tel: Telemetry) {
-        self.data.attach_telemetry(tel.clone(), "data");
-        self.logv.attach_telemetry(tel.clone(), "log");
+        self.io.data.attach_telemetry(tel.clone(), "data");
+        self.io.logv.attach_telemetry(tel.clone(), "log");
         self.pool.attach_telemetry(tel.clone());
-        self.wal.attach_telemetry(tel.clone());
+        self.io.wal.attach_telemetry(tel.clone());
         self.tel = Some(tel);
     }
 
@@ -424,9 +461,9 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
     /// (atomic write acks, FLUSH CACHE acks) requires attaching the same
     /// ledger to the device *before* handing it to [`Engine::create`].
     pub fn attach_ledger(&mut self, ledger: Ledger) {
-        self.data.attach_ledger(ledger.clone());
-        self.logv.attach_ledger(ledger.clone());
-        self.wal.attach_ledger(ledger.clone());
+        self.io.data.attach_ledger(ledger.clone());
+        self.io.logv.attach_ledger(ledger.clone());
+        self.io.wal.attach_ledger(ledger.clone());
         self.ledger = Some(ledger);
     }
 
@@ -450,7 +487,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
 
     /// Engine statistics.
     pub fn stats(&self) -> EngineStats {
-        self.stats
+        self.io.stats
     }
 
     /// Buffer-pool statistics.
@@ -465,24 +502,24 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
 
     /// WAL statistics.
     pub fn wal_stats(&self) -> WalStats {
-        self.wal.stats()
+        self.io.wal.stats()
     }
 
     /// Log bytes a crash right now would leave outstanding — everything
     /// between the on-disk checkpoint header and the append head. This is
     /// the quantity recovery time scales with.
     pub fn wal_outstanding_bytes(&self) -> u64 {
-        self.wal.live_bytes()
+        self.io.wal.live_bytes()
     }
 
     /// The data volume (device stats inspection).
     pub fn data_volume(&self) -> &Volume<D> {
-        &self.data
+        &self.io.data
     }
 
     /// The log volume.
     pub fn log_volume(&self) -> &Volume<L> {
-        &self.logv
+        &self.io.logv
     }
 
     /// Current miss ratio of the buffer pool.
@@ -494,90 +531,70 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
         self.cfg.page_size - TRAILER
     }
 
-    /// Build a view + backend over disjoint fields (one operation's scope).
+    /// Run `f` over the trees and a page-store view (one operation's
+    /// scope); every mutated frame stays pinned until [`Engine::finish_op`].
     fn op<R>(
         &mut self,
         now: Nanos,
-        f: impl FnOnce(&mut Vec<BTree>, &mut View<'_, D, L>, Nanos) -> (R, Nanos),
+        f: impl FnOnce(&mut [BTree], &mut View<'_, D, L>, Nanos) -> (R, Nanos),
     ) -> (R, OpSummary, Nanos) {
-        let logical_ps = self.cfg.page_size - TRAILER;
-        let Engine {
-            cfg,
-            data,
-            logv,
-            dwb,
-            ts,
-            pool,
-            wal,
-            trees,
-            next_page,
-            dwb_cursor,
-            dirty_lsn,
-            scratch,
-            stats,
-            ..
-        } = self;
+        let logical_ps = self.logical_ps();
         let mut view = View {
-            pool,
-            be: Backend {
-                vol: data,
-                logv,
-                wal,
-                ts: *ts,
-                dwb: *dwb,
-                double_write: cfg.double_write,
-                dwb_cursor,
-                dirty_lsn,
-                scratch,
-                stats,
-            },
+            pool: &mut self.pool,
+            io: &mut self.io,
+            next_page: &mut self.next_page,
             logical_ps,
-            next_page,
-            data_pages: cfg.data_pages,
-            retained: Vec::new(),
-            mut_pages: Vec::new(),
-            allocated: Vec::new(),
-            image_all: cfg.full_page_writes,
+            data_pages: self.cfg.data_pages,
+            summary: OpSummary::default(),
         };
-        let (r, t) = f(trees, &mut view, now);
-        let summary = view.summarize();
-        (r, summary, t)
+        let (r, t) = f(&mut self.trees, &mut view, now);
+        (r, view.summary, t)
     }
 
-    /// Append the op's log records (a [`LogRecord::PageImages`] sidecar
-    /// when the op restructured the tree or full-page-writes demands
-    /// images, then the logical record itself), update per-page LSNs,
-    /// release pins.
+    /// Append a foreground op's log records — a [`LogRecord::PageImages`]
+    /// sidecar when the op restructured the tree or full-page-writes
+    /// demands images, then the logical record itself — and finish the op
+    /// at the LSN where they end.
     fn log_op(
         &mut self,
         op: Option<LogRecord>,
         summary: OpSummary,
         root_change: Option<(u32, u64, u8)>,
     ) {
-        let images = if summary.structural {
-            if self.cfg.full_page_writes {
-                for (p, _) in &summary.images {
-                    self.fpw_logged.insert(*p);
+        let fpw = self.cfg.full_page_writes;
+        let mut images = Vec::new();
+        if summary.structural || fpw {
+            // The pins keep every mutated page resident. Images go out in
+            // page order, one per page.
+            let mut frames: Vec<(u64, usize)> =
+                summary.retained.iter().map(|&idx| (self.pool.page_no(idx), idx)).collect();
+            frames.sort_unstable();
+            frames.dedup_by_key(|&mut (page, _)| page);
+            let lp = self.logical_ps();
+            for (page, idx) in frames {
+                // PostgreSQL-style: the first post-checkpoint touch logs the
+                // image; a structural op logs every page it rewrote.
+                let first_touch = fpw && self.fpw_logged.insert(page);
+                if summary.structural || first_touch {
+                    images.push((page, self.pool.data(idx)[..lp].to_vec()));
                 }
             }
-            summary.images
-        } else if self.cfg.full_page_writes {
-            // PostgreSQL-style: first post-checkpoint touch logs the image.
-            summary.images.into_iter().filter(|(p, _)| self.fpw_logged.insert(*p)).collect()
-        } else {
-            Vec::new()
-        };
+        }
         if !images.is_empty() || root_change.is_some() {
-            self.wal.append(&LogRecord::PageImages { images, root_change });
+            self.io.wal.append(&LogRecord::PageImages { images, root_change });
         }
         if let Some(op) = op {
-            self.wal.append(&op);
+            self.io.wal.append(&op);
         }
-        let lsn_end = self.wal.next_lsn();
-        for p in &summary.touched {
-            self.dirty_lsn.insert(*p, lsn_end);
-        }
+        self.finish_op(summary, self.io.wal.next_lsn());
+    }
+
+    /// The end of every operation that changed pages, foreground or redo:
+    /// stamp each frame it mutated with the LSN where its log records end,
+    /// then release the pins.
+    fn finish_op(&mut self, summary: OpSummary, end_lsn: Lsn) {
         for idx in summary.retained {
+            set_page_lsn(self.pool.data_mut(idx), end_lsn);
             self.pool.unpin(idx);
         }
     }
@@ -585,25 +602,13 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
     /// Create a new tree (table or index). Returns its id.
     pub fn create_tree(&mut self, now: Nanos) -> Timed<TreeId> {
         let id = self.trees.len() as TreeId;
-        let (tree, summary, t) = self.op(now, |trees, view, t| {
-            let (tree, t) = BTree::create(view, t);
-            let _ = trees;
-            (tree, t)
-        });
-        let root = tree.root();
-        let height = tree.height();
+        let (tree, summary, t) = self.op(now, |_, view, t| BTree::create(view, t));
+        let root_change = Some((id, tree.root(), tree.height()));
         self.trees.push(tree);
-        // A tree creation is structural by definition.
-        let mut summary = summary;
-        summary.structural = true;
-        if summary.images.is_empty() {
-            // `summarize` built images already (allocation occurred), but be
-            // defensive about future changes.
-            debug_assert!(!summary.touched.is_empty());
-        }
-        // A creation is pure structure: the PageImages sidecar (with the
-        // root change) is the whole story; there is no logical op to log.
-        self.log_op(None, summary, Some((id, root, height)));
+        // A creation is pure structure: the PageImages sidecar (the new
+        // root's image and the root change) is the whole story; there is no
+        // logical op to log.
+        self.log_op(None, summary, root_change);
         Timed::new(id, t)
     }
 
@@ -624,7 +629,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
              a crash may have rolled the catalog back; re-create the tree first",
             self.trees.len()
         );
-        self.stats.puts += 1;
+        self.io.stats.puts += 1;
         let scope = self.scope("engine.put", now);
         let root_before = self.trees[tree as usize].root();
         let height_before = self.trees[tree as usize].height();
@@ -654,12 +659,9 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             // only on unsafe configurations): every key reads as absent.
             return Timed::new(None, now);
         }
-        self.stats.gets += 1;
+        self.io.stats.gets += 1;
         let scope = self.scope("engine.get", now);
-        let (r, summary, t) = self.op(now, |trees, view, t| trees[tree as usize].get(view, key, t));
-        for idx in summary.retained {
-            self.pool.unpin(idx);
-        }
+        let (r, _, t) = self.op(now, |trees, view, t| trees[tree as usize].get(view, key, t));
         Timed::new(r, scope.map_or(t, |s| s.close(t)))
     }
 
@@ -668,7 +670,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
         if tree as usize >= self.trees.len() {
             return Timed::new(false, now); // tree lost with the catalog: nothing to delete
         }
-        self.stats.deletes += 1;
+        self.io.stats.deletes += 1;
         let scope = self.scope("engine.delete", now);
         let (existed, summary, t) =
             self.op(now, |trees, view, t| trees[tree as usize].delete(view, key, t));
@@ -693,18 +695,17 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
         if tree as usize >= self.trees.len() {
             return Timed::new(Vec::new(), now); // tree lost with the catalog: empty scan
         }
-        self.stats.gets += 1;
+        self.io.stats.gets += 1;
         let scope = self.scope("engine.scan", now);
-        let mut out = Vec::with_capacity(limit);
-        let (_, summary, t) = self.op(now, |trees, view, t| {
+        // One allocation for every limit callers page with; a larger limit
+        // is a bound, not a size, and the vector grows to what is found.
+        let mut out = Vec::with_capacity(limit.min(4096));
+        let (_, _, t) = self.op(now, |trees, view, t| {
             trees[tree as usize].scan(view, from, t, |k, v| {
                 out.push((k.to_vec(), v.to_vec()));
                 out.len() < limit
             })
         });
-        for idx in summary.retained {
-            self.pool.unpin(idx);
-        }
         Timed::new(out, scope.map_or(t, |s| s.close(t)))
     }
 
@@ -713,10 +714,10 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
     /// checkpoint here, so the interval knob works without the caller
     /// polling [`Engine::needs_checkpoint`].
     pub fn commit(&mut self, now: Nanos) -> Nanos {
-        self.stats.commits += 1;
+        self.io.stats.commits += 1;
         let scope = self.scope("engine.commit", now);
-        let target = self.wal.next_lsn();
-        let mut t = self.wal.commit(&mut self.logv, target, now);
+        let target = self.io.wal.next_lsn();
+        let mut t = self.io.wal.commit(&mut self.io.logv, target, now);
         if let Some(ledger) = &self.ledger {
             // Everything logged so far is acknowledged durable at `t`. The
             // contract is a barrier ack only when the log volume really
@@ -727,7 +728,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             scope.close(t);
         }
         if matches!(self.cfg.checkpoint_policy, CheckpointPolicy::EveryNCommits(_))
-            && self.wal.needs_checkpoint()
+            && self.io.wal.needs_checkpoint()
         {
             t = self.checkpoint(t);
         }
@@ -737,17 +738,17 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
     /// Enable the WAL's group-commit throughput model (see `wal` docs).
     /// Used by throughput benchmarks; leave off for durability tests.
     pub fn set_group_commit(&mut self, on: bool) {
-        self.wal.set_group_commit(on);
+        self.io.wal.set_group_commit(on);
     }
 
     /// Strictly flush every logged record to the device and wait.
     pub fn quiesce(&mut self, now: Nanos) -> Nanos {
-        self.wal.quiesce(&mut self.logv, now)
+        self.io.wal.quiesce(&mut self.io.logv, now)
     }
 
     /// Whether the WAL wants a checkpoint soon.
     pub fn needs_checkpoint(&self) -> bool {
-        self.wal.needs_checkpoint()
+        self.io.wal.needs_checkpoint()
     }
 
     /// Checkpoint: flush the log, write back every dirty page, persist the
@@ -760,50 +761,23 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
     /// is guaranteed to cross this checkpoint's complete Begin/End pair —
     /// that pair is what lets replay prove which records to skip.
     pub fn checkpoint(&mut self, now: Nanos) -> Nanos {
-        self.stats.checkpoints += 1;
+        self.io.stats.checkpoints += 1;
         let scope = self.scope("engine.checkpoint", now);
-        let t = self.wal.quiesce(&mut self.logv, now);
-        let begin_lsn = self.wal.append(&LogRecord::CheckpointBegin { lsn: self.wal.next_lsn() });
-        let t = {
-            let Engine {
-                cfg,
-                data,
-                logv,
-                dwb,
-                ts,
-                pool,
-                wal,
-                dwb_cursor,
-                dirty_lsn,
-                scratch,
-                stats,
-                ..
-            } = self;
-            let mut be = Backend {
-                vol: data,
-                logv,
-                wal,
-                ts: *ts,
-                dwb: *dwb,
-                double_write: cfg.double_write,
-                dwb_cursor,
-                dirty_lsn,
-                scratch,
-                stats,
-            };
-            pool.flush_all(&mut be, t)
-        };
-        let t = self.data.fsync(t).expect("data volume");
+        let t = self.io.wal.quiesce(&mut self.io.logv, now);
+        let begin = LogRecord::CheckpointBegin { lsn: self.io.wal.next_lsn() };
+        let begin_lsn = self.io.wal.append(&begin);
+        let t = self.pool.flush_all(&mut self.io, t);
+        let t = self.io.data.fsync(t).expect("data volume");
         let t = self.write_catalog(t);
         self.fpw_logged.clear();
         // Everything logged before Begin is now on the data volume: seal
         // the checkpoint in the log and make the markers durable.
-        self.wal.append(&LogRecord::CheckpointEnd { lsn: begin_lsn });
-        let t = self.wal.quiesce(&mut self.logv, t);
+        self.io.wal.append(&LogRecord::CheckpointEnd { lsn: begin_lsn });
+        let t = self.io.wal.quiesce(&mut self.io.logv, t);
         // Lag-one header update: scanning must still cross this
         // checkpoint's Begin/End pair, so the header points at the
         // *previous* checkpoint's Begin.
-        let t = self.wal.checkpoint(&mut self.logv, self.last_ckpt_begin, t);
+        let t = self.io.wal.checkpoint(&mut self.io.logv, self.last_ckpt_begin, t);
         self.last_ckpt_begin = begin_lsn;
         if let Some(ledger) = &self.ledger {
             ledger.evidence(EvidenceKind::Checkpoint, begin_lsn, t, self.cfg.barriers);
@@ -833,29 +807,31 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
         self.catalog_seq += 1;
         let buf = self.encode_catalog();
         let slot = self.catalog_seq % 2;
-        let t = self.catalog.write_page(&mut self.data, slot, &buf, now).expect("catalog page");
-        self.data.fsync(t).expect("data volume")
+        let t = self.catalog.write_page(&mut self.io.data, slot, &buf, now).expect("catalog page");
+        self.io.data.fsync(t).expect("data volume")
     }
 
     /// Simulate a host + storage crash: cut power to both devices and drop
     /// all in-memory state. Returns the raw devices for later recovery.
     pub fn crash(mut self, now: Nanos) -> (D, L) {
-        self.data.power_cut(now);
-        self.logv.power_cut(now);
-        (take_device(self.data), take_device(self.logv))
+        self.io.data.power_cut(now);
+        self.io.logv.power_cut(now);
+        (self.io.data.into_device(), self.io.logv.into_device())
     }
 
     /// Recover a database from devices after a crash. Reboots the devices,
-    /// repairs torn pages via the double-write area, replays the redo log
-    /// from the checkpoint bound through the normal BTree write API.
+    /// repairs torn pages via the double-write area, then redoes the log
+    /// past the checkpoint bound under the page-LSN guard (module docs).
     ///
     /// The returned [`Recovered`] carries replay statistics: how many
-    /// records were replayed, how many were skipped because a complete
-    /// checkpoint already covered them, and whether the scan truncated at a
-    /// torn record (recovery still succeeds — use [`crate::tear_error`] to
-    /// turn a tear into a hard [`Error::TornLog`] when the caller demands a
-    /// clean log). Replay never appends to the WAL and is idempotent:
-    /// recovering the same image twice yields byte-identical state.
+    /// records were past the bound (`replayed`, whether or not the pages
+    /// they describe still needed them), how many were skipped because a
+    /// complete checkpoint already covered them, and whether the scan
+    /// truncated at a torn record (recovery still succeeds — use
+    /// [`crate::tear_error`] to turn a tear into a hard [`Error::TornLog`]
+    /// when the caller demands a clean log). Redo never appends to the WAL
+    /// and never allocates a page — [`Error::Recovery`] if a record would —
+    /// so recovering the same image twice yields identical state.
     pub fn recover(
         data_dev: D,
         log_dev: L,
@@ -921,16 +897,14 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
                     Err(DevError::ShornPage { .. }) => continue, // torn copy: home is intact
                     Err(e) => panic!("dwb read failed: {e}"),
                 }
-                let n = slot_buf.len();
-                let page_no = u64::from_le_bytes(slot_buf[n - 16..n - 8].try_into().unwrap());
+                let page_no = sealed_page_no(&slot_buf);
                 if page_no >= cfg.data_pages || !trailer_ok(&slot_buf, page_no) {
                     continue;
                 }
                 let home_ok = match ts.read_page(&mut data, page_no, &mut home_buf, t) {
                     Ok(t2) => {
                         t = t2;
-                        let zero = u32::from_le_bytes(home_buf[n - 4..].try_into().unwrap()) == 0;
-                        zero || trailer_ok(&home_buf, page_no)
+                        never_written(&home_buf) || trailer_ok(&home_buf, page_no)
                     }
                     Err(DevError::ShornPage { .. }) => false,
                     Err(e) => panic!("home read failed: {e}"),
@@ -945,111 +919,95 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             }
         }
         // 3. Log recovery.
-        let (mut wal, scan, t2) = Wal::recover(&mut logv, log_layout, t);
+        let (wal, scan, t2) = Wal::recover(&mut logv, log_layout, t);
         t = t2;
-        wal.set_checkpoint_policy(cfg.checkpoint_policy);
-        let pool = BufferPool::new(cfg.pool_frames(), cfg.page_size);
-        let mut eng = Self {
-            data,
-            logv,
-            catalog,
-            dwb,
-            ts,
-            pool,
-            wal,
-            trees,
-            next_page,
-            dwb_cursor: 0,
-            catalog_seq,
-            last_ckpt_begin: 0,
-            dirty_lsn: HashMap::new(),
-            fpw_logged: std::collections::HashSet::new(),
-            scratch: Vec::with_capacity(cfg.page_size),
-            stats,
-            tel: None,
-            ledger: None,
-            cfg,
-        };
-        // 4. Replay everything after the newest complete checkpoint; skip
-        // what that checkpoint already flushed. Replay runs through the
-        // normal write path with the WAL left alone — assert that.
-        let appends_before = eng.wal.stats().appends;
-        let bound = scan.replay_bound();
-        let (skip_upto, ckpt_begin) = match bound {
-            Some((idx, begin)) => (idx as i64, begin),
-            None => (-1, eng.wal.checkpoint_lsn()),
+        let mut eng = Self::assemble(cfg, data, logv, (catalog, dwb, ts), wal);
+        eng.io.stats = stats;
+        eng.trees = trees;
+        eng.next_page = next_page;
+        eng.catalog_seq = catalog_seq;
+        // 4. Redo everything after the newest complete checkpoint; skip
+        // what that checkpoint already flushed. Structure first (images and
+        // root changes), then data, each in log order. The WAL is left
+        // alone — assert that.
+        let appends_before = eng.io.wal.stats().appends;
+        let (first, ckpt_begin) = match scan.replay_bound() {
+            Some((idx, begin)) => (idx + 1, begin),
+            None => (0, eng.io.wal.checkpoint_lsn()),
         };
         // The next checkpoint's lag-one header points at this one's Begin.
         eng.last_ckpt_begin = ckpt_begin;
-        let mut replay = ReplayStats {
+        let redo = &scan.records[first..];
+        for images in [true, false] {
+            for sr in redo {
+                if matches!(sr.record, LogRecord::PageImages { .. }) == images {
+                    t = eng.redo(sr, t)?;
+                }
+            }
+        }
+        eng.io.stats.replayed_records = redo.len() as u64;
+        debug_assert_eq!(eng.io.wal.stats().appends, appends_before, "redo must not grow the WAL");
+        let replay = ReplayStats {
             checkpoint_lsn: ckpt_begin,
+            replayed: redo.len() as u64,
+            skipped: first as u64,
             torn: scan.tear.iter().count() as u64,
             tear_lsn: scan.tear.map(|tear| tear.lsn),
-            ..ReplayStats::default()
+            replay_ns: t.saturating_sub(now),
         };
-        for (i, sr) in scan.records.into_iter().enumerate() {
-            if (i as i64) <= skip_upto {
-                replay.skipped += 1;
-                continue;
-            }
-            replay.replayed += 1;
-            eng.stats.replayed_records += 1;
-            t = eng.apply_record(sr.record, t);
-        }
-        debug_assert_eq!(eng.wal.stats().appends, appends_before, "replay must not grow the WAL");
-        replay.replay_ns = t.saturating_sub(now);
         Ok(Recovered::new(eng, t, replay))
     }
 
-    /// Apply one logical log record during recovery. Replay goes through
-    /// the normal BTree write API (no re-logging) and is idempotent: a put
-    /// is an upsert, a delete of a missing key is a no-op, a page image
-    /// overwrites whatever is there.
-    fn apply_record(&mut self, r: LogRecord, now: Nanos) -> Nanos {
-        let logical_ps = self.logical_ps();
+    /// Redo one scanned record under the page-LSN guard (module docs): an
+    /// image is installed unless its page is ahead of the record; a logical
+    /// record is applied iff the leaf it routes to has history and is not
+    /// ahead. Every frame redo changes carries the record's end LSN.
+    fn redo(&mut self, sr: &ScannedRecord, now: Nanos) -> Result<Nanos, Error> {
         let mut t = now;
-        match r {
+        match &sr.record {
             LogRecord::PageImages { images, root_change } => {
-                // Page images restore restructured pages exactly.
-                for (page, bytes) in &images {
-                    self.next_page = self.next_page.max(page + 1);
-                    let (_, summary, t2) = self.op(t, |_trees, view, t| {
-                        view.with_new_page(*page, t, |buf| {
-                            buf[..bytes.len()].copy_from_slice(bytes);
-                        })
-                    });
-                    for idx in summary.retained {
-                        self.pool.unpin(idx);
+                let (_, summary, t2) = self.op(t, |_, view, mut t| {
+                    for (page, image) in images {
+                        t = view.install_image(*page, image, sr.lsn, t);
                     }
-                    t = t2;
-                }
-                if let Some((tree, root, height)) = root_change {
+                    ((), t)
+                });
+                t = t2;
+                self.finish_op(summary, sr.end);
+                if let Some((tree, root, height)) = *root_change {
                     while self.trees.len() <= tree as usize {
                         self.trees.push(BTree::open(root, height));
                     }
                     self.trees[tree as usize] = BTree::open(root, height);
                 }
             }
-            LogRecord::Put { tree, key, value } => {
-                if (tree as usize) < self.trees.len() {
-                    assert!(key.len() + value.len() <= bnode::max_cell_payload(logical_ps));
-                    let (_, summary, t2) = self
-                        .op(t, |trees, view, t| trees[tree as usize].put(view, &key, &value, t));
-                    // Replay does not re-log.
-                    for idx in summary.retained {
-                        self.pool.unpin(idx);
-                    }
-                    t = t2;
+            LogRecord::Put { tree, key, .. } | LogRecord::Delete { tree, key } => {
+                let tree = *tree as usize;
+                if tree >= self.trees.len() {
+                    // A tree the surviving catalog and log no longer know
+                    // (possible only on unsafe configurations).
+                    return Ok(t);
                 }
-            }
-            LogRecord::Delete { tree, key } => {
-                if (tree as usize) < self.trees.len() {
-                    let (_, summary, t2) =
-                        self.op(t, |trees, view, t| trees[tree as usize].delete(view, &key, t));
-                    for idx in summary.retained {
-                        self.pool.unpin(idx);
+                let (_, summary, t2) = self.op(t, |trees, view, t| {
+                    let tree = &mut trees[tree];
+                    let (leaf, t) = tree.leaf_for(view, key, t);
+                    let (lsn, t) = view.page_lsn(leaf, t);
+                    if lsn == 0 || lsn > sr.lsn {
+                        return ((), t);
                     }
-                    t = t2;
+                    match &sr.record {
+                        LogRecord::Put { value, .. } => ((), tree.put(view, key, value, t).1),
+                        _ => ((), tree.delete(view, key, t).1),
+                    }
+                });
+                t = t2;
+                let allocated = summary.structural;
+                self.finish_op(summary, sr.end);
+                if allocated {
+                    return Err(Error::Recovery(format!(
+                        "redo of the record at lsn {} allocated a page",
+                        sr.lsn
+                    )));
                 }
             }
             // Checkpoint markers past the replay bound (an interrupted
@@ -1060,13 +1018,6 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             | LogRecord::DocSet { .. }
             | LogRecord::DocDelete { .. } => {}
         }
-        t
+        Ok(t)
     }
-}
-
-/// Extract the device from a volume (end of an engine's life).
-fn take_device<D: BlockDevice>(vol: Volume<D>) -> D {
-    // Volume has no public destructor; add one via a small unsafe-free path:
-    // Volume::into_device.
-    vol.into_device()
 }

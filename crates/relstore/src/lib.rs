@@ -13,8 +13,9 @@
 //!
 //! The four Fig. 5 configurations map to [`EngineConfig`]:
 //! `barriers` (write-barrier ON/OFF) × `double_write` (ON/OFF), and
-//! `page_size` sweeps 16/8/4KB. `o_dsync` reproduces the commercial
-//! engine's flush-per-write behaviour.
+//! `page_size` sweeps 16/8/4KB. [`EngineConfig::commercial_like`] is the
+//! Table 4 engine: no double-write, small pool; its O_DSYNC barrier per
+//! write call is what every profile does (one fsync seals each batch).
 
 pub mod config;
 pub mod engine;
@@ -137,6 +138,20 @@ mod tests {
     }
 
     #[test]
+    fn scan_limit_is_a_bound_not_a_reservation() {
+        // `usize::MAX >> 1` entries cannot be reserved ("capacity overflow");
+        // a limit far above the tree's size just returns the tree.
+        let mut e = mem_engine(4096);
+        let (t0, mut now) = e.create_tree(0).into_parts();
+        for i in 0..10u64 {
+            now = e.put(t0, format!("k{i}").as_bytes(), b"v", now);
+        }
+        let (rows, _) = e.scan(t0, b"", usize::MAX >> 1, now).into_parts();
+        assert_eq!(rows.len(), 10);
+        assert!(rows.capacity() <= 4096);
+    }
+
+    #[test]
     fn multiple_trees_are_independent() {
         let mut e = mem_engine(4096);
         let (ta, now) = e.create_tree(0).into_parts();
@@ -246,9 +261,8 @@ mod tests {
     }
 
     #[test]
-    fn odsync_fsyncs_every_page_write() {
+    fn every_write_batch_is_sealed_by_an_fsync() {
         let mut cfg = small_cfg(4096);
-        cfg.o_dsync = true;
         cfg.double_write = false;
         cfg.buffer_pool_bytes = 8 * 4096;
         let (mut e, now) =
@@ -264,7 +278,7 @@ mod tests {
         assert!(fsyncs > 0);
         assert!(
             fsyncs * 16 >= s.page_writes,
-            "O_DSYNC engine must fsync at least once per 16-page batch: {fsyncs} vs {}",
+            "the engine must fsync at least once per 16-page batch: {fsyncs} vs {}",
             s.page_writes
         );
     }

@@ -29,6 +29,10 @@ pub enum Target {
     /// Relational engine (paper's lean config: no barriers, no double
     /// write) on DuraSSD data + log devices.
     Engine,
+    /// The same engine and mount shaped so that redo has work: an 8-frame
+    /// pool over thousands of keys, checkpoints only when the trace says
+    /// so, cuts landing with a long log tail outstanding.
+    EngineRedo,
     /// Document store on a DuraSSD.
     Doc,
 }
@@ -39,6 +43,7 @@ impl Target {
             Target::Dura => "dura",
             Target::Volatile => "volatile",
             Target::Engine => "engine",
+            Target::EngineRedo => "engine_redo",
             Target::Doc => "doc",
         }
     }
@@ -48,19 +53,21 @@ impl Target {
             "dura" => Some(Target::Dura),
             "volatile" => Some(Target::Volatile),
             "engine" => Some(Target::Engine),
+            "engine_redo" => Some(Target::EngineRedo),
             "doc" => Some(Target::Doc),
             _ => None,
         }
     }
 
-    pub fn all() -> [Target; 4] {
-        [Target::Dura, Target::Volatile, Target::Engine, Target::Doc]
+    pub fn all() -> [Target; 5] {
+        [Target::Dura, Target::Volatile, Target::Engine, Target::EngineRedo, Target::Doc]
     }
 
     fn alphabet(&self) -> Alphabet {
         match self {
             Target::Dura | Target::Volatile => Alphabet::Device,
             Target::Engine | Target::Doc => Alphabet::Store,
+            Target::EngineRedo => Alphabet::Redo,
         }
     }
 }
@@ -115,7 +122,8 @@ pub fn run_case(target: Target, ops: &[Op]) -> Result<(), Failure> {
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match target {
         Target::Dura => run_device_case(ops, false),
         Target::Volatile => run_device_case(ops, true),
-        Target::Engine => run_engine_case(ops),
+        Target::Engine => run_engine_case(ops, &EngineCase::commit_interleavings()),
+        Target::EngineRedo => run_engine_case(ops, &EngineCase::redo_outstanding()),
         Target::Doc => run_doc_case(ops),
     }));
     match run {
@@ -359,40 +367,66 @@ fn key_of(key: u64) -> Vec<u8> {
     format!("k{key:04}").into_bytes()
 }
 
-fn val_of(key: u64, version: u64) -> Vec<u8> {
-    format!("v{version}:{key}:{}", "x".repeat(48)).into_bytes()
+/// Bytes of `x` after a value's `v{version}:{key}:` head, as `(base,
+/// spread)`: `base + version % spread`. A spread above 1 makes an overwrite
+/// change how full its leaf is.
+type Pad = (usize, u64);
+const PAD_48: Pad = (48, 1);
+
+fn val_of(key: u64, version: u64, (base, spread): Pad) -> Vec<u8> {
+    format!("v{version}:{key}:{}", "x".repeat(base + (version % spread) as usize)).into_bytes()
 }
 
 /// Decode a stored value back to its version number.
-fn version_of(val: &[u8], key: u64) -> Result<u64, String> {
+fn version_of(val: &[u8], key: u64, pad: Pad) -> Result<u64, String> {
     let s = std::str::from_utf8(val).map_err(|_| format!("key {key}: non-utf8 value"))?;
     let rest = s.strip_prefix('v').ok_or_else(|| format!("key {key}: bad value {s:?}"))?;
-    let (ver, tail) = rest.split_once(':').ok_or_else(|| format!("key {key}: bad value {s:?}"))?;
+    let (ver, _) = rest.split_once(':').ok_or_else(|| format!("key {key}: bad value {s:?}"))?;
     let v: u64 = ver.parse().map_err(|_| format!("key {key}: bad version in {s:?}"))?;
-    if tail != format!("{key}:{}", "x".repeat(48)) {
+    if val != val_of(key, v, pad) {
         return Err(format!("key {key}: value body mangled: {s:?}"));
     }
     Ok(v)
 }
 
-fn engine_cfg() -> EngineConfig {
-    // The paper's lean mount on DuraSSD: no barriers, no double write —
-    // safe *because* the cache is capacitor-backed. Exactly the claim the
-    // fuzzer should hammer on.
+/// What distinguishes one relational fuzz target from another: the mount
+/// and the value sizes (the key space comes with the target's alphabet).
+struct EngineCase {
+    cfg: EngineConfig,
+    pad: Pad,
+}
+
+/// The paper's lean mount on DuraSSD: no barriers, no double write — safe
+/// *because* the cache is capacitor-backed. Exactly the claim the fuzzer
+/// should hammer on.
+fn lean_cfg(frames: u64, log_file_blocks: u64) -> EngineConfig {
     EngineConfig {
-        page_size: 4096,
-        buffer_pool_bytes: 32 * 4096,
+        buffer_pool_bytes: frames * 4096,
         double_write: false,
-        full_page_writes: false,
         barriers: false,
-        o_dsync: false,
         data_pages: 512,
         log_files: 2,
-        log_file_blocks: 64,
+        log_file_blocks,
         dwb_pages: 16,
-        // Commit-count policy with a short interval so the policy-driven
-        // `ckpt` op actually fires checkpoints mid-trace.
-        checkpoint_policy: relstore::CheckpointPolicy::EveryNCommits(6),
+        ..EngineConfig::mysql_like(4096)
+    }
+}
+
+impl EngineCase {
+    /// `engine`: a pool that holds the whole one-leaf tree, and a
+    /// commit-count policy with a short interval so the policy-driven
+    /// `ckpt` op actually fires checkpoints mid-trace.
+    fn commit_interleavings() -> Self {
+        let checkpoint_policy = relstore::CheckpointPolicy::EveryNCommits(6);
+        Self { cfg: EngineConfig { checkpoint_policy, ..lean_cfg(32, 64) }, pad: PAD_48 }
+    }
+
+    /// `engine_redo`: eight frames under a tree of dozens of leaves, values
+    /// of 70–130 bytes, a log that holds a whole trace, and checkpoints
+    /// only where the trace has a `ck`.
+    fn redo_outstanding() -> Self {
+        let checkpoint_policy = relstore::CheckpointPolicy::Explicit;
+        Self { cfg: EngineConfig { checkpoint_policy, ..lean_cfg(8, 384) }, pad: (70, 61) }
     }
 }
 
@@ -405,8 +439,8 @@ fn check_engine_invariants(e: &Engine<Ssd, Ssd>) -> Result<(), String> {
     e.log_volume().device().check_invariants().map_err(|m| format!("log dev: {m}"))
 }
 
-fn run_engine_case(ops: &[Op]) -> Result<(), Failure> {
-    let cfg = engine_cfg();
+fn run_engine_case(ops: &[Op], case: &EngineCase) -> Result<(), Failure> {
+    let EngineCase { cfg, pad } = *case;
     let tel = fuzz_tel();
     let mut data = engine_dev();
     data.attach_telemetry(tel.clone());
@@ -421,14 +455,16 @@ fn run_engine_case(ops: &[Op]) -> Result<(), Failure> {
         match *op {
             Op::Put { key } => {
                 let v = oracle.issue_version();
-                now = eng.put(tree, &key_of(key), &val_of(key, v), now);
+                now = eng.put(tree, &key_of(key), &val_of(key, v, pad), now);
                 oracle.put(key, v);
             }
             Op::GetKey { key } => {
                 let (got, t) = eng.get(tree, &key_of(key), now).into_parts();
                 now = t;
                 let got_v = match got {
-                    Some(bytes) => Some(version_of(&bytes, key).map_err(|m| fail(step, op, m))?),
+                    Some(bytes) => {
+                        Some(version_of(&bytes, key, pad).map_err(|m| fail(step, op, m))?)
+                    }
                     None => None,
                 };
                 let want = oracle.expect(key);
@@ -461,7 +497,7 @@ fn run_engine_case(ops: &[Op]) -> Result<(), Failure> {
             }
             Op::CrashRecover => {
                 let (d, l) = eng.crash(now + 1);
-                let recovered = Engine::recover(d, l, engine_cfg(), now + 2)
+                let recovered = Engine::recover(d, l, cfg, now + 2)
                     .map_err(|e| fail(step, op, format!("recovery failed: {e}")))?;
                 let (e2, t2) = recovered.into_parts();
                 eng = e2;
@@ -475,13 +511,44 @@ fn run_engine_case(ops: &[Op]) -> Result<(), Failure> {
                     now = t;
                     let got_v = match got {
                         Some(bytes) => {
-                            Some(version_of(&bytes, key).map_err(|m| fail(step, op, m))?)
+                            Some(version_of(&bytes, key, pad).map_err(|m| fail(step, op, m))?)
                         }
                         None => None,
                     };
                     oracle.absorb_recovered(key, got_v).map_err(|m| fail(step, op, m))?;
                 }
                 oracle.finish_recovery();
+                // The leaf chain must hold exactly what the point lookups
+                // found: an invented, duplicated or misplaced key fails as
+                // loudly as a lost one.
+                let live: Vec<Vec<u8>> = oracle
+                    .keys()
+                    .into_iter()
+                    .filter(|&key| oracle.expect(key).is_some())
+                    .map(key_of)
+                    .collect();
+                // One more than can be right, so a looping chain ends.
+                let (rows, t) = eng.scan(tree, b"", live.len() + 1, now).into_parts();
+                now = t;
+                let scanned: Vec<Vec<u8>> = rows.into_iter().map(|(k, _)| k).collect();
+                if scanned != live {
+                    let show = |keys: &[Vec<u8>], other: &[Vec<u8>]| {
+                        let odd = keys.iter().filter(|k| !other.contains(k));
+                        odd.map(|k| String::from_utf8_lossy(k).into_owned()).collect::<Vec<_>>()
+                    };
+                    return Err(fail(
+                        step,
+                        op,
+                        format!(
+                            "full scan returned {} keys, point lookups found {}: only in scan \
+                             {:?}, missing from scan {:?}",
+                            scanned.len(),
+                            live.len(),
+                            show(&scanned, &live),
+                            show(&live, &scanned)
+                        ),
+                    ));
+                }
             }
             _ => return Err(fail(step, op, "not a store op")),
         }
@@ -516,14 +583,16 @@ fn run_doc_case(ops: &[Op]) -> Result<(), Failure> {
         match *op {
             Op::Put { key } => {
                 let v = oracle.issue_version();
-                now = store.set(&key_of(key), &val_of(key, v), now);
+                now = store.set(&key_of(key), &val_of(key, v, PAD_48), now);
                 oracle.put(key, v);
             }
             Op::GetKey { key } => {
                 let (got, t) = store.get(&key_of(key), now).into_parts();
                 now = t;
                 let got_v = match got {
-                    Some(bytes) => Some(version_of(&bytes, key).map_err(|m| fail(step, op, m))?),
+                    Some(bytes) => {
+                        Some(version_of(&bytes, key, PAD_48).map_err(|m| fail(step, op, m))?)
+                    }
                     None => None,
                 };
                 let want = oracle.expect(key);
@@ -563,7 +632,7 @@ fn run_doc_case(ops: &[Op]) -> Result<(), Failure> {
                     now = t;
                     let got_v = match got {
                         Some(bytes) => {
-                            Some(version_of(&bytes, key).map_err(|m| fail(step, op, m))?)
+                            Some(version_of(&bytes, key, PAD_48).map_err(|m| fail(step, op, m))?)
                         }
                         None => None,
                     };

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! simtest [--seeds N] [--ops M] [--seed S] [--start S0]
-//!         [--target dura|volatile|engine|doc|all]
+//!         [--target dura|volatile|engine|engine_redo|doc|all]
 //!         [--trace "w:3:1 f cut r:3:1"] [--check] [--quiet]
 //! ```
 //!
@@ -72,7 +72,9 @@ fn main() {
         match Target::parse(&target_arg) {
             Some(t) => vec![t],
             None => {
-                eprintln!("unknown --target {target_arg:?} (dura|volatile|engine|doc|all)");
+                eprintln!(
+                    "unknown --target {target_arg:?} (dura|volatile|engine|engine_redo|doc|all)"
+                );
                 std::process::exit(2);
             }
         }

@@ -144,13 +144,28 @@ pub enum Alphabet {
     Device,
     /// Key-value ops against a store (engine or docstore).
     Store,
+    /// Key-value ops shaped to leave redo outstanding on the relational
+    /// engine: a key space that splits and evicts, rare checkpoints.
+    Redo,
 }
 
 /// Hot window: most device ops land in a small lpn range so overwrites,
 /// coalescing and preimage chains actually happen.
 const HOT_LPNS: u64 = 24;
-/// Keys the store targets draw from.
-const KEY_SPACE: u64 = 24;
+
+/// A store alphabet: the key space and the weights of `p gk d c ck ckpt cr`.
+struct StoreMix {
+    keys: u64,
+    weights: [u32; 7],
+}
+
+/// Two dozen keys in one leaf, a crash every ~17 ops: commit/checkpoint/crash
+/// interleavings, not tree shape.
+const STORE: StoreMix = StoreMix { keys: 24, weights: [40, 20, 10, 13, 7, 4, 6] };
+/// Thousands of keys over dozens of leaves, a checkpoint in ~200 ops and a
+/// crash in ~100: the pool steals, leaves split, and cuts land with a long
+/// log tail still to redo.
+const REDO: StoreMix = StoreMix { keys: 2500, weights: [450, 150, 250, 135, 5, 0, 10] };
 
 /// Generate `n` ops for `alphabet` from a seeded RNG. Deterministic:
 /// the same `(seed, n, alphabet)` always yields the same sequence.
@@ -159,7 +174,8 @@ pub fn generate(rng: &mut SimRng, alphabet: Alphabet, n: usize, lpn_space: u64) 
     for _ in 0..n {
         let op = match alphabet {
             Alphabet::Device => gen_device_op(rng, lpn_space),
-            Alphabet::Store => gen_store_op(rng),
+            Alphabet::Store => gen_store_op(rng, &STORE),
+            Alphabet::Redo => gen_store_op(rng, &REDO),
         };
         ops.push(op);
     }
@@ -214,15 +230,20 @@ fn gen_device_op(rng: &mut SimRng, lpn_space: u64) -> Op {
     }
 }
 
-fn gen_store_op(rng: &mut SimRng) -> Op {
-    let roll = rng.gen_range(0u32..100);
-    match roll {
-        0..=39 => Op::Put { key: rng.gen_range(0..KEY_SPACE) },
-        40..=59 => Op::GetKey { key: rng.gen_range(0..KEY_SPACE) },
-        60..=69 => Op::Del { key: rng.gen_range(0..KEY_SPACE) },
-        70..=82 => Op::Commit,
-        83..=89 => Op::Checkpoint,
-        90..=93 => Op::Ckpt,
+fn gen_store_op(rng: &mut SimRng, mix: &StoreMix) -> Op {
+    let roll = rng.gen_range(0u32..mix.weights.iter().sum());
+    let mut upto = 0;
+    let kind = mix.weights.iter().position(|&weight| {
+        upto += weight;
+        roll < upto
+    });
+    match kind {
+        Some(0) => Op::Put { key: rng.gen_range(0..mix.keys) },
+        Some(1) => Op::GetKey { key: rng.gen_range(0..mix.keys) },
+        Some(2) => Op::Del { key: rng.gen_range(0..mix.keys) },
+        Some(3) => Op::Commit,
+        Some(4) => Op::Checkpoint,
+        Some(5) => Op::Ckpt,
         _ => Op::CrashRecover,
     }
 }
@@ -238,10 +259,21 @@ mod tests {
         let trace = trace_string(&ops);
         assert_eq!(parse_trace(&trace).unwrap(), ops);
 
-        let mut rng = SimRng::seed_from_u64(7);
-        let ops = generate(&mut rng, Alphabet::Store, 200, 192);
-        let trace = trace_string(&ops);
-        assert_eq!(parse_trace(&trace).unwrap(), ops);
+        for alphabet in [Alphabet::Store, Alphabet::Redo] {
+            let mut rng = SimRng::seed_from_u64(7);
+            let ops = generate(&mut rng, alphabet, 200, 192);
+            let trace = trace_string(&ops);
+            assert_eq!(parse_trace(&trace).unwrap(), ops);
+        }
+    }
+
+    #[test]
+    fn redo_alphabet_checkpoints_rarely_and_crashes_often_enough() {
+        let ops = generate(&mut SimRng::seed_from_u64(3), Alphabet::Redo, 20_000, 192);
+        let count = |want: &Op| ops.iter().filter(|op| *op == want).count();
+        assert!((50..=150).contains(&count(&Op::Checkpoint)), "about 1 op in 200");
+        assert!((140..=260).contains(&count(&Op::CrashRecover)), "about 1 op in 100");
+        assert!(ops.iter().any(|op| matches!(op, Op::Put { key } if *key >= 2000)));
     }
 
     #[test]

@@ -69,6 +69,9 @@ const HDR_MAGIC: u64 = 0x57414c_4844523031;
 pub struct ScannedRecord {
     /// The record's LSN (stream offset of its frame header).
     pub lsn: Lsn,
+    /// LSN just past the record: where the next frame starts, and the page
+    /// LSN a page carries once this record has been redone onto it.
+    pub end: Lsn,
     /// The decoded record.
     pub record: LogRecord,
 }
@@ -187,11 +190,17 @@ impl Wal {
         now: Nanos,
     ) -> (Self, Nanos) {
         assert!(files_n >= 1 && file_blocks >= 2, "log too small");
-        let files: Vec<PageFile> =
-            (0..files_n).map(|_| PageFile::create(vm, file_blocks, BLOCK)).collect();
+        let mut wal =
+            Self::new((0..files_n).map(|_| PageFile::create(vm, file_blocks, BLOCK)).collect());
+        let t = wal.write_header(vol, now);
+        (wal, t)
+    }
+
+    /// An empty log over `files`, positioned at LSN 0.
+    fn new(files: Vec<PageFile>) -> Self {
         // Block 0 of file 0 is the header; the rest is the circular data area.
-        let data_blocks = files_n as u64 * file_blocks - 1;
-        let mut wal = Self {
+        let data_blocks = files.len() as u64 * files[0].pages() - 1;
+        Self {
             files,
             data_blocks,
             buf: Vec::new(),
@@ -211,9 +220,7 @@ impl Wal {
             stats: WalStats::default(),
             tel: None,
             ledger: None,
-        };
-        let t = wal.write_header(vol, now);
-        (wal, t)
+        }
     }
 
     /// Statistics so far.
@@ -580,28 +587,7 @@ impl Wal {
         files: Vec<PageFile>,
         now: Nanos,
     ) -> (Self, LogScan, Nanos) {
-        let data_blocks = files.len() as u64 * files[0].pages() - 1;
-        let mut wal = Self {
-            files,
-            data_blocks,
-            buf: Vec::new(),
-            buf_start: 0,
-            next_lsn: 0,
-            durable_lsn: 0,
-            inflight: None,
-            group_commit: false,
-            group_end: None,
-            last_flush_dur: 1_000_000,
-            checkpoint_lsn: 0,
-            policy: CheckpointPolicy::default(),
-            commits_since_ckpt: 0,
-            tail_image: vec![0u8; BLOCK],
-            image_bytes_buffered: 0,
-            run_scratch: Vec::new(),
-            stats: WalStats::default(),
-            tel: None,
-            ledger: None,
-        };
+        let mut wal = Self::new(files);
         let mut scan = LogScan::default();
         let mut hdr = vec![0u8; BLOCK];
         let mut t = wal.files[0].read_page(vol, 0, &mut hdr, now).expect("header block");
@@ -656,8 +642,9 @@ impl Wal {
             }
             match LogRecord::decode(&payload) {
                 Some((record, used)) if used == payload.len() => {
-                    scan.records.push(ScannedRecord { lsn, record });
-                    lsn += (REC_HDR + len) as u64;
+                    let end = lsn + (REC_HDR + len) as u64;
+                    scan.records.push(ScannedRecord { lsn, end, record });
+                    lsn = end;
                 }
                 _ => {
                     // CRC-valid bytes that are not a record: garbage was
@@ -750,6 +737,11 @@ mod tests {
         for (i, r) in scan.records.iter().enumerate() {
             assert_eq!(value_of(r), &[i as u8; 100]);
             assert_eq!(r.lsn, lsns[i]);
+            assert_eq!(
+                r.end,
+                lsns.get(i + 1).copied().unwrap_or(end),
+                "a record ends where the next starts"
+            );
         }
         assert_eq!(wal2.next_lsn(), end);
     }
@@ -974,7 +966,7 @@ mod tests {
     fn replay_bound_finds_last_complete_checkpoint() {
         let mut scan = LogScan::default();
         let push = |scan: &mut LogScan, lsn: Lsn, record: LogRecord| {
-            scan.records.push(ScannedRecord { lsn, record });
+            scan.records.push(ScannedRecord { lsn, end: lsn + 10, record });
         };
         push(&mut scan, 0, rec(b"a"));
         assert!(scan.replay_bound().is_none());

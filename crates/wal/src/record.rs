@@ -10,11 +10,17 @@
 //! can cheaply reject non-record bytes before paying for a CRC, and a
 //! corrupt record is distinguishable from clean end-of-log.
 //!
-//! Replay contract: logical records are **idempotent** — `Put` is an
-//! upsert, `Delete` of a missing key is a no-op — so recovery may replay
-//! any suffix of the log any number of times and converge to the same
-//! state. That is what makes checkpoint-LSN-bounded recovery safe with a
-//! lag-one checkpoint header (see `relstore::Engine::checkpoint`).
+//! Replay contract: a logical record names a key, not a page, and is safe
+//! to redo only against a page known to be older than it. `Put` is an
+//! upsert and `Delete` of a missing key a no-op, but that does not make a
+//! suffix of the log replayable onto a volume whose pages the buffer pool
+//! wrote at different moments: an old `Put` replayed onto a newer, fuller
+//! leaf splits it. The relational engine therefore stamps every page with
+//! the end LSN of the last record that changed it and redoes a record only
+//! where that LSN says it is still news — page images first, then logical
+//! records — under one invariant, *redo never allocates* (see
+//! `relstore::engine`). The document store keeps its records in an
+//! append-only file and replays nothing.
 
 use simkit::crc32;
 

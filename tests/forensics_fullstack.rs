@@ -18,17 +18,14 @@ use storage::device::{BlockDevice, LOGICAL_PAGE};
 
 fn engine_cfg(safe: bool) -> EngineConfig {
     EngineConfig {
-        page_size: 4096,
         buffer_pool_bytes: 64 * 4096,
         double_write: safe,
-        full_page_writes: false,
         barriers: safe,
-        o_dsync: false,
         data_pages: 8192,
         log_files: 2,
         log_file_blocks: 1024,
         dwb_pages: 64,
-        checkpoint_policy: relstore::CheckpointPolicy::default(),
+        ..EngineConfig::mysql_like(4096)
     }
 }
 

@@ -18,17 +18,14 @@ fn linkbench_on_durassd_end_to_end() {
     let ops = 2_000u64;
     let est = nodes * 900;
     let cfg = EngineConfig {
-        page_size: 8192,
         buffer_pool_bytes: est / 10,
         double_write: true,
-        full_page_writes: false,
         barriers: true,
-        o_dsync: false,
         data_pages: (est * 4 / 8192).max(8192),
         log_files: 2,
         log_file_blocks: 4096,
         dwb_pages: 256,
-        checkpoint_policy: relstore::CheckpointPolicy::default(),
+        ..EngineConfig::mysql_like(8192)
     };
     let (mut e, t0) = Engine::create(dura(), dura(), cfg, 0).into_parts();
     let mut spec = linkbench::LinkBenchSpec::scaled(nodes, ops);
@@ -73,17 +70,14 @@ fn tpcc_money_conservation() {
     };
     let est: u64 = 4 * 1024 * 1024;
     let cfg = EngineConfig {
-        page_size: 4096,
         buffer_pool_bytes: est,
         double_write: false,
-        full_page_writes: false,
         barriers: false,
-        o_dsync: false,
         data_pages: 32 * 1024,
         log_files: 2,
         log_file_blocks: 4096,
         dwb_pages: 64,
-        checkpoint_policy: relstore::CheckpointPolicy::default(),
+        ..EngineConfig::mysql_like(4096)
     };
     let (mut e, t0) = Engine::create(dura(), dura(), cfg, 0).into_parts();
     let (mut db, t1) = tpcc::load(&mut e, &spec, t0);
@@ -130,17 +124,14 @@ fn engine_checkpoint_cycles_under_load() {
     // Long-running load with a small log: checkpoints must cycle the log
     // without data loss or overflow panics.
     let cfg = EngineConfig {
-        page_size: 4096,
         buffer_pool_bytes: 128 * 4096,
         double_write: true,
-        full_page_writes: false,
         barriers: true,
-        o_dsync: false,
         data_pages: 16 * 1024,
         log_files: 2,
         log_file_blocks: 96, // <1MB total: forces frequent checkpoints
         dwb_pages: 64,
-        checkpoint_policy: relstore::CheckpointPolicy::default(),
+        ..EngineConfig::mysql_like(4096)
     };
     let (mut e, t0) = Engine::create(dura(), dura(), cfg, 0).into_parts();
     let (tree, t1) = e.create_tree(t0).into_parts();
@@ -170,17 +161,14 @@ fn ssd_gc_under_database_load_preserves_data() {
     let data = Ssd::new(ssd_cfg);
     let log = Ssd::new(ssd_cfg);
     let cfg = EngineConfig {
-        page_size: 4096,
         buffer_pool_bytes: 32 * 4096,
         double_write: false,
-        full_page_writes: false,
         barriers: false,
-        o_dsync: false,
         data_pages: 800,
         log_files: 2,
         log_file_blocks: 100,
         dwb_pages: 16,
-        checkpoint_policy: relstore::CheckpointPolicy::default(),
+        ..EngineConfig::mysql_like(4096)
     };
     let (mut e, t0) = Engine::create(data, log, cfg, 0).into_parts();
     let (tree, t1) = e.create_tree(t0).into_parts();

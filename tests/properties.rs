@@ -92,17 +92,14 @@ fn engine_survives_crashes_like_model() {
             })
             .collect();
         let cfg = EngineConfig {
-            page_size: 4096,
             buffer_pool_bytes: 48 * 4096,
             double_write: false,
-            full_page_writes: false,
             barriers: false,
-            o_dsync: false,
             data_pages: 900,
             log_files: 2,
             log_file_blocks: 128,
             dwb_pages: 8,
-            checkpoint_policy: relstore::CheckpointPolicy::default(),
+            ..EngineConfig::mysql_like(4096)
         };
         let mk = || Ssd::new(SsdConfig::tiny_test());
         let (mut e, t0) = Engine::create(mk(), mk(), cfg, 0).into_parts();

@@ -14,17 +14,15 @@ fn dura() -> Ssd {
 
 fn cfg_fpw() -> EngineConfig {
     EngineConfig {
-        page_size: 4096,
         buffer_pool_bytes: 48 * 4096,
         double_write: false,
         full_page_writes: true, // PostgreSQL-style torn-page protection
         barriers: true,
-        o_dsync: false,
         data_pages: 8192,
         log_files: 2,
         log_file_blocks: 4096,
         dwb_pages: 16,
-        checkpoint_policy: relstore::CheckpointPolicy::default(),
+        ..EngineConfig::mysql_like(4096)
     }
 }
 
@@ -77,17 +75,14 @@ fn catalog_ping_pong_survives_one_corrupt_copy() {
     // Both catalog copies are written alternately; recovery must cope with
     // the *newest* copy being garbage by falling back to the older one.
     let cfg = EngineConfig {
-        page_size: 4096,
         buffer_pool_bytes: 48 * 4096,
         double_write: true,
-        full_page_writes: false,
         barriers: true,
-        o_dsync: false,
         data_pages: 4096,
         log_files: 2,
         log_file_blocks: 2048,
         dwb_pages: 16,
-        checkpoint_policy: relstore::CheckpointPolicy::default(),
+        ..EngineConfig::mysql_like(4096)
     };
     let (mut e, t0) =
         Engine::create(MemDevice::new(16 * 1024), MemDevice::new(8 * 1024), cfg, 0).into_parts();
@@ -178,17 +173,14 @@ fn docstore_tombstones_survive_crash() {
 fn engine_recovers_from_empty_uncheckpointed_database() {
     // Crash immediately after creation: recovery finds the initial catalog.
     let cfg = EngineConfig {
-        page_size: 4096,
         buffer_pool_bytes: 16 * 4096,
         double_write: true,
-        full_page_writes: false,
         barriers: true,
-        o_dsync: false,
         data_pages: 2048,
         log_files: 2,
         log_file_blocks: 512,
         dwb_pages: 8,
-        checkpoint_policy: relstore::CheckpointPolicy::default(),
+        ..EngineConfig::mysql_like(4096)
     };
     let (e, now) =
         Engine::create(MemDevice::new(8 * 1024), MemDevice::new(4 * 1024), cfg, 0).into_parts();
@@ -222,17 +214,14 @@ fn repeated_trim_write_cycles_stay_consistent() {
 fn group_commit_acks_are_durable_after_quiesce() {
     // Group-commit mode may ack ahead of media; quiesce closes the window.
     let cfg = EngineConfig {
-        page_size: 4096,
         buffer_pool_bytes: 32 * 4096,
         double_write: false,
-        full_page_writes: false,
         barriers: false,
-        o_dsync: false,
         data_pages: 4096,
         log_files: 2,
         log_file_blocks: 1024,
         dwb_pages: 8,
-        checkpoint_policy: relstore::CheckpointPolicy::default(),
+        ..EngineConfig::mysql_like(4096)
     };
     let (mut e, t0) = Engine::create(dura(), dura(), cfg, 0).into_parts();
     e.set_group_commit(true);
