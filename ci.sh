@@ -152,18 +152,25 @@ echo "== repo benchmark (out-of-workspace package: unit tests + reduced-scale sm
 (cd benchmark && cargo test --release --offline -q)
 benchmark/smoke.sh
 
-echo "== docstore allocation gate (noise-free proxy for the ycsb_doc host path) =="
+echo "== allocation gates (noise-free proxies for the engines' host paths) =="
 # allocs_per_op repeats exactly for a seed and scale, so it can gate where
-# host ops/s cannot. This commit measures 5.10625 at this scale (the
-# driver's key_of and get's owned return, plus the cold gets of the
-# end-of-run verification); the parent measured 116.15. Fail at 2x.
-ALLOC_GATE=10.2125
-"${CARGO_TARGET_DIR:-benchmark/target}/release/benchmark" \
-    --workload ycsb_doc --seed 1 --seconds 1 --scale-pct 4 --trace 0 | tail -n 1 |
-    python3 -c "
+# host ops/s cannot. Each gate fails at 2x what the commit that set it
+# measured at this scale.
+# ycsb_doc: 5.10625 (the driver's key_of and get's owned return, plus the
+# cold gets of the end-of-run verification); the parent measured 116.15.
+# tpcc_rel: 110.3125 (the workload's key and row builders, get's owned
+# return, and the page-image sidecars of splits); the parent measured
+# 356.925, 31 of every overwrite's 34 in put_leaf's extract-and-rebuild.
+alloc_gate() {
+    "${CARGO_TARGET_DIR:-benchmark/target}/release/benchmark" \
+        --workload "$1" --seed 1 --seconds 1 --scale-pct 4 --trace 0 | tail -n 1 |
+        python3 -c "
 import json, sys
 got = json.loads(sys.stdin.read())['metrics']['allocs_per_op']['value']
-print(f'ycsb_doc allocs_per_op {got} (gate $ALLOC_GATE)')
-sys.exit(got > $ALLOC_GATE)"
+print(f'$1 allocs_per_op {got} (gate $2)')
+sys.exit(got > $2)"
+}
+alloc_gate ycsb_doc 10.2125
+alloc_gate tpcc_rel 220.625
 
 echo "tier-1 gate: OK"

@@ -220,14 +220,20 @@ fn docstore_steady_state_set() {
     assert_eq!(store.get(&keys[0], t).value.map(|v| v.len()), Some(200));
 }
 
-/// A warmed, non-structural `Engine::put` + `commit` — an overwrite of one
-/// of sixteen 100-byte values in a one-leaf tree, on `MemDevice` so nothing
-/// below the engine allocates. Not zero yet: the count is pinned exactly so
-/// that it can only be ratcheted down (ROADMAP, "Spend the ladder on the
-/// relational path"). `btree::put_leaf` owns 31 of the 34: every overwrite
-/// extracts the other fifteen cells into owned pairs (2 × 15, plus the
-/// vector) and rebuilds the leaf. The engine adds the owned key and value of
-/// its `LogRecord::Put` and the list of pinned frames.
+/// A warmed `Engine::put` + `commit` on `MemDevice`, so nothing below the
+/// engine allocates, in a one-leaf tree of sixteen keys:
+///
+/// * an overwrite of a 100-byte value by another 100 bytes changes the bytes
+///   where they lie, logs through a borrowed encoder and lists its one
+///   pinned frame in the engine's own vector: nothing;
+/// * overwrites by other lengths take the free gap until it runs out, and
+///   the one that finds it too small compacts the leaf through the tree's
+///   staging buffer: still nothing;
+/// * an insert that splits a leaf pays for what a structural operation
+///   hands upwards and logs, pinned exactly: the separator key is the only
+///   allocation `btree` makes; the rest is the engine's page-image sidecar
+///   (the list of frames, the list of images and one owned image for each
+///   of the three pages written: both halves and their parent).
 fn engine_warmed_put_commit() {
     let cfg = EngineConfig::builder(4096)
         .buffer_pool_bytes(16 * 4096)
@@ -248,7 +254,49 @@ fn engine_warmed_put_commit() {
         t = e.put(tree, &keys[7], &val, t);
         t = e.commit(t);
     });
-    assert_eq!(allocs, 34, "warmed non-structural Engine::put + commit");
+    assert_eq!(allocs, 0, "warmed same-length overwrite + commit");
+
+    // Every overwrite here changes the value's length (`base` or one more,
+    // by round of sixteen), so each leaves its old cell behind as dead
+    // heap: 16 live cells of at least 72 bytes in a 4,080-byte page leave a
+    // gap under 2,900 bytes, and any 40 such overwrites in a row (40 x 72)
+    // run it out and compact the leaf at least once. The first 40 warm the
+    // staging buffer; the next 40 are measured.
+    let fill_gap = |e: &mut Engine<MemDevice, MemDevice>, base: usize, mut t: Nanos| {
+        for i in 0..40 {
+            t = e.put(tree, &keys[i % 16], &val[..base + (i / 16) % 2], t);
+            t = e.commit(t);
+        }
+        t
+    };
+    t = fill_gap(&mut e, 60, t);
+    let allocs = allocs_during(|| t = fill_gap(&mut e, 70, t));
+    assert_eq!(allocs, 0, "different-length overwrites through an in-page compaction");
+    assert_eq!(e.stats().page_writes, 0, "still one resident leaf");
+
+    // Grow the tree until an insert has split a leaf twice: the first split
+    // (with the root split it causes) brings the log's buffers to the size
+    // of a three-image sidecar, the second is measured warm.
+    let big = vec![b'w'; 200];
+    let mut splits = Vec::new();
+    for i in 0.. {
+        let key = format!("new{i:05}").into_bytes();
+        let appends = e.wal_stats().appends;
+        let n = allocs_during(|| {
+            t = e.put(tree, &key, &big, t);
+            t = e.commit(t);
+        });
+        // A structural put logs a page-image sidecar before its record.
+        if e.wal_stats().appends - appends == 2 {
+            splits.push(n);
+            if splits.len() == 2 {
+                break;
+            }
+        } else {
+            assert_eq!(n, 0, "insert {i} into the gap");
+        }
+    }
+    assert_eq!(splits[1], 1 + 5, "separator key + sidecar (frame list, image list, 3 images)");
     assert_eq!(e.pool_stats().misses, 0, "the whole tree stayed resident");
 }
 

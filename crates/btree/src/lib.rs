@@ -12,10 +12,18 @@
 //! Deletion removes keys without structural rebalancing (like PostgreSQL's
 //! nbtree, pages are reclaimed only when they empty out entirely via
 //! overwrite patterns); tests pin the resulting invariants.
+//!
+//! A leaf is edited where it lies: a same-length overwrite changes the
+//! value's bytes, another length goes into the free gap and the slot is
+//! pointed at it, an insert takes the gap. Only an edit the gap cannot take
+//! touches the other cells — the leaf is compacted, or split, through the
+//! tree's one page-sized [`node::Staged`] buffer. Whether a leaf splits, and
+//! where, is a function of its live cells only, so tree shapes do not depend
+//! on how the heap inside a page happens to be laid out.
 
 pub mod node;
 
-use node::{Cells, Kind, NO_PAGE};
+use node::{Kind, Staged, NO_PAGE};
 use simkit::Nanos;
 
 /// Page-access interface the tree runs on. Implementations charge virtual
@@ -61,6 +69,9 @@ pub struct BTree {
     root: u64,
     height: u8,
     stats: TreeStats,
+    /// Where a node that must be compacted or split is staged; one
+    /// page-sized buffer per tree, grown on first use.
+    staged: Staged,
 }
 
 /// Result of a recursive insert: a split bubbled up.
@@ -74,12 +85,12 @@ impl BTree {
     pub fn create<S: PageStore>(store: &mut S, now: Nanos) -> (Self, Nanos) {
         let root = store.allocate();
         let (_, t) = store.with_new_page(root, now, |buf| node::init(buf, Kind::Leaf, 0));
-        (Self { root, height: 0, stats: TreeStats::default() }, t)
+        (Self::open(root, 0), t)
     }
 
     /// Re-open a tree from its persisted root/height (after recovery).
     pub fn open(root: u64, height: u8) -> Self {
-        Self { root, height, stats: TreeStats::default() }
+        Self { root, height, stats: TreeStats::default(), staged: Staged::default() }
     }
 
     /// Root page number (for the catalog).
@@ -193,84 +204,54 @@ impl BTree {
         value: &[u8],
         now: Nanos,
     ) -> ((bool, Option<Split>), Nanos) {
-        enum Outcome {
-            Done(bool),
-            NeedSplit(Vec<(Vec<u8>, Vec<u8>)>, u64), // all cells + old right sib
-        }
-        let (outcome, t) = store.with_page_mut(page, now, |buf| {
-            match node::search(buf, key) {
-                Ok(i) => {
-                    // Overwrite: remove the old cell, compact, reinsert.
-                    node::remove_slot(buf, i);
-                    let cells = match node::extract(buf) {
-                        Cells::Leaf(c) => c,
-                        _ => unreachable!(),
-                    };
-                    node::rebuild_leaf(buf, &cells);
-                    if node::fits(buf, key.len(), value.len()) {
-                        let pos = node::search(buf, key).unwrap_err();
-                        node::insert_leaf(buf, pos, key, value);
-                        return Outcome::Done(false);
-                    }
-                    let mut cells = cells;
-                    let pos = cells.partition_point(|(k, _)| k.as_slice() < key);
-                    cells.insert(pos, (key.to_vec(), value.to_vec()));
-                    Outcome::NeedSplit(cells, node::right_sibling(buf))
+        let staged = &mut self.staged;
+        // `Some(inserted)` when the leaf took the cell, `None` to split.
+        let (done, t) = store.with_page_mut(page, now, |buf| {
+            let (pos, replace) = match node::search(buf, key) {
+                Ok(i) if node::overwrite_leaf(buf, i, value) => return Some(false),
+                Ok(i) => (i, true),
+                Err(pos) if node::fits(buf, key.len(), value.len()) => {
+                    node::insert_leaf(buf, pos, key, value);
+                    return Some(true);
                 }
-                Err(pos) => {
-                    if node::fits(buf, key.len(), value.len()) {
-                        node::insert_leaf(buf, pos, key, value);
-                        return Outcome::Done(true);
-                    }
-                    // Try compaction before splitting (heap may be leaky
-                    // after deletes/overwrites).
-                    let cells = match node::extract(buf) {
-                        Cells::Leaf(c) => c,
-                        _ => unreachable!(),
-                    };
-                    node::rebuild_leaf(buf, &cells);
-                    if node::fits(buf, key.len(), value.len()) {
-                        let pos = node::search(buf, key).unwrap_err();
-                        node::insert_leaf(buf, pos, key, value);
-                        return Outcome::Done(true);
-                    }
-                    let mut cells = cells;
-                    cells.insert(pos, (key.to_vec(), value.to_vec()));
-                    Outcome::NeedSplit(cells, node::right_sibling(buf))
-                }
-            }
+                Err(pos) => (pos, false),
+            };
+            // The gap is too small. The heap may be leaky after deletes and
+            // overwrites: compact if the live cells fit the page, else split.
+            staged.stage_leaf(buf, pos, replace, key, value);
+            staged.fits_one_page().then(|| {
+                staged.fill(buf, 0..staged.ncells());
+                !replace
+            })
         });
-        match outcome {
-            Outcome::Done(inserted) => ((inserted, None), t),
-            Outcome::NeedSplit(cells, old_right) => {
-                // Split by bytes, not count, so variable-size cells balance.
-                let total: usize = cells.iter().map(|(k, v)| k.len() + v.len() + 6).sum();
-                let mut acc = 0usize;
-                let mut cut = (cells.len() / 2).max(1);
-                for (i, (k, v)) in cells.iter().enumerate() {
-                    acc += k.len() + v.len() + 6;
-                    if acc >= total / 2 {
-                        cut = (i + 1).min(cells.len() - 1).max(1);
-                        break;
-                    }
-                }
-                let right_cells = cells[cut..].to_vec();
-                let left_cells = &cells[..cut];
-                let right_page = store.allocate();
-                let (_, t) = store.with_page_mut(page, t, |buf| {
-                    node::rebuild_leaf(buf, left_cells);
-                    node::set_right_sibling(buf, right_page);
-                });
-                let (_, t) = store.with_new_page(right_page, t, |buf| {
-                    node::init(buf, Kind::Leaf, 0);
-                    node::set_right_sibling(buf, old_right);
-                    node::rebuild_leaf(buf, &right_cells);
-                });
-                self.stats.leaf_splits += 1;
-                let sep = right_cells[0].0.clone();
-                ((true, Some(Split { sep, right: right_page })), t)
+        if let Some(inserted) = done {
+            return ((inserted, None), t);
+        }
+        // Split by bytes, not count, so variable-size cells balance.
+        let n = staged.ncells();
+        let total: usize = (0..n).map(|j| staged.footprint(j)).sum();
+        let mut acc = 0usize;
+        let mut cut = (n / 2).max(1);
+        for j in 0..n {
+            acc += staged.footprint(j);
+            if acc >= total / 2 {
+                cut = (j + 1).min(n - 1).max(1);
+                break;
             }
         }
+        let right_page = store.allocate();
+        let (_, t) = store.with_page_mut(page, t, |buf| {
+            staged.fill(buf, 0..cut);
+            node::set_right_sibling(buf, right_page);
+        });
+        let (_, t) = store.with_new_page(right_page, t, |buf| {
+            node::init(buf, Kind::Leaf, 0);
+            node::set_right_sibling(buf, node::right_sibling(staged.page()));
+            staged.fill(buf, cut..n);
+        });
+        self.stats.leaf_splits += 1;
+        let inserted = n > node::nkeys(staged.page());
+        ((inserted, Some(Split { sep: staged.key(cut).to_vec(), right: right_page })), t)
     }
 
     fn insert_into_internal<S: PageStore>(
@@ -280,45 +261,37 @@ impl BTree {
         s: Split,
         now: Nanos,
     ) -> (Option<Split>, Nanos) {
-        enum Outcome {
-            Done,
-            NeedSplit(Vec<(Vec<u8>, u64)>, u8, u64),
-        }
-        let (outcome, t) = store.with_page_mut(page, now, |buf| {
+        let staged = &mut self.staged;
+        let (done, t) = store.with_page_mut(page, now, |buf| {
             let pos = match node::search(buf, &s.sep) {
                 Ok(i) => i + 1, // duplicate separators cannot happen; defensive
                 Err(i) => i,
             };
-            if node::fits(buf, s.sep.len(), 0) {
+            // Internal pages never leak heap (nothing is removed from them),
+            // so a cell that misses the gap means a split.
+            let fits = node::fits(buf, s.sep.len(), 0);
+            if fits {
                 node::insert_internal(buf, pos, &s.sep, s.right);
-                return Outcome::Done;
+            } else {
+                staged.stage_internal(buf, pos, &s.sep, s.right);
             }
-            let mut cells = match node::extract(buf) {
-                Cells::Internal(c) => c,
-                _ => unreachable!(),
-            };
-            cells.insert(pos, (s.sep.clone(), s.right));
-            Outcome::NeedSplit(cells, node::level(buf), node::leftmost_child(buf))
+            fits
         });
-        match outcome {
-            Outcome::Done => (None, t),
-            Outcome::NeedSplit(cells, level, leftmost) => {
-                // Middle key moves up; left/right get the halves.
-                let mid = cells.len() / 2;
-                let (up_key, right_leftmost) = cells[mid].clone();
-                let left_cells = cells[..mid].to_vec();
-                let right_cells = cells[mid + 1..].to_vec();
-                let right_page = store.allocate();
-                let (_, t) = store.with_page_mut(page, t, |buf| {
-                    node::rebuild_internal(buf, level, leftmost, &left_cells);
-                });
-                let (_, t) = store.with_new_page(right_page, t, |buf| {
-                    node::rebuild_internal(buf, level, right_leftmost, &right_cells);
-                });
-                self.stats.internal_splits += 1;
-                (Some(Split { sep: up_key, right: right_page }), t)
-            }
+        if done {
+            return (None, t);
         }
+        // Middle key moves up; left/right get the halves.
+        let n = staged.ncells();
+        let mid = n / 2;
+        let right_page = store.allocate();
+        let (_, t) = store.with_page_mut(page, t, |buf| staged.fill(buf, 0..mid));
+        let (_, t) = store.with_new_page(right_page, t, |buf| {
+            node::init(buf, Kind::Internal, node::level(staged.page()));
+            node::set_leftmost_child(buf, staged.child(mid));
+            staged.fill(buf, mid + 1..n);
+        });
+        self.stats.internal_splits += 1;
+        (Some(Split { sep: staged.key(mid).to_vec(), right: right_page }), t)
     }
 
     /// Read-only descent from the root to the leaf whose key range holds
@@ -670,5 +643,222 @@ mod tests {
         }
         let (count, _) = t.check(&mut s, 0);
         assert_eq!(count as usize, model.len());
+    }
+
+    /// The leaf and internal edits as they were before in-place overwrite:
+    /// every overwrite removes the slot, copies every other cell out into
+    /// owned pairs and rebuilds the leaf; splits cut a vector of owned
+    /// cells. Kept as the oracle for tree shapes.
+    mod reference {
+        use super::*;
+
+        type LeafCells = Vec<(Vec<u8>, Vec<u8>)>;
+
+        fn extract_leaf(buf: &[u8]) -> LeafCells {
+            (0..node::nkeys(buf))
+                .map(|i| (node::key(buf, i).to_vec(), node::value(buf, i).to_vec()))
+                .collect()
+        }
+
+        fn rebuild_leaf(buf: &mut [u8], cells: &[(Vec<u8>, Vec<u8>)]) {
+            let right = node::right_sibling(buf);
+            node::init(buf, Kind::Leaf, 0);
+            node::set_right_sibling(buf, right);
+            for (i, (k, v)) in cells.iter().enumerate() {
+                node::insert_leaf(buf, i, k, v);
+            }
+        }
+
+        fn rebuild_internal(buf: &mut [u8], level: u8, leftmost: u64, cells: &[(Vec<u8>, u64)]) {
+            node::init(buf, Kind::Internal, level);
+            node::set_leftmost_child(buf, leftmost);
+            for (i, (k, c)) in cells.iter().enumerate() {
+                node::insert_internal(buf, i, k, *c);
+            }
+        }
+
+        pub struct RefTree {
+            pub root: u64,
+            pub height: u8,
+            pub stats: TreeStats,
+        }
+
+        impl RefTree {
+            pub fn create(store: &mut MemStore) -> Self {
+                let (t, _) = BTree::create(store, 0);
+                Self { root: t.root, height: t.height, stats: TreeStats::default() }
+            }
+
+            pub fn as_tree(&self) -> BTree {
+                BTree::open(self.root, self.height)
+            }
+
+            pub fn put(&mut self, store: &mut MemStore, key: &[u8], value: &[u8]) {
+                if let Some((sep, right)) = self.put_rec(store, self.root, key, value) {
+                    let new_root = store.allocate();
+                    let (old_root, new_height) = (self.root, self.height + 1);
+                    store.with_new_page(new_root, 0, |buf| {
+                        node::init(buf, Kind::Internal, new_height);
+                        node::set_leftmost_child(buf, old_root);
+                        node::insert_internal(buf, 0, &sep, right);
+                    });
+                    (self.root, self.height) = (new_root, new_height);
+                    self.stats.root_splits += 1;
+                }
+            }
+
+            fn put_rec(
+                &mut self,
+                store: &mut MemStore,
+                page: u64,
+                key: &[u8],
+                value: &[u8],
+            ) -> Option<(Vec<u8>, u64)> {
+                let (route, _) = store.with_page(page, 0, |buf| match node::kind(buf) {
+                    Kind::Internal => Some(node::route(buf, key)),
+                    Kind::Leaf => None,
+                });
+                match route {
+                    None => self.put_leaf(store, page, key, value),
+                    Some(child) => {
+                        let split = self.put_rec(store, child, key, value)?;
+                        self.insert_into_internal(store, page, split)
+                    }
+                }
+            }
+
+            fn put_leaf(
+                &mut self,
+                store: &mut MemStore,
+                page: u64,
+                key: &[u8],
+                value: &[u8],
+            ) -> Option<(Vec<u8>, u64)> {
+                let (split, _) = store.with_page_mut(page, 0, |buf| {
+                    let pos = match node::search(buf, key) {
+                        Ok(i) => {
+                            node::remove_slot(buf, i);
+                            i
+                        }
+                        Err(pos) if node::fits(buf, key.len(), value.len()) => {
+                            node::insert_leaf(buf, pos, key, value);
+                            return None;
+                        }
+                        Err(pos) => pos,
+                    };
+                    let mut cells = extract_leaf(buf);
+                    rebuild_leaf(buf, &cells);
+                    if node::fits(buf, key.len(), value.len()) {
+                        node::insert_leaf(buf, pos, key, value);
+                        return None;
+                    }
+                    cells.insert(pos, (key.to_vec(), value.to_vec()));
+                    Some((cells, node::right_sibling(buf)))
+                });
+                let (cells, old_right) = split?;
+                let total: usize = cells.iter().map(|(k, v)| k.len() + v.len() + 6).sum();
+                let mut acc = 0usize;
+                let mut cut = (cells.len() / 2).max(1);
+                for (i, (k, v)) in cells.iter().enumerate() {
+                    acc += k.len() + v.len() + 6;
+                    if acc >= total / 2 {
+                        cut = (i + 1).min(cells.len() - 1).max(1);
+                        break;
+                    }
+                }
+                let right_page = store.allocate();
+                store.with_page_mut(page, 0, |buf| {
+                    rebuild_leaf(buf, &cells[..cut]);
+                    node::set_right_sibling(buf, right_page);
+                });
+                store.with_new_page(right_page, 0, |buf| {
+                    node::init(buf, Kind::Leaf, 0);
+                    node::set_right_sibling(buf, old_right);
+                    rebuild_leaf(buf, &cells[cut..]);
+                });
+                self.stats.leaf_splits += 1;
+                Some((cells[cut].0.clone(), right_page))
+            }
+
+            fn insert_into_internal(
+                &mut self,
+                store: &mut MemStore,
+                page: u64,
+                (sep, right): (Vec<u8>, u64),
+            ) -> Option<(Vec<u8>, u64)> {
+                let (split, _) = store.with_page_mut(page, 0, |buf| {
+                    let pos = node::search(buf, &sep).unwrap_err();
+                    if node::fits(buf, sep.len(), 0) {
+                        node::insert_internal(buf, pos, &sep, right);
+                        return None;
+                    }
+                    let mut cells: Vec<(Vec<u8>, u64)> = (0..node::nkeys(buf))
+                        .map(|i| (node::key(buf, i).to_vec(), node::child(buf, i)))
+                        .collect();
+                    cells.insert(pos, (sep.clone(), right));
+                    Some((cells, node::level(buf), node::leftmost_child(buf)))
+                });
+                let (cells, level, leftmost) = split?;
+                let mid = cells.len() / 2;
+                let (up_key, right_leftmost) = cells[mid].clone();
+                let right_page = store.allocate();
+                store.with_page_mut(page, 0, |buf| {
+                    rebuild_internal(buf, level, leftmost, &cells[..mid]);
+                });
+                store.with_new_page(right_page, 0, |buf| {
+                    rebuild_internal(buf, level, right_leftmost, &cells[mid + 1..]);
+                });
+                self.stats.internal_splits += 1;
+                Some((up_key, right_page))
+            }
+        }
+    }
+
+    /// In-place leaf edits decide splits from live bytes only, so the tree
+    /// they build has the shape the extract-and-rebuild edits built — page
+    /// for page — while matching a model map throughout.
+    #[test]
+    fn in_place_edits_match_the_model_and_the_rebuild_oracle_shape() {
+        use simkit::dist::{rng, Rng};
+        let mut s = MemStore::new(4096);
+        let mut s_ref = MemStore::new(4096);
+        let (mut t, _) = BTree::create(&mut s, 0);
+        let mut t_ref = reference::RefTree::create(&mut s_ref);
+        let mut model = std::collections::BTreeMap::new();
+        let mut r = rng(0x1EAF);
+        for op in 1..=5_000u32 {
+            // Long keys: a small fan-out, so internal pages split too.
+            let mut k = key_of(r.gen_range(0..700u64));
+            k.resize(190, b'p');
+            if r.gen_range(0..10u32) < 7 {
+                let v = vec![op as u8; r.gen_range(1..=300usize)];
+                let inserted = t.put(&mut s, &k, &v, 0).0;
+                t_ref.put(&mut s_ref, &k, &v);
+                assert_eq!(inserted, model.insert(k, v).is_none(), "op {op}");
+            } else {
+                let existed = t.delete(&mut s, &k, 0).0;
+                t_ref.as_tree().delete(&mut s_ref, &k, 0);
+                assert_eq!(existed, model.remove(&k).is_some(), "op {op}");
+            }
+            if op % 100 == 0 {
+                assert_eq!(t.check(&mut s, 0).0 as usize, model.len(), "op {op}");
+                assert_eq!(t_ref.as_tree().check(&mut s_ref, 0).0 as usize, model.len());
+                let mut got = Vec::new();
+                t.scan(&mut s, b"", 0, |k, v| {
+                    got.push((k.to_vec(), v.to_vec()));
+                    true
+                });
+                assert!(got.iter().map(|(k, v)| (k, v)).eq(model.iter()), "op {op}");
+            }
+        }
+        let shape = |height: u8, st: TreeStats, pages: usize| {
+            (height, st.leaf_splits, st.internal_splits, pages)
+        };
+        assert_eq!(
+            shape(t.height(), t.stats(), s.pages.len()),
+            shape(t_ref.height, t_ref.stats, s_ref.pages.len())
+        );
+        let st = t.stats();
+        assert!(st.leaf_splits > 50 && st.internal_splits > 0, "the mix must split: {st:?}");
     }
 }

@@ -55,9 +55,10 @@ pub struct PoolStats {
 
 const NIL: usize = usize::MAX;
 
-/// Dirty pages flushed together in one eviction sweep (InnoDB flushes its
-/// LRU tail in batches; the double-write fsync amortises across the batch).
-const EVICT_BATCH: usize = 16;
+/// Most dirty pages handed to [`PageBackend::write_batch`] at once (InnoDB
+/// flushes in batches; the double-write fsync amortises across the batch).
+/// Engines size their batch buffers and double-write areas by it.
+pub const WRITE_BATCH: usize = 16;
 
 struct Frame {
     page_no: u64,
@@ -199,7 +200,7 @@ impl BufferPool {
     /// `(frame, time)`; time advances if dirty victims had to be written.
     ///
     /// When the tail victim is dirty, a whole LRU-tail sweep (up to
-    /// [`EVICT_BATCH`] unpinned dirty pages) is flushed in one backend batch
+    /// [`WRITE_BATCH`] unpinned dirty pages) is flushed in one backend batch
     /// — the requester blocks behind the write either way (paper Fig. 1),
     /// but the flush cost amortises like InnoDB's page-cleaner batches.
     fn take_frame<B: PageBackend>(&mut self, backend: &mut B, mut now: Nanos) -> (usize, Nanos) {
@@ -216,10 +217,10 @@ impl BufferPool {
             // Sweep the tail for more dirty, unpinned frames to flush in the
             // same batch. The batch is small and bounded, so it is staged on
             // the stack — eviction sweeps allocate nothing.
-            let mut batch_idx = [0usize; EVICT_BATCH];
+            let mut batch_idx = [0usize; WRITE_BATCH];
             let mut nb = 0usize;
             let mut cur = self.tail;
-            while cur != NIL && nb < EVICT_BATCH {
+            while cur != NIL && nb < WRITE_BATCH {
                 if self.frames[cur].pins == 0 && self.frames[cur].dirty {
                     batch_idx[nb] = cur;
                     nb += 1;
@@ -227,7 +228,7 @@ impl BufferPool {
                 cur = self.frames[cur].prev;
             }
             const EMPTY: &[u8] = &[];
-            let mut batch: [(u64, &[u8]); EVICT_BATCH] = [(0, EMPTY); EVICT_BATCH];
+            let mut batch: [(u64, &[u8]); WRITE_BATCH] = [(0, EMPTY); WRITE_BATCH];
             for (slot, &i) in batch.iter_mut().zip(batch_idx[..nb].iter()) {
                 *slot = (self.frames[i].page_no, &*self.frames[i].data);
             }

@@ -80,7 +80,7 @@ use storage::device::{BlockDevice, DevError, WriteCause};
 use storage::file::PageFile;
 use storage::volume::{Volume, VolumeManager};
 use telemetry::{Scope, Telemetry};
-use wal::{CheckpointPolicy, LogRecord, Lsn, ScannedRecord, Wal, WalStats};
+use wal::{CheckpointPolicy, LogRecord, Lsn, OpRef, ScannedRecord, Wal, WalStats};
 
 /// Identifier of a tree (table/index) within the engine.
 pub type TreeId = u32;
@@ -128,7 +128,9 @@ struct Io<D: BlockDevice, L: BlockDevice> {
     dwb: PageFile,
     double_write: bool,
     dwb_cursor: u64,
-    scratch: Vec<u8>,
+    /// The sealed pages of the batch being written, back to back; reused
+    /// from batch to batch.
+    run: Vec<u8>,
     stats: EngineStats,
 }
 
@@ -206,6 +208,11 @@ impl<D: BlockDevice, L: BlockDevice> PageBackend for Io<D, L> {
     /// InnoDB-style batched flush: WAL rule for the whole batch, one
     /// double-write area write + fsync covering every page, home-location
     /// writes, then a data-volume fsync (`fil_flush`) sealing the batch.
+    ///
+    /// Each page is sealed once — copied behind the others into `run` and
+    /// given its page number and CRC there — and both the double-write run
+    /// and the home writes go out from those bytes: a page's two copies are
+    /// the same data under the same LSN and page number.
     fn write_batch(&mut self, pages: &[(u64, &[u8])], now: Nanos) -> Nanos {
         if pages.is_empty() {
             return now;
@@ -217,36 +224,32 @@ impl<D: BlockDevice, L: BlockDevice> PageBackend for Io<D, L> {
         if max_lsn > self.wal.durable_lsn() {
             t = self.wal.quiesce(&mut self.logv, t);
         }
+        self.run.clear();
+        for (page_no, data) in pages {
+            let at = self.run.len();
+            self.run.extend_from_slice(data);
+            stamp_trailer(&mut self.run[at..], *page_no);
+        }
         self.stats.page_writes += pages.len() as u64;
         if self.double_write {
             // Contiguous run of DWB slots, one device command, one fsync.
-            let ps = self.dwb.page_size();
             if (self.dwb_cursor % self.dwb.pages()) + pages.len() as u64 > self.dwb.pages() {
                 self.dwb_cursor = 0; // wrap to keep the run contiguous
             }
             let first_slot = self.dwb_cursor % self.dwb.pages();
-            let mut run = vec![0u8; pages.len() * ps];
-            for (i, (page_no, data)) in pages.iter().enumerate() {
-                let dst = &mut run[i * ps..(i + 1) * ps];
-                dst[..data.len()].copy_from_slice(data);
-                stamp_trailer(dst, *page_no);
-            }
             self.dwb_cursor += pages.len() as u64;
             // DWB copies are redundant page images by definition — tag them
             // so the device's WAF report can attribute them separately from
             // the home-location page writes.
             t = self.data.with_cause(WriteCause::PageImage, |vol| {
-                let t = self.dwb.write_pages(vol, first_slot, &run, t).expect("dwb run");
+                let t = self.dwb.write_pages(vol, first_slot, &self.run, t).expect("dwb run");
                 // The copies must be durable before any home write starts.
                 vol.fsync(t).expect("data volume")
             });
             self.stats.dwb_writes += pages.len() as u64;
         }
-        for (page_no, data) in pages {
-            self.scratch.clear();
-            self.scratch.extend_from_slice(data);
-            stamp_trailer(&mut self.scratch, *page_no);
-            t = self.ts.write_page(&mut self.data, *page_no, &self.scratch, t).expect("home page");
+        for ((page_no, _), sealed) in pages.iter().zip(self.run.chunks_exact(self.ts.page_size())) {
+            t = self.ts.write_page(&mut self.data, *page_no, sealed, t).expect("home page");
         }
         // One data-volume fsync seals the batch (`fil_flush`; an O_DSYNC
         // engine's write call carries the same barrier request) — per batch,
@@ -265,14 +268,9 @@ struct View<'a, D: BlockDevice, L: BlockDevice> {
     next_page: &'a mut u64,
     logical_ps: usize,
     data_pages: u64,
-    summary: OpSummary,
-}
-
-/// What one operation left behind for [`Engine::finish_op`].
-#[derive(Default)]
-struct OpSummary {
-    /// Pinned frames the operation mutated, one entry per mutable access.
-    retained: Vec<usize>,
+    /// Pinned frames the operation mutated, one entry per mutable access
+    /// ([`Engine::retained`]).
+    retained: &'a mut Vec<usize>,
     /// Whether the operation allocated a page.
     structural: bool,
 }
@@ -286,7 +284,7 @@ impl<D: BlockDevice, L: BlockDevice> PageStore for View<'_, D, L> {
         let p = *self.next_page;
         assert!(p < self.data_pages, "tablespace full ({p} pages)");
         *self.next_page += 1;
-        self.summary.structural = true;
+        self.structural = true;
         p
     }
 
@@ -305,7 +303,7 @@ impl<D: BlockDevice, L: BlockDevice> PageStore for View<'_, D, L> {
     ) -> (R, Nanos) {
         let (idx, t) = self.pool.get(page_no, self.io, now);
         let r = f(&mut self.pool.data_mut(idx)[..self.logical_ps]);
-        self.summary.retained.push(idx);
+        self.retained.push(idx);
         (r, t)
     }
 
@@ -317,7 +315,7 @@ impl<D: BlockDevice, L: BlockDevice> PageStore for View<'_, D, L> {
     ) -> (R, Nanos) {
         let (idx, t) = self.pool.create(page_no, self.io, now);
         let r = f(&mut self.pool.data_mut(idx)[..self.logical_ps]);
-        self.summary.retained.push(idx);
+        self.retained.push(idx);
         (r, t)
     }
 }
@@ -339,7 +337,7 @@ impl<D: BlockDevice, L: BlockDevice> View<'_, D, L> {
         let (idx, t) = self.pool.get(page_no, self.io, now);
         if page_lsn(self.pool.data(idx)) <= lsn {
             self.pool.data_mut(idx)[..image.len()].copy_from_slice(image);
-            self.summary.retained.push(idx);
+            self.retained.push(idx);
         } else {
             self.pool.unpin(idx);
         }
@@ -360,6 +358,9 @@ pub struct Engine<D: BlockDevice, L: BlockDevice> {
     /// lags one checkpoint behind (it points at the *previous* Begin) so a
     /// recovery scan always crosses a complete Begin/End pair.
     last_ckpt_begin: Lsn,
+    /// Pinned frames the operation in progress has mutated, waiting for
+    /// [`Engine::finish_op`]; empty between operations.
+    retained: Vec<usize>,
     /// Pages whose full image has been logged since the last checkpoint
     /// (full-page-writes mode).
     fpw_logged: HashSet<u64>,
@@ -404,7 +405,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
                 dwb,
                 double_write: cfg.double_write,
                 dwb_cursor: 0,
-                scratch: Vec::with_capacity(cfg.page_size),
+                run: Vec::with_capacity(bufferpool::WRITE_BATCH * cfg.page_size),
                 stats: EngineStats::default(),
             },
             catalog,
@@ -413,6 +414,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             next_page: 0,
             catalog_seq: 0,
             last_ckpt_begin: 0,
+            retained: Vec::new(),
             fpw_logged: HashSet::new(),
             tel: None,
             ledger: None,
@@ -532,12 +534,14 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
     }
 
     /// Run `f` over the trees and a page-store view (one operation's
-    /// scope); every mutated frame stays pinned until [`Engine::finish_op`].
+    /// scope); every mutated frame stays pinned, and listed in `retained`,
+    /// until [`Engine::finish_op`]. Also returns whether `f` allocated a
+    /// page (a structural operation).
     fn op<R>(
         &mut self,
         now: Nanos,
         f: impl FnOnce(&mut [BTree], &mut View<'_, D, L>, Nanos) -> (R, Nanos),
-    ) -> (R, OpSummary, Nanos) {
+    ) -> (R, bool, Nanos) {
         let logical_ps = self.logical_ps();
         let mut view = View {
             pool: &mut self.pool,
@@ -545,10 +549,11 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             next_page: &mut self.next_page,
             logical_ps,
             data_pages: self.cfg.data_pages,
-            summary: OpSummary::default(),
+            retained: &mut self.retained,
+            structural: false,
         };
         let (r, t) = f(&mut self.trees, &mut view, now);
-        (r, view.summary, t)
+        (r, view.structural, t)
     }
 
     /// Append a foreground op's log records — a [`LogRecord::PageImages`]
@@ -557,17 +562,17 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
     /// at the LSN where they end.
     fn log_op(
         &mut self,
-        op: Option<LogRecord>,
-        summary: OpSummary,
+        op: Option<OpRef<'_>>,
+        structural: bool,
         root_change: Option<(u32, u64, u8)>,
     ) {
         let fpw = self.cfg.full_page_writes;
         let mut images = Vec::new();
-        if summary.structural || fpw {
+        if structural || fpw {
             // The pins keep every mutated page resident. Images go out in
             // page order, one per page.
             let mut frames: Vec<(u64, usize)> =
-                summary.retained.iter().map(|&idx| (self.pool.page_no(idx), idx)).collect();
+                self.retained.iter().map(|&idx| (self.pool.page_no(idx), idx)).collect();
             frames.sort_unstable();
             frames.dedup_by_key(|&mut (page, _)| page);
             let lp = self.logical_ps();
@@ -575,7 +580,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
                 // PostgreSQL-style: the first post-checkpoint touch logs the
                 // image; a structural op logs every page it rewrote.
                 let first_touch = fpw && self.fpw_logged.insert(page);
-                if summary.structural || first_touch {
+                if structural || first_touch {
                     images.push((page, self.pool.data(idx)[..lp].to_vec()));
                 }
             }
@@ -584,16 +589,16 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             self.io.wal.append(&LogRecord::PageImages { images, root_change });
         }
         if let Some(op) = op {
-            self.io.wal.append(&op);
+            self.io.wal.append_op(op);
         }
-        self.finish_op(summary, self.io.wal.next_lsn());
+        self.finish_op(self.io.wal.next_lsn());
     }
 
     /// The end of every operation that changed pages, foreground or redo:
     /// stamp each frame it mutated with the LSN where its log records end,
     /// then release the pins.
-    fn finish_op(&mut self, summary: OpSummary, end_lsn: Lsn) {
-        for idx in summary.retained {
+    fn finish_op(&mut self, end_lsn: Lsn) {
+        for idx in self.retained.drain(..) {
             set_page_lsn(self.pool.data_mut(idx), end_lsn);
             self.pool.unpin(idx);
         }
@@ -602,13 +607,13 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
     /// Create a new tree (table or index). Returns its id.
     pub fn create_tree(&mut self, now: Nanos) -> Timed<TreeId> {
         let id = self.trees.len() as TreeId;
-        let (tree, summary, t) = self.op(now, |_, view, t| BTree::create(view, t));
+        let (tree, structural, t) = self.op(now, |_, view, t| BTree::create(view, t));
         let root_change = Some((id, tree.root(), tree.height()));
         self.trees.push(tree);
         // A creation is pure structure: the PageImages sidecar (the new
         // root's image and the root change) is the whole story; there is no
         // logical op to log.
-        self.log_op(None, summary, root_change);
+        self.log_op(None, structural, root_change);
         Timed::new(id, t)
     }
 
@@ -633,7 +638,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
         let scope = self.scope("engine.put", now);
         let root_before = self.trees[tree as usize].root();
         let height_before = self.trees[tree as usize].height();
-        let (_, summary, t) =
+        let (_, structural, t) =
             self.op(now, |trees, view, t| trees[tree as usize].put(view, key, value, t));
         let tr = &self.trees[tree as usize];
         let root_change = if tr.root() != root_before || tr.height() != height_before {
@@ -641,11 +646,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
         } else {
             None
         };
-        self.log_op(
-            Some(LogRecord::Put { tree, key: key.to_vec(), value: value.to_vec() }),
-            summary,
-            root_change,
-        );
+        self.log_op(Some(OpRef::Put { tree, key, value }), structural, root_change);
         if let Some(ledger) = &self.ledger {
             ledger.pend(UnitKind::RelstoreCommit, key, Ledger::digest(value), now);
         }
@@ -672,15 +673,35 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
         }
         self.io.stats.deletes += 1;
         let scope = self.scope("engine.delete", now);
-        let (existed, summary, t) =
+        let (existed, structural, t) =
             self.op(now, |trees, view, t| trees[tree as usize].delete(view, key, t));
-        self.log_op(Some(LogRecord::Delete { tree, key: key.to_vec() }), summary, None);
+        self.log_op(Some(OpRef::Delete { tree, key }), structural, None);
         if let Some(ledger) = &self.ledger {
             // A delete's "value" is absence: record the tombstone digest so
             // the reconciler expects `Missing` for a surviving delete.
             ledger.pend(UnitKind::RelstoreCommit, key, Ledger::digest(&[]), now);
         }
         Timed::new(existed, scope.map_or(t, |s| s.close(t)))
+    }
+
+    /// Ordered scan from `from`: `visit(key, value)` sees each entry where
+    /// it lies in its page, until it returns `false` or the tree ends.
+    /// Returns the completion time.
+    pub fn scan_with(
+        &mut self,
+        tree: TreeId,
+        from: &[u8],
+        now: Nanos,
+        visit: impl FnMut(&[u8], &[u8]) -> bool,
+    ) -> Nanos {
+        if tree as usize >= self.trees.len() {
+            return now; // tree lost with the catalog: empty scan
+        }
+        self.io.stats.gets += 1;
+        let scope = self.scope("engine.scan", now);
+        let (_, _, t) =
+            self.op(now, |trees, view, t| trees[tree as usize].scan(view, from, t, visit));
+        scope.map_or(t, |s| s.close(t))
     }
 
     /// Ordered scan from `from`, up to `limit` entries, collecting pairs.
@@ -692,21 +713,14 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
         limit: usize,
         now: Nanos,
     ) -> Timed<Vec<(Vec<u8>, Vec<u8>)>> {
-        if tree as usize >= self.trees.len() {
-            return Timed::new(Vec::new(), now); // tree lost with the catalog: empty scan
-        }
-        self.io.stats.gets += 1;
-        let scope = self.scope("engine.scan", now);
         // One allocation for every limit callers page with; a larger limit
         // is a bound, not a size, and the vector grows to what is found.
         let mut out = Vec::with_capacity(limit.min(4096));
-        let (_, _, t) = self.op(now, |trees, view, t| {
-            trees[tree as usize].scan(view, from, t, |k, v| {
-                out.push((k.to_vec(), v.to_vec()));
-                out.len() < limit
-            })
+        let t = self.scan_with(tree, from, now, |k, v| {
+            out.push((k.to_vec(), v.to_vec()));
+            out.len() < limit
         });
-        Timed::new(out, scope.map_or(t, |s| s.close(t)))
+        Timed::new(out, t)
     }
 
     /// Commit: make everything logged so far durable (group commit). Under
@@ -966,14 +980,14 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
         let mut t = now;
         match &sr.record {
             LogRecord::PageImages { images, root_change } => {
-                let (_, summary, t2) = self.op(t, |_, view, mut t| {
+                let (_, _, t2) = self.op(t, |_, view, mut t| {
                     for (page, image) in images {
                         t = view.install_image(*page, image, sr.lsn, t);
                     }
                     ((), t)
                 });
                 t = t2;
-                self.finish_op(summary, sr.end);
+                self.finish_op(sr.end);
                 if let Some((tree, root, height)) = *root_change {
                     while self.trees.len() <= tree as usize {
                         self.trees.push(BTree::open(root, height));
@@ -988,7 +1002,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
                     // (possible only on unsafe configurations).
                     return Ok(t);
                 }
-                let (_, summary, t2) = self.op(t, |trees, view, t| {
+                let (_, allocated, t2) = self.op(t, |trees, view, t| {
                     let tree = &mut trees[tree];
                     let (leaf, t) = tree.leaf_for(view, key, t);
                     let (lsn, t) = view.page_lsn(leaf, t);
@@ -1001,8 +1015,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
                     }
                 });
                 t = t2;
-                let allocated = summary.structural;
-                self.finish_op(summary, sr.end);
+                self.finish_op(sr.end);
                 if allocated {
                     return Err(Error::Recovery(format!(
                         "redo of the record at lsn {} allocated a page",

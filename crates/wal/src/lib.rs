@@ -52,7 +52,7 @@ use storage::file::PageFile;
 use storage::volume::{Volume, VolumeManager};
 use telemetry::{SegKind, Telemetry};
 
-pub use record::{CheckpointPolicy, DocSetRef, LogRecord, RECORD_VERSION};
+pub use record::{CheckpointPolicy, DocSetRef, LogRecord, OpRef, RECORD_VERSION};
 
 /// Log sequence number: byte offset in the infinite log stream.
 pub type Lsn = u64;
@@ -295,13 +295,25 @@ impl Wal {
     /// is encoded straight into the tail buffer (no staging vec).
     pub fn append(&mut self, rec: &LogRecord) -> Lsn {
         let at = self.buf.len();
-        self.buf.extend_from_slice(&[0u8; REC_HDR]);
-        rec.encode_into(&mut self.buf);
-        let lsn = self.frame_tail(at);
+        let lsn = self.append_with(|out| rec.encode_into(out));
         if matches!(rec, LogRecord::PageImages { .. }) {
             self.image_bytes_buffered += (self.buf.len() - at) as u64;
         }
         lsn
+    }
+
+    /// [`Wal::append`] of a `Put` / `Delete` whose key and value the caller
+    /// keeps: the same bytes on the log, nothing owned on the way.
+    pub fn append_op(&mut self, op: OpRef<'_>) -> Lsn {
+        self.append_with(|out| op.encode_into(out))
+    }
+
+    /// Append the payload `encode` writes at the end of the tail buffer.
+    fn append_with(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Lsn {
+        let at = self.buf.len();
+        self.buf.extend_from_slice(&[0u8; REC_HDR]);
+        encode(&mut self.buf);
+        self.frame_tail(at)
     }
 
     /// Append a pre-encoded payload. Exposed for corruption-injection
@@ -309,10 +321,7 @@ impl Wal {
     /// decode what it scans.
     #[doc(hidden)]
     pub fn append_raw(&mut self, payload: &[u8]) -> Lsn {
-        let at = self.buf.len();
-        self.buf.extend_from_slice(&[0u8; REC_HDR]);
-        self.buf.extend_from_slice(payload);
-        self.frame_tail(at)
+        self.append_with(|out| out.extend_from_slice(payload))
     }
 
     /// Fill in the record header reserved at `buf[at..at + REC_HDR]` for the

@@ -83,17 +83,9 @@ impl LogRecord {
     fn encode_body(&self, out: &mut Vec<u8>) {
         match self {
             LogRecord::Put { tree, key, value } => {
-                out.extend_from_slice(&tree.to_le_bytes());
-                out.extend_from_slice(&(key.len() as u16).to_le_bytes());
-                out.extend_from_slice(&(value.len() as u32).to_le_bytes());
-                out.extend_from_slice(key);
-                out.extend_from_slice(value);
+                OpRef::Put { tree: *tree, key, value }.encode_body(out)
             }
-            LogRecord::Delete { tree, key } => {
-                out.extend_from_slice(&tree.to_le_bytes());
-                out.extend_from_slice(&(key.len() as u16).to_le_bytes());
-                out.extend_from_slice(key);
-            }
+            LogRecord::Delete { tree, key } => OpRef::Delete { tree: *tree, key }.encode_body(out),
             LogRecord::DocSet { key, value } => DocSetRef { key, value }.encode_body(out),
             LogRecord::DocDelete { key } => {
                 out.extend_from_slice(&(key.len() as u16).to_le_bytes());
@@ -254,6 +246,58 @@ fn unframe(buf: &[u8]) -> Option<(u8, &[u8])> {
     let crc = u32::from_le_bytes(buf[6..10].try_into().ok()?);
     let body = &buf[FRAME..FRAME + body_len];
     (crc32(body) == crc).then_some((kind, body))
+}
+
+/// A [`LogRecord::Put`] or [`LogRecord::Delete`] over borrowed bytes: the
+/// relational engine logs one per operation and owns neither the key nor
+/// the value while it does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OpRef<'a> {
+    /// Insert or overwrite `key` in `tree`.
+    Put {
+        /// Tree id.
+        tree: u32,
+        /// Row key.
+        key: &'a [u8],
+        /// Row value.
+        value: &'a [u8],
+    },
+    /// Delete `key` from `tree`.
+    Delete {
+        /// Tree id.
+        tree: u32,
+        /// Row key.
+        key: &'a [u8],
+    },
+}
+
+impl OpRef<'_> {
+    fn encode_body(&self, out: &mut Vec<u8>) {
+        match *self {
+            OpRef::Put { tree, key, value } => {
+                out.extend_from_slice(&tree.to_le_bytes());
+                out.extend_from_slice(&(key.len() as u16).to_le_bytes());
+                out.extend_from_slice(&(value.len() as u32).to_le_bytes());
+                out.extend_from_slice(key);
+                out.extend_from_slice(value);
+            }
+            OpRef::Delete { tree, key } => {
+                out.extend_from_slice(&tree.to_le_bytes());
+                out.extend_from_slice(&(key.len() as u16).to_le_bytes());
+                out.extend_from_slice(key);
+            }
+        }
+    }
+
+    /// Append the framed record to `out`; byte-identical to
+    /// [`LogRecord::encode`] of the owned `Put` / `Delete`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let kind = match self {
+            OpRef::Put { .. } => KIND_PUT,
+            OpRef::Delete { .. } => KIND_DELETE,
+        };
+        frame_into(kind, out, |out| self.encode_body(out));
+    }
 }
 
 /// A [`LogRecord::DocSet`] over borrowed bytes: the document store frames
@@ -425,6 +469,19 @@ mod tests {
         let mut bad = enc.clone();
         *bad.last_mut().unwrap() ^= 0x40;
         assert!(DocSetRef::decode(&bad).is_none());
+    }
+
+    #[test]
+    fn borrowed_put_and_delete_are_the_owned_records_byte_for_byte() {
+        let (key, value) = (b"row-key".to_vec(), vec![9u8; 120]);
+        let mut out = Vec::new();
+        OpRef::Put { tree: 3, key: &key, value: &value }.encode_into(&mut out);
+        let put = LogRecord::Put { tree: 3, key: key.clone(), value };
+        assert_eq!(out, put.encode());
+        let at = out.len();
+        OpRef::Delete { tree: 9, key: &key }.encode_into(&mut out);
+        assert_eq!(&out[at..], LogRecord::Delete { tree: 9, key }.encode());
+        assert_eq!(LogRecord::decode(&out).unwrap(), (put, at));
     }
 
     #[test]

@@ -301,10 +301,13 @@ fn run_op<D: BlockDevice, L: BlockDevice, R: Rng>(
             // Range over this node's links of one type (LinkBench caps the
             // returned list; typical lists are short).
             let prefix = link_prefix(id, typ);
-            let (rows, t) = engine.scan(g.links, &prefix, 20, now).into_parts();
-            // Discard rows beyond the prefix (scan is a range, not a filter).
-            let _ = rows.iter().take_while(|(k, _)| k.starts_with(&prefix)).count();
-            t
+            // Rows beyond the prefix are read and discarded (scan is a
+            // range, not a filter).
+            let mut rows = 0;
+            engine.scan_with(g.links, &prefix, now, |_, _| {
+                rows += 1;
+                rows < 20
+            })
         }
         OpType::MultigetLink => {
             let mut t = now;

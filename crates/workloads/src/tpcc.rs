@@ -111,7 +111,9 @@ fn k_w(w: u32) -> Vec<u8> {
 }
 
 fn k_d(w: u32, d: u32) -> Vec<u8> {
-    let mut k = w.to_be_bytes().to_vec();
+    // Room for the longest key built on this prefix (`k_ol`): one allocation.
+    let mut k = Vec::with_capacity(16);
+    k.extend_from_slice(&w.to_be_bytes());
     k.extend_from_slice(&d.to_be_bytes());
     k
 }
@@ -127,7 +129,8 @@ fn k_i(i: u32) -> Vec<u8> {
 }
 
 fn k_s(w: u32, i: u32) -> Vec<u8> {
-    let mut k = w.to_be_bytes().to_vec();
+    let mut k = Vec::with_capacity(8);
+    k.extend_from_slice(&w.to_be_bytes());
     k.extend_from_slice(&i.to_be_bytes());
     k
 }
@@ -343,8 +346,11 @@ fn order_status<D: BlockDevice, L: BlockDevice, R: Rng>(
     }
     let o = next - 1;
     let (_, t) = e.get(db.orders, &k_o(w, d, o), t).into_parts();
-    let (_, t) = e.scan(db.order_line, &k_ol(w, d, o, 0), 15, t).into_parts();
-    t
+    let mut lines = 0;
+    e.scan_with(db.order_line, &k_ol(w, d, o, 0), t, |_, _| {
+        lines += 1;
+        lines < 15
+    })
 }
 
 fn delivery<D: BlockDevice, L: BlockDevice, R: Rng>(
@@ -358,12 +364,14 @@ fn delivery<D: BlockDevice, L: BlockDevice, R: Rng>(
     let mut t = now;
     for d in 0..spec.districts {
         // Oldest undelivered order in the district.
-        let (rows, t2) = e.scan(db.new_order, &k_o(w, d, 0), 1, t).into_parts();
-        t = t2;
-        let Some((key, _)) = rows.into_iter().next() else { continue };
-        if key.len() != 12 || key[..8] != k_d(w, d)[..] {
-            continue; // scan ran past the district
-        }
+        let mut oldest = None;
+        t = e.scan_with(db.new_order, &k_o(w, d, 0), t, |k, _| {
+            oldest = <[u8; 12]>::try_from(k).ok();
+            false
+        });
+        let Some(key) = oldest.filter(|key| key[..8] == k_d(w, d)[..]) else {
+            continue; // no order left, or the scan ran past the district
+        };
         let (_, t2) = e.delete(db.new_order, &key, t).into_parts();
         t = t2;
         let (orow, t2) = e.get(db.orders, &key, t).into_parts();
@@ -397,13 +405,21 @@ fn stock_level<D: BlockDevice, L: BlockDevice, R: Rng>(
     let (drow, t) = e.get(db.district, &k_d(w, d), now).into_parts();
     let next = drow.map(|x| district_next_o_id(&x)).unwrap_or(1);
     let from = next.saturating_sub(20).max(1);
-    let (lines, mut t) = e.scan(db.order_line, &k_ol(w, d, from, 0), 100, t).into_parts();
-    let mut checked = 0;
-    for (k, v) in lines {
-        if k.len() != 16 || k[..8] != k_d(w, d)[..] {
-            break;
+    // The items of up to 100 order lines, as far as they are the district's.
+    let district = k_d(w, d);
+    let mut items = [0u32; 100];
+    let (mut lines, mut found, mut in_district) = (0, 0, true);
+    let mut t = e.scan_with(db.order_line, &k_ol(w, d, from, 0), t, |k, v| {
+        in_district &= k.len() == 16 && k[..8] == district[..];
+        if in_district {
+            items[found] = u32::from_le_bytes(v[..4].try_into().unwrap_or_default());
+            found += 1;
         }
-        let item = u32::from_le_bytes(v[..4].try_into().unwrap_or_default());
+        lines += 1;
+        lines < items.len()
+    });
+    let mut checked = 0;
+    for item in &items[..found] {
         let (srow, t2) = e.get(db.stock, &k_s(w, item % spec.items), t).into_parts();
         t = t2;
         if let Some(srow) = srow {
