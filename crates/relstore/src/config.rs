@@ -95,6 +95,13 @@ impl EngineConfig {
         assert!(self.data_pages <= u32::MAX as u64, "page trailer holds a 32-bit page number");
         assert!(self.log_files >= 1 && self.log_file_blocks >= 4, "log too small");
         assert!(self.dwb_pages >= 1, "double-write area too small");
+        // A write batch goes to the area as one contiguous run.
+        assert!(
+            !self.double_write || self.dwb_pages >= bufferpool::WRITE_BATCH as u64,
+            "double-write area of {} pages cannot hold one write batch of {} pages",
+            self.dwb_pages,
+            bufferpool::WRITE_BATCH
+        );
         assert!(
             self.buffer_pool_bytes >= 4 * self.page_size as u64,
             "buffer pool must hold at least 4 pages"
@@ -188,7 +195,8 @@ impl EngineConfigBuilder {
     ///
     /// # Panics
     /// If the configuration is inconsistent (bad page size, tablespace or
-    /// log too small, undersized buffer pool) — see
+    /// log too small, undersized buffer pool, a double-write area smaller
+    /// than one write batch) — see
     /// [`EngineConfig::validate`].
     pub fn build(self) -> EngineConfig {
         self.cfg.validate();
@@ -247,6 +255,20 @@ mod tests {
     #[should_panic(expected = "buffer pool")]
     fn builder_rejects_undersized_pool() {
         let _ = EngineConfig::builder(16384).data_pages(2048).buffer_pool_bytes(1024).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "double-write area of 8 pages cannot hold one write batch of 16")]
+    fn builder_rejects_double_write_area_smaller_than_a_batch() {
+        let _ = EngineConfig::builder(4096).data_pages(2048).dwb_pages(8).build();
+    }
+
+    #[test]
+    fn double_write_area_of_one_batch_or_unused_is_accepted() {
+        let cfg = EngineConfig::builder(4096).data_pages(2048).dwb_pages(16).build();
+        assert!(cfg.double_write);
+        // With double-write off nothing is written to the area.
+        EngineConfig::builder(4096).data_pages(2048).dwb_pages(8).double_write(false).build();
     }
 
     #[test]

@@ -63,11 +63,13 @@
 //! ## Torn-page protection
 //!
 //! Every physical page carries a 16-byte trailer `[page_lsn][page_no][crc]`.
-//! With `double_write` on, each eviction writes the page to the double-write
-//! area, fsyncs, then writes it home (InnoDB §2.1); recovery scans the area
-//! and repairs any home page whose trailer fails. With `double_write` off,
-//! a torn home page is repaired only if the device guarantees atomic page
-//! writes — which is precisely DuraSSD's contribution.
+//! With `double_write` on, every write batch — eviction sweep or checkpoint
+//! chunk — goes to the double-write area as one run, is fsynced, and is then
+//! written home (InnoDB §2.1); recovery scans the area and repairs any home
+//! page whose trailer fails from the page's newest valid copy (highest page
+//! LSN: the area keeps older copies too). With `double_write` off, a torn
+//! home page is repaired only if the device guarantees atomic page writes —
+//! which is precisely DuraSSD's contribution.
 
 use crate::config::EngineConfig;
 use btree::{node as bnode, BTree, PageStore};
@@ -75,7 +77,7 @@ use bufferpool::{BufferPool, PageBackend, PoolStats};
 use durassd::Error;
 use forensics::{EvidenceKind, Ledger, UnitKind};
 use simkit::{crc32_bytewise, Nanos, Recovered, ReplayStats, Timed};
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use storage::device::{BlockDevice, DevError, WriteCause};
 use storage::file::PageFile;
 use storage::volume::{Volume, VolumeManager};
@@ -901,30 +903,43 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             let root = u64::from_le_bytes(cbuf[off..off + 8].try_into().unwrap());
             trees.push(BTree::open(root, cbuf[off + 8]));
         }
-        // 2. Double-write repair.
+        // 2. Double-write repair. The area keeps older copies of a page
+        // beside newer ones (the cursor only wraps), so a bad home page is
+        // repaired from its valid copy with the highest page LSN — the copy
+        // of the write that tore it. One pass over the slots keeps the
+        // newest copy per page; each such page's home is then checked once.
         if cfg.double_write {
-            let mut slot_buf = vec![0u8; cfg.page_size];
-            let mut home_buf = vec![0u8; cfg.page_size];
+            let mut newest: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+            let mut buf = vec![0u8; cfg.page_size];
             for slot in 0..dwb.pages() {
-                match dwb.read_page(&mut data, slot, &mut slot_buf, t) {
+                match dwb.read_page(&mut data, slot, &mut buf, t) {
                     Ok(t2) => t = t2,
                     Err(DevError::ShornPage { .. }) => continue, // torn copy: home is intact
                     Err(e) => panic!("dwb read failed: {e}"),
                 }
-                let page_no = sealed_page_no(&slot_buf);
-                if page_no >= cfg.data_pages || !trailer_ok(&slot_buf, page_no) {
+                let page_no = sealed_page_no(&buf);
+                if page_no >= cfg.data_pages || !trailer_ok(&buf, page_no) {
                     continue;
                 }
-                let home_ok = match ts.read_page(&mut data, page_no, &mut home_buf, t) {
+                match newest.get_mut(&page_no) {
+                    Some(copy) if page_lsn(copy) >= page_lsn(&buf) => {}
+                    Some(copy) => copy.copy_from_slice(&buf),
+                    None => {
+                        newest.insert(page_no, buf.clone());
+                    }
+                }
+            }
+            for (&page_no, copy) in &newest {
+                let home_ok = match ts.read_page(&mut data, page_no, &mut buf, t) {
                     Ok(t2) => {
                         t = t2;
-                        never_written(&home_buf) || trailer_ok(&home_buf, page_no)
+                        never_written(&buf) || trailer_ok(&buf, page_no)
                     }
                     Err(DevError::ShornPage { .. }) => false,
                     Err(e) => panic!("home read failed: {e}"),
                 };
                 if !home_ok {
-                    t = ts.write_page(&mut data, page_no, &slot_buf, t).expect("repair write");
+                    t = ts.write_page(&mut data, page_no, copy, t).expect("repair write");
                     stats.repaired_pages += 1;
                 }
             }

@@ -273,6 +273,39 @@ fn double_write_repairs_torn_pages_on_volatile_ssd() {
 }
 
 #[test]
+fn double_write_repair_restores_the_newest_copy() {
+    // The double-write area keeps older copies of a page beside newer ones
+    // (the cursor only wraps; checkpoints do not clear it). Both versions of
+    // the root leaf are checkpointed, so no redo record is past the bound:
+    // a torn home page must come back from the copy with the highest page
+    // LSN, not from the first valid one in slot order.
+    let cfg = EngineConfig {
+        dwb_pages: 16,
+        checkpoint_policy: relstore::CheckpointPolicy::Explicit,
+        ..engine_cfg(true)
+    };
+    let (mut e, t0) =
+        Engine::create(MemDevice::new(16 * 1024), MemDevice::new(4096), cfg, 0).into_parts();
+    let (tree, mut now) = e.create_tree(t0).into_parts();
+    for version in [b"version-1", b"version-2"] {
+        now = e.put(tree, b"k", version, now);
+        now = e.commit(now);
+        now = e.checkpoint(now);
+    }
+    let (mut d, l) = e.crash(now + 1);
+    // Tear the middle of the leaf's home page: 2 catalog pages and the
+    // 16-page double-write area precede the tablespace.
+    let home = 2 + cfg.dwb_pages;
+    let mut page = vec![0u8; 4096];
+    d.read(home, 1, &mut page, 0).unwrap();
+    page[2048..4000].fill(0xEE);
+    d.write(home, &page, 0).unwrap();
+    let (mut e2, t2) = Engine::recover(d, l, cfg, now + 2).expect("recover").into_parts();
+    assert_eq!(e2.stats().repaired_pages, 1);
+    assert_eq!(e2.get(tree, b"k", t2).value.as_deref(), Some(&b"version-2"[..]));
+}
+
+#[test]
 fn uncommitted_work_never_reappears_after_crash() {
     let cfg = engine_cfg(true);
     let (mut e, t0) = Engine::create(durassd(), durassd(), cfg, 0).into_parts();

@@ -179,7 +179,7 @@ fn engine_recovers_from_empty_uncheckpointed_database() {
         data_pages: 2048,
         log_files: 2,
         log_file_blocks: 512,
-        dwb_pages: 8,
+        dwb_pages: 16,
         ..EngineConfig::mysql_like(4096)
     };
     let (e, now) =
