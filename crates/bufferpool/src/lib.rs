@@ -25,9 +25,10 @@ pub trait PageBackend {
     fn read_page(&mut self, page_no: u64, buf: &mut [u8], now: Nanos) -> Nanos;
     /// Write `data` to `page_no`; returns the completion time.
     fn write_page(&mut self, page_no: u64, data: &[u8], now: Nanos) -> Nanos;
-    /// Write a batch of dirty pages (an eviction sweep). Engines override
-    /// this to amortise double-write/fsync costs across the batch, the way
-    /// InnoDB flushes its LRU tail.
+    /// Write a batch of dirty pages — an eviction sweep or a chunk of a
+    /// checkpoint, at most [`WRITE_BATCH`]. Engines override this to
+    /// amortise double-write/fsync costs across the batch, the way InnoDB
+    /// flushes.
     fn write_batch(&mut self, pages: &[(u64, &[u8])], now: Nanos) -> Nanos {
         let mut t = now;
         for (page_no, data) in pages {
@@ -196,6 +197,25 @@ impl BufferPool {
 
     // ---- faulting / eviction ----------------------------------------------
 
+    /// Write the dirty frames `idxs` — at most [`WRITE_BATCH`] — back in one
+    /// backend batch and mark them clean: every write-back, eviction sweep
+    /// or checkpoint, goes through here. The batch is small and bounded, so
+    /// it is staged on the stack — writing back allocates nothing.
+    fn write_back<B: PageBackend>(&mut self, idxs: &[usize], backend: &mut B, now: Nanos) -> Nanos {
+        const EMPTY: &[u8] = &[];
+        let mut batch: [(u64, &[u8]); WRITE_BATCH] = [(0, EMPTY); WRITE_BATCH];
+        for (slot, &i) in batch.iter_mut().zip(idxs) {
+            debug_assert!(self.frames[i].dirty);
+            *slot = (self.frames[i].page_no, &*self.frames[i].data);
+        }
+        let done = backend.write_batch(&batch[..idxs.len()], now);
+        for &i in idxs {
+            self.frames[i].dirty = false;
+        }
+        self.ndirty -= idxs.len();
+        done
+    }
+
     /// Obtain a free frame, evicting from the LRU tail if needed. Returns
     /// `(frame, time)`; time advances if dirty victims had to be written.
     ///
@@ -215,8 +235,7 @@ impl BufferPool {
         assert!(idx != NIL, "all frames pinned: pool too small for the working set");
         if self.frames[idx].dirty {
             // Sweep the tail for more dirty, unpinned frames to flush in the
-            // same batch. The batch is small and bounded, so it is staged on
-            // the stack — eviction sweeps allocate nothing.
+            // same batch.
             let mut batch_idx = [0usize; WRITE_BATCH];
             let mut nb = 0usize;
             let mut cur = self.tail;
@@ -227,23 +246,12 @@ impl BufferPool {
                 }
                 cur = self.frames[cur].prev;
             }
-            const EMPTY: &[u8] = &[];
-            let mut batch: [(u64, &[u8]); WRITE_BATCH] = [(0, EMPTY); WRITE_BATCH];
-            for (slot, &i) in batch.iter_mut().zip(batch_idx[..nb].iter()) {
-                *slot = (self.frames[i].page_no, &*self.frames[i].data);
-            }
             let write_start = now;
             let scope = self.tel.as_ref().map(|tel| tel.span("pool", "pool.eviction", now));
-            now = backend.write_batch(&batch[..nb], now);
+            now = self.write_back(&batch_idx[..nb], backend, now);
             if let (Some(scope), Some(tel)) = (scope, &self.tel) {
                 tel.record("pool.eviction_write", now.saturating_sub(write_start));
                 scope.end(now);
-            }
-            for &i in &batch_idx[..nb] {
-                if self.frames[i].dirty {
-                    self.ndirty -= 1;
-                }
-                self.frames[i].dirty = false;
             }
             self.stats.dirty_evictions += nb as u64;
             self.stats.blocked_reads += 1;
@@ -355,10 +363,11 @@ impl BufferPool {
         self.map.contains_key(&page_no)
     }
 
-    /// Write every dirty page to the backend (checkpoint). Returns the
-    /// completion time of the last write.
+    /// Write every dirty page to the backend (checkpoint), in page order
+    /// and in batches of [`WRITE_BATCH`] — what a batch costs to make
+    /// durable amortises over a checkpoint as it does over an eviction
+    /// sweep. Returns the completion time of the last batch.
     pub fn flush_all<B: PageBackend>(&mut self, backend: &mut B, now: Nanos) -> Nanos {
-        let mut t = now;
         // Flush in page order for deterministic output.
         let mut dirty: Vec<usize> = self
             .frames
@@ -368,12 +377,11 @@ impl BufferPool {
             .map(|(i, _)| i)
             .collect();
         dirty.sort_by_key(|&i| self.frames[i].page_no);
-        for idx in dirty {
-            t = backend.write_page(self.frames[idx].page_no, &self.frames[idx].data, t);
-            self.frames[idx].dirty = false;
-            self.ndirty -= 1;
-            self.stats.flush_writes += 1;
+        let mut t = now;
+        for chunk in dirty.chunks(WRITE_BATCH) {
+            t = self.write_back(chunk, backend, t);
         }
+        self.stats.flush_writes += dirty.len() as u64;
         self.note_dirty_gauge();
         t
     }
@@ -607,6 +615,32 @@ mod tests {
             }
             t
         }
+    }
+
+    #[test]
+    fn flush_all_writes_page_ordered_batches() {
+        let mut bp = BufferPool::new(64, 512);
+        let mut be = BatchBackend { inner: TestBackend::new(512), batches: vec![] };
+        // Dirty 40 of 50 resident pages, faulted in descending page order.
+        for p in (100..150u64).rev() {
+            let (f, _) = bp.get(p, &mut be, 0);
+            if p % 5 != 0 {
+                bp.data_mut(f)[0] = 1;
+            }
+            bp.unpin(f);
+        }
+        assert_eq!(bp.dirty_count(), 40);
+        let done = bp.flush_all(&mut be, 1_000);
+        assert_eq!(be.batches, [16, 16, 8]);
+        let want: Vec<u64> = (100..150).filter(|p| p % 5 != 0).collect();
+        assert_eq!(be.inner.writes, want, "ascending page order across the batches");
+        assert_eq!(done, 1_000 + 40 * 300, "each batch starts when the last one ended");
+        assert_eq!(bp.dirty_count(), 0);
+        assert_eq!(bp.stats().flush_writes, 40);
+        assert_eq!(bp.stats().dirty_evictions, 0);
+        // Nothing left to write.
+        bp.flush_all(&mut be, done);
+        assert_eq!(be.batches.len(), 3);
     }
 
     #[test]

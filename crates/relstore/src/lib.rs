@@ -261,6 +261,35 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_flushes_the_data_device_twice_per_batch_of_sixteen() {
+        let mut cfg = small_cfg(4096);
+        cfg.buffer_pool_bytes = 256 * 4096; // the whole tree stays resident
+        let (mut e, now) =
+            Engine::create(MemDevice::new(16 * 1024), MemDevice::new(4 * 1024), cfg, 0)
+                .into_parts();
+        let (t0, t) = e.create_tree(now).into_parts();
+        let mut now = e.checkpoint(t);
+        for i in 0..2400u64 {
+            now = e.put(t0, format!("key{i:08}").as_bytes(), &[7u8; 100], now);
+        }
+        now = e.commit(now);
+        assert_eq!(e.stats().page_writes, 1, "only the first checkpoint has written a page");
+        let (stats, flushes) = (e.stats(), e.data_volume().device_stats().flushes);
+        e.checkpoint(now);
+        let pages = e.stats().page_writes - stats.page_writes;
+        assert!(pages >= 64, "{pages} dirty pages");
+        // Per batch: the double-write run's fsync, then the one that seals
+        // the home writes. Per checkpoint: its own fsync and the catalog's.
+        assert_eq!(
+            e.data_volume().device_stats().flushes - flushes,
+            2 * pages.div_ceil(16) + 2,
+            "{pages} pages"
+        );
+        assert_eq!(e.stats().dwb_writes - stats.dwb_writes, pages);
+        assert_eq!(e.stats().dwb_writes, e.stats().page_writes);
+    }
+
+    #[test]
     fn every_write_batch_is_sealed_by_an_fsync() {
         let mut cfg = small_cfg(4096);
         cfg.double_write = false;

@@ -5,8 +5,11 @@ use durassd::{Ssd, SsdConfig};
 use hdd::{Hdd, HddConfig};
 use relstore::{Engine, EngineConfig, Error};
 use simkit::rng::{Rng, SimRng};
+use simkit::Nanos;
+use std::cell::Cell;
 use std::collections::BTreeMap;
-use storage::device::BlockDevice;
+use std::rc::Rc;
+use storage::device::{BlockDevice, DevResult, DeviceStats};
 use storage::testdev::MemDevice;
 
 const KEYS: u64 = 300;
@@ -303,6 +306,137 @@ fn double_write_repair_restores_the_newest_copy() {
     let (mut e2, t2) = Engine::recover(d, l, cfg, now + 2).expect("recover").into_parts();
     assert_eq!(e2.stats().repaired_pages, 1);
     assert_eq!(e2.get(tree, b"k", t2).value.as_deref(), Some(&b"version-2"[..]));
+}
+
+/// A block device that loses power 1 ns before the ack of the `n`-th write
+/// it takes once armed. The host dies with it: from that moment every
+/// command, on this device and on its twin holding the same fuse, goes
+/// nowhere — the engine's call runs on, but nothing it does reaches a device.
+struct Doomed<D> {
+    inner: D,
+    fuse: Rc<Fuse>,
+    /// Whether this device's writes burn the fuse (its twin only dies).
+    burns: bool,
+}
+
+#[derive(Default)]
+struct Fuse {
+    /// Writes the armed device still completes, the fatal one included.
+    writes_left: Cell<Option<u64>>,
+    /// When power was cut, and the LPN of the write it cut.
+    blown: Cell<Option<(Nanos, u64)>>,
+}
+
+impl<D: BlockDevice> Doomed<D> {
+    /// Whether power is gone (cutting this device too if its twin blew).
+    fn dead(&mut self) -> bool {
+        if let Some((at, _)) = self.fuse.blown.get() {
+            self.inner.power_cut(at);
+        }
+        self.fuse.blown.get().is_some()
+    }
+}
+
+impl<D: BlockDevice> BlockDevice for Doomed<D> {
+    fn capacity_pages(&self) -> u64 {
+        self.inner.capacity_pages()
+    }
+    fn read(&mut self, lpn: u64, pages: u32, buf: &mut [u8], now: Nanos) -> DevResult<Nanos> {
+        if self.dead() {
+            return Ok(now);
+        }
+        self.inner.read(lpn, pages, buf, now)
+    }
+    fn write(&mut self, lpn: u64, data: &[u8], now: Nanos) -> DevResult<Nanos> {
+        if self.dead() {
+            return Ok(now);
+        }
+        let done = self.inner.write(lpn, data, now)?;
+        if let Some(left) = self.fuse.writes_left.get().filter(|_| self.burns) {
+            self.fuse.writes_left.set(left.checked_sub(1).filter(|&left| left > 0));
+            if left == 1 {
+                self.fuse.blown.set(Some((done - 1, lpn)));
+                self.inner.power_cut(done - 1);
+            }
+        }
+        Ok(done)
+    }
+    fn flush(&mut self, now: Nanos) -> DevResult<Nanos> {
+        if self.dead() {
+            return Ok(now);
+        }
+        self.inner.flush(now)
+    }
+    fn power_cut(&mut self, now: Nanos) {
+        self.inner.power_cut(now)
+    }
+    fn reboot(&mut self, now: Nanos) -> Nanos {
+        self.inner.reboot(now)
+    }
+    fn is_powered(&self) -> bool {
+        self.inner.is_powered()
+    }
+    fn stats(&self) -> DeviceStats {
+        self.inner.stats()
+    }
+}
+
+#[test]
+fn power_cut_inside_a_checkpoint_batch_is_repaired_from_the_double_write_area() {
+    // SSD-A (volatile cache) with barriers and double-write on, 16 KB pages
+    // (four device pages each, so a home page can tear). Power goes 1 ns
+    // before the ack of a home write inside a checkpoint's batch, while the
+    // device drains the batch's earlier home writes: the batch's copies
+    // were flushed to the double-write area first, so every home page the
+    // cut tears is repaired, the checkpoint that never finished covers
+    // nothing, and redo brings back every committed row.
+    let cfg = EngineConfig {
+        page_size: 16384,
+        buffer_pool_bytes: 192 * 16384,
+        data_pages: 2048,
+        checkpoint_policy: relstore::CheckpointPolicy::Explicit,
+        ..engine_cfg(true)
+    };
+    let home_base = (2 + cfg.dwb_pages) * 4;
+    let mut repaired = 0;
+    for seed in 0..20u64 {
+        let fuse = Rc::new(Fuse::default());
+        let doomed = |burns| Doomed { inner: volatile_ssd(), fuse: fuse.clone(), burns };
+        let (mut e, t0) = Engine::create(doomed(true), doomed(false), cfg, 0).into_parts();
+        let (tree, t1) = e.create_tree(t0).into_parts();
+        let mut now = e.checkpoint(t1);
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        // About 80 leaves under a 192-frame pool: nothing is evicted, and
+        // the 1,000 puts after the second checkpoint dirty nearly all.
+        for op in 0..3000u64 {
+            if op == 2000 {
+                now = e.checkpoint(now);
+            }
+            let key = format!("key{:05}", rng.gen_range(0..2000u64)).into_bytes();
+            let val = format!("v{op}:{}", "x".repeat(rng.gen_range(300..500usize))).into_bytes();
+            now = e.put(tree, &key, &val, now);
+            model.insert(key, val);
+            now = e.commit(now);
+        }
+        assert_eq!(e.stats().page_writes, e.pool_stats().flush_writes, "no evictions so far");
+        // A batch is one double-write run, then its 16 home writes: blow on
+        // home write `page` of the first or the second batch.
+        let (batch, page) = (rng.gen_range(0..2u64), rng.gen_range(0..16u64));
+        fuse.writes_left.set(Some(batch * 17 + 1 + page + 1));
+        let now = e.checkpoint(now);
+        let (cut_at, cut_lpn) = fuse.blown.get().expect("the checkpoint wrote two full batches");
+        assert!(cut_lpn >= home_base, "seed {seed}: the cut write was a home write");
+        let (d, l) = e.crash(now);
+        let rec = Engine::recover(d.inner, l.inner, cfg, now.max(cut_at) + 1_000_000)
+            .unwrap_or_else(|err| panic!("seed {seed}: {err}"));
+        let (mut e2, t2) = rec.into_parts();
+        repaired += e2.stats().repaired_pages;
+        let want: Vec<(Vec<u8>, Vec<u8>)> = model.into_iter().collect();
+        let got = e2.scan(tree, b"", want.len() + 1, t2).value;
+        assert!(got == want, "seed {seed}: {} of {} rows scanned back", got.len(), want.len());
+    }
+    assert!(repaired > 0, "some cut must tear a home page, or this pins nothing");
 }
 
 #[test]
