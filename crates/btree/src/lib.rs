@@ -229,7 +229,7 @@ impl BTree {
         }
         // Split by bytes, not count, so variable-size cells balance.
         let n = staged.ncells();
-        let total: usize = (0..n).map(|j| staged.footprint(j)).sum();
+        let total = staged.total_footprint();
         let mut acc = 0usize;
         let mut cut = (n / 2).max(1);
         for j in 0..n {

@@ -125,12 +125,7 @@ fn cell_at(buf: &[u8], i: usize) -> usize {
 
 /// Key of slot `i`.
 pub fn key(buf: &[u8], i: usize) -> &[u8] {
-    let c = cell_at(buf, i);
-    let klen = get_u16(buf, c) as usize;
-    match kind(buf) {
-        Kind::Leaf => &buf[c + 4..c + 4 + klen],
-        Kind::Internal => &buf[c + 10..c + 10 + klen],
-    }
+    cell_key(kind(buf), &buf[cell_at(buf, i)..])
 }
 
 /// Value of slot `i` (leaf only).
@@ -377,10 +372,15 @@ impl Staged {
         get_u64(self.cell(j), 2)
     }
 
+    /// Page bytes all the cells need together.
+    pub fn total_footprint(&self) -> usize {
+        (0..self.ncells()).map(|j| self.footprint(j)).sum()
+    }
+
     /// Whether every cell fits one page — a function of the live cells
     /// only, however leaky the staged page's heap was.
     pub fn fits_one_page(&self) -> bool {
-        HEADER + (0..self.ncells()).map(|j| self.footprint(j)).sum::<usize>() <= self.page_len
+        HEADER + self.total_footprint() <= self.page_len
     }
 
     /// Replace `buf`'s cells with cells `range`, compacted; the rest of its

@@ -921,12 +921,9 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
                 if page_no >= cfg.data_pages || !trailer_ok(&buf, page_no) {
                     continue;
                 }
-                match newest.get_mut(&page_no) {
-                    Some(copy) if page_lsn(copy) >= page_lsn(&buf) => {}
-                    Some(copy) => copy.copy_from_slice(&buf),
-                    None => {
-                        newest.insert(page_no, buf.clone());
-                    }
+                let copy = newest.entry(page_no).or_insert_with(|| buf.clone());
+                if page_lsn(copy) < page_lsn(&buf) {
+                    copy.copy_from_slice(&buf);
                 }
             }
             for (&page_no, copy) in &newest {
