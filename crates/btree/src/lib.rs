@@ -17,7 +17,7 @@
 //! value's bytes, another length goes into the free gap and the slot is
 //! pointed at it, an insert takes the gap. Only an edit the gap cannot take
 //! touches the other cells — the leaf is compacted, or split, through the
-//! tree's one page-sized [`node::Staged`] buffer. Whether a leaf splits, and
+//! tree's one page-sized `node::Staged` buffer. Whether a leaf splits, and
 //! where, is a function of its live cells only, so tree shapes do not depend
 //! on how the heap inside a page happens to be laid out.
 

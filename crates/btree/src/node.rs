@@ -19,7 +19,7 @@
 //! and never move on their own. Removing a slot, or pointing it at a new
 //! cell, leaves the old cell's bytes behind as dead heap; the page is
 //! compacted only when an edit finds the gap too small, through a
-//! [`Staged`] copy. What fits is always decided from the live cells, never
+//! `Staged` copy. What fits is always decided from the live cells, never
 //! from where they happen to lie.
 
 /// Byte offset constants of the header fields.
@@ -274,7 +274,7 @@ pub fn remove_slot(buf: &mut [u8], i: usize) {
 /// place: where it lies when the length is unchanged, else as a new cell in
 /// the free gap that the slot is pointed at. Returns false, with the page
 /// untouched, when the gap cannot take the new cell.
-pub fn overwrite_leaf(buf: &mut [u8], i: usize, v: &[u8]) -> bool {
+pub(crate) fn overwrite_leaf(buf: &mut [u8], i: usize, v: &[u8]) -> bool {
     debug_assert_eq!(kind(buf), Kind::Leaf);
     let c = cell_at(buf, i);
     let klen = get_u16(buf, c) as usize;
@@ -303,7 +303,7 @@ pub fn overwrite_leaf(buf: &mut [u8], i: usize, v: &[u8]) -> bool {
 /// ranges of that sequence, so neither copies a cell to the heap; the buffer
 /// is reused from edit to edit.
 #[derive(Default)]
-pub struct Staged {
+pub(crate) struct Staged {
     /// `[page image][new cell]`.
     bytes: Vec<u8>,
     page_len: usize,
@@ -325,26 +325,33 @@ impl Staged {
 
     /// Stage leaf `page` with `(k, v)` inserted at slot `pos`, or replacing
     /// the cell there.
-    pub fn stage_leaf(&mut self, page: &[u8], pos: usize, replace: bool, k: &[u8], v: &[u8]) {
+    pub(crate) fn stage_leaf(
+        &mut self,
+        page: &[u8],
+        pos: usize,
+        replace: bool,
+        k: &[u8],
+        v: &[u8],
+    ) {
         debug_assert_eq!(kind(page), Kind::Leaf);
         let cell = self.stage(page, pos, replace, cell_size(Kind::Leaf, k.len(), v.len()));
         write_leaf_cell(cell, k, v);
     }
 
     /// Stage internal `page` with `(k, child)` inserted at slot `pos`.
-    pub fn stage_internal(&mut self, page: &[u8], pos: usize, k: &[u8], child_page: u64) {
+    pub(crate) fn stage_internal(&mut self, page: &[u8], pos: usize, k: &[u8], child_page: u64) {
         debug_assert_eq!(kind(page), Kind::Internal);
         let cell = self.stage(page, pos, false, cell_size(Kind::Internal, k.len(), 0));
         write_internal_cell(cell, k, child_page);
     }
 
     /// The page as it was when staged (its header outlives the edit).
-    pub fn page(&self) -> &[u8] {
+    pub(crate) fn page(&self) -> &[u8] {
         &self.bytes[..self.page_len]
     }
 
     /// Number of cells once the edit is applied.
-    pub fn ncells(&self) -> usize {
+    pub(crate) fn ncells(&self) -> usize {
         nkeys(self.page()) + 1 - self.replace as usize
     }
 
@@ -357,35 +364,35 @@ impl Staged {
     }
 
     /// Page bytes cell `j` needs: the cell and its slot entry.
-    pub fn footprint(&self, j: usize) -> usize {
+    pub(crate) fn footprint(&self, j: usize) -> usize {
         self.cell(j).len() + 2
     }
 
     /// Key of cell `j`.
-    pub fn key(&self, j: usize) -> &[u8] {
+    pub(crate) fn key(&self, j: usize) -> &[u8] {
         cell_key(kind(self.page()), self.cell(j))
     }
 
     /// Child pointer of cell `j` (internal only).
-    pub fn child(&self, j: usize) -> u64 {
+    pub(crate) fn child(&self, j: usize) -> u64 {
         debug_assert_eq!(kind(self.page()), Kind::Internal);
         get_u64(self.cell(j), 2)
     }
 
     /// Page bytes all the cells need together.
-    pub fn total_footprint(&self) -> usize {
+    pub(crate) fn total_footprint(&self) -> usize {
         (0..self.ncells()).map(|j| self.footprint(j)).sum()
     }
 
     /// Whether every cell fits one page — a function of the live cells
     /// only, however leaky the staged page's heap was.
-    pub fn fits_one_page(&self) -> bool {
+    pub(crate) fn fits_one_page(&self) -> bool {
         HEADER + self.total_footprint() <= self.page_len
     }
 
     /// Replace `buf`'s cells with cells `range`, compacted; the rest of its
     /// header (kind, level, sibling, leftmost child) stays.
-    pub fn fill(&self, buf: &mut [u8], range: std::ops::Range<usize>) {
+    pub(crate) fn fill(&self, buf: &mut [u8], range: std::ops::Range<usize>) {
         debug_assert_eq!(kind(buf), kind(self.page()));
         put_u16(buf, OFF_NKEYS, 0);
         put_u16(buf, OFF_FREE_LO, HEADER as u16);
