@@ -180,13 +180,7 @@ fn doc_trial(
 ) -> TrialOut {
     let ledger = Ledger::new(contract);
     dev.attach_ledger(ledger.clone());
-    let cfg = DocStoreConfig {
-        batch_size: 1,
-        barriers,
-        file_blocks: 65_536,
-        auto_compact_pct: 0,
-        checkpoint_every_n_commits: 8,
-    };
+    let cfg = DocStoreConfig { batch_size: 1, barriers, file_blocks: 65_536, auto_compact_pct: 0 };
     let mut s = DocStore::create(dev, cfg);
     s.attach_telemetry(tel.clone());
     s.attach_ledger(ledger.clone());

@@ -10,8 +10,8 @@
 //! - `replayed` / `skipped` / `torn` — the logical-replay accounting from
 //!   [`simkit::ReplayStats`]: records re-applied after the last complete
 //!   checkpoint, records the checkpoint let us skip, and torn tail frames;
-//! - `outstanding_bytes` — log (or header-chain) bytes past the checkpoint
-//!   at the moment of the cut;
+//! - `outstanding_bytes` — log bytes past the checkpoint at the moment of
+//!   the cut (0 for the document store: its newest header is the state);
 //! - `recovery_sim_ns` — simulated time from reboot to a usable store;
 //! - `ttfr_sim_ns` — simulated time to the first completed read (the
 //!   user-visible outage), always ≥ `recovery_sim_ns`;
@@ -19,8 +19,8 @@
 //!   simulator-side cost, not a claim about real hardware).
 //!
 //! Three devices (DuraSSD lean mount without barriers, a volatile-cache
-//! SSD and a Cheetah-class disk both with barriers) × two checkpoint
-//! intervals, for both the relational engine and the document store.
+//! SSD and a Cheetah-class disk both with barriers): the relational engine
+//! at two checkpoint intervals, the document store once (`ckpt_interval` 0).
 //! Writes `BENCH_recovery.json` (schema `durassd.recovery.v1`); `--check`
 //! re-validates it with [`bench::schema::check_recovery_report`] and exits
 //! non-zero on violation.
@@ -109,28 +109,16 @@ fn rel_trial<D: BlockDevice>(
     }
 }
 
-/// One document-store trial: single-set commit headers with every
-/// `interval`-th header promoted to a checkpoint anchor.
-fn doc_trial<D: BlockDevice>(
-    dev: D,
-    device: &'static str,
-    barriers: bool,
-    interval: u64,
-    ops: u64,
-) -> Row {
-    let cfg = DocStoreConfig {
-        batch_size: 1,
-        barriers,
-        file_blocks: 65_536,
-        auto_compact_pct: 0,
-        checkpoint_every_n_commits: interval,
-    };
+/// One document-store trial: single-set commit headers. Every header is
+/// the store's checkpoint, so there is no interval to sweep and nothing
+/// outstanding behind the newest one.
+fn doc_trial<D: BlockDevice>(dev: D, device: &'static str, barriers: bool, ops: u64) -> Row {
+    let cfg = DocStoreConfig { batch_size: 1, barriers, file_blocks: 65_536, auto_compact_pct: 0 };
     let mut s = DocStore::create(dev, cfg);
     let mut now = 0;
     for i in 0..ops {
         now = s.set(&key_of(i), &val_of(i), now);
     }
-    let outstanding = s.outstanding_bytes();
     let cut = now + 1;
     let dev = s.crash(cut);
     let wall0 = std::time::Instant::now();
@@ -142,9 +130,9 @@ fn doc_trial<D: BlockDevice>(
     Row {
         engine: "docstore",
         device,
-        ckpt_interval: interval,
+        ckpt_interval: 0,
         commits: ops,
-        outstanding_bytes: outstanding,
+        outstanding_bytes: 0,
         stats,
         recovery_wall_ns,
         ttfr_sim_ns: t3.saturating_sub(cut + 1),
@@ -215,10 +203,10 @@ fn main() {
             commits,
         ));
         rows.push(rel_trial(hdd_bench(true), hdd_bench(true), "hdd", true, interval, commits));
-        rows.push(doc_trial(durassd_bench(true), "durassd", false, interval, doc_ops));
-        rows.push(doc_trial(ssd_a_bench(true), "ssd_volatile", true, interval, doc_ops));
-        rows.push(doc_trial(hdd_bench(true), "hdd", true, interval, doc_ops));
     }
+    rows.push(doc_trial(durassd_bench(true), "durassd", false, doc_ops));
+    rows.push(doc_trial(ssd_a_bench(true), "ssd_volatile", true, doc_ops));
+    rows.push(doc_trial(hdd_bench(true), "hdd", true, doc_ops));
     for r in &rows {
         println!(
             "{:<9} {:<13} {:>8} {:>9} {:>9} {:>5} {:>11}B {:>12} {:>12}",

@@ -93,16 +93,9 @@ pub fn fio_cell(durable: bool, ops: u64, span: u64, tel: Option<&Telemetry>) -> 
 }
 
 /// Document-store configuration of the YCSB cells: an fsync every
-/// `batch_size` updates, no auto-compaction, a checkpoint anchor every 8
-/// headers.
+/// `batch_size` updates, no auto-compaction.
 pub fn ycsb_cell_config(barriers: bool, batch_size: u32) -> DocStoreConfig {
-    DocStoreConfig {
-        batch_size,
-        barriers,
-        file_blocks: 400_000,
-        auto_compact_pct: 0,
-        checkpoint_every_n_commits: 8,
-    }
+    DocStoreConfig { batch_size, barriers, file_blocks: 400_000, auto_compact_pct: 0 }
 }
 
 /// YCSB-A (50/50 read/update) on the couchstore-style document store, fsync

@@ -183,13 +183,8 @@ fn docstore_steady_state_set() {
             .build(),
     );
     dev.prewarm();
-    let cfg = DocStoreConfig {
-        batch_size: 1,
-        barriers: false,
-        file_blocks: 6_144,
-        auto_compact_pct: 0,
-        ..DocStoreConfig::new()
-    };
+    let cfg =
+        DocStoreConfig { batch_size: 1, barriers: false, file_blocks: 6_144, auto_compact_pct: 0 };
     let mut store = DocStore::create(dev, cfg);
     let keys: Vec<Vec<u8>> = (0..400u64).map(|i| format!("user{i:012}").into_bytes()).collect();
     let mut doc = vec![b'v'; 200];

@@ -13,8 +13,8 @@
 //! * [`cowtree`] — immutable (copy-on-write) nodes, held flat in their
 //!   on-disk encoding,
 //! * [`DocStore`] — the store: memory-first document cache (the memcached
-//!   layer), COW updates, batched fsync, block-aligned headers, backward
-//!   header scan on recovery, and compaction.
+//!   layer), COW updates, batched fsync, block-aligned headers, a backward
+//!   scan for the newest header on recovery, and compaction.
 
 pub mod append;
 pub mod cowtree;
@@ -33,8 +33,9 @@ use telemetry::{Scope, Telemetry};
 use wal::{DocSetRef, LogRecord};
 
 const HEADER_MAGIC: u64 = 0x434f_5543_4848_4452;
-/// Offset sentinel: "no such header".
-const NO_OFF: u64 = u64::MAX;
+/// Header fields ahead of the CRC: magic, seq, root offset, root length,
+/// depth.
+const HEADER_BODY: usize = 32;
 
 /// Store configuration.
 #[derive(Debug, Clone, Copy)]
@@ -49,35 +50,19 @@ pub struct DocStoreConfig {
     /// its capacity — Couchbase's fragmentation-threshold auto-compaction.
     /// 0 disables.
     pub auto_compact_pct: u8,
-    /// Every `n`-th commit header is promoted to a checkpoint *anchor* —
-    /// the header-chain analogue of the relational engine's checkpoint.
-    /// Recovery counts the commit headers it finds between the newest
-    /// header and its anchor as `skipped` work a WAL engine would have had
-    /// to replay. Must be at least 1 (1 = every header is an anchor).
-    pub checkpoint_every_n_commits: u64,
 }
 
 impl DocStoreConfig {
     /// Defaults: fsync every update, barriers on, 64MB file, auto-compact
-    /// at 75% fill, a checkpoint anchor every 8 commit headers.
+    /// at 75% fill.
     pub fn new() -> Self {
-        Self {
-            batch_size: 1,
-            barriers: true,
-            file_blocks: 16_384,
-            auto_compact_pct: 75,
-            checkpoint_every_n_commits: 8,
-        }
+        Self { batch_size: 1, barriers: true, file_blocks: 16_384, auto_compact_pct: 75 }
     }
 
     /// Check internal consistency; called by `create` and `recover`.
     pub fn validate(&self) {
         assert!(self.batch_size >= 1, "batch size must be at least 1 update");
         assert!(self.file_blocks >= 4, "append file too small");
-        assert!(
-            self.checkpoint_every_n_commits >= 1,
-            "checkpoint interval must be at least 1 commit"
-        );
     }
 }
 
@@ -115,13 +100,6 @@ pub struct DocStore<D: BlockDevice> {
     root: Option<(u64, u32)>,
     depth: u32,
     seq: u64,
-    /// Byte offset of the most recent commit header ([`NO_OFF`] if none) —
-    /// the head of the backward header chain.
-    prev_header_off: u64,
-    /// Byte offset of the most recent checkpoint anchor header.
-    ckpt_off: u64,
-    /// Commit headers written since the last anchor.
-    headers_since_ckpt: u64,
     cfg: DocStoreConfig,
     /// Memory-first object cache (Couchbase's managed-cache layer).
     doc_cache: HashMap<Vec<u8>, Option<Vec<u8>>>,
@@ -161,9 +139,6 @@ impl<D: BlockDevice> DocStore<D> {
             root: None,
             depth: 0,
             seq: 0,
-            prev_header_off: NO_OFF,
-            ckpt_off: NO_OFF,
-            headers_since_ckpt: 0,
             cfg,
             doc_cache: HashMap::new(),
             node_cache: HashMap::default(),
@@ -234,17 +209,6 @@ impl<D: BlockDevice> DocStore<D> {
     /// Bytes appended so far.
     pub fn file_len(&self) -> u64 {
         self.space.len()
-    }
-
-    /// Bytes appended since the last checkpoint anchor header (the whole
-    /// file if no anchor has been committed yet) — the docstore analogue of
-    /// outstanding WAL.
-    pub fn outstanding_bytes(&self) -> u64 {
-        if self.ckpt_off == NO_OFF {
-            self.space.len()
-        } else {
-            self.space.len().saturating_sub(self.ckpt_off)
-        }
     }
 
     /// Drop the in-memory object cache (test hook: forces tree walks).
@@ -398,39 +362,15 @@ impl<D: BlockDevice> DocStore<D> {
         t
     }
 
-    /// Append a header block and fsync (the commit point). Every
-    /// `checkpoint_every_n_commits`-th header is promoted to a checkpoint
-    /// anchor automatically.
+    /// Append a header block and fsync (the commit point). The header *is*
+    /// the store's checkpoint: it names the root of a complete tree, so
+    /// recovery needs the newest one and nothing before it.
     pub fn commit_header(&mut self, now: Nanos) -> Nanos {
         let scope = self.scope("doc.commit", now);
-        let due = self.headers_since_ckpt + 1 >= self.cfg.checkpoint_every_n_commits;
-        let done = self.commit_header_inner(due, now);
-        scope.map_or(done, |s| s.close(done))
-    }
-
-    /// Commit with a forced checkpoint anchor: the header-chain analogue of
-    /// the relational engine's `checkpoint`. Recovery measures its header
-    /// walk (the `skipped` count) back to the newest anchor.
-    pub fn commit_checkpoint(&mut self, now: Nanos) -> Nanos {
-        let scope = self.scope("doc.checkpoint", now);
-        let done = self.commit_header_inner(true, now);
-        scope.map_or(done, |s| s.close(done))
-    }
-
-    fn commit_header_inner(&mut self, anchor: bool, now: Nanos) -> Nanos {
         self.seq += 1;
         self.space.align_to_block();
-        let off = self.space.len();
-        if anchor {
-            self.ckpt_off = off;
-            self.headers_since_ckpt = 0;
-        } else {
-            self.headers_since_ckpt += 1;
-        }
-        // Header block: magic, seq, root, depth, then the backward chain —
-        // the previous header's offset and the newest anchor's offset.
-        let (seq, depth, prev_off, ckpt_off) =
-            (self.seq, self.depth, self.prev_header_off, self.ckpt_off);
+        // Header block: magic, seq, root, depth, CRC.
+        let (seq, depth) = (self.seq, self.depth);
         let (rp, rl) = self.root.unwrap_or((u64::MAX, 0));
         self.space.append_with(|out| {
             let at = out.len();
@@ -441,12 +381,9 @@ impl<D: BlockDevice> DocStore<D> {
             hdr[16..24].copy_from_slice(&rp.to_le_bytes());
             hdr[24..28].copy_from_slice(&rl.to_le_bytes());
             hdr[28..32].copy_from_slice(&depth.to_le_bytes());
-            hdr[32..40].copy_from_slice(&prev_off.to_le_bytes());
-            hdr[40..48].copy_from_slice(&ckpt_off.to_le_bytes());
-            let crc = crc32(&hdr[..48]);
-            hdr[48..52].copy_from_slice(&crc.to_le_bytes());
+            let crc = crc32(&hdr[..HEADER_BODY]);
+            hdr[HEADER_BODY..HEADER_BODY + 4].copy_from_slice(&crc.to_le_bytes());
         });
-        self.prev_header_off = off;
         self.stats.bytes_appended += BLOCK as u64;
         self.stats.headers += 1;
         self.updates_since_sync = 0;
@@ -456,7 +393,7 @@ impl<D: BlockDevice> DocStore<D> {
             // appended since the previous header is now acknowledged.
             ledger.ack_all_pending(done, self.cfg.barriers);
         }
-        done
+        scope.map_or(done, |s| s.close(done))
     }
 
     /// Insert or update a document. Returns the completion time.
@@ -616,10 +553,6 @@ impl<D: BlockDevice> DocStore<D> {
         self.node_cache.clear();
         self.root = None;
         self.depth = 0;
-        // The old header chain died with the old file contents.
-        self.prev_header_off = NO_OFF;
-        self.ckpt_off = NO_OFF;
-        self.headers_since_ckpt = 0;
         // Bulk-load bottom-up: the leaves, then internal levels.
         if level.is_empty() {
             self.spare.push(level);
@@ -637,9 +570,7 @@ impl<D: BlockDevice> DocStore<D> {
                 self.depth += 1;
             }
         }
-        // A compaction is a checkpoint by construction: the fresh file is
-        // exactly the live state, so the first header is an anchor.
-        let t = self.commit_checkpoint(t);
+        let t = self.commit_header(t);
         // TRIM everything between the new end of file and the old one.
         let new_blocks = self.space.len().div_ceil(BLOCK as u64);
         let old_blocks = old_len.div_ceil(BLOCK as u64);
@@ -661,13 +592,12 @@ impl<D: BlockDevice> DocStore<D> {
     /// valid header, resume after it. Updates past the last header are lost
     /// (that is couchstore's contract).
     ///
-    /// The returned [`Recovered`] mirrors the relational engine's report:
-    /// `skipped` counts the commit headers walked back from the newest
-    /// header to its checkpoint anchor (batches a WAL engine would have had
-    /// to replay), `checkpoint_lsn` is the anchor's byte offset, and
+    /// The returned [`Recovered`] has the relational engine's shape:
+    /// `checkpoint_lsn` is the byte offset of the header recovered from, and
     /// `replayed`/`torn` are always 0 — couchstore replays nothing (the
-    /// newest header *is* the recovered state) and an interrupted append
-    /// tail is indistinguishable from unwritten space.
+    /// newest header *is* the recovered state, so nothing below it is read
+    /// until the first `get`) and an interrupted append tail is
+    /// indistinguishable from unwritten space.
     pub fn recover(dev: D, cfg: DocStoreConfig, now: Nanos) -> Recovered<Self> {
         cfg.validate();
         let mut vol = Volume::new(dev, cfg.barriers);
@@ -677,9 +607,8 @@ impl<D: BlockDevice> DocStore<D> {
         }
         let mut vm = VolumeManager::new(vol.capacity_pages());
         let file = PageFile::create(&mut vm, cfg.file_blocks.min(vol.capacity_pages()), BLOCK);
-        // (block, root, len, depth, seq, prev_off, ckpt_off)
-        let mut found: Option<(u64, u64, u32, u32, u64, u64, u64)> = None;
         let mut buf = vec![0u8; BLOCK];
+        let mut newest = None;
         for blk in (0..file.pages()).rev() {
             match file.read_page(&mut vol, blk, &mut buf, t) {
                 Ok(t2) => t = t2,
@@ -688,57 +617,25 @@ impl<D: BlockDevice> DocStore<D> {
             if u64::from_le_bytes(buf[..8].try_into().expect("hdr")) != HEADER_MAGIC {
                 continue;
             }
-            let crc = u32::from_le_bytes(buf[48..52].try_into().expect("hdr"));
-            if crc != crc32(&buf[..48]) {
-                continue;
+            let crc =
+                u32::from_le_bytes(buf[HEADER_BODY..HEADER_BODY + 4].try_into().expect("hdr"));
+            if crc == crc32(&buf[..HEADER_BODY]) {
+                newest = Some(blk);
+                break;
             }
-            let seq = u64::from_le_bytes(buf[8..16].try_into().expect("hdr"));
-            let root = u64::from_le_bytes(buf[16..24].try_into().expect("hdr"));
-            let len = u32::from_le_bytes(buf[24..28].try_into().expect("hdr"));
-            let depth = u32::from_le_bytes(buf[28..32].try_into().expect("hdr"));
-            let prev_off = u64::from_le_bytes(buf[32..40].try_into().expect("hdr"));
-            let ckpt_off = u64::from_le_bytes(buf[40..48].try_into().expect("hdr"));
-            found = Some((blk, root, len, depth, seq, prev_off, ckpt_off));
-            break;
         }
         let mut replay = ReplayStats::default();
-        let (space, root, depth, seq, prev_header_off, ckpt_off) = match found {
-            Some((blk, root, len, depth, seq, prev_off, ckpt_off)) => {
-                // Walk the header chain back to the checkpoint anchor: each
-                // header after the anchor is a commit batch the header-chain
-                // design spared us from replaying.
-                let newest_off = blk * BLOCK as u64;
-                replay.checkpoint_lsn = if ckpt_off == NO_OFF { 0 } else { ckpt_off };
-                let mut off = newest_off;
-                let mut prev = prev_off;
-                let mut guard = file.pages();
-                while ckpt_off != NO_OFF && off > ckpt_off && guard > 0 {
-                    replay.skipped += 1;
-                    guard -= 1;
-                    if prev == NO_OFF || prev >= off {
-                        break; // chain truncated or corrupt: stop counting
-                    }
-                    let pblk = prev / BLOCK as u64;
-                    match file.read_page(&mut vol, pblk, &mut buf, t) {
-                        Ok(t2) => t = t2,
-                        Err(_) => break,
-                    }
-                    let magic_ok =
-                        u64::from_le_bytes(buf[..8].try_into().expect("hdr")) == HEADER_MAGIC;
-                    let crc = u32::from_le_bytes(buf[48..52].try_into().expect("hdr"));
-                    if !magic_ok || crc != crc32(&buf[..48]) {
-                        break;
-                    }
-                    off = prev;
-                    prev = u64::from_le_bytes(buf[32..40].try_into().expect("hdr"));
-                }
-                let resume = (blk + 1) * BLOCK as u64;
-                let space = AppendSpace::reopen(file, resume);
-                let root = if root == u64::MAX { None } else { Some((root, len)) };
-                let ckpt = if ckpt_off == NO_OFF { NO_OFF } else { ckpt_off };
-                (space, root, depth, seq, newest_off, ckpt)
+        let (space, root, depth, seq) = match newest {
+            Some(blk) => {
+                let seq = u64::from_le_bytes(buf[8..16].try_into().expect("hdr"));
+                let root = u64::from_le_bytes(buf[16..24].try_into().expect("hdr"));
+                let len = u32::from_le_bytes(buf[24..28].try_into().expect("hdr"));
+                let depth = u32::from_le_bytes(buf[28..32].try_into().expect("hdr"));
+                replay.checkpoint_lsn = blk * BLOCK as u64;
+                let space = AppendSpace::reopen(file, (blk + 1) * BLOCK as u64);
+                (space, (root != u64::MAX).then_some((root, len)), depth, seq)
             }
-            None => (AppendSpace::new(file), None, 0, 0, NO_OFF, NO_OFF),
+            None => (AppendSpace::new(file), None, 0, 0),
         };
         let store = Self {
             vol,
@@ -746,9 +643,6 @@ impl<D: BlockDevice> DocStore<D> {
             root,
             depth,
             seq,
-            prev_header_off,
-            ckpt_off,
-            headers_since_ckpt: 0,
             cfg,
             doc_cache: HashMap::new(),
             node_cache: HashMap::default(),
@@ -776,7 +670,6 @@ mod tests {
             barriers: true,
             file_blocks: 8192,
             auto_compact_pct: 0,
-            checkpoint_every_n_commits: 8,
         };
         DocStore::create(MemDevice::new(8192), cfg)
     }
@@ -872,7 +765,6 @@ mod tests {
             barriers: true,
             file_blocks: 8192,
             auto_compact_pct: 0,
-            checkpoint_every_n_commits: 8,
         };
         let mut s = DocStore::create(MemDevice::new(8192), cfg);
         let mut t = 0;
@@ -889,6 +781,36 @@ mod tests {
         }
     }
 
+    /// The newest header is the whole recovered state: recovery reads down
+    /// to it and not one block further, however many headers precede it.
+    #[test]
+    fn recovery_reads_nothing_below_the_newest_header() {
+        let mut s = store(1);
+        let cfg = s.cfg;
+        let mut t = 0;
+        for i in 0..200u64 {
+            t = s.set(format!("k{i:03}").as_bytes(), &doc(i), t);
+        }
+        assert_eq!(s.stats().headers, 200);
+        let header_block = s.file_len() / BLOCK as u64 - 1;
+        let reads_before = s.device_stats().reads;
+        let dev = s.crash(t);
+        let rec = DocStore::recover(dev, cfg, t + 1);
+        assert_eq!(rec.stats.checkpoint_lsn, header_block * BLOCK as u64);
+        assert_eq!((rec.stats.replayed, rec.stats.torn), (0, 0));
+        let (mut s2, mut t2) = rec.into_parts();
+        assert_eq!(
+            s2.device_stats().reads - reads_before,
+            cfg.file_blocks - header_block,
+            "the backward scan stops at the newest header"
+        );
+        for i in 0..200u64 {
+            let (v, t3) = s2.get(format!("k{i:03}").as_bytes(), t2).into_parts();
+            t2 = t3;
+            assert_eq!(v.unwrap(), doc(i), "k{i:03}");
+        }
+    }
+
     #[test]
     fn unsynced_tail_is_lost_on_recovery() {
         let cfg = DocStoreConfig {
@@ -896,7 +818,6 @@ mod tests {
             barriers: true,
             file_blocks: 8192,
             auto_compact_pct: 0,
-            checkpoint_every_n_commits: 8,
         };
         let mut s = DocStore::create(MemDevice::new(8192), cfg);
         let mut t = 0;
@@ -1030,7 +951,6 @@ mod tests {
             barriers: false,
             file_blocks: 1024,
             auto_compact_pct: 0,
-            checkpoint_every_n_commits: 8,
         };
         let mut s = DocStore::create(Ssd::new(SsdConfig::tiny_test()), cfg);
         let mut t = 0;
@@ -1053,7 +973,6 @@ mod tests {
             barriers: false,
             file_blocks: 1024,
             auto_compact_pct: 0,
-            checkpoint_every_n_commits: 8,
         };
         let mut s = DocStore::create(Ssd::new(SsdConfig::tiny_volatile()), cfg);
         let mut t = 0;
@@ -1082,7 +1001,6 @@ mod tests {
             barriers: true,
             file_blocks: 512, // 2MB
             auto_compact_pct: 60,
-            checkpoint_every_n_commits: 8,
         };
         let mut s = DocStore::create(MemDevice::new(1024), cfg);
         let mut t = 0;

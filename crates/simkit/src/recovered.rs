@@ -3,7 +3,7 @@
 //!
 //! Both storage engines in this repository (the relational engine and the
 //! document store) recover by scanning a durable structure — the WAL since
-//! the last checkpoint, or the header chain at the file tail — and
+//! the last checkpoint, or the file tail for the newest commit header — and
 //! replaying what they find. [`Recovered`] is the one return shape for
 //! both: the recovered store, the virtual completion time, and a
 //! [`ReplayStats`] describing the scan so benchmarks and tests can assert

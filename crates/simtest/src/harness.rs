@@ -567,7 +567,6 @@ fn doc_cfg() -> DocStoreConfig {
         barriers: false, // DuraSSD underneath: the lean mount
         file_blocks: 512,
         auto_compact_pct: 60,
-        checkpoint_every_n_commits: 4,
     }
 }
 
@@ -608,18 +607,14 @@ fn run_doc_case(ops: &[Op]) -> Result<(), Failure> {
                 now = store.delete(&key_of(key), now);
                 oracle.del(key);
             }
-            Op::Commit => {
+            // Every header is the store's checkpoint: there is no policy
+            // to consult.
+            Op::Commit | Op::Ckpt => {
                 now = store.commit_header(now);
                 oracle.commit();
             }
             Op::Checkpoint => {
                 now = store.compact(now);
-            }
-            Op::Ckpt => {
-                // Force a checkpoint anchor header: the chain walk during
-                // the next recovery stops here.
-                now = store.commit_checkpoint(now);
-                oracle.commit();
             }
             Op::CrashRecover => {
                 let dev = store.crash(now + 1);

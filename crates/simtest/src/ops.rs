@@ -52,8 +52,8 @@ pub enum Op {
     /// Engine: `checkpoint`; DocStore: `compact`.
     Checkpoint,
     /// Policy-driven checkpoint: engine checkpoints only if its
-    /// [`wal::CheckpointPolicy`] says one is due; DocStore forces a
-    /// checkpoint anchor header (`commit_checkpoint`).
+    /// [`wal::CheckpointPolicy`] says one is due; DocStore has no policy
+    /// (every header is its checkpoint) and commits a header.
     Ckpt,
     /// Crash the store (power-cuts the device(s) underneath), recover,
     /// audit every key against the shadow model.

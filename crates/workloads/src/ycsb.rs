@@ -102,7 +102,6 @@ mod tests {
                 barriers: true,
                 file_blocks: 32 * 1024,
                 auto_compact_pct: 0,
-                checkpoint_every_n_commits: 8,
             },
         )
     }

@@ -22,7 +22,6 @@ fn sweep(barriers: bool) {
             barriers,
             file_blocks: 100_000,
             auto_compact_pct: 0,
-            checkpoint_every_n_commits: 8,
         };
         let mut store = DocStore::create(Ssd::new(SsdConfig::durassd(16)), cfg);
         let spec = YcsbSpec::workload_a(5_000, 4_000);

@@ -166,13 +166,8 @@ fn volatile_nobarrier_engine_losses_are_attributed() {
 #[test]
 fn docstore_ledger_round_trip_and_report_validation() {
     use docstore::{DocStore, DocStoreConfig};
-    let cfg = DocStoreConfig {
-        batch_size: 1,
-        barriers: false,
-        file_blocks: 1024,
-        auto_compact_pct: 0,
-        checkpoint_every_n_commits: 8,
-    };
+    let cfg =
+        DocStoreConfig { batch_size: 1, barriers: false, file_blocks: 1024, auto_compact_pct: 0 };
     let ledger = Ledger::new(AckContract::VolatileAck);
     let mut dev = Ssd::new(SsdConfig::tiny_volatile());
     Ssd::attach_ledger(&mut dev, ledger.clone());

@@ -97,13 +97,8 @@ fn tpcc_money_conservation() {
 
 #[test]
 fn ycsb_results_survive_crash_when_synced() {
-    let cfg = DocStoreConfig {
-        batch_size: 1,
-        barriers: false,
-        file_blocks: 50_000,
-        auto_compact_pct: 0,
-        checkpoint_every_n_commits: 8,
-    };
+    let cfg =
+        DocStoreConfig { batch_size: 1, barriers: false, file_blocks: 50_000, auto_compact_pct: 0 };
     let mut s = DocStore::create(dura(), cfg);
     let spec = ycsb::YcsbSpec::workload_a(500, 600);
     let t = ycsb::load(&mut s, &spec, 0);

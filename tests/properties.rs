@@ -142,7 +142,6 @@ fn docstore_crash_recovery_matches_model() {
             barriers: false,
             file_blocks: 1500,
             auto_compact_pct: 0,
-            checkpoint_every_n_commits: 8,
         };
         let mut s = DocStore::create(Ssd::new(SsdConfig::tiny_test()), cfg);
         let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();

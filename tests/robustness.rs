@@ -115,13 +115,8 @@ fn catalog_ping_pong_survives_one_corrupt_copy() {
 fn docstore_crash_during_compaction_recovers_old_tree() {
     // A crash in the middle of compaction (before its commit header) must
     // fall back to the pre-compaction tree.
-    let cfg = DocStoreConfig {
-        batch_size: 1,
-        barriers: true,
-        file_blocks: 4096,
-        auto_compact_pct: 0,
-        checkpoint_every_n_commits: 8,
-    };
+    let cfg =
+        DocStoreConfig { batch_size: 1, barriers: true, file_blocks: 4096, auto_compact_pct: 0 };
     let mut s = DocStore::create(MemDevice::new(8 * 1024), cfg);
     let mut now = 0;
     for i in 0..120u64 {
@@ -149,13 +144,8 @@ fn docstore_crash_during_compaction_recovers_old_tree() {
 
 #[test]
 fn docstore_tombstones_survive_crash() {
-    let cfg = DocStoreConfig {
-        batch_size: 1,
-        barriers: true,
-        file_blocks: 2048,
-        auto_compact_pct: 0,
-        checkpoint_every_n_commits: 8,
-    };
+    let cfg =
+        DocStoreConfig { batch_size: 1, barriers: true, file_blocks: 2048, auto_compact_pct: 0 };
     let mut s = DocStore::create(MemDevice::new(4 * 1024), cfg);
     let mut now = 0;
     now = s.set(b"keep", b"1", now);
