@@ -18,13 +18,13 @@
 //! reproduction is known to give.
 
 use simkit::json::{self, Field, JsonValue, Want::*, Writer};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use storage::device::WriteCause;
 use telemetry::SegKind;
 use workloads::linkbench::OP_TYPES;
 
 /// Schema tag for `BENCH_recovery.json` (the `recovery` bin).
-pub const RECOVERY_SCHEMA: &str = "durassd.recovery.v1";
+pub const RECOVERY_SCHEMA: &str = "durassd.recovery.v2";
 /// Schema tag for crash-campaign reports (`crashmatrix --json`).
 pub const FORENSICS_SCHEMA: &str = "durassd.forensics.v1";
 /// Schema tag for `BENCH_waf.json` (the `waf` bin).
@@ -69,12 +69,11 @@ fn text<'a>(row: &'a Row, key: &str) -> &'a str {
 
 const MODES: [&str; 2] = ["durable", "volatile"];
 
-static RECOVERY_ROW: [Field; 10] = [
+static RECOVERY_ROW: [Field; 9] = [
     Field::new("engine", Str),
     Field::new("device", Str),
     Field::new("ckpt_interval", Count),
     Field::new("replayed", Count),
-    Field::new("skipped", Count),
     Field::new("torn", Count),
     Field::new("outstanding_bytes", Count),
     Field::new("recovery_wall_ns", Count),
@@ -89,40 +88,54 @@ static RECOVERY: [Field; 2] =
 /// - parses as JSON, carries the [`RECOVERY_SCHEMA`] tag;
 /// - a non-empty `rows` array whose rows have non-negative counters and a
 ///   positive simulated recovery time;
-/// - ≥ 3 distinct devices and ≥ 2 distinct checkpoint intervals, and a
-///   time-to-first-read no smaller than the recovery time;
-/// - the DuraSSD relational rows actually exercise checkpoint-bounded
-///   replay: at least one record replayed *and* at least one skipped.
+/// - ≥ 3 distinct devices, each with relational rows at ≥ 2 distinct
+///   checkpoint intervals, and a time-to-first-read no smaller than the
+///   recovery time;
+/// - recovery is checkpoint-bounded: on every device, the relational row at
+///   a shorter checkpoint interval replays at least one record and strictly
+///   fewer, from strictly fewer outstanding log bytes, than the row at the
+///   next longer interval.
 pub fn check_recovery_report(doc: &str) -> Vec<String> {
     validate(doc, &RECOVERY, |rows, failures| {
-        let mut devices = BTreeSet::new();
-        let mut intervals = BTreeSet::new();
+        // device → checkpoint interval → (replayed, outstanding bytes) of
+        // the relational rows.
+        let mut relstore: BTreeMap<&str, BTreeMap<u64, (f64, f64)>> = BTreeMap::new();
         for row in rows {
             let (engine, device) = (text(row, "engine"), text(row, "device"));
-            devices.insert(device);
-            intervals.insert(num(row, "ckpt_interval") as u64);
             let (ttfr, rec) = (num(row, "ttfr_sim_ns"), num(row, "recovery_sim_ns"));
             if ttfr < rec {
                 failures.push(format!(
                     "{engine}/{device}: ttfr_sim_ns {ttfr} must be ≥ recovery_sim_ns {rec}"
                 ));
             }
-            // The headline claim: recovery on DuraSSD is checkpoint-bounded
-            // logical replay — some records replayed, the pre-checkpoint
-            // prefix skipped.
-            if engine == "relstore" && device == "durassd" {
-                for key in ["replayed", "skipped"] {
-                    if num(row, key) < 1.0 {
-                        failures.push(format!("{engine}/{device}: expected ≥ 1 {key} record"));
-                    }
-                }
+            if engine == "relstore" {
+                relstore.entry(device).or_default().insert(
+                    num(row, "ckpt_interval") as u64,
+                    (num(row, "replayed"), num(row, "outstanding_bytes")),
+                );
             }
         }
-        if devices.len() < 3 {
-            failures.push(format!("want ≥ 3 distinct devices, got {devices:?}"));
+        if relstore.len() < 3 {
+            failures.push(format!("want ≥ 3 distinct devices, got {:?}", relstore.keys()));
         }
-        if intervals.len() < 2 {
-            failures.push(format!("want ≥ 2 distinct checkpoint intervals, got {intervals:?}"));
+        for (device, by_interval) in &relstore {
+            if by_interval.len() < 2 {
+                failures.push(format!(
+                    "relstore/{device}: want ≥ 2 distinct checkpoint intervals, got {:?}",
+                    by_interval.keys()
+                ));
+            }
+            let ascending: Vec<_> = by_interval.iter().collect();
+            for pair in ascending.windows(2) {
+                let ((short, (replayed, bytes)), (long, (more, more_bytes))) = (pair[0], pair[1]);
+                if !(*replayed >= 1.0 && replayed < more && bytes < more_bytes) {
+                    failures.push(format!(
+                        "relstore/{device}: interval {short} must replay ≥ 1 and fewer records \
+                         from fewer outstanding bytes than interval {long} \
+                         ({replayed} records / {bytes} B vs {more} / {more_bytes} B)"
+                    ));
+                }
+            }
         }
     })
 }
@@ -1207,48 +1220,53 @@ mod tests {
         device: &str,
         interval: u64,
         replayed: u64,
-        skipped: u64,
+        bytes: u64,
     ) -> String {
         format!(
             "{{\"engine\":\"{engine}\",\"device\":\"{device}\",\"ckpt_interval\":{interval},\
-             \"replayed\":{replayed},\"skipped\":{skipped},\"torn\":0,\
-             \"outstanding_bytes\":4096,\"recovery_wall_ns\":100,\
+             \"replayed\":{replayed},\"torn\":0,\
+             \"outstanding_bytes\":{bytes},\"recovery_wall_ns\":100,\
              \"recovery_sim_ns\":5000,\"ttfr_sim_ns\":6000}}"
         )
     }
 
+    /// A relational pair per device — `short` at interval 256, (9, 9000) at
+    /// 2048 — plus one docstore row.
+    fn recovery_doc(short: (u64, u64)) -> String {
+        let mut rows = vec![recovery_row("docstore", "durassd", 0, 0, 0)];
+        for device in ["durassd", "ssd_volatile", "hdd"] {
+            rows.push(recovery_row("relstore", device, 256, short.0, short.1));
+            rows.push(recovery_row("relstore", device, 2048, 9, 9000));
+        }
+        format!("{{\"schema\":\"{RECOVERY_SCHEMA}\",\"rows\":[{}]}}", rows.join(","))
+    }
+
     #[test]
     fn recovery_report_validation() {
-        let good = format!(
-            "{{\"schema\":\"{RECOVERY_SCHEMA}\",\"rows\":[{},{},{},{}]}}",
-            recovery_row("relstore", "durassd", 256, 3, 9),
-            recovery_row("relstore", "ssd_volatile", 2048, 3, 9),
-            recovery_row("relstore", "hdd", 256, 3, 9),
-            recovery_row("docstore", "durassd", 256, 0, 4),
-        );
+        let good = recovery_doc((3, 4096));
         assert!(check_recovery_report(&good).is_empty(), "{:?}", check_recovery_report(&good));
 
-        // DuraSSD relstore row with nothing replayed: flagged.
-        let bad = format!(
-            "{{\"schema\":\"{RECOVERY_SCHEMA}\",\"rows\":[{},{},{}]}}",
-            recovery_row("relstore", "durassd", 256, 0, 0),
-            recovery_row("relstore", "ssd_volatile", 2048, 3, 9),
-            recovery_row("relstore", "hdd", 256, 3, 9),
-        );
-        let fails = check_recovery_report(&bad);
-        assert!(fails.iter().any(|f| f.contains("replayed")), "{fails:?}");
-        assert!(fails.iter().any(|f| f.contains("skipped")), "{fails:?}");
+        // Not checkpoint-bounded: the short interval replays nothing, as
+        // many records as the long one, or from as many bytes.
+        for short in [(0, 0), (9, 4096), (3, 9000)] {
+            let fails = check_recovery_report(&recovery_doc(short));
+            assert_eq!(fails.len(), 3, "one per device: {fails:?}");
+            assert!(fails.iter().all(|f| f.contains("interval 256 must replay")), "{fails:?}");
+        }
 
         // Too few devices / intervals.
         let narrow = format!(
             "{{\"schema\":\"{RECOVERY_SCHEMA}\",\"rows\":[{}]}}",
-            recovery_row("relstore", "durassd", 256, 3, 9),
+            recovery_row("relstore", "durassd", 256, 3, 4096),
         );
         let fails = check_recovery_report(&narrow);
         assert!(fails.iter().any(|f| f.contains("distinct devices")), "{fails:?}");
         assert!(fails.iter().any(|f| f.contains("distinct checkpoint intervals")), "{fails:?}");
 
-        // Wrong schema tag and garbage both flagged.
+        // The v1 shape (a `skipped` column under the old tag), a wrong tag
+        // and garbage are all flagged.
+        let v1 = good.replace(RECOVERY_SCHEMA, "durassd.recovery.v1");
+        assert!(!check_recovery_report(&v1).is_empty());
         assert!(!check_recovery_report("{\"schema\":\"nope\",\"rows\":[]}").is_empty());
         assert!(!check_recovery_report("not json").is_empty());
     }

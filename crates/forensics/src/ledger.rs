@@ -91,7 +91,7 @@ pub enum EvidenceKind {
     /// device was never asked to flush.
     FsyncAck,
     /// An engine checkpoint completed — data pages flushed, catalog written,
-    /// checkpoint markers logged (detail = the checkpoint's Begin LSN).
+    /// log header written (detail = the checkpoint LSN the header names).
     Checkpoint,
 }
 

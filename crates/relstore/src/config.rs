@@ -94,6 +94,17 @@ impl EngineConfig {
         assert!(self.data_pages > 8, "tablespace too small");
         assert!(self.data_pages <= u32::MAX as u64, "page trailer holds a 32-bit page number");
         assert!(self.log_files >= 1 && self.log_file_blocks >= 4, "log too small");
+        // The eighth of the data area above `needs_checkpoint`'s 7/8 guard
+        // must take the largest record a routine operation logs before the
+        // checkpoint it asked for happens: a leaf split's sidecar (both
+        // halves and the parent, less their trailers, plus 80 framing bytes).
+        let headroom = (self.log_files as u64 * self.log_file_blocks - 1) * 4096 / 8;
+        let sidecar = 3 * self.page_size as u64 + 32;
+        assert!(
+            headroom >= sidecar,
+            "log too small: the {headroom} bytes above its 7/8 overflow guard cannot hold \
+             the {sidecar}-byte page-image sidecar of one leaf split"
+        );
         assert!(self.dwb_pages >= 1, "double-write area too small");
         // A write batch goes to the area as one contiguous run.
         assert!(
@@ -269,6 +280,30 @@ mod tests {
         assert!(cfg.double_write);
         // With double-write off nothing is written to the area.
         EngineConfig::builder(4096).data_pages(2048).dwb_pages(8).double_write(false).build();
+    }
+
+    /// A 16 KiB root image against a 12 KiB log: no checkpoint could make
+    /// room for it. This used to validate and panic in the first
+    /// `create_tree` ("log overflow: checkpoint was not taken in time").
+    #[test]
+    #[should_panic(expected = "the 1536 bytes above its 7/8 overflow guard cannot hold \
+                               the 49184-byte page-image sidecar")]
+    fn log_that_cannot_hold_one_structural_record_is_rejected() {
+        EngineConfig {
+            log_files: 1,
+            log_file_blocks: 4,
+            data_pages: 64,
+            double_write: false,
+            buffer_pool_bytes: 32 * 16384,
+            ..EngineConfig::mysql_like(16384)
+        }
+        .validate();
+    }
+
+    #[test]
+    fn smallest_log_in_use_still_validates() {
+        // `relstore/src/lib.rs`'s small-log tests: one file of 64 blocks.
+        EngineConfig::builder(4096).data_pages(512).log_files(1).log_file_blocks(64).build();
     }
 
     #[test]

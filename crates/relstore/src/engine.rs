@@ -19,12 +19,14 @@
 //!
 //! ## Checkpoints and bounded recovery
 //!
-//! A checkpoint brackets its page flush with `CheckpointBegin`/`End`
-//! markers in the log, then points the log header at the *previous*
-//! checkpoint's Begin (lag-one). Recovery therefore always scans across at
-//! least one complete Begin/End pair: records at or before the newest
-//! `CheckpointEnd` are provably reflected on the data volume and are
-//! *skipped*; everything after is redone with the WAL left alone.
+//! A checkpoint is one number, the LSN in the log header, and
+//! [`Engine::checkpoint`] is the steps that make it true: quiesce the log and
+//! remember `begin`, the LSN where it ends; write back every dirty page;
+//! fsync the data volume; persist the catalog; write the header naming
+//! `begin`. Recovery scans from the header and redoes *every* record it
+//! scans. The header goes last: a checkpoint cut anywhere before it leaves
+//! the previous header, and redo from that older LSN onto pages the
+//! unfinished checkpoint already wrote is what the page LSN guard is for.
 //!
 //! ## Redo under a stealing pool
 //!
@@ -34,7 +36,7 @@
 //! newer (and fuller). Logical records name a key, not a page, so they are
 //! only safe to replay against pages whose LSN is tested:
 //!
-//! * **Structure first.** Every `PageImages` record past the bound, in log
+//! * **Structure first.** Every scanned `PageImages` record, in log
 //!   order: an image is installed iff the page's LSN ≤ the record's LSN,
 //!   and the frame then carries the record's end LSN; root changes apply
 //!   unconditionally. Only structural operations touch internal pages, and
@@ -42,7 +44,7 @@
 //!   structure *is* the tree at the end of the log — one version, where
 //!   replay in log order would descend through parents and children from
 //!   different moments and could land a record on the wrong leaf.
-//! * **Then data.** Every `Put`/`Delete` past the bound, in log order, is
+//! * **Then data.** Every scanned `Put`/`Delete`, in log order, is
 //!   routed by [`BTree::leaf_for`] and applied iff `0 < leaf LSN ≤ record
 //!   LSN` (the leaf then carries the record's end LSN). A leaf that is
 //!   ahead already contains the record; a page with LSN 0 has no history to
@@ -115,8 +117,6 @@ pub struct EngineStats {
     pub corrupt_reads: u64,
     /// Pages restored from the double-write area during recovery.
     pub repaired_pages: u64,
-    /// Redo records replayed during recovery.
-    pub replayed_records: u64,
 }
 
 /// The engine's I/O half: both volumes, the log, the tablespace and the
@@ -356,10 +356,6 @@ pub struct Engine<D: BlockDevice, L: BlockDevice> {
     trees: Vec<BTree>,
     next_page: u64,
     catalog_seq: u64,
-    /// Begin LSN of the most recent completed checkpoint. The log header
-    /// lags one checkpoint behind (it points at the *previous* Begin) so a
-    /// recovery scan always crosses a complete Begin/End pair.
-    last_ckpt_begin: Lsn,
     /// Pinned frames the operation in progress has mutated, waiting for
     /// [`Engine::finish_op`]; empty between operations.
     retained: Vec<usize>,
@@ -415,7 +411,6 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             trees: Vec::new(),
             next_page: 0,
             catalog_seq: 0,
-            last_ckpt_begin: 0,
             retained: Vec::new(),
             fpw_logged: HashSet::new(),
             tel: None,
@@ -768,35 +763,23 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
     }
 
     /// Checkpoint: flush the log, write back every dirty page, persist the
-    /// catalog, and truncate the log.
-    ///
-    /// The checkpoint brackets the flush in the log itself: a
-    /// `CheckpointBegin` before the page writeback, a `CheckpointEnd` after
-    /// catalog persistence. The log *header* is then pointed at the
-    /// **previous** checkpoint's Begin (lag-one), so the next recovery scan
-    /// is guaranteed to cross this checkpoint's complete Begin/End pair —
-    /// that pair is what lets replay prove which records to skip.
+    /// catalog, then point the log header at the LSN the log had when the
+    /// write-back began. The header is the last write: cut anywhere before
+    /// it and recovery starts from the previous checkpoint instead, which
+    /// the page LSN guard makes safe (module docs).
     pub fn checkpoint(&mut self, now: Nanos) -> Nanos {
         self.io.stats.checkpoints += 1;
         let scope = self.scope("engine.checkpoint", now);
         let t = self.io.wal.quiesce(&mut self.io.logv, now);
-        let begin = LogRecord::CheckpointBegin { lsn: self.io.wal.next_lsn() };
-        let begin_lsn = self.io.wal.append(&begin);
+        let begin = self.io.wal.next_lsn();
         let t = self.pool.flush_all(&mut self.io, t);
         let t = self.io.data.fsync(t).expect("data volume");
         let t = self.write_catalog(t);
         self.fpw_logged.clear();
-        // Everything logged before Begin is now on the data volume: seal
-        // the checkpoint in the log and make the markers durable.
-        self.io.wal.append(&LogRecord::CheckpointEnd { lsn: begin_lsn });
-        let t = self.io.wal.quiesce(&mut self.io.logv, t);
-        // Lag-one header update: scanning must still cross this
-        // checkpoint's Begin/End pair, so the header points at the
-        // *previous* checkpoint's Begin.
-        let t = self.io.wal.checkpoint(&mut self.io.logv, self.last_ckpt_begin, t);
-        self.last_ckpt_begin = begin_lsn;
+        // Everything logged before `begin` is now on the data volume.
+        let t = self.io.wal.checkpoint(&mut self.io.logv, begin, t);
         if let Some(ledger) = &self.ledger {
-            ledger.evidence(EvidenceKind::Checkpoint, begin_lsn, t, self.cfg.barriers);
+            ledger.evidence(EvidenceKind::Checkpoint, begin, t, self.cfg.barriers);
         }
         scope.map_or(t, |s| s.close(t))
     }
@@ -837,15 +820,14 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
 
     /// Recover a database from devices after a crash. Reboots the devices,
     /// repairs torn pages via the double-write area, then redoes the log
-    /// past the checkpoint bound under the page-LSN guard (module docs).
+    /// from the checkpoint header under the page-LSN guard (module docs).
     ///
-    /// The returned [`Recovered`] carries replay statistics: how many
-    /// records were past the bound (`replayed`, whether or not the pages
-    /// they describe still needed them), how many were skipped because a
-    /// complete checkpoint already covered them, and whether the scan
-    /// truncated at a torn record (recovery still succeeds — use
-    /// [`crate::tear_error`] to turn a tear into a hard [`Error::TornLog`]
-    /// when the caller demands a clean log). Redo never appends to the WAL
+    /// The returned [`Recovered`] carries replay statistics: the header's
+    /// checkpoint LSN, how many records the scan from it returned
+    /// (`replayed`, whether or not the pages they describe still needed
+    /// them), and whether the scan truncated at a torn record (recovery
+    /// still succeeds — use [`crate::tear_error`] to turn a tear into a hard
+    /// [`Error::TornLog`] when the caller demands a clean log). Redo never appends to the WAL
     /// and never allocates a page — [`Error::Recovery`] if a record would —
     /// so recovering the same image twice yields identical state.
     pub fn recover(
@@ -952,31 +934,21 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
         eng.trees = trees;
         eng.next_page = next_page;
         eng.catalog_seq = catalog_seq;
-        // 4. Redo everything after the newest complete checkpoint; skip
-        // what that checkpoint already flushed. Structure first (images and
-        // root changes), then data, each in log order. The WAL is left
-        // alone — assert that.
+        // 4. Redo every scanned record: structure first (images and root
+        // changes), then data, each in log order. The WAL is left alone —
+        // assert that.
         let appends_before = eng.io.wal.stats().appends;
-        let (first, ckpt_begin) = match scan.replay_bound() {
-            Some((idx, begin)) => (idx + 1, begin),
-            None => (0, eng.io.wal.checkpoint_lsn()),
-        };
-        // The next checkpoint's lag-one header points at this one's Begin.
-        eng.last_ckpt_begin = ckpt_begin;
-        let redo = &scan.records[first..];
         for images in [true, false] {
-            for sr in redo {
+            for sr in &scan.records {
                 if matches!(sr.record, LogRecord::PageImages { .. }) == images {
                     t = eng.redo(sr, t)?;
                 }
             }
         }
-        eng.io.stats.replayed_records = redo.len() as u64;
         debug_assert_eq!(eng.io.wal.stats().appends, appends_before, "redo must not grow the WAL");
         let replay = ReplayStats {
-            checkpoint_lsn: ckpt_begin,
-            replayed: redo.len() as u64,
-            skipped: first as u64,
+            checkpoint_lsn: eng.io.wal.checkpoint_lsn(),
+            replayed: scan.records.len() as u64,
             torn: scan.tear.iter().count() as u64,
             tear_lsn: scan.tear.map(|tear| tear.lsn),
             replay_ns: t.saturating_sub(now),
@@ -1035,13 +1007,8 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
                     )));
                 }
             }
-            // Checkpoint markers past the replay bound (an interrupted
-            // checkpoint's orphan Begin) carry no redo work, and document
-            // records belong to the other engine's log.
-            LogRecord::CheckpointBegin { .. }
-            | LogRecord::CheckpointEnd { .. }
-            | LogRecord::DocSet { .. }
-            | LogRecord::DocDelete { .. } => {}
+            // Document records belong to the other engine's log.
+            LogRecord::DocSet { .. } | LogRecord::DocDelete { .. } => {}
         }
         Ok(t)
     }

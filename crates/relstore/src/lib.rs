@@ -177,8 +177,9 @@ mod tests {
         }
         now = e.commit(now);
         let (d, l) = e.crash(now);
-        let (mut e2, mut t2) = Engine::recover(d, l, cfg, now + 1).expect("recovery").into_parts();
-        assert!(e2.stats().replayed_records > 0);
+        let rec = Engine::recover(d, l, cfg, now + 1).expect("recovery");
+        assert!(rec.stats.replayed > 0);
+        let (mut e2, mut t2) = rec.into_parts();
         for i in (0..500u64).step_by(37) {
             let (v, t3) = e2.get(t0, format!("k{:05}", i).as_bytes(), t2).into_parts();
             t2 = t3;
@@ -204,6 +205,42 @@ mod tests {
         assert_eq!(v.unwrap(), b"1");
         let (v, _) = e2.get(t0, b"uncommitted", t3).into_parts();
         assert!(v.is_none(), "unlogged write must not reappear");
+    }
+
+    /// The header names the checkpoint just taken, so `LiveBytesPct(75)`
+    /// means 75 % of the log: six capacities take 6 / 0.75 = 8 checkpoints
+    /// (~16 while the header lagged one checkpoint behind).
+    #[test]
+    fn live_bytes_threshold_uses_the_whole_log() {
+        let mut cfg = small_cfg(4096);
+        cfg.log_files = 1;
+        cfg.log_file_blocks = 64;
+        assert_eq!(cfg.checkpoint_policy, CheckpointPolicy::LiveBytesPct(75));
+        let capacity = (cfg.log_files as u64 * cfg.log_file_blocks - 1) * 4096;
+        let (mut e, now) =
+            Engine::create(MemDevice::new(16 * 1024), MemDevice::new(1024), cfg, 0).into_parts();
+        let (t0, t) = e.create_tree(now).into_parts();
+        let mut now = e.checkpoint(t);
+        let (mut logged, mut checkpoints) = (0, 0);
+        for i in 0u64.. {
+            if logged + e.wal_outstanding_bytes() >= 6 * capacity {
+                break;
+            }
+            now = e.put(t0, format!("k{:05}", i % 3000).as_bytes(), &[b'v'; 100], now);
+            now = e.commit(now);
+            if e.needs_checkpoint() {
+                let outstanding = e.wal_outstanding_bytes();
+                assert!(
+                    outstanding * 100 > capacity * 70,
+                    "checkpoint {checkpoints} asked for at {outstanding} of {capacity} bytes"
+                );
+                logged += outstanding;
+                checkpoints += 1;
+                now = e.checkpoint(now);
+                assert_eq!(e.wal_outstanding_bytes(), 0);
+            }
+        }
+        assert!((7..=9).contains(&checkpoints), "{checkpoints} checkpoints");
     }
 
     #[test]

@@ -12,19 +12,16 @@
 use crate::clock::Nanos;
 use crate::timed::Timed;
 
-/// What a recovery scan replayed, skipped, and found torn.
+/// What a recovery scan replayed and found torn.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplayStats {
-    /// Records applied through the store's normal write path.
+    /// Records scanned from the checkpoint on, all of which redo is handed.
     pub replayed: u64,
-    /// Records scanned but not applied because a checkpoint already covers
-    /// them (they sit at or before the replay bound).
-    pub skipped: u64,
     /// Torn or garbage records the scan truncated at (0 or 1 for a single
     /// log; the valid prefix before a tear is still replayed).
     pub torn: u64,
-    /// The checkpoint LSN (or header sequence number) the scan started
-    /// its replay bound from.
+    /// Where redo started: the checkpoint LSN in the log header (document
+    /// store: the byte offset of the commit header recovered from).
     pub checkpoint_lsn: u64,
     /// LSN of the tear, when `torn > 0`.
     pub tear_lsn: Option<u64>,
@@ -73,15 +70,10 @@ mod tests {
 
     #[test]
     fn into_parts_and_map_preserve_fields() {
-        let r = Recovered::new(
-            41u32,
-            7,
-            ReplayStats { replayed: 3, skipped: 2, ..ReplayStats::default() },
-        );
+        let r = Recovered::new(41u32, 7, ReplayStats { replayed: 3, ..ReplayStats::default() });
         let mapped = r.clone().map(|v| v + 1);
         assert_eq!(mapped.value, 42);
         assert_eq!(mapped.stats.replayed, 3);
-        assert_eq!(mapped.stats.skipped, 2);
         let (v, t) = r.into_parts();
         assert_eq!((v, t), (41, 7));
     }

@@ -5,19 +5,22 @@
 //! the interference from logging" (§4.2). This crate reproduces that:
 //!
 //! * Appends take a typed [`LogRecord`] (logical `Put`/`Delete`/`DocSet`/
-//!   `DocDelete`, checkpoint `Begin`/`End` markers, physical `PageImages`
-//!   sidecars). Each record is framed `[len][lsn][crc]payload` and appended
-//!   to an in-memory tail buffer; `commit(lsn)` makes everything up to
-//!   `lsn` durable by writing whole 4KB log blocks sequentially and calling
-//!   `fsync` on the log volume (which turns into a device FLUSH only when
-//!   barriers are on — exactly the knob the paper evaluates).
+//!   `DocDelete`, physical `PageImages` sidecars). Each record is framed
+//!   `[len][lsn][crc]payload` and appended to an in-memory tail buffer;
+//!   `commit(lsn)` makes everything up to `lsn` durable by writing whole 4KB
+//!   log blocks sequentially and calling `fsync` on the log volume (which
+//!   turns into a device FLUSH only when barriers are on — exactly the knob
+//!   the paper evaluates).
 //! * **Group commit** falls out of the timing model: while one flush is in
 //!   flight, later committers wait for it and the next flush covers all of
 //!   their records at once.
 //! * The physical log is a circular space over the configured files; a
-//!   header block records the checkpoint LSN so recovery knows where to
-//!   start scanning. A [`CheckpointPolicy`] decides when the engine should
-//!   take the next checkpoint.
+//!   header block records the checkpoint LSN, the one statement of where
+//!   redo starts: recovery scans from it and the engine redoes every record
+//!   the scan returns. The engine writes it last, once everything older is
+//!   on the data volume, so an interrupted checkpoint leaves the previous
+//!   header — an older, still valid start. A [`CheckpointPolicy`] decides
+//!   when the engine should take the next checkpoint.
 //! * Recovery classifies how the scan ended: a zeroed or stale header is
 //!   the *clean* end of the committed prefix, while a CRC-failing or
 //!   undecodable record is a **tear** — reported in [`LogScan::tear`] with
@@ -98,7 +101,7 @@ pub struct Tear {
 }
 
 /// The outcome of a recovery scan: the decoded valid prefix since the
-/// checkpoint header, plus how the scan ended.
+/// checkpoint header — exactly the records to redo — plus how the scan ended.
 #[derive(Debug, Clone, Default)]
 pub struct LogScan {
     /// Valid records in LSN order, starting at the checkpoint header.
@@ -106,22 +109,6 @@ pub struct LogScan {
     /// `Some` when the scan stopped at a torn or garbage record rather
     /// than the clean end of the log.
     pub tear: Option<Tear>,
-}
-
-impl LogScan {
-    /// Index and Begin-LSN of the last *complete* checkpoint in the scan:
-    /// the newest [`LogRecord::CheckpointEnd`], whose `lsn` names the
-    /// matching Begin. Records at or before this index are already
-    /// reflected on the data volume and may be skipped by replay.
-    pub fn replay_bound(&self) -> Option<(usize, Lsn)> {
-        let mut bound = None;
-        for (i, sr) in self.records.iter().enumerate() {
-            if let LogRecord::CheckpointEnd { lsn } = sr.record {
-                bound = Some((i, lsn));
-            }
-        }
-        bound
-    }
 }
 
 /// Log statistics.
@@ -957,37 +944,31 @@ mod tests {
     }
 
     /// CRC-valid bytes that are not a [`LogRecord`] are a distinct tear
-    /// kind: the frame survived but its content is garbage.
+    /// kind: the frame survived but its content is garbage. So is a
+    /// well-formed frame of kind 5 or 6, the retired checkpoint Begin/End
+    /// markers: the scan stops there, the bytes are not taken for anything.
     #[test]
     fn undecodable_record_is_a_bad_record_tear() {
-        let (mut vol, mut wal) = setup(3, 16);
-        let a = wal.append(&rec(b"good"));
-        let garbage = wal.append_raw(b"this is not a log record");
-        wal.commit(&mut vol, garbage, 0);
-        let _ = a;
-        let files = wal.files.clone();
-        let (_, scan, _) = Wal::recover(&mut vol, files, 0);
-        assert_eq!(scan.records.len(), 1);
-        assert_eq!(scan.tear, Some(Tear { lsn: garbage, kind: TearKind::BadRecord }));
-    }
-
-    #[test]
-    fn replay_bound_finds_last_complete_checkpoint() {
-        let mut scan = LogScan::default();
-        let push = |scan: &mut LogScan, lsn: Lsn, record: LogRecord| {
-            scan.records.push(ScannedRecord { lsn, end: lsn + 10, record });
+        let marker = |kind: u8| {
+            let body = 7u64.to_le_bytes();
+            let mut frame = vec![RECORD_VERSION, kind];
+            frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            frame.extend_from_slice(&simkit::crc32(&body).to_le_bytes());
+            frame.extend_from_slice(&body);
+            frame
         };
-        push(&mut scan, 0, rec(b"a"));
-        assert!(scan.replay_bound().is_none());
-        push(&mut scan, 10, LogRecord::CheckpointBegin { lsn: 10 });
-        push(&mut scan, 20, LogRecord::CheckpointEnd { lsn: 10 });
-        push(&mut scan, 30, rec(b"b"));
-        assert_eq!(scan.replay_bound(), Some((2, 10)));
-        // A later Begin with no End does not move the bound.
-        push(&mut scan, 40, LogRecord::CheckpointBegin { lsn: 40 });
-        assert_eq!(scan.replay_bound(), Some((2, 10)));
-        push(&mut scan, 50, LogRecord::CheckpointEnd { lsn: 40 });
-        assert_eq!(scan.replay_bound(), Some((5, 40)));
+        for payload in [b"this is not a log record".to_vec(), marker(5), marker(6)] {
+            let (mut vol, mut wal) = setup(3, 16);
+            wal.append(&rec(b"good"));
+            let garbage = wal.append_raw(&payload);
+            let after = wal.append(&rec(b"after"));
+            wal.commit(&mut vol, after, 0);
+            let files = wal.files.clone();
+            let (wal2, scan, _) = Wal::recover(&mut vol, files, 0);
+            assert_eq!(scan.records.len(), 1);
+            assert_eq!(scan.tear, Some(Tear { lsn: garbage, kind: TearKind::BadRecord }));
+            assert_eq!(wal2.next_lsn(), garbage);
+        }
     }
 
     mod proptests {

@@ -1,10 +1,12 @@
 //! Typed, self-framing logical log records and the checkpoint policy.
 //!
 //! Both engines log *logical* operations (`Put`, `Delete`, `DocSet`,
-//! `DocDelete`) plus two structural kinds: `PageImages` (full post-op images
-//! of restructured B+-tree pages, the relational engine's physical sidecar)
-//! and the `CheckpointBegin`/`CheckpointEnd` pair that brackets a fuzzy
-//! checkpoint. Records are **self-framing**: every encoded record starts
+//! `DocDelete`) plus one structural kind: `PageImages` (full post-op images
+//! of restructured B+-tree pages, the relational engine's physical sidecar).
+//! A checkpoint is not a record: the log header names the LSN redo starts
+//! from, and nothing in the stream restates it (kinds 5 and 6, the former
+//! checkpoint markers, are retired and do not decode).
+//! Records are **self-framing**: every encoded record starts
 //! with `[version u8][kind u8][body_len u32][body crc u32]`, so a scanner
 //! that lands on an arbitrary byte offset (the document store's tail scan)
 //! can cheaply reject non-record bytes before paying for a CRC, and a
@@ -42,8 +44,9 @@ const KIND_PUT: u8 = 1;
 const KIND_DELETE: u8 = 2;
 const KIND_DOC_SET: u8 = 3;
 const KIND_DOC_DELETE: u8 = 4;
-const KIND_CKPT_BEGIN: u8 = 5;
-const KIND_CKPT_END: u8 = 6;
+// 5 and 6 were the checkpoint Begin/End markers. They stay unassigned so
+// every other log byte is what it was, and a frame that carries one is a
+// bad record, not something to misread.
 const KIND_PAGE_IMAGES: u8 = 7;
 
 /// One logical WAL record.
@@ -57,11 +60,6 @@ pub enum LogRecord {
     DocSet { key: Vec<u8>, value: Vec<u8> },
     /// Document store: tombstone a document.
     DocDelete { key: Vec<u8> },
-    /// A checkpoint started; `lsn` is this record's own LSN.
-    CheckpointBegin { lsn: u64 },
-    /// The checkpoint that began at `lsn` completed: every record before
-    /// that Begin is reflected in the on-disk pages and catalog.
-    CheckpointEnd { lsn: u64 },
     /// Physical sidecar for a structural operation: full post-op images of
     /// every rewritten page, and the tree's root/height if it moved.
     PageImages { images: Vec<(u64, Vec<u8>)>, root_change: Option<(u32, u64, u8)> },
@@ -74,8 +72,6 @@ impl LogRecord {
             LogRecord::Delete { .. } => KIND_DELETE,
             LogRecord::DocSet { .. } => KIND_DOC_SET,
             LogRecord::DocDelete { .. } => KIND_DOC_DELETE,
-            LogRecord::CheckpointBegin { .. } => KIND_CKPT_BEGIN,
-            LogRecord::CheckpointEnd { .. } => KIND_CKPT_END,
             LogRecord::PageImages { .. } => KIND_PAGE_IMAGES,
         }
     }
@@ -90,9 +86,6 @@ impl LogRecord {
             LogRecord::DocDelete { key } => {
                 out.extend_from_slice(&(key.len() as u16).to_le_bytes());
                 out.extend_from_slice(key);
-            }
-            LogRecord::CheckpointBegin { lsn } | LogRecord::CheckpointEnd { lsn } => {
-                out.extend_from_slice(&lsn.to_le_bytes());
             }
             LogRecord::PageImages { images, root_change } => {
                 out.extend_from_slice(&(images.len() as u32).to_le_bytes());
@@ -173,14 +166,6 @@ impl LogRecord {
                 let key = take(&mut pos, klen)?.to_vec();
                 LogRecord::DocDelete { key }
             }
-            KIND_CKPT_BEGIN | KIND_CKPT_END => {
-                let lsn = u64::from_le_bytes(take(&mut pos, 8)?.try_into().ok()?);
-                if kind == KIND_CKPT_BEGIN {
-                    LogRecord::CheckpointBegin { lsn }
-                } else {
-                    LogRecord::CheckpointEnd { lsn }
-                }
-            }
             KIND_PAGE_IMAGES => {
                 let n_images = u32::from_le_bytes(take(&mut pos, 4)?.try_into().ok()?) as usize;
                 if n_images > MAX_IMAGES {
@@ -236,7 +221,7 @@ fn unframe(buf: &[u8]) -> Option<(u8, &[u8])> {
         return None;
     }
     let kind = buf[1];
-    if !(KIND_PUT..=KIND_PAGE_IMAGES).contains(&kind) {
+    if !matches!(kind, KIND_PUT..=KIND_DOC_DELETE | KIND_PAGE_IMAGES) {
         return None;
     }
     let body_len = u32::from_le_bytes(buf[2..6].try_into().ok()?) as usize;
@@ -404,8 +389,6 @@ mod tests {
             LogRecord::Delete { tree: 9, key: b"gone".to_vec() },
             LogRecord::DocSet { key: b"doc1".to_vec(), value: vec![7; 300] },
             LogRecord::DocDelete { key: b"doc2".to_vec() },
-            LogRecord::CheckpointBegin { lsn: 0xDEAD_BEEF },
-            LogRecord::CheckpointEnd { lsn: 0xDEAD_BEEF },
             LogRecord::PageImages {
                 images: vec![(5, vec![1; 4080]), (9, vec![2; 4080])],
                 root_change: Some((0, 9, 2)),
@@ -559,7 +542,7 @@ mod tests {
         }
 
         fn random_record<R: Rng>(r: &mut R) -> LogRecord {
-            match r.gen_range(0..7u32) {
+            match r.gen_range(0..5u32) {
                 0 => LogRecord::Put {
                     tree: r.gen::<u32>(),
                     key: random_bytes(r, 40),
@@ -568,8 +551,6 @@ mod tests {
                 1 => LogRecord::Delete { tree: r.gen::<u32>(), key: random_bytes(r, 40) },
                 2 => LogRecord::DocSet { key: random_bytes(r, 40), value: random_bytes(r, 400) },
                 3 => LogRecord::DocDelete { key: random_bytes(r, 40) },
-                4 => LogRecord::CheckpointBegin { lsn: r.gen::<u64>() },
-                5 => LogRecord::CheckpointEnd { lsn: r.gen::<u64>() },
                 _ => {
                     let images: Vec<(u64, Vec<u8>)> = (0..r.gen_range(0..4usize))
                         .map(|_| (r.gen::<u64>(), random_bytes(r, 300)))

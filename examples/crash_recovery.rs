@@ -49,11 +49,11 @@ fn trial<D: BlockDevice>(name: &str, data: D, log: D) {
                 }
             }
             println!(
-                "{name}: recovered ({} log records replayed, {} pre-checkpoint \
-                 skipped); {lost}/{KEYS} committed transactions lost, \
+                "{name}: recovered ({} log records replayed from checkpoint LSN {}); \
+                 {lost}/{KEYS} committed transactions lost, \
                  {} corrupt pages detected\n",
                 replay.replayed,
-                replay.skipped,
+                replay.checkpoint_lsn,
                 e2.stats().corrupt_reads
             );
         }

@@ -2,6 +2,7 @@
 //! claims as assertions.
 
 use durassd::{Ssd, SsdConfig};
+use forensics::{AckContract, EvidenceKind, Ledger};
 use hdd::{Hdd, HddConfig};
 use relstore::{Engine, EngineConfig, Error};
 use simkit::rng::{Rng, SimRng};
@@ -176,15 +177,14 @@ fn double_recovery_is_idempotent() {
     }
     // Replay did not grow the WAL, so the second pass sees the same log.
     assert_eq!(stats2.replayed, stats1.replayed, "replay accounting drifted");
-    assert_eq!(stats2.skipped, stats1.skipped);
     assert_eq!(stats2.torn, 0);
     assert_eq!(stats1.torn, 0);
 }
 
 #[test]
 fn checkpoint_bounded_replay_skips_pre_checkpoint_records() {
-    // Records logged before the last complete checkpoint must land in
-    // `skipped`, not be re-applied; records after it must be replayed.
+    // The log header names the checkpoint and the scan starts there: records
+    // logged before it are never read, records after it are all redone.
     let cfg = engine_cfg(false);
     let (mut e, t0) = Engine::create(durassd(), durassd(), cfg, 0).into_parts();
     let (tree, t1) = e.create_tree(t0).into_parts();
@@ -193,7 +193,9 @@ fn checkpoint_bounded_replay_skips_pre_checkpoint_records() {
         now = e.put(tree, format!("a{i:03}").as_bytes(), b"pre", now);
         now = e.commit(now);
     }
+    assert!(e.wal_outstanding_bytes() > 0);
     now = e.checkpoint(now);
+    assert_eq!(e.wal_outstanding_bytes(), 0, "a checkpoint leaves nothing to scan");
     for i in 0..15u64 {
         now = e.put(tree, format!("b{i:03}").as_bytes(), b"post", now);
         now = e.commit(now);
@@ -201,21 +203,23 @@ fn checkpoint_bounded_replay_skips_pre_checkpoint_records() {
     let (d, l) = e.crash(now + 1);
     let rec = Engine::recover(d, l, cfg, now + 2).expect("recover");
     let stats = rec.stats;
-    assert!(stats.skipped >= 40, "pre-checkpoint records must be skipped: {stats:?}");
-    assert!(stats.replayed >= 15, "post-checkpoint records must replay: {stats:?}");
+    assert_eq!(stats.replayed, 15, "exactly the post-checkpoint records replay: {stats:?}");
     assert!(stats.checkpoint_lsn > 0, "replay must start at a checkpoint: {stats:?}");
-    // Skipping must not cost any data: every commit from both phases reads.
+    // Not scanning them costs no data: every commit from both phases reads.
     let (mut e2, mut t2) = rec.into_parts();
-    for i in 0..40u64 {
-        let (v, t3) = e2.get(tree, format!("a{i:03}").as_bytes(), t2).into_parts();
-        t2 = t3;
-        assert_eq!(v.as_deref(), Some(b"pre".as_slice()), "a{i:03}");
+    for (phase, n, want) in [('a', 40u64, "pre"), ('b', 15, "post")] {
+        for i in 0..n {
+            let (v, t3) = e2.get(tree, format!("{phase}{i:03}").as_bytes(), t2).into_parts();
+            t2 = t3;
+            assert_eq!(v.as_deref(), Some(want.as_bytes()), "{phase}{i:03}");
+        }
     }
-    for i in 0..15u64 {
-        let (v, t3) = e2.get(tree, format!("b{i:03}").as_bytes(), t2).into_parts();
-        t2 = t3;
-        assert_eq!(v.as_deref(), Some(b"post".as_slice()), "b{i:03}");
-    }
+    // A crash right after a checkpoint has nothing to redo.
+    let t3 = e2.checkpoint(t2);
+    let (d, l) = e2.crash(t3 + 1);
+    let rec = Engine::recover(d, l, cfg, t3 + 2).expect("recover");
+    assert_eq!(rec.stats.replayed, 0, "{:?}", rec.stats);
+    assert!(rec.stats.checkpoint_lsn > stats.checkpoint_lsn);
 }
 
 #[test]
@@ -323,6 +327,8 @@ struct Doomed<D> {
 struct Fuse {
     /// Writes the armed device still completes, the fatal one included.
     writes_left: Cell<Option<u64>>,
+    /// Count only writes to LPNs below this (`None`: every write).
+    only_below: Cell<Option<u64>>,
     /// When power was cut, and the LPN of the write it cut.
     blown: Cell<Option<(Nanos, u64)>>,
 }
@@ -352,7 +358,8 @@ impl<D: BlockDevice> BlockDevice for Doomed<D> {
             return Ok(now);
         }
         let done = self.inner.write(lpn, data, now)?;
-        if let Some(left) = self.fuse.writes_left.get().filter(|_| self.burns) {
+        let counts = self.burns && self.fuse.only_below.get().is_none_or(|below| lpn < below);
+        if let Some(left) = self.fuse.writes_left.get().filter(|_| counts) {
             self.fuse.writes_left.set(left.checked_sub(1).filter(|&left| left > 0));
             if left == 1 {
                 self.fuse.blown.set(Some((done - 1, lpn)));
@@ -437,6 +444,73 @@ fn power_cut_inside_a_checkpoint_batch_is_repaired_from_the_double_write_area() 
         assert!(got == want, "seed {seed}: {} of {} rows scanned back", got.len(), want.len());
     }
     assert!(repaired > 0, "some cut must tear a home page, or this pins nothing");
+}
+
+/// SSD-A (volatile cache) with barriers and double-write on: 900 committed
+/// puts with a checkpoint after the 600th, then a second checkpoint that
+/// loses power 1 ns before the ack of its first write to an LPN below
+/// `cut_below` on the log (`log_burns`) or the data device. A checkpoint that
+/// never wrote its header counts for nothing: recovery must start at the
+/// previous one, replay every record since it and bring back every row.
+fn previous_checkpoint_stays_in_force(seed: u64, log_burns: bool, cut_below: u64) {
+    let cfg = engine_cfg(true);
+    let fuse = Rc::new(Fuse::default());
+    let doomed = |burns| Doomed { inner: volatile_ssd(), fuse: fuse.clone(), burns };
+    let (mut e, t0) = Engine::create(doomed(!log_burns), doomed(log_burns), cfg, 0).into_parts();
+    let ledger = Ledger::new(AckContract::VolatileAck);
+    e.attach_ledger(ledger.clone());
+    let (tree, t1) = e.create_tree(t0).into_parts();
+    let mut now = e.checkpoint(t1);
+    let mut rng = SimRng::seed_from_u64(seed);
+    let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+    let mut logged_at_checkpoint = 0;
+    for op in 0..900u64 {
+        if op == 600 {
+            now = e.checkpoint(now);
+            logged_at_checkpoint = e.wal_stats().appends;
+        }
+        let key = format!("key{:05}", rng.gen_range(0..500u64)).into_bytes();
+        let val = format!("v{op}:{}", "x".repeat(rng.gen_range(40..180usize))).into_bytes();
+        now = e.put(tree, &key, &val, now);
+        model.insert(key, val);
+        now = e.commit(now);
+    }
+    let logged_since = e.wal_stats().appends - logged_at_checkpoint;
+    // The LSN the checkpoint at op 600 put in the log header.
+    let evidence = ledger.evidence_rows();
+    let (_, checkpoints) = evidence.iter().find(|(k, _)| *k == EvidenceKind::Checkpoint).unwrap();
+    fuse.only_below.set(Some(cut_below));
+    fuse.writes_left.set(Some(1));
+    let now = e.checkpoint(now);
+    let (cut_at, _) = fuse.blown.get().expect("the checkpoint reached the armed write");
+    let (d, l) = e.crash(now);
+    let rec = Engine::recover(d.inner, l.inner, cfg, now.max(cut_at) + 1_000_000)
+        .unwrap_or_else(|err| panic!("seed {seed}: {err}"));
+    assert_eq!(rec.stats.checkpoint_lsn, checkpoints.last_detail, "seed {seed}: {:?}", rec.stats);
+    assert_eq!(rec.stats.replayed, logged_since, "seed {seed}: {:?}", rec.stats);
+    let (mut e2, t2) = rec.into_parts();
+    let want: Vec<(Vec<u8>, Vec<u8>)> = model.into_iter().collect();
+    let got = e2.scan(tree, b"", want.len() + 1, t2).value;
+    assert!(got == want, "seed {seed}: {} of {} rows scanned back", got.len(), want.len());
+}
+
+#[test]
+fn power_cut_on_the_checkpoint_header_write_leaves_the_previous_checkpoint() {
+    // Everything is committed, so the header (block 0 of the log volume) is
+    // the checkpoint's only log write: the new checkpoint's pages and catalog
+    // are durable on the data device when it is lost.
+    for seed in 0..20 {
+        previous_checkpoint_stays_in_force(seed, true, 1);
+    }
+}
+
+#[test]
+fn power_cut_on_the_checkpoint_catalog_write_leaves_the_previous_checkpoint() {
+    // The catalog (the first two pages of the data volume) is the data
+    // device's last write of a checkpoint.
+    for seed in 0..20 {
+        previous_checkpoint_stays_in_force(seed, false, 2);
+    }
 }
 
 #[test]
