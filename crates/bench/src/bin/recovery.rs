@@ -109,9 +109,8 @@ fn rel_trial<D: BlockDevice>(
     }
 }
 
-/// One document-store trial: single-set commit headers. Every header is
-/// the store's checkpoint, so there is no interval to sweep and nothing
-/// outstanding behind the newest one.
+/// One document-store trial: single-set commit headers, each of them the
+/// store's checkpoint — no interval to sweep, nothing outstanding behind it.
 fn doc_trial<D: BlockDevice>(dev: D, device: &'static str, barriers: bool, ops: u64) -> Row {
     let cfg = DocStoreConfig { batch_size: 1, barriers, file_blocks: 65_536, auto_compact_pct: 0 };
     let mut s = DocStore::create(dev, cfg);

@@ -125,9 +125,9 @@ pub fn check_recovery_report(doc: &str) -> Vec<String> {
                     by_interval.keys()
                 ));
             }
-            let ascending: Vec<_> = by_interval.iter().collect();
-            for pair in ascending.windows(2) {
-                let ((short, (replayed, bytes)), (long, (more, more_bytes))) = (pair[0], pair[1]);
+            for ((short, (replayed, bytes)), (long, (more, more_bytes))) in
+                by_interval.iter().zip(by_interval.iter().skip(1))
+            {
                 if !(*replayed >= 1.0 && replayed < more && bytes < more_bytes) {
                     failures.push(format!(
                         "relstore/{device}: interval {short} must replay ≥ 1 and fewer records \

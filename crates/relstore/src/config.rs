@@ -88,6 +88,11 @@ impl EngineConfig {
         ((self.buffer_pool_bytes / self.page_size as u64) as usize).max(4)
     }
 
+    /// Bytes of log the files hold: every 4KB block but the header.
+    pub(crate) fn log_capacity_bytes(&self) -> u64 {
+        (self.log_files as u64 * self.log_file_blocks - 1) * 4096
+    }
+
     /// Check internal consistency; called by the engine constructor.
     pub fn validate(&self) {
         assert!(matches!(self.page_size, 4096 | 8192 | 16384), "page size must be 4, 8 or 16KB");
@@ -98,7 +103,7 @@ impl EngineConfig {
         // must take the largest record a routine operation logs before the
         // checkpoint it asked for happens: a leaf split's sidecar (both
         // halves and the parent, less their trailers, plus 80 framing bytes).
-        let headroom = (self.log_files as u64 * self.log_file_blocks - 1) * 4096 / 8;
+        let headroom = self.log_capacity_bytes() / 8;
         let sidecar = 3 * self.page_size as u64 + 32;
         assert!(
             headroom >= sidecar,
@@ -283,8 +288,7 @@ mod tests {
     }
 
     /// A 16 KiB root image against a 12 KiB log: no checkpoint could make
-    /// room for it. This used to validate and panic in the first
-    /// `create_tree` ("log overflow: checkpoint was not taken in time").
+    /// room for it, and `create_tree` would overflow the log.
     #[test]
     #[should_panic(expected = "the 1536 bytes above its 7/8 overflow guard cannot hold \
                                the 49184-byte page-image sidecar")]

@@ -764,9 +764,8 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
 
     /// Checkpoint: flush the log, write back every dirty page, persist the
     /// catalog, then point the log header at the LSN the log had when the
-    /// write-back began. The header is the last write: cut anywhere before
-    /// it and recovery starts from the previous checkpoint instead, which
-    /// the page LSN guard makes safe (module docs).
+    /// write-back began — last, so that a checkpoint cut anywhere before it
+    /// leaves the previous one in force (module docs).
     pub fn checkpoint(&mut self, now: Nanos) -> Nanos {
         self.io.stats.checkpoints += 1;
         let scope = self.scope("engine.checkpoint", now);

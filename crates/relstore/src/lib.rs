@@ -208,15 +208,14 @@ mod tests {
     }
 
     /// The header names the checkpoint just taken, so `LiveBytesPct(75)`
-    /// means 75 % of the log: six capacities take 6 / 0.75 = 8 checkpoints
-    /// (~16 while the header lagged one checkpoint behind).
+    /// means 75 % of the log: six capacities take 6 / 0.75 = 8 checkpoints.
     #[test]
     fn live_bytes_threshold_uses_the_whole_log() {
         let mut cfg = small_cfg(4096);
         cfg.log_files = 1;
         cfg.log_file_blocks = 64;
         assert_eq!(cfg.checkpoint_policy, CheckpointPolicy::LiveBytesPct(75));
-        let capacity = (cfg.log_files as u64 * cfg.log_file_blocks - 1) * 4096;
+        let capacity = cfg.log_capacity_bytes();
         let (mut e, now) =
             Engine::create(MemDevice::new(16 * 1024), MemDevice::new(1024), cfg, 0).into_parts();
         let (t0, t) = e.create_tree(now).into_parts();

@@ -4,8 +4,7 @@
 //! `DocDelete`) plus one structural kind: `PageImages` (full post-op images
 //! of restructured B+-tree pages, the relational engine's physical sidecar).
 //! A checkpoint is not a record: the log header names the LSN redo starts
-//! from, and nothing in the stream restates it (kinds 5 and 6, the former
-//! checkpoint markers, are retired and do not decode).
+//! from, and nothing in the stream restates it.
 //! Records are **self-framing**: every encoded record starts
 //! with `[version u8][kind u8][body_len u32][body crc u32]`, so a scanner
 //! that lands on an arbitrary byte offset (the document store's tail scan)
