@@ -47,10 +47,11 @@ if grep -rnE 'replay_bound|CheckpointBegin|CheckpointEnd|last_ckpt_begin|commit_
     exit 1
 fi
 
-# The seven table/figure bins are rows of `paper` now; nothing may tell a
-# reader to run them.
-if grep -rnE -e '--bin (table[1-5]|fig[56])' ./*.md ci.sh crates .claude; then
-    echo "removed bench bin referenced above (use: --bin paper -- <id>)" >&2
+# The seven table/figure bins are rows of `paper` now, and `waf`, `latency`
+# and `tail` are views of one `observe` run; nothing may tell a reader to run
+# them.
+if grep -rnE -e '--bin (table[1-5]|fig[56]|waf|latency|tail)' ./*.md ci.sh crates .claude; then
+    echo "removed bench bin referenced above (use: --bin paper -- <id>, --bin observe)" >&2
     exit 1
 fi
 
@@ -63,6 +64,19 @@ fi
 
 echo "== cargo test -q =="
 cargo test --workspace -q
+
+echo "== known loss stays pinned (an expected failure that passes is a stale note) =="
+# ROADMAP's docstore-compaction item as a test: it must fail, and for its own
+# reason. When the fix lands it passes — drop its #[ignore] and this step.
+if known="$(cargo test -q -p docstore --lib compaction_then_crash_loses_nothing -- --ignored 2>&1)"; then
+    echo "docstore compaction_then_crash_loses_nothing passes: un-ignore it, drop this step, update ROADMAP" >&2
+    exit 1
+fi
+if ! grep -q 'committed documents lost' <<<"$known"; then
+    echo "$known" >&2
+    echo "compaction_then_crash_loses_nothing failed, but not on its assertion" >&2
+    exit 1
+fi
 
 echo "== trace smoke (tiny workload, self-checked Chrome JSON + CSV) =="
 TRACE_TMP="$(mktemp -d)"
@@ -110,35 +124,21 @@ cargo run -p bench --release -q --bin recovery -- \
 test -s "$TRACE_TMP/recovery.json"
 grep -q '"schema":"durassd.recovery.v2"' "$TRACE_TMP/recovery.json"
 
-echo "== waf smoke (write-provenance conservation, schema-validated BENCH_waf.json) =="
-# --check fails on schema drift, any row whose per-cause counts do not sum
-# to its totals (attribution leak), or durable < volatile absorption.
-cargo run -p bench --release -q --bin waf -- \
+echo "== observe smoke (each cell once: BENCH_waf.json off the counters, BENCH_latency.json off the registry) =="
+# --check fails on schema drift; on the WAF side any row whose per-cause
+# counts do not sum to its totals (attribution leak) or durable < volatile
+# absorption; on the latency side a conservation violation (segments exceed
+# an op's wall latency), any flush-cache time in a durable tail, a volatile
+# tail that is not flush-dominated, or a volatile read p99 under 10x the
+# durable one beside fsyncing writers.
+cargo run -p bench --release -q --bin observe -- \
     --fio-ops 4000 --fio-span 512 --ycsb-records 200 --ycsb-ops 800 \
-    --warehouses 1 --txns 40 --out "$TRACE_TMP/waf.json" --check \
-    >"$TRACE_TMP/waf.out"
-test -s "$TRACE_TMP/waf.json"
+    --warehouses 1 --txns 40 --tail-ops 20000 --waf-out "$TRACE_TMP/waf.json" \
+    --latency-out "$TRACE_TMP/latency.json" --check >"$TRACE_TMP/observe.out"
 grep -q '"schema":"durassd.waf.v1"' "$TRACE_TMP/waf.json"
-golden "$TRACE_TMP/waf.json" waf_smoke.json
-
-echo "== latency smoke (per-op anatomy, schema-validated BENCH_latency.json) =="
-# --check fails on schema drift, a conservation violation (segments exceed
-# an op's wall latency), any flush-cache time in a durable tail, or a
-# volatile tail that is not flush-dominated.
-cargo run -p bench --release -q --bin latency -- \
-    --fio-ops 4000 --fio-span 512 --ycsb-records 200 --ycsb-ops 1500 \
-    --warehouses 1 --txns 100 --out "$TRACE_TMP/latency.json" --check \
-    >"$TRACE_TMP/latency.out"
-test -s "$TRACE_TMP/latency.json"
 grep -q '"schema":"durassd.latency.v1"' "$TRACE_TMP/latency.json"
+golden "$TRACE_TMP/waf.json" waf_smoke.json
 golden "$TRACE_TMP/latency.json" latency_smoke.json
-
-echo "== tail smoke (anatomy-backed tail claim: durable runs flush-free) =="
-cargo run -p bench --release -q --bin tail -- \
-    --ops 20000 --json "$TRACE_TMP/tail.json" --check >"$TRACE_TMP/tail.out"
-test -s "$TRACE_TMP/tail.json"
-grep -q '"schema":"durassd.latency.v1"' "$TRACE_TMP/tail.json"
-golden "$TRACE_TMP/tail.json" tail_smoke.json
 
 echo "== paper (Tables 1-5, Figs 5/6 at full scale: shape claims + byte-identical document) =="
 # --check fails when a shape claim expected to hold does not, or when a

@@ -11,7 +11,7 @@ use durassd::{Ssd, SsdConfig};
 use hdd::{Hdd, HddConfig};
 use relstore::{Engine, EngineConfig};
 use simkit::json::Writer;
-use storage::device::BlockDevice;
+use storage::device::{BlockDevice, LOGICAL_PAGE};
 use storage::volume::Volume;
 use telemetry::{OpBreakdown, SegKind, Telemetry};
 use workloads::fio::{FioOp, FioSpec};
@@ -51,11 +51,12 @@ pub fn hdd_bench(cache_on: bool) -> Hdd {
 
 // ---- the shared workload × deployment cells -------------------------------
 //
-// `waf` and `latency` run the same six cells — fio fsync-per-write random
-// writes, YCSB-A on the document store, a TPC-C slice on the relational
-// engine — each in two deployments, and differ only in what they read off
-// the finished cell (device counters vs the attached telemetry). `trace`
-// runs the YCSB and TPC-C configurations on one shared timeline.
+// `observe` runs each cell once — fio fsync-per-write random writes, YCSB-A
+// on the document store, a TPC-C slice on the relational engine, readers
+// beside fsyncing writers — in two deployments, and reads its documents off
+// the finished cell: device counters for the WAF rows, the attached registry
+// for the latency rows. `trace` runs the YCSB and TPC-C configurations on one
+// shared timeline.
 
 /// `(mode, device)` labels of a deployment: **durable** is DuraSSD
 /// (capacitor-backed cache) with barriers OFF, the paper's deployment;
@@ -68,14 +69,10 @@ pub fn deployment_labels(durable: bool) -> (&'static str, &'static str) {
     }
 }
 
-/// The device under test for one deployment, with `tel` attached if given.
-/// Barriers are honoured exactly when the cache is not durable.
-fn cell_device(durable: bool, tel: Option<&Telemetry>) -> Ssd {
-    let dev = if durable { durassd_bench(true) } else { ssd_a_bench(true) };
-    match tel {
-        Some(tel) => observed_ssd(dev, tel),
-        None => dev,
-    }
+/// The device under test for one deployment, with `tel` attached. Barriers
+/// are honoured exactly when the cache is not durable.
+fn cell_device(durable: bool, tel: &Telemetry) -> Ssd {
+    observed_ssd(if durable { durassd_bench(true) } else { ssd_a_bench(true) }, tel)
 }
 
 /// fio-style 4KB random writes over a deliberately small span with an
@@ -83,12 +80,38 @@ fn cell_device(durable: bool, tel: Option<&Telemetry>) -> Ssd {
 /// deployment turns each fsync into a full cache drain; the durable one
 /// acknowledges fsync from the capacitor-backed cache and keeps coalescing.
 /// Returns the volume after the run.
-pub fn fio_cell(durable: bool, ops: u64, span: u64, tel: Option<&Telemetry>) -> Volume<Ssd> {
+pub fn fio_cell(durable: bool, ops: u64, span: u64, tel: &Telemetry) -> Volume<Ssd> {
     let mut vol = Volume::new(cell_device(durable, tel), !durable);
-    if let Some(tel) = tel {
-        vol.attach_telemetry(tel.clone(), "fio");
-    }
+    vol.attach_telemetry(tel.clone(), "fio");
     fio::run(&mut vol, &FioSpec::random_write_4k(span, Some(1), ops), 0);
+    vol
+}
+
+/// Pages the tail cell preloads, then reads and overwrites.
+const TAIL_SPAN: u64 = 16_384;
+
+/// The paper's §1/§2 motivation: 64 readers beside 16 writers that fsync
+/// every 8 writes, over a preloaded span so reads hit the media. On the
+/// volatile deployment reads queue behind FLUSH CACHE drains; on the durable
+/// one fsync never reaches the device. The volume's telemetry (`dev.tail.*`)
+/// attaches after the preload, so the op histograms cover the mixed phase
+/// only. Returns the volume after the run.
+pub fn tail_cell(durable: bool, ops: u64, tel: &Telemetry) -> Volume<Ssd> {
+    let mut vol = Volume::new(cell_device(durable, tel), !durable);
+    let page = vec![1u8; LOGICAL_PAGE];
+    let mut t = 0;
+    for lpn in 0..TAIL_SPAN {
+        t = vol.write(lpn, &page, t).expect("in-range write");
+    }
+    t = vol.fsync(t).expect("device reachable");
+    vol.attach_telemetry(tel.clone(), "tail");
+    let spec = FioSpec {
+        op: FioOp::Mixed { read_jobs: 64 },
+        jobs: 80,
+        seed: 0xFEED,
+        ..FioSpec::random_write_4k(TAIL_SPAN, Some(8), ops)
+    };
+    fio::run(&mut vol, &spec, t);
     vol
 }
 
@@ -102,11 +125,9 @@ pub fn ycsb_cell_config(barriers: bool, batch_size: u32) -> DocStoreConfig {
 /// batch 10. The append space rewrites its partial tail block on every
 /// batch, so the same LPNs are overwritten continuously. Returns the store
 /// after load + run.
-pub fn ycsb_cell(durable: bool, records: u64, ops: u64, tel: Option<&Telemetry>) -> DocStore<Ssd> {
+pub fn ycsb_cell(durable: bool, records: u64, ops: u64, tel: &Telemetry) -> DocStore<Ssd> {
     let mut store = DocStore::create(cell_device(durable, tel), ycsb_cell_config(!durable, 10));
-    if let Some(tel) = tel {
-        store.attach_telemetry(tel.clone());
-    }
+    store.attach_telemetry(tel.clone());
     let spec = ycsb::YcsbSpec::workload_a(records, ops);
     let t0 = ycsb::load(&mut store, &spec, 0);
     ycsb::run(&mut store, &spec, t0);
@@ -136,7 +157,7 @@ pub fn tpcc_sized_config(
     (spec, ecfg)
 }
 
-/// The TPC-C slice of `waf`, `latency` and `trace`: 8 clients on the
+/// The TPC-C slice of `observe` and `trace`: 8 clients on the
 /// MySQL-like engine at 4 KB pages, a buffer pool of a tenth of the database.
 pub fn tpcc_cell_config(warehouses: u32, txns: u64, barriers: bool) -> (TpccSpec, EngineConfig) {
     let profile = EngineConfig { barriers, ..EngineConfig::mysql_like(4096) };
@@ -146,18 +167,11 @@ pub fn tpcc_cell_config(warehouses: u32, txns: u64, barriers: bool) -> (TpccSpec
 /// A TPC-C slice on the relational engine: WAL appends and double-write
 /// page images on the log device, home-page writes on the data device.
 /// Returns the engine after load + run.
-pub fn tpcc_cell(
-    durable: bool,
-    warehouses: u32,
-    txns: u64,
-    tel: Option<&Telemetry>,
-) -> Engine<Ssd, Ssd> {
+pub fn tpcc_cell(durable: bool, warehouses: u32, txns: u64, tel: &Telemetry) -> Engine<Ssd, Ssd> {
     let (spec, ecfg) = tpcc_cell_config(warehouses, txns, !durable);
     let (data, log) = (cell_device(durable, tel), cell_device(durable, tel));
     let (mut engine, t0) = Engine::create(data, log, ecfg, 0).into_parts();
-    if let Some(tel) = tel {
-        engine.attach_telemetry(tel.clone());
-    }
+    engine.attach_telemetry(tel.clone());
     let (mut db, t1) = tpcc::load(&mut engine, &spec, t0);
     tpcc::run(&mut engine, &mut db, &spec, t1);
     engine
@@ -192,7 +206,7 @@ pub fn fio_grid_cell<D: BlockDevice>(
     tel: &Telemetry,
 ) -> f64 {
     let mut vol = Volume::new(dev, barriers);
-    let pages_per_block = (spec.block_size / storage::device::LOGICAL_PAGE) as u64;
+    let pages_per_block = (spec.block_size / LOGICAL_PAGE) as u64;
     let spec = FioSpec { span_blocks: vol.capacity_pages() * 3 / 4 / pages_per_block, ..spec };
     if spec.op == FioOp::Read {
         let preload = FioSpec {
@@ -564,7 +578,7 @@ fn write_seg_table(w: &mut Writer, tel: &Telemetry) {
 
 /// One captured op breakdown rendered as a `tail` object for
 /// `durassd.latency.v1` rows: wall latency, its flush-cache share (the
-/// durability gate both `latency --check` and `tail --check` run on), the
+/// durability gate `observe --check` runs on), the
 /// trace-ID for cross-referencing the Chrome trace, and the non-zero
 /// segments.
 fn write_breakdown_tail(w: &mut Writer, bd: &OpBreakdown) {

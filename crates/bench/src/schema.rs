@@ -316,6 +316,8 @@ static LATENCY_ROW: [Field; 13] = [
     Field::new("segments", MapOf(&Obj(&SEG_ENTRY))),
     Field::new("tail", Obj(&LATENCY_TAIL)),
 ];
+/// The latency workload the tail-tolerance claim reads.
+const TAIL_READS: &str = "tail_mixed_reads";
 static LATENCY: [Field; 2] =
     [Field::new("schema", OneOf(&[LATENCY_SCHEMA])), Field::new("rows", Rows(1, &LATENCY_ROW))];
 
@@ -325,25 +327,26 @@ static LATENCY: [Field; 2] =
 /// - a non-empty `rows` array whose rows have a positive commit-op `count`,
 ///   a percentile ladder, a per-segment-kind table and a `tail` object
 ///   (slowest captured commit) with its breakdown;
-/// - ≥ `min_workloads` distinct workloads (the full `latency` observatory
-///   emits three, the `tail` bin's mixed run two), each present in both a
-///   `durable` and a `volatile` row;
+/// - every workload present in both a `durable` and a `volatile` row;
 /// - per row: ordered percentiles (`min ≤ p50 ≤ p99 ≤ p999 ≤ max`), zero
 ///   conservation `violations`, a non-empty segment table of known
 ///   [`SegKind`] labels;
 /// - the paper's durability claim as a latency gate: durable-mode tails
 ///   contain **zero** flush-cache time (the write cache is power-loss-proof,
 ///   so commits never wait on FLUSH CACHE), while every volatile tail is
-///   flush-dominated (`flush_frac ≥ 0.5`).
-pub fn check_latency_report(doc: &str, min_workloads: usize) -> Vec<String> {
+///   flush-dominated (`flush_frac ≥ 0.5`);
+/// - the paper's tail-tolerance claim: reads beside fsyncing writers
+///   (`tail_mixed_reads`) have a volatile p99 at least ten times the durable
+///   one.
+pub fn check_latency_report(doc: &str) -> Vec<String> {
     validate(doc, &LATENCY, |rows, failures| {
-        // workload → whether its [durable, volatile] rows are present
-        let mut workloads: BTreeMap<&str, [bool; 2]> = BTreeMap::new();
+        // workload → p99 of its [durable, volatile] rows
+        let mut workloads: BTreeMap<&str, [Option<f64>; 2]> = BTreeMap::new();
         for row in rows {
             let (workload, mode) = (text(row, "workload"), text(row, "mode"));
             let tag = format!("{workload}/{mode}");
-            workloads.entry(workload).or_default()[usize::from(mode == "volatile")] = true;
             let pct = ["min", "p50", "p99", "p999", "max"].map(|k| num(row, k));
+            workloads.entry(workload).or_default()[usize::from(mode == "volatile")] = Some(pct[2]);
             if pct.windows(2).any(|w| w[0] > w[1]) {
                 failures.push(format!("{tag}: percentiles not monotone: {pct:?}"));
             }
@@ -389,17 +392,20 @@ pub fn check_latency_report(doc: &str, min_workloads: usize) -> Vec<String> {
                 }
             }
         }
-        if workloads.len() < min_workloads {
-            let names: Vec<_> = workloads.keys().collect();
-            failures.push(format!("want ≥ {min_workloads} distinct workloads, got {names:?}"));
-        }
         for (workload, [dur, vol]) in &workloads {
-            if !(*dur && *vol) {
+            if dur.is_none() || vol.is_none() {
                 failures.push(format!(
-                    "{workload}: need both durable and volatile rows (durable {dur}, \
-                     volatile {vol})"
+                    "{workload}: need both durable and volatile rows (durable p99 {dur:?}, \
+                     volatile p99 {vol:?})"
                 ));
             }
+        }
+        match workloads.get(TAIL_READS) {
+            Some([Some(dur), Some(vol)]) if *vol < 10.0 * dur => failures.push(format!(
+                "{TAIL_READS}: volatile p99 {vol} is under 10 × the durable p99 {dur}"
+            )),
+            Some(_) => {}
+            None => failures.push(format!("{TAIL_READS}: rows missing")),
         }
     })
 }
@@ -953,6 +959,7 @@ mod tests {
     fn latency_row(workload: &str, mode: &str) -> String {
         let durable = mode == "durable";
         let (flush_ns, flush_frac) = if durable { (0u64, 0.0) } else { (90_000u64, 0.9) };
+        let p99 = if durable { 90 } else { 900 };
         let mut segs = format!("\"wal_fsync\":{}", seg_entry(100, 5_000_000));
         if !durable {
             segs.push_str(&format!(",\"flush_cache\":{}", seg_entry(100, 9_000_000)));
@@ -960,7 +967,7 @@ mod tests {
         format!(
             "{{\"workload\":\"{workload}\",\"mode\":\"{mode}\",\"device\":\"d\",\
              \"commit_op\":\"engine.commit\",\"count\":100,\"min\":10,\"p50\":50,\
-             \"p99\":900,\"p999\":1000,\"max\":100000,\"violations\":0,\
+             \"p99\":{p99},\"p999\":1000,\"max\":100000,\"violations\":0,\
              \"segments\":{{{segs}}},\
              \"tail\":{{\"wall\":100000,\"flush_cache_ns\":{flush_ns},\
              \"flush_frac\":{flush_frac:.2},\"segments\":{{\"wal_fsync\":10000}}}}}}"
@@ -972,7 +979,7 @@ mod tests {
     }
 
     fn full_latency_doc() -> Vec<String> {
-        ["fio", "ycsb_a", "tpcc"]
+        ["fio", "ycsb_a", TAIL_READS]
             .iter()
             .flat_map(|w| ["durable", "volatile"].iter().map(|m| latency_row(w, m)))
             .collect()
@@ -981,56 +988,64 @@ mod tests {
     #[test]
     fn latency_report_validation_accepts_good_documents() {
         let doc = latency_doc(&full_latency_doc());
-        let fails = check_latency_report(&doc, 3);
+        let fails = check_latency_report(&doc);
         assert!(fails.is_empty(), "{fails:?}");
     }
 
     #[test]
     fn latency_report_validation_rejects_violations() {
-        assert!(!check_latency_report("nope", 3).is_empty());
-        assert!(!check_latency_report("{\"schema\":\"other.v1\",\"rows\":[]}", 3).is_empty());
+        assert!(!check_latency_report("nope").is_empty());
+        assert!(!check_latency_report("{\"schema\":\"other.v1\",\"rows\":[]}").is_empty());
 
         // A durable tail containing flush-cache time contradicts the paper.
         let mut rows = full_latency_doc();
         rows[0] = rows[0].replace("\"flush_cache_ns\":0", "\"flush_cache_ns\":5000");
-        let fails = check_latency_report(&latency_doc(&rows), 3);
+        let fails = check_latency_report(&latency_doc(&rows));
         assert!(fails.iter().any(|f| f.contains("durable tail has flush_cache")), "{fails:?}");
 
         // A durable run recording any flush_cache segments fails too.
         let mut rows = full_latency_doc();
         let inject = format!("}},\"flush_cache\":{}}},\"tail\"", seg_entry(3, 1000));
         rows[0] = rows[0].replacen("}},\"tail\"", &inject, 1);
-        let fails = check_latency_report(&latency_doc(&rows), 3);
+        let fails = check_latency_report(&latency_doc(&rows));
         assert!(fails.iter().any(|f| f.contains("flush_cache segments")), "{fails:?}");
 
         // A volatile tail that is not flush-dominated.
         let mut rows = full_latency_doc();
         rows[1] = rows[1].replace("\"flush_frac\":0.90", "\"flush_frac\":0.10");
-        let fails = check_latency_report(&latency_doc(&rows), 3);
+        let fails = check_latency_report(&latency_doc(&rows));
         assert!(fails.iter().any(|f| f.contains("flush-dominated")), "{fails:?}");
 
         // Conservation violations gate the report outright.
         let mut rows = full_latency_doc();
         rows[2] = rows[2].replace("\"violations\":0", "\"violations\":2");
-        let fails = check_latency_report(&latency_doc(&rows), 3);
+        let fails = check_latency_report(&latency_doc(&rows));
         assert!(fails.iter().any(|f| f.contains("exceeded wall")), "{fails:?}");
 
         // Unknown segment kinds are typos, not data.
         let mut rows = full_latency_doc();
         rows[3] = rows[3].replace("\"wal_fsync\":{\"count\"", "\"wal_fsyncc\":{\"count\"");
-        let fails = check_latency_report(&latency_doc(&rows), 3);
+        let fails = check_latency_report(&latency_doc(&rows));
         assert!(fails.iter().any(|f| f.contains("unknown segment kind")), "{fails:?}");
 
         // Non-monotone percentiles.
         let mut rows = full_latency_doc();
         rows[4] = rows[4].replace("\"p999\":1000", "\"p999\":5");
-        let fails = check_latency_report(&latency_doc(&rows), 3);
+        let fails = check_latency_report(&latency_doc(&rows));
         assert!(fails.iter().any(|f| f.contains("not monotone")), "{fails:?}");
 
         // Missing mode twin.
         let rows = full_latency_doc();
-        let fails = check_latency_report(&latency_doc(&rows[..5]), 3);
+        let fails = check_latency_report(&latency_doc(&rows[..5]));
         assert!(fails.iter().any(|f| f.contains("both durable and volatile")), "{fails:?}");
+
+        // The read tail: absent, or not ten times worse on the volatile cache.
+        let fails = check_latency_report(&latency_doc(&rows[..4]));
+        assert!(fails.iter().any(|f| f.contains("tail_mixed_reads: rows missing")), "{fails:?}");
+        let mut rows = full_latency_doc();
+        rows[5] = rows[5].replace("\"p99\":900", "\"p99\":899");
+        let fails = check_latency_report(&latency_doc(&rows));
+        assert!(fails.iter().any(|f| f.contains("under 10 × the durable p99")), "{fails:?}");
     }
 
     /// A one-experiment `durassd.paper.v1` document over `(label, measured,

@@ -385,25 +385,6 @@ impl BufferPool {
         self.note_dirty_gauge();
         t
     }
-
-    /// Drop every frame without writing (crash simulation: the pool is in
-    /// host DRAM and vanishes).
-    pub fn invalidate_all(&mut self) {
-        self.ndirty = 0;
-        self.note_dirty_gauge();
-        self.map.clear();
-        self.free = (0..self.frames.len()).rev().collect();
-        self.head = NIL;
-        self.tail = NIL;
-        for f in &mut self.frames {
-            f.in_use = false;
-            f.dirty = false;
-            f.pins = 0;
-            f.prev = NIL;
-            f.next = NIL;
-            f.page_no = u64::MAX;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -565,21 +546,6 @@ mod tests {
         assert_eq!(be.writes, vec![1, 3]);
         assert_eq!(bp.dirty_count(), 0);
         assert_eq!(bp.stats().flush_writes, 2);
-    }
-
-    #[test]
-    fn invalidate_all_clears_pool() {
-        let (mut bp, mut be) = setup(2);
-        let (f, _) = bp.get(1, &mut be, 0);
-        bp.data_mut(f)[0] = 1;
-        bp.unpin(f);
-        bp.invalidate_all();
-        assert!(!bp.contains(1));
-        assert_eq!(bp.dirty_count(), 0);
-        // Pool is fully usable afterwards.
-        let (f, _) = bp.get(2, &mut be, 0);
-        bp.unpin(f);
-        assert!(bp.contains(2));
     }
 
     #[test]

@@ -199,15 +199,6 @@ impl Ssd {
         self.cache.coalesced_overwrites()
     }
 
-    /// Per-block wear profile: `(erase_count, program_count)` for every
-    /// physical block, in block order — the raw series behind the wear
-    /// histograms the waf bench reports.
-    pub fn wear_profile(&self) -> Vec<(u32, u32)> {
-        (0..self.cfg.geometry.blocks() as u32)
-            .map(|b| (self.nand.erase_count(b), self.nand.program_count(b)))
-            .collect()
-    }
-
     /// Busy-time accounting for saturation diagnosis:
     /// `(sata_busy, pipe_busy, nand_quiet_at)`.
     pub fn busy_times(&self) -> (Nanos, Nanos, Nanos) {

@@ -6,8 +6,8 @@
 //! [`PageFile`] of 4KB blocks, with partial-tail rewrite on each device
 //! write (like any buffered file I/O path).
 //!
-//! `durable_len` models the file length recorded in journaled file-system
-//! metadata: recovery scans backwards from it for the newest valid header.
+//! The space does not persist its length: recovery scans backwards from the
+//! end of the file's capacity for the newest valid header.
 
 use simkit::Nanos;
 use storage::device::{BlockDevice, DevError, WriteCause};
@@ -30,8 +30,6 @@ pub struct AppendSpace {
     buf: Vec<u8>,
     /// Byte offset where the not-yet-written bytes start.
     pending_start: u64,
-    /// File length as of the last fsync (journaled fs metadata).
-    durable_len: u64,
 }
 
 impl AppendSpace {
@@ -45,7 +43,7 @@ impl AppendSpace {
     pub fn reopen(file: PageFile, len: u64) -> Self {
         assert_eq!(file.page_size(), BLOCK);
         assert_eq!(len % BLOCK as u64, 0, "a recovered space resumes on a block boundary");
-        Self { file, len, buf: Vec::new(), pending_start: len, durable_len: len }
+        Self { file, len, buf: Vec::new(), pending_start: len }
     }
 
     /// An empty space over the same file that takes over this one's buffer
@@ -55,7 +53,7 @@ impl AppendSpace {
         assert_eq!(self.pending_start, self.len, "successor of a space with unwritten bytes");
         let mut buf = std::mem::take(&mut self.buf);
         buf.clear();
-        Self { file: self.file, len: 0, buf, pending_start: 0, durable_len: 0 }
+        Self { file: self.file, len: 0, buf, pending_start: 0 }
     }
 
     /// Current logical length in bytes.
@@ -66,11 +64,6 @@ impl AppendSpace {
     /// Whether nothing has been appended.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// File length at the last fsync (what recovery can trust to exist).
-    pub fn durable_len(&self) -> u64 {
-        self.durable_len
     }
 
     /// Capacity in bytes.
@@ -139,13 +132,10 @@ impl AppendSpace {
         t
     }
 
-    /// fsync: write out and flush per the volume's barrier policy; advances
-    /// the journaled file length.
+    /// fsync: write out and flush per the volume's barrier policy.
     pub fn sync<D: BlockDevice>(&mut self, vol: &mut Volume<D>, now: Nanos) -> Nanos {
         let t = self.write_out(vol, now);
-        let t = vol.fsync(t).expect("device reachable");
-        self.durable_len = self.len;
-        t
+        vol.fsync(t).expect("device reachable")
     }
 
     /// Read `len` bytes at `offset` (may span blocks) into `out`, replacing
@@ -247,7 +237,7 @@ mod tests {
         let a = sp.append(&vec![9u8; 5000]);
         sp.sync(&mut vol, 0);
         let mut next = sp.successor();
-        assert_eq!((next.len(), next.durable_len()), (0, 0));
+        assert!(next.is_empty());
         next.append(b"new file");
         assert_eq!(read(&sp, &mut vol, a, 5000), vec![9u8; 5000]);
         next.sync(&mut vol, 0);
@@ -280,15 +270,6 @@ mod tests {
         assert_eq!(sp.len() % BLOCK as u64, 0);
         let off = sp.append(b"h");
         assert_eq!(off % BLOCK as u64, 0);
-    }
-
-    #[test]
-    fn durable_len_advances_on_sync_only() {
-        let (mut vol, mut sp) = setup();
-        sp.append(&[1u8; 100]);
-        assert_eq!(sp.durable_len(), 0);
-        sp.sync(&mut vol, 0);
-        assert_eq!(sp.durable_len(), 100);
     }
 
     #[test]

@@ -855,7 +855,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             match catalog.read_page(&mut data, slot, &mut buf, t) {
                 Ok(t2) => t = t2,
                 Err(DevError::ShornPage { .. }) => continue,
-                Err(e) => panic!("catalog read failed: {e}"),
+                Err(e) => return Err(e.into()),
             }
             let magic = u64::from_le_bytes(buf[..8].try_into().unwrap());
             if magic != CATALOG_MAGIC {
@@ -896,7 +896,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
                 match dwb.read_page(&mut data, slot, &mut buf, t) {
                     Ok(t2) => t = t2,
                     Err(DevError::ShornPage { .. }) => continue, // torn copy: home is intact
-                    Err(e) => panic!("dwb read failed: {e}"),
+                    Err(e) => return Err(e.into()),
                 }
                 let page_no = sealed_page_no(&buf);
                 if page_no >= cfg.data_pages || !trailer_ok(&buf, page_no) {
@@ -914,15 +914,15 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
                         never_written(&buf) || trailer_ok(&buf, page_no)
                     }
                     Err(DevError::ShornPage { .. }) => false,
-                    Err(e) => panic!("home read failed: {e}"),
+                    Err(e) => return Err(e.into()),
                 };
                 if !home_ok {
-                    t = ts.write_page(&mut data, page_no, copy, t).expect("repair write");
+                    t = ts.write_page(&mut data, page_no, copy, t)?;
                     stats.repaired_pages += 1;
                 }
             }
             if stats.repaired_pages > 0 {
-                t = data.fsync(t).expect("data volume");
+                t = data.fsync(t)?;
             }
         }
         // 3. Log recovery.

@@ -34,19 +34,6 @@ pub const fn secs(v: u64) -> Nanos {
     v * SECS
 }
 
-/// Render a duration human-readably (for report binaries).
-pub fn fmt_dur(n: Nanos) -> String {
-    if n >= SECS {
-        format!("{:.3}s", n as f64 / SECS as f64)
-    } else if n >= MILLIS {
-        format!("{:.3}ms", n as f64 / MILLIS as f64)
-    } else if n >= MICROS {
-        format!("{:.3}us", n as f64 / MICROS as f64)
-    } else {
-        format!("{n}ns")
-    }
-}
-
 /// Events (operations) per virtual second, given a count and an elapsed
 /// virtual duration. Returns 0.0 for an empty interval.
 pub fn per_sec(count: u64, elapsed: Nanos) -> f64 {
@@ -65,14 +52,6 @@ mod tests {
         assert_eq!(us(3), 3_000);
         assert_eq!(ms(3), 3_000_000);
         assert_eq!(secs(3), 3_000_000_000);
-    }
-
-    #[test]
-    fn formats_each_scale() {
-        assert_eq!(fmt_dur(12), "12ns");
-        assert_eq!(fmt_dur(us(12)), "12.000us");
-        assert_eq!(fmt_dur(ms(12)), "12.000ms");
-        assert_eq!(fmt_dur(secs(2) + MILLIS * 500), "2.500s");
     }
 
     #[test]

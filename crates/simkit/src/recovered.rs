@@ -10,7 +10,6 @@
 //! on *how* recovery went, not just that it produced a working store.
 
 use crate::clock::Nanos;
-use crate::timed::Timed;
 
 /// What a recovery scan replayed and found torn.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -53,11 +52,6 @@ impl<T> Recovered<T> {
         (self.value, self.done)
     }
 
-    /// View as a [`Timed`] result, dropping the stats.
-    pub fn into_timed(self) -> Timed<T> {
-        Timed { value: self.value, done: self.done }
-    }
-
     /// Map the recovered value, keeping time and stats.
     pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Recovered<U> {
         Recovered { value: f(self.value), done: self.done, stats: self.stats }
@@ -76,13 +70,5 @@ mod tests {
         assert_eq!(mapped.stats.replayed, 3);
         let (v, t) = r.into_parts();
         assert_eq!((v, t), (41, 7));
-    }
-
-    #[test]
-    fn into_timed_drops_stats() {
-        let r = Recovered::new("s", 9, ReplayStats::default());
-        let timed = r.into_timed();
-        assert_eq!(timed.value, "s");
-        assert_eq!(timed.done, 9);
     }
 }

@@ -1,9 +1,7 @@
 //! Volumes: a block device plus the host's barrier policy, and a trivial
 //! extent allocator for carving page files out of a device.
 
-use crate::device::{
-    check_io, BlockDevice, CauseCounts, DevResult, DeviceStats, WriteCause, LOGICAL_PAGE,
-};
+use crate::device::{BlockDevice, CauseCounts, DevResult, DeviceStats, WriteCause, LOGICAL_PAGE};
 use forensics::{EvidenceKind, Ledger};
 use simkit::Nanos;
 use telemetry::{SegKind, Telemetry};
@@ -283,19 +281,10 @@ impl VolumeManager {
     }
 }
 
-/// Check a file-relative I/O fits inside an extent, returning the absolute
-/// logical page number.
-pub fn extent_io(e: Extent, rel_lpn: u64, pages: u32, buf_len: usize) -> DevResult<u64> {
-    check_io(rel_lpn, pages, buf_len, e.pages)?;
-    // Extent bases are small in practice; overflow cannot occur after the
-    // capacity check, but be explicit.
-    Ok(e.base + rel_lpn)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::{DevError, LOGICAL_PAGE};
+    use crate::device::LOGICAL_PAGE;
     use crate::testdev::MemDevice;
 
     #[test]
@@ -339,13 +328,6 @@ mod tests {
     fn allocator_panics_when_full() {
         let mut m = VolumeManager::new(8);
         m.alloc(9);
-    }
-
-    #[test]
-    fn extent_io_translates_and_checks() {
-        let e = Extent { base: 100, pages: 10 };
-        assert_eq!(extent_io(e, 3, 1, LOGICAL_PAGE).unwrap(), 103);
-        assert!(matches!(extent_io(e, 9, 2, 2 * LOGICAL_PAGE), Err(DevError::OutOfRange { .. })));
     }
 
     #[test]

@@ -294,11 +294,6 @@ impl OutlierCap {
         self.per_op.get(name).map_or(&[], |v| v.as_slice())
     }
 
-    /// All op names with at least one retained outlier.
-    pub fn op_names(&self) -> Vec<String> {
-        self.per_op.keys().cloned().collect()
-    }
-
     /// Drop all retained outliers (capacity unchanged).
     pub fn clear(&mut self) {
         self.per_op.clear();
@@ -543,7 +538,6 @@ mod tests {
         assert_eq!(top, vec![99, 99, 70], "slowest first, duplicates kept");
         assert_eq!(cap.for_op("doc.set").len(), 1);
         assert_eq!(cap.for_op("missing").len(), 0);
-        assert_eq!(cap.op_names(), vec!["doc.set".to_string(), "engine.commit".to_string()]);
     }
 
     #[test]
@@ -587,7 +581,7 @@ mod tests {
         assert_eq!(a.depth(), 0);
         assert_eq!(a.violations(), 0);
         assert!(a.last().is_none());
-        assert!(a.outliers().op_names().is_empty());
+        assert!(a.outliers().for_op("op").is_empty());
         assert_eq!(a.outliers().k(), 2);
     }
 }

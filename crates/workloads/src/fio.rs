@@ -4,7 +4,8 @@
 //! a configurable number of closed-loop jobs, page size, and an fsync after
 //! every N writes — the exact parameter grid of the paper's Table 1
 //! ("# of Writes per Fsync" 1..256 and none) and Table 2 (page size 4/8/16KB,
-//! 1 or 128 threads).
+//! 1 or 128 threads). A job mix ([`FioOp::Mixed`]) runs readers beside the
+//! writers: the paper's §1 tail-latency setting, reads queued behind flushes.
 
 use simkit::dist::rng;
 use simkit::dist::Rng;
@@ -19,6 +20,11 @@ pub enum FioOp {
     Read,
     /// Random writes.
     Write,
+    /// Jobs below `read_jobs` read; the rest write, with `fsync_every`.
+    Mixed {
+        /// How many of the spec's jobs are readers.
+        read_jobs: usize,
+    },
 }
 
 /// Benchmark specification.
@@ -69,28 +75,29 @@ pub fn run<D: BlockDevice>(vol: &mut Volume<D>, spec: &FioSpec, start: Nanos) ->
     let mut wbuf = vec![0u8; spec.block_size];
     let mut rbuf = vec![0u8; spec.block_size];
     let mut counter = 0u64;
+    let read_jobs = match spec.op {
+        FioOp::Read => spec.jobs,
+        FioOp::Write => 0,
+        FioOp::Mixed { read_jobs } => read_jobs,
+    };
     let mut driver = ClosedLoop::new(spec.jobs, start);
     driver.run(spec.total_ops, |job, now| {
         let block = rngs[job].gen_range(0..spec.span_blocks);
         let lpn = block * pages_per_block;
-        match spec.op {
-            FioOp::Read => {
-                vol.read(lpn, pages_per_block as u32, &mut rbuf, now).expect("in-range read")
-            }
-            FioOp::Write => {
-                counter += 1;
-                wbuf[..8].copy_from_slice(&counter.to_le_bytes());
-                let mut t = vol.write(lpn, &wbuf, now).expect("in-range write");
-                if let Some(n) = spec.fsync_every {
-                    since_sync[job] += 1;
-                    if since_sync[job] >= n {
-                        since_sync[job] = 0;
-                        t = vol.fsync(t).expect("device reachable");
-                    }
-                }
-                t
+        if job < read_jobs {
+            return vol.read(lpn, pages_per_block as u32, &mut rbuf, now).expect("in-range read");
+        }
+        counter += 1;
+        wbuf[..8].copy_from_slice(&counter.to_le_bytes());
+        let mut t = vol.write(lpn, &wbuf, now).expect("in-range write");
+        if let Some(n) = spec.fsync_every {
+            since_sync[job] += 1;
+            if since_sync[job] >= n {
+                since_sync[job] = 0;
+                t = vol.fsync(t).expect("device reachable");
             }
         }
+        t
     })
 }
 
@@ -147,6 +154,24 @@ mod tests {
         let rep = run(&mut vol, &spec, 0);
         assert_eq!(rep.ops, 200);
         assert_eq!(vol.device_stats().reads, 200);
+    }
+
+    #[test]
+    fn mixed_jobs_split_into_readers_and_writers() {
+        let mut vol = volume();
+        // 4 jobs, 3 of them readers.
+        let spec = FioSpec {
+            op: FioOp::Mixed { read_jobs: 3 },
+            jobs: 4,
+            ..FioSpec::random_write_4k(1024, Some(2), 400)
+        };
+        let rep = run(&mut vol, &spec, 0);
+        assert_eq!(rep.ops, 400);
+        let s = vol.device_stats();
+        assert_eq!(s.reads + s.writes, 400);
+        assert!(s.reads > s.writes && s.writes > 0, "{s:?}");
+        // Only the writer fsyncs, once per two of its writes.
+        assert_eq!(s.flushes, s.writes / 2);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 
 use docstore::{DocStore, DocStoreConfig};
 use durassd::{Ssd, SsdConfig};
-use relstore::{Engine, EngineConfig};
-use storage::device::BlockDevice;
+use relstore::{Engine, EngineConfig, Error};
+use simkit::Nanos;
+use storage::device::{BlockDevice, DevError, DevResult, DeviceStats};
 use storage::testdev::MemDevice;
 
 fn dura() -> Ssd {
@@ -177,6 +178,72 @@ fn engine_recovers_from_empty_uncheckpointed_database() {
     let (d, l) = e.crash(now + 1);
     let rec = Engine::recover(d, l, cfg, now + 2).expect("fresh DB recovers");
     assert_eq!(rec.stats.replayed, 0);
+}
+
+/// A device whose reads of the LPNs in `bad` fail with a media error.
+struct BadReads {
+    inner: MemDevice,
+    bad: std::ops::Range<u64>,
+}
+
+impl BlockDevice for BadReads {
+    fn capacity_pages(&self) -> u64 {
+        self.inner.capacity_pages()
+    }
+    fn read(&mut self, lpn: u64, pages: u32, buf: &mut [u8], now: Nanos) -> DevResult<Nanos> {
+        if self.bad.contains(&lpn) {
+            return Err(DevError::Media { what: format!("uncorrectable read at lpn {lpn}") });
+        }
+        self.inner.read(lpn, pages, buf, now)
+    }
+    fn write(&mut self, lpn: u64, data: &[u8], now: Nanos) -> DevResult<Nanos> {
+        self.inner.write(lpn, data, now)
+    }
+    fn flush(&mut self, now: Nanos) -> DevResult<Nanos> {
+        self.inner.flush(now)
+    }
+    fn power_cut(&mut self, now: Nanos) {
+        self.inner.power_cut(now)
+    }
+    fn reboot(&mut self, now: Nanos) -> Nanos {
+        self.inner.reboot(now)
+    }
+    fn is_powered(&self) -> bool {
+        self.inner.is_powered()
+    }
+    fn stats(&self) -> DeviceStats {
+        self.inner.stats()
+    }
+}
+
+#[test]
+fn recover_returns_device_read_errors() {
+    // A read error that is not a shorn page is the device's to report and
+    // recovery's to pass on, wherever it strikes: the catalog (LPNs 0..2)
+    // or the double-write area behind it.
+    let cfg = EngineConfig {
+        buffer_pool_bytes: 16 * 4096,
+        data_pages: 2048,
+        log_files: 2,
+        log_file_blocks: 512,
+        dwb_pages: 16,
+        ..EngineConfig::mysql_like(4096)
+    };
+    for bad in [0..2, 2..2 + cfg.dwb_pages] {
+        let data = BadReads { inner: MemDevice::new(8 * 1024), bad: 0..0 };
+        let (mut e, t0) = Engine::create(data, MemDevice::new(4 * 1024), cfg, 0).into_parts();
+        let (tree, t1) = e.create_tree(t0).into_parts();
+        let mut now = e.put(tree, b"key", b"value", t1);
+        now = e.commit(now);
+        now = e.checkpoint(now);
+        let (mut d, l) = e.crash(now + 1);
+        d.bad = bad.clone();
+        match Engine::recover(d, l, cfg, now + 2) {
+            Err(Error::Dev(DevError::Media { .. })) => {}
+            Err(e) => panic!("reads of {bad:?} fail: want the media error, got {e}"),
+            Ok(_) => panic!("reads of {bad:?} fail: recovery cannot have succeeded"),
+        }
+    }
 }
 
 #[test]
