@@ -12,7 +12,10 @@
 //!   (all of them are redone) and torn tail frames;
 //! - `outstanding_bytes` — log bytes past the checkpoint at the moment of
 //!   the cut (0 for the document store: its newest header is the state);
-//! - `recovery_sim_ns` — simulated time from reboot to a usable store;
+//! - `recovery_sim_ns` — simulated time from reboot to a usable store, and
+//!   where it went: `reboot_sim_ns` (recharge or spin-up, dump replay),
+//!   `scan_sim_ns` (docstore: superblock and header search; relstore:
+//!   catalog, double-write and log scans) and `redo_sim_ns`, which sum to it;
 //! - `ttfr_sim_ns` — simulated time to the first completed read (the
 //!   user-visible outage), always ≥ `recovery_sim_ns`;
 //! - `recovery_wall_ns` — host wall-clock spent inside recovery (the
@@ -21,7 +24,7 @@
 //! Three devices (DuraSSD lean mount without barriers, a volatile-cache
 //! SSD and a Cheetah-class disk both with barriers): the relational engine
 //! at two checkpoint intervals, the document store once (`ckpt_interval` 0).
-//! Writes `BENCH_recovery.json` (schema `durassd.recovery.v2`); `--check`
+//! Writes `BENCH_recovery.json` (schema `durassd.recovery.v3`); `--check`
 //! re-validates it with [`bench::schema::check_recovery_report`] and exits
 //! non-zero on violation.
 //!
@@ -151,6 +154,8 @@ fn render_json(rows: &[Row]) -> String {
         w.key("torn").num(r.stats.torn).key("checkpoint_lsn").num(r.stats.checkpoint_lsn);
         w.key("recovery_wall_ns").num(r.recovery_wall_ns);
         w.key("recovery_sim_ns").num(r.stats.replay_ns);
+        w.key("reboot_sim_ns").num(r.stats.reboot_ns).key("scan_sim_ns").num(r.stats.scan_ns);
+        w.key("redo_sim_ns").num(r.stats.redo_ns);
         w.key("ttfr_sim_ns").num(r.ttfr_sim_ns).end();
     }
     w.end().end();
@@ -168,10 +173,20 @@ fn main() {
     );
     println!();
     println!(
-        "{:<9} {:<13} {:>8} {:>9} {:>5} {:>12} {:>12} {:>12}",
-        "engine", "device", "ckpt_iv", "replayed", "torn", "outstanding", "recovery", "ttfr"
+        "{:<9} {:<13} {:>8} {:>9} {:>5} {:>12} {:>11} {:>11} {:>11} {:>11} {:>11}",
+        "engine",
+        "device",
+        "ckpt_iv",
+        "replayed",
+        "torn",
+        "outstanding",
+        "recovery",
+        "= reboot",
+        "+ scan",
+        "+ redo",
+        "ttfr"
     );
-    rule(88);
+    rule(124);
 
     let mut rows = Vec::new();
     for interval in INTERVALS {
@@ -200,7 +215,7 @@ fn main() {
     rows.push(doc_trial(hdd_bench(true), "hdd", true, doc_ops));
     for r in &rows {
         println!(
-            "{:<9} {:<13} {:>8} {:>9} {:>5} {:>11}B {:>12} {:>12}",
+            "{:<9} {:<13} {:>8} {:>9} {:>5} {:>11}B {:>11} {:>11} {:>11} {:>11} {:>11}",
             r.engine,
             r.device,
             r.ckpt_interval,
@@ -208,14 +223,18 @@ fn main() {
             r.stats.torn,
             r.outstanding_bytes,
             fmt_ns(r.stats.replay_ns),
+            fmt_ns(r.stats.reboot_ns),
+            fmt_ns(r.stats.scan_ns),
+            fmt_ns(r.stats.redo_ns),
             fmt_ns(r.ttfr_sim_ns),
         );
     }
 
     if finish_report(&render_json(&rows), Some(&out), "\nwrote ", check_recovery_report) {
         println!(
-            "check : OK (schema, device/interval coverage, \
-             checkpoint-bounded: fewer records at the shorter interval)"
+            "check : OK (schema, device/interval coverage, phases sum to the recovery time, \
+             checkpoint-bounded: fewer records at the shorter interval, \
+             docstore scan bounded whatever the file's capacity)"
         );
     }
 }

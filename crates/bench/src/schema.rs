@@ -24,7 +24,7 @@ use telemetry::SegKind;
 use workloads::linkbench::OP_TYPES;
 
 /// Schema tag for `BENCH_recovery.json` (the `recovery` bin).
-pub const RECOVERY_SCHEMA: &str = "durassd.recovery.v2";
+pub const RECOVERY_SCHEMA: &str = "durassd.recovery.v3";
 /// Schema tag for crash-campaign reports (`crashmatrix --json`).
 pub const FORENSICS_SCHEMA: &str = "durassd.forensics.v1";
 /// Schema tag for `BENCH_waf.json` (the `waf` bin).
@@ -69,7 +69,7 @@ fn text<'a>(row: &'a Row, key: &str) -> &'a str {
 
 const MODES: [&str; 2] = ["durable", "volatile"];
 
-static RECOVERY_ROW: [Field; 9] = [
+static RECOVERY_ROW: [Field; 12] = [
     Field::new("engine", Str),
     Field::new("device", Str),
     Field::new("ckpt_interval", Count),
@@ -78,6 +78,9 @@ static RECOVERY_ROW: [Field; 9] = [
     Field::new("outstanding_bytes", Count),
     Field::new("recovery_wall_ns", Count),
     Field::new("recovery_sim_ns", Positive),
+    Field::new("reboot_sim_ns", Count),
+    Field::new("scan_sim_ns", Count),
+    Field::new("redo_sim_ns", Count),
     Field::new("ttfr_sim_ns", Count),
 ];
 static RECOVERY: [Field; 2] =
@@ -91,6 +94,10 @@ static RECOVERY: [Field; 2] =
 /// - ≥ 3 distinct devices, each with relational rows at ≥ 2 distinct
 ///   checkpoint intervals, and a time-to-first-read no smaller than the
 ///   recovery time;
+/// - every row conserves: reboot, scan and redo sum to the recovery time;
+/// - the document store finds its header in ≤ 20 ms of scan on the SSDs and
+///   ≤ 1 s on the disk — the cost of what was appended since the high-water
+///   mark last moved, not of the file's capacity;
 /// - recovery is checkpoint-bounded: on every device, the relational row at
 ///   a shorter checkpoint interval replays at least one record and strictly
 ///   fewer, from strictly fewer outstanding log bytes, than the row at the
@@ -106,6 +113,20 @@ pub fn check_recovery_report(doc: &str) -> Vec<String> {
             if ttfr < rec {
                 failures.push(format!(
                     "{engine}/{device}: ttfr_sim_ns {ttfr} must be ≥ recovery_sim_ns {rec}"
+                ));
+            }
+            let phases = ["reboot_sim_ns", "scan_sim_ns", "redo_sim_ns"].map(|key| num(row, key));
+            if phases.iter().sum::<f64>() != rec {
+                failures.push(format!(
+                    "{engine}/{device}: reboot + scan + redo {phases:?} must sum to \
+                     recovery_sim_ns {rec}"
+                ));
+            }
+            let scan_bound = if device == "hdd" { 1e9 } else { 20e6 };
+            if engine == "docstore" && phases[1] > scan_bound {
+                failures.push(format!(
+                    "docstore/{device}: scan_sim_ns {} exceeds {scan_bound} ns",
+                    phases[1]
                 ));
             }
             if engine == "relstore" {
@@ -1241,7 +1262,8 @@ mod tests {
             "{{\"engine\":\"{engine}\",\"device\":\"{device}\",\"ckpt_interval\":{interval},\
              \"replayed\":{replayed},\"torn\":0,\
              \"outstanding_bytes\":{bytes},\"recovery_wall_ns\":100,\
-             \"recovery_sim_ns\":5000,\"ttfr_sim_ns\":6000}}"
+             \"recovery_sim_ns\":5000,\"reboot_sim_ns\":3000,\"scan_sim_ns\":1500,\
+             \"redo_sim_ns\":500,\"ttfr_sim_ns\":6000}}"
         )
     }
 
@@ -1278,10 +1300,25 @@ mod tests {
         assert!(fails.iter().any(|f| f.contains("distinct devices")), "{fails:?}");
         assert!(fails.iter().any(|f| f.contains("distinct checkpoint intervals")), "{fails:?}");
 
-        // The v1 shape (a `skipped` column under the old tag), a wrong tag
+        // Phases that do not account for the recovery time, in every row.
+        let leaky = good.replace("\"redo_sim_ns\":500", "\"redo_sim_ns\":400");
+        let fails = check_recovery_report(&leaky);
+        assert_eq!(fails.len(), 7, "{fails:?}");
+        assert!(fails.iter().all(|f| f.contains("must sum to")), "{fails:?}");
+
+        // A docstore header search that costs the file's capacity again.
+        let slow = good.replacen("\"scan_sim_ns\":1500", "\"scan_sim_ns\":20000001", 1).replacen(
+            "\"recovery_sim_ns\":5000",
+            "\"recovery_sim_ns\":20003501",
+            1,
+        );
+        let fails = check_recovery_report(&slow);
+        assert!(fails.iter().any(|f| f.contains("docstore/durassd: scan_sim_ns")), "{fails:?}");
+
+        // An older shape (no phase columns, under its own tag), a wrong tag
         // and garbage are all flagged.
-        let v1 = good.replace(RECOVERY_SCHEMA, "durassd.recovery.v1");
-        assert!(!check_recovery_report(&v1).is_empty());
+        let v2 = good.replace(RECOVERY_SCHEMA, "durassd.recovery.v2");
+        assert!(!check_recovery_report(&v2).is_empty());
         assert!(!check_recovery_report("{\"schema\":\"nope\",\"rows\":[]}").is_empty());
         assert!(!check_recovery_report("not json").is_empty());
     }

@@ -65,7 +65,9 @@ pub struct Ssd {
     stats: DeviceStats,
     xstats: SsdStats,
     powered: bool,
-    emergency_flag: bool,
+    /// Bytes the last capacitor dump wrote to the dump area, until `reboot`
+    /// replays them.
+    dumped_bytes: Option<u64>,
     /// FLUSH CACHE is a barrier: commands that arrive while a flush is in
     /// progress are held until it completes (paper Fig. 2 — "a database
     /// system is usually blocked while a fsync call is being processed").
@@ -114,7 +116,7 @@ impl Ssd {
             stats: DeviceStats::default(),
             xstats: SsdStats::default(),
             powered: true,
-            emergency_flag: false,
+            dumped_bytes: None,
             barrier_until: 0,
             inflight: VecDeque::new(),
             preimage_pool: Vec::new(),
@@ -520,16 +522,15 @@ impl Ssd {
     /// failed to bound — the capacitor dies mid-dump and the cut is recorded
     /// as a structured over-budget outcome instead of aborting the process;
     /// the caller then degrades the device to volatile behaviour.
-    fn emergency_dump(&mut self, now: Nanos) -> DumpOutcome {
-        // Only slots not yet on flash need dumping (dirty + still-draining);
-        // completed-but-unreclaimed entries are already safe on media.
-        let live_slots = self.cache.occupied_at(now) as u64;
-        let bytes = live_slots * LOGICAL_PAGE as u64 + self.ftl.unpersisted_entries() as u64 * 8;
+    fn emergency_dump(&mut self) -> DumpOutcome {
+        // `power_cut` reclaimed the drains that completed by the cut: what
+        // the cache still holds (dirty + still-draining) is not yet on flash.
+        let bytes = self.cache.occupied_bytes() + self.ftl.unpersisted_entries() as u64 * 8;
         let within_budget = bytes <= self.cfg.capacitor_energy_bytes;
         if within_budget {
             self.xstats.dumps += 1;
             self.xstats.max_dump_bytes = self.xstats.max_dump_bytes.max(bytes);
-            self.emergency_flag = true;
+            self.dumped_bytes = Some(bytes);
         } else {
             self.xstats.dump_over_budget += 1;
         }
@@ -836,9 +837,13 @@ impl BlockDevice for Ssd {
                 }
             }
         }
+        // Drains whose program completed by the cut are on media — the cut
+        // cannot predate them and step 1 sheared only later programs — so
+        // their slots are free: neither dumped nor replayed.
+        self.cache.reclaim(now);
         // Snapshot the cache *after* the atomic-writer rollback: what is
-        // left are the slots the host believes durable (plus drains whose
-        // reclaim never came).
+        // left are the slots the host believes durable and flash does not
+        // hold yet.
         pm.dirty_slots = self
             .cache
             .iter()
@@ -865,7 +870,7 @@ impl BlockDevice for Ssd {
                 // 3b. The power-off detector fires the dump (§3.4.1). An
                 //     over-budget dump fails and the device degrades to
                 //     volatile behaviour for this cut — recorded, not fatal.
-                let outcome = self.emergency_dump(now);
+                let outcome = self.emergency_dump();
                 if !outcome.within_budget {
                     pm.rolled_back_map_entries = pm.unpersisted_map.len() as u64;
                     let lost = self.cache.discard_all();
@@ -898,19 +903,16 @@ impl BlockDevice for Ssd {
         let ready = match self.cfg.protection {
             CacheProtection::CapacitorBacked => {
                 let mut t = now + self.cfg.recharge_time; // recharge first (§3.4.2)
-                if self.emergency_flag {
+                if let Some(dump_bytes) = self.dumped_bytes.take() {
                     self.xstats.recoveries += 1;
-                    // Replay the dump: every slot that was in the cache is
-                    // re-queued for the flusher (its pre-cut program may have
-                    // sheared), and the mapping merge is charged as reads of
-                    // the dump area.
+                    // Replay the dump: the slots whose program the cut caught
+                    // in flight are re-queued for the flusher (it sheared),
+                    // and reading back what the dump wrote — slots and the
+                    // mapping delta — is charged as reads of the dump area.
                     let requeued = self.cache.requeue_draining();
-                    let dump_bytes =
-                        self.cache.occupied_bytes() + self.ftl.unpersisted_entries() as u64 * 8;
                     let read_time = self.cfg.geometry.bus_time(dump_bytes as usize)
                         + self.cfg.geometry.t_read * (requeued as u64 / 4 + 1);
                     t += read_time;
-                    self.emergency_flag = false;
                     snap.requeued_slots = requeued as u64;
                     snap.recovered_via_dump = true;
                 }
@@ -1440,6 +1442,45 @@ mod tests {
         let s = d.stats();
         let media_sum: u64 = s.media_pages_by_cause.iter().sum();
         assert_eq!(media_sum, s.media_pages_written);
+    }
+
+    /// The dump is what is replayed: a cut frees the slots whose program
+    /// completed by it, and `reboot` reads back the bytes the dump wrote and
+    /// re-queues only the programs the cut caught in flight.
+    #[test]
+    fn reboot_replays_the_dump_not_the_cache() {
+        let mut d = dura();
+        let mut cut = 0;
+        for lpn in 0..48u64 {
+            cut = d.write(lpn, &page(lpn as u8 + 1), cut).unwrap();
+        }
+        let drains_ending = |d: &Ssd, after_cut: bool| -> Vec<u64> {
+            let ends = |e: &CacheEntry| e.draining_until.filter(|&done| (done > cut) == after_cut);
+            d.cache.iter().filter(|(_, e)| ends(e).is_some()).map(|(&lpn, _)| lpn).collect()
+        };
+        let (on_media, in_flight) = (drains_ending(&d, false), drains_ending(&d, true));
+        assert!(!on_media.is_empty() && !in_flight.is_empty(), "the cut must meet both kinds");
+        let unpersisted = d.unpersisted_mapping_entries() as u64;
+        d.power_cut(cut);
+        let dump = d.postmortem().unwrap().dump.expect("capacitor-backed");
+        let held = 48 - on_media.len() as u64;
+        assert_eq!(dump.bytes, held * LOGICAL_PAGE as u64 + unpersisted * 8);
+        assert!(on_media.iter().all(|&lpn| d.cache.get(lpn).is_none()), "freed at the cut");
+        let ready = d.reboot(cut + 1_000_000);
+        let requeued = d.recovery_snap().unwrap().requeued_slots;
+        assert_eq!(requeued, in_flight.len() as u64);
+        let geo = d.config().geometry;
+        assert_eq!(
+            ready - (cut + 1_000_000) - d.config().recharge_time,
+            geo.bus_time(dump.bytes as usize) + geo.t_read * (requeued / 4 + 1),
+            "reboot reads what the dump wrote"
+        );
+        let mut buf = page(0);
+        for lpn in 0..48u64 {
+            d.read(lpn, 1, &mut buf, ready).unwrap();
+            assert_eq!(buf, page(lpn as u8 + 1), "lpn {lpn}");
+        }
+        d.check_invariants().unwrap();
     }
 
     /// Run one device command inside an anatomy frame and assert the

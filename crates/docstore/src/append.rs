@@ -6,8 +6,9 @@
 //! [`PageFile`] of 4KB blocks, with partial-tail rewrite on each device
 //! write (like any buffered file I/O path).
 //!
-//! The space does not persist its length: recovery scans backwards from the
-//! end of the file's capacity for the newest valid header.
+//! The space does not persist its length. The store keeps, in its
+//! superblock, a high-water mark no append has passed, and recovery scans
+//! backwards from there for the newest valid header.
 
 use simkit::Nanos;
 use storage::device::{BlockDevice, DevError, WriteCause};
@@ -46,14 +47,15 @@ impl AppendSpace {
         Self { file, len, buf: Vec::new(), pending_start: len }
     }
 
-    /// An empty space over the same file that takes over this one's buffer
+    /// An empty space over `file` that takes over this one's buffer
     /// (compaction's "new file"). Nothing may be pending: `self` stays
     /// readable, every byte it holds being on the device.
-    pub fn successor(&mut self) -> Self {
+    pub fn successor(&mut self, file: PageFile) -> Self {
         assert_eq!(self.pending_start, self.len, "successor of a space with unwritten bytes");
-        let mut buf = std::mem::take(&mut self.buf);
-        buf.clear();
-        Self { file: self.file, len: 0, buf, pending_start: 0 }
+        let mut next = Self::new(file);
+        next.buf = std::mem::take(&mut self.buf);
+        next.buf.clear();
+        next
     }
 
     /// Current logical length in bytes.
@@ -132,12 +134,6 @@ impl AppendSpace {
         t
     }
 
-    /// fsync: write out and flush per the volume's barrier policy.
-    pub fn sync<D: BlockDevice>(&mut self, vol: &mut Volume<D>, now: Nanos) -> Nanos {
-        let t = self.write_out(vol, now);
-        vol.fsync(t).expect("device reachable")
-    }
-
     /// Read `len` bytes at `offset` (may span blocks) into `out`, replacing
     /// its contents. Unwritten regions read as zero; a shorn block surfaces
     /// as `Err` (and leaves `out` unspecified).
@@ -182,11 +178,17 @@ mod tests {
     use storage::testdev::MemDevice;
     use storage::volume::VolumeManager;
 
-    fn setup() -> (Volume<MemDevice>, AppendSpace) {
+    /// Two 256-block files side by side; the space is over the first.
+    fn setup_pair() -> (Volume<MemDevice>, AppendSpace, PageFile) {
         let vol = Volume::new(MemDevice::new(1024), true);
         let mut vm = VolumeManager::new(1024);
         let file = PageFile::create(&mut vm, 256, BLOCK);
-        (vol, AppendSpace::new(file))
+        (vol, AppendSpace::new(file), PageFile::create(&mut vm, 256, BLOCK))
+    }
+
+    fn setup() -> (Volume<MemDevice>, AppendSpace) {
+        let (vol, sp, _) = setup_pair();
+        (vol, sp)
     }
 
     fn read(sp: &AppendSpace, vol: &mut Volume<MemDevice>, off: u64, len: usize) -> Vec<u8> {
@@ -200,7 +202,7 @@ mod tests {
         let (mut vol, mut sp) = setup();
         let a = sp.append(b"hello");
         let b = sp.append(&vec![7u8; 10_000]);
-        sp.sync(&mut vol, 0);
+        sp.write_out(&mut vol, 0);
         assert_eq!(read(&sp, &mut vol, a, 5), b"hello");
         assert_eq!(read(&sp, &mut vol, b, 10_000), vec![7u8; 10_000]);
     }
@@ -227,21 +229,21 @@ mod tests {
         sp.append(b"abc");
         let (off, n) = sp.append_with(|buf| buf.extend_from_slice(b"defgh"));
         assert_eq!((off, n, sp.len()), (3, 5, 8));
-        sp.sync(&mut vol, 0);
+        sp.write_out(&mut vol, 0);
         assert_eq!(read(&sp, &mut vol, 0, 8), b"abcdefgh");
     }
 
     #[test]
-    fn successor_starts_empty_and_leaves_the_old_space_readable() {
-        let (mut vol, mut sp) = setup();
+    fn successor_starts_empty_in_its_own_file_and_leaves_the_old_space_readable() {
+        let (mut vol, mut sp, other) = setup_pair();
         let a = sp.append(&vec![9u8; 5000]);
-        sp.sync(&mut vol, 0);
-        let mut next = sp.successor();
+        sp.write_out(&mut vol, 0);
+        let mut next = sp.successor(other);
         assert!(next.is_empty());
         next.append(b"new file");
-        assert_eq!(read(&sp, &mut vol, a, 5000), vec![9u8; 5000]);
-        next.sync(&mut vol, 0);
+        next.write_out(&mut vol, 0);
         assert_eq!(read(&next, &mut vol, 0, 8), b"new file");
+        assert_eq!(read(&sp, &mut vol, a, 5000), vec![9u8; 5000], "written elsewhere");
     }
 
     #[test]
@@ -255,7 +257,7 @@ mod tests {
     fn read_spanning_durable_and_pending() {
         let (mut vol, mut sp) = setup();
         let a = sp.append(&vec![1u8; 3000]);
-        sp.sync(&mut vol, 0);
+        sp.write_out(&mut vol, 0);
         sp.append(&vec![2u8; 3000]);
         let d = read(&sp, &mut vol, a, 6000);
         assert_eq!(&d[..3000], &vec![1u8; 3000][..]);

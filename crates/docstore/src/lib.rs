@@ -13,8 +13,11 @@
 //! * [`cowtree`] — immutable (copy-on-write) nodes, held flat in their
 //!   on-disk encoding,
 //! * [`DocStore`] — the store: memory-first document cache (the memcached
-//!   layer), COW updates, batched fsync, block-aligned headers, a backward
-//!   scan for the newest header on recovery, and compaction.
+//!   layer), COW updates, batched fsync, block-aligned headers, and
+//!   compaction into the other of two regions. A two-slot superblock says
+//!   which region holds the file and bounds where it ends, so recovery's
+//!   backward scan for the newest header costs what was appended since the
+//!   bound last moved, not the file's capacity.
 
 pub mod append;
 pub mod cowtree;
@@ -26,7 +29,7 @@ use simkit::{crc32, Nanos, Recovered, ReplayStats, Timed};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
-use storage::device::BlockDevice;
+use storage::device::{BlockDevice, WriteCause};
 use storage::file::PageFile;
 use storage::volume::{Volume, VolumeManager};
 use telemetry::{Scope, Telemetry};
@@ -36,6 +39,108 @@ const HEADER_MAGIC: u64 = 0x434f_5543_4848_4452;
 /// Header fields ahead of the CRC: magic, seq, root offset, root length,
 /// depth.
 const HEADER_BODY: usize = 32;
+const SUPER_MAGIC: u64 = 0x434f_5543_4853_5542;
+/// Superblock fields ahead of the CRC: magic, generation, region, base
+/// seq, high-water mark.
+const SUPER_BODY: usize = 40;
+/// Blocks by which the superblock's high-water mark runs ahead of the
+/// append cursor: one superblock write per this many blocks appended, and
+/// the most recovery reads in vain above the newest header.
+const HWM_STEP: u64 = 1024;
+/// Blocks per read command of recovery's header search.
+const SCAN_BLOCKS: u64 = 256;
+
+fn le_u64(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"))
+}
+
+fn le_u32(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"))
+}
+
+/// What a file system would know about the store's file. The copy with the
+/// highest generation among the two slots is the one statement of which
+/// file is current and how far it extends.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Superblock {
+    /// Writes so far; slot `generation % 2` holds this copy.
+    generation: u64,
+    /// Which of the two regions holds the file.
+    region: u64,
+    /// `seq` of the file's first header: a valid header below it is a
+    /// leftover of the file this region held before.
+    base_seq: u64,
+    /// A block of the region no append has passed.
+    hwm: u64,
+}
+
+impl Superblock {
+    fn encode(&self, block: &mut [u8]) {
+        for (i, field) in
+            [SUPER_MAGIC, self.generation, self.region, self.base_seq, self.hwm].iter().enumerate()
+        {
+            block[i * 8..i * 8 + 8].copy_from_slice(&field.to_le_bytes());
+        }
+        let crc = crc32(&block[..SUPER_BODY]);
+        block[SUPER_BODY..SUPER_BODY + 4].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    fn decode(block: &[u8]) -> Option<Self> {
+        let ok = le_u64(block, 0) == SUPER_MAGIC
+            && le_u32(block, SUPER_BODY) == crc32(&block[..SUPER_BODY])
+            && le_u64(block, 16) < 2;
+        ok.then(|| Self {
+            generation: le_u64(block, 8),
+            region: le_u64(block, 16),
+            base_seq: le_u64(block, 24),
+            hwm: le_u64(block, 32),
+        })
+    }
+}
+
+/// A commit header: the root of a complete tree.
+struct Header {
+    seq: u64,
+    root: Option<(u64, u32)>,
+    depth: u32,
+}
+
+impl Header {
+    fn encode(&self, block: &mut [u8]) {
+        let (root, len) = self.root.unwrap_or((u64::MAX, 0));
+        block[..8].copy_from_slice(&HEADER_MAGIC.to_le_bytes());
+        block[8..16].copy_from_slice(&self.seq.to_le_bytes());
+        block[16..24].copy_from_slice(&root.to_le_bytes());
+        block[24..28].copy_from_slice(&len.to_le_bytes());
+        block[28..32].copy_from_slice(&self.depth.to_le_bytes());
+        let crc = crc32(&block[..HEADER_BODY]);
+        block[HEADER_BODY..HEADER_BODY + 4].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    fn decode(block: &[u8]) -> Option<Self> {
+        let ok = le_u64(block, 0) == HEADER_MAGIC
+            && le_u32(block, HEADER_BODY) == crc32(&block[..HEADER_BODY]);
+        ok.then(|| {
+            let root = le_u64(block, 16);
+            Self {
+                seq: le_u64(block, 8),
+                root: (root != u64::MAX).then_some((root, le_u32(block, 24))),
+                depth: le_u32(block, 28),
+            }
+        })
+    }
+}
+
+/// The store's files on a volume of `capacity` pages: two regions of
+/// `file_blocks` (region 0 first, so a store that never compacts uses the
+/// LPNs it always did), then the superblock's two slots. A device too small
+/// for that is split between the regions.
+fn layout(cfg: &DocStoreConfig, capacity: u64) -> ([PageFile; 2], PageFile) {
+    let mut vm = VolumeManager::new(capacity);
+    let blocks = cfg.file_blocks.min(capacity.saturating_sub(2) / 2);
+    let regions = [(); 2].map(|()| PageFile::create(&mut vm, blocks, BLOCK));
+    (regions, PageFile::create(&mut vm, 2, BLOCK))
+}
 
 /// Store configuration.
 #[derive(Debug, Clone, Copy)]
@@ -96,6 +201,13 @@ pub struct DocStats {
 /// The document store over a block device.
 pub struct DocStore<D: BlockDevice> {
     vol: Volume<D>,
+    /// The two regions the file alternates between, compaction by
+    /// compaction, and the superblock naming the current one.
+    regions: [PageFile; 2],
+    superblock: PageFile,
+    /// The newest superblock written, and the block it is encoded into.
+    sb: Superblock,
+    sb_block: Vec<u8>,
     space: AppendSpace,
     root: Option<(u64, u32)>,
     depth: u32,
@@ -127,15 +239,34 @@ pub struct DocStore<D: BlockDevice> {
 }
 
 impl<D: BlockDevice> DocStore<D> {
-    /// Create a fresh (empty) store on `dev`.
+    /// Create a fresh (empty) store on `dev`: an empty file in region 0,
+    /// named by the first superblock.
     pub fn create(dev: D, cfg: DocStoreConfig) -> Self {
         cfg.validate();
         let vol = Volume::new(dev, cfg.barriers);
-        let mut vm = VolumeManager::new(vol.capacity_pages());
-        let file = PageFile::create(&mut vm, cfg.file_blocks.min(vol.capacity_pages()), BLOCK);
+        let (regions, superblock) = layout(&cfg, vol.capacity_pages());
+        let space = AppendSpace::new(regions[0]);
+        let mut store = Self::assemble(vol, cfg, regions, superblock, Superblock::default(), space);
+        store.sb.hwm = store.hwm_for(0);
+        store.write_superblock(0);
+        store
+    }
+
+    fn assemble(
+        vol: Volume<D>,
+        cfg: DocStoreConfig,
+        regions: [PageFile; 2],
+        superblock: PageFile,
+        sb: Superblock,
+        space: AppendSpace,
+    ) -> Self {
         Self {
             vol,
-            space: AppendSpace::new(file),
+            regions,
+            superblock,
+            sb,
+            sb_block: vec![0; BLOCK],
+            space,
             root: None,
             depth: 0,
             seq: 0,
@@ -149,6 +280,38 @@ impl<D: BlockDevice> DocStore<D> {
             tel: None,
             ledger: None,
         }
+    }
+
+    /// The high-water mark for a file of `end` blocks: the next multiple of
+    /// the step above it, within the region.
+    fn hwm_for(&self, end: u64) -> u64 {
+        ((end / HWM_STEP + 1) * HWM_STEP).min(self.regions[0].pages())
+    }
+
+    /// Write `self.sb` as the next generation, into the slot the previous
+    /// one does not occupy: a write torn by a power cut leaves that one.
+    fn write_superblock(&mut self, now: Nanos) -> Nanos {
+        self.sb.generation += 1;
+        self.sb.encode(&mut self.sb_block);
+        let (file, block, slot) = (self.superblock, &self.sb_block, self.sb.generation % 2);
+        self.vol
+            .with_cause(WriteCause::DocRewrite, |vol| file.write_page(vol, slot, block, now))
+            .expect("superblock slot")
+    }
+
+    /// Push the appended bytes to the device. A write that would end past
+    /// the high-water mark waits for a superblock that raises it: every
+    /// block of the file lies below the mark recovery scans down from. The
+    /// raise needs no flush of its own — the header fsync that acknowledges
+    /// anything above the old mark covers it.
+    fn write_out(&mut self, now: Nanos) -> Nanos {
+        let end = self.space.len().div_ceil(BLOCK as u64);
+        let mut t = now;
+        if end > self.sb.hwm {
+            self.sb.hwm = self.hwm_for(end);
+            t = self.write_superblock(t);
+        }
+        self.space.write_out(&mut self.vol, t)
     }
 
     /// Statistics.
@@ -350,7 +513,7 @@ impl<D: BlockDevice> DocStore<D> {
     /// After a mutation: push bytes to the device, fsync per batch size, and
     /// auto-compact once the append file is mostly garbage.
     fn finish_update(&mut self, now: Nanos) -> Nanos {
-        let t = self.space.write_out(&mut self.vol, now);
+        let t = self.write_out(now);
         self.updates_since_sync += 1;
         let t =
             if self.updates_since_sync >= self.cfg.batch_size { self.commit_header(t) } else { t };
@@ -369,25 +532,17 @@ impl<D: BlockDevice> DocStore<D> {
         let scope = self.scope("doc.commit", now);
         self.seq += 1;
         self.space.align_to_block();
-        // Header block: magic, seq, root, depth, CRC.
-        let (seq, depth) = (self.seq, self.depth);
-        let (rp, rl) = self.root.unwrap_or((u64::MAX, 0));
+        let header = Header { seq: self.seq, root: self.root, depth: self.depth };
         self.space.append_with(|out| {
             let at = out.len();
             out.resize(at + BLOCK, 0);
-            let hdr = &mut out[at..];
-            hdr[..8].copy_from_slice(&HEADER_MAGIC.to_le_bytes());
-            hdr[8..16].copy_from_slice(&seq.to_le_bytes());
-            hdr[16..24].copy_from_slice(&rp.to_le_bytes());
-            hdr[24..28].copy_from_slice(&rl.to_le_bytes());
-            hdr[28..32].copy_from_slice(&depth.to_le_bytes());
-            let crc = crc32(&hdr[..HEADER_BODY]);
-            hdr[HEADER_BODY..HEADER_BODY + 4].copy_from_slice(&crc.to_le_bytes());
+            header.encode(&mut out[at..]);
         });
         self.stats.bytes_appended += BLOCK as u64;
         self.stats.headers += 1;
         self.updates_since_sync = 0;
-        let done = self.space.sync(&mut self.vol, now);
+        let t = self.write_out(now);
+        let done = self.vol.fsync(t).expect("device reachable");
         if let Some(ledger) = &self.ledger {
             // The header fsync is couchstore's commit point: everything
             // appended since the previous header is now acknowledged.
@@ -501,24 +656,29 @@ impl<D: BlockDevice> DocStore<D> {
         }
     }
 
-    /// Compaction: rewrite the live data as a fresh, dense tree at the start
-    /// of the file (modelling couchstore's copy-compaction into a new file),
-    /// then TRIM the reclaimed tail so the SSD can drop the stale blocks.
+    /// Compaction: rewrite the live data as a fresh, dense tree in the other
+    /// region (couchstore's copy-compaction into a new file), make its
+    /// header durable, switch the superblock to it (the rename), and only
+    /// then TRIM the old region so the SSD can drop the stale blocks. Until
+    /// the switch is durable the old file is current and untouched; after
+    /// it, whatever the old region still holds is never looked at.
     ///
     /// The walk streams: each live document is read once, its record CRC
     /// checked, and its framed bytes copied as they are — re-framing the
     /// key and body of a record that decodes yields the same bytes.
     pub fn compact(&mut self, now: Nanos) -> Nanos {
         self.stats.compactions += 1;
-        let old_len = self.space.len();
-        // The new file. Its bytes stay in memory until the commit below, so
-        // the old one is read undisturbed although both cover one region.
-        let mut fresh = self.space.successor();
+        // Updates since the newest header are acknowledged by a header of
+        // the old file: the new file's counts only once the superblock names
+        // it, which is after its header's fsync.
+        let mut t = if self.updates_since_sync > 0 { self.commit_header(now) } else { now };
+        let old = self.sb.region as usize;
+        // The new file; its bytes stay in memory until the commit below.
+        let mut fresh = self.space.successor(self.regions[old ^ 1]);
         // Parent entries of the level being written: first every live
         // document in key order, then each level of nodes.
         let mut level = self.spare_node(KIND_LEAF);
         let mut framed = Vec::new();
-        let mut t = now;
         let mut stack: Vec<(u64, u32)> = self.root.into_iter().collect();
         while let Some((ptr, len)) = stack.pop() {
             // The old tree dies with this walk, so its nodes are taken.
@@ -570,16 +730,16 @@ impl<D: BlockDevice> DocStore<D> {
                 self.depth += 1;
             }
         }
+        // What the switch will say, once the header below is durable: the
+        // mark already covers the new file and that header.
+        self.sb.region = (old ^ 1) as u64;
+        self.sb.base_seq = self.seq + 1;
+        self.sb.hwm = self.hwm_for(self.space.len().div_ceil(BLOCK as u64) + 1);
         let t = self.commit_header(t);
-        // TRIM everything between the new end of file and the old one.
-        let new_blocks = self.space.len().div_ceil(BLOCK as u64);
-        let old_blocks = old_len.div_ceil(BLOCK as u64);
-
-        if old_blocks > new_blocks {
-            self.vol.discard(new_blocks, (old_blocks - new_blocks) as u32, t).unwrap_or(t)
-        } else {
-            t
-        }
+        let t = self.write_superblock(t);
+        let t = self.vol.fsync(t).expect("device reachable");
+        let dead = self.regions[old];
+        dead.discard(&mut self.vol, 0, dead.pages(), t).unwrap_or(t)
     }
 
     /// Crash: cut device power and surrender the device.
@@ -588,9 +748,10 @@ impl<D: BlockDevice> DocStore<D> {
         self.vol.into_device()
     }
 
-    /// Recover a store from a device: reboot, scan backwards for the newest
-    /// valid header, resume after it. Updates past the last header are lost
-    /// (that is couchstore's contract).
+    /// Recover a store from a device: reboot, read the superblock, scan
+    /// backwards from its high-water mark for the newest valid header of
+    /// the file it names, resume after it. Updates past the last header are
+    /// lost (that is couchstore's contract).
     ///
     /// The returned [`Recovered`] has the relational engine's shape:
     /// `checkpoint_lsn` is the byte offset of the header recovered from, and
@@ -601,59 +762,54 @@ impl<D: BlockDevice> DocStore<D> {
     pub fn recover(dev: D, cfg: DocStoreConfig, now: Nanos) -> Recovered<Self> {
         cfg.validate();
         let mut vol = Volume::new(dev, cfg.barriers);
-        let mut t = now;
-        if !vol.device().is_powered() {
-            t = vol.reboot(t);
-        }
-        let mut vm = VolumeManager::new(vol.capacity_pages());
-        let file = PageFile::create(&mut vm, cfg.file_blocks.min(vol.capacity_pages()), BLOCK);
-        let mut buf = vec![0u8; BLOCK];
+        let booted = vol.reboot(now);
+        let (regions, superblock) = layout(&cfg, vol.capacity_pages());
+        let mut buf = vec![0u8; SCAN_BLOCKS as usize * BLOCK];
+        // One command per run of blocks, re-read block by block around a
+        // shorn one; a run that cannot be read holds nothing to find.
+        let mut read = |file: &PageFile, first: u64, blocks: &mut [u8], now: Nanos| {
+            file.read_pages_past_shorn(&mut vol, first, blocks, now).unwrap_or_else(|_| {
+                blocks.fill(0);
+                now
+            })
+        };
+        // Both slots at once; the highest generation that decodes wins. A
+        // device never written has none: an empty store.
+        let slots = &mut buf[..2 * BLOCK];
+        let mut t = read(&superblock, 0, slots, booted);
+        let sb = (slots.chunks_exact(BLOCK).filter_map(Superblock::decode))
+            .max_by_key(|sb| sb.generation)
+            .unwrap_or_default();
+        // Headers of the file the region held before carry a lower `seq`,
+        // whether or not the TRIM that followed the switch took effect.
+        let file = regions[sb.region as usize];
         let mut newest = None;
-        for blk in (0..file.pages()).rev() {
-            match file.read_page(&mut vol, blk, &mut buf, t) {
-                Ok(t2) => t = t2,
-                Err(_) => continue,
-            }
-            if u64::from_le_bytes(buf[..8].try_into().expect("hdr")) != HEADER_MAGIC {
-                continue;
-            }
-            let crc =
-                u32::from_le_bytes(buf[HEADER_BODY..HEADER_BODY + 4].try_into().expect("hdr"));
-            if crc == crc32(&buf[..HEADER_BODY]) {
-                newest = Some(blk);
-                break;
-            }
+        let mut hi = sb.hwm.min(file.pages());
+        while newest.is_none() && hi > 0 {
+            let lo = hi.saturating_sub(SCAN_BLOCKS);
+            let blocks = &mut buf[..(hi - lo) as usize * BLOCK];
+            t = read(&file, lo, blocks, t);
+            newest = (blocks.chunks_exact(BLOCK).rev().zip(1..))
+                .filter_map(|(block, back)| Some((hi - back, Header::decode(block)?)))
+                .find(|(_, header)| header.seq >= sb.base_seq);
+            hi = lo;
         }
-        let mut replay = ReplayStats::default();
-        let (space, root, depth, seq) = match newest {
-            Some(blk) => {
-                let seq = u64::from_le_bytes(buf[8..16].try_into().expect("hdr"));
-                let root = u64::from_le_bytes(buf[16..24].try_into().expect("hdr"));
-                let len = u32::from_le_bytes(buf[24..28].try_into().expect("hdr"));
-                let depth = u32::from_le_bytes(buf[28..32].try_into().expect("hdr"));
-                replay.checkpoint_lsn = blk * BLOCK as u64;
-                let space = AppendSpace::reopen(file, (blk + 1) * BLOCK as u64);
-                (space, (root != u64::MAX).then_some((root, len)), depth, seq)
+        let header_at = newest.as_ref().map(|(blk, _)| blk * BLOCK as u64);
+        let replay = ReplayStats {
+            checkpoint_lsn: header_at.unwrap_or(0),
+            replay_ns: t - now,
+            reboot_ns: booted - now,
+            scan_ns: t - booted,
+            ..ReplayStats::default()
+        };
+        let space = AppendSpace::reopen(file, header_at.map_or(0, |at| at + BLOCK as u64));
+        let mut store = Self::assemble(vol, cfg, regions, superblock, sb, space);
+        match newest {
+            Some((_, header)) => {
+                (store.root, store.depth, store.seq) = (header.root, header.depth, header.seq)
             }
-            None => (AppendSpace::new(file), None, 0, 0),
-        };
-        let store = Self {
-            vol,
-            space,
-            root,
-            depth,
-            seq,
-            cfg,
-            doc_cache: HashMap::new(),
-            node_cache: HashMap::default(),
-            spare: Vec::new(),
-            repl: Node::default(),
-            updates_since_sync: 0,
-            stats: DocStats::default(),
-            tel: None,
-            ledger: None,
-        };
-        replay.replay_ns = t.saturating_sub(now);
+            None => store.seq = sb.base_seq.saturating_sub(1),
+        }
         Recovered::new(store, t, replay)
     }
 }
@@ -758,34 +914,97 @@ mod tests {
         assert!(s1.device_stats().flushes > s100.device_stats().flushes);
     }
 
-    /// The newest header is the whole recovered state: recovery reads down
-    /// to it and not one block further, however many headers precede it.
-    #[test]
-    fn synced_updates_survive_recovery() {
-        let mut s = store(1);
-        let cfg = s.cfg;
+    /// 200 single-set commits on a device that holds both regions of
+    /// `file_blocks`, crashed; the device, the config and the header's block.
+    fn crashed_after_200_sets(file_blocks: u64) -> (MemDevice, DocStoreConfig, u64, Nanos) {
+        let cfg =
+            DocStoreConfig { batch_size: 1, barriers: true, file_blocks, auto_compact_pct: 0 };
+        let mut s = DocStore::create(MemDevice::new(2 * file_blocks + 2), cfg);
         let mut t = 0;
         for i in 0..200u64 {
             t = s.set(format!("k{i:03}").as_bytes(), &doc(i), t);
         }
         let header_block = s.file_len() / BLOCK as u64 - 1;
-        let reads_before = s.device_stats().reads;
-        let dev = s.crash(t);
+        (s.crash(t), cfg, header_block, t)
+    }
+
+    /// The newest header is the whole recovered state, and finding it costs
+    /// what was appended since the high-water mark last moved: the same
+    /// reads whatever the file's capacity.
+    #[test]
+    fn synced_updates_survive_recovery() {
+        let mut reads = Vec::new();
+        for file_blocks in [8_192, 65_536] {
+            let (dev, cfg, header_block, t) = crashed_after_200_sets(file_blocks);
+            let reads_before = dev.stats().reads;
+            let rec = DocStore::recover(dev, cfg, t + 1);
+            assert_eq!(rec.stats.checkpoint_lsn, header_block * BLOCK as u64);
+            assert_eq!((rec.stats.replayed, rec.stats.torn), (0, 0));
+            assert_eq!((rec.stats.reboot_ns, rec.stats.redo_ns), (0, 0));
+            assert_eq!(rec.stats.scan_ns, rec.stats.replay_ns);
+            let (mut s2, mut t2) = rec.into_parts();
+            assert_eq!(s2.seq(), 200);
+            reads.push(s2.device_stats().reads - reads_before);
+            for i in 0..200u64 {
+                let (v, t3) = s2.get(format!("k{i:03}").as_bytes(), t2).into_parts();
+                t2 = t3;
+                assert_eq!(v.unwrap(), doc(i), "k{i:03}");
+            }
+        }
+        assert_eq!(reads[0], reads[1], "the search does not depend on file_blocks");
+        // Both superblock slots, then at most a step and one batch of blocks.
+        assert!(reads[0] <= 2 + (HWM_STEP + 3).div_ceil(SCAN_BLOCKS), "{} reads", reads[0]);
+    }
+
+    /// A store about to append past its high-water mark, stopped right after
+    /// the superblock write that raises it (`torn`: and that write tore):
+    /// recovery finds the last acknowledged header all the same.
+    fn cut_on_the_hwm_raise(torn: bool) {
+        let mut s = store(1);
+        let cfg = s.cfg;
+        let mut t = 0;
+        let mut sets = 0;
+        while s.file_len().div_ceil(BLOCK as u64) + 3 <= HWM_STEP {
+            t = s.set(format!("k{sets:03}").as_bytes(), &doc(sets), t);
+            sets += 1;
+        }
+        let (before, header_block) = (s.sb, s.file_len() / BLOCK as u64 - 1);
+        s.sb.hwm = s.hwm_for(HWM_STEP);
+        t = s.write_superblock(t);
+        let raised = s.sb;
+        assert_eq!((raised.generation, raised.hwm), (before.generation + 1, 2 * HWM_STEP));
+        // The slots lie behind the two regions.
+        let slot = 2 * s.regions[0].pages() + raised.generation % 2;
+        let mut dev = s.crash(t);
+        if torn {
+            flip_byte(&mut dev, slot * BLOCK as u64 + 33);
+        }
         let rec = DocStore::recover(dev, cfg, t + 1);
         assert_eq!(rec.stats.checkpoint_lsn, header_block * BLOCK as u64);
-        assert_eq!((rec.stats.replayed, rec.stats.torn), (0, 0));
         let (mut s2, mut t2) = rec.into_parts();
-        assert_eq!(s2.seq(), 200);
-        assert_eq!(
-            s2.device_stats().reads - reads_before,
-            cfg.file_blocks - header_block,
-            "the backward scan stops at the newest header"
-        );
-        for i in 0..200u64 {
+        assert_eq!(s2.sb, if torn { before } else { raised });
+        for i in 0..sets {
             let (v, t3) = s2.get(format!("k{i:03}").as_bytes(), t2).into_parts();
             t2 = t3;
             assert_eq!(v.unwrap(), doc(i), "k{i:03}");
         }
+        // The recovered store appends on, past the mark it came back with.
+        for i in 0..20u64 {
+            t2 = s2.set(format!("later{i}").as_bytes(), &doc(i), t2);
+        }
+        assert_eq!(s2.sb.hwm, raised.hwm);
+        let (mut s3, t3) = DocStore::recover(s2.crash(t2), cfg, t2 + 1).into_parts();
+        assert_eq!(s3.get(b"later19", t3).value.unwrap(), doc(19));
+    }
+
+    #[test]
+    fn cut_between_the_hwm_raise_and_the_write_that_crosses_it() {
+        cut_on_the_hwm_raise(false);
+    }
+
+    #[test]
+    fn torn_superblock_slot_falls_back_to_the_other() {
+        cut_on_the_hwm_raise(true);
     }
 
     #[test]
@@ -833,15 +1052,10 @@ mod tests {
         }
     }
 
-    /// ROADMAP, docstore compaction: the new file is written over the start
-    /// of the old one and the old tail is TRIMmed afterwards, but recovery
-    /// takes the first valid header it meets scanning back from the end of
-    /// the file's capacity. Where TRIM is a no-op (`MemDevice`, the disk) the
-    /// old header outlives the compaction, and the tree it names points into
-    /// blocks the new file overwrote — no power cut inside `compact` needed.
-    /// `ci.sh` runs this with `--ignored` and fails when it starts passing.
+    /// Where TRIM is a no-op (`MemDevice`, the disk) the old file outlives
+    /// the compaction, header and all: the superblock, not what a scan
+    /// happens to meet first, says which file is current.
     #[test]
-    #[ignore = "ROADMAP: docstore compaction, known loss"]
     fn compaction_then_crash_loses_nothing() {
         let cfg = DocStoreConfig {
             batch_size: 1,

@@ -838,13 +838,9 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
         cfg.validate();
         let mut data = Volume::new(data_dev, cfg.barriers);
         let mut logv = Volume::new(log_dev, cfg.barriers);
-        let mut t = now;
-        if !data.device().is_powered() {
-            t = data.reboot(t);
-        }
-        if !logv.device().is_powered() {
-            t = t.max(logv.reboot(t));
-        }
+        // Both devices power up at once (a powered one is ready at `now`).
+        let booted = data.reboot(now).max(logv.reboot(now));
+        let mut t = booted;
         let (catalog, dwb, ts, log_layout) =
             layout(&cfg, data.capacity_pages(), logv.capacity_pages());
         let mut stats = EngineStats::default();
@@ -891,27 +887,31 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
         // newest copy per page; each such page's home is then checked once.
         if cfg.double_write {
             let mut newest: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-            let mut buf = vec![0u8; cfg.page_size];
-            for slot in 0..dwb.pages() {
-                match dwb.read_page(&mut data, slot, &mut buf, t) {
-                    Ok(t2) => t = t2,
-                    Err(DevError::ShornPage { .. }) => continue, // torn copy: home is intact
-                    Err(e) => return Err(e.into()),
-                }
-                let page_no = sealed_page_no(&buf);
-                if page_no >= cfg.data_pages || !trailer_ok(&buf, page_no) {
-                    continue;
-                }
-                let copy = newest.entry(page_no).or_insert_with(|| buf.clone());
-                if page_lsn(copy) < page_lsn(&buf) {
-                    copy.copy_from_slice(&buf);
+            // The area is read a write batch per command. A copy the cut
+            // tore (its home is intact) reads as zeroes, like a slot never
+            // used: neither passes its trailer.
+            let mut run = vec![0u8; bufferpool::WRITE_BATCH * cfg.page_size];
+            for first in (0..dwb.pages()).step_by(bufferpool::WRITE_BATCH) {
+                let n = (dwb.pages() - first).min(bufferpool::WRITE_BATCH as u64) as usize;
+                let run = &mut run[..n * cfg.page_size];
+                t = dwb.read_pages_past_shorn(&mut data, first, run, t)?;
+                for copy in run.chunks_exact(cfg.page_size) {
+                    let page_no = sealed_page_no(copy);
+                    if page_no >= cfg.data_pages || !trailer_ok(copy, page_no) {
+                        continue;
+                    }
+                    let kept = newest.entry(page_no).or_insert_with(|| copy.to_vec());
+                    if page_lsn(kept) < page_lsn(copy) {
+                        kept.copy_from_slice(copy);
+                    }
                 }
             }
+            let buf = &mut run[..cfg.page_size];
             for (&page_no, copy) in &newest {
-                let home_ok = match ts.read_page(&mut data, page_no, &mut buf, t) {
+                let home_ok = match ts.read_page(&mut data, page_no, buf, t) {
                     Ok(t2) => {
                         t = t2;
-                        never_written(&buf) || trailer_ok(&buf, page_no)
+                        never_written(buf) || trailer_ok(buf, page_no)
                     }
                     Err(DevError::ShornPage { .. }) => false,
                     Err(e) => return Err(e.into()),
@@ -926,8 +926,8 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             }
         }
         // 3. Log recovery.
-        let (wal, scan, t2) = Wal::recover(&mut logv, log_layout, t);
-        t = t2;
+        let (wal, scan, scanned) = Wal::recover(&mut logv, log_layout, t);
+        t = scanned;
         let mut eng = Self::assemble(cfg, data, logv, (catalog, dwb, ts), wal);
         eng.io.stats = stats;
         eng.trees = trees;
@@ -950,7 +950,10 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             replayed: scan.records.len() as u64,
             torn: scan.tear.iter().count() as u64,
             tear_lsn: scan.tear.map(|tear| tear.lsn),
-            replay_ns: t.saturating_sub(now),
+            replay_ns: t - now,
+            reboot_ns: booted - now,
+            scan_ns: scanned - booted,
+            redo_ns: t - scanned,
         };
         Ok(Recovered::new(eng, t, replay))
     }

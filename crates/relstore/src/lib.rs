@@ -38,6 +38,7 @@ pub fn tear_error(stats: &ReplayStats) -> Option<Error> {
 mod tests {
     use super::*;
     use durassd::{Ssd, SsdConfig};
+    use forensics::Forensic;
     use storage::testdev::MemDevice;
 
     fn small_cfg(page_size: usize) -> EngineConfig {
@@ -379,8 +380,14 @@ mod tests {
             now = e.commit(now);
         }
         let (d, l) = e.crash(now);
-        let (mut e2, mut t2) =
-            Engine::recover(d, l, cfg, now + 1).expect("recovery on DuraSSD").into_parts();
+        let rec = Engine::recover(d, l, cfg, now + 1).expect("recovery on DuraSSD");
+        // The two devices power up side by side: recovery waits for the
+        // slower reboot, not for one after the other.
+        let booted = [rec.value.data_volume().device(), rec.value.log_volume().device()]
+            .map(|dev| dev.recovery_snap().expect("rebooted").ready_at - (now + 1));
+        assert_eq!(rec.stats.reboot_ns, booted[0].max(booted[1]));
+        assert!(rec.stats.reboot_ns < booted[0] + booted[1]);
+        let (mut e2, mut t2) = rec.into_parts();
         for i in 0..60u64 {
             let (v, t3) = e2.get(t0, format!("k{i:03}").as_bytes(), t2).into_parts();
             t2 = t3;

@@ -25,8 +25,16 @@ pub struct ReplayStats {
     /// LSN of the tear, when `torn > 0`.
     pub tear_lsn: Option<u64>,
     /// Virtual time recovery took, from reboot to a store ready for its
-    /// first read.
+    /// first read: the three phases below, which sum to it.
     pub replay_ns: Nanos,
+    /// Device reboot (recharge or spin-up, dump replay); 0 on a powered
+    /// device.
+    pub reboot_ns: Nanos,
+    /// Finding where the state starts (document store: superblock and
+    /// header search; relational: catalog, double-write and log scans).
+    pub scan_ns: Nanos,
+    /// Redoing what the scan returned (always 0 for the document store).
+    pub redo_ns: Nanos,
 }
 
 /// A recovered store plus the story of its recovery.
@@ -41,8 +49,14 @@ pub struct Recovered<T> {
 }
 
 impl<T> Recovered<T> {
-    /// Wrap a store with its completion time and stats.
+    /// Wrap a store with its completion time and stats, whose phases must
+    /// account for the whole recovery.
     pub fn new(value: T, done: Nanos, stats: ReplayStats) -> Self {
+        assert_eq!(
+            stats.reboot_ns + stats.scan_ns + stats.redo_ns,
+            stats.replay_ns,
+            "recovery phases must sum to the recovery time: {stats:?}"
+        );
         Self { value, done, stats }
     }
 

@@ -111,6 +111,32 @@ impl PageFile {
         vol.read(lpn, (n * self.lppp() as u64) as u32, buf, now)
     }
 
+    /// [`PageFile::read_pages`] for a recovery scan, which has to get past
+    /// what a power cut tore: when the command reports a shorn page the run
+    /// is re-read page by page, and each shorn page comes back as zeroes —
+    /// what a page never written reads as. Any other error is returned.
+    pub fn read_pages_past_shorn<D: BlockDevice>(
+        &self,
+        vol: &mut Volume<D>,
+        page_no: u64,
+        buf: &mut [u8],
+        now: Nanos,
+    ) -> DevResult<Nanos> {
+        match self.read_pages(vol, page_no, buf, now) {
+            Err(DevError::ShornPage { .. }) => {}
+            other => return other,
+        }
+        let mut t = now;
+        for (page, out) in (page_no..).zip(buf.chunks_exact_mut(self.page_size)) {
+            match self.read_page(vol, page, out, t) {
+                Ok(done) => t = done,
+                Err(DevError::ShornPage { .. }) => out.fill(0),
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(t)
+    }
+
     /// Write `n` consecutive file pages in one device command (used by the
     /// double-write buffer and the log, which batch sequential writes).
     pub fn write_pages<D: BlockDevice>(
@@ -133,6 +159,26 @@ impl PageFile {
         }
         let lpn = self.extent.base + page_no * self.lppp() as u64;
         vol.write(lpn, data, now)
+    }
+
+    /// TRIM `pages` consecutive file pages starting at `page_no` (a file
+    /// giving up part of itself: compaction's old region).
+    pub fn discard<D: BlockDevice>(
+        &self,
+        vol: &mut Volume<D>,
+        page_no: u64,
+        pages: u64,
+        now: Nanos,
+    ) -> DevResult<Nanos> {
+        let lpns = pages * self.lppp() as u64;
+        if page_no + pages > self.pages || lpns > u32::MAX as u64 {
+            return Err(DevError::OutOfRange {
+                lpn: page_no,
+                pages: lpns.min(u32::MAX as u64) as u32,
+                capacity: self.pages,
+            });
+        }
+        vol.discard(self.extent.base + page_no * self.lppp() as u64, lpns as u32, now)
     }
 }
 
@@ -198,6 +244,81 @@ mod tests {
     fn page_size_must_align() {
         let mut vm = VolumeManager::new(100);
         PageFile::create(&mut vm, 4, 6000);
+    }
+
+    /// A `MemDevice` that remembers the TRIMs it is sent and reports the
+    /// LPN in `.2`, if any, as shorn.
+    struct Trims(MemDevice, Vec<(u64, u32)>, Option<u64>);
+
+    impl BlockDevice for Trims {
+        fn capacity_pages(&self) -> u64 {
+            self.0.capacity_pages()
+        }
+        fn read(&mut self, lpn: u64, pages: u32, buf: &mut [u8], now: Nanos) -> DevResult<Nanos> {
+            if let Some(shorn) = self.2.filter(|s| (lpn..lpn + pages as u64).contains(s)) {
+                return Err(DevError::ShornPage { lpn: shorn });
+            }
+            self.0.read(lpn, pages, buf, now)
+        }
+        fn write(&mut self, lpn: u64, data: &[u8], now: Nanos) -> DevResult<Nanos> {
+            self.0.write(lpn, data, now)
+        }
+        fn flush(&mut self, now: Nanos) -> DevResult<Nanos> {
+            self.0.flush(now)
+        }
+        fn power_cut(&mut self, now: Nanos) {
+            self.0.power_cut(now)
+        }
+        fn reboot(&mut self, now: Nanos) -> Nanos {
+            self.0.reboot(now)
+        }
+        fn is_powered(&self) -> bool {
+            self.0.is_powered()
+        }
+        fn discard(&mut self, lpn: u64, pages: u32, now: Nanos) -> DevResult<Nanos> {
+            self.1.push((lpn, pages));
+            Ok(now)
+        }
+        fn stats(&self) -> crate::device::DeviceStats {
+            self.0.stats()
+        }
+    }
+
+    #[test]
+    fn discard_is_relative_to_the_file_and_bounded_by_it() {
+        let mut vol = Volume::new(Trims(MemDevice::new(1024), Vec::new(), None), true);
+        let mut vm = VolumeManager::new(1024);
+        let _first = PageFile::create(&mut vm, 10, 4096);
+        // 8 KB pages at a non-zero extent base: file page 3 is LPN 10 + 6.
+        let f = PageFile::create(&mut vm, 16, 8192);
+        f.discard(&mut vol, 3, 5, 0).unwrap();
+        f.discard(&mut vol, 0, 16, 0).unwrap();
+        assert_eq!(vol.device().1, [(16, 10), (10, 32)]);
+        assert!(matches!(f.discard(&mut vol, 12, 5, 0), Err(DevError::OutOfRange { .. })));
+        assert_eq!(vol.device().1.len(), 2, "an out-of-file TRIM reaches no device");
+    }
+
+    #[test]
+    fn a_scan_reads_past_a_shorn_page_and_stops_at_any_other_error() {
+        let mut vol = Volume::new(Trims(MemDevice::new(64), Vec::new(), None), true);
+        let mut vm = VolumeManager::new(64);
+        let f = PageFile::create(&mut vm, 8, 8192);
+        f.write_pages(&mut vol, 0, &vec![7u8; 8 * 8192], 0).unwrap();
+        let mut buf = vec![0xEEu8; 4 * 8192];
+        // Intact run: one command.
+        f.read_pages_past_shorn(&mut vol, 2, &mut buf, 0).unwrap();
+        assert_eq!((vol.device_stats().reads, &buf), (1, &vec![7u8; 4 * 8192]));
+        // File page 3 (LPNs 6, 7) is shorn: the command, then each page.
+        vol.device_mut().2 = Some(7);
+        f.read_pages_past_shorn(&mut vol, 2, &mut buf, 0).unwrap();
+        assert_eq!(vol.device_stats().reads, 1 + 3, "the shorn page's read is not served");
+        assert_eq!(buf[..8192], vec![7u8; 8192][..]);
+        assert_eq!(buf[8192..2 * 8192], vec![0u8; 8192][..], "shorn reads as never written");
+        assert_eq!(buf[2 * 8192..], vec![7u8; 2 * 8192][..]);
+        assert!(matches!(
+            f.read_pages_past_shorn(&mut vol, 6, &mut buf, 0),
+            Err(DevError::OutOfRange { .. })
+        ));
     }
 
     #[test]

@@ -210,8 +210,12 @@ impl<D: BlockDevice> Volume<D> {
         self.dev.power_cut(now);
     }
 
-    /// Reboot the underlying device; returns when it is ready.
+    /// Reboot the underlying device; returns when it is ready (a powered
+    /// one already is).
     pub fn reboot(&mut self, now: Nanos) -> Nanos {
+        if self.dev.is_powered() {
+            return now;
+        }
         self.dev.reboot(now)
     }
 

@@ -1,6 +1,7 @@
 //! Cross-crate crash/recovery integration tests: the paper's durability
 //! claims as assertions.
 
+use docstore::{DocStore, DocStoreConfig};
 use durassd::{Ssd, SsdConfig};
 use forensics::{AckContract, EvidenceKind, Ledger};
 use hdd::{Hdd, HddConfig};
@@ -313,23 +314,28 @@ fn double_write_repair_restores_the_newest_copy() {
 }
 
 /// A block device that loses power 1 ns before the ack of the `n`-th write
-/// it takes once armed. The host dies with it: from that moment every
+/// it takes once armed (or, as the fuse says, 1 ns after it, and counting
+/// flushes and discards too). The host dies with it: from that moment every
 /// command, on this device and on its twin holding the same fuse, goes
 /// nowhere — the engine's call runs on, but nothing it does reaches a device.
 struct Doomed<D> {
     inner: D,
     fuse: Rc<Fuse>,
-    /// Whether this device's writes burn the fuse (its twin only dies).
+    /// Whether this device's commands burn the fuse (its twin only dies).
     burns: bool,
 }
 
 #[derive(Default)]
 struct Fuse {
-    /// Writes the armed device still completes, the fatal one included.
-    writes_left: Cell<Option<u64>>,
+    /// Commands the armed device still completes, the fatal one included.
+    commands_left: Cell<Option<u64>>,
     /// Count only writes to LPNs below this (`None`: every write).
     only_below: Cell<Option<u64>>,
-    /// When power was cut, and the LPN of the write it cut.
+    /// Count flushes and discards as well as writes.
+    every_command: Cell<bool>,
+    /// Cut 1 ns after the fatal command's ack, not 1 ns before it.
+    after_ack: Cell<bool>,
+    /// When power was cut, and the LPN of the command it cut.
     blown: Cell<Option<(Nanos, u64)>>,
 }
 
@@ -340,6 +346,19 @@ impl<D: BlockDevice> Doomed<D> {
             self.inner.power_cut(at);
         }
         self.fuse.blown.get().is_some()
+    }
+
+    /// Count a command at `lpn` acknowledged at `done` against an armed
+    /// fuse; the fatal one takes the power with it.
+    fn burn(&mut self, lpn: u64, done: Nanos) {
+        if let Some(left) = self.fuse.commands_left.get().filter(|_| self.burns) {
+            self.fuse.commands_left.set(left.checked_sub(1).filter(|&left| left > 0));
+            if left == 1 {
+                let at = if self.fuse.after_ack.get() { done + 1 } else { done - 1 };
+                self.fuse.blown.set(Some((at, lpn)));
+                self.inner.power_cut(at);
+            }
+        }
     }
 }
 
@@ -358,13 +377,8 @@ impl<D: BlockDevice> BlockDevice for Doomed<D> {
             return Ok(now);
         }
         let done = self.inner.write(lpn, data, now)?;
-        let counts = self.burns && self.fuse.only_below.get().is_none_or(|below| lpn < below);
-        if let Some(left) = self.fuse.writes_left.get().filter(|_| counts) {
-            self.fuse.writes_left.set(left.checked_sub(1).filter(|&left| left > 0));
-            if left == 1 {
-                self.fuse.blown.set(Some((done - 1, lpn)));
-                self.inner.power_cut(done - 1);
-            }
+        if self.fuse.only_below.get().is_none_or(|below| lpn < below) {
+            self.burn(lpn, done);
         }
         Ok(done)
     }
@@ -372,7 +386,21 @@ impl<D: BlockDevice> BlockDevice for Doomed<D> {
         if self.dead() {
             return Ok(now);
         }
-        self.inner.flush(now)
+        let done = self.inner.flush(now)?;
+        if self.fuse.every_command.get() {
+            self.burn(0, done);
+        }
+        Ok(done)
+    }
+    fn discard(&mut self, lpn: u64, pages: u32, now: Nanos) -> DevResult<Nanos> {
+        if self.dead() {
+            return Ok(now);
+        }
+        let done = self.inner.discard(lpn, pages, now)?;
+        if self.fuse.every_command.get() {
+            self.burn(lpn, done);
+        }
+        Ok(done)
     }
     fn power_cut(&mut self, now: Nanos) {
         self.inner.power_cut(now)
@@ -430,7 +458,7 @@ fn power_cut_inside_a_checkpoint_batch_is_repaired_from_the_double_write_area() 
         // A batch is one double-write run, then its 16 home writes: blow on
         // home write `page` of the first or the second batch.
         let (batch, page) = (rng.gen_range(0..2u64), rng.gen_range(0..16u64));
-        fuse.writes_left.set(Some(batch * 17 + 1 + page + 1));
+        fuse.commands_left.set(Some(batch * 17 + 1 + page + 1));
         let now = e.checkpoint(now);
         let (cut_at, cut_lpn) = fuse.blown.get().expect("the checkpoint wrote two full batches");
         assert!(cut_lpn >= home_base, "seed {seed}: the cut write was a home write");
@@ -480,7 +508,7 @@ fn previous_checkpoint_stays_in_force(seed: u64, log_burns: bool, cut_below: u64
     let evidence = ledger.evidence_rows();
     let (_, checkpoints) = evidence.iter().find(|(k, _)| *k == EvidenceKind::Checkpoint).unwrap();
     fuse.only_below.set(Some(cut_below));
-    fuse.writes_left.set(Some(1));
+    fuse.commands_left.set(Some(1));
     let now = e.checkpoint(now);
     let (cut_at, _) = fuse.blown.get().expect("the checkpoint reached the armed write");
     let (d, l) = e.crash(now);
@@ -510,6 +538,95 @@ fn power_cut_on_the_checkpoint_catalog_write_leaves_the_previous_checkpoint() {
     // device's last write of a checkpoint.
     for seed in 0..20 {
         previous_checkpoint_stays_in_force(seed, false, 2);
+    }
+}
+
+/// ROADMAP's compaction workload on `dev` — 1,500 documents, 100 of them
+/// updated eleven more times, `compact` — with the power going at every
+/// device command compaction issues (the new file's write, the superblock
+/// switch, their flushes where barriers are on, the TRIM), 1 ns before its
+/// ack and 1 ns after. Each cut is followed by recovery and a read of every
+/// document; the recovered store then takes a few hundred more updates and
+/// compacts again, into the region the cut before left behind, under the
+/// next cut. Returns the documents lost or corrupt over all cuts.
+fn cuts_inside_compaction<D: BlockDevice>(dev: D, barriers: bool, seed: u64) -> u64 {
+    let cfg = DocStoreConfig { batch_size: 1, barriers, file_blocks: 32_768, auto_compact_pct: 0 };
+    let fuse = Rc::new(Fuse::default());
+    fuse.every_command.set(true);
+    let doomed = |inner| Doomed { inner, fuse: fuse.clone(), burns: true };
+    let mut rng = SimRng::seed_from_u64(seed);
+    let mut model: BTreeMap<String, String> = BTreeMap::new();
+    let mut version = 0;
+    let mut set = |s: &mut DocStore<Doomed<D>>, model: &mut BTreeMap<_, _>, i: u64, now| {
+        version += 1;
+        let key = format!("key{i:04}");
+        let body = format!("doc-{i:04}-v{version:05}-{}", "d".repeat(rng.gen_range(280..330)));
+        let done = s.set(key.as_bytes(), body.as_bytes(), now);
+        model.insert(key, body);
+        done
+    };
+    let mut s = DocStore::create(doomed(dev), cfg);
+    let mut now = 0;
+    for i in 0..1500 {
+        now = set(&mut s, &mut model, i, now);
+    }
+    let mut lost = 0;
+    // First an undisturbed compaction under a fuse that only counts, from
+    // far away, the commands it issues; then a cut at each of them.
+    const FAR: u64 = 1 << 40;
+    let mut cuts = vec![(FAR, false)];
+    while let Some((command, after_ack)) = cuts.pop() {
+        for _ in 0..if command == FAR { 11 } else { 2 } {
+            for i in 1400..1500 {
+                now = set(&mut s, &mut model, i, now);
+            }
+        }
+        fuse.commands_left.set(Some(command));
+        fuse.after_ack.set(after_ack);
+        now = s.compact(now);
+        if command == FAR {
+            let n = FAR - fuse.commands_left.take().expect("still counting");
+            assert_eq!(n, if barriers { 5 } else { 3 }, "write, switch, TRIM and the flushes");
+            cuts.extend((1..=n).flat_map(|c| [(c, false), (c, true)]));
+        }
+        let cut_at = fuse.blown.take().map_or(now, |(at, _)| at);
+        assert!(command == FAR || cut_at != now, "compaction reached command {command}");
+        let inner = s.crash(now.max(cut_at) + 1).inner;
+        (s, now) = DocStore::recover(doomed(inner), cfg, now.max(cut_at) + 1_000_000).into_parts();
+        for (key, body) in &model {
+            let (got, t) = s.get(key.as_bytes(), now).into_parts();
+            now = t;
+            lost += u64::from(got.as_deref() != Some(body.as_bytes()));
+        }
+        lost += s.stats().corrupt_reads;
+    }
+    lost
+}
+
+/// 20 seeds of [`cuts_inside_compaction`] on each device class, under the
+/// mount it needs: no committed document is lost at any cut.
+mod cuts_inside_compaction_lose_nothing {
+    use super::*;
+
+    #[test]
+    fn on_durassd_without_barriers() {
+        for seed in 0..20 {
+            assert_eq!(cuts_inside_compaction(durassd(), false, seed), 0, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn on_ssd_a_with_barriers() {
+        for seed in 0..20 {
+            assert_eq!(cuts_inside_compaction(volatile_ssd(), true, seed), 0, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn on_the_disk_with_barriers() {
+        for seed in 0..20 {
+            assert_eq!(cuts_inside_compaction(disk(), true, seed), 0, "seed {seed}");
+        }
     }
 }
 

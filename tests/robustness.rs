@@ -180,10 +180,16 @@ fn engine_recovers_from_empty_uncheckpointed_database() {
     assert_eq!(rec.stats.replayed, 0);
 }
 
-/// A device whose reads of the LPNs in `bad` fail with a media error.
+/// A device whose reads touching the LPNs in `bad` fail with `error` of the
+/// first of them.
 struct BadReads {
     inner: MemDevice,
     bad: std::ops::Range<u64>,
+    error: fn(u64) -> DevError,
+}
+
+fn media_error(lpn: u64) -> DevError {
+    DevError::Media { what: format!("uncorrectable read at lpn {lpn}") }
 }
 
 impl BlockDevice for BadReads {
@@ -191,8 +197,8 @@ impl BlockDevice for BadReads {
         self.inner.capacity_pages()
     }
     fn read(&mut self, lpn: u64, pages: u32, buf: &mut [u8], now: Nanos) -> DevResult<Nanos> {
-        if self.bad.contains(&lpn) {
-            return Err(DevError::Media { what: format!("uncorrectable read at lpn {lpn}") });
+        if lpn < self.bad.end && self.bad.start < lpn + pages as u64 {
+            return Err((self.error)(self.bad.start.max(lpn)));
         }
         self.inner.read(lpn, pages, buf, now)
     }
@@ -230,7 +236,7 @@ fn recover_returns_device_read_errors() {
         ..EngineConfig::mysql_like(4096)
     };
     for bad in [0..2, 2..2 + cfg.dwb_pages] {
-        let data = BadReads { inner: MemDevice::new(8 * 1024), bad: 0..0 };
+        let data = BadReads { inner: MemDevice::new(8 * 1024), bad: 0..0, error: media_error };
         let (mut e, t0) = Engine::create(data, MemDevice::new(4 * 1024), cfg, 0).into_parts();
         let (tree, t1) = e.create_tree(t0).into_parts();
         let mut now = e.put(tree, b"key", b"value", t1);
@@ -244,6 +250,44 @@ fn recover_returns_device_read_errors() {
             Ok(_) => panic!("reads of {bad:?} fail: recovery cannot have succeeded"),
         }
     }
+}
+
+#[test]
+fn double_write_scan_reads_around_a_shorn_copy() {
+    // Recovery reads the double-write area a batch at a time. A copy shorn
+    // by the cut fails the whole command; the batch is then read page by
+    // page, the shorn copy skipped (its home is intact) and its neighbours
+    // kept — among them the one copy that can repair the torn home page.
+    let cfg = EngineConfig {
+        buffer_pool_bytes: 16 * 4096,
+        data_pages: 2048,
+        log_files: 2,
+        log_file_blocks: 512,
+        dwb_pages: 16,
+        checkpoint_policy: relstore::CheckpointPolicy::Explicit,
+        ..EngineConfig::mysql_like(4096)
+    };
+    let shorn = |lpn| DevError::ShornPage { lpn };
+    let data = BadReads { inner: MemDevice::new(8 * 1024), bad: 0..0, error: shorn };
+    let (mut e, t0) = Engine::create(data, MemDevice::new(4 * 1024), cfg, 0).into_parts();
+    let (tree, mut now) = e.create_tree(t0).into_parts();
+    for version in [b"version-1", b"version-2"] {
+        now = e.put(tree, b"k", version, now);
+        now = e.commit(now);
+        now = e.checkpoint(now);
+    }
+    let (mut d, l) = e.crash(now + 1);
+    // The area follows the two catalog pages; slot 0 holds the leaf's first
+    // copy, slot 1 the second. Shear the first and tear the leaf's home.
+    let (dwb, home) = (2, 2 + cfg.dwb_pages);
+    d.bad = dwb..dwb + 1;
+    let mut page = vec![0u8; 4096];
+    d.read(home, 1, &mut page, 0).unwrap();
+    page[2048..4000].fill(0xEE);
+    d.write(home, &page, 0).unwrap();
+    let (mut e2, t2) = Engine::recover(d, l, cfg, now + 2).expect("recover").into_parts();
+    assert_eq!(e2.stats().repaired_pages, 1);
+    assert_eq!(e2.get(tree, b"k", t2).value.as_deref(), Some(&b"version-2"[..]));
 }
 
 #[test]
