@@ -15,7 +15,8 @@
 //! - `recovery_sim_ns` — simulated time from reboot to a usable store, and
 //!   where it went: `reboot_sim_ns` (recharge or spin-up, dump replay),
 //!   `scan_sim_ns` (docstore: superblock and header search; relstore:
-//!   catalog, double-write and log scans) and `redo_sim_ns`, which sum to it;
+//!   catalog, double-write and log scans, read at the device's queue depth)
+//!   and `redo_sim_ns`, which sum to it;
 //! - `ttfr_sim_ns` — simulated time to the first completed read (the
 //!   user-visible outage), always ≥ `recovery_sim_ns`;
 //! - `recovery_wall_ns` — host wall-clock spent inside recovery (the
@@ -234,7 +235,7 @@ fn main() {
         println!(
             "check : OK (schema, device/interval coverage, phases sum to the recovery time, \
              checkpoint-bounded: fewer records at the shorter interval, \
-             docstore scan bounded whatever the file's capacity)"
+             both engines' scans bounded, the relational one below one page per command)"
         );
     }
 }

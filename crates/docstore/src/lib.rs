@@ -767,11 +767,14 @@ impl<D: BlockDevice> DocStore<D> {
         let mut buf = vec![0u8; SCAN_BLOCKS as usize * BLOCK];
         // One command per run of blocks, re-read block by block around a
         // shorn one; a run that cannot be read holds nothing to find.
-        let mut read = |file: &PageFile, first: u64, blocks: &mut [u8], now: Nanos| {
-            file.read_pages_past_shorn(&mut vol, first, blocks, now).unwrap_or_else(|_| {
+        let mut read = |file: &PageFile, first: u64, blocks: &mut [u8], now: Nanos| match file
+            .read_pages_past_shorn(&mut vol, first, blocks, now)
+        {
+            Ok((done, _)) => done,
+            Err(_) => {
                 blocks.fill(0);
                 now
-            })
+            }
         };
         // Both slots at once; the highest generation that decodes wins. A
         // device never written has none: an empty store.

@@ -80,7 +80,7 @@ use durassd::Error;
 use forensics::{EvidenceKind, Ledger, UnitKind};
 use simkit::{crc32_bytewise, Nanos, Recovered, ReplayStats, Timed};
 use std::collections::{BTreeMap, HashSet};
-use storage::device::{BlockDevice, DevError, WriteCause};
+use storage::device::{at_queue_depth, BlockDevice, DevError, WriteCause};
 use storage::file::PageFile;
 use storage::volume::{Volume, VolumeManager};
 use telemetry::{Scope, Telemetry};
@@ -844,33 +844,33 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
         let (catalog, dwb, ts, log_layout) =
             layout(&cfg, data.capacity_pages(), logv.capacity_pages());
         let mut stats = EngineStats::default();
-        // 1. Catalog: newest valid copy wins.
+        // Every read phase below keeps the device's queue full instead of
+        // waiting out each command (`at_queue_depth`); a phase starts when
+        // the one before has its last ack.
+        // 1. Catalog: both slots at once, newest valid copy wins.
         let mut best: Option<(u64, Vec<u8>)> = None;
-        for slot in 0..2u64 {
-            let mut buf = vec![0u8; cfg.page_size];
-            match catalog.read_page(&mut data, slot, &mut buf, t) {
-                Ok(t2) => t = t2,
-                Err(DevError::ShornPage { .. }) => continue,
-                Err(e) => return Err(e.into()),
-            }
+        let mut buf = vec![0u8; cfg.page_size];
+        t = at_queue_depth(0..2u64, t, |slot, at| {
+            let done = match catalog.read_page(&mut data, slot, &mut buf, at) {
+                Ok(done) => done,
+                Err(DevError::ShornPage { .. }) => return Ok(at),
+                Err(e) => return Err(e),
+            };
             let magic = u64::from_le_bytes(buf[..8].try_into().unwrap());
-            if magic != CATALOG_MAGIC {
-                continue;
-            }
             let ntrees = u32::from_le_bytes(buf[24..28].try_into().unwrap()) as usize;
             let body_len = 28 + ntrees * 9;
-            if body_len + 4 > buf.len() {
-                continue;
+            if magic != CATALOG_MAGIC || body_len + 4 > buf.len() {
+                return Ok(done);
             }
             let crc = u32::from_le_bytes(buf[buf.len() - 4..].try_into().unwrap());
-            if crc != crc32_bytewise(&buf[..body_len]) {
-                continue;
-            }
             let seq = u64::from_le_bytes(buf[8..16].try_into().unwrap());
-            if best.as_ref().is_none_or(|(s, _)| seq > *s) {
-                best = Some((seq, buf));
+            if crc == crc32_bytewise(&buf[..body_len])
+                && best.as_ref().is_none_or(|(s, _)| seq > *s)
+            {
+                best = Some((seq, buf.clone()));
             }
-        }
+            Ok(done)
+        })?;
         let (catalog_seq, cbuf) = best.ok_or(Error::NoCatalog)?;
         let next_page = u64::from_le_bytes(cbuf[16..24].try_into().unwrap());
         let ntrees = u32::from_le_bytes(cbuf[24..28].try_into().unwrap()) as usize;
@@ -884,17 +884,19 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
         // beside newer ones (the cursor only wraps), so a bad home page is
         // repaired from its valid copy with the highest page LSN — the copy
         // of the write that tore it. One pass over the slots keeps the
-        // newest copy per page; each such page's home is then checked once.
+        // newest copy per page; each such page's home is then checked once,
+        // and the torn ones are written back together.
         if cfg.double_write {
             let mut newest: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
             // The area is read a write batch per command. A copy the cut
             // tore (its home is intact) reads as zeroes, like a slot never
             // used: neither passes its trailer.
             let mut run = vec![0u8; bufferpool::WRITE_BATCH * cfg.page_size];
-            for first in (0..dwb.pages()).step_by(bufferpool::WRITE_BATCH) {
+            let batches = (0..dwb.pages()).step_by(bufferpool::WRITE_BATCH);
+            t = at_queue_depth(batches, t, |first, at| {
                 let n = (dwb.pages() - first).min(bufferpool::WRITE_BATCH as u64) as usize;
                 let run = &mut run[..n * cfg.page_size];
-                t = dwb.read_pages_past_shorn(&mut data, first, run, t)?;
+                let (done, _) = dwb.read_pages_past_shorn(&mut data, first, run, at)?;
                 for copy in run.chunks_exact(cfg.page_size) {
                     let page_no = sealed_page_no(copy);
                     if page_no >= cfg.data_pages || !trailer_ok(copy, page_no) {
@@ -905,28 +907,30 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
                         kept.copy_from_slice(copy);
                     }
                 }
-            }
-            let buf = &mut run[..cfg.page_size];
-            for (&page_no, copy) in &newest {
-                let home_ok = match ts.read_page(&mut data, page_no, buf, t) {
-                    Ok(t2) => {
-                        t = t2;
-                        never_written(buf) || trailer_ok(buf, page_no)
-                    }
-                    Err(DevError::ShornPage { .. }) => false,
-                    Err(e) => return Err(e.into()),
+                Ok::<_, DevError>(done)
+            })?;
+            let mut torn = Vec::new();
+            t = at_queue_depth(newest.keys(), t, |&page_no, at| {
+                let (done, home_ok) = match ts.read_page(&mut data, page_no, &mut buf, at) {
+                    Ok(done) => (done, never_written(&buf) || trailer_ok(&buf, page_no)),
+                    Err(DevError::ShornPage { .. }) => (at, false),
+                    Err(e) => return Err(e),
                 };
                 if !home_ok {
-                    t = ts.write_page(&mut data, page_no, copy, t)?;
-                    stats.repaired_pages += 1;
+                    torn.push(page_no);
                 }
-            }
-            if stats.repaired_pages > 0 {
+                Ok(done)
+            })?;
+            t = at_queue_depth(&torn, t, |page_no, at| {
+                ts.write_page(&mut data, *page_no, &newest[page_no], at)
+            })?;
+            stats.repaired_pages = torn.len() as u64;
+            if !torn.is_empty() {
                 t = data.fsync(t)?;
             }
         }
         // 3. Log recovery.
-        let (wal, scan, scanned) = Wal::recover(&mut logv, log_layout, t);
+        let (wal, scan, scanned) = Wal::recover(&mut logv, log_layout, t)?;
         t = scanned;
         let mut eng = Self::assemble(cfg, data, logv, (catalog, dwb, ts), wal);
         eng.io.stats = stats;

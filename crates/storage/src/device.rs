@@ -1,6 +1,8 @@
 //! The block-device abstraction all simulated hardware implements.
 
 use simkit::Nanos;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// The logical sector size every device in this repository exposes: 4KB, the
 /// flash-page granularity the paper argues databases should adopt (§2.4).
@@ -222,6 +224,32 @@ pub trait BlockDevice {
     fn stats(&self) -> DeviceStats;
 }
 
+/// Commands a recovering host keeps outstanding: the 32 tags of SATA native
+/// command queueing, the interface of the paper's drive. The device models
+/// impose no queue limit of their own, so the host side states it.
+pub const SATA_NCQ_DEPTH: usize = 32;
+
+/// Issue `cmd(item, submitted)` once per item with at most
+/// [`SATA_NCQ_DEPTH`] commands outstanding: all slots are free at `start`,
+/// the next command takes the slot that frees earliest (so submission times
+/// never decrease) and is submitted when it does; `cmd` returns its ack.
+/// Returns the latest ack (`start` for no items), or the first error.
+pub fn at_queue_depth<T, E>(
+    items: impl IntoIterator<Item = T>,
+    start: Nanos,
+    mut cmd: impl FnMut(T, Nanos) -> Result<Nanos, E>,
+) -> Result<Nanos, E> {
+    let mut free_at: BinaryHeap<Reverse<Nanos>> = vec![Reverse(start); SATA_NCQ_DEPTH].into();
+    let mut done = start;
+    for item in items {
+        let Reverse(submitted) = free_at.pop().expect("the queue has slots");
+        let ack = cmd(item, submitted)?;
+        done = done.max(ack);
+        free_at.push(Reverse(ack));
+    }
+    Ok(done)
+}
+
 /// Validate an I/O request against a device capacity; shared by the device
 /// implementations.
 pub fn check_io(lpn: u64, pages: u32, buf_len: usize, capacity: u64) -> DevResult<()> {
@@ -263,6 +291,33 @@ mod tests {
             Err(DevError::BadLength { expected, got })
                 if expected == 2 * LOGICAL_PAGE && got == LOGICAL_PAGE
         ));
+    }
+
+    #[test]
+    fn queue_depth_overlaps_a_window_and_stops_at_the_first_error() {
+        // 70 commands of 100 ns: three rounds (32 + 32 + 6), each submitted
+        // when the slot it takes came free.
+        let mut submitted = Vec::new();
+        let done = at_queue_depth(0..70, 1_000, |_, at| {
+            submitted.push(at);
+            Ok::<_, ()>(at + 100)
+        });
+        assert_eq!(done, Ok(1_300));
+        assert!(submitted.is_sorted(), "{submitted:?}");
+        assert_eq!((submitted[31], submitted[32], submitted[64]), (1_000, 1_100, 1_200));
+        // The latest ack is not the last command's.
+        assert_eq!(at_queue_depth([500, 10], 0, |dur, at| Ok::<_, ()>(at + dur)), Ok(500));
+        assert_eq!(at_queue_depth(0..0, 7, |_: u32, at| Ok::<_, ()>(at)), Ok(7));
+        let mut issued = 0;
+        let failed = at_queue_depth(0..9, 0, |i, at| {
+            issued += 1;
+            if i == 3 {
+                Err("media")
+            } else {
+                Ok(at + 1)
+            }
+        });
+        assert_eq!((failed, issued), (Err("media"), 4));
     }
 
     #[test]

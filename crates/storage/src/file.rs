@@ -115,26 +115,31 @@ impl PageFile {
     /// what a power cut tore: when the command reports a shorn page the run
     /// is re-read page by page, and each shorn page comes back as zeroes —
     /// what a page never written reads as. Any other error is returned.
+    /// Beside the completion time comes the first shorn file page, if any,
+    /// for a scan that must not trust what follows a tear.
     pub fn read_pages_past_shorn<D: BlockDevice>(
         &self,
         vol: &mut Volume<D>,
         page_no: u64,
         buf: &mut [u8],
         now: Nanos,
-    ) -> DevResult<Nanos> {
+    ) -> DevResult<(Nanos, Option<u64>)> {
         match self.read_pages(vol, page_no, buf, now) {
             Err(DevError::ShornPage { .. }) => {}
-            other => return other,
+            other => return other.map(|done| (done, None)),
         }
-        let mut t = now;
+        let (mut t, mut first_shorn) = (now, None);
         for (page, out) in (page_no..).zip(buf.chunks_exact_mut(self.page_size)) {
             match self.read_page(vol, page, out, t) {
                 Ok(done) => t = done,
-                Err(DevError::ShornPage { .. }) => out.fill(0),
+                Err(DevError::ShornPage { .. }) => {
+                    out.fill(0);
+                    first_shorn = first_shorn.or(Some(page));
+                }
                 Err(e) => return Err(e),
             }
         }
-        Ok(t)
+        Ok((t, first_shorn))
     }
 
     /// Write `n` consecutive file pages in one device command (used by the
@@ -306,11 +311,12 @@ mod tests {
         f.write_pages(&mut vol, 0, &vec![7u8; 8 * 8192], 0).unwrap();
         let mut buf = vec![0xEEu8; 4 * 8192];
         // Intact run: one command.
-        f.read_pages_past_shorn(&mut vol, 2, &mut buf, 0).unwrap();
-        assert_eq!((vol.device_stats().reads, &buf), (1, &vec![7u8; 4 * 8192]));
+        let (_, shorn) = f.read_pages_past_shorn(&mut vol, 2, &mut buf, 0).unwrap();
+        assert_eq!((vol.device_stats().reads, &buf, shorn), (1, &vec![7u8; 4 * 8192], None));
         // File page 3 (LPNs 6, 7) is shorn: the command, then each page.
         vol.device_mut().2 = Some(7);
-        f.read_pages_past_shorn(&mut vol, 2, &mut buf, 0).unwrap();
+        let (_, shorn) = f.read_pages_past_shorn(&mut vol, 2, &mut buf, 0).unwrap();
+        assert_eq!(shorn, Some(3));
         assert_eq!(vol.device_stats().reads, 1 + 3, "the shorn page's read is not served");
         assert_eq!(buf[..8192], vec![7u8; 8192][..]);
         assert_eq!(buf[8192..2 * 8192], vec![0u8; 8192][..], "shorn reads as never written");

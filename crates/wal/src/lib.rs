@@ -50,7 +50,8 @@ pub mod record;
 
 use forensics::{EvidenceKind, Ledger};
 use simkit::{crc32_bytewise, Nanos};
-use storage::device::{BlockDevice, WriteCause, LOGICAL_PAGE};
+use std::ops::Range;
+use storage::device::{BlockDevice, DevResult, WriteCause, LOGICAL_PAGE};
 use storage::file::PageFile;
 use storage::volume::{Volume, VolumeManager};
 use telemetry::{SegKind, Telemetry};
@@ -339,6 +340,21 @@ impl Wal {
         ((pos / per_file) as usize, pos % per_file)
     }
 
+    /// Split the stream blocks `start..start + n` into the runs one device
+    /// command can carry: `(file, block-in-file, blocks of the n)`. A run
+    /// ends with its file, and the circle wraps where the last file ends.
+    fn runs(&self, start: u64, n: usize) -> impl Iterator<Item = (usize, u64, Range<usize>)> + '_ {
+        let mut b = 0;
+        std::iter::from_fn(move || {
+            (b < n).then(|| {
+                let (file, in_file) = self.locate(start + b as u64);
+                let len = (n - b).min((self.files[file].pages() - in_file) as usize);
+                b += len;
+                (file, in_file, b - len..b)
+            })
+        })
+    }
+
     /// Write all buffered bytes as whole blocks and fsync. Returns
     /// completion time. Caller manages `inflight`/`durable_lsn`.
     fn flush_buffer<D: BlockDevice>(&mut self, vol: &mut Volume<D>, now: Nanos) -> Nanos {
@@ -368,30 +384,18 @@ impl Wal {
         run.resize(nblocks * BLOCK, 0);
         run[..start_off].copy_from_slice(&self.tail_image[..start_off]);
         run[start_off..start_off + self.buf.len()].copy_from_slice(&self.buf);
-        // Issue per-block-run writes, splitting at file boundaries and wrap.
+        // One write per run, splitting at file boundaries and the wrap.
         let t = vol.with_cause(cause, |vol| {
             let mut t = now;
-            let mut b = 0usize;
-            while b < nblocks {
-                let (file, in_file) = self.locate(start_block + b as u64);
-                // Contiguous run within this file.
-                let mut len = 1usize;
-                while b + len < nblocks {
-                    let (f2, if2) = self.locate(start_block + (b + len) as u64);
-                    if f2 != file || if2 != in_file + len as u64 {
-                        break;
-                    }
-                    len += 1;
-                }
-                let data = &run[b * BLOCK..(b + len) * BLOCK];
+            for (file, in_file, blocks) in self.runs(start_block, nblocks) {
+                let data = &run[blocks.start * BLOCK..blocks.end * BLOCK];
                 t = self.files[file]
                     .write_pages(vol, in_file, data, t)
                     .expect("log geometry is static");
-                self.stats.bytes_written += (len * BLOCK) as u64;
-                b += len;
             }
             vol.fsync(t).expect("log device reachable")
         });
+        self.stats.bytes_written += run.len() as u64;
         // Remember the new partial tail image.
         let tail_off = (end % BLOCK as u64) as usize;
         if tail_off == 0 {
@@ -578,67 +582,61 @@ impl Wal {
     /// the first torn/garbage record (reported in [`LogScan::tear`]).
     /// Returns the recovered log (positioned at the end of the valid
     /// suffix), the scan, and the completion time.
+    ///
+    /// The scan reads forward through a [`ScanWindow`]. A block the device
+    /// reports shorn ends it the way a torn frame does — the records before
+    /// the block are returned and the tear names the first one that reaches
+    /// into it; a shorn header block reads as an unformatted one. Any other
+    /// device error is returned.
     pub fn recover<D: BlockDevice>(
         vol: &mut Volume<D>,
         files: Vec<PageFile>,
         now: Nanos,
-    ) -> (Self, LogScan, Nanos) {
+    ) -> DevResult<(Self, LogScan, Nanos)> {
         let mut wal = Self::new(files);
         let mut scan = LogScan::default();
-        let mut hdr = vec![0u8; BLOCK];
-        let mut t = wal.files[0].read_page(vol, 0, &mut hdr, now).expect("header block");
+        let mut hdr = [0u8; BLOCK];
+        let (mut t, _) = wal.files[0].read_pages_past_shorn(vol, 0, &mut hdr, now)?;
         let magic = u64::from_le_bytes(hdr[..8].try_into().unwrap());
         let ckpt = u64::from_le_bytes(hdr[8..16].try_into().unwrap());
         let crc = u32::from_le_bytes(hdr[16..20].try_into().unwrap());
         if magic != HDR_MAGIC || crc != crc32_bytewise(&hdr[..16]) {
             // Unformatted or corrupt header: empty log.
-            return (wal, scan, t);
+            return Ok((wal, scan, t));
         }
         wal.checkpoint_lsn = ckpt;
-        // Scan forward from the checkpoint.
+        // Scan forward from the checkpoint, at most one lap of the circle.
+        let lap_end = ckpt + wal.capacity_bytes();
+        let mut win = ScanWindow::new(ckpt, lap_end);
         let mut lsn = ckpt;
-        let mut block_cache: Option<(u64, Vec<u8>)> = None;
-        let mut read_byte = |wal: &Wal, vol: &mut Volume<D>, off: u64, t: &mut Nanos| -> u8 {
-            let blk = off / BLOCK as u64;
-            if block_cache.as_ref().map(|(b, _)| *b) != Some(blk) {
-                let (file, in_file) = wal.locate(blk);
-                let mut buf = vec![0u8; BLOCK];
-                *t = wal.files[file].read_page(vol, in_file, &mut buf, *t).expect("log block");
-                block_cache = Some((blk, buf));
-            }
-            block_cache.as_ref().unwrap().1[(off % BLOCK as u64) as usize]
-        };
-        loop {
-            // A record never exceeds the remaining capacity; stop when the
-            // scan has covered a full circle.
-            if lsn - ckpt >= wal.capacity_bytes() {
+        while lsn < lap_end {
+            if !win.fill(&wal, vol, lsn, lsn + REC_HDR as u64, &mut t)? {
+                // No room for a frame header: the lap is over, or the header
+                // reaches into a shorn block.
+                scan.tear = win.shorn.then_some(Tear { lsn, kind: TearKind::TornFrame });
                 break;
             }
-            let mut hdr_bytes = [0u8; REC_HDR];
-            for (i, b) in hdr_bytes.iter_mut().enumerate() {
-                *b = read_byte(&wal, vol, lsn + i as u64, &mut t);
-            }
-            let len = u32::from_le_bytes(hdr_bytes[..4].try_into().unwrap()) as usize;
-            let rec_lsn = u64::from_le_bytes(hdr_bytes[4..12].try_into().unwrap());
-            let crc = u32::from_le_bytes(hdr_bytes[12..16].try_into().unwrap());
+            let frame = win.bytes_at(lsn);
+            let len = u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize;
+            let rec_lsn = u64::from_le_bytes(frame[4..12].try_into().unwrap());
+            let crc = u32::from_le_bytes(frame[12..16].try_into().unwrap());
             if rec_lsn != lsn || len == 0 || len as u64 > wal.capacity_bytes() {
                 // Clean end: zeroed space, or stale residue from a previous
                 // lap of the circle (its embedded LSN cannot match).
                 break;
             }
-            let mut payload = vec![0u8; len];
-            for (i, b) in payload.iter_mut().enumerate() {
-                *b = read_byte(&wal, vol, lsn + (REC_HDR + i) as u64, &mut t);
-            }
-            if crc32_bytewise(&payload) != crc {
+            let end = lsn + (REC_HDR + len) as u64;
+            let whole = win.fill(&wal, vol, lsn, end, &mut t)?;
+            let payload = &win.bytes_at(lsn)[REC_HDR..];
+            if !whole || crc32_bytewise(&payload[..len]) != crc {
                 // A record frame that matches this position but fails its
-                // CRC is a partially-persisted write: a torn tail.
+                // CRC, or runs into a shorn block or past the lap, is a
+                // partially-persisted write: a torn tail.
                 scan.tear = Some(Tear { lsn, kind: TearKind::TornFrame });
                 break;
             }
-            match LogRecord::decode(&payload) {
-                Some((record, used)) if used == payload.len() => {
-                    let end = lsn + (REC_HDR + len) as u64;
+            match LogRecord::decode(&payload[..len]) {
+                Some((record, used)) if used == len => {
                     scan.records.push(ScannedRecord { lsn, end, record });
                     lsn = end;
                 }
@@ -653,17 +651,88 @@ impl Wal {
         wal.next_lsn = lsn;
         wal.durable_lsn = lsn;
         wal.buf_start = lsn;
-        // Rebuild the partial tail image so appends continue seamlessly.
+        // The partial tail block, so appends continue seamlessly: the scan
+        // read it on the way to `lsn` and the window still holds it.
         let tail_off = (lsn % BLOCK as u64) as usize;
-        if tail_off != 0 {
-            let blk = lsn / BLOCK as u64;
-            let (file, in_file) = wal.locate(blk);
-            let mut buf = vec![0u8; BLOCK];
-            t = wal.files[file].read_page(vol, in_file, &mut buf, t).expect("log block");
-            wal.tail_image[..tail_off].copy_from_slice(&buf[..tail_off]);
-            wal.tail_image[tail_off..].fill(0);
+        if tail_off != 0 && win.fill(&wal, vol, lsn, lsn + 1, &mut t)? {
+            let tail = win.bytes_at(lsn - tail_off as u64);
+            wal.tail_image[..tail_off].copy_from_slice(&tail[..tail_off]);
         }
-        (wal, scan, t)
+        Ok((wal, scan, t))
+    }
+}
+
+/// Largest read command of a recovery scan, in blocks (256 KiB).
+const SCAN_MAX_BLOCKS: usize = 64;
+
+/// The stretch of the log stream a recovery scan holds in memory: the whole
+/// blocks `first..next`, read forward in commands that start at one block —
+/// all an empty log costs — and double up to [`SCAN_MAX_BLOCKS`], split where
+/// [`Wal::runs`] splits a flush. No block is read twice.
+struct ScanWindow {
+    bytes: Vec<u8>,
+    first: u64,
+    next: u64,
+    /// No block at or past this one is read: the end of the lap, or the
+    /// first shorn block (nothing behind a tear is trusted).
+    limit: u64,
+    /// Blocks the next command asks for.
+    step: usize,
+    /// Whether `limit` is a shorn block.
+    shorn: bool,
+}
+
+impl ScanWindow {
+    /// An empty window on a scan of the stream bytes `from..lap_end`.
+    fn new(from: Lsn, lap_end: Lsn) -> Self {
+        let first = from / BLOCK as u64;
+        let limit = lap_end.div_ceil(BLOCK as u64);
+        Self { bytes: Vec::new(), first, next: first, limit, step: 1, shorn: false }
+    }
+
+    /// The window from stream offset `lsn` on (`lsn` within `first..next`).
+    fn bytes_at(&self, lsn: Lsn) -> &[u8] {
+        &self.bytes[(lsn - self.first * BLOCK as u64) as usize..]
+    }
+
+    /// Read ahead until the window holds the stream bytes `lsn..end`, letting
+    /// go of the blocks before `lsn`. False when `end` lies past the limit.
+    fn fill<D: BlockDevice>(
+        &mut self,
+        wal: &Wal,
+        vol: &mut Volume<D>,
+        lsn: Lsn,
+        end: Lsn,
+        t: &mut Nanos,
+    ) -> DevResult<bool> {
+        while self.next * (BLOCK as u64) < end {
+            if self.next >= self.limit {
+                return Ok(false);
+            }
+            let done_blocks = lsn / BLOCK as u64 - self.first;
+            self.bytes.drain(..done_blocks as usize * BLOCK);
+            self.first += done_blocks;
+            let n = self.step.min((self.limit - self.next) as usize);
+            let at = self.bytes.len();
+            self.bytes.resize(at + n * BLOCK, 0);
+            for (file, in_file, blocks) in wal.runs(self.next, n) {
+                let out = &mut self.bytes[at + blocks.start * BLOCK..at + blocks.end * BLOCK];
+                let (done, shorn) = wal.files[file].read_pages_past_shorn(vol, in_file, out, *t)?;
+                *t = done;
+                if let Some(page) = shorn {
+                    let intact = blocks.start + (page - in_file) as usize;
+                    self.bytes.truncate(at + intact * BLOCK);
+                    self.next += intact as u64;
+                    (self.limit, self.shorn) = (self.next, true);
+                    break;
+                }
+            }
+            if !self.shorn {
+                self.next += n as u64;
+                self.step = (self.step * 2).min(SCAN_MAX_BLOCKS);
+            }
+        }
+        Ok(true)
     }
 }
 
@@ -727,7 +796,7 @@ mod tests {
         let files = wal.files.clone();
         let end = wal.next_lsn();
         drop(wal);
-        let (wal2, scan, _) = Wal::recover(&mut vol, files, t);
+        let (wal2, scan, _) = Wal::recover(&mut vol, files, t).unwrap();
         assert_eq!(scan.records.len(), 10);
         assert!(scan.tear.is_none());
         for (i, r) in scan.records.iter().enumerate() {
@@ -750,7 +819,7 @@ mod tests {
         let _ = wal.append(&rec(b"lost"));
         // No commit for the second record: crash now.
         let files = wal.files.clone();
-        let (_, scan, _) = Wal::recover(&mut vol, files, 0);
+        let (_, scan, _) = Wal::recover(&mut vol, files, 0).unwrap();
         assert_eq!(scan.records.len(), 1);
         assert_eq!(value_of(&scan.records[0]), b"committed");
         assert!(scan.tear.is_none(), "unwritten space is a clean end, not a tear");
@@ -816,10 +885,10 @@ mod tests {
         let a = wal.append(&rec(b"first"));
         let t = wal.commit(&mut vol, a, 0);
         let files = wal.files.clone();
-        let (mut wal2, _, t2) = Wal::recover(&mut vol, files.clone(), t);
+        let (mut wal2, _, t2) = Wal::recover(&mut vol, files.clone(), t).unwrap();
         let b = wal2.append(&rec(b"second"));
         let t3 = wal2.commit(&mut vol, b, t2);
-        let (_, scan, _) = Wal::recover(&mut vol, files, t3);
+        let (_, scan, _) = Wal::recover(&mut vol, files, t3).unwrap();
         assert_eq!(scan.records.len(), 2);
         assert_eq!(value_of(&scan.records[1]), b"second");
     }
@@ -837,11 +906,138 @@ mod tests {
         }
         let files = wal.files.clone();
         let ckpt = wal.checkpoint_lsn;
-        let (wal2, scan, _) = Wal::recover(&mut vol, files, t);
+        let (wal2, scan, _) = Wal::recover(&mut vol, files.clone(), t).unwrap();
         // Everything after the final checkpoint (nothing) scans cleanly.
         assert_eq!(wal2.checkpoint_lsn, ckpt);
         assert!(scan.records.is_empty());
         assert!(scan.tear.is_none(), "stale previous-lap bytes are a clean end");
+        // Five more records and no checkpoint: the live log starts in stream
+        // block 5 (file 1, block 2), wraps after block 6 and ends in block 8.
+        assert_eq!(ckpt / BLOCK as u64, 5);
+        let mut lsns = Vec::new();
+        for i in 0..5u8 {
+            lsns.push(wal.append(&rec(&[0xA0 | i; 2000])));
+            t = wal.commit(&mut vol, lsns[i as usize], t);
+        }
+        assert_eq!((wal.next_lsn() - 1) / BLOCK as u64, 8);
+        let reads = vol.device_stats().reads;
+        let (wal2, scan, _) = Wal::recover(&mut vol, files, t).unwrap();
+        assert!(scan.tear.is_none());
+        assert_eq!(scan.records.iter().map(|r| r.lsn).collect::<Vec<_>>(), lsns);
+        for (i, r) in scan.records.iter().enumerate() {
+            assert_eq!(value_of(r), &[0xA0 | i as u8; 2000]);
+        }
+        assert_eq!((wal2.next_lsn(), &wal2.tail_image), (wal.next_lsn(), &wal.tail_image));
+        // Header; block 5; blocks 6-7, split by the wrap; blocks 8-11, split
+        // where file 0 ends — a wrap and a file boundary inside one step each.
+        assert_eq!(vol.device_stats().reads - reads, 1 + 1 + 2 + 2);
+    }
+
+    /// A `MemDevice` that remembers its read commands and reports one LPN
+    /// as shorn.
+    struct Reads {
+        inner: MemDevice,
+        commands: Vec<(u64, u32)>,
+        shorn: Option<u64>,
+    }
+
+    impl BlockDevice for Reads {
+        fn capacity_pages(&self) -> u64 {
+            self.inner.capacity_pages()
+        }
+        fn read(&mut self, lpn: u64, pages: u32, buf: &mut [u8], now: Nanos) -> DevResult<Nanos> {
+            self.commands.push((lpn, pages));
+            if let Some(shorn) = self.shorn.filter(|s| (lpn..lpn + pages as u64).contains(s)) {
+                return Err(storage::device::DevError::ShornPage { lpn: shorn });
+            }
+            self.inner.read(lpn, pages, buf, now)
+        }
+        fn write(&mut self, lpn: u64, data: &[u8], now: Nanos) -> DevResult<Nanos> {
+            self.inner.write(lpn, data, now)
+        }
+        fn flush(&mut self, now: Nanos) -> DevResult<Nanos> {
+            self.inner.flush(now)
+        }
+        fn power_cut(&mut self, now: Nanos) {
+            self.inner.power_cut(now)
+        }
+        fn reboot(&mut self, now: Nanos) -> Nanos {
+            self.inner.reboot(now)
+        }
+        fn is_powered(&self) -> bool {
+            self.inner.is_powered()
+        }
+        fn stats(&self) -> storage::device::DeviceStats {
+            self.inner.stats()
+        }
+    }
+
+    /// A three-file log on a [`Reads`] device whose records since the
+    /// checkpoint (LSN 0) end inside stream block `blocks - 1`, committed.
+    fn log_of(blocks: u64) -> (Volume<Reads>, Wal, Vec<Lsn>) {
+        let dev = Reads { inner: MemDevice::new(4096), commands: Vec::new(), shorn: None };
+        let mut vol = Volume::new(dev, true);
+        let mut vm = VolumeManager::new(4096);
+        let (mut wal, mut t) = Wal::create(&mut vol, &mut vm, 3, 1024, 0);
+        let mut lsns = Vec::new();
+        while wal.next_lsn() <= (blocks - 1) * BLOCK as u64 {
+            lsns.push(wal.append(&rec(&[lsns.len() as u8; 1000])));
+            t = wal.commit(&mut vol, *lsns.last().unwrap(), t);
+        }
+        (vol, wal, lsns)
+    }
+
+    #[test]
+    fn recovery_reads_in_doubling_commands_and_no_block_twice() {
+        // Commands of 1, 2, 4, ... blocks, 64 at most, until the end of the
+        // log is in one of them; and the header block.
+        for (blocks, commands, blocks_read) in [(1, 1, 1), (37, 6, 63), (300, 6 + 4, 63 + 4 * 64)] {
+            let (mut vol, wal, lsns) = log_of(blocks);
+            let (wal2, scan, _) = Wal::recover(&mut vol, wal.files.clone(), 0).unwrap();
+            assert_eq!(scan.records.len(), lsns.len(), "{blocks} blocks");
+            assert_eq!((wal2.next_lsn(), &wal2.tail_image), (wal.next_lsn(), &wal.tail_image));
+            let reads = &vol.device().commands;
+            assert_eq!(reads.len(), 1 + commands, "{blocks} blocks: {reads:?}");
+            // The tail block is not read a second time for the tail image.
+            let mut lpns: Vec<u64> = reads.iter().flat_map(|&(l, n)| l..l + n as u64).collect();
+            assert_eq!(lpns.len(), 1 + blocks_read, "{blocks} blocks");
+            lpns.sort_unstable();
+            lpns.dedup();
+            assert_eq!(lpns.len(), 1 + blocks_read, "{blocks} blocks: a block was read twice");
+        }
+        // An empty log costs the header and one data block, fresh or
+        // checkpointed at its end.
+        let (mut vol, mut wal, _) = log_of(37);
+        wal.checkpoint(&mut vol, wal.next_lsn(), 0);
+        vol.device_mut().commands.clear();
+        let (wal2, scan, _) = Wal::recover(&mut vol, wal.files.clone(), 0).unwrap();
+        assert!(scan.records.is_empty() && scan.tear.is_none());
+        assert_eq!((wal2.next_lsn(), &wal2.tail_image), (wal.next_lsn(), &wal.tail_image));
+        assert_eq!(vol.device().commands.len(), 2);
+    }
+
+    #[test]
+    fn a_shorn_block_ends_the_scan_as_a_tear() {
+        let (mut vol, wal, lsns) = log_of(37);
+        // Stream block 20 is LPN 21, behind the header block. Nothing at or
+        // past it is trusted: the scan keeps the records that end before it.
+        let shorn_at = 20 * BLOCK as u64;
+        vol.device_mut().shorn = Some(21);
+        let (wal2, scan, _) = Wal::recover(&mut vol, wal.files.clone(), 0).unwrap();
+        let kept = lsns.iter().skip(1).filter(|&&next| next <= shorn_at).count();
+        assert!(kept > 0 && scan.records.len() == kept, "{} of {kept}", scan.records.len());
+        assert!(scan.records.iter().all(|r| r.end <= shorn_at));
+        assert_eq!(scan.tear, Some(Tear { lsn: lsns[kept], kind: TearKind::TornFrame }));
+        assert_eq!(wal2.next_lsn(), lsns[kept]);
+        // The command that met it (blocks 15..31) was re-read block by
+        // block; nothing behind the tear is read after that.
+        let last = *vol.device().commands.last().unwrap();
+        assert_eq!(last, (1 + 30, 1));
+        // A shorn header block reads as an unformatted log.
+        vol.device_mut().shorn = Some(0);
+        let (wal3, scan, _) = Wal::recover(&mut vol, wal.files.clone(), 0).unwrap();
+        assert!(scan.records.is_empty() && scan.tear.is_none());
+        assert_eq!(wal3.next_lsn(), 0);
     }
 
     #[test]
@@ -906,7 +1102,7 @@ mod tests {
         let mut vol = Volume::new(MemDevice::new(256), true);
         let mut vm = VolumeManager::new(256);
         let files = vec![PageFile::create(&mut vm, 8, BLOCK)];
-        let (wal, scan, _) = Wal::recover(&mut vol, files, 0);
+        let (wal, scan, _) = Wal::recover(&mut vol, files, 0).unwrap();
         assert!(scan.records.is_empty());
         assert!(scan.tear.is_none());
         assert_eq!(wal.next_lsn(), 0);
@@ -933,7 +1129,7 @@ mod tests {
         let t = wal.files[file].write_page(&mut vol, in_file, &buf, t).unwrap();
         let files = wal.files.clone();
         drop(wal);
-        let (wal2, scan, _) = Wal::recover(&mut vol, files, t);
+        let (wal2, scan, _) = Wal::recover(&mut vol, files, t).unwrap();
         assert_eq!(scan.records.len(), 2, "only the prefix before the flip survives");
         for (i, r) in scan.records.iter().enumerate() {
             assert_eq!(value_of(r), &[i as u8; 200]);
@@ -964,7 +1160,7 @@ mod tests {
             let after = wal.append(&rec(b"after"));
             wal.commit(&mut vol, after, 0);
             let files = wal.files.clone();
-            let (wal2, scan, _) = Wal::recover(&mut vol, files, 0);
+            let (wal2, scan, _) = Wal::recover(&mut vol, files, 0).unwrap();
             assert_eq!(scan.records.len(), 1);
             assert_eq!(scan.tear, Some(Tear { lsn: garbage, kind: TearKind::BadRecord }));
             assert_eq!(wal2.next_lsn(), garbage);
@@ -1003,7 +1199,7 @@ mod tests {
                 }
                 let files = wal.files.clone();
                 drop(wal);
-                let (_, scan, _) = Wal::recover(&mut vol, files, t);
+                let (_, scan, _) = Wal::recover(&mut vol, files, t).unwrap();
                 assert_eq!(scan.records.len(), committed.len());
                 assert!(scan.tear.is_none());
                 for (r, (lsn, payload)) in scan.records.iter().zip(committed.iter()) {

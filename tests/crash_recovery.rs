@@ -630,6 +630,115 @@ mod cuts_inside_compaction_lose_nothing {
     }
 }
 
+/// A second cut, inside recovery. 900 committed puts with a checkpoint after
+/// the 600th and a power cut; 40 home pages torn behind the engine's back
+/// (their double-write copies intact), so recovery has more repair writes
+/// than one window of its queue — then the power goes again at each write
+/// and flush recovery issues in turn, 1 ns before its ack and 1 ns after,
+/// with the writes around it in flight. The recovery after that must bring
+/// back every row. Returns the rows lost over all cuts.
+fn cuts_inside_recovery<D: BlockDevice>(mk: impl Fn() -> D, barriers: bool) -> u64 {
+    const TORN: u64 = 40;
+    // A pool and an area that hold everything: no page is evicted, so every
+    // home page's newest copy stays in the area for as long as the test runs.
+    let cfg = EngineConfig {
+        barriers,
+        double_write: true,
+        buffer_pool_bytes: 512 * 4096,
+        dwb_pages: 512,
+        checkpoint_policy: relstore::CheckpointPolicy::Explicit,
+        ..engine_cfg(true)
+    };
+    let fuse = Rc::new(Fuse::default());
+    fuse.every_command.set(true);
+    let doomed = |inner, burns| Doomed { inner, fuse: fuse.clone(), burns };
+    let (mut e, t0) = Engine::create(doomed(mk(), true), doomed(mk(), false), cfg, 0).into_parts();
+    let (tree, mut now) = e.create_tree(t0).into_parts();
+    let mut rng = SimRng::seed_from_u64(7);
+    let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+    for op in 0..900u64 {
+        if op == 600 {
+            now = e.checkpoint(now);
+            assert!(e.stats().page_writes >= TORN, "{} pages", e.stats().page_writes);
+        }
+        let key = format!("key{:05}", rng.gen_range(0..2000u64)).into_bytes();
+        let val = format!("v{op}:{}", "x".repeat(rng.gen_range(150..300usize))).into_bytes();
+        now = e.put(tree, &key, &val, now);
+        model.insert(key, val);
+        now = e.commit(now);
+    }
+    assert_eq!(e.pool_stats().dirty_evictions, 0);
+    let want: Vec<(Vec<u8>, Vec<u8>)> = model.into_iter().collect();
+    let home = 2 + cfg.dwb_pages;
+    let mut page = vec![0u8; 4096];
+    let mut lost = 0;
+    // First an undisturbed recovery under a fuse that only counts, from far
+    // away, the commands it issues; then a cut at each of them.
+    const FAR: u64 = 1 << 40;
+    let mut cuts = vec![(FAR, false)];
+    let mut repaired_after_a_cut = 0;
+    while let Some((command, after_ack)) = cuts.pop() {
+        let (mut d, l) = e.crash(now + 1);
+        // Tear the first pages' homes, durably, with the power back on.
+        now = d.inner.reboot(now + 2);
+        for page_no in 0..TORN {
+            now = d.inner.read(home + page_no, 1, &mut page, now).unwrap();
+            page[2048..4000].fill(0xEE);
+            now = d.inner.write(home + page_no, &page, now).unwrap();
+        }
+        now = d.inner.flush(now).unwrap();
+        d.inner.power_cut(now + 1);
+        fuse.commands_left.set(Some(command));
+        fuse.after_ack.set(after_ack);
+        // Dead or alive, the host's recovery runs to its end.
+        let rec =
+            Engine::recover(d, l, cfg, now + 2).unwrap_or_else(|err| panic!("{command}: {err}"));
+        if command == FAR {
+            let n = FAR - fuse.commands_left.take().expect("still counting");
+            assert_eq!(rec.value.stats().repaired_pages, TORN);
+            assert_eq!(n, TORN + u64::from(barriers), "the repair writes and their flush");
+            cuts.extend((1..=n).flat_map(|c| [(c, false), (c, true)]));
+        }
+        now = rec.done;
+        e = rec.value;
+        if let Some((cut_at, _)) = fuse.blown.take() {
+            let (d, l) = e.crash(now);
+            let rec = Engine::recover(d, l, cfg, now.max(cut_at) + 1_000_000)
+                .unwrap_or_else(|err| panic!("after the cut at command {command}: {err}"));
+            repaired_after_a_cut += rec.value.stats().repaired_pages;
+            (e, now) = rec.into_parts();
+        } else {
+            assert_eq!(command, FAR, "recovery reached command {command}");
+        }
+        let (got, t) = e.scan(tree, b"", want.len() + 1, now).into_parts();
+        now = t;
+        lost += want.iter().filter(|row| got.binary_search(row).is_err()).count() as u64;
+        lost += e.stats().corrupt_reads + (got.len() as u64).saturating_sub(want.len() as u64);
+    }
+    assert!(repaired_after_a_cut > 0, "some cut must leave repairs undone, or this pins nothing");
+    lost
+}
+
+/// [`cuts_inside_recovery`] on each device class, under the mount it needs.
+mod cuts_inside_recovery_lose_nothing {
+    use super::*;
+
+    #[test]
+    fn on_durassd_without_barriers() {
+        assert_eq!(cuts_inside_recovery(durassd, false), 0);
+    }
+
+    #[test]
+    fn on_ssd_a_with_barriers() {
+        assert_eq!(cuts_inside_recovery(volatile_ssd, true), 0);
+    }
+
+    #[test]
+    fn on_the_disk_with_barriers() {
+        assert_eq!(cuts_inside_recovery(disk, true), 0);
+    }
+}
+
 #[test]
 fn uncommitted_work_never_reappears_after_crash() {
     let cfg = engine_cfg(true);

@@ -225,25 +225,44 @@ impl BlockDevice for BadReads {
 #[test]
 fn recover_returns_device_read_errors() {
     // A read error that is not a shorn page is the device's to report and
-    // recovery's to pass on, wherever it strikes: the catalog (LPNs 0..2)
-    // or the double-write area behind it.
+    // recovery's to pass on, wherever it strikes. On the data device: the
+    // catalog (LPNs 0..2) or the double-write area behind it. On the log
+    // device: the header block (LPN 0), a block inside the records to redo
+    // (the log was never checkpointed, so they start at LPN 1) or the block
+    // they end in.
     let cfg = EngineConfig {
         buffer_pool_bytes: 16 * 4096,
         data_pages: 2048,
         log_files: 2,
         log_file_blocks: 512,
         dwb_pages: 16,
+        checkpoint_policy: relstore::CheckpointPolicy::Explicit,
         ..EngineConfig::mysql_like(4096)
     };
-    for bad in [0..2, 2..2 + cfg.dwb_pages] {
-        let data = BadReads { inner: MemDevice::new(8 * 1024), bad: 0..0, error: media_error };
-        let (mut e, t0) = Engine::create(data, MemDevice::new(4 * 1024), cfg, 0).into_parts();
-        let (tree, t1) = e.create_tree(t0).into_parts();
-        let mut now = e.put(tree, b"key", b"value", t1);
-        now = e.commit(now);
-        now = e.checkpoint(now);
-        let (mut d, l) = e.crash(now + 1);
-        d.bad = bad.clone();
+    let device = |blocks| BadReads { inner: MemDevice::new(blocks), bad: 0..0, error: media_error };
+    let cases = [
+        (false, Some(0..2)),
+        (false, Some(2..2 + cfg.dwb_pages)),
+        (true, Some(0..1)),
+        (true, Some(2..3)),
+        (true, None), // the block the records end in
+    ];
+    for (on_log, bad) in cases {
+        let (mut e, t0) = Engine::create(device(8 * 1024), device(4 * 1024), cfg, 0).into_parts();
+        let (tree, mut now) = e.create_tree(t0).into_parts();
+        for i in 0..60u64 {
+            now = e.put(tree, format!("key{i:03}").as_bytes(), &[b'v'; 200], now);
+            now = e.commit(now);
+        }
+        let tail = 1 + e.wal_outstanding_bytes() / 4096;
+        assert!(tail > 3, "the records span blocks: the tail is LPN {tail}");
+        let (mut d, mut l) = e.crash(now + 1);
+        let bad = bad.unwrap_or(tail..tail + 1);
+        if on_log {
+            l.bad = bad.clone();
+        } else {
+            d.bad = bad.clone();
+        }
         match Engine::recover(d, l, cfg, now + 2) {
             Err(Error::Dev(DevError::Media { .. })) => {}
             Err(e) => panic!("reads of {bad:?} fail: want the media error, got {e}"),
@@ -288,6 +307,103 @@ fn double_write_scan_reads_around_a_shorn_copy() {
     let (mut e2, t2) = Engine::recover(d, l, cfg, now + 2).expect("recover").into_parts();
     assert_eq!(e2.stats().repaired_pages, 1);
     assert_eq!(e2.get(tree, b"k", t2).value.as_deref(), Some(&b"version-2"[..]));
+}
+
+#[test]
+fn log_scan_stops_at_a_shorn_block() {
+    // A log block shorn by the cut ends the scan like a torn frame: the
+    // records before it are redone, the tear is reported at the first record
+    // that reaches into the block, and recovery succeeds.
+    let cfg = EngineConfig {
+        buffer_pool_bytes: 64 * 4096,
+        data_pages: 2048,
+        log_files: 2,
+        log_file_blocks: 512,
+        dwb_pages: 16,
+        checkpoint_policy: relstore::CheckpointPolicy::Explicit,
+        ..EngineConfig::mysql_like(4096)
+    };
+    let shorn = |lpn| DevError::ShornPage { lpn };
+    let log = BadReads { inner: MemDevice::new(4 * 1024), bad: 0..0, error: shorn };
+    let (mut e, t0) = Engine::create(MemDevice::new(8 * 1024), log, cfg, 0).into_parts();
+    let (tree, mut now) = e.create_tree(t0).into_parts();
+    let key = |i: u64| format!("key{i:03}").into_bytes();
+    for i in 0..100 {
+        now = e.put(tree, &key(i), &[b'v'; 200], now);
+        now = e.commit(now);
+    }
+    let logged = e.wal_stats().appends;
+    assert!(e.wal_outstanding_bytes() > 6 * 4096);
+    let (d, mut l) = e.crash(now + 1);
+    // Never checkpointed: stream block 4 is LPN 5, behind the header block.
+    l.bad = 5..6;
+    let rec = Engine::recover(d, l, cfg, now + 2).expect("recover");
+    let stats = rec.stats;
+    let (mut e2, t2) = rec.into_parts();
+    assert!(stats.torn == 1 && stats.replayed > 1 && stats.replayed < logged, "{stats:?}");
+    let tear = stats.tear_lsn.expect("the tear is located");
+    assert!(tear < 4 * 4096, "a record reaching into block 4 (a leaf split's images): {tear}");
+    assert!(matches!(relstore::tear_error(&stats), Some(Error::TornLog { .. })));
+    // The keys put before the tear are there, none after it.
+    let found: Vec<bool> = (0..100).map(|i| e2.get(tree, &key(i), t2).value.is_some()).collect();
+    let kept = found.iter().take_while(|&&f| f).count();
+    assert!(kept > 0 && found[kept..].iter().all(|&f| !f), "{found:?}");
+}
+
+#[test]
+fn overlapped_repair_is_the_sequential_repair() {
+    // More torn home pages than one window of the queue holds, every leaf
+    // with two copies in the double-write area (an older one from the first
+    // checkpoint): each torn page comes back from its newest copy, once, and
+    // no intact page is written.
+    let cfg = EngineConfig {
+        buffer_pool_bytes: 512 * 4096,
+        data_pages: 2048,
+        log_files: 2,
+        log_file_blocks: 2048,
+        dwb_pages: 512,
+        checkpoint_policy: relstore::CheckpointPolicy::Explicit,
+        ..EngineConfig::mysql_like(4096)
+    };
+    let (mut e, t0) =
+        Engine::create(MemDevice::new(8 * 1024), MemDevice::new(8 * 1024), cfg, 0).into_parts();
+    let (tree, mut now) = e.create_tree(t0).into_parts();
+    let key = |i: u64| format!("key{i:05}").into_bytes();
+    let mut pages = 0;
+    // Version 2 rewrites every third key: it dirties every leaf.
+    for (version, step) in [(b'1', 1), (b'2', 3)] {
+        for i in (0..2400).step_by(step) {
+            now = e.put(tree, &key(i), &[version; 120], now);
+        }
+        now = e.commit(now);
+        now = e.checkpoint(now);
+        if version == b'1' {
+            pages = e.stats().page_writes;
+        }
+    }
+    let copies = e.stats().dwb_writes;
+    assert!(copies >= 2 * pages - 1, "the second checkpoint wrote every leaf again");
+    assert!(copies <= cfg.dwb_pages, "and the area kept every copy");
+    let (mut d, l) = e.crash(now + 1);
+    // Tear the odd pages' homes: 2 catalog pages and the area precede them.
+    let torn: Vec<u64> = (0..pages).filter(|page| page % 2 == 1).collect();
+    assert!(torn.len() >= 40, "{} pages torn", torn.len());
+    let mut page = vec![0u8; 4096];
+    for page_no in &torn {
+        let home = 2 + cfg.dwb_pages + page_no;
+        d.read(home, 1, &mut page, 0).unwrap();
+        page[2048..4000].fill(0xEE);
+        d.write(home, &page, 0).unwrap();
+    }
+    let writes = d.stats().writes;
+    let (mut e2, t2) = Engine::recover(d, l, cfg, now + 2).expect("recover").into_parts();
+    assert_eq!(e2.stats().repaired_pages, torn.len() as u64);
+    assert_eq!(e2.data_volume().device_stats().writes - writes, torn.len() as u64);
+    for i in 0..2400 {
+        let version = if i % 3 == 0 { b'2' } else { b'1' };
+        assert_eq!(e2.get(tree, &key(i), t2).value, Some(vec![version; 120]), "key {i}");
+    }
+    assert_eq!(e2.stats().corrupt_reads, 0);
 }
 
 #[test]
