@@ -46,6 +46,17 @@ if grep -rnE 'replay_bound|CheckpointBegin|CheckpointEnd|last_ckpt_begin|commit_
     echo "removed checkpoint name referenced above" >&2
     exit 1
 fi
+# The ledger records units at the engines and each layer counts its own acks;
+# the registry has no counter map and no import path; the WAL has one buffer.
+if grep -rnE 'EvidenceKind|EvidenceRow|evidence_rows|ack_evidence|from_json_value|Telemetry::from_json|program_count|tail_image|run_scratch' \
+    crates src tests examples; then
+    echo "removed instrument referenced above" >&2
+    exit 1
+fi
+if grep -n forensics crates/storage/Cargo.toml crates/wal/Cargo.toml; then
+    echo "storage and wal must not depend on forensics" >&2
+    exit 1
+fi
 
 # The seven table/figure bins are rows of `paper` now, and `waf`, `latency`
 # and `tail` are views of one `observe` run; nothing may tell a reader to run
@@ -95,7 +106,7 @@ cargo run -p bench --release -q --bin crashmatrix -- \
     >"$TRACE_TMP/crash.out"
 test -s "$TRACE_TMP/crash.json"
 test -s "$TRACE_TMP/crash.trace.json"
-grep -q '"schema":"durassd.forensics.v1"' "$TRACE_TMP/crash.json"
+grep -q '"schema":"durassd.forensics.v2"' "$TRACE_TMP/crash.json"
 grep -q '"name":"power_cut"' "$TRACE_TMP/crash.trace.json"
 
 echo "== simtest campaign (fixed seeds, every target, shrunk repro on fail) =="

@@ -20,7 +20,7 @@
 //! Run: `cargo run -p bench --release --bin crashmatrix
 //!        [--keys N] [--cuts N] [--seed S] [--json PATH] [--check]`
 //!
-//! `--json` writes the `durassd.forensics.v1` campaign report (plus a
+//! `--json` writes the `durassd.forensics.v2` campaign report (plus a
 //! Chrome-trace JSON of one representative DuraSSD trial, containing the
 //! `power_cut` Instant). `--check` validates the report schema in-process
 //! and exits non-zero if any DuraSSD row lost an acknowledged unit.
@@ -79,8 +79,8 @@ impl CutPhase {
 /// recovered data device's health line.
 #[allow(clippy::too_many_arguments)]
 fn engine_trial<D, L>(
-    mut data: D,
-    mut log: L,
+    data: D,
+    log: L,
     contract: AckContract,
     safe: bool,
     cut_op: u64,
@@ -94,10 +94,6 @@ where
     L: BlockDevice + Forensic,
 {
     let ledger = Ledger::new(contract);
-    // Device-level ack evidence (atomic-write acks, FLUSH CACHE acks) needs
-    // the ledger on the devices before the engine consumes them.
-    data.attach_ledger(ledger.clone());
-    log.attach_ledger(ledger.clone());
     let cfg = EngineConfig::builder(4096)
         .buffer_pool_bytes(96 * 4096) // small: forces evictions mid-run
         .double_write(safe)
@@ -171,7 +167,7 @@ where
 
 /// One document-store trial (fsync per update; a set is its own commit).
 fn doc_trial(
-    mut dev: Ssd,
+    dev: Ssd,
     contract: AckContract,
     barriers: bool,
     cut_op: u64,
@@ -179,7 +175,6 @@ fn doc_trial(
     tel: &Telemetry,
 ) -> TrialOut {
     let ledger = Ledger::new(contract);
-    dev.attach_ledger(ledger.clone());
     let cfg = DocStoreConfig { batch_size: 1, barriers, file_blocks: 65_536, auto_compact_pct: 0 };
     let mut s = DocStore::create(dev, cfg);
     s.attach_telemetry(tel.clone());

@@ -673,7 +673,7 @@ mod tests {
         let mut sink = TelemetrySink::to_path(&path);
         assert!(sink.enabled());
         let t = Telemetry::new();
-        t.incr("ops", 3);
+        t.record("ops", 3);
         sink.add("row A", &t);
         sink.add("row A", &t); // duplicate label gets a suffix, not clobbered
         sink.add("tab\there", &t); // labels escape like every other string

@@ -26,7 +26,7 @@ use workloads::linkbench::OP_TYPES;
 /// Schema tag for `BENCH_recovery.json` (the `recovery` bin).
 pub const RECOVERY_SCHEMA: &str = "durassd.recovery.v3";
 /// Schema tag for crash-campaign reports (`crashmatrix --json`).
-pub const FORENSICS_SCHEMA: &str = "durassd.forensics.v1";
+pub const FORENSICS_SCHEMA: &str = "durassd.forensics.v2";
 /// Schema tag for `BENCH_waf.json` (the `waf` bin).
 pub const WAF_SCHEMA: &str = "durassd.waf.v1";
 /// Schema tag for `BENCH_latency.json` (the `latency` bin) and the `tail`
@@ -233,7 +233,7 @@ static FORENSICS: [Field; 5] = [
     Field::new("rows", Rows(1, &FORENSICS_ROW)),
 ];
 
-/// Structurally validate a `durassd.forensics.v1` crash-campaign document:
+/// Structurally validate a `durassd.forensics.v2` crash-campaign document:
 /// the schema tag, that every row carries a tally / verdict / postmortems,
 /// and that every loss row has a known classification and layer
 /// attribution. The schema makes no cross-row claims (the campaign's one
@@ -1273,8 +1273,12 @@ mod tests {
         );
         // Strip the rows: must be rejected.
         let empty =
-            "{\"schema\":\"durassd.forensics.v1\",\"seed\":1,\"keys\":1,\"cuts\":1,\"rows\":[]}";
+            "{\"schema\":\"durassd.forensics.v2\",\"seed\":1,\"keys\":1,\"cuts\":1,\"rows\":[]}";
         assert!(!check_forensics_report(empty).is_empty());
+        // The previous tag: rejected.
+        let v1 = doc.replace(FORENSICS_SCHEMA, "durassd.forensics.v1");
+        let errs = check_forensics_report(&v1);
+        assert!(errs.iter().any(|e| e.contains("schema")), "{errs:?}");
     }
 
     fn recovery_row(

@@ -53,12 +53,26 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
 /// writes stack up far more concurrent cache slots, drain refs and atomic
 /// pre-images than the measured workload (fsync every 32) can ever reach,
 /// pinning every high-water mark above the measurement window.
-fn warm_volume(seed: u64, warmup_ops: u64) -> (Volume<Ssd>, u64, u64) {
+///
+/// With `observed`, the registry is attached to the device and the volume
+/// and the volume is mounted `nobarrier` (every fsync is the soft frame):
+/// the `fio_hot_obs` deployment.
+fn warm_volume(
+    seed: u64,
+    warmup_ops: u64,
+    observed: Option<&Telemetry>,
+) -> (Volume<Ssd>, u64, u64) {
     let mut dev = Ssd::new(SsdConfig::tiny_test());
     // Media-side peaks (live NAND pages, in-flight erases) are geometric,
     // not workload-driven; prewarm pins them up front (8 MB raw here).
     dev.prewarm();
-    let mut vol = Volume::new(dev, true);
+    if let Some(tel) = observed {
+        dev.attach_telemetry(tel.clone());
+    }
+    let mut vol = Volume::new(dev, observed.is_none());
+    if let Some(tel) = observed {
+        vol.attach_telemetry(tel.clone(), "t");
+    }
     let span = vol.capacity_pages() * 3 / 4;
     let data = vec![3u8; 4096];
     let mut r = rng(seed);
@@ -88,7 +102,7 @@ fn warm_volume(seed: u64, warmup_ops: u64) -> (Volume<Ssd>, u64, u64) {
 }
 
 fn steady_state_drained_writes() {
-    let (mut vol, span, mut t) = warm_volume(0x5EED, 10_000);
+    let (mut vol, span, mut t) = warm_volume(0x5EED, 10_000, None);
     let mut r = rng(0xD81A);
     let data = vec![3u8; 4096];
     let allocs = allocs_during(|| {
@@ -108,7 +122,7 @@ fn steady_state_drained_writes() {
 }
 
 fn cache_hit_reads() {
-    let (mut vol, _span, mut t) = warm_volume(0xCAFE, 10_000);
+    let (mut vol, _span, mut t) = warm_volume(0xCAFE, 10_000, None);
     let data = vec![7u8; 4096];
     let mut buf = vec![0u8; 4096];
     // A working set smaller than the 16-slot DRAM cache: these writes stay
@@ -135,12 +149,10 @@ fn telemetry_recording() {
     let tel = Telemetry::new();
     // First samples intern the names.
     tel.record("op.latency", 10);
-    tel.incr("op.count", 1);
     tel.set_gauge("op.gauge", 5);
     let allocs = allocs_during(|| {
         for i in 0..1_000u64 {
             tel.record("op.latency", i);
-            tel.incr("op.count", 1);
             tel.set_gauge("op.gauge", i as i64);
         }
     });
@@ -160,7 +172,37 @@ fn disabled_tracing() {
         }
     });
     assert_eq!(allocs, 0, "disabled tracing must be free");
-    assert!(!tel.tracing_enabled());
+    assert_eq!(tel.trace_counts(), None);
+}
+
+/// Everything on: each write is a `dev` span, an anatomy frame the device
+/// charges its segments into and a latency sample; each fsync is the soft
+/// frame. An open frame owns nothing, the closed breakdown is written over
+/// the previous one, the trace ring (wrapped in the warm-up) overwrites in
+/// place, and the outlier capturer clones only a breakdown it retains —
+/// the warm-up's high-water burst holds every top-K place.
+fn instrumented_writes() {
+    let tel = Telemetry::new();
+    tel.enable_anatomy(4);
+    tel.enable_tracing(1 << 12);
+    let (mut vol, span, mut t) = warm_volume(0x0B5E, 10_000, Some(&tel));
+    let mut r = rng(0xF10);
+    let data = vec![3u8; 4096];
+    let (recorded, dropped) = tel.trace_counts().unwrap();
+    assert!(dropped > 0, "the ring wrapped in the warm-up");
+    let allocs = allocs_during(|| {
+        for i in 0..1_000u64 {
+            let lpn = r.gen_range(0..span);
+            t = vol.write(lpn, &data, t).unwrap();
+            if i % 32 == 31 {
+                t = vol.fsync(t).unwrap();
+            }
+        }
+    });
+    assert_eq!(allocs, 0, "instrumented writes + soft fsyncs must be allocation-free");
+    assert!(tel.trace_counts().unwrap().0 >= recorded + 2 * 1_000, "every write was traced");
+    assert_eq!(tel.last_breakdown().unwrap().name, "dev.t.write");
+    assert_eq!(tel.anatomy_violations(), 0);
 }
 
 /// Steady-state `DocStore::set`: overwrites of existing keys on a warmed
@@ -299,6 +341,7 @@ fn engine_warmed_put_commit() {
 fn hot_paths_are_allocation_free() {
     telemetry_recording();
     disabled_tracing();
+    instrumented_writes();
     steady_state_drained_writes();
     cache_hit_reads();
     docstore_steady_state_set();

@@ -5,9 +5,7 @@ use crate::cache::{CacheEntry, WriteCache};
 use crate::config::{CacheProtection, SsdConfig};
 use crate::error::Error;
 use crate::ftl::{Ftl, SlotRead};
-use forensics::{
-    CacheSlotSnap, DevicePostmortem, DumpOutcome, EvidenceKind, Forensic, Ledger, RecoverySnap,
-};
+use forensics::{CacheSlotSnap, DevicePostmortem, DumpOutcome, Forensic, RecoverySnap};
 use nand::NandArray;
 use simkit::{BufPool, Nanos, Timeline};
 use std::collections::VecDeque;
@@ -94,9 +92,8 @@ pub struct Ssd {
     gauge_tick: u32,
     /// Optional telemetry sink (cache-drain durations, occupancy gauge).
     tel: Option<Telemetry>,
-    /// Optional durability ledger: records device-level acknowledgement
-    /// evidence (atomic-write acks, FLUSH CACHE acks).
-    ledger: Option<Ledger>,
+    /// `nand.ch<N>.queue`, formatted once when the sink is attached.
+    ch_gauges: Vec<String>,
     /// Postmortem captured by the most recent `power_cut`.
     postmortem: Option<DevicePostmortem>,
     /// Snapshot captured by the most recent `reboot`.
@@ -125,7 +122,7 @@ impl Ssd {
             cur_cause: WriteCause::default(),
             gauge_tick: 0,
             tel: None,
-            ledger: None,
+            ch_gauges: Vec::new(),
             postmortem: None,
             recovery: None,
             cfg,
@@ -140,6 +137,8 @@ impl Ssd {
     pub fn attach_telemetry(&mut self, tel: Telemetry) {
         self.ftl.attach_telemetry(tel.clone());
         self.nand.attach_telemetry(tel.clone());
+        self.ch_gauges =
+            (0..self.nand.channel_count()).map(|ch| format!("nand.ch{ch}.queue")).collect();
         self.tel = Some(tel);
     }
 
@@ -154,14 +153,6 @@ impl Ssd {
     /// their own.
     pub fn prewarm(&mut self) {
         self.nand.prewarm();
-    }
-
-    /// Attach a durability ledger: every host write acknowledgement and
-    /// FLUSH CACHE completion is recorded as aggregate evidence, tagged
-    /// with the contract behind it (a FLUSH ack is a barrier ack; a plain
-    /// write ack carries the device cache's own contract).
-    pub fn attach_ledger(&mut self, ledger: Ledger) {
-        self.ledger = Some(ledger);
     }
 
     /// The device configuration.
@@ -596,16 +587,15 @@ impl Ssd {
         );
         // The valid ratio walks every block's counter; refresh it on a
         // stride so the write hot path stays O(1). Per-channel occupancy
-        // shares the stride: its gauge names are formatted, so sampling
-        // every command would put an allocation on the hot path.
+        // shares the stride.
         if self.gauge_tick.is_multiple_of(64) {
             let (live, total) = self.ftl.live_slots();
             if let Some(pm) = (live * 1000).checked_div(total) {
                 tel.set_gauge("ftl.valid_ratio_pm", pm as i64);
             }
-            for ch in 0..self.nand.channel_count() {
+            for (ch, name) in self.ch_gauges.iter().enumerate() {
                 let occ = self.nand.channel_occupancy_at(ch, self.last_arrival);
-                tel.set_gauge(&format!("nand.ch{ch}.queue"), occ as i64);
+                tel.set_gauge(name, occ as i64);
             }
         }
         self.gauge_tick = self.gauge_tick.wrapping_add(1);
@@ -696,10 +686,6 @@ impl BlockDevice for Ssd {
         } else {
             self.write_direct(lpn, data, start)?
         };
-        if let Some(ledger) = &self.ledger {
-            // A plain write ack carries the device cache's own contract.
-            ledger.evidence(EvidenceKind::AtomicWriteAck, lpn, done, false);
-        }
         self.update_gauges();
         Ok(done)
     }
@@ -751,10 +737,6 @@ impl BlockDevice for Ssd {
         self.barrier_until = done;
         if let Some(scope) = scope {
             scope.end(done);
-        }
-        if let Some(ledger) = &self.ledger {
-            // A FLUSH CACHE completion is by definition a barrier ack.
-            ledger.evidence(EvidenceKind::DeviceFlush, self.stats.flushes, done, true);
         }
         self.update_gauges();
         Ok(done)
@@ -978,10 +960,6 @@ impl Forensic for Ssd {
 
     fn recovery_snap(&self) -> Option<&RecoverySnap> {
         self.recovery.as_ref()
-    }
-
-    fn attach_ledger(&mut self, ledger: Ledger) {
-        Ssd::attach_ledger(self, ledger);
     }
 }
 

@@ -327,13 +327,12 @@ impl<D: BlockDevice> DocStore<D> {
         self.tel = Some(tel);
     }
 
-    /// Attach a durability ledger to the store and its volume. Every `set`
-    /// / `delete` pends a [`UnitKind::DocstoreUpdate`] unit; the batch
-    /// header fsync (the couchstore commit point) acknowledges everything
-    /// pending, under the flush-barrier contract when barriers are on and
-    /// the device's own contract when they are off.
+    /// Attach a durability ledger. Every `set` / `delete` pends a
+    /// [`UnitKind::DocstoreUpdate`] unit; the batch header fsync (the
+    /// couchstore commit point) acknowledges everything pending, under the
+    /// flush-barrier contract when barriers are on and the device's own
+    /// contract when they are off.
     pub fn attach_ledger(&mut self, ledger: Ledger) {
-        self.vol.attach_ledger(ledger.clone());
         self.ledger = Some(ledger);
     }
 

@@ -8,25 +8,21 @@
 //! crash the reconciler can say precisely which promises were broken and by
 //! which layer.
 //!
-//! Two granularities are recorded:
-//!
-//! * **App-level units** ([`LedgerEntry`]) — one entry per relational commit
-//!   record or document update, carrying a value digest so the post-recovery
-//!   probe can distinguish `survived` from `stale` from `torn`.
-//! * **Evidence rows** ([`EvidenceRow`]) — aggregate counters for the
-//!   lower-level acknowledgements that *justify* the app-level acks (WAL
-//!   flush completions, device FLUSH CACHE acks, per-command atomic-write
-//!   acks). These are unbounded in number, so only `{count, first, last}`
-//!   is kept per kind.
+//! One entry ([`LedgerEntry`]) is recorded per app-level unit — a relational
+//! key/value put or a document update — carrying a value digest so the
+//! post-recovery probe can distinguish `survived` from `stale` from `torn`.
+//! How many WAL flushes, fsyncs, FLUSH CACHE commands and checkpoints stood
+//! behind those acks is not the ledger's business: each layer counts its own
+//! (`WalStats::flushes`, `Volume::fsync_count`, `DeviceStats::flushes`,
+//! `EngineStats::checkpoints`).
 //!
 //! The ledger is a shared `Rc<RefCell<..>>` handle (the same pattern as
 //! `telemetry::Telemetry`): the campaign driver creates one per trial,
-//! attaches it to the engine / document store (which forward it to the WAL
-//! and volumes), and reads it back after recovery. When no ledger is
-//! attached, every recording call is skipped — the hot paths stay free.
+//! attaches it to the engine or document store — the only layers that know
+//! a unit — and reads it back after recovery. When no ledger is attached,
+//! every recording call is skipped — the hot paths stay free.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use simkit::Nanos;
@@ -76,38 +72,6 @@ impl UnitKind {
     }
 }
 
-/// Lower-level acknowledgement kinds recorded as aggregate evidence.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, PartialOrd, Ord)]
-pub enum EvidenceKind {
-    /// A WAL buffer flush reported durable (detail = the durable LSN).
-    WalFlush,
-    /// A device FLUSH CACHE command acknowledged (detail = flush ordinal).
-    DeviceFlush,
-    /// A device write command acknowledged atomically (detail = LPN).
-    AtomicWriteAck,
-    /// A filesystem-level fsync acknowledged by the volume (detail = fsync
-    /// ordinal). With barriers off this is the exact moment a volatile
-    /// cache's broken promise is made: the host is told "durable" while the
-    /// device was never asked to flush.
-    FsyncAck,
-    /// An engine checkpoint completed — data pages flushed, catalog written,
-    /// log header written (detail = the checkpoint LSN the header names).
-    Checkpoint,
-}
-
-impl EvidenceKind {
-    /// Stable string used in the forensic JSON.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            EvidenceKind::WalFlush => "wal-flush",
-            EvidenceKind::DeviceFlush => "device-flush",
-            EvidenceKind::AtomicWriteAck => "atomic-write-ack",
-            EvidenceKind::FsyncAck => "fsync-ack",
-            EvidenceKind::Checkpoint => "checkpoint",
-        }
-    }
-}
-
 /// One acknowledged (or still-pending) app-level unit.
 #[derive(Clone, Debug)]
 pub struct LedgerEntry {
@@ -127,27 +91,11 @@ pub struct LedgerEntry {
     pub contract: Option<AckContract>,
 }
 
-/// Aggregate record of one evidence kind.
-#[derive(Clone, Debug, Default)]
-pub struct EvidenceRow {
-    /// How many acknowledgements of this kind were recorded.
-    pub count: u64,
-    /// Virtual time of the first acknowledgement.
-    pub first_at: Nanos,
-    /// Virtual time of the most recent acknowledgement.
-    pub last_at: Nanos,
-    /// Contract behind the most recent acknowledgement.
-    pub last_contract: Option<AckContract>,
-    /// Kind-specific detail of the most recent ack (LSN, LPN, ordinal).
-    pub last_detail: u64,
-}
-
 struct Inner {
     device_contract: AckContract,
     next_seq: u64,
     entries: Vec<LedgerEntry>,
     pending: Vec<usize>,
-    evidence: BTreeMap<EvidenceKind, EvidenceRow>,
 }
 
 /// Shared handle to the durability ledger (clone freely; all clones record
@@ -167,7 +115,6 @@ impl Ledger {
             next_seq: 0,
             entries: Vec::new(),
             pending: Vec::new(),
-            evidence: BTreeMap::new(),
         })))
     }
 
@@ -229,38 +176,9 @@ impl Ledger {
         }
     }
 
-    /// Record a lower-level acknowledgement as aggregate evidence.
-    pub fn evidence(&self, kind: EvidenceKind, detail: u64, at: Nanos, barriered: bool) {
-        let mut s = self.0.borrow_mut();
-        let contract = if barriered { AckContract::FlushBarrierAck } else { s.device_contract };
-        let row = s.evidence.entry(kind).or_default();
-        if row.count == 0 {
-            row.first_at = at;
-        }
-        row.count += 1;
-        row.last_at = at;
-        row.last_contract = Some(contract);
-        row.last_detail = detail;
-    }
-
     /// Snapshot of every entry (issue order).
     pub fn entries(&self) -> Vec<LedgerEntry> {
         self.0.borrow().entries.clone()
-    }
-
-    /// Number of acknowledged entries.
-    pub fn acked_count(&self) -> u64 {
-        self.0.borrow().entries.iter().filter(|e| e.acked_at.is_some()).count() as u64
-    }
-
-    /// Number of still-pending (never acknowledged) entries.
-    pub fn pending_count(&self) -> u64 {
-        self.0.borrow().pending.len() as u64
-    }
-
-    /// Snapshot of the evidence rows, keyed by kind.
-    pub fn evidence_rows(&self) -> Vec<(EvidenceKind, EvidenceRow)> {
-        self.0.borrow().evidence.iter().map(|(k, v)| (*k, v.clone())).collect()
     }
 }
 
@@ -273,33 +191,16 @@ mod tests {
         let l = Ledger::new(AckContract::DurableCacheAck);
         l.pend(UnitKind::RelstoreCommit, b"k1", Ledger::digest(b"v1"), 10);
         l.pend(UnitKind::RelstoreCommit, b"k2", Ledger::digest(b"v2"), 11);
-        assert_eq!(l.pending_count(), 2);
+        assert!(l.entries().iter().all(|e| e.acked_at.is_none() && e.contract.is_none()));
         l.ack_all_pending(50, false);
-        assert_eq!(l.pending_count(), 0);
-        assert_eq!(l.acked_count(), 2);
         let es = l.entries();
+        assert_eq!(es.len(), 2);
         assert!(es.iter().all(|e| e.acked_at == Some(50)));
         assert!(es.iter().all(|e| e.contract == Some(AckContract::DurableCacheAck)));
         // A barriered ack upgrades the contract regardless of the device.
         l.pend(UnitKind::RelstoreCommit, b"k3", Ledger::digest(b"v3"), 60);
         l.ack_all_pending(70, true);
         assert_eq!(l.entries()[2].contract, Some(AckContract::FlushBarrierAck));
-    }
-
-    #[test]
-    fn evidence_rows_aggregate() {
-        let l = Ledger::new(AckContract::VolatileAck);
-        l.evidence(EvidenceKind::WalFlush, 7, 100, true);
-        l.evidence(EvidenceKind::WalFlush, 9, 200, true);
-        l.evidence(EvidenceKind::AtomicWriteAck, 42, 150, false);
-        let rows = l.evidence_rows();
-        assert_eq!(rows.len(), 2);
-        let wal = rows.iter().find(|(k, _)| *k == EvidenceKind::WalFlush).unwrap();
-        assert_eq!(wal.1.count, 2);
-        assert_eq!((wal.1.first_at, wal.1.last_at, wal.1.last_detail), (100, 200, 9));
-        assert_eq!(wal.1.last_contract, Some(AckContract::FlushBarrierAck));
-        let aw = rows.iter().find(|(k, _)| *k == EvidenceKind::AtomicWriteAck).unwrap();
-        assert_eq!(aw.1.last_contract, Some(AckContract::VolatileAck));
     }
 
     #[test]

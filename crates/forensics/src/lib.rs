@@ -7,8 +7,7 @@
 //! *why* DuraSSD's capacitor dump saved the equivalent write. Three pieces:
 //!
 //! * [`Ledger`] — a shadow record of every durably-acknowledged unit
-//!   (relational commits, document updates, and the WAL-flush / device-flush
-//!   acknowledgements that justify them), tagged with its
+//!   (relational commits, document updates), tagged with its
 //!   [`AckContract`] and virtual ack timestamp.
 //! * [`DevicePostmortem`] / [`RecoverySnap`] — snapshots captured *inside*
 //!   `power_cut` and `reboot` by devices implementing [`Forensic`]: dirty
@@ -26,7 +25,7 @@ mod reconcile;
 mod report;
 mod snapshot;
 
-pub use ledger::{AckContract, EvidenceKind, EvidenceRow, Ledger, LedgerEntry, UnitKind};
+pub use ledger::{AckContract, Ledger, LedgerEntry, UnitKind};
 pub use reconcile::{
     reconcile, Classification, CutReport, LossLayer, Probe, ProbeResult, Tally, UnitFinding,
 };

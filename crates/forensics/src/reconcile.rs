@@ -21,7 +21,7 @@
 
 use simkit::Nanos;
 
-use crate::ledger::{AckContract, EvidenceKind, EvidenceRow, Ledger, UnitKind};
+use crate::ledger::{AckContract, Ledger, UnitKind};
 use crate::snapshot::{DevicePostmortem, RecoverySnap};
 
 /// What the post-recovery probe observed for one unit.
@@ -168,8 +168,6 @@ pub struct CutReport {
     pub postmortems: Vec<DevicePostmortem>,
     /// Recovery snapshots captured inside `reboot`.
     pub recoveries: Vec<RecoverySnap>,
-    /// Aggregate lower-level acknowledgement evidence from the ledger.
-    pub ack_evidence: Vec<(EvidenceKind, EvidenceRow)>,
     /// Whether every acknowledged unit survived.
     pub durable: bool,
     /// One-line human verdict.
@@ -331,7 +329,6 @@ pub fn reconcile(
         losses,
         postmortems,
         recoveries,
-        ack_evidence: ledger.evidence_rows(),
         durable,
         verdict,
     }

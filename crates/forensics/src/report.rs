@@ -12,7 +12,7 @@ use crate::snapshot::DevicePostmortem;
 use simkit::json::Writer;
 
 /// Schema tag stamped into every report; bump on incompatible changes.
-pub const SCHEMA: &str = "durassd.forensics.v1";
+pub const SCHEMA: &str = "durassd.forensics.v2";
 
 /// How many dirty-slot LPNs / mapping entries a postmortem lists verbatim in
 /// the JSON before switching to counts only (keeps reports bounded).
@@ -102,22 +102,11 @@ fn write_row(w: &mut Writer, r: &CutReport) {
         w.key("recovered_via_dump").bool(s.recovered_via_dump);
         w.key("scan_only").bool(s.scan_only).end();
     }
-    w.end().key("ack_evidence").obj();
-    for (k, row) in &r.ack_evidence {
-        w.key(k.as_str()).obj().key("count").num(row.count);
-        w.key("first_at").num(row.first_at).key("last_at").num(row.last_at);
-        w.key("last_contract");
-        match row.last_contract {
-            Some(c) => w.str(c.as_str()),
-            None => w.null(),
-        };
-        w.key("last_detail").num(row.last_detail).end();
-    }
     w.end().end();
 }
 
 impl CampaignReport {
-    /// Serialize to the `durassd.forensics.v1` JSON document.
+    /// Serialize to the `durassd.forensics.v2` JSON document.
     pub fn to_json(&self) -> String {
         let mut w = Writer::new();
         w.obj().key("schema").str(SCHEMA).key("seed").num(self.seed);
@@ -220,7 +209,7 @@ mod tests {
         assert_eq!(
             sample_report().to_json(),
             concat!(
-                r#"{"schema":"durassd.forensics.v1","seed":7,"keys":3,"cuts":1,"rows":[{"#,
+                r#"{"schema":"durassd.forensics.v2","seed":7,"keys":3,"cuts":1,"rows":[{"#,
                 r#""label":"engine SSD-A OFF/OFF","cut_at_op":2,"cut_phase":"after-commit","#,
                 r#""cut_at_ns":20,"tally":{"survived":1,"acked_lost":1,"torn":0,"stale":0,"#,
                 r#""never_acked":1},"durable":false,"verdict":"ACKED DATA LOSS — 1 acked-lost, "#,
@@ -238,8 +227,7 @@ mod tests {
                 r#""unpersisted_map_entries":2,"unpersisted_map_sample":[{"lpn":3,"old_slot":null},"#,
                 r#"{"lpn":4,"old_slot":9}],"rolled_back_map_entries":2,"nand_shorn_pages":1,"#,
                 r#""aborted_inflight_writes":1}],"recoveries":[{"device":"ssd","ready_at":500,"#,
-                r#""requeued_slots":0,"recovered_via_dump":false,"scan_only":true}],"#,
-                r#""ack_evidence":{}}]}"#,
+                r#""requeued_slots":0,"recovered_via_dump":false,"scan_only":true}]}]}"#,
             )
         );
     }

@@ -9,7 +9,6 @@
 //! and expose both through the [`Forensic`] trait so the reconciler can
 //! attribute every lost acknowledgement to the layer that dropped it.
 
-use crate::ledger::Ledger;
 use simkit::Nanos;
 
 /// One dirty (or draining) write-cache slot at the instant of the cut.
@@ -96,8 +95,4 @@ pub trait Forensic {
     fn take_postmortem(&mut self) -> Option<DevicePostmortem>;
     /// The snapshot captured by the most recent `reboot`, if any.
     fn recovery_snap(&self) -> Option<&RecoverySnap>;
-    /// Attach a durability ledger so the device can log ack evidence
-    /// (atomic-write acks, FLUSH CACHE completions). Default: devices
-    /// without device-level evidence ignore the ledger.
-    fn attach_ledger(&mut self, _ledger: Ledger) {}
 }

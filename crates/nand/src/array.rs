@@ -60,9 +60,6 @@ pub struct NandStats {
 struct BlockState {
     next_page: u32,
     erase_count: u32,
-    /// Cumulative page programs issued to this block (wear metric; shorn
-    /// programs still stressed the cells, so power cuts never roll it back).
-    program_count: u32,
     /// An erase was in flight when power was cut; the block must be erased
     /// again before use.
     torn_erase: bool,
@@ -163,12 +160,6 @@ impl NandArray {
         self.channel_bus.len()
     }
 
-    /// Pending-work backlog of one channel bus at virtual time `t`, in
-    /// nanoseconds (see [`Timeline::backlog_at`]).
-    pub fn channel_backlog_at(&self, channel: usize, t: Nanos) -> Nanos {
-        self.channel_bus[channel].backlog_at(t)
-    }
-
     /// Disjoint busy intervals still open on one channel bus at `t` — the
     /// NCQ-style occupancy gauge (lower bound; back-to-back commands
     /// coalesce).
@@ -237,11 +228,6 @@ impl NandArray {
     /// Erase count of one block (wear-leveling instrumentation).
     pub fn erase_count(&self, block: u32) -> u32 {
         self.blocks[block as usize].erase_count
-    }
-
-    /// How many page programs this block has absorbed over its lifetime.
-    pub fn program_count(&self, block: u32) -> u32 {
-        self.blocks[block as usize].program_count
     }
 
     /// Next free page index in a block (`pages_per_block` when full).
@@ -329,7 +315,6 @@ impl NandArray {
             return Err(NandError::OutOfOrderProgram { block, expected: st.next_page, got: page });
         }
         st.next_page += 1;
-        st.program_count += 1;
         let plane = self.geo.plane_of_block(block);
         let channel = self.geo.channel_of_block(block);
         let xfer_done = self.channel_bus[channel].acquire(now, self.geo.bus_time(data.len()));
@@ -511,8 +496,6 @@ mod tests {
         assert_eq!(w3 + s3, d3 - d2);
         // Channel gauges see the accepted work.
         assert!(a.channel_count() >= 1);
-        assert_eq!(a.channel_backlog_at(0, d3), 0);
-        assert!(a.channel_backlog_at(0, 0) > 0);
         assert!(a.channel_occupancy_at(0, 0) >= 1);
     }
 

@@ -191,14 +191,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// Checkpoint when the live log exceeds `pct` percent of its capacity
-    /// (shorthand for [`CheckpointPolicy::LiveBytesPct`]). `build` rejects
-    /// values outside `1..=99`.
-    pub fn checkpoint_threshold(mut self, pct: u8) -> Self {
-        self.cfg.checkpoint_policy = CheckpointPolicy::LiveBytesPct(pct);
-        self
-    }
-
     /// Checkpoint every `n` commits (shorthand for
     /// [`CheckpointPolicy::EveryNCommits`]; the engine takes the checkpoint
     /// itself inside `commit`). `build` rejects `n == 0`.
@@ -318,8 +310,6 @@ mod tests {
 
     #[test]
     fn checkpoint_knobs_build_policies() {
-        let cfg = EngineConfig::builder(4096).data_pages(1024).checkpoint_threshold(50).build();
-        assert_eq!(cfg.checkpoint_policy, CheckpointPolicy::LiveBytesPct(50));
         let cfg =
             EngineConfig::builder(4096).data_pages(1024).checkpoint_every_n_commits(128).build();
         assert_eq!(cfg.checkpoint_policy, CheckpointPolicy::EveryNCommits(128));
@@ -333,7 +323,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "checkpoint threshold")]
     fn builder_rejects_absurd_threshold() {
-        let _ = EngineConfig::builder(4096).data_pages(1024).checkpoint_threshold(0).build();
+        let _ = EngineConfig::builder(4096)
+            .data_pages(1024)
+            .checkpoint_policy(CheckpointPolicy::LiveBytesPct(0))
+            .build();
     }
 
     #[test]

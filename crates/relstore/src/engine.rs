@@ -77,7 +77,7 @@ use crate::config::EngineConfig;
 use btree::{node as bnode, BTree, PageStore};
 use bufferpool::{BufferPool, PageBackend, PoolStats};
 use durassd::Error;
-use forensics::{EvidenceKind, Ledger, UnitKind};
+use forensics::{Ledger, UnitKind};
 use simkit::{crc32_bytewise, Nanos, Recovered, ReplayStats, Timed};
 use std::collections::{BTreeMap, HashSet};
 use storage::device::{at_queue_depth, BlockDevice, DevError, WriteCause};
@@ -451,18 +451,13 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
         self.tel = Some(tel);
     }
 
-    /// Attach a durability ledger to the engine and every layer under it:
-    /// `put`/`delete` register pending units (key + value digest), `commit`
-    /// acknowledges them at the WAL-durable timestamp under the contract in
-    /// force (barrier ack when `cfg.barriers`, otherwise the device cache's
-    /// own contract), the WAL records `wal-flush` evidence, and both
-    /// volumes record `fsync-ack` evidence. Device-internal evidence
-    /// (atomic write acks, FLUSH CACHE acks) requires attaching the same
-    /// ledger to the device *before* handing it to [`Engine::create`].
+    /// Attach a durability ledger: `put`/`delete` register pending units
+    /// (key + value digest) and `commit` acknowledges them at the
+    /// WAL-durable timestamp under the contract in force (barrier ack when
+    /// `cfg.barriers`, otherwise the device cache's own contract). The
+    /// layers below do not know a unit and count their own acks
+    /// ([`Engine::wal_stats`], `Volume::fsync_count`, `DeviceStats`).
     pub fn attach_ledger(&mut self, ledger: Ledger) {
-        self.io.data.attach_ledger(ledger.clone());
-        self.io.logv.attach_ledger(ledger.clone());
-        self.io.wal.attach_ledger(ledger.clone());
         self.ledger = Some(ledger);
     }
 
@@ -777,9 +772,6 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
         self.fpw_logged.clear();
         // Everything logged before `begin` is now on the data volume.
         let t = self.io.wal.checkpoint(&mut self.io.logv, begin, t);
-        if let Some(ledger) = &self.ledger {
-            ledger.evidence(EvidenceKind::Checkpoint, begin, t, self.cfg.barriers);
-        }
         scope.map_or(t, |s| s.close(t))
     }
 

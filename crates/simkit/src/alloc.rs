@@ -19,7 +19,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static DEALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// System-allocator wrapper that counts every allocation.
@@ -47,7 +46,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        DEALLOCS.fetch_add(1, Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 
@@ -66,25 +64,9 @@ pub fn alloc_count() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
-/// Total heap deallocations since process start.
-pub fn dealloc_count() -> u64 {
-    DEALLOCS.load(Ordering::Relaxed)
-}
-
 /// Total bytes requested from the allocator since process start.
 pub fn alloc_bytes() -> u64 {
     BYTES.load(Ordering::Relaxed)
-}
-
-/// Allocation-count delta across a closure: `(result, allocations)`.
-///
-/// The measurement brackets exactly the closure body; the closure's return
-/// value is produced *inside* the bracket, so returning a heap value counts
-/// its allocation (return `()` or a scalar for a pure measurement).
-pub fn count_allocs<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = alloc_count();
-    let out = f();
-    (out, alloc_count() - before)
 }
 
 /// Peak resident set size of this process in bytes, read from
@@ -113,23 +95,11 @@ mod tests {
     #[test]
     fn counters_are_monotone_and_safe_to_read() {
         let a = alloc_count();
-        let d = dealloc_count();
         let b = alloc_bytes();
         let v: Vec<u8> = vec![0u8; 4096];
         drop(v);
         assert!(alloc_count() >= a);
-        assert!(dealloc_count() >= d);
         assert!(alloc_bytes() >= b);
-    }
-
-    #[test]
-    fn count_allocs_brackets_closure() {
-        let ((), n) = count_allocs(|| {
-            let _ = 1 + 1;
-        });
-        // Not registered ⇒ no counting; registered ⇒ an empty closure still
-        // performs zero allocations. Either way this is 0.
-        assert_eq!(n, 0);
     }
 
     #[test]

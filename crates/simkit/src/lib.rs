@@ -31,5 +31,5 @@ pub use pool::{BufPool, PageBuf};
 pub use recovered::{Recovered, ReplayStats};
 pub use resource::{MultiServer, Timeline};
 pub use rng::{Rng, SimRng};
-pub use stats::{Counter, LatencyStats, Summary};
+pub use stats::{LatencyStats, Summary};
 pub use timed::Timed;

@@ -125,11 +125,6 @@ impl BufPool {
         }
     }
 
-    /// Buffer size in bytes served by this pool.
-    pub fn buf_size(&self) -> usize {
-        self.inner.size
-    }
-
     /// Lease a buffer. Contents are **unspecified** (recycled buffers keep
     /// their poison/stale bytes) — callers that need zeroes use
     /// [`checkout_zeroed`](Self::checkout_zeroed).
@@ -272,7 +267,6 @@ mod tests {
     #[test]
     fn checkout_return_reuse_cycle() {
         let pool = BufPool::new(4096);
-        assert_eq!(pool.buf_size(), 4096);
         let a = pool.checkout_zeroed();
         let first_ptr = a.as_ptr();
         assert_eq!(pool.outstanding(), 1);

@@ -190,16 +190,6 @@ impl MultiServer {
         done
     }
 
-    /// The earliest time at which any server is free.
-    pub fn earliest_free(&self) -> Nanos {
-        self.free_at.peek().map(|Reverse(t)| *t).unwrap_or(0)
-    }
-
-    /// The time at which *all* servers are free (i.e. all queued work done).
-    pub fn all_free(&self) -> Nanos {
-        self.free_at.iter().map(|Reverse(t)| *t).max().unwrap_or(0)
-    }
-
     /// Total service time performed across the pool.
     pub fn busy_time(&self) -> Nanos {
         self.busy_time
@@ -319,8 +309,6 @@ mod tests {
         assert_eq!(m.acquire(0, 10), 10);
         assert_eq!(m.acquire(0, 10), 10); // second server
         assert_eq!(m.acquire(0, 10), 20); // queues behind the earliest
-        assert_eq!(m.all_free(), 20);
-        assert_eq!(m.earliest_free(), 10);
     }
 
     #[test]

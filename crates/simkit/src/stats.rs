@@ -1,4 +1,4 @@
-//! Latency and counter statistics.
+//! Latency statistics.
 //!
 //! [`LatencyStats`] keeps every sample (the experiments here run at most a
 //! few million operations per cell, so exact percentiles are affordable and
@@ -34,12 +34,6 @@ impl LatencyStats {
     /// Whether no samples have been recorded.
     pub fn is_empty(&self) -> bool {
         self.samples.is_empty()
-    }
-
-    /// Merge another collector's samples into this one.
-    pub fn merge(&mut self, other: &LatencyStats) {
-        self.samples.extend_from_slice(&other.samples);
-        self.sorted = false;
     }
 
     fn ensure_sorted(&mut self) {
@@ -112,55 +106,6 @@ pub struct Summary {
     pub max: Nanos,
 }
 
-impl Summary {
-    /// Format the summary in milliseconds, like the paper's Table 3.
-    pub fn fmt_ms(&self) -> String {
-        const MS: f64 = 1_000_000.0;
-        format!(
-            "mean {:>8.1} | p25 {:>8.1} | p50 {:>8.1} | p75 {:>8.1} | p99 {:>8.1} | max {:>9.1}",
-            self.mean / MS,
-            self.p25 as f64 / MS,
-            self.p50 as f64 / MS,
-            self.p75 as f64 / MS,
-            self.p99 as f64 / MS,
-            self.max as f64 / MS,
-        )
-    }
-}
-
-/// A simple monotonic event counter with a name, for device statistics.
-#[derive(Debug, Clone, Default)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// Zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add one.
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Add `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-
-    /// Reset to zero.
-    pub fn reset(&mut self) {
-        self.value = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,37 +143,6 @@ mod tests {
         let sum = s.summary();
         assert_eq!(sum.count, 1);
         assert_eq!(sum.p50, 42);
-    }
-
-    #[test]
-    fn merge_combines_samples() {
-        let mut a = LatencyStats::new();
-        let mut b = LatencyStats::new();
-        a.record(1);
-        b.record(3);
-        a.merge(&b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.max(), 3);
-    }
-
-    #[test]
-    fn counter_ops() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        c.reset();
-        assert_eq!(c.get(), 0);
-    }
-
-    #[test]
-    fn summary_formats_in_ms() {
-        let mut s = LatencyStats::new();
-        s.record(1_500_000); // 1.5ms
-        s.record(2_500_000);
-        let line = s.summary().fmt_ms();
-        assert!(line.contains("mean"), "{line}");
-        assert!(line.contains("2.5"), "{line}");
     }
 
     #[test]

@@ -22,11 +22,6 @@ impl<T> Timed<T> {
         Self { value, done }
     }
 
-    /// Discard the timestamp, keeping the value.
-    pub fn into_inner(self) -> T {
-        self.value
-    }
-
     /// Transform the value, keeping the timestamp.
     pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Timed<U> {
         Timed { value: f(self.value), done: self.done }
@@ -59,7 +54,6 @@ mod tests {
         assert_eq!(t.value, 41);
         assert_eq!(t.done, 7);
         assert_eq!(t.map(|v| v + 1).value, 42);
-        assert_eq!(t.into_inner(), 41);
     }
 
     #[test]

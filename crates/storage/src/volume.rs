@@ -2,7 +2,6 @@
 //! extent allocator for carving page files out of a device.
 
 use crate::device::{BlockDevice, CauseCounts, DevResult, DeviceStats, WriteCause, LOGICAL_PAGE};
-use forensics::{EvidenceKind, Ledger};
 use simkit::Nanos;
 use telemetry::{SegKind, Telemetry};
 
@@ -40,7 +39,6 @@ pub struct Volume<D: BlockDevice> {
     barriers: bool,
     fsyncs: u64,
     tel: Option<VolumeTel>,
-    ledger: Option<Ledger>,
     /// Write provenance: the cause every write is tagged with, set for the
     /// duration of a [`Volume::with_cause`] scope ([`WriteCause::HostData`]
     /// outside any).
@@ -58,7 +56,6 @@ impl<D: BlockDevice> Volume<D> {
             barriers,
             fsyncs: 0,
             tel: None,
-            ledger: None,
             cause: WriteCause::default(),
             host_pages_by_cause: CauseCounts::default(),
         }
@@ -83,16 +80,6 @@ impl<D: BlockDevice> Volume<D> {
         self.host_pages_by_cause
     }
 
-    /// Attach a durability ledger: every fsync acknowledgement is recorded
-    /// as `fsync-ack` evidence. With barriers on the ack is backed by a
-    /// device flush (a barrier contract); with barriers off the volume
-    /// acknowledges without flushing — the ledger tags the ack with the
-    /// device cache's own contract, which is exactly the promise a power
-    /// cut puts to the test.
-    pub fn attach_ledger(&mut self, ledger: Ledger) {
-        self.ledger = Some(ledger);
-    }
-
     /// Attach a telemetry handle; latencies are recorded under
     /// `dev.<label>.{read,write,flush,discard}`.
     pub fn attach_telemetry(&mut self, tel: Telemetry, label: &str) {
@@ -114,11 +101,6 @@ impl<D: BlockDevice> Volume<D> {
     /// Whether write barriers are enabled.
     pub fn barriers(&self) -> bool {
         self.barriers
-    }
-
-    /// Change the barrier policy (remount).
-    pub fn set_barriers(&mut self, on: bool) {
-        self.barriers = on;
     }
 
     /// Issue one device command inside its scope: a `dev` trace span, an
@@ -165,8 +147,8 @@ impl<D: BlockDevice> Volume<D> {
     /// benchmark reports.
     pub fn fsync(&mut self, now: Nanos) -> DevResult<Nanos> {
         self.fsyncs += 1;
-        let done = if self.barriers {
-            self.command(|t| &t.flush, now, |dev| dev.flush(now))?
+        if self.barriers {
+            self.command(|t| &t.flush, now, |dev| dev.flush(now))
         } else {
             let done = now + FSYNC_SOFT_COST;
             if let Some(tel) = &self.tel {
@@ -180,14 +162,8 @@ impl<D: BlockDevice> Volume<D> {
                 tel.tel.seg(SegKind::WalFsync, FSYNC_SOFT_COST);
                 frame.close(done);
             }
-            done
-        };
-        if let Some(ledger) = &self.ledger {
-            // With barriers the ack is backed by a device flush; without,
-            // it rides on the device cache's own contract.
-            ledger.evidence(EvidenceKind::FsyncAck, self.fsyncs, done, self.barriers);
+            Ok(done)
         }
-        Ok(done)
     }
 
     /// Number of fsync calls made against this volume.
@@ -278,11 +254,6 @@ impl VolumeManager {
         self.next_free += pages;
         e
     }
-
-    /// Logical pages not yet allocated.
-    pub fn free_pages(&self) -> u64 {
-        self.capacity - self.next_free
-    }
 }
 
 #[cfg(test)]
@@ -324,7 +295,6 @@ mod tests {
         let b = m.alloc(20);
         assert_eq!(a, Extent { base: 0, pages: 10 });
         assert_eq!(b, Extent { base: 10, pages: 20 });
-        assert_eq!(m.free_pages(), 70);
     }
 
     #[test]
@@ -426,16 +396,5 @@ mod tests {
         assert!(v.write(99, &data, 0).is_err(), "out of range");
         assert_eq!(tel.frame_depth(), 0, "error path must close its frame");
         assert_eq!(tel.anatomy_violations(), 0);
-    }
-
-    #[test]
-    fn barrier_remount_changes_fsync_behaviour() {
-        let mut v = Volume::new(MemDevice::new(16), true);
-        v.fsync(0).unwrap();
-        assert_eq!(v.device_stats().flushes, 1);
-        v.set_barriers(false);
-        v.fsync(10).unwrap();
-        assert_eq!(v.device_stats().flushes, 1, "nobarrier fsync must not flush");
-        assert!(!v.barriers());
     }
 }

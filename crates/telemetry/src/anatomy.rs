@@ -173,9 +173,10 @@ impl SegKind {
 }
 
 /// An open per-operation attribution frame (one entry of the frame stack).
+/// It does not own its name: the scope that closes it hands the name to
+/// [`Anatomy::end`], so opening a frame allocates nothing.
 #[derive(Debug, Clone)]
 struct Frame {
-    name: String,
     start: Nanos,
     trace: TraceId,
     segs: [Nanos; N_SEG],
@@ -186,7 +187,7 @@ struct Frame {
 ///
 /// Invariant (checked by [`OpBreakdown::is_conserved`], enforced at frame
 /// close): `segments().sum() == wall`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OpBreakdown {
     /// Operation name (histogram name of the op, e.g. `engine.commit`).
     pub name: String,
@@ -341,9 +342,9 @@ impl Anatomy {
         }
     }
 
-    /// Open a frame for the named op at `ts` under trace-ID `trace`.
-    pub fn begin(&mut self, name: &str, ts: Nanos, trace: TraceId) {
-        self.frames.push(Frame { name: name.to_string(), start: ts, trace, segs: [0; N_SEG] });
+    /// Open a frame at `ts` under trace-ID `trace`.
+    pub fn begin(&mut self, ts: Nanos, trace: TraceId) {
+        self.frames.push(Frame { start: ts, trace, segs: [0; N_SEG] });
     }
 
     /// Charge `ns` of `kind` into every open frame above the suspension
@@ -370,14 +371,14 @@ impl Anatomy {
         self.floor = floor;
     }
 
-    /// Close the innermost frame at `ts`: compute wall, audit the
-    /// conservation identity, sweep the unattributed remainder into
-    /// [`SegKind::Host`], and offer the breakdown to the outlier capturer.
-    /// Returns the host remainder (for histogram recording), or `None` if
-    /// no frame was open.
-    pub fn end(&mut self, name: &str, ts: Nanos) -> Option<Nanos> {
+    /// Close the innermost frame — the op `name`, opened at `start` — at
+    /// `ts`: compute wall, audit the conservation identity, sweep the
+    /// unattributed remainder into [`SegKind::Host`], and offer the
+    /// breakdown to the outlier capturer. Returns the host remainder (for
+    /// histogram recording), or `None` if no frame was open.
+    pub fn end(&mut self, name: &str, start: Nanos, ts: Nanos) -> Option<Nanos> {
         let mut f = self.frames.pop()?;
-        debug_assert_eq!(f.name, name, "anatomy frame stack mismatch");
+        debug_assert_eq!(f.start, start, "anatomy frame stack mismatch closing {name}");
         let wall = ts.saturating_sub(f.start);
         let covered: Nanos = f.segs.iter().sum();
         if covered > wall {
@@ -388,9 +389,13 @@ impl Anatomy {
         }
         let host = wall.saturating_sub(covered);
         f.segs[SegKind::Host.index()] += host;
-        let bd = OpBreakdown { name: f.name, start: f.start, wall, trace: f.trace, segs: f.segs };
-        self.outliers.offer(&bd);
-        self.last = Some(bd);
+        // `last` keeps its name's allocation from op to op; the capturer
+        // clones only a breakdown it retains.
+        let bd = self.last.get_or_insert_with(OpBreakdown::default);
+        bd.name.clear();
+        bd.name.push_str(name);
+        (bd.start, bd.wall, bd.trace, bd.segs) = (f.start, wall, f.trace, f.segs);
+        self.outliers.offer(bd);
         Some(host)
     }
 
@@ -447,10 +452,10 @@ mod tests {
     #[test]
     fn frame_close_sweeps_remainder_and_conserves() {
         let mut a = Anatomy::new(4);
-        a.begin("op", 100, 7);
+        a.begin(100, 7);
         assert!(a.charge(SegKind::MediaRead, 30));
         assert!(a.charge(SegKind::NcqWait, 20));
-        let host = a.end("op", 180).unwrap();
+        let host = a.end("op", 100, 180).unwrap();
         assert_eq!(host, 30, "180-100 wall minus 50 attributed");
         let b = a.last().unwrap();
         assert_eq!(b.wall, 80);
@@ -464,13 +469,13 @@ mod tests {
     #[test]
     fn nested_frames_each_conserve() {
         let mut a = Anatomy::new(4);
-        a.begin("outer", 0, 1);
+        a.begin(0, 1);
         a.charge(SegKind::WalFsync, 10);
-        a.begin("inner", 50, 2);
+        a.begin(50, 2);
         a.charge(SegKind::MediaProgram, 25); // lands in both frames
-        a.end("inner", 80);
+        a.end("inner", 50, 80);
         let inner = a.last().unwrap().clone();
-        a.end("outer", 200);
+        a.end("outer", 0, 200);
         let outer = a.last().unwrap();
         assert_eq!(inner.wall, 30);
         assert_eq!(inner.seg(SegKind::MediaProgram), 25);
@@ -488,9 +493,9 @@ mod tests {
     #[test]
     fn over_attribution_counts_a_violation() {
         let mut a = Anatomy::new(4);
-        a.begin("op", 0, 0);
+        a.begin(0, 0);
         a.charge(SegKind::Xfer, 500);
-        a.end("op", 100); // wall 100 < claimed 500
+        a.end("op", 0, 100); // wall 100 < claimed 500
         assert_eq!(a.violations(), 1);
         let b = a.last().unwrap();
         assert_eq!(b.seg(SegKind::Host), 0, "no negative remainder");
@@ -501,25 +506,25 @@ mod tests {
     fn charge_outside_any_frame_is_dropped() {
         let mut a = Anatomy::new(4);
         assert!(!a.charge(SegKind::MediaRead, 99));
-        a.begin("op", 0, 0);
-        a.end("op", 10);
+        a.begin(0, 0);
+        a.end("op", 0, 10);
         assert_eq!(a.last().unwrap().seg(SegKind::MediaRead), 0);
     }
 
     #[test]
     fn suspended_frames_are_not_charged() {
         let mut a = Anatomy::new(4);
-        a.begin("op", 1_000, 0);
+        a.begin(1_000, 0);
         let floor = a.suspend();
         assert!(!a.charge(SegKind::FlushCache, 900), "no frame above the floor");
         // A background command that began before the op did.
-        a.begin("bg", 100, 0);
+        a.begin(100, 0);
         assert!(a.charge(SegKind::FlushCache, 900));
-        a.end("bg", 1_000);
+        a.end("bg", 100, 1_000);
         assert!(a.last().unwrap().is_conserved());
         a.resume(floor);
         assert!(a.charge(SegKind::Xfer, 5));
-        a.end("op", 1_010);
+        a.end("op", 1_000, 1_010);
         let op = a.last().unwrap();
         assert_eq!(op.seg(SegKind::FlushCache), 0, "background time is not the op's");
         assert_eq!(op.seg(SegKind::Xfer), 5);
@@ -573,10 +578,10 @@ mod tests {
     #[test]
     fn clear_resets_state_but_keeps_capacity() {
         let mut a = Anatomy::new(2);
-        a.begin("op", 0, 0);
+        a.begin(0, 0);
         a.charge(SegKind::Xfer, 10);
-        a.end("op", 5); // violation
-        a.begin("dangling", 0, 0);
+        a.end("op", 0, 5); // violation
+        a.begin(0, 0);
         a.clear();
         assert_eq!(a.depth(), 0);
         assert_eq!(a.violations(), 0);

@@ -7,7 +7,7 @@
 
 use simkit::Nanos;
 
-use simkit::json::{JsonValue, Writer};
+use simkit::json::Writer;
 
 /// log2 of the number of linear sub-buckets per power-of-two magnitude.
 const SUB_BITS: u32 = 4;
@@ -155,17 +155,6 @@ impl Histogram {
         self.percentile(99.9)
     }
 
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Non-empty buckets as `(index, count)` pairs.
     pub fn buckets(&self) -> Vec<(usize, u64)> {
         self.counts.iter().enumerate().filter(|(_, &c)| c > 0).map(|(i, &c)| (i, c)).collect()
@@ -183,31 +172,6 @@ impl Histogram {
             w.arr().num(idx).num(c).end();
         }
         w.end().end();
-    }
-
-    /// Rebuild from the JSON produced by `write_json`.
-    pub(crate) fn from_json_value(v: &JsonValue) -> Result<Self, String> {
-        let obj = v.as_object().ok_or("histogram: expected object")?;
-        let mut h = Histogram::new();
-        h.count = obj.get("count").and_then(|v| v.as_u64()).ok_or("histogram: count")?;
-        h.sum = obj.get("sum").and_then(|v| v.as_u128()).ok_or("histogram: sum")?;
-        let min = obj.get("min").and_then(|v| v.as_u64()).ok_or("histogram: min")?;
-        h.min = if h.count == 0 { u64::MAX } else { min };
-        h.max = obj.get("max").and_then(|v| v.as_u64()).ok_or("histogram: max")?;
-        let buckets = obj.get("buckets").and_then(|v| v.as_array()).ok_or("histogram: buckets")?;
-        for b in buckets {
-            let pair = b.as_array().ok_or("histogram: bucket pair")?;
-            if pair.len() != 2 {
-                return Err("histogram: bucket pair arity".into());
-            }
-            let idx = pair[0].as_u64().ok_or("histogram: bucket idx")? as usize;
-            let c = pair[1].as_u64().ok_or("histogram: bucket count")?;
-            if idx >= NBUCKETS {
-                return Err(format!("histogram: bucket idx {idx} out of range"));
-            }
-            h.counts[idx] = c;
-        }
-        Ok(h)
     }
 }
 
@@ -321,28 +285,5 @@ mod tests {
         h2.record_n(1 << 20, 99);
         h2.record_n((1 << 20) + (1 << 17), 1); // one sub-bucket up
         assert!(h2.percentile(99.95) > h2.percentile(10.0));
-    }
-
-    #[test]
-    fn merge_equals_combined_recording() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut c = Histogram::new();
-        for v in [3u64, 900, 17, 1 << 30] {
-            a.record(v);
-            c.record(v);
-        }
-        for v in [0u64, 5_000_000, u64::MAX] {
-            b.record(v);
-            c.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), c.count());
-        assert_eq!(a.sum(), c.sum());
-        assert_eq!(a.min(), c.min());
-        assert_eq!(a.max(), c.max());
-        for p in [10.0, 50.0, 90.0, 99.0] {
-            assert_eq!(a.percentile(p), c.percentile(p));
-        }
     }
 }

@@ -11,8 +11,8 @@
 //!   buckets with 16 linear sub-buckets each) with p50/p90/p99/p999/max.
 //! * [`Telemetry`] — a cheaply clonable handle (the simulation is
 //!   single-threaded virtual time, so `Rc<RefCell<_>>`) to one domain's
-//!   named histograms, counters and gauges, plus — each opt-in — the event
-//!   trace ring, the gauge sampler and the latency anatomy.
+//!   named histograms and gauges, plus — each opt-in — the event trace
+//!   ring, the gauge sampler and the latency anatomy.
 //! * [`Scope`] — the one way to bracket an operation: a guard that owns the
 //!   trace `Begin`/`End` pair, the anatomy frame and the latency histogram
 //!   sample of one op, and closes all three on every exit path.
@@ -21,9 +21,9 @@
 //!   that sums exactly to its wall latency, plus per-kind `seg.*`
 //!   histograms and a bounded tail-outlier capturer (see the anatomy module
 //!   docs).
-//! * JSON export/import ([`Telemetry::to_json`], [`Telemetry::from_json`]) —
-//!   on the workspace's one writer and parser ([`simkit::json`]), exact
-//!   round-trip.
+//! * JSON export ([`Telemetry::to_json`]) on the workspace's one writer
+//!   ([`simkit::json`]); histograms carry their raw buckets, so the document
+//!   is lossless.
 //!
 //! # Op scopes
 //!
@@ -64,7 +64,6 @@ pub use trace::{
 #[derive(Debug, Default)]
 struct State {
     hists: BTreeMap<String, Histogram>,
-    counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, i64>,
     trace: Option<TraceBuf>,
     trace_stack: Vec<TraceId>,
@@ -104,16 +103,6 @@ impl Telemetry {
         record_into(&mut self.inner.borrow_mut().hists, name, ns);
     }
 
-    /// Add to a named counter (allocation-free after the first sample).
-    pub fn incr(&self, name: &str, by: u64) {
-        let s = &mut *self.inner.borrow_mut();
-        if let Some(c) = s.counters.get_mut(name) {
-            *c += by;
-        } else {
-            s.counters.insert(name.to_string(), by);
-        }
-    }
-
     /// Set a named gauge (allocation-free after the first sample).
     pub fn set_gauge(&self, name: &str, value: i64) {
         let s = &mut *self.inner.borrow_mut();
@@ -127,11 +116,6 @@ impl Telemetry {
     /// Clone of the named histogram, if any samples were recorded.
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
         self.inner.borrow().hists.get(name).cloned()
-    }
-
-    /// Named counter (0 if never incremented).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.inner.borrow().counters.get(name).copied().unwrap_or(0)
     }
 
     /// Named gauge, if set.
@@ -182,7 +166,7 @@ impl Telemetry {
         }
         if framed {
             if let Some(a) = s.anatomy.as_mut() {
-                a.begin(name, now, *s.trace_stack.last().unwrap_or(&0));
+                a.begin(now, *s.trace_stack.last().unwrap_or(&0));
             }
         }
         Scope { tel: self.clone(), cat, name, start: now, fresh, framed, open: true }
@@ -219,11 +203,6 @@ impl Telemetry {
     /// Start recording trace events into a ring of `capacity` events.
     pub fn enable_tracing(&self, capacity: usize) {
         self.inner.borrow_mut().trace = Some(TraceBuf::new(capacity));
-    }
-
-    /// True once tracing was enabled on this domain.
-    pub fn tracing_enabled(&self) -> bool {
-        self.inner.borrow().trace.is_some()
     }
 
     /// Export the trace ring as Chrome trace-event JSON, if tracing is
@@ -312,7 +291,6 @@ impl Telemetry {
     pub fn reset(&self) {
         let s = &mut *self.inner.borrow_mut();
         s.hists.clear();
-        s.counters.clear();
         s.gauges.clear();
         if let Some(t) = &mut s.trace {
             t.clear();
@@ -331,11 +309,7 @@ impl Telemetry {
     pub fn to_json(&self) -> String {
         let s = self.inner.borrow();
         let mut w = Writer::new();
-        w.obj().key("counters").obj();
-        for (k, v) in &s.counters {
-            w.key(k).num(v);
-        }
-        w.end().key("gauges").obj();
+        w.obj().key("gauges").obj();
         for (k, v) in &s.gauges {
             w.key(k).num(v);
         }
@@ -350,41 +324,13 @@ impl Telemetry {
         w.end();
         w.finish()
     }
-
-    /// Rebuild a domain from the output of [`Telemetry::to_json`].
-    /// `from_json(to_json(t)).to_json() == to_json(t)` holds exactly. Keys
-    /// this version does not write (the `stalls` object of older documents)
-    /// are ignored.
-    pub fn from_json(doc: &str) -> Result<Self, String> {
-        let v = parse_json(doc)?;
-        let obj = v.as_object().ok_or("telemetry: expected object")?;
-        let mut s = State::default();
-        if let Some(cs) = obj.get("counters").and_then(|v| v.as_object()) {
-            for (k, v) in cs {
-                s.counters.insert(k.clone(), v.as_u64().ok_or("counter: expected u64")?);
-            }
-        }
-        if let Some(gs) = obj.get("gauges").and_then(|v| v.as_object()) {
-            for (k, v) in gs {
-                s.gauges.insert(k.clone(), v.as_i64().ok_or("gauge: expected i64")?);
-            }
-        }
-        if let Some(hs) = obj.get("histograms").and_then(|v| v.as_object()) {
-            for (k, v) in hs {
-                s.hists.insert(k.clone(), Histogram::from_json_value(v)?);
-            }
-        }
-        if let Some(sv) = obj.get("series") {
-            s.sampler = Some(Sampler::from_json_value(sv)?);
-        }
-        Ok(Self { inner: Rc::new(RefCell::new(s)) })
-    }
 }
 
 /// An open operation scope (see the crate docs): created by
 /// [`Telemetry::op`], [`Telemetry::span`], [`Telemetry::framed_span`] or
 /// [`Telemetry::frame`]. It borrows its name and holds only a handle clone,
-/// so opening one allocates nothing beyond the anatomy frame itself.
+/// and the anatomy frame under it is plain data, so opening one allocates
+/// nothing.
 #[derive(Debug)]
 #[must_use = "a scope that is dropped at once ends at its opening time"]
 pub struct Scope<'a> {
@@ -423,7 +369,7 @@ impl Scope<'_> {
         }
         if self.framed {
             // Sweep the frame's unattributed remainder into `seg.host`.
-            let host = s.anatomy.as_mut().and_then(|a| a.end(self.name, end));
+            let host = s.anatomy.as_mut().and_then(|a| a.end(self.name, self.start, end));
             if let Some(host) = host.filter(|&h| h > 0) {
                 record_into(&mut s.hists, SegKind::Host.hist_name(), host);
             }
@@ -484,14 +430,11 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_gauges() {
+    fn gauges_hold_the_last_value_set() {
         let t = Telemetry::new();
-        t.incr("ops", 3);
-        t.incr("ops", 2);
+        t.set_gauge("depth", 7);
         t.set_gauge("depth", -4);
-        assert_eq!(t.counter("ops"), 5);
         assert_eq!(t.gauge("depth"), Some(-4));
-        assert_eq!(t.counter("missing"), 0);
         assert_eq!(t.gauge("missing"), None);
     }
 
@@ -499,9 +442,9 @@ mod tests {
     fn shared_handle_sees_all_writes() {
         let a = Telemetry::new();
         let b = a.clone();
-        a.incr("x", 1);
-        b.incr("x", 1);
-        assert_eq!(a.counter("x"), 2);
+        a.record("x", 1);
+        b.record("x", 3);
+        assert_eq!(a.histogram("x").unwrap().count(), 2);
     }
 
     #[test]
@@ -546,29 +489,28 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips_exactly() {
+    fn json_export_parses_with_awkward_names_and_extreme_values() {
         let t = Telemetry::new();
-        t.incr("engine.commits", 42);
-        t.set_gauge("pool.dirty", 17);
         t.set_gauge("neg", -3);
         for v in [0u64, 1, 5, 1000, 123_456_789, u64::MAX] {
             t.record("dev.write", v);
         }
         t.record("odd \"name\" \\ here", 77);
-        let j1 = t.to_json();
-        assert!(!j1.contains("stalls"), "the stall taxonomy is gone from the export");
-        let back = Telemetry::from_json(&j1).expect("parse back");
-        assert_eq!(back.to_json(), j1, "round trip must be lossless");
-        assert_eq!(back.counter("engine.commits"), 42);
-        assert_eq!(back.gauge("neg"), Some(-3));
-        let h = back.histogram("dev.write").unwrap();
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.max(), u64::MAX);
-        assert_eq!(h.min(), 0);
-        // A document written before the stall totals were removed still
-        // parses; the object is ignored.
-        let old = j1.replacen('{', "{\"stalls\":{\"media\":9,\"flush_cache\":1234},", 1);
-        assert_eq!(Telemetry::from_json(&old).expect("old document").to_json(), j1);
+        let doc = parse_json(&t.to_json()).expect("the export is JSON");
+        let doc = doc.as_object().unwrap();
+        assert_eq!(doc["gauges"].as_object().unwrap()["neg"].as_i64(), Some(-3));
+        let hists = doc["histograms"].as_object().unwrap();
+        assert!(hists.contains_key("odd \"name\" \\ here"));
+        let h = hists["dev.write"].as_object().unwrap();
+        assert_eq!(h["count"].as_u64(), Some(6));
+        assert_eq!((h["min"].as_u64(), h["max"].as_u64()), (Some(0), Some(u64::MAX)));
+        let buckets: u64 = h["buckets"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|b| b.as_array().unwrap()[1].as_u64().unwrap())
+            .sum();
+        assert_eq!(buckets, 6, "the raw buckets account for every sample");
     }
 
     #[test]
@@ -612,28 +554,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips_with_series() {
-        let t = Telemetry::new();
-        t.enable_sampling(100);
-        t.set_gauge("pool.dirty_pages", 5);
-        t.sample(0);
-        t.set_gauge("pool.dirty_pages", 9);
-        t.set_gauge("ssd.cache_occupancy", 3);
-        t.sample(150);
-        t.finish_sampling(220);
-        t.incr("ops", 2);
-        let j1 = t.to_json();
-        assert!(j1.contains("\"series\":{"), "series section must be exported");
-        let back = Telemetry::from_json(&j1).expect("parse back");
-        assert_eq!(back.to_json(), j1, "series round trip must be lossless");
-        // A gauge born mid-run has no points before its first sample.
-        assert_eq!(
-            back.series_csv().unwrap(),
-            "t_ns,pool.dirty_pages,ssd.cache_occupancy\n0,5,\n150,9,3\n220,9,3\n"
-        );
-    }
-
-    #[test]
     fn json_export_bytes_are_pinned() {
         let t = Telemetry::new();
         t.enable_sampling(100);
@@ -641,14 +561,12 @@ mod tests {
         t.sample(0);
         t.set_gauge("ssd.cache_occupancy", 3);
         t.finish_sampling(220);
-        t.incr("ops", 2);
         t.record("dev.write", 7);
         t.record("dev.write", 70_000);
         assert_eq!(
             t.to_json(),
             concat!(
-                r#"{"counters":{"ops":2},"#,
-                r#""gauges":{"pool.dirty \"pages\"":-5,"ssd.cache_occupancy":3},"#,
+                r#"{"gauges":{"pool.dirty \"pages\"":-5,"ssd.cache_occupancy":3},"#,
                 r#""histograms":{"dev.write":{"count":2,"sum":70007,"min":7,"max":70000,"#,
                 r#""p50":7,"p90":70000,"p99":70000,"p999":70000,"buckets":[[7,1],[209,1]]}},"#,
                 r#""series":{"cadence":100,"times":[0,220],"gauges":{"#,
@@ -681,7 +599,6 @@ mod tests {
         t.set_gauge("g", 1);
         t.op("engine", "op", 0).close(5);
         t.reset();
-        assert!(t.tracing_enabled());
         assert_eq!(t.trace_counts().map(|(r, _)| r), Some(2), "counters survive reset");
         let doc = t.trace_chrome_json().unwrap();
         assert_eq!(validate_chrome_json(&doc).unwrap().events, 0);
@@ -798,9 +715,9 @@ mod tests {
     #[test]
     fn anatomy_json_export_is_unchanged() {
         // Anatomy state lives outside the registry JSON (outliers export
-        // separately), so the exact round-trip contract is unaffected.
+        // separately).
         let t = Telemetry::new();
-        t.incr("ops", 1);
+        t.record("ops", 1);
         let before = t.to_json();
         t.enable_anatomy(4);
         assert_eq!(t.to_json(), before);
@@ -810,14 +727,14 @@ mod tests {
     fn reset_clears_everything_but_keeps_anatomy_enabled() {
         let t = Telemetry::new();
         t.enable_anatomy(3);
-        t.incr("a", 1);
+        t.set_gauge("a", 1);
         t.record("h", 10);
         let f = t.frame("op", 0);
         t.seg(SegKind::Xfer, 10);
         f.end(50);
         assert!(t.last_breakdown().is_some());
         t.reset();
-        assert_eq!(t.counter("a"), 0);
+        assert_eq!(t.gauge("a"), None);
         assert!(t.histogram("h").is_none());
         assert!(t.histogram("seg.xfer").is_none());
         assert!(t.last_breakdown().is_none());

@@ -31,7 +31,7 @@
 //! **causal extent**, not the host-visible latency (which lives in the
 //! histograms). See DESIGN.md.
 
-use simkit::json::{self, Field, JsonValue, Want, Writer};
+use simkit::json::{self, Field, Want, Writer};
 use simkit::Nanos;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt::Write as _;
@@ -49,17 +49,6 @@ pub enum Phase {
     End,
     /// Instantaneous event (`"i"`).
     Instant,
-}
-
-impl Phase {
-    /// The Chrome trace-event `ph` code.
-    pub fn code(self) -> char {
-        match self {
-            Phase::Begin => 'B',
-            Phase::End => 'E',
-            Phase::Instant => 'i',
-        }
-    }
 }
 
 /// One recorded event. Category and name are indices into the owning
@@ -352,11 +341,6 @@ impl Sampler {
         Self { cadence: cadence.max(1), next_due: 0, times: Vec::new(), series: BTreeMap::new() }
     }
 
-    /// Configured cadence.
-    pub fn cadence(&self) -> Nanos {
-        self.cadence
-    }
-
     /// Take a sample iff `now` has reached the next due time. Returns
     /// whether a sample was taken.
     pub fn sample_if_due(&mut self, now: Nanos, gauges: &BTreeMap<String, i64>) -> bool {
@@ -457,35 +441,6 @@ impl Sampler {
             w.end().end();
         }
         w.end().end();
-    }
-
-    /// Rebuild from the `"series"` object of the registry export; exact
-    /// round-trip.
-    pub fn from_json_value(v: &JsonValue) -> Result<Self, String> {
-        let obj = v.as_object().ok_or("series: expected object")?;
-        let cadence =
-            obj.get("cadence").and_then(|v| v.as_u64()).ok_or("series: missing cadence")?;
-        let mut s = Sampler::new(cadence);
-        if let Some(times) = obj.get("times").and_then(|v| v.as_array()) {
-            for t in times {
-                s.times.push(t.as_u64().ok_or("series: time not a u64")?);
-            }
-        }
-        if let Some(gs) = obj.get("gauges").and_then(|v| v.as_object()) {
-            for (k, g) in gs {
-                let go = g.as_object().ok_or("series: gauge not an object")?;
-                let start = go.get("start").and_then(|v| v.as_u64()).ok_or("series: no start")?;
-                let mut values = Vec::new();
-                if let Some(vs) = go.get("values").and_then(|v| v.as_array()) {
-                    for v in vs {
-                        values.push(v.as_i64().ok_or("series: value not an i64")?);
-                    }
-                }
-                s.series.insert(k.clone(), Series { start: start as usize, values });
-            }
-        }
-        s.next_due = s.times.last().map_or(0, |t| t.saturating_add(s.cadence));
-        Ok(s)
     }
 }
 
@@ -640,24 +595,6 @@ mod tests {
         assert_eq!(lines[2], "10,2,");
         assert_eq!(lines[3], "20,3,100");
         assert_eq!(lines[4], "25,4,101");
-    }
-
-    #[test]
-    fn sampler_json_round_trips_exactly() {
-        let mut s = Sampler::new(7);
-        s.sample_if_due(0, &gauges(&[("a", -5)]));
-        s.sample_if_due(7, &gauges(&[("a", 6), ("b", 9)]));
-        s.finish(11, &gauges(&[("a", 7), ("b", 10)]));
-        let to_json = |s: &Sampler| {
-            let mut w = Writer::new();
-            s.write_json(&mut w);
-            w.finish()
-        };
-        let j1 = to_json(&s);
-        let back = Sampler::from_json_value(&json::parse(&j1).unwrap()).unwrap();
-        assert_eq!(to_json(&back), j1);
-        assert_eq!(back.series()["b"].start, 1);
-        assert_eq!(back.cadence(), 7);
     }
 
     #[test]

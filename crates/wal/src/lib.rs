@@ -48,7 +48,6 @@
 
 pub mod record;
 
-use forensics::{EvidenceKind, Ledger};
 use simkit::{crc32_bytewise, Nanos};
 use std::ops::Range;
 use storage::device::{BlockDevice, DevResult, WriteCause, LOGICAL_PAGE};
@@ -133,8 +132,13 @@ pub struct WalStats {
 pub struct Wal {
     files: Vec<PageFile>,
     data_blocks: u64,
+    /// The log stream from the start of the block holding `buf_start` up to
+    /// `next_lsn`: the durable prefix of the partial tail block, then the
+    /// bytes appended but not yet flushed. Padded to whole blocks it is
+    /// exactly the next flush's block run, so one buffer serves as pending
+    /// bytes, tail image and write run, and keeps its capacity.
     buf: Vec<u8>,
-    /// Stream offset of the first byte in `buf`.
+    /// Stream offset of the first unflushed byte.
     buf_start: Lsn,
     next_lsn: Lsn,
     durable_lsn: Lsn,
@@ -151,20 +155,12 @@ pub struct Wal {
     policy: CheckpointPolicy,
     /// Commits since the last checkpoint (drives `EveryNCommits`).
     commits_since_ckpt: u64,
-    /// Content of the current partial tail block, as durable on disk.
-    tail_image: Vec<u8>,
     /// Bytes of the tail buffer occupied by [`LogRecord::PageImages`]
     /// frames; classifies the next flush's write provenance.
     image_bytes_buffered: u64,
-    /// Grow-only scratch for materialising the block run of a flush; reused
-    /// across flushes so steady-state commits do not allocate.
-    run_scratch: Vec<u8>,
     stats: WalStats,
     /// Optional telemetry sink.
     tel: Option<Telemetry>,
-    /// Optional durability ledger: each physical flush completion is
-    /// recorded as `wal-flush` evidence with the LSN it covered.
-    ledger: Option<Ledger>,
 }
 
 impl Wal {
@@ -202,12 +198,9 @@ impl Wal {
             checkpoint_lsn: 0,
             policy: CheckpointPolicy::default(),
             commits_since_ckpt: 0,
-            tail_image: vec![0u8; BLOCK],
             image_bytes_buffered: 0,
-            run_scratch: Vec::new(),
             stats: WalStats::default(),
             tel: None,
-            ledger: None,
         }
     }
 
@@ -222,13 +215,6 @@ impl Wal {
     /// issue to the enclosing op's anatomy (see [`Wal::commit`]).
     pub fn attach_telemetry(&mut self, tel: Telemetry) {
         self.tel = Some(tel);
-    }
-
-    /// Attach a durability ledger: every physical flush completion is
-    /// recorded as `wal-flush` evidence carrying the LSN it covered and
-    /// whether the underlying fsync was barrier-backed.
-    pub fn attach_ledger(&mut self, ledger: Ledger) {
-        self.ledger = Some(ledger);
     }
 
     /// Next LSN to be assigned.
@@ -255,6 +241,11 @@ impl Wal {
     /// Live (un-checkpointed) log length in bytes.
     pub fn live_bytes(&self) -> u64 {
         self.next_lsn - self.checkpoint_lsn
+    }
+
+    /// Bytes appended but not yet handed to the device.
+    fn unflushed(&self) -> u64 {
+        self.next_lsn - self.buf_start
     }
 
     /// Install the checkpoint-scheduling policy (engines pass their
@@ -327,7 +318,7 @@ impl Wal {
         hdr[12..].copy_from_slice(&crc32_bytewise(payload).to_le_bytes());
         self.stats.appends += 1;
         if let Some(tel) = &self.tel {
-            tel.set_gauge("wal.buffered_bytes", self.buf.len() as i64);
+            tel.set_gauge("wal.buffered_bytes", self.unflushed() as i64);
         }
         lsn
     }
@@ -358,65 +349,44 @@ impl Wal {
     /// Write all buffered bytes as whole blocks and fsync. Returns
     /// completion time. Caller manages `inflight`/`durable_lsn`.
     fn flush_buffer<D: BlockDevice>(&mut self, vol: &mut Volume<D>, now: Nanos) -> Nanos {
-        debug_assert!(!self.buf.is_empty());
+        debug_assert!(self.unflushed() > 0);
         let scope = self.tel.as_ref().map(|tel| tel.span("wal", "wal.flush", now));
         // Provenance: a flush dominated by full-page-image sidecars is
         // page-image traffic, otherwise plain log appends. (One flush covers
         // one cause — block-granular classification by majority byte count,
         // documented in DESIGN.md.)
-        let cause = if self.image_bytes_buffered * 2 >= self.buf.len() as u64 {
+        let cause = if self.image_bytes_buffered * 2 >= self.unflushed() {
             WriteCause::PageImage
         } else {
             WriteCause::WalAppend
         };
         self.image_bytes_buffered = 0;
         let start_block = self.buf_start / BLOCK as u64;
-        let start_off = (self.buf_start % BLOCK as u64) as usize;
-        let end = self.buf_start + self.buf.len() as u64;
-        let end_block = end.div_ceil(BLOCK as u64);
-        // Materialise the block run: durable prefix of the first block, the
-        // buffered bytes, zero padding to the block boundary. The scratch is
-        // reused flush to flush (taken out of `self` so the file-write calls
-        // below can borrow `self.files` mutably).
-        let nblocks = (end_block - start_block) as usize;
-        let mut run = std::mem::take(&mut self.run_scratch);
-        run.clear();
-        run.resize(nblocks * BLOCK, 0);
-        run[..start_off].copy_from_slice(&self.tail_image[..start_off]);
-        run[start_off..start_off + self.buf.len()].copy_from_slice(&self.buf);
+        // Zero padding to the block boundary makes `buf` the block run.
+        let tail_off = self.buf.len() % BLOCK;
+        let run_len = self.buf.len().next_multiple_of(BLOCK);
+        self.buf.resize(run_len, 0);
         // One write per run, splitting at file boundaries and the wrap.
         let t = vol.with_cause(cause, |vol| {
             let mut t = now;
-            for (file, in_file, blocks) in self.runs(start_block, nblocks) {
-                let data = &run[blocks.start * BLOCK..blocks.end * BLOCK];
+            for (file, in_file, blocks) in self.runs(start_block, run_len / BLOCK) {
+                let data = &self.buf[blocks.start * BLOCK..blocks.end * BLOCK];
                 t = self.files[file]
                     .write_pages(vol, in_file, data, t)
                     .expect("log geometry is static");
             }
             vol.fsync(t).expect("log device reachable")
         });
-        self.stats.bytes_written += run.len() as u64;
-        // Remember the new partial tail image.
-        let tail_off = (end % BLOCK as u64) as usize;
-        if tail_off == 0 {
-            self.tail_image.fill(0);
-        } else {
-            let last = &run[(nblocks - 1) * BLOCK..];
-            self.tail_image[..tail_off].copy_from_slice(&last[..tail_off]);
-            self.tail_image[tail_off..].fill(0);
-        }
-        self.buf_start = end;
-        self.buf.clear();
-        self.run_scratch = run;
+        self.stats.bytes_written += run_len as u64;
+        // Keep the durable image of the new partial tail block: the next
+        // flush starts with it.
+        self.buf.copy_within(run_len - BLOCK..run_len - BLOCK + tail_off, 0);
+        self.buf.truncate(tail_off);
+        self.buf_start = self.next_lsn;
         self.stats.flushes += 1;
         if let (Some(scope), Some(tel)) = (scope, &self.tel) {
             scope.close(t);
             tel.set_gauge("wal.buffered_bytes", 0);
-        }
-        if let Some(ledger) = &self.ledger {
-            // The flush covered the stream up to `end`: with barriers the
-            // ack is barrier-backed, otherwise it rides on the device cache.
-            ledger.evidence(EvidenceKind::WalFlush, end, t, vol.barriers());
         }
         t
     }
@@ -453,7 +423,7 @@ impl Wal {
             if end <= now {
                 self.durable_lsn = self.durable_lsn.max(upto);
                 self.inflight = None;
-                if self.group_end.take().is_some() && !self.buf.is_empty() {
+                if self.group_end.take().is_some() && self.unflushed() > 0 {
                     // The queued group flush starts right where the previous
                     // one ended.
                     let covers = self.next_lsn;
@@ -513,7 +483,7 @@ impl Wal {
                 return t;
             }
         }
-        if self.buf.is_empty() {
+        if self.unflushed() == 0 {
             // Everything appended so far was flushed by an earlier commit or
             // by the engine's eviction-time WAL-rule flush.
             self.durable_lsn = self.durable_lsn.max(self.next_lsn);
@@ -540,7 +510,7 @@ impl Wal {
             self.durable_lsn = self.durable_lsn.max(upto);
         }
         self.group_end = None;
-        if !self.buf.is_empty() {
+        if self.unflushed() > 0 {
             let covers = self.next_lsn;
             t = self.flush_buffer(vol, t);
             self.durable_lsn = covers;
@@ -654,9 +624,9 @@ impl Wal {
         // The partial tail block, so appends continue seamlessly: the scan
         // read it on the way to `lsn` and the window still holds it.
         let tail_off = (lsn % BLOCK as u64) as usize;
+        wal.buf.resize(tail_off, 0);
         if tail_off != 0 && win.fill(&wal, vol, lsn, lsn + 1, &mut t)? {
-            let tail = win.bytes_at(lsn - tail_off as u64);
-            wal.tail_image[..tail_off].copy_from_slice(&tail[..tail_off]);
+            wal.buf.copy_from_slice(&win.bytes_at(lsn - tail_off as u64)[..tail_off]);
         }
         Ok((wal, scan, t))
     }
@@ -927,7 +897,7 @@ mod tests {
         for (i, r) in scan.records.iter().enumerate() {
             assert_eq!(value_of(r), &[0xA0 | i as u8; 2000]);
         }
-        assert_eq!((wal2.next_lsn(), &wal2.tail_image), (wal.next_lsn(), &wal.tail_image));
+        assert_eq!((wal2.next_lsn(), &wal2.buf), (wal.next_lsn(), &wal.buf));
         // Header; block 5; blocks 6-7, split by the wrap; blocks 8-11, split
         // where file 0 ends — a wrap and a file boundary inside one step each.
         assert_eq!(vol.device_stats().reads - reads, 1 + 1 + 2 + 2);
@@ -995,7 +965,7 @@ mod tests {
             let (mut vol, wal, lsns) = log_of(blocks);
             let (wal2, scan, _) = Wal::recover(&mut vol, wal.files.clone(), 0).unwrap();
             assert_eq!(scan.records.len(), lsns.len(), "{blocks} blocks");
-            assert_eq!((wal2.next_lsn(), &wal2.tail_image), (wal.next_lsn(), &wal.tail_image));
+            assert_eq!((wal2.next_lsn(), &wal2.buf), (wal.next_lsn(), &wal.buf));
             let reads = &vol.device().commands;
             assert_eq!(reads.len(), 1 + commands, "{blocks} blocks: {reads:?}");
             // The tail block is not read a second time for the tail image.
@@ -1012,7 +982,7 @@ mod tests {
         vol.device_mut().commands.clear();
         let (wal2, scan, _) = Wal::recover(&mut vol, wal.files.clone(), 0).unwrap();
         assert!(scan.records.is_empty() && scan.tear.is_none());
-        assert_eq!((wal2.next_lsn(), &wal2.tail_image), (wal.next_lsn(), &wal.tail_image));
+        assert_eq!((wal2.next_lsn(), &wal2.buf), (wal.next_lsn(), &wal.buf));
         assert_eq!(vol.device().commands.len(), 2);
     }
 
