@@ -53,6 +53,12 @@ if grep -rnE 'EvidenceKind|EvidenceRow|evidence_rows|ack_evidence|from_json_valu
     echo "removed instrument referenced above" >&2
     exit 1
 fi
+# Page bytes move by reference below the host interface: the FTL stages no
+# page copies, and the NAND page table is a dense vector, not a map.
+if grep -rnE 'page_scratch|read_scratch' crates/core/src || grep -rn HashMap crates/nand/src; then
+    echo "removed page-copy staging or hashed NAND page table referenced above" >&2
+    exit 1
+fi
 if grep -n forensics crates/storage/Cargo.toml crates/wal/Cargo.toml; then
     echo "storage and wal must not depend on forensics" >&2
     exit 1

@@ -15,7 +15,7 @@
 //!    would cross-pollute the counts).
 //!
 //! 2. "Steady state" means the NAND frontier has *wrapped*: erases feed
-//!    freed pages back into the page pool and GC recycles blocks. On a
+//!    freed cells back into the slot pool and GC recycles blocks. On a
 //!    cold multi-gigabyte device the frontier never wraps in a few tens of
 //!    thousands of ops, so every program legitimately grows capacity (a
 //!    fresh page per write is growth, not churn). We therefore measure on
@@ -44,9 +44,9 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
 }
 
 /// A tiny-geometry volume driven past its first frontier wrap: after
-/// `warmup_ops` random writes (fsync every 32) every pool — page slab,
-/// preimage vecs, ack heap, NAND page slab, FTL scratch — has reached its
-/// steady-state capacity.
+/// `warmup_ops` random writes (fsync every 32) every pool — slot pool,
+/// preimage vecs, ack heap, GC staging — has reached its steady-state
+/// capacity.
 ///
 /// Pools grow exactly when a new all-time peak of in-flight work appears,
 /// so the warm-up ends with a long fsync-free burst: 4096 back-to-back
@@ -101,8 +101,18 @@ fn warm_volume(
     (vol, span, t)
 }
 
+/// Steady-state cached writes + fsync: cache drain, FTL program, GC and
+/// mapping persist. Below the host interface page bytes move by reference:
+/// a host write is copied into one slot-pool checkout, and the drains, GC
+/// relocations and map persists that follow share or skip cells instead of
+/// checking out new ones — so the pool's checkouts grow by exactly the host
+/// pages admitted.
 fn steady_state_drained_writes() {
     let (mut vol, span, mut t) = warm_volume(0x5EED, 10_000, None);
+    let pool = vol.device().slot_pool().clone();
+    let stats = |vol: &Volume<Ssd>| (vol.device_stats().pages_written, vol.device().ftl_stats());
+    let (pages0, ftl0) = stats(&vol);
+    let (checkouts0, fresh0) = (pool.checkouts(), pool.fresh_allocs());
     let mut r = rng(0xD81A);
     let data = vec![3u8; 4096];
     let allocs = allocs_during(|| {
@@ -119,6 +129,12 @@ fn steady_state_drained_writes() {
         "steady-state cached writes + fsync (cache drain, FTL program, GC, \
          mapping persist) must be allocation-free"
     );
+    let (pages, ftl) = stats(&vol);
+    assert!(ftl.gc_relocated_slots > ftl0.gc_relocated_slots, "GC relocated slots");
+    assert!(ftl.meta_programs > ftl0.meta_programs, "the mapping was persisted");
+    assert_eq!(pool.checkouts() - checkouts0, pages - pages0, "one checkout per host page");
+    assert_eq!(pool.fresh_allocs(), fresh0, "every checkout came off the free list");
+    vol.device().check_invariants().expect("every outstanding cell has a holder");
 }
 
 fn cache_hit_reads() {

@@ -14,12 +14,14 @@
 //!
 //! ## Zero-copy and complexity
 //!
-//! Slot contents live in [`PageBuf`] leases from the device's page pool, so
-//! admission, drain and reclaim move *ownership*, never bytes: the flusher
-//! borrows a popped slot's data in place ([`WriteCache::pop_dirty`] returns
-//! the LPN; the caller reads via [`WriteCache::get`]) and the slot's buffer
-//! returns to the pool when the entry is reclaimed. The hot-path queries the
-//! device issues per host command are kept cheap with two side structures:
+//! Slot contents are [`SharedBuf`] handles on cells of the NAND array's slot
+//! pool, frozen at admission, so drain and reclaim move *references*, never
+//! bytes: the flusher hands a popped slot's handle to the FTL
+//! ([`WriteCache::pop_dirty`] returns the LPN; the caller looks the entry up
+//! with [`WriteCache::entry`]), the programmed page shares the cell, and the
+//! cache's handle drops when the entry is reclaimed. The hot-path queries
+//! the device issues per host command are kept cheap with two side
+//! structures:
 //!
 //! * `draining_by_done` — drain completion times sorted ascending, so
 //!   [`occupied_at`](WriteCache::occupied_at) is a binary search,
@@ -33,7 +35,7 @@
 //! the scan-based implementation returned, so virtual-time results are
 //! byte-identical.
 
-use simkit::{Nanos, PageBuf};
+use simkit::{Nanos, SharedBuf};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use storage::device::WriteCause;
@@ -48,8 +50,8 @@ const DRAIN_PENDING: Nanos = Nanos::MAX;
 /// One cached 4KB slot.
 #[derive(Debug, Clone)]
 pub struct CacheEntry {
-    /// Page content (4KB), leased from the device's buffer pool.
-    pub data: PageBuf,
+    /// Page content (4KB): a handle on a slot-pool cell.
+    pub data: SharedBuf,
     /// When `Some(done)`, a NAND program for this entry completes at `done`;
     /// the slot is reclaimable after that time.
     pub draining_until: Option<Nanos>,
@@ -129,10 +131,10 @@ impl WriteCache {
         self.entries.get(&lpn).map(|e| &*e.data)
     }
 
-    /// Provenance of a cached slot ([`WriteCause::HostData`] if absent —
-    /// the flusher only asks for slots it just popped).
-    pub fn cause_of(&self, lpn: u64) -> WriteCause {
-        self.entries.get(&lpn).map(|e| e.cause).unwrap_or_default()
+    /// A slot's entry: its cell and provenance (the flusher's view of a
+    /// slot it just popped).
+    pub fn entry(&self, lpn: u64) -> Option<&CacheEntry> {
+        self.entries.get(&lpn)
     }
 
     /// Overwrites coalesced onto still-dirty slots so far (NAND programs
@@ -195,7 +197,7 @@ impl WriteCache {
     pub fn insert(
         &mut self,
         lpn: u64,
-        data: PageBuf,
+        data: SharedBuf,
         ackable_at: Nanos,
         cause: WriteCause,
     ) -> Option<CacheEntry> {
@@ -281,10 +283,10 @@ impl WriteCache {
     }
 
     /// Take the oldest dirty entry whose command has acknowledged by `now`,
-    /// marking it drain-pending, and return its LPN. The caller reads the
-    /// page data in place via [`WriteCache::get`] — nothing is copied — and
-    /// records the program completion time with [`WriteCache::set_draining`]
-    /// once the program is scheduled.
+    /// marking it drain-pending, and return its LPN. The caller takes a
+    /// handle on the entry's cell via [`WriteCache::entry`] — nothing is
+    /// copied — and records the program completion time with
+    /// [`WriteCache::set_draining`] once the program is scheduled.
     pub fn pop_dirty(&mut self, now: Nanos) -> Option<u64> {
         while let Some(&(lpn, gen)) = self.fifo.front() {
             match self.entries.get_mut(&lpn) {
@@ -336,8 +338,8 @@ impl WriteCache {
         self.insert_drain_ref(done, lpn);
     }
 
-    /// Reclaim slots whose programs completed by `now`. Their page buffers
-    /// return to the pool as the entries drop.
+    /// Reclaim slots whose programs completed by `now`. Their handles drop
+    /// with the entries; the cells stay with the pages they drained to.
     pub fn reclaim(&mut self, now: Nanos) {
         while let Some(&(done, lpn)) = self.draining_by_done.front() {
             if done > now {
@@ -484,7 +486,8 @@ impl WriteCache {
     }
 
     /// Discard everything (volatile cache on power cut). Returns how many
-    /// slots were lost. The page buffers return to the pool immediately.
+    /// slots were lost. Cells only the cache held return to the pool
+    /// immediately.
     pub fn discard_all(&mut self) -> usize {
         let n = self.entries.len();
         self.entries.clear();
@@ -502,13 +505,13 @@ mod tests {
     use simkit::BufPool;
 
     fn pool() -> BufPool {
-        BufPool::new(4096)
+        BufPool::default()
     }
 
-    fn data(pool: &BufPool, fill: u8) -> PageBuf {
+    fn data(pool: &BufPool, fill: u8) -> SharedBuf {
         let mut b = pool.checkout();
         b.fill(fill);
-        b
+        b.freeze()
     }
 
     #[test]
@@ -557,10 +560,15 @@ mod tests {
         c.insert(7, data(&p, 9), 0, WriteCause::HostData);
         let before = p.checkouts();
         let lpn = c.pop_dirty(u64::MAX).unwrap();
-        // The flusher reads the popped entry's bytes where they are: no
-        // pool checkout (and no heap allocation) happened.
-        assert_eq!(c.get(lpn).unwrap()[0], 9);
+        // The flusher takes a handle on the popped entry's cell: no pool
+        // checkout (and no heap allocation) happened.
+        let cell = c.entry(lpn).unwrap().data.clone();
+        assert_eq!(cell[0], 9);
         assert_eq!(p.checkouts(), before);
+        // Reclaim drops the cache's handle; the cell lives on in the clone.
+        c.set_draining(lpn, 10);
+        c.reclaim(10);
+        assert_eq!((p.outstanding(), cell[0]), (1, 9));
     }
 
     #[test]
@@ -575,7 +583,7 @@ mod tests {
         assert!(c.get(7).is_some(), "not reclaimable before completion");
         c.reclaim(1000);
         assert!(c.get(7).is_none());
-        // The reclaimed entry's buffer went back to the pool.
+        // The reclaimed entry's cell went back to the pool.
         assert_eq!(p.outstanding(), 0);
     }
 
@@ -636,7 +644,7 @@ mod tests {
         assert_eq!(c.discard_all(), 2);
         assert_eq!(c.occupied(), 0);
         assert!(c.pop_dirty(u64::MAX).is_none());
-        assert_eq!(p.outstanding(), 0, "discarded buffers returned to pool");
+        assert_eq!(p.outstanding(), 0, "discarded cells returned to pool");
     }
 
     #[test]

@@ -4,11 +4,11 @@
 use crate::cache::{CacheEntry, WriteCache};
 use crate::config::{CacheProtection, SsdConfig};
 use crate::error::Error;
-use crate::ftl::{Ftl, SlotRead};
+use crate::ftl::{Ftl, SlotRead, MAX_SPP};
 use forensics::{CacheSlotSnap, DevicePostmortem, DumpOutcome, Forensic, RecoverySnap};
 use nand::NandArray;
 use simkit::{BufPool, Nanos, Timeline};
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use storage::device::{
     check_io, BlockDevice, DevError, DevResult, DeviceStats, WriteCause, LOGICAL_PAGE,
 };
@@ -78,10 +78,6 @@ pub struct Ssd {
     /// Recycled pre-image vectors: retired [`InflightWrite`]s hand their
     /// (emptied) allocation back so steady-state writes stay heap-free.
     preimage_pool: Vec<Vec<(u64, Option<CacheEntry>)>>,
-    /// Slab of 4KB page buffers backing the write cache: host writes check
-    /// out a lease, reclaim/discard returns it. Steady-state admission and
-    /// drain perform zero heap allocations.
-    page_pool: BufPool,
     /// Monotonically increasing arrival clock (the closed-loop driver feeds
     /// commands in virtual-time order; asserted in debug builds).
     last_arrival: Nanos,
@@ -117,7 +113,6 @@ impl Ssd {
             barrier_until: 0,
             inflight: VecDeque::new(),
             preimage_pool: Vec::new(),
-            page_pool: BufPool::new(LOGICAL_PAGE),
             last_arrival: 0,
             cur_cause: WriteCause::default(),
             gauge_tick: 0,
@@ -142,17 +137,25 @@ impl Ssd {
         self.tel = Some(tel);
     }
 
-    /// Preallocate the NAND layer to its geometric bound (one buffer per
-    /// physical page, page map at full occupancy, in-flight op vectors at
-    /// their ceilings) so device operation never allocates for media state.
+    /// Preallocate the NAND layer to its geometric bound (one 4KB cell per
+    /// physical slot, in-flight op vectors at their ceilings) so device
+    /// operation never allocates for page data: the cache's cells come out
+    /// of the same reserve.
     ///
     /// Opt-in because it makes resident memory proportional to the *raw*
     /// device size rather than the written working set — cheap for test
-    /// geometries, deliberate for multi-gigabyte ones. The host-side pools
-    /// (cache slots, pre-image vectors) are workload-bounded and warm up on
-    /// their own.
+    /// geometries, deliberate for multi-gigabyte ones. The pre-image
+    /// vectors are workload-bounded and warm up on their own.
     pub fn prewarm(&mut self) {
         self.nand.prewarm();
+    }
+
+    /// The pool of 4KB cells every page byte below the host interface
+    /// lives in: a host write is copied into a checkout once, then the
+    /// cache entry, the NAND page it drains to and any page GC relocates
+    /// it to share that cell.
+    pub fn slot_pool(&self) -> &BufPool {
+        self.nand.slot_pool()
     }
 
     /// The device configuration.
@@ -272,11 +275,10 @@ impl Ssd {
     /// Drain one pair of dirty slots to NAND at `t`; returns the program's
     /// completion time, or `None` when the cache holds nothing dirty.
     ///
-    /// Zero-copy: the popped entries' page data is borrowed from the cache
-    /// slots in place and handed to the FTL as slices — no buffer leaves
-    /// the cache until reclaim returns it to the pool.
+    /// Zero-copy: the popped entries' cells are handed to the FTL by
+    /// reference, and the NAND page shares them with the cache until
+    /// reclaim drops the entries.
     fn drain_pair(&mut self, t: Nanos) -> DevResult<Option<Nanos>> {
-        const MAX_SPP: usize = 8;
         let spp = self.cfg.slots_per_page();
         debug_assert!(spp <= MAX_SPP, "slots_per_page exceeds drain batch capacity");
         let mut lpns = [0u64; MAX_SPP];
@@ -295,17 +297,16 @@ impl Ssd {
         }
         let bytes = n as u64 * LOGICAL_PAGE as u64;
         let grant = self.pipe.acquire(t, bytes * 1_000 / self.cfg.backend_bytes_per_us);
-        const EMPTY: &[u8] = &[];
-        let mut items: [(u64, &[u8]); MAX_SPP] = [(0, EMPTY); MAX_SPP];
+        let mut cells = [const { None }; MAX_SPP];
         let mut causes = [WriteCause::HostData; MAX_SPP];
-        for ((slot, cause), &lpn) in items.iter_mut().zip(causes.iter_mut()).zip(lpns[..n].iter()) {
-            *cause = self.cache.cause_of(lpn);
-            *slot = (lpn, self.cache.get(lpn).expect("popped entry is present"));
+        for ((cell, cause), &lpn) in cells.iter_mut().zip(causes.iter_mut()).zip(&lpns[..n]) {
+            let e = self.cache.entry(lpn).expect("popped entry is present");
+            (*cell, *cause) = (Some(e.data.clone()), e.cause);
         }
         let scope = self.tel.as_ref().map(|tel| tel.span("ssd", "ssd.cache_drain", t));
         let done = self
             .ftl
-            .program_slots_tagged(&mut self.nand, &items[..n], &causes[..n], grant)
+            .program_slots_tagged(&mut self.nand, &lpns[..n], &cells[..n], &causes[..n], grant)
             .map_err(Error::into_dev)?;
         if let Some(scope) = scope {
             scope.end(done);
@@ -434,11 +435,12 @@ impl Ssd {
         let done = t + self.cfg.host_write_overhead;
         let mut preimages = self.preimage_pool.pop().unwrap_or_default();
         preimages.reserve(n);
-        for i in 0..n {
+        // The one copy below the host interface: each page into a cell.
+        let pool = self.nand.slot_pool();
+        for (i, page) in data.chunks(LOGICAL_PAGE).enumerate() {
             let slot_lpn = lpn + i as u64;
-            let chunk =
-                self.page_pool.checkout_from(&data[i * LOGICAL_PAGE..(i + 1) * LOGICAL_PAGE]);
-            let pre = self.cache.insert(slot_lpn, chunk, done, self.cur_cause);
+            let cell = pool.checkout_from(page).freeze();
+            let pre = self.cache.insert(slot_lpn, cell, done, self.cur_cause);
             preimages.push((slot_lpn, pre));
         }
         self.inflight.push_back(InflightWrite { done, preimages });
@@ -463,20 +465,28 @@ impl Ssd {
         // `media_done`) is attributed: its dispatch-pipe + NAND queueing
         // wait, the GC pause that preempted it, and its program service.
         let mut crit = None;
+        let causes = [self.cur_cause; MAX_SPP];
         while idx < n {
             let take = spp.min(n - idx);
-            let items: Vec<(u64, &[u8])> = (0..take)
-                .map(|k| {
-                    let i = idx + k;
-                    (lpn + i as u64, &data[i * LOGICAL_PAGE..(i + 1) * LOGICAL_PAGE])
-                })
-                .collect();
-            let bytes = items.len() as u64 * LOGICAL_PAGE as u64;
+            let mut lpns = [0u64; MAX_SPP];
+            let mut cells = [const { None }; MAX_SPP];
+            for k in 0..take {
+                let i = idx + k;
+                let page = &data[i * LOGICAL_PAGE..(i + 1) * LOGICAL_PAGE];
+                lpns[k] = lpn + i as u64;
+                cells[k] = Some(self.nand.slot_pool().checkout_from(page).freeze());
+            }
+            let bytes = take as u64 * LOGICAL_PAGE as u64;
             let grant = self.pipe.acquire(xfer_done, bytes * 1_000 / self.cfg.backend_bytes_per_us);
-            let causes = [self.cur_cause; 16];
             let done = self
                 .ftl
-                .program_slots_tagged(&mut self.nand, &items, &causes[..items.len()], grant)
+                .program_slots_tagged(
+                    &mut self.nand,
+                    &lpns[..take],
+                    &cells[..take],
+                    &causes[..take],
+                    grant,
+                )
                 .map_err(Error::into_dev)?;
             if done >= media_done {
                 media_done = done;
@@ -530,9 +540,11 @@ impl Ssd {
 
     /// Structural audit across the whole device, for the simulation-test
     /// harness: delegates to [`Ftl::check_invariants`] and
-    /// [`WriteCache::check_invariants`], then reconciles the page-pool
-    /// lease accounting — every outstanding [`simkit::PageBuf`] must be
-    /// held by exactly one cache slot or one in-flight pre-image.
+    /// [`WriteCache::check_invariants`], then reconciles the slot pool's
+    /// lease accounting — every outstanding cell must be referenced by a
+    /// cache entry, an in-flight pre-image, a NAND page or the parked
+    /// contents of an erase in flight (a cell several of them share counts
+    /// once).
     pub fn check_invariants(&self) -> Result<(), String> {
         self.ftl.check_invariants(&self.nand).map_err(|e| format!("ftl: {e}"))?;
         self.cache.check_invariants().map_err(|e| format!("cache: {e}"))?;
@@ -545,18 +557,20 @@ impl Ssd {
                 self.stats.pages_written
             ));
         }
-        let preimage_bufs: usize = self
-            .inflight
-            .iter()
-            .map(|w| w.preimages.iter().filter(|(_, p)| p.is_some()).count())
-            .sum();
-        let expected = self.cache.occupied() + preimage_bufs;
-        let outstanding = self.page_pool.outstanding();
-        if outstanding != expected {
+        let cached = self.cache.iter().map(|(_, e)| &e.data);
+        let preimages =
+            self.inflight.iter().flat_map(|w| w.preimages.iter().flat_map(|(_, p)| p.as_ref()));
+        let held: HashSet<*const u8> = cached
+            .chain(preimages.map(|e| &e.data))
+            .chain(self.nand.cells())
+            .map(|cell| cell.as_ptr())
+            .collect();
+        let outstanding = self.nand.slot_pool().outstanding();
+        if outstanding != held.len() {
             return Err(format!(
-                "page-pool accounting: {outstanding} leases outstanding, but cache holds {} \
-                 slots and the atomic writer {preimage_bufs} pre-images",
-                self.cache.occupied()
+                "slot-pool accounting: {outstanding} cells outstanding, but the cache, the \
+                 atomic writer's pre-images and the NAND array reference {}",
+                held.len()
             ));
         }
         Ok(())

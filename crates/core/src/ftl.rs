@@ -18,12 +18,16 @@
 use crate::config::SsdConfig;
 use crate::error::{Error, Result};
 use nand::{NandArray, NandError};
-use simkit::Nanos;
+use simkit::pool::CELL_BYTES;
+use simkit::{Nanos, SharedBuf};
 use storage::device::{CauseCounts, DevError, WriteCause};
 use telemetry::Telemetry;
 
 /// Sentinel: logical page not mapped / slot not in use.
 const NONE: u64 = u64::MAX;
+
+/// Most slots one physical page can hold (64 KiB NAND pages).
+pub(crate) const MAX_SPP: usize = 16;
 
 /// What a block is currently used for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,15 +107,11 @@ pub struct Ftl {
     up_mark: Vec<u32>,
     up_epoch: u32,
     up_list: Vec<u64>,
-    /// Grow-once scratch page for frontier/meta programs (no `vec!` per
-    /// program).
-    page_scratch: Vec<u8>,
-    /// Grow-once scratch page for slot/GC reads.
-    read_scratch: Vec<u8>,
-    /// GC relocation staging: survivor lpns and their 4KB slot data, flat.
-    /// Reused across collections (grow-only).
+    /// GC relocation staging: survivor lpns and handles on their cells
+    /// (`None` for a slot whose page holds no data there). Reused across
+    /// collections (grow-only); the handles are dropped once relocated.
     gc_lpns: Vec<u64>,
-    gc_data: Vec<u8>,
+    gc_cells: Vec<Option<SharedBuf>>,
     stats: FtlStats,
     tel: Option<Telemetry>,
     /// GC pause of the most recent [`Ftl::program_slots_tagged`] call (0
@@ -172,10 +172,8 @@ impl Ftl {
             up_mark: vec![0; cfg.logical_capacity_pages as usize],
             up_epoch: 1,
             up_list: Vec::new(),
-            page_scratch: vec![0u8; geo.page_size],
-            read_scratch: vec![0u8; geo.page_size],
             gc_lpns: Vec::new(),
-            gc_data: Vec::new(),
+            gc_cells: Vec::new(),
             stats: FtlStats::default(),
             tel: None,
             last_gc_pause: 0,
@@ -305,8 +303,9 @@ impl Ftl {
         nand.plane_busy_until(self.plane_cursor) <= now
     }
 
-    /// Program up to `spp` slots as one physical page on the next
-    /// round-robin plane. Returns the NAND completion time.
+    /// Program up to `spp` 4KB slots as one physical page on the next
+    /// round-robin plane, copying each into a cell of the NAND slot pool.
+    /// Returns the NAND completion time.
     ///
     /// Triggers GC first if the target plane is short on free blocks; a
     /// media failure inside GC propagates as [`Error`] instead of aborting
@@ -317,22 +316,33 @@ impl Ftl {
         items: &[(u64, &[u8])],
         now: Nanos,
     ) -> Result<Nanos> {
-        const HOST: [WriteCause; 16] = [WriteCause::HostData; 16];
-        self.program_slots_tagged(nand, items, &HOST[..items.len()], now)
+        const HOST: [WriteCause; MAX_SPP] = [WriteCause::HostData; MAX_SPP];
+        let mut lpns = [0; MAX_SPP];
+        let mut cells = [const { None }; MAX_SPP];
+        for (i, &(lpn, data)) in items.iter().enumerate() {
+            assert_eq!(data.len(), CELL_BYTES, "slots are 4KB");
+            lpns[i] = lpn;
+            cells[i] = Some(nand.slot_pool().checkout_from(data).freeze());
+        }
+        let n = items.len();
+        self.program_slots_tagged(nand, &lpns[..n], &cells[..n], &HOST[..n], now)
     }
 
-    /// [`Ftl::program_slots`] with a per-slot provenance tag: `causes[i]`
-    /// says why slot `items[i]` is being written (a drained pair can mix
-    /// causes, so the tag is slot-granular, not page-granular).
+    /// Program slot `i` = `(lpns[i], cells[i])` by reference — the page
+    /// shares the cells, nothing is copied — with a per-slot provenance
+    /// tag: `causes[i]` says why it is being written (a drained pair can
+    /// mix causes, so the tag is slot-granular, not page-granular).
     pub fn program_slots_tagged(
         &mut self,
         nand: &mut NandArray,
-        items: &[(u64, &[u8])],
+        lpns: &[u64],
+        cells: &[Option<SharedBuf>],
         causes: &[WriteCause],
         now: Nanos,
     ) -> Result<Nanos> {
-        assert!(!items.is_empty() && items.len() <= self.spp, "bad pair size");
-        assert_eq!(items.len(), causes.len(), "one cause per slot");
+        assert!(!lpns.is_empty() && lpns.len() <= self.spp, "bad pair size");
+        assert_eq!(lpns.len(), cells.len(), "one cell per slot");
+        assert_eq!(lpns.len(), causes.len(), "one cause per slot");
         let plane = self.next_plane();
         let gc_end = self.maybe_gc(nand, plane, now)?;
         self.last_gc_pause = gc_end.saturating_sub(now);
@@ -347,43 +357,35 @@ impl Ftl {
                 tel.complete("ftl", "ftl.gc", now, gc_end);
             }
         }
-        let done = self.program_on_plane(nand, plane, items, now);
+        let done = self.program_on_plane(nand, plane, lpns, cells, now);
         if let Some(tel) = &self.tel {
             tel.record("nand.program", done.saturating_sub(now));
         }
         self.stats.data_programs += 1;
-        self.stats.slots_programmed += items.len() as u64;
+        self.stats.slots_programmed += lpns.len() as u64;
         for &c in causes {
             self.stats.slots_by_cause[c.index()] += 1;
         }
         Ok(done)
     }
 
-    /// Program `items` on a specific plane's frontier (shared by the host
-    /// path and GC relocation).
+    /// Program `cells` as the slots of `lpns` on a specific plane's frontier
+    /// (shared by the host path and GC relocation). Slots past the last
+    /// cell are absent and read as zeros.
     fn program_on_plane(
         &mut self,
         nand: &mut NandArray,
         plane: usize,
-        items: &[(u64, &[u8])],
+        lpns: &[u64],
+        cells: &[Option<SharedBuf>],
         now: Nanos,
     ) -> Nanos {
-        let geo = *nand.geometry();
         let (block, page) = self.take_frontier_page(plane);
-        let ppn = geo.make_ppn(block, page);
-        // Stage the slots in the reusable page scratch (no per-program heap
-        // allocation); the tail beyond the last slot must stay zeroed so the
-        // programmed NAND bytes are identical to the old `vec![0u8; ..]` path.
-        for (i, (lpn, data)) in items.iter().enumerate() {
-            assert_eq!(data.len(), 4096, "slots are 4KB");
-            self.page_scratch[i * 4096..(i + 1) * 4096].copy_from_slice(data);
-            let slot = ppn * self.spp as u64 + i as u64;
-            self.set_mapping(*lpn, slot);
+        let ppn = nand.geometry().make_ppn(block, page);
+        for (i, &lpn) in lpns.iter().enumerate() {
+            self.set_mapping(lpn, ppn * self.spp as u64 + i as u64);
         }
-        if items.len() * 4096 < geo.page_size {
-            self.page_scratch[items.len() * 4096..].fill(0);
-        }
-        nand.program(ppn, &self.page_scratch, now).expect("frontier program is always in order")
+        nand.program_shared(ppn, cells, now).expect("frontier program is always in order")
     }
 
     /// Hand out the frontier page of a plane, opening a new block as needed.
@@ -457,6 +459,10 @@ impl Ftl {
     /// Relocate a victim block's valid slots and erase it. Returns the
     /// completion time of the final erase, or an [`Error`] if a victim page
     /// read fails for a reason other than shorn/unwritten media.
+    ///
+    /// A survivor moves by reference: its new page shares the victim's
+    /// cell, which the victim keeps parked with its erase until that
+    /// completes (so a cut before the erase pulse restores it unchanged).
     fn collect(
         &mut self,
         nand: &mut NandArray,
@@ -466,15 +472,8 @@ impl Ftl {
     ) -> Result<Nanos> {
         let geo = *nand.geometry();
         let pages_per_block = geo.pages_per_block as u32;
-        // Stage survivors flat in the reusable GC scratch (parallel arrays:
-        // lpn list + 4KB-per-slot data blob) — no per-slot `to_vec()`.
-        let mut gc_lpns = std::mem::take(&mut self.gc_lpns);
-        let mut gc_data = std::mem::take(&mut self.gc_data);
-        gc_lpns.clear();
-        gc_data.clear();
-        let mut read_buf = std::mem::take(&mut self.read_scratch);
+        self.gc_lpns.clear();
         let mut t = now;
-        const MAX_SPP: usize = 16;
         assert!(self.spp <= MAX_SPP, "spp fits the stack staging arrays");
         for page in 0..pages_per_block {
             let ppn = geo.make_ppn(victim, page);
@@ -490,8 +489,11 @@ impl Ftl {
             if n_live == 0 {
                 continue;
             }
-            match nand.read(ppn, &mut read_buf, t) {
-                Ok(done) => t = done,
+            let slots = match nand.read_shared(ppn, t) {
+                Ok((done, slots)) => {
+                    t = done;
+                    slots
+                }
                 Err(NandError::Shorn { .. }) | Err(NandError::Unwritten { .. }) => {
                     // A shorn page can hold no valid mapping in a correctly
                     // recovered device; treat its slots as dead.
@@ -512,39 +514,33 @@ impl Ftl {
                     continue;
                 }
                 Err(e) => {
-                    // Restore the scratch buffers before bailing so a failed
-                    // collection does not leak the staging capacity.
-                    self.read_scratch = read_buf;
-                    self.gc_lpns = gc_lpns;
-                    self.gc_data = gc_data;
+                    self.gc_cells.clear();
                     return Err(Error::Dev(DevError::Media {
                         what: format!("GC read of block {victim} page {page} failed: {e}"),
                     }));
                 }
-            }
+            };
+            // After a cut a mapped slot can be an absent one (its page was
+            // programmed without it): the relocation carries the absence.
             for &i in &live[..n_live] {
-                let lpn = self.rmap[(base_slot + i as u64) as usize];
-                gc_lpns.push(lpn);
-                gc_data.extend_from_slice(&read_buf[i * 4096..(i + 1) * 4096]);
+                self.gc_lpns.push(self.rmap[(base_slot + i as u64) as usize]);
+                self.gc_cells.push(slots[i].clone());
             }
         }
         // Re-program the survivors in pairs on this plane.
-        for (ci, chunk) in gc_lpns.chunks(self.spp).enumerate() {
-            let mut items: [(u64, &[u8]); MAX_SPP] = [(0, &[]); MAX_SPP];
-            let base = ci * self.spp;
-            for (j, &lpn) in chunk.iter().enumerate() {
-                let off = (base + j) * 4096;
-                items[j] = (lpn, &gc_data[off..off + 4096]);
-            }
-            t = self.program_on_plane(nand, plane, &items[..chunk.len()], t);
-            self.stats.gc_relocated_slots += chunk.len() as u64;
-            self.stats.slots_programmed += chunk.len() as u64;
-            self.stats.slots_by_cause[WriteCause::GcRelocate.index()] += chunk.len() as u64;
+        let gc_lpns = std::mem::take(&mut self.gc_lpns);
+        let mut gc_cells = std::mem::take(&mut self.gc_cells);
+        for (lpns, cells) in gc_lpns.chunks(self.spp).zip(gc_cells.chunks(self.spp)) {
+            t = self.program_on_plane(nand, plane, lpns, cells, t);
+            self.stats.gc_relocated_slots += lpns.len() as u64;
+            self.stats.slots_programmed += lpns.len() as u64;
+            self.stats.slots_by_cause[WriteCause::GcRelocate.index()] += lpns.len() as u64;
             self.stats.data_programs += 1;
         }
-        self.read_scratch = read_buf;
+        // The new pages hold the cells now; the staging keeps its capacity.
+        gc_cells.clear();
         self.gc_lpns = gc_lpns;
-        self.gc_data = gc_data;
+        self.gc_cells = gc_cells;
         let end = nand.erase(victim, t).expect("victim block exists");
         if let Some(tel) = &self.tel {
             tel.record("nand.erase", end.saturating_sub(t));
@@ -577,22 +573,15 @@ impl Ftl {
         }
         let ppn = slot / self.spp as u64;
         let idx = (slot % self.spp as u64) as usize;
-        let mut page = std::mem::take(&mut self.read_scratch);
-        let res = nand.read(ppn, &mut page, now);
-        let out = match res {
-            Ok(done) => {
-                buf.copy_from_slice(&page[idx * 4096..(idx + 1) * 4096]);
-                Ok(SlotRead::Ok(done))
-            }
+        match nand.read_slot(ppn, idx, buf, now) {
+            Ok(done) => Ok(SlotRead::Ok(done)),
             // Shorn program, or mapping pointing at erased flash after a
             // rollback: both surface as unreadable data.
             Err(NandError::Shorn { .. }) | Err(NandError::Unwritten { .. }) => Ok(SlotRead::Shorn),
             Err(e) => Err(Error::Dev(DevError::Media {
                 what: format!("read of mapped slot for lpn {lpn} failed: {e}"),
             })),
-        };
-        self.read_scratch = page;
-        out
+        }
     }
 
     /// Persist the mapping journal: programs `ceil(delta/entries_per_page)`
@@ -632,12 +621,12 @@ impl Ftl {
         let page = self.meta_next[plane];
         self.meta_next[plane] += 1;
         let ppn = geo.make_ppn(block, page);
-        self.page_scratch.fill(0);
         self.stats.meta_programs += 1;
         // A meta page occupies the same media as spp data slots; attribute
         // it at full width so per-cause slots sum to total media pages.
         self.stats.slots_by_cause[WriteCause::MapPersist.index()] += self.spp as u64;
-        nand.program(ppn, &self.page_scratch, now).expect("meta frontier in order")
+        // The journal's bytes are not modelled: every slot is absent.
+        nand.program_shared(ppn, &[], now).expect("meta frontier in order")
     }
 
     /// TRIM a logical page: drop its mapping so GC never relocates the

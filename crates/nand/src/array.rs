@@ -1,8 +1,9 @@
 //! The NAND array: state, timing and failure model.
 
 use crate::geometry::{Geometry, Ppn};
-use simkit::{BufPool, Nanos, PageBuf, Timeline};
-use std::collections::HashMap;
+use simkit::pool::CELL_BYTES;
+use simkit::{BufPool, Nanos, SharedBuf, Timeline};
+use std::ops::Range;
 use telemetry::Telemetry;
 
 /// Errors raised by raw NAND operations.
@@ -17,9 +18,9 @@ pub enum NandError {
     Unwritten { ppn: Ppn },
     /// Read of a page damaged by a power cut mid-program.
     Shorn { ppn: Ppn },
-    /// Block or page index beyond the geometry.
+    /// Block, page or slot index beyond the geometry.
     OutOfRange,
-    /// Buffer size does not match the physical page size.
+    /// Buffer size does not match the physical page (or slot) size.
     BadLength { expected: usize, got: usize },
 }
 
@@ -35,7 +36,7 @@ impl std::fmt::Display for NandError {
             NandError::Shorn { ppn } => write!(f, "read of shorn page {ppn}"),
             NandError::OutOfRange => write!(f, "address out of range"),
             NandError::BadLength { expected, got } => {
-                write!(f, "buffer length {got}, physical page is {expected}")
+                write!(f, "buffer length {got}, expected {expected}")
             }
         }
     }
@@ -65,18 +66,25 @@ struct BlockState {
     torn_erase: bool,
 }
 
-/// One programmed page. `data` is a leased slab buffer: erasing the block
-/// (or dropping the array) returns it to the pool instead of freeing it, so
-/// steady-state program/erase churn recycles a bounded set of page-sized
-/// allocations.
-#[derive(Debug, Clone)]
-struct PageState {
-    data: PageBuf,
-    shorn: bool,
+/// What a physical page holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Page {
+    Erased,
+    Programmed,
+    /// Programmed, but a power cut caught the program in flight.
+    Shorn,
+}
+
+/// A block's contents taken out of the page table by an erase: its page
+/// states and slot handles, in block order.
+#[derive(Default)]
+struct Parked {
+    pages: Vec<Page>,
+    slots: Vec<Option<SharedBuf>>,
 }
 
 /// An erase whose completion lies in the future. The block's old contents
-/// stay parked here until the erase completes (they drop back to the buffer
+/// stay parked here until the erase completes (their cells drop back to the
 /// pool lazily) so that a power cut arriving *before the erase physically
 /// starts* can restore the block unchanged — the cells were never touched.
 /// A cut mid-erase drops the contents and marks the block torn.
@@ -88,7 +96,7 @@ struct EraseInFlight {
     start: Nanos,
     done: Nanos,
     saved_next: u32,
-    saved_pages: Vec<(Ppn, PageState)>,
+    saved: Parked,
 }
 
 /// The flash array.
@@ -96,10 +104,20 @@ struct EraseInFlight {
 /// All operations take "now" and return the virtual completion time.
 /// Contention is modelled with one [`Timeline`] per channel bus and one per
 /// plane (cell operations occupy exactly one plane).
+///
+/// A page's data is `page_size / CELL_BYTES` slots, each a shared handle on
+/// a cell of the array's [`BufPool`]: programming a page takes handles, it
+/// copies nothing, so a slot relocated by GC or drained from a cache keeps
+/// the cell it was admitted in. An absent slot reads as zeros.
 pub struct NandArray {
     geo: Geometry,
+    /// Slots per physical page.
+    spp: usize,
     blocks: Vec<BlockState>,
-    pages: HashMap<Ppn, PageState>,
+    /// Per physical page, indexed by ppn.
+    pages: Vec<Page>,
+    /// Per slot, `spp` per page in ppn order.
+    slots: Vec<Option<SharedBuf>>,
     channel_bus: Vec<Timeline>,
     planes: Vec<Timeline>,
     stats: NandStats,
@@ -107,20 +125,19 @@ pub struct NandArray {
     /// lazily. Used to shear pages on power cuts.
     inflight_programs: Vec<(Ppn, Nanos)>,
     inflight_erases: Vec<EraseInFlight>,
-    /// Recycled `saved_pages` vectors from retired [`EraseInFlight`]
-    /// records, so steady-state erases park their contents without touching
-    /// the allocator (high-water-mark discipline, like every other pool).
-    erase_scratch: Vec<Vec<(Ppn, PageState)>>,
-    /// Slab of physical-page buffers backing [`PageState::data`].
-    page_pool: BufPool,
+    /// Recycled [`Parked`] records of retired erases, so steady-state
+    /// erases park their contents without touching the allocator
+    /// (high-water-mark discipline, like every other pool).
+    erase_scratch: Vec<Parked>,
+    /// The 4 KiB cells every slot's bytes live in.
+    pool: BufPool,
     /// Optional telemetry sink: media-level trace events are emitted here,
     /// at the source, under whatever trace-ID the host operation above us
     /// pushed — the bottom of the causal chain.
     tel: Option<Telemetry>,
     /// Queueing wait of the most recent read/program (completion minus
     /// issue minus pure service): the raw material for the latency-anatomy
-    /// channel-wait attribution. Stamped by [`NandArray::read`] and
-    /// [`NandArray::program`].
+    /// channel-wait attribution.
     last_wait: Nanos,
     /// Pure service time (cell op + bus transfer) of the most recent
     /// read/program.
@@ -130,9 +147,17 @@ pub struct NandArray {
 impl NandArray {
     /// A pristine (all-erased) array with the given geometry.
     pub fn new(geo: Geometry) -> Self {
+        assert!(
+            geo.page_size > 0 && geo.page_size.is_multiple_of(CELL_BYTES),
+            "a NAND page holds whole 4 KiB slots"
+        );
+        let spp = geo.page_size / CELL_BYTES;
+        let total = geo.total_pages() as usize;
         Self {
+            spp,
             blocks: vec![BlockState::default(); geo.blocks()],
-            pages: HashMap::new(),
+            pages: vec![Page::Erased; total],
+            slots: vec![None; total * spp],
             channel_bus: vec![Timeline::new(); geo.channels],
             planes: vec![Timeline::new(); geo.planes()],
             geo,
@@ -140,7 +165,7 @@ impl NandArray {
             inflight_programs: Vec::new(),
             inflight_erases: Vec::new(),
             erase_scratch: Vec::new(),
-            page_pool: BufPool::new(geo.page_size),
+            pool: BufPool::default(),
             tel: None,
             last_wait: 0,
             last_service: 0,
@@ -173,37 +198,50 @@ impl NandArray {
         self.tel = Some(tel);
     }
 
+    /// The pool every slot's cell comes from. A device checks its host
+    /// writes out of it, so the bytes it admits are the bytes it programs.
+    pub fn slot_pool(&self) -> &BufPool {
+        &self.pool
+    }
+
+    /// Every cell handle the array holds: programmed slots, and the parked
+    /// contents of erases still in flight.
+    pub fn cells(&self) -> impl Iterator<Item = &SharedBuf> {
+        let parked = self.inflight_erases.iter().flat_map(|e| &e.saved.slots);
+        self.slots.iter().chain(parked).flatten()
+    }
+
     /// Preallocate every structure to its geometric bound so that no later
     /// program/erase ever touches the heap.
     ///
     /// A real device has all of its media up front; the simulator stays
     /// lazy by default so a multi-gigabyte geometry costs memory only for
-    /// pages actually written. Opting in trades resident memory (one buffer
-    /// per *physical* page, plus the page map at full occupancy) for fully
-    /// allocation-free operation — useful for allocation-regression tests
-    /// and latency-jitter-sensitive runs on small geometries.
+    /// slots actually written. Opting in trades resident memory (one cell
+    /// per *physical* slot) for fully allocation-free operation — useful
+    /// for allocation-regression tests and latency-jitter-sensitive runs.
     pub fn prewarm(&mut self) {
-        let total = self.geo.total_pages() as usize;
-        // Live pages can never exceed the physical page count, so a free
-        // list covering the gap means `program` always recycles.
-        self.page_pool.reserve_free(total.saturating_sub(self.pages.len()));
-        self.pages.reserve(total.saturating_sub(self.pages.len()));
+        // One cell per physical slot. Pages hold fewer — dump, journal and
+        // free blocks hold none — and the gap serves a device's cache and
+        // the parked contents of erases in flight.
+        self.pool.reserve_free(self.slots.len().saturating_sub(self.pool.outstanding()));
         // At most one in-flight erase per block; programs are bounded by
         // the per-plane pipelining window, for which a block's worth of
         // pages per plane is a comfortable ceiling.
         let blocks = self.geo.blocks();
-        let programs = self.geo.pages_per_block * self.geo.planes();
+        let ppb = self.geo.pages_per_block;
+        let programs = ppb * self.geo.planes();
         self.inflight_erases.reserve(blocks.saturating_sub(self.inflight_erases.len()));
         self.inflight_programs.reserve(programs.saturating_sub(self.inflight_programs.len()));
-        // One parked-contents vector per possible concurrent erase, each at
+        // One parked-contents record per possible concurrent erase, each at
         // its full per-block capacity, so parking old contents never grows.
-        let ppb = self.geo.pages_per_block;
         self.erase_scratch.reserve(blocks.saturating_sub(self.erase_scratch.len()));
         while self.erase_scratch.len() + self.inflight_erases.len() < blocks {
-            self.erase_scratch.push(Vec::with_capacity(ppb));
+            self.erase_scratch.push(Parked::default());
         }
-        for v in &mut self.erase_scratch {
-            v.reserve(ppb); // scratch vecs are empty: ensures capacity >= ppb
+        for p in &mut self.erase_scratch {
+            // Scratch records are empty: ensures capacity for one block.
+            p.pages.reserve(ppb);
+            p.slots.reserve(ppb * self.spp);
         }
     }
 
@@ -244,63 +282,97 @@ impl NandArray {
     /// shear, not erased). Recovery code uses this to decide which mapping
     /// candidates an out-of-band scan could actually reconstruct.
     pub fn page_intact(&self, ppn: Ppn) -> bool {
-        self.pages.get(&ppn).is_some_and(|p| !p.shorn)
+        self.pages.get(ppn as usize) == Some(&Page::Programmed)
+    }
+
+    /// The slot indices of one page.
+    fn slot_range(&self, ppn: Ppn) -> Range<usize> {
+        let first = ppn as usize * self.spp;
+        first..first + self.spp
     }
 
     fn purge_inflight(&mut self, now: Nanos) {
         self.inflight_programs.retain(|&(_, done)| done > now);
         // Manual sweep instead of `retain`: retired records hand their
-        // (emptied) `saved_pages` allocation back to the scratch pool, and
-        // the parked `PageState`s drop their buffers back to the page pool.
+        // (emptied) parked vectors back to the scratch pool, and the parked
+        // handles drop their cells back to the slot pool.
         let mut i = 0;
         while i < self.inflight_erases.len() {
             if self.inflight_erases[i].done > now {
                 i += 1;
             } else {
-                let mut e = self.inflight_erases.swap_remove(i);
-                e.saved_pages.clear();
-                self.erase_scratch.push(e.saved_pages);
+                let mut saved = self.inflight_erases.swap_remove(i).saved;
+                saved.pages.clear();
+                saved.slots.clear();
+                self.erase_scratch.push(saved);
             }
         }
     }
 
-    /// Read one physical page. Completion = plane cell-read, then bus
-    /// transfer out.
-    pub fn read(&mut self, ppn: Ppn, buf: &mut [u8], now: Nanos) -> Result<Nanos, NandError> {
+    /// Read one physical page without copying it: the page's slot handles
+    /// (`None` for an absent, all-zero slot), to be cloned by reference.
+    /// Completion = plane cell-read, then bus transfer out.
+    pub fn read_shared(
+        &mut self,
+        ppn: Ppn,
+        now: Nanos,
+    ) -> Result<(Nanos, &[Option<SharedBuf>]), NandError> {
         if ppn >= self.geo.total_pages() {
             return Err(NandError::OutOfRange);
-        }
-        if buf.len() != self.geo.page_size {
-            return Err(NandError::BadLength { expected: self.geo.page_size, got: buf.len() });
         }
         let (block, _) = self.geo.split_ppn(ppn);
         let plane = self.geo.plane_of_block(block);
         let channel = self.geo.channel_of_block(block);
+        let bus = self.geo.bus_time(self.geo.page_size);
         let cell_done = self.planes[plane].acquire(now, self.geo.t_read);
-        let done = self.channel_bus[channel].acquire(cell_done, self.geo.bus_time(buf.len()));
-        self.last_service = self.geo.t_read + self.geo.bus_time(buf.len());
+        let done = self.channel_bus[channel].acquire(cell_done, bus);
+        self.last_service = self.geo.t_read + bus;
         self.last_wait = (done - now).saturating_sub(self.last_service);
         self.stats.reads += 1;
         self.trace_span("nand.read", now, done);
-        match self.pages.get(&ppn) {
-            None => Err(NandError::Unwritten { ppn }),
-            Some(p) if p.shorn => Err(NandError::Shorn { ppn }),
-            Some(p) => {
-                buf.copy_from_slice(&p.data);
-                Ok(done)
-            }
+        match self.pages[ppn as usize] {
+            Page::Erased => Err(NandError::Unwritten { ppn }),
+            Page::Shorn => Err(NandError::Shorn { ppn }),
+            Page::Programmed => Ok((done, &self.slots[self.slot_range(ppn)])),
         }
     }
 
-    /// Program one physical page. Pages within a block must be programmed in
-    /// order. Completion = bus transfer in, then plane cell-program.
-    pub fn program(&mut self, ppn: Ppn, data: &[u8], now: Nanos) -> Result<Nanos, NandError> {
-        if ppn >= self.geo.total_pages() {
+    /// Read one physical page into `buf` (`page_size` bytes).
+    pub fn read(&mut self, ppn: Ppn, buf: &mut [u8], now: Nanos) -> Result<Nanos, NandError> {
+        if buf.len() != self.geo.page_size {
+            return Err(NandError::BadLength { expected: self.geo.page_size, got: buf.len() });
+        }
+        let (done, slots) = self.read_shared(ppn, now)?;
+        for (out, slot) in buf.chunks_mut(CELL_BYTES).zip(slots) {
+            copy_slot(out, slot);
+        }
+        Ok(done)
+    }
+
+    /// Read one physical page and copy out only slot `slot` (4 KiB) of it.
+    /// Costs exactly what [`NandArray::read`] of the whole page costs.
+    pub fn read_slot(
+        &mut self,
+        ppn: Ppn,
+        slot: usize,
+        buf: &mut [u8],
+        now: Nanos,
+    ) -> Result<Nanos, NandError> {
+        if slot >= self.spp {
             return Err(NandError::OutOfRange);
         }
-        if data.len() != self.geo.page_size {
-            return Err(NandError::BadLength { expected: self.geo.page_size, got: data.len() });
+        if buf.len() != CELL_BYTES {
+            return Err(NandError::BadLength { expected: CELL_BYTES, got: buf.len() });
         }
+        let (done, slots) = self.read_shared(ppn, now)?;
+        copy_slot(buf, &slots[slot]);
+        Ok(done)
+    }
+
+    /// Check the in-block program order, then charge one page program —
+    /// bus transfer in, then plane cell-program — and mark the page
+    /// programmed. `ppn` is in range; the caller stores the page's slots.
+    fn start_program(&mut self, ppn: Ppn, now: Nanos) -> Result<Nanos, NandError> {
         self.purge_inflight(now);
         let (block, page) = self.geo.split_ppn(ppn);
         let st = &mut self.blocks[block as usize];
@@ -317,29 +389,60 @@ impl NandArray {
         st.next_page += 1;
         let plane = self.geo.plane_of_block(block);
         let channel = self.geo.channel_of_block(block);
-        let xfer_done = self.channel_bus[channel].acquire(now, self.geo.bus_time(data.len()));
+        let bus = self.geo.bus_time(self.geo.page_size);
+        let xfer_done = self.channel_bus[channel].acquire(now, bus);
         let done = self.planes[plane].acquire(xfer_done, self.geo.t_program);
-        self.last_service = self.geo.bus_time(data.len()) + self.geo.t_program;
+        self.last_service = bus + self.geo.t_program;
         self.last_wait = (done - now).saturating_sub(self.last_service);
-        // Reuse the target page's old buffer when overwriting after a shear
-        // (normal programs never hit an occupied slot); otherwise lease a
-        // buffer from the slab — erases return buffers there, so the pool
-        // reaches a steady state sized by the live page count.
-        match self.pages.get_mut(&ppn) {
-            Some(p) => {
-                p.data.copy_from_slice(data);
-                p.shorn = false;
-            }
-            None => {
-                self.pages.insert(
-                    ppn,
-                    PageState { data: self.page_pool.checkout_from(data), shorn: false },
-                );
-            }
-        }
+        // A page re-programmed after a shear (its block restored by a cut
+        // before the erase pulse) is simply programmed again.
+        self.pages[ppn as usize] = Page::Programmed;
         self.inflight_programs.push((ppn, done));
         self.stats.programs += 1;
         self.trace_span("nand.program", now, done);
+        Ok(done)
+    }
+
+    /// Program one physical page from `data` (`page_size` bytes), copying
+    /// it into cells of the slot pool. Pages within a block must be
+    /// programmed in order.
+    pub fn program(&mut self, ppn: Ppn, data: &[u8], now: Nanos) -> Result<Nanos, NandError> {
+        if ppn >= self.geo.total_pages() {
+            return Err(NandError::OutOfRange);
+        }
+        if data.len() != self.geo.page_size {
+            return Err(NandError::BadLength { expected: self.geo.page_size, got: data.len() });
+        }
+        let done = self.start_program(ppn, now)?;
+        let range = self.slot_range(ppn);
+        for (slot, bytes) in self.slots[range].iter_mut().zip(data.chunks(CELL_BYTES)) {
+            *slot = Some(self.pool.checkout_from(bytes).freeze());
+        }
+        Ok(done)
+    }
+
+    /// Program one physical page from slot handles, taking a reference to
+    /// each cell instead of copying it. `slots` may be shorter than the
+    /// page: the rest of the page, like every `None`, is absent and reads
+    /// as zeros. Pages within a block must be programmed in order.
+    pub fn program_shared(
+        &mut self,
+        ppn: Ppn,
+        slots: &[Option<SharedBuf>],
+        now: Nanos,
+    ) -> Result<Nanos, NandError> {
+        if ppn >= self.geo.total_pages() {
+            return Err(NandError::OutOfRange);
+        }
+        if slots.len() > self.spp {
+            let got = slots.len() * CELL_BYTES;
+            return Err(NandError::BadLength { expected: self.geo.page_size, got });
+        }
+        let done = self.start_program(ppn, now)?;
+        let range = self.slot_range(ppn);
+        for (i, slot) in self.slots[range].iter_mut().enumerate() {
+            *slot = slots.get(i).cloned().flatten();
+        }
         Ok(done)
     }
 
@@ -357,23 +460,23 @@ impl NandArray {
         st.next_page = 0;
         st.erase_count += 1;
         st.torn_erase = false;
-        let first = self.geo.make_ppn(block, 0);
         // Park the old contents with the in-flight record instead of
         // dropping them: a power cut before the erase pulse starts restores
         // the block; otherwise they return to the pool when the record is
         // purged.
-        let mut saved_pages = self.erase_scratch.pop().unwrap_or_default();
-        for p in 0..self.geo.pages_per_block as u64 {
-            if let Some(ps) = self.pages.remove(&(first + p)) {
-                saved_pages.push((first + p, ps));
-            }
-        }
+        let first = self.geo.make_ppn(block, 0) as usize;
+        let ppb = self.geo.pages_per_block;
+        let mut saved = self.erase_scratch.pop().unwrap_or_default();
+        let pages = &mut self.pages[first..first + ppb];
+        saved.pages.extend(pages.iter_mut().map(|p| std::mem::replace(p, Page::Erased)));
+        let slots = &mut self.slots[first * self.spp..(first + ppb) * self.spp];
+        saved.slots.extend(slots.iter_mut().map(Option::take));
         self.inflight_erases.push(EraseInFlight {
             block,
             start: done - self.geo.t_erase,
             done,
             saved_next,
-            saved_pages,
+            saved,
         });
         self.stats.erases += 1;
         self.trace_span("nand.erase", now, done);
@@ -384,19 +487,15 @@ impl NandArray {
     /// erases in flight leave the block needing a fresh erase. (NAND cells
     /// themselves are non-volatile, so nothing else is lost.)
     pub fn power_cut(&mut self, now: Nanos) {
-        let shear: Vec<Ppn> = self
-            .inflight_programs
-            .iter()
-            .filter(|&&(_, done)| done > now)
-            .map(|&(ppn, _)| ppn)
-            .collect();
-        for ppn in shear {
-            if let Some(p) = self.pages.get_mut(&ppn) {
-                p.shorn = true;
+        for &(ppn, done) in &self.inflight_programs {
+            let page = &mut self.pages[ppn as usize];
+            if done > now && *page != Page::Erased {
+                *page = Page::Shorn;
                 self.stats.shorn_pages += 1;
             }
         }
-        for e in self.inflight_erases.drain(..) {
+        let ppb = self.geo.pages_per_block;
+        for mut e in self.inflight_erases.drain(..) {
             if e.done <= now {
                 continue; // completed: cells are stably erased
             }
@@ -410,8 +509,32 @@ impl NandArray {
                 st.next_page = e.saved_next;
                 st.erase_count = st.erase_count.saturating_sub(1);
                 st.torn_erase = false;
-                for (ppn, ps) in e.saved_pages {
-                    self.pages.insert(ppn, ps);
+                let first = self.geo.make_ppn(e.block, 0) as usize;
+                let parked = e.saved.pages.iter().zip(e.saved.slots.chunks_mut(self.spp));
+                for (i, (&page, cells)) in parked.enumerate() {
+                    if page == Page::Erased {
+                        continue;
+                    }
+                    self.pages[first + i] = page;
+                    let home = &mut self.slots[(first + i) * self.spp..][..self.spp];
+                    for (slot, cell) in home.iter_mut().zip(cells) {
+                        *slot = cell.take();
+                    }
+                }
+                // A parked page whose own program was still in flight — it
+                // completes after the cut and no later than the erase pulse
+                // it queued ahead of — comes back shorn. The loop above
+                // could not see it: it was parked, not in the page table.
+                for &(ppn, done) in &self.inflight_programs {
+                    let i = ppn as usize;
+                    if (first..first + ppb).contains(&i)
+                        && now < done
+                        && done <= e.start
+                        && self.pages[i] == Page::Programmed
+                    {
+                        self.pages[i] = Page::Shorn;
+                        self.stats.shorn_pages += 1;
+                    }
                 }
             } else {
                 // Mid-pulse: the block is partially erased and must be
@@ -450,6 +573,14 @@ impl NandArray {
         let p = self.planes.iter().map(Timeline::busy_until).max().unwrap_or(0);
         let c = self.channel_bus.iter().map(Timeline::busy_until).max().unwrap_or(0);
         p.max(c)
+    }
+}
+
+/// Copy one slot's bytes out; an absent slot reads as zeros.
+fn copy_slot(out: &mut [u8], slot: &Option<SharedBuf>) {
+    match slot {
+        Some(cell) => out.copy_from_slice(cell),
+        None => out.fill(0),
     }
 }
 
@@ -602,6 +733,63 @@ mod tests {
         let mut buf = page(0);
         a.read(0, &mut buf, edone).unwrap();
         assert_eq!(buf, page(7), "pre-erase contents restored");
+    }
+
+    /// The erase queues behind the program on the plane, so its pulse
+    /// starts when the program completes; a cut before then must restore
+    /// the block with the still-programming page shorn, not intact.
+    #[test]
+    fn power_cut_before_erase_pulse_keeps_an_inflight_program_shorn() {
+        let mut a = array();
+        let pdone = a.program(0, &page(7), 0).unwrap();
+        let edone = a.erase(0, 0).unwrap();
+        assert_eq!(edone - a.geometry().t_erase, pdone, "the pulse waits for the program");
+        a.power_cut(pdone / 2);
+        assert!(!a.has_torn_erase(0));
+        assert_eq!(a.next_free_page(0), 1, "write cursor restored");
+        assert!(matches!(a.read(0, &mut page(0), edone), Err(NandError::Shorn { ppn: 0 })));
+        assert_eq!(a.stats().shorn_pages, 1);
+    }
+
+    /// Known gap: `purge_inflight` forgets every program that completes at
+    /// or before the `now` of a later command, so a command issued with a
+    /// later timestamp — GC runs ahead on its own clock — hides a program
+    /// that is still in flight at an earlier cut.
+    #[test]
+    #[ignore = "the in-flight list is purged by the issue time of later commands"]
+    fn a_later_command_does_not_save_an_inflight_program_from_the_cut() {
+        let mut a = array();
+        let g = *a.geometry();
+        let done = a.program(0, &page(1), 0).unwrap();
+        a.program(g.make_ppn(1, 0), &page(2), done).unwrap();
+        a.power_cut(done / 2);
+        assert!(matches!(a.read(0, &mut page(0), done), Err(NandError::Shorn { ppn: 0 })));
+    }
+
+    #[test]
+    fn shared_programs_take_cells_by_reference() {
+        let mut a = array();
+        let cell = a.slot_pool().checkout_from(&[9; CELL_BYTES]).freeze();
+        let checkouts = a.slot_pool().checkouts();
+        // One slot of two: the rest of the page is absent.
+        let done = a.program_shared(0, &[Some(cell.clone())], 0).unwrap();
+        let (_, slots) = a.read_shared(0, done).unwrap();
+        assert_eq!(slots[0].as_ref().unwrap().as_ptr(), cell.as_ptr(), "no copy");
+        assert!(slots[1].is_none());
+        let mut slot = vec![1u8; CELL_BYTES];
+        a.read_slot(0, 1, &mut slot, done).unwrap();
+        assert!(slot.iter().all(|&b| b == 0), "an absent slot reads as zeros");
+        a.read_slot(0, 0, &mut slot, done).unwrap();
+        assert!(slot.iter().all(|&b| b == 9));
+        assert_eq!(a.slot_pool().checkouts(), checkouts, "nothing checked out");
+        assert_eq!(a.cells().count(), 1);
+        drop(cell);
+        let edone = a.erase(0, done).unwrap();
+        assert_eq!(a.slot_pool().outstanding(), 1, "parked with the erase");
+        // The next command retires the completed erase: its parked cell
+        // returns to the pool, and the copying program checks out two.
+        a.program(a.geometry().make_ppn(1, 0), &page(3), edone).unwrap();
+        assert_eq!(a.slot_pool().outstanding(), 2);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod timed;
 pub use clock::{Nanos, MICROS, MILLIS, SECS};
 pub use crc::{crc32, crc32_bytewise};
 pub use driver::{ClosedLoop, DriverReport};
-pub use pool::{BufPool, PageBuf};
+pub use pool::{BufPool, PageBuf, SharedBuf};
 pub use recovered::{Recovered, ReplayStats};
 pub use resource::{MultiServer, Timeline};
 pub use rng::{Rng, SimRng};

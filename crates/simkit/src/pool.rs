@@ -1,28 +1,28 @@
-//! Fixed-size page-buffer slab: the zero-copy backbone of the simulator.
+//! A pool of 4 KiB page cells: the zero-copy backbone of the simulator.
 //!
-//! Every layer of the stack moves data in fixed-size pages (4KB logical
-//! slots, 8KB NAND pages). Before this module existed each crossing
-//! heap-allocated a fresh `Box<[u8]>`/`Vec<u8>` and the bench wall-clock was
-//! dominated by allocator traffic rather than the discrete-event model. A
-//! [`BufPool`] keeps returned buffers on a free list so steady-state
-//! operation performs **zero** heap allocations per I/O; the
-//! counting-allocator regression test in the repo root pins that down.
+//! Every layer of the stack moves data in 4 KiB logical slots (two to an
+//! 8 KiB NAND page). Before this module existed each crossing heap-allocated
+//! a fresh `Box<[u8]>`/`Vec<u8>` and the bench wall-clock was dominated by
+//! allocator traffic rather than the discrete-event model. A [`BufPool`]
+//! keeps released cells on a free list so steady-state operation performs
+//! **zero** heap allocations per I/O; the counting-allocator regression test
+//! in the repo root pins that down.
 //!
-//! ## Lease model
+//! ## Checkouts and shared handles
 //!
-//! [`BufPool::checkout`] hands out a [`PageBuf`] — an owning, `Deref<[u8]>`
-//! lease. Dropping the lease returns the underlying buffer to the pool
-//! automatically (RAII), so the common paths cannot leak or double-return.
-//! Layers that need to store raw buffers (e.g. inside a struct that must not
-//! carry the pool handle) can use the low-level [`PageBuf::into_box`] /
-//! [`BufPool::recycle`] pair; that path is guarded in debug builds:
+//! [`BufPool::checkout`] hands out a [`PageBuf`]: the one writable handle on
+//! a cell. [`PageBuf::freeze`] turns it into a [`SharedBuf`], a read-only
+//! handle whose clones share the cell by reference count, so a page's bytes
+//! can be held by several owners at once (a cache entry and the flash page
+//! it drained to, a GC victim and the page it was relocated to) without a
+//! copy. The cell returns to the pool when its last handle drops (RAII), so
+//! no path can leak or double-return it. A cell is one allocation — its
+//! bytes, its reference counts and its way back to the pool — made once;
+//! freezing and cloning allocate nothing, and a handle is one pointer.
 //!
-//! * **poisoning** — every buffer returned to the pool is filled with
-//!   `0xDB`, so a use-after-return shows up as garbage data immediately
-//!   instead of silently reading stale page contents;
-//! * **double-return detection** — `recycle` panics if the pool already
-//!   holds more buffers than were ever checked out, or if the exact buffer
-//!   (by address) is already on the free list.
+//! Debug builds fill every cell that returns to the pool with [`POISON`],
+//! so code that reads a fresh checkout before writing it sees garbage
+//! instead of silently reading stale page contents.
 //!
 //! The pool is intentionally *elastic*: `checkout` on an empty free list
 //! allocates (cold path / warmup), and the free list is unbounded — sizing
@@ -31,9 +31,12 @@
 
 use std::cell::{Cell, RefCell};
 use std::mem::ManuallyDrop;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
-/// Debug-build poison byte written over returned buffers.
+/// Bytes in one cell: a 4 KiB logical slot.
+pub const CELL_BYTES: usize = 4096;
+
+/// Debug-build poison byte written over returned cells.
 pub const POISON: u8 = 0xDB;
 
 #[derive(Default)]
@@ -42,35 +45,35 @@ struct PoolStats {
     fresh: Cell<u64>,
 }
 
+#[derive(Default)]
 struct PoolInner {
-    /// Fixed buffer size in bytes; every checkout and recycle must match.
-    size: usize,
-    free: RefCell<Vec<Box<[u8]>>>,
-    /// Buffers currently leased out (checked out and not yet returned).
+    /// Cells no handle refers to (each is the only reference to itself).
+    free: RefCell<Vec<Rc<PoolCell>>>,
+    /// Cells currently referenced by at least one handle.
     outstanding: Cell<usize>,
     stats: PoolStats,
 }
 
 impl PoolInner {
-    fn give_back(&self, mut buf: Box<[u8]>) {
-        assert_eq!(buf.len(), self.size, "buffer of wrong size returned to pool");
+    fn give_back(&self, mut cell: Rc<PoolCell>) {
         if cfg!(debug_assertions) {
-            let already = self.outstanding.get() == 0;
-            assert!(!already, "double return: pool has no outstanding leases");
-            let ptr = buf.as_ptr();
-            let dup = self.free.borrow().iter().any(|b| std::ptr::eq(b.as_ptr(), ptr));
-            assert!(!dup, "double return: buffer is already on the pool free list");
-            buf.fill(POISON);
+            Rc::get_mut(&mut cell).expect("a returned cell has no other handle").bytes.fill(POISON);
         }
         self.outstanding.set(self.outstanding.get() - 1);
-        self.free.borrow_mut().push(buf);
+        self.free.borrow_mut().push(cell);
     }
 }
 
-/// A slab of interchangeable fixed-size byte buffers.
+/// One cell: its bytes and the pool it returns to.
+struct PoolCell {
+    home: Weak<PoolInner>,
+    bytes: [u8; CELL_BYTES],
+}
+
+/// A slab of interchangeable 4 KiB cells.
 ///
 /// Cloning the handle is cheap (`Rc`); all clones share one free list.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct BufPool {
     inner: Rc<PoolInner>,
 }
@@ -78,7 +81,6 @@ pub struct BufPool {
 impl std::fmt::Debug for BufPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BufPool")
-            .field("size", &self.inner.size)
             .field("free", &self.inner.free.borrow().len())
             .field("outstanding", &self.inner.outstanding.get())
             .finish()
@@ -86,89 +88,61 @@ impl std::fmt::Debug for BufPool {
 }
 
 impl BufPool {
-    /// A pool of `size`-byte buffers with an empty free list.
-    pub fn new(size: usize) -> Self {
-        assert!(size > 0, "zero-size pool");
-        Self {
-            inner: Rc::new(PoolInner {
-                size,
-                free: RefCell::new(Vec::new()),
-                outstanding: Cell::new(0),
-                stats: PoolStats::default(),
-            }),
+    /// A zeroed cell that belongs to this pool, built where it is allocated:
+    /// `Rc::new` would zero a 4 KiB value on the stack and copy it, which
+    /// made a prewarmed device's set-up about 10 % slower.
+    fn fresh_cell(&self) -> Rc<PoolCell> {
+        let mut cell = Rc::<PoolCell>::new_uninit();
+        let p = Rc::get_mut(&mut cell).expect("a new allocation is unique").as_mut_ptr();
+        // SAFETY: `p` points to the allocation just made, which nothing else
+        // references; both fields of `PoolCell` are written through it
+        // (`write_bytes` zeroes the whole array) before `assume_init`.
+        unsafe {
+            (&raw mut (*p).home).write(Rc::downgrade(&self.inner));
+            (&raw mut (*p).bytes).write_bytes(0, 1);
+            cell.assume_init()
         }
     }
 
-    /// A pool pre-populated with `prealloc` buffers, so the first `prealloc`
-    /// checkouts hit the free list instead of the allocator.
-    pub fn with_capacity(size: usize, prealloc: usize) -> Self {
-        let pool = Self::new(size);
-        {
-            let mut free = pool.inner.free.borrow_mut();
-            for _ in 0..prealloc {
-                free.push(vec![0u8; size].into_boxed_slice());
-            }
-        }
-        pool
-    }
-
-    /// Top the free list up to at least `n` parked buffers.
+    /// Top the free list up to at least `n` parked cells.
     ///
     /// Used by prewarm paths that know their layer's structural bound (e.g.
-    /// a NAND array can never hold more live pages than its geometry has
-    /// physical pages): preallocating to the bound moves every would-be
+    /// a NAND array can never hold more live slots than its geometry has
+    /// physical slots): preallocating to the bound moves every would-be
     /// high-water-mark allocation out of the measured/steady-state window.
     pub fn reserve_free(&self, n: usize) {
+        let missing = n.saturating_sub(self.free_count());
         let mut free = self.inner.free.borrow_mut();
-        while free.len() < n {
-            free.push(vec![0u8; self.inner.size].into_boxed_slice());
-        }
+        free.reserve(missing);
+        free.extend((0..missing).map(|_| self.fresh_cell()));
     }
 
-    /// Lease a buffer. Contents are **unspecified** (recycled buffers keep
-    /// their poison/stale bytes) — callers that need zeroes use
-    /// [`checkout_zeroed`](Self::checkout_zeroed).
+    /// Lease a cell. Contents are **unspecified** (recycled cells keep
+    /// their poison/stale bytes) — callers overwrite all of it.
     pub fn checkout(&self) -> PageBuf {
         let recycled = self.inner.free.borrow_mut().pop();
         self.inner.stats.checkouts.set(self.inner.stats.checkouts.get() + 1);
-        let data = match recycled {
-            Some(b) => b,
-            None => {
-                self.inner.stats.fresh.set(self.inner.stats.fresh.get() + 1);
-                vec![0u8; self.inner.size].into_boxed_slice()
-            }
-        };
+        let cell = recycled.unwrap_or_else(|| {
+            self.inner.stats.fresh.set(self.inner.stats.fresh.get() + 1);
+            self.fresh_cell()
+        });
         self.inner.outstanding.set(self.inner.outstanding.get() + 1);
-        PageBuf { data: ManuallyDrop::new(data), pool: Rc::clone(&self.inner) }
+        PageBuf(SharedBuf { cell: ManuallyDrop::new(cell) })
     }
 
-    /// Lease a zero-filled buffer.
-    pub fn checkout_zeroed(&self) -> PageBuf {
-        let mut b = self.checkout();
-        b.fill(0);
-        b
-    }
-
-    /// Lease a buffer initialised from `src` (must be exactly pool-sized).
+    /// Lease a cell initialised from `src` (must be exactly 4 KiB).
     pub fn checkout_from(&self, src: &[u8]) -> PageBuf {
         let mut b = self.checkout();
         b.copy_from_slice(src);
         b
     }
 
-    /// Low-level return path for buffers detached with
-    /// [`PageBuf::into_box`]. Debug builds poison the buffer and panic on a
-    /// double return (see module docs); release builds just push it back.
-    pub fn recycle(&self, buf: Box<[u8]>) {
-        self.inner.give_back(buf);
-    }
-
-    /// Buffers currently leased out.
+    /// Cells currently referenced by at least one handle.
     pub fn outstanding(&self) -> usize {
         self.inner.outstanding.get()
     }
 
-    /// Buffers parked on the free list.
+    /// Cells parked on the free list.
     pub fn free_count(&self) -> usize {
         self.inner.free.borrow().len()
     }
@@ -186,77 +160,71 @@ impl BufPool {
     }
 }
 
-/// An owned lease on one pool buffer; derefs to `[u8]`.
+/// The unique, writable handle on a pool cell; derefs to `[u8]`.
 ///
-/// Dropping returns the buffer to its pool. Detach with
-/// [`into_box`](Self::into_box) when a plain `Box<[u8]>` is required (pair
-/// with [`BufPool::recycle`] to keep the slab closed).
-pub struct PageBuf {
-    data: ManuallyDrop<Box<[u8]>>,
-    pool: Rc<PoolInner>,
-}
+/// Dropping returns the cell to its pool; [`freeze`](Self::freeze) turns it
+/// into a shareable read-only [`SharedBuf`] instead.
+pub struct PageBuf(SharedBuf);
 
 impl PageBuf {
-    /// Detach the underlying buffer from the lease. The pool's outstanding
-    /// count still includes it until [`BufPool::recycle`] gets it back.
-    pub fn into_box(self) -> Box<[u8]> {
-        let mut this = ManuallyDrop::new(self);
-        // SAFETY: `this` is never dropped (ManuallyDrop) so `data` is taken
-        // exactly once; the Rc field is dropped manually below.
-        let data = unsafe { ManuallyDrop::take(&mut this.data) };
-        unsafe { std::ptr::drop_in_place(&mut this.pool) };
-        data
-    }
-}
-
-impl Drop for PageBuf {
-    fn drop(&mut self) {
-        // SAFETY: drop runs at most once; `data` is not touched afterwards.
-        let data = unsafe { ManuallyDrop::take(&mut self.data) };
-        self.pool.give_back(data);
-    }
-}
-
-impl Clone for PageBuf {
-    /// Deep copy into a fresh lease from the same pool.
-    fn clone(&self) -> Self {
-        let b = self.pool.free.borrow_mut().pop();
-        self.pool.stats.checkouts.set(self.pool.stats.checkouts.get() + 1);
-        let mut data = match b {
-            Some(b) => b,
-            None => {
-                self.pool.stats.fresh.set(self.pool.stats.fresh.get() + 1);
-                vec![0u8; self.pool.size].into_boxed_slice()
-            }
-        };
-        data.copy_from_slice(&self.data);
-        self.pool.outstanding.set(self.pool.outstanding.get() + 1);
-        PageBuf { data: ManuallyDrop::new(data), pool: Rc::clone(&self.pool) }
+    /// Give up write access: the bytes become immutable and the returned
+    /// handle can be cloned by reference count.
+    pub fn freeze(self) -> SharedBuf {
+        self.0
     }
 }
 
 impl std::ops::Deref for PageBuf {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data
+        &self.0
     }
 }
 
 impl std::ops::DerefMut for PageBuf {
     fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.data
+        &mut Rc::get_mut(&mut self.0.cell).expect("a checkout is the cell's only handle").bytes
     }
 }
 
-impl AsRef<[u8]> for PageBuf {
-    fn as_ref(&self) -> &[u8] {
-        &self.data
+/// A read-only handle on a pool cell; derefs to `[u8]`.
+///
+/// Cloning shares the cell (no copy, no allocation); the cell returns to
+/// its pool when the last handle drops.
+pub struct SharedBuf {
+    cell: ManuallyDrop<Rc<PoolCell>>,
+}
+
+impl Clone for SharedBuf {
+    fn clone(&self) -> Self {
+        Self { cell: ManuallyDrop::new(Rc::clone(&self.cell)) }
     }
 }
 
-impl std::fmt::Debug for PageBuf {
+impl Drop for SharedBuf {
+    fn drop(&mut self) {
+        // SAFETY: `cell` is taken exactly once, here, and never touched
+        // again: `drop` runs at most once and no other code moves out of it.
+        let cell = unsafe { ManuallyDrop::take(&mut self.cell) };
+        if Rc::strong_count(&cell) == 1 {
+            // The last handle: back to the pool, unless it is gone too.
+            if let Some(pool) = cell.home.upgrade() {
+                pool.give_back(cell);
+            }
+        }
+    }
+}
+
+impl std::ops::Deref for SharedBuf {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.cell.bytes
+    }
+}
+
+impl std::fmt::Debug for SharedBuf {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "PageBuf({} bytes)", self.data.len())
+        write!(f, "SharedBuf({} bytes)", self.len())
     }
 }
 
@@ -266,8 +234,8 @@ mod tests {
 
     #[test]
     fn checkout_return_reuse_cycle() {
-        let pool = BufPool::new(4096);
-        let a = pool.checkout_zeroed();
+        let pool = BufPool::default();
+        let a = pool.checkout();
         let first_ptr = a.as_ptr();
         assert_eq!(pool.outstanding(), 1);
         assert_eq!(pool.free_count(), 0);
@@ -277,81 +245,62 @@ mod tests {
         assert_eq!(pool.free_count(), 1);
         // The next checkout reuses the same allocation, no fresh alloc.
         let b = pool.checkout();
-        assert_eq!(b.as_ptr(), first_ptr, "buffer was reused, not reallocated");
+        assert_eq!(b.as_ptr(), first_ptr, "cell was reused, not reallocated");
         assert_eq!(pool.fresh_allocs(), 1);
         assert_eq!(pool.checkouts(), 2);
     }
 
     #[test]
     fn poison_on_return_in_debug() {
-        let pool = BufPool::new(64);
-        let mut a = pool.checkout_zeroed();
+        let pool = BufPool::default();
+        let mut a = pool.checkout();
         a.fill(0xAA);
         drop(a);
         let b = pool.checkout();
         if cfg!(debug_assertions) {
-            assert!(b.iter().all(|&x| x == POISON), "recycled buffer is poisoned");
+            assert!(b.iter().all(|&x| x == POISON), "recycled cell is poisoned");
         }
     }
 
     #[test]
     fn checkout_from_copies_source() {
-        let pool = BufPool::new(8);
-        let src = [1u8, 2, 3, 4, 5, 6, 7, 8];
+        let pool = BufPool::default();
+        let src: Vec<u8> = (0..CELL_BYTES).map(|i| i as u8).collect();
         let b = pool.checkout_from(&src);
-        assert_eq!(&*b, &src);
+        assert_eq!(&*b, &src[..]);
     }
 
     #[test]
-    fn clone_is_a_fresh_lease_with_same_bytes() {
-        let pool = BufPool::new(16);
-        let mut a = pool.checkout_zeroed();
-        a[0] = 42;
+    fn frozen_clones_share_one_cell_until_the_last_drops() {
+        let pool = BufPool::default();
+        let a = pool.checkout_from(&[42; CELL_BYTES]).freeze();
         let b = a.clone();
+        assert_eq!(a.as_ptr(), b.as_ptr(), "one cell");
         assert_eq!(b[0], 42);
-        assert!(!std::ptr::eq(a.as_ptr(), b.as_ptr()));
-        assert_eq!(pool.outstanding(), 2);
+        assert_eq!((pool.checkouts(), pool.outstanding()), (1, 1), "clones check out nothing");
+        drop(a);
+        assert_eq!(pool.outstanding(), 1, "a clone still holds the cell");
+        drop(b);
+        assert_eq!((pool.outstanding(), pool.free_count()), (0, 1));
     }
 
     #[test]
-    fn into_box_and_recycle_round_trip() {
-        let pool = BufPool::new(32);
-        let a = pool.checkout_zeroed();
-        let raw = a.into_box();
-        assert_eq!(pool.outstanding(), 1, "detached lease still counted");
-        pool.recycle(raw);
-        assert_eq!(pool.outstanding(), 0);
-        assert_eq!(pool.free_count(), 1);
+    fn cells_outliving_their_pool_are_freed() {
+        let pool = BufPool::default();
+        let a = pool.checkout().freeze();
+        drop(pool);
+        assert_eq!(a.len(), CELL_BYTES);
+        drop(a);
     }
 
     #[test]
-    fn prealloc_avoids_fresh_allocs() {
-        let pool = BufPool::with_capacity(128, 4);
+    fn reserve_avoids_fresh_allocs() {
+        let pool = BufPool::default();
+        pool.reserve_free(4);
         assert_eq!(pool.free_count(), 4);
         let bufs: Vec<_> = (0..4).map(|_| pool.checkout()).collect();
         assert_eq!(pool.fresh_allocs(), 0);
         drop(bufs);
         assert_eq!(pool.free_count(), 4);
-    }
-
-    #[test]
-    #[cfg_attr(not(debug_assertions), ignore = "double-return guard is debug-only")]
-    #[should_panic(expected = "double return")]
-    fn double_return_panics_in_debug() {
-        let pool = BufPool::new(16);
-        let a = pool.checkout();
-        // First return is legitimate (outstanding -> 0); a second return
-        // without a matching checkout is a lease-accounting bug and the
-        // debug guard catches it.
-        pool.recycle(a.into_box());
-        pool.recycle(vec![0u8; 16].into_boxed_slice());
-    }
-
-    #[test]
-    #[should_panic(expected = "wrong size")]
-    fn wrong_size_recycle_panics() {
-        let pool = BufPool::new(16);
-        let _hold = pool.checkout(); // keep outstanding > 0
-        pool.recycle(vec![0u8; 8].into_boxed_slice());
     }
 }
