@@ -166,6 +166,17 @@ echo "== repo benchmark (out-of-workspace package: unit tests + reduced-scale sm
 (cd benchmark && cargo test --release --offline -q)
 benchmark/smoke.sh
 
+echo "== benchmark simulated world (every workload's sim_fingerprint at smoke scale) =="
+# A host-only change must leave what each workload simulates untouched, so
+# the seven fingerprints of the built benchmark binary are byte-compared
+# with their golden (UPDATE_GOLDEN=1 regenerates it).
+BENCH_BIN="${CARGO_TARGET_DIR:-benchmark/target}/release/benchmark"
+for w in $(python3 -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
+    "$BENCH_BIN" --workload "$w" --seed 1 --seconds 1 --scale-pct 4 --trace 0 |
+        awk -v w="$w" '$1 == "sim_fingerprint" { print w, $2 }'
+done >"$TRACE_TMP/bench_fingerprints.txt"
+golden "$TRACE_TMP/bench_fingerprints.txt" bench_fingerprints.txt
+
 echo "== allocation gates (noise-free proxies for the engines' host paths) =="
 # allocs_per_op repeats exactly for a seed and scale, so it can gate where
 # host ops/s cannot. Each gate fails at 2x what the commit that set it
@@ -176,8 +187,7 @@ echo "== allocation gates (noise-free proxies for the engines' host paths) =="
 # return, and the page-image sidecars of splits); the parent measured
 # 356.925, 31 of every overwrite's 34 in put_leaf's extract-and-rebuild.
 alloc_gate() {
-    "${CARGO_TARGET_DIR:-benchmark/target}/release/benchmark" \
-        --workload "$1" --seed 1 --seconds 1 --scale-pct 4 --trace 0 | tail -n 1 |
+    "$BENCH_BIN" --workload "$1" --seed 1 --seconds 1 --scale-pct 4 --trace 0 | tail -n 1 |
         python3 -c "
 import json, sys
 got = json.loads(sys.stdin.read())['metrics']['allocs_per_op']['value']

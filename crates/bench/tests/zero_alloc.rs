@@ -28,7 +28,7 @@ use durassd::{Ssd, SsdConfig};
 use relstore::{Engine, EngineConfig};
 use simkit::alloc::{alloc_count, CountingAlloc};
 use simkit::dist::{rng, Rng};
-use simkit::Nanos;
+use simkit::{Nanos, Timeline};
 use storage::testdev::MemDevice;
 use storage::volume::Volume;
 use telemetry::Telemetry;
@@ -353,8 +353,36 @@ fn engine_warmed_put_commit() {
     assert_eq!(e.pool_stats().misses, 0, "the whole tree stayed resident");
 }
 
+/// A `Timeline` past its peak length. Arrivals fall up to `window` behind
+/// the newest one, so most requests backfill a gap (runs split, empty and
+/// hand their slots back), and every call purges behind a rising watermark.
+/// The warm-up's window is twice the measured one, so the measured stretch
+/// never holds more intervals than the warm-up did.
+fn timeline_steady_state() {
+    let mut r = rng(0x71E);
+    let mut t = Timeline::new();
+    let mut clock: Nanos = 0;
+    let mut step = |t: &mut Timeline, window: Nanos| {
+        clock += r.gen_range(0..20_000u64);
+        let now = clock.saturating_sub(r.gen_range(0..=window));
+        t.acquire(now, r.gen_range(1_000..=10_000u64));
+        t.purge_before(clock.saturating_sub(2 * window));
+    };
+    for _ in 0..200_000 {
+        step(&mut t, 8_000_000);
+    }
+    assert!(t.intervals_after(0) > 500, "the warm-up holds several runs of intervals");
+    let allocs = allocs_during(|| {
+        for _ in 0..100_000 {
+            step(&mut t, 4_000_000);
+        }
+    });
+    assert_eq!(allocs, 0, "a timeline past its peak length must be allocation-free");
+}
+
 #[test]
 fn hot_paths_are_allocation_free() {
+    timeline_steady_state();
     telemetry_recording();
     disabled_tracing();
     instrumented_writes();

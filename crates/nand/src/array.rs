@@ -120,6 +120,10 @@ pub struct NandArray {
     slots: Vec<Option<SharedBuf>>,
     channel_bus: Vec<Timeline>,
     planes: Vec<Timeline>,
+    /// A lower bound on every plane's and bus's first interval end: a purge
+    /// before it has nothing to drop on any of them. Each acquire lowers it
+    /// to its own completion time, and a purge that runs recomputes it.
+    purge_floor: Nanos,
     stats: NandStats,
     /// Programs/erases whose completion may still be in the future; purged
     /// lazily. Used to shear pages on power cuts.
@@ -160,6 +164,7 @@ impl NandArray {
             slots: vec![None; total * spp],
             channel_bus: vec![Timeline::new(); geo.channels],
             planes: vec![Timeline::new(); geo.planes()],
+            purge_floor: Nanos::MAX,
             geo,
             stats: NandStats::default(),
             inflight_programs: Vec::new(),
@@ -326,6 +331,8 @@ impl NandArray {
         let bus = self.geo.bus_time(self.geo.page_size);
         let cell_done = self.planes[plane].acquire(now, self.geo.t_read);
         let done = self.channel_bus[channel].acquire(cell_done, bus);
+        // The earlier of the two completions lowers the floor for both.
+        self.purge_floor = self.purge_floor.min(cell_done);
         self.last_service = self.geo.t_read + bus;
         self.last_wait = (done - now).saturating_sub(self.last_service);
         self.stats.reads += 1;
@@ -392,6 +399,8 @@ impl NandArray {
         let bus = self.geo.bus_time(self.geo.page_size);
         let xfer_done = self.channel_bus[channel].acquire(now, bus);
         let done = self.planes[plane].acquire(xfer_done, self.geo.t_program);
+        // The earlier of the two completions lowers the floor for both.
+        self.purge_floor = self.purge_floor.min(xfer_done);
         self.last_service = bus + self.geo.t_program;
         self.last_wait = (done - now).saturating_sub(self.last_service);
         // A page re-programmed after a shear (its block restored by a cut
@@ -455,6 +464,7 @@ impl NandArray {
         self.purge_inflight(now);
         let plane = self.geo.plane_of_block(block);
         let done = self.planes[plane].acquire(now, self.geo.t_erase);
+        self.purge_floor = self.purge_floor.min(done);
         let st = &mut self.blocks[block as usize];
         let saved_next = st.next_page;
         st.next_page = 0;
@@ -560,11 +570,13 @@ impl NandArray {
     /// Inform the array that no future operation will be scheduled before
     /// `t` (host arrival watermark): old busy intervals can be dropped.
     pub fn purge_before(&mut self, t: Nanos) {
-        for p in &mut self.planes {
-            p.purge_before(t);
+        if t < self.purge_floor {
+            return;
         }
-        for c in &mut self.channel_bus {
-            c.purge_before(t);
+        self.purge_floor = Nanos::MAX;
+        for tl in self.planes.iter_mut().chain(&mut self.channel_bus) {
+            tl.purge_before(t);
+            self.purge_floor = self.purge_floor.min(tl.first_end());
         }
     }
 
@@ -802,6 +814,36 @@ mod tests {
         assert!(a.program(0, &page(2), done).is_err());
         let d2 = a.erase(0, done).unwrap();
         a.program(0, &page(2), d2).unwrap();
+    }
+
+    /// The purge floor skips only purges with nothing to drop: after every
+    /// `purge_before(t)`, no plane or bus holds an interval ending by `t`.
+    #[test]
+    fn purge_floor_skips_only_empty_purges() {
+        use simkit::dist::{rng, Rng};
+        let mut a = array();
+        let g = *a.geometry();
+        let mut r = rng(0xF100);
+        let mut next = vec![0u32; g.blocks()];
+        let mut t: Nanos = 0;
+        for _ in 0..3_000 {
+            let block = r.gen_range(0..g.blocks() as u32);
+            let now = t + r.gen_range(0..4_000_000u64);
+            match r.gen_range(0..8u32) {
+                0 => _ = a.read(g.make_ppn(block, 0), &mut page(0), now),
+                _ if next[block as usize] as usize == g.pages_per_block => {
+                    a.erase(block, now).unwrap();
+                    next[block as usize] = 0;
+                }
+                _ => {
+                    a.program(g.make_ppn(block, next[block as usize]), &page(1), now).unwrap();
+                    next[block as usize] += 1;
+                }
+            }
+            t += r.gen_range(0..1_000_000u64);
+            a.purge_before(t);
+            assert!(a.planes.iter().chain(&a.channel_bus).all(|tl| tl.first_end() > t));
+        }
     }
 
     #[test]

@@ -10,33 +10,103 @@
 //! backfills a request into the earliest gap that fits at or after its
 //! arrival.
 //!
+//! The intervals are kept in short runs of one slab (see [`Timeline`]): an
+//! insert shifts within one run, and a gap scan walks only the runs whose
+//! gap bound admits the request, even on a GC-heavy plane that holds tens
+//! of thousands of intervals.
+//!
 //! A [`MultiServer`] models a pool of `k` identical servers where a request
 //! takes the earliest-fitting server.
 
 use crate::clock::Nanos;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::ops::Range;
 
-/// How far in the past intervals are retained. Arrivals may precede the
-/// newest seen arrival by at most the longest in-flight operation; 10s of
-/// virtual slack is far beyond anything the device models schedule.
+/// How far behind the newest arrival intervals are retained. This is not a
+/// safe bound: where GC runs ahead on its own clock (`fio_gc`), arrivals fall
+/// up to 10.21 s behind a plane's newest arrival, and a late arrival can be
+/// placed over work the horizon has already dropped (the ignored test
+/// `horizon_drops_work_a_late_arrival_overlaps`). Every scheduled time
+/// depends on this value, so it stays until that is fixed on purpose.
 const PURGE_HORIZON: Nanos = 10_000_000_000;
 
+/// Most intervals one run holds: the bound on what an insert shifts and what
+/// a gap scan walks before it can skip a run whole.
+const RUN: usize = 128;
+
+/// One run of a [`Timeline`]: entries `lo..hi` of slab slot `slot`.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    slot: u32,
+    lo: u16,
+    hi: u16,
+    /// An upper bound on every gap between consecutive intervals of the
+    /// run. Inserts and merges only fill gaps and purges only drop them, so
+    /// the bound stays valid with no upkeep; only an interval added at
+    /// either end of the run opens an inner gap and raises it. A scan of the
+    /// whole run tightens it.
+    max_gap: Nanos,
+}
+
+impl Run {
+    fn len(&self) -> usize {
+        usize::from(self.hi - self.lo)
+    }
+
+    /// Slab indices of the run's intervals.
+    fn span(&self) -> Range<usize> {
+        let base = self.slot as usize * RUN;
+        base + usize::from(self.lo)..base + usize::from(self.hi)
+    }
+}
+
 /// A single-server resource with gap backfill.
-#[derive(Debug, Clone, Default)]
+///
+/// The busy intervals are sorted, disjoint and never touching (a request
+/// that touches a neighbour merges into it), so the list is fixed by the
+/// busy time alone, however it is split into runs. Runs hold at most `RUN`
+/// intervals, each run in its own slot of one slab: an insert shifts toward
+/// the run's shorter side where the slot has room, a full run splits into
+/// two halves centred in their slots, and an emptied run hands its slot to
+/// a free list. The slab, the run list and the free list grow together and
+/// only when the slab does, so a timeline past its peak length allocates
+/// nothing.
+#[derive(Debug, Clone)]
 pub struct Timeline {
-    /// Sorted, disjoint busy intervals `(start, end)`.
-    intervals: VecDeque<(Nanos, Nanos)>,
+    slab: Vec<(Nanos, Nanos)>,
+    /// The runs, in time order.
+    runs: VecDeque<Run>,
+    /// Slab slots no run holds.
+    free: Vec<u32>,
+    /// End of the first interval, `Nanos::MAX` when there is none.
+    first_end: Nanos,
+    /// End of the last interval, 0 when there is none.
+    last_end: Nanos,
     /// Total busy time accumulated, for utilisation reporting.
     busy_time: Nanos,
     /// Latest arrival observed (purge watermark).
     max_arrival: Nanos,
 }
 
+impl Default for Timeline {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Timeline {
     /// Create an idle timeline.
     pub fn new() -> Self {
-        Self::default()
+        Self {
+            slab: Vec::new(),
+            runs: VecDeque::new(),
+            free: Vec::new(),
+            first_end: Nanos::MAX,
+            last_end: 0,
+            busy_time: 0,
+            max_arrival: 0,
+        }
     }
 
     /// Reserve the server for `service` time for a request arriving at
@@ -44,73 +114,238 @@ impl Timeline {
     /// completion time.
     pub fn acquire(&mut self, now: Nanos, service: Nanos) -> Nanos {
         self.max_arrival = self.max_arrival.max(now);
-        // Drop ancient intervals.
-        let horizon = self.max_arrival.saturating_sub(PURGE_HORIZON);
-        while let Some(&(_, e)) = self.intervals.front() {
-            if e < horizon {
-                self.intervals.pop_front();
-            } else {
-                break;
-            }
+        // Drop intervals that end before the horizon.
+        if let Some(t) = self.max_arrival.checked_sub(PURGE_HORIZON + 1) {
+            self.purge_before(t);
         }
         self.busy_time += service;
         if service == 0 {
             return now;
         }
-        // Find the earliest gap of length `service` at or after `now`.
-        //
-        // Intervals ending at or before `now` cannot influence the
-        // placement; the deque is sorted and disjoint, so they form a
-        // prefix that a binary search skips in O(log n). Only the (usually
-        // tiny) suffix of still-relevant intervals is walked — without the
-        // skip, a busy resource retaining a full purge window of history
-        // pays a linear scan on every request, which dominated the bench
-        // wall clock.
-        let mut start = now;
-        let skip = self.intervals.partition_point(|&(_, e)| e <= start);
-        let mut pos = self.intervals.len();
-        for i in skip..self.intervals.len() {
-            let (s, e) = self.intervals[i];
-            if s >= start + service {
-                // Gap before this interval fits.
-                pos = i;
-                break;
-            }
-            start = e;
-        }
-        let end = start + service;
-        // Insert (start, end) at `pos`, merging with neighbours that touch.
-        if pos < self.intervals.len() {
-            self.intervals.insert(pos, (start, end));
+        let end = if now >= self.last_end {
+            self.append(now, now + service)
         } else {
-            self.intervals.push_back((start, end));
-        }
-        self.coalesce_around(pos);
+            self.backfill(now, service)
+        };
+        self.refresh_ends();
         end
     }
 
-    fn coalesce_around(&mut self, pos: usize) {
-        // Merge with previous neighbour.
-        let mut i = pos;
-        if i > 0 && self.intervals[i - 1].1 >= self.intervals[i].0 {
-            let (s0, e0) = self.intervals[i - 1];
-            let (_, e1) = self.intervals[i];
-            self.intervals[i - 1] = (s0, e0.max(e1));
-            self.intervals.remove(i);
-            i -= 1;
+    /// Place `[start, end)` after every interval; `start >= busy_until`.
+    fn append(&mut self, start: Nanos, end: Nanos) -> Nanos {
+        match self.runs.back_mut() {
+            Some(run) if start == self.last_end => self.slab[run.span().end - 1].1 = end,
+            Some(run) if usize::from(run.hi) < RUN => {
+                run.max_gap = run.max_gap.max(start - self.last_end);
+                self.slab[run.span().end] = (start, end);
+                run.hi += 1;
+            }
+            // A run begun by an append starts at the front of its slot:
+            // appends fill it, and backfills into it split it when full.
+            _ => {
+                let slot = self.take_slot();
+                self.slab[slot as usize * RUN] = (start, end);
+                self.runs.push_back(Run { slot, lo: 0, hi: 1, max_gap: 0 });
+            }
         }
-        // Merge with next neighbour.
-        if i + 1 < self.intervals.len() && self.intervals[i].1 >= self.intervals[i + 1].0 {
-            let (s0, e0) = self.intervals[i];
-            let (_, e1) = self.intervals[i + 1];
-            self.intervals[i] = (s0, e0.max(e1));
-            self.intervals.remove(i + 1);
+        end
+    }
+
+    /// Find the earliest gap of length `service` at or after `now`, which
+    /// lies before the last interval's end, and place the request there.
+    fn backfill(&mut self, now: Nanos, service: Nanos) -> Nanos {
+        // Intervals ending at or before `now` cannot influence the
+        // placement: find the first one past it, in runs then in one run.
+        let mut r = self.run_after(now);
+        let slab = &self.slab;
+        let span = self.runs[r].span();
+        let mut i = span.start + slab[span].partition_point(|&(_, e)| e <= now);
+        let mut start = now;
+        loop {
+            let run = self.runs[r];
+            let span = run.span();
+            let whole = i == span.start;
+            // The gap before interval `i`: from `now` or from the previous
+            // run's last end.
+            let (s, e) = slab[i];
+            if s >= start + service {
+                return self.place(r, i, start, start + service);
+            }
+            start = e;
+            if run.max_gap < service {
+                // No inner gap fits: skip the rest of the run.
+                start = slab[span.end - 1].1;
+            } else {
+                let mut widest = 0;
+                for (j, &(s, e)) in (i + 1..).zip(&slab[i + 1..span.end]) {
+                    if s >= start + service {
+                        return self.place(r, j, start, start + service);
+                    }
+                    widest = widest.max(s - start);
+                    start = e;
+                }
+                if whole {
+                    self.runs[r].max_gap = widest;
+                }
+            }
+            r += 1;
+            match self.runs.get(r) {
+                Some(next) => i = next.span().start,
+                // Past the last interval: `start` is its end, so it grows.
+                None => return self.append(start, start + service),
+            }
         }
+    }
+
+    /// Index of the first run whose last interval ends after `t`, or the
+    /// run count. A galloping search from the front, then a binary one:
+    /// arrivals mostly land in the first run, behind work scheduled ahead.
+    fn run_after(&self, t: Nanos) -> usize {
+        let ends_by = |r: usize| self.slab[self.runs[r].span().end - 1].1 <= t;
+        let n = self.runs.len();
+        // Every run before `lo` ends by `t`; none from `hi` on does.
+        let (mut lo, mut hi, mut step) = (0, 0, 1);
+        while hi < n && ends_by(hi) {
+            lo = hi + 1;
+            hi += step;
+            step *= 2;
+        }
+        hi = hi.min(n);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if ends_by(mid) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// Record `[start, end)` in the gap before slab entry `j` of run `r`,
+    /// merging with whichever neighbour it touches.
+    fn place(&mut self, r: usize, j: usize, start: Nanos, end: Nanos) -> Nanos {
+        let first = self.runs[r].span().start;
+        let prev = if j > first {
+            Some(j - 1)
+        } else {
+            r.checked_sub(1).map(|p| self.runs[p].span().end - 1)
+        };
+        let prev = prev.filter(|&p| self.slab[p].1 == start);
+        let joins_next = self.slab[j].0 == end;
+        match prev {
+            Some(p) if joins_next => {
+                self.slab[p].1 = self.slab[j].1;
+                self.remove(r, j);
+            }
+            Some(p) => self.slab[p].1 = end,
+            None if joins_next => self.slab[j].0 = start,
+            // Inside the run: no new inner gap.
+            None if j > first => self.insert(r, j, (start, end)),
+            // Between two runs: onto the end of the previous one if it has
+            // room there, else onto the front of this one.
+            None => match r.checked_sub(1) {
+                Some(p) if usize::from(self.runs[p].hi) < RUN => {
+                    let span = self.runs[p].span();
+                    let run = &mut self.runs[p];
+                    run.max_gap = run.max_gap.max(start - self.slab[span.end - 1].1);
+                    self.insert(p, span.end, (start, end));
+                }
+                _ => {
+                    let run = &mut self.runs[r];
+                    run.max_gap = run.max_gap.max(self.slab[j].0 - end);
+                    self.insert(r, j, (start, end));
+                }
+            },
+        }
+        end
+    }
+
+    /// Insert `iv` at slab index `p` of run `r` (`lo <= p <= hi`).
+    fn insert(&mut self, mut r: usize, mut p: usize, iv: (Nanos, Nanos)) {
+        if self.runs[r].len() == RUN {
+            (r, p) = self.split(r, p);
+        }
+        let run = &mut self.runs[r];
+        let Range { start: lo, end: hi } = run.span();
+        if run.lo > 0 && (p - lo < hi - p || usize::from(run.hi) == RUN) {
+            self.slab.copy_within(lo..p, lo - 1);
+            self.slab[p - 1] = iv;
+            run.lo -= 1;
+        } else {
+            self.slab.copy_within(p..hi, p + 1);
+            self.slab[p] = iv;
+            run.hi += 1;
+        }
+    }
+
+    /// Split full run `r` into two centred halves; returns where slab index
+    /// `p` of the old run now lies.
+    fn split(&mut self, r: usize, p: usize) -> (usize, usize) {
+        let slot = self.take_slot();
+        let run = self.runs[r];
+        let (half, quarter) = (RUN / 2, RUN / 4);
+        let base = run.slot as usize * RUN;
+        let new_base = slot as usize * RUN;
+        self.slab.copy_within(base + half..base + RUN, new_base + quarter);
+        self.slab.copy_within(base..base + half, base + quarter);
+        let (lo, hi) = (quarter as u16, (quarter + half) as u16);
+        self.runs[r] = Run { lo, hi, ..run };
+        self.runs.insert(r + 1, Run { slot, lo, hi, max_gap: run.max_gap });
+        let k = p - base;
+        if k <= half {
+            (r, base + quarter + k)
+        } else {
+            (r + 1, new_base + quarter + k - half)
+        }
+    }
+
+    /// Remove slab entry `j` of run `r`, dropping the run if it empties.
+    fn remove(&mut self, r: usize, j: usize) {
+        let run = &mut self.runs[r];
+        let Range { start: lo, end: hi } = run.span();
+        if hi - lo == 1 {
+            self.free.push(run.slot);
+            self.runs.remove(r);
+        } else if j - lo < hi - 1 - j {
+            self.slab.copy_within(lo..j, lo + 1);
+            run.lo += 1;
+        } else {
+            self.slab.copy_within(j + 1..hi, j);
+            run.hi -= 1;
+        }
+    }
+
+    /// A free slab slot, growing the slab (and with it the run list's and
+    /// the free list's capacity, which never exceed one entry per slot)
+    /// when there is none.
+    fn take_slot(&mut self) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            return slot;
+        }
+        let slots = self.slab.len() / RUN + 1;
+        self.slab.resize(slots * RUN, (0, 0));
+        self.runs.reserve(slots - self.runs.len());
+        self.free.reserve(slots);
+        (slots - 1) as u32
+    }
+
+    fn refresh_ends(&mut self) {
+        let slab = &self.slab;
+        self.first_end = self.runs.front().map_or(Nanos::MAX, |r| slab[r.span().start].1);
+        self.last_end = self.runs.back().map_or(0, |r| slab[r.span().end - 1].1);
     }
 
     /// The time at which all currently queued work is done.
     pub fn busy_until(&self) -> Nanos {
-        self.intervals.back().map(|&(_, e)| e).unwrap_or(0)
+        self.last_end
+    }
+
+    /// End of the earliest busy interval still held, `Nanos::MAX` when
+    /// there is none: [`Timeline::purge_before`] any earlier time drops
+    /// nothing.
+    pub fn first_end(&self) -> Nanos {
+        self.first_end
     }
 
     /// Total service time this resource has performed.
@@ -129,26 +364,39 @@ impl Timeline {
     /// lower bound on the commands outstanding (contiguous commands
     /// coalesce into one interval), used as a cheap occupancy gauge.
     pub fn intervals_after(&self, t: Nanos) -> usize {
-        let cut = self.intervals.partition_point(|&(_, e)| e <= t);
-        self.intervals.len() - cut
+        let r = self.run_after(t);
+        let Some(run) = self.runs.get(r) else {
+            return 0;
+        };
+        let open = run.len() - self.slab[run.span()].partition_point(|&(_, e)| e <= t);
+        open + self.runs.range(r + 1..).map(Run::len).sum::<usize>()
     }
 
     /// Drop intervals that end at or before `t`: no future request will
     /// arrive earlier (the caller's arrival watermark). Keeps the interval
     /// list proportional to in-flight work.
     pub fn purge_before(&mut self, t: Nanos) {
-        while let Some(&(_, e)) = self.intervals.front() {
-            if e <= t {
-                self.intervals.pop_front();
-            } else {
+        if self.first_end > t {
+            return;
+        }
+        while let Some(run) = self.runs.front_mut() {
+            let span = run.span();
+            let due = self.slab[span.clone()].partition_point(|&(_, e)| e <= t);
+            if due < span.len() {
+                run.lo += due as u16;
                 break;
             }
+            self.free.push(run.slot);
+            self.runs.pop_front();
         }
+        self.refresh_ends();
     }
 
     /// Forget any queued work (used when a power cut wipes device state).
     pub fn reset(&mut self) {
-        self.intervals.clear();
+        self.free.extend(self.runs.drain(..).map(|run| run.slot));
+        self.first_end = Nanos::MAX;
+        self.last_end = 0;
         self.busy_time = 0;
         self.max_arrival = 0;
     }
@@ -303,6 +551,19 @@ mod tests {
         assert!(total_wait < 1000, "phantom queueing detected: {total_wait}");
     }
 
+    /// Known gap: the horizon drops work by the newest arrival alone, so an
+    /// arrival more than `PURGE_HORIZON` behind it is booked over work the
+    /// server still has to do. `fio_gc` does this to 72.6 % of its measured
+    /// placements (ROADMAP).
+    #[test]
+    #[ignore = "the purge horizon drops work that late arrivals still overlap"]
+    fn horizon_drops_work_a_late_arrival_overlaps() {
+        let mut t = Timeline::new();
+        assert_eq!(t.acquire(0, 1_000), 1_000);
+        t.acquire(PURGE_HORIZON + 2_000, 10);
+        assert_eq!(t.acquire(0, 10), 1_010, "queued behind [0, 1000)");
+    }
+
     #[test]
     fn multiserver_parallelism() {
         let mut m = MultiServer::new(2);
@@ -324,6 +585,104 @@ mod tests {
     #[should_panic(expected = "at least one server")]
     fn zero_servers_rejected() {
         MultiServer::new(0);
+    }
+
+    /// The timeline as one flat sorted deque of intervals, before runs: the
+    /// oracle every placement of [`Timeline`] is compared with.
+    mod reference {
+        use super::super::PURGE_HORIZON;
+        use crate::clock::Nanos;
+        use std::collections::VecDeque;
+
+        #[derive(Default)]
+        pub struct Timeline {
+            /// Sorted, disjoint busy intervals `(start, end)`.
+            intervals: VecDeque<(Nanos, Nanos)>,
+            /// Latest arrival observed (purge watermark).
+            max_arrival: Nanos,
+        }
+
+        impl Timeline {
+            pub fn acquire(&mut self, now: Nanos, service: Nanos) -> Nanos {
+                self.max_arrival = self.max_arrival.max(now);
+                // Drop ancient intervals.
+                let horizon = self.max_arrival.saturating_sub(PURGE_HORIZON);
+                while let Some(&(_, e)) = self.intervals.front() {
+                    if e < horizon {
+                        self.intervals.pop_front();
+                    } else {
+                        break;
+                    }
+                }
+                if service == 0 {
+                    return now;
+                }
+                // Find the earliest gap of length `service` at or after
+                // `now`, skipping the intervals that end at or before it.
+                let mut start = now;
+                let skip = self.intervals.partition_point(|&(_, e)| e <= start);
+                let mut pos = self.intervals.len();
+                for i in skip..self.intervals.len() {
+                    let (s, e) = self.intervals[i];
+                    if s >= start + service {
+                        pos = i;
+                        break;
+                    }
+                    start = e;
+                }
+                let end = start + service;
+                // Insert (start, end) at `pos`, merging with neighbours
+                // that touch.
+                if pos < self.intervals.len() {
+                    self.intervals.insert(pos, (start, end));
+                } else {
+                    self.intervals.push_back((start, end));
+                }
+                self.coalesce_around(pos);
+                end
+            }
+
+            fn coalesce_around(&mut self, pos: usize) {
+                let mut i = pos;
+                if i > 0 && self.intervals[i - 1].1 >= self.intervals[i].0 {
+                    let (s0, e0) = self.intervals[i - 1];
+                    let (_, e1) = self.intervals[i];
+                    self.intervals[i - 1] = (s0, e0.max(e1));
+                    self.intervals.remove(i);
+                    i -= 1;
+                }
+                if i + 1 < self.intervals.len() && self.intervals[i].1 >= self.intervals[i + 1].0 {
+                    let (s0, e0) = self.intervals[i];
+                    let (_, e1) = self.intervals[i + 1];
+                    self.intervals[i] = (s0, e0.max(e1));
+                    self.intervals.remove(i + 1);
+                }
+            }
+
+            pub fn busy_until(&self) -> Nanos {
+                self.intervals.back().map(|&(_, e)| e).unwrap_or(0)
+            }
+
+            pub fn intervals_after(&self, t: Nanos) -> usize {
+                let cut = self.intervals.partition_point(|&(_, e)| e <= t);
+                self.intervals.len() - cut
+            }
+
+            pub fn purge_before(&mut self, t: Nanos) {
+                while let Some(&(_, e)) = self.intervals.front() {
+                    if e <= t {
+                        self.intervals.pop_front();
+                    } else {
+                        break;
+                    }
+                }
+            }
+
+            pub fn reset(&mut self) {
+                self.intervals.clear();
+                self.max_arrival = 0;
+            }
+        }
     }
 
     mod proptests {
@@ -388,6 +747,117 @@ mod tests {
                     assert_eq!(ea, eb);
                 }
             }
+        }
+
+        /// The runs' own invariants: every run holds 1..=`RUN` intervals,
+        /// the intervals are sorted and never touch (across runs too), each
+        /// `max_gap` bounds its run's inner gaps, the cached ends are exact,
+        /// and every slot is held by exactly one run or the free list, whose
+        /// capacities cover every slot.
+        fn check_runs(t: &Timeline) {
+            let slots = t.slab.len() / RUN;
+            let mut held = vec![false; slots];
+            let mut last: Option<(Nanos, Nanos)> = None;
+            for run in &t.runs {
+                assert!((1..=RUN).contains(&run.len()), "run length {}", run.len());
+                assert!(!std::mem::replace(&mut held[run.slot as usize], true));
+                let ivs = &t.slab[run.span()];
+                for w in ivs.windows(2) {
+                    assert!(w[1].0 - w[0].1 <= run.max_gap, "gap above the bound");
+                }
+                for &(s, e) in ivs {
+                    assert!(s < e);
+                    assert!(last.is_none_or(|(_, le)| le < s), "{last:?} touches ({s}, {e})");
+                    last = Some((s, e));
+                }
+            }
+            for &slot in &t.free {
+                assert!(!std::mem::replace(&mut held[slot as usize], true));
+            }
+            assert!(held.iter().all(|&h| h), "a slot is lost");
+            assert!(t.runs.capacity() >= slots && t.free.capacity() >= slots);
+            let first = t.runs.front().map_or(Nanos::MAX, |r| t.slab[r.span().start].1);
+            assert_eq!(t.first_end, first);
+            assert_eq!(t.last_end, last.map_or(0, |(_, e)| e));
+        }
+
+        /// The runs against the flat deque they replaced, call for call:
+        /// every completion time, and `busy_until`, `backlog_at` and
+        /// `intervals_after` after every call. The streams fall behind by
+        /// more than the purge horizon, purge at a rising watermark, reset,
+        /// ask for zero-length and 1 µs..1 ms services, and hold enough
+        /// intervals that runs split, empty and are skipped whole.
+        #[test]
+        fn runs_place_exactly_as_the_flat_deque() {
+            let mut r = SimRng::seed_from_u64(0x5AB);
+            let (mut splits, mut emptied, mut skippable) = (0, 0, 0);
+            for case in 0..64 {
+                let mut new = Timeline::new();
+                let mut old = reference::Timeline::default();
+                // `clock` is the newest regular arrival, moving by up to
+                // `step`; arrivals fall up to `lag` behind it. The last
+                // shape spans tens of seconds and lags past the horizon.
+                let (step, lag): (Nanos, Nanos) = [
+                    (120_000, 20_000),
+                    (120_000, 2_000_000),
+                    (120_000, 50_000_000),
+                    (12_000_000, 15 * PURGE_HORIZON / 10),
+                ][case % 4];
+                let (mut clock, mut watermark): (Nanos, Nanos) = (0, 0);
+                for call in 0..r.gen_range(1..12_000usize) {
+                    let (runs, free) = (new.runs.len(), new.free.len());
+                    match r.gen_range(0..1_000u32) {
+                        0 => {
+                            new.reset();
+                            old.reset();
+                            (clock, watermark) = (0, 0);
+                            continue;
+                        }
+                        1..=40 => {
+                            watermark = watermark.max(clock.saturating_sub(2 * lag));
+                            new.purge_before(watermark);
+                            old.purge_before(watermark);
+                        }
+                        n => {
+                            // Services over three orders of magnitude.
+                            let service = match n % 20 {
+                                0 => 0,
+                                1 => r.gen_range(100_000..=1_000_000),
+                                2..=5 => r.gen_range(10_000..=100_000),
+                                _ => r.gen_range(1_000..=10_000),
+                            };
+                            clock += r.gen_range(0..step);
+                            let now = if n % 50 == 0 {
+                                // Ahead, as GC's own clock runs.
+                                clock + r.gen_range(0..=lag / 4)
+                            } else {
+                                clock.saturating_sub(r.gen_range(0..=lag))
+                            };
+                            let behind = now < new.busy_until();
+                            skippable += usize::from(
+                                behind && new.runs.iter().any(|run| run.max_gap < service),
+                            );
+                            assert_eq!(new.acquire(now, service), old.acquire(now, service));
+                            // Only a backfill splits a run.
+                            splits += usize::from(behind && new.runs.len() > runs);
+                        }
+                    }
+                    emptied += usize::from(new.free.len() > free);
+                    if call % 8 == 0 {
+                        check_runs(&new);
+                    }
+                    assert_eq!(new.busy_until(), old.busy_until());
+                    let probes = [watermark, clock.saturating_sub(lag / 2), clock, clock + lag];
+                    for probe in probes {
+                        assert_eq!(new.backlog_at(probe), old.busy_until().saturating_sub(probe));
+                        assert_eq!(new.intervals_after(probe), old.intervals_after(probe));
+                    }
+                }
+            }
+            assert!(
+                splits > 100 && emptied > 100 && skippable > 1_000,
+                "{splits} {emptied} {skippable}"
+            );
         }
     }
 }
