@@ -116,15 +116,28 @@ impl BTree {
         key: &[u8],
         now: Nanos,
     ) -> (Option<Vec<u8>>, Nanos) {
+        self.get_with(store, key, now, |v| v.map(<[u8]>::to_vec))
+    }
+
+    /// Look up `key` and run `f` over the value where it lies in its leaf
+    /// (`None` if absent). Returns `f`'s result and the completion time.
+    pub fn get_with<S: PageStore, R>(
+        &self,
+        store: &mut S,
+        key: &[u8],
+        now: Nanos,
+        f: impl FnOnce(Option<&[u8]>) -> R,
+    ) -> (R, Nanos) {
+        let mut f = Some(f);
         let mut page = self.root;
         let mut t = now;
         loop {
             let (next, t2) = store.with_page(page, t, |buf| match node::kind(buf) {
                 Kind::Internal => Err(node::route(buf, key)),
-                Kind::Leaf => Ok(match node::search(buf, key) {
-                    Ok(i) => Some(node::value(buf, i).to_vec()),
-                    Err(_) => None,
-                }),
+                Kind::Leaf => {
+                    let found = node::search(buf, key).ok().map(|i| node::value(buf, i));
+                    Ok(f.take().expect("a lookup ends at one leaf")(found))
+                }
             });
             t = t2;
             match next {

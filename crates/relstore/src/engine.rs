@@ -78,7 +78,7 @@ use btree::{node as bnode, BTree, PageStore};
 use bufferpool::{BufferPool, PageBackend, PoolStats};
 use durassd::Error;
 use forensics::{Ledger, UnitKind};
-use simkit::{crc32_bytewise, Nanos, Recovered, ReplayStats, Timed};
+use simkit::{crc32, Nanos, Recovered, ReplayStats, Timed};
 use std::collections::{BTreeMap, HashSet};
 use storage::device::{at_queue_depth, BlockDevice, DevError, WriteCause};
 use storage::file::PageFile;
@@ -164,7 +164,7 @@ fn never_written(page: &[u8]) -> bool {
 fn trailer_ok(page: &[u8], page_no: u64) -> bool {
     let n = page.len();
     let stored_crc = u32::from_le_bytes(page[n - 4..].try_into().unwrap());
-    sealed_page_no(page) == page_no && stored_crc == crc32_bytewise(&page[..n - 4])
+    sealed_page_no(page) == page_no && stored_crc == crc32(&page[..n - 4])
 }
 
 /// Seal a physical page for writing: page number and CRC behind the LSN the
@@ -172,7 +172,7 @@ fn trailer_ok(page: &[u8], page_no: u64) -> bool {
 fn stamp_trailer(page: &mut [u8], page_no: u64) {
     let n = page.len();
     page[n - 8..n - 4].copy_from_slice(&(page_no as u32).to_le_bytes());
-    let crc = crc32_bytewise(&page[..n - 4]);
+    let crc = crc32(&page[..n - 4]);
     page[n - 4..].copy_from_slice(&crc.to_le_bytes());
 }
 
@@ -647,14 +647,27 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
 
     /// Point lookup.
     pub fn get(&mut self, tree: TreeId, key: &[u8], now: Nanos) -> Timed<Option<Vec<u8>>> {
+        self.get_with(tree, key, now, |v| v.map(<[u8]>::to_vec))
+    }
+
+    /// Point lookup that runs `f` over the value where it lies in its page
+    /// (`None` if absent), so reading a field copies nothing.
+    pub fn get_with<R>(
+        &mut self,
+        tree: TreeId,
+        key: &[u8],
+        now: Nanos,
+        f: impl FnOnce(Option<&[u8]>) -> R,
+    ) -> Timed<R> {
         if tree as usize >= self.trees.len() {
             // The tree's catalog entry did not survive recovery (possible
             // only on unsafe configurations): every key reads as absent.
-            return Timed::new(None, now);
+            return Timed::new(f(None), now);
         }
         self.io.stats.gets += 1;
         let scope = self.scope("engine.get", now);
-        let (r, _, t) = self.op(now, |trees, view, t| trees[tree as usize].get(view, key, t));
+        let (r, _, t) =
+            self.op(now, |trees, view, t| trees[tree as usize].get_with(view, key, t, f));
         Timed::new(r, scope.map_or(t, |s| s.close(t)))
     }
 
@@ -787,7 +800,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             buf[off + 8] = t.height();
             off += 9;
         }
-        let crc = crc32_bytewise(&buf[..off]);
+        let crc = crc32(&buf[..off]);
         let n = buf.len();
         buf[n - 4..].copy_from_slice(&crc.to_le_bytes());
         buf
@@ -856,9 +869,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             }
             let crc = u32::from_le_bytes(buf[buf.len() - 4..].try_into().unwrap());
             let seq = u64::from_le_bytes(buf[8..16].try_into().unwrap());
-            if crc == crc32_bytewise(&buf[..body_len])
-                && best.as_ref().is_none_or(|(s, _)| seq > *s)
-            {
+            if crc == crc32(&buf[..body_len]) && best.as_ref().is_none_or(|(s, _)| seq > *s) {
                 best = Some((seq, buf.clone()));
             }
             Ok(done)

@@ -25,7 +25,7 @@ pub mod stats;
 pub mod timed;
 
 pub use clock::{Nanos, MICROS, MILLIS, SECS};
-pub use crc::{crc32, crc32_bytewise};
+pub use crc::crc32;
 pub use driver::{ClosedLoop, DriverReport};
 pub use pool::{BufPool, PageBuf, SharedBuf};
 pub use recovered::{Recovered, ReplayStats};

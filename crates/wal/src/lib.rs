@@ -48,7 +48,7 @@
 
 pub mod record;
 
-use simkit::{crc32_bytewise, Nanos};
+use simkit::{crc32, Nanos};
 use std::ops::Range;
 use storage::device::{BlockDevice, DevResult, WriteCause, LOGICAL_PAGE};
 use storage::file::PageFile;
@@ -315,7 +315,7 @@ impl Wal {
         let (hdr, payload) = self.buf[at..].split_at_mut(REC_HDR);
         hdr[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
         hdr[4..12].copy_from_slice(&lsn.to_le_bytes());
-        hdr[12..].copy_from_slice(&crc32_bytewise(payload).to_le_bytes());
+        hdr[12..].copy_from_slice(&crc32(payload).to_le_bytes());
         self.stats.appends += 1;
         if let Some(tel) = &self.tel {
             tel.set_gauge("wal.buffered_bytes", self.unflushed() as i64);
@@ -539,7 +539,7 @@ impl Wal {
         let mut hdr = [0u8; BLOCK];
         hdr[..8].copy_from_slice(&HDR_MAGIC.to_le_bytes());
         hdr[8..16].copy_from_slice(&self.checkpoint_lsn.to_le_bytes());
-        let crc = crc32_bytewise(&hdr[..16]);
+        let crc = crc32(&hdr[..16]);
         hdr[16..20].copy_from_slice(&crc.to_le_bytes());
         vol.with_cause(WriteCause::WalAppend, |vol| {
             let t = self.files[0].write_page(vol, 0, &hdr, now).expect("header block exists");
@@ -570,7 +570,7 @@ impl Wal {
         let magic = u64::from_le_bytes(hdr[..8].try_into().unwrap());
         let ckpt = u64::from_le_bytes(hdr[8..16].try_into().unwrap());
         let crc = u32::from_le_bytes(hdr[16..20].try_into().unwrap());
-        if magic != HDR_MAGIC || crc != crc32_bytewise(&hdr[..16]) {
+        if magic != HDR_MAGIC || crc != crc32(&hdr[..16]) {
             // Unformatted or corrupt header: empty log.
             return Ok((wal, scan, t));
         }
@@ -598,7 +598,7 @@ impl Wal {
             let end = lsn + (REC_HDR + len) as u64;
             let whole = win.fill(&wal, vol, lsn, end, &mut t)?;
             let payload = &win.bytes_at(lsn)[REC_HDR..];
-            if !whole || crc32_bytewise(&payload[..len]) != crc {
+            if !whole || crc32(&payload[..len]) != crc {
                 // A record frame that matches this position but fails its
                 // CRC, or runs into a shorn block or past the lap, is a
                 // partially-persisted write: a torn tail.

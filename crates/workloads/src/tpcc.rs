@@ -106,60 +106,65 @@ pub struct TpccReport {
 
 // ---- keys ------------------------------------------------------------------
 
-fn k_w(w: u32) -> Vec<u8> {
-    w.to_be_bytes().to_vec()
-}
-
-fn k_d(w: u32, d: u32) -> Vec<u8> {
-    // Room for the longest key built on this prefix (`k_ol`): one allocation.
-    let mut k = Vec::with_capacity(16);
-    k.extend_from_slice(&w.to_be_bytes());
-    k.extend_from_slice(&d.to_be_bytes());
+/// The fields big-endian and back to back, so keys sort field by field.
+fn key<const F: usize, const N: usize>(fields: [u32; F]) -> [u8; N] {
+    const { assert!(N == 4 * F) };
+    let mut k = [0u8; N];
+    for (at, f) in k.chunks_exact_mut(4).zip(fields) {
+        at.copy_from_slice(&f.to_be_bytes());
+    }
     k
 }
 
-fn k_c(w: u32, d: u32, c: u32) -> Vec<u8> {
-    let mut k = k_d(w, d);
-    k.extend_from_slice(&c.to_be_bytes());
-    k
+fn k_w(w: u32) -> [u8; 4] {
+    key([w])
 }
 
-fn k_i(i: u32) -> Vec<u8> {
-    i.to_be_bytes().to_vec()
+fn k_d(w: u32, d: u32) -> [u8; 8] {
+    key([w, d])
 }
 
-fn k_s(w: u32, i: u32) -> Vec<u8> {
-    let mut k = Vec::with_capacity(8);
-    k.extend_from_slice(&w.to_be_bytes());
-    k.extend_from_slice(&i.to_be_bytes());
-    k
+fn k_c(w: u32, d: u32, c: u32) -> [u8; 12] {
+    key([w, d, c])
 }
 
-fn k_o(w: u32, d: u32, o: u32) -> Vec<u8> {
-    let mut k = k_d(w, d);
-    k.extend_from_slice(&o.to_be_bytes());
-    k
+fn k_i(i: u32) -> [u8; 4] {
+    key([i])
 }
 
-fn k_ol(w: u32, d: u32, o: u32, l: u32) -> Vec<u8> {
-    let mut k = k_o(w, d, o);
-    k.extend_from_slice(&l.to_be_bytes());
-    k
+fn k_s(w: u32, i: u32) -> [u8; 8] {
+    key([w, i])
+}
+
+fn k_o(w: u32, d: u32, o: u32) -> [u8; 12] {
+    key([w, d, o])
+}
+
+fn k_ol(w: u32, d: u32, o: u32, l: u32) -> [u8; 16] {
+    key([w, d, o, l])
 }
 
 // ---- rows ------------------------------------------------------------------
+//
+// Each row type is an array of its fixed fields' width plus its filler.
 
-fn row(fixed: &[u8], filler: usize) -> Vec<u8> {
-    let mut v = Vec::with_capacity(fixed.len() + filler);
-    v.extend_from_slice(fixed);
-    v.extend(std::iter::repeat_n(b'f', filler));
-    v
+/// The fixed fields back to back, then filler to the row's width.
+fn row<const N: usize>(fields: &[&[u8]]) -> [u8; N] {
+    let mut r = [b'f'; N];
+    let mut at = 0;
+    for f in fields {
+        r[at..at + f.len()].copy_from_slice(f);
+        at += f.len();
+    }
+    r
 }
 
-fn district_row(next_o_id: u32, ytd: u64) -> Vec<u8> {
-    let mut fixed = next_o_id.to_le_bytes().to_vec();
-    fixed.extend_from_slice(&ytd.to_le_bytes());
-    row(&fixed, 84)
+fn item_row(i: u32) -> [u8; 4 + 60] {
+    row(&[&i.to_le_bytes()])
+}
+
+fn district_row(next_o_id: u32, ytd: u64) -> [u8; 12 + 84] {
+    row(&[&next_o_id.to_le_bytes(), &ytd.to_le_bytes()])
 }
 
 fn district_next_o_id(r: &[u8]) -> u32 {
@@ -170,10 +175,8 @@ fn district_ytd(r: &[u8]) -> u64 {
     u64::from_le_bytes(r[4..12].try_into().expect("district row"))
 }
 
-fn stock_row(qty: i32, ytd: u32) -> Vec<u8> {
-    let mut fixed = qty.to_le_bytes().to_vec();
-    fixed.extend_from_slice(&ytd.to_le_bytes());
-    row(&fixed, 280)
+fn stock_row(qty: i32, ytd: u32) -> [u8; 8 + 280] {
+    row(&[&qty.to_le_bytes(), &ytd.to_le_bytes()])
 }
 
 fn stock_qty(r: &[u8]) -> i32 {
@@ -184,20 +187,35 @@ fn stock_ytd(r: &[u8]) -> u32 {
     u32::from_le_bytes(r[4..8].try_into().expect("stock row"))
 }
 
-fn customer_row(balance: i64) -> Vec<u8> {
-    row(&balance.to_le_bytes(), 440)
+fn customer_row(balance: i64) -> [u8; 8 + 440] {
+    row(&[&balance.to_le_bytes()])
 }
 
 fn customer_balance(r: &[u8]) -> i64 {
     i64::from_le_bytes(r[..8].try_into().expect("customer row"))
 }
 
-fn warehouse_row(ytd: u64) -> Vec<u8> {
-    row(&ytd.to_le_bytes(), 81)
+fn warehouse_row(ytd: u64) -> [u8; 8 + 81] {
+    row(&[&ytd.to_le_bytes()])
 }
 
 fn warehouse_ytd(r: &[u8]) -> u64 {
     u64::from_le_bytes(r[..8].try_into().expect("warehouse row"))
+}
+
+/// An order: customer and line count, then filler (byte 5 is the carrier).
+type OrderRow = [u8; 5 + 20];
+
+fn order_row(c: u32, ol_cnt: u8) -> OrderRow {
+    row(&[&c.to_le_bytes(), &[ol_cnt]])
+}
+
+fn order_line_row(i: u32, qty: u8) -> [u8; 5 + 40] {
+    row(&[&i.to_le_bytes(), &[qty]])
+}
+
+fn history_row(amount: i64) -> [u8; 8 + 24] {
+    row(&[&amount.to_le_bytes()])
 }
 
 /// Populate the database; ends with a checkpoint.
@@ -216,7 +234,7 @@ pub fn load<D: BlockDevice, L: BlockDevice>(
     let (order_line, t) = engine.create_tree(t).into_parts();
     let (history, mut t) = engine.create_tree(t).into_parts();
     for i in 0..spec.items {
-        t = engine.put(item, &k_i(i), &row(&i.to_le_bytes(), 60), t);
+        t = engine.put(item, &k_i(i), &item_row(i), t);
         if i % 512 == 511 {
             t = engine.commit(t);
         }
@@ -270,29 +288,29 @@ fn new_order<D: BlockDevice, L: BlockDevice, R: Rng>(
     let w = r.gen_range(0..spec.warehouses);
     let d = r.gen_range(0..spec.districts);
     let c = r.gen_range(0..spec.customers);
-    let (_, t) = e.get(db.warehouse, &k_w(w), now).into_parts();
-    let (drow, t) = e.get(db.district, &k_d(w, d), t).into_parts();
-    let drow = drow.expect("district loaded");
-    let o_id = district_next_o_id(&drow);
-    let mut t = e.put(db.district, &k_d(w, d), &district_row(o_id + 1, district_ytd(&drow)), t);
-    let (_, t2) = e.get(db.customer, &k_c(w, d, c), t).into_parts();
-    t = t2;
+    let t = e.get_with(db.warehouse, &k_w(w), now, |_| ()).done;
+    let (drow, t) = e
+        .get_with(db.district, &k_d(w, d), t, |v| {
+            v.map(|r| (district_next_o_id(r), district_ytd(r)))
+        })
+        .into_parts();
+    let (o_id, ytd) = drow.expect("district loaded");
+    let t = e.put(db.district, &k_d(w, d), &district_row(o_id + 1, ytd), t);
+    let mut t = e.get_with(db.customer, &k_c(w, d, c), t, |_| ()).done;
     let ol_cnt = r.gen_range(5..=15u32);
-    let mut fixed = c.to_le_bytes().to_vec();
-    fixed.push(ol_cnt as u8);
-    t = e.put(db.orders, &k_o(w, d, o_id), &row(&fixed, 20), t);
+    t = e.put(db.orders, &k_o(w, d, o_id), &order_row(c, ol_cnt as u8), t);
     t = e.put(db.new_order, &k_o(w, d, o_id), &[1u8], t);
     for l in 0..ol_cnt {
         let i = r.gen_range(0..spec.items);
-        let (_, t2) = e.get(db.item, &k_i(i), t).into_parts();
-        let (srow, t3) = e.get(db.stock, &k_s(w, i), t2).into_parts();
-        let srow = srow.expect("stock loaded");
-        let qty = stock_qty(&srow);
+        let t2 = e.get_with(db.item, &k_i(i), t, |_| ()).done;
+        let (srow, t3) = e
+            .get_with(db.stock, &k_s(w, i), t2, |v| v.map(|r| (stock_qty(r), stock_ytd(r))))
+            .into_parts();
+        let (qty, ytd) = srow.expect("stock loaded");
         let new_qty = if qty > 10 { qty - r.gen_range(1..=10) } else { qty + 91 };
-        t = e.put(db.stock, &k_s(w, i), &stock_row(new_qty, stock_ytd(&srow) + 1), t3);
-        let mut lf = i.to_le_bytes().to_vec();
-        lf.push(r.gen_range(1..=10u32) as u8);
-        t = e.put(db.order_line, &k_ol(w, d, o_id, l), &row(&lf, 40), t);
+        t = e.put(db.stock, &k_s(w, i), &stock_row(new_qty, ytd + 1), t3);
+        let line = order_line_row(i, r.gen_range(1..=10u32) as u8);
+        t = e.put(db.order_line, &k_ol(w, d, o_id, l), &line, t);
     }
     e.commit(t)
 }
@@ -308,22 +326,22 @@ fn payment<D: BlockDevice, L: BlockDevice, R: Rng>(
     let d = r.gen_range(0..spec.districts);
     let c = r.gen_range(0..spec.customers);
     let amount = r.gen_range(1..=5000i64);
-    let (wrow, t) = e.get(db.warehouse, &k_w(w), now).into_parts();
-    let wrow = wrow.expect("warehouse loaded");
-    let t = e.put(db.warehouse, &k_w(w), &warehouse_row(warehouse_ytd(&wrow) + amount as u64), t);
-    let (drow, t) = e.get(db.district, &k_d(w, d), t).into_parts();
-    let drow = drow.expect("district loaded");
-    let t = e.put(
-        db.district,
-        &k_d(w, d),
-        &district_row(district_next_o_id(&drow), district_ytd(&drow) + amount as u64),
-        t,
-    );
-    let (crow, t) = e.get(db.customer, &k_c(w, d, c), t).into_parts();
-    let crow = crow.expect("customer loaded");
-    let t = e.put(db.customer, &k_c(w, d, c), &customer_row(customer_balance(&crow) - amount), t);
+    let (w_ytd, t) = e.get_with(db.warehouse, &k_w(w), now, |v| v.map(warehouse_ytd)).into_parts();
+    let w_ytd = w_ytd.expect("warehouse loaded");
+    let t = e.put(db.warehouse, &k_w(w), &warehouse_row(w_ytd + amount as u64), t);
+    let (drow, t) = e
+        .get_with(db.district, &k_d(w, d), t, |v| {
+            v.map(|r| (district_next_o_id(r), district_ytd(r)))
+        })
+        .into_parts();
+    let (next_o_id, d_ytd) = drow.expect("district loaded");
+    let t = e.put(db.district, &k_d(w, d), &district_row(next_o_id, d_ytd + amount as u64), t);
+    let (balance, t) =
+        e.get_with(db.customer, &k_c(w, d, c), t, |v| v.map(customer_balance)).into_parts();
+    let balance = balance.expect("customer loaded");
+    let t = e.put(db.customer, &k_c(w, d, c), &customer_row(balance - amount), t);
     db.next_h_id += 1;
-    let t = e.put(db.history, &db.next_h_id.to_be_bytes(), &row(&amount.to_le_bytes(), 24), t);
+    let t = e.put(db.history, &db.next_h_id.to_be_bytes(), &history_row(amount), t);
     e.commit(t)
 }
 
@@ -337,15 +355,15 @@ fn order_status<D: BlockDevice, L: BlockDevice, R: Rng>(
     let w = r.gen_range(0..spec.warehouses);
     let d = r.gen_range(0..spec.districts);
     let c = r.gen_range(0..spec.customers);
-    let (_, t) = e.get(db.customer, &k_c(w, d, c), now).into_parts();
+    let t = e.get_with(db.customer, &k_c(w, d, c), now, |_| ()).done;
     // Latest order of the district, then its lines.
-    let (drow, t) = e.get(db.district, &k_d(w, d), t).into_parts();
-    let next = drow.map(|x| district_next_o_id(&x)).unwrap_or(1);
+    let (next, t) =
+        e.get_with(db.district, &k_d(w, d), t, |v| v.map_or(1, district_next_o_id)).into_parts();
     if next <= 1 {
         return t;
     }
     let o = next - 1;
-    let (_, t) = e.get(db.orders, &k_o(w, d, o), t).into_parts();
+    let t = e.get_with(db.orders, &k_o(w, d, o), t, |_| ()).done;
     let mut lines = 0;
     e.scan_with(db.order_line, &k_ol(w, d, o, 0), t, |_, _| {
         lines += 1;
@@ -372,21 +390,21 @@ fn delivery<D: BlockDevice, L: BlockDevice, R: Rng>(
         let Some(key) = oldest.filter(|key| key[..8] == k_d(w, d)[..]) else {
             continue; // no order left, or the scan ran past the district
         };
-        let (_, t2) = e.delete(db.new_order, &key, t).into_parts();
-        t = t2;
-        let (orow, t2) = e.get(db.orders, &key, t).into_parts();
+        t = e.delete(db.new_order, &key, t).done;
+        let (orow, t2) = e
+            .get_with(db.orders, &key, t, |v| v.and_then(|v| OrderRow::try_from(v).ok()))
+            .into_parts();
         t = t2;
         if let Some(mut orow) = orow {
-            if orow.len() > 5 {
-                orow[5] = 1; // carrier assigned
-            }
+            orow[5] = 1; // carrier assigned
             t = e.put(db.orders, &key, &orow, t);
         }
         let c = r.gen_range(0..spec.customers);
-        let (crow, t2) = e.get(db.customer, &k_c(w, d, c), t).into_parts();
+        let (balance, t2) =
+            e.get_with(db.customer, &k_c(w, d, c), t, |v| v.map(customer_balance)).into_parts();
         t = t2;
-        if let Some(crow) = crow {
-            t = e.put(db.customer, &k_c(w, d, c), &customer_row(customer_balance(&crow) + 10), t);
+        if let Some(balance) = balance {
+            t = e.put(db.customer, &k_c(w, d, c), &customer_row(balance + 10), t);
         }
     }
     e.commit(t)
@@ -402,8 +420,8 @@ fn stock_level<D: BlockDevice, L: BlockDevice, R: Rng>(
     let w = r.gen_range(0..spec.warehouses);
     let d = r.gen_range(0..spec.districts);
     let threshold = r.gen_range(10..=20);
-    let (drow, t) = e.get(db.district, &k_d(w, d), now).into_parts();
-    let next = drow.map(|x| district_next_o_id(&x)).unwrap_or(1);
+    let (next, t) =
+        e.get_with(db.district, &k_d(w, d), now, |v| v.map_or(1, district_next_o_id)).into_parts();
     let from = next.saturating_sub(20).max(1);
     // The items of up to 100 order lines, as far as they are the district's.
     let district = k_d(w, d);
@@ -420,12 +438,14 @@ fn stock_level<D: BlockDevice, L: BlockDevice, R: Rng>(
     });
     let mut checked = 0;
     for item in &items[..found] {
-        let (srow, t2) = e.get(db.stock, &k_s(w, item % spec.items), t).into_parts();
+        let (low, t2) = e
+            .get_with(db.stock, &k_s(w, item % spec.items), t, |v| {
+                v.is_some_and(|v| stock_qty(v) < threshold)
+            })
+            .into_parts();
         t = t2;
-        if let Some(srow) = srow {
-            if stock_qty(&srow) < threshold {
-                checked += 1;
-            }
+        if low {
+            checked += 1;
         }
     }
     let _ = checked;
