@@ -65,6 +65,12 @@ if grep -rn crc32_bytewise crates src tests examples; then
     echo "removed CRC referenced above" >&2
     exit 1
 fi
+# The NAND array purges a timeline where a command touches it; the floor that
+# decided when to sweep all of them must not come back.
+if grep -rn purge_floor crates src tests examples; then
+    echo "removed NAND purge floor referenced above" >&2
+    exit 1
+fi
 if grep -n forensics crates/storage/Cargo.toml crates/wal/Cargo.toml; then
     echo "storage and wal must not depend on forensics" >&2
     exit 1
@@ -183,10 +189,16 @@ for w in $(python3 -c 'import json; print(*(w["name"] for w in json.load(open("B
 done >"$TRACE_TMP/bench_fingerprints.txt"
 golden "$TRACE_TMP/bench_fingerprints.txt" bench_fingerprints.txt
 
-echo "== allocation gates (noise-free proxies for the engines' host paths) =="
+echo "== allocation gates (noise-free proxies for the engines' and the device's host paths) =="
 # allocs_per_op repeats exactly for a seed and scale, so it can gate where
 # host ops/s cannot. Each gate fails at 2x what the commit that set it
 # measured at this scale.
+# fio_hot: 1.00833, fio_gc: 1.034 (their measured phases span 0.47 and 0.04
+# simulated seconds, less than the atomic writer's one-second retirement
+# window, so each write still gets a fresh pre-image vector); fio_flush_rw:
+# 0.0821667 over 4.96 simulated seconds. The device path's indexes allocate
+# nothing past their peak: one that allocated on 1 op in 12 or more would
+# fail the fio_flush_rw gate.
 # ycsb_doc: 5.10625 (the driver's key_of and get's owned return, plus the
 # cold gets of the end-of-run verification); the parent measured 116.15.
 # tpcc_rel: 13.0375 (the four of each one-transaction `tpcc::run` call's
@@ -203,5 +215,8 @@ sys.exit(got > $2)"
 }
 alloc_gate ycsb_doc 10.2125
 alloc_gate tpcc_rel 26.075
+alloc_gate fio_hot 2.01667
+alloc_gate fio_gc 2.068
+alloc_gate fio_flush_rw 0.164333
 
 echo "tier-1 gate: OK"

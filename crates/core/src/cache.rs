@@ -20,31 +20,41 @@
 //! ([`WriteCache::pop_dirty`] returns the LPN; the caller looks the entry up
 //! with [`WriteCache::entry`]), the programmed page shares the cell, and the
 //! cache's handle drops when the entry is reclaimed. The hot-path queries
-//! the device issues per host command are kept cheap with two side
-//! structures:
+//! the device makes per host command are kept cheap with three structures:
 //!
-//! * `draining_by_done` — drain completion times sorted ascending, so
-//!   [`occupied_at`](WriteCache::occupied_at) is a binary search,
-//!   [`earliest_drain_done`](WriteCache::earliest_drain_done) is a peek and
-//!   [`reclaim`](WriteCache::reclaim) pops a prefix, instead of each being a
-//!   full scan of the slot table;
+//! * the slot table is dense: one `u32` per exported LPN names the entry's
+//!   place in a slab, and a free list recycles the slab's places, so a
+//!   lookup is two array reads, nothing is hashed, and the slab never
+//!   outgrows the cache's peak occupancy. [`iter`](WriteCache::iter) walks
+//!   the table, so it yields LPN order;
+//! * the drain index — `(done, lpn)` for every entry with a known drain
+//!   completion time, sorted, in runs of at most [`RUN`] keys in the slots
+//!   of one slab (the layout of `simkit::Timeline`'s intervals). An insert
+//!   or a removal anywhere shifts at most one run, so an overwrite of a
+//!   draining slot costs the same wherever its completion sits;
+//!   [`earliest_drain_done`](WriteCache::earliest_drain_done) and
+//!   [`latest_drain_done`](WriteCache::latest_drain_done) read the ends,
+//!   [`reclaim`](WriteCache::reclaim) pops from the front, and
+//!   [`occupied_at`](WriteCache::occupied_at) finds its run by binary
+//!   search and counts whole runs from the nearer end;
 //! * `ack_heap` — a lazy min-heap over command acknowledgement times, so
 //!   [`next_ackable`](WriteCache::next_ackable) is an amortised peek.
 //!
-//! Both structures are bookkeeping only: every query returns exactly what
-//! the scan-based implementation returned, so virtual-time results are
-//! byte-identical.
+//! All of it is bookkeeping only: every query returns exactly what a scan
+//! of the slot table would, so virtual-time results are byte-identical. None
+//! of it allocates once past its peak size.
 
 use simkit::{Nanos, SharedBuf};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::ops::Range;
 use storage::device::WriteCause;
 
 /// `draining_until` sentinel between `pop_dirty` and `set_draining`: the
 /// entry has been handed to the flusher but its program completion time is
 /// not known yet. Sentinel-marked entries count as occupied at every `t`
 /// (like the real completion, which is always in the future) and are not in
-/// `draining_by_done`.
+/// the drain index.
 const DRAIN_PENDING: Nanos = Nanos::MAX;
 
 /// One cached 4KB slot.
@@ -68,20 +78,228 @@ pub struct CacheEntry {
     gen: u64,
 }
 
-/// The write cache.
+/// Most keys one run of the drain index holds: the bound on what an insert
+/// or a removal shifts.
+const RUN: usize = 128;
+
+/// One run of the drain index: entries `lo..hi` of slab slot `slot`.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    slot: u32,
+    lo: u16,
+    hi: u16,
+}
+
+impl Run {
+    fn len(&self) -> usize {
+        usize::from(self.hi - self.lo)
+    }
+
+    /// Slab indices of the run's keys.
+    fn span(&self) -> Range<usize> {
+        let base = self.slot as usize * RUN;
+        base + usize::from(self.lo)..base + usize::from(self.hi)
+    }
+}
+
+/// The sorted set of `(done, lpn)` drain references. Runs hold 1..=`RUN`
+/// keys each in their own slot of one slab: an insert shifts toward the
+/// run's shorter side where the slot has room, a full run splits into two
+/// halves centred in their slots, and an emptied run hands its slot to a
+/// free list. The slab, the run list and the free list grow together and
+/// only when the slab does.
 #[derive(Debug, Default)]
+struct DrainIndex {
+    slab: Vec<(Nanos, u64)>,
+    /// The runs, in key order.
+    runs: VecDeque<Run>,
+    /// Slab slots no run holds.
+    free: Vec<u32>,
+    len: usize,
+}
+
+impl DrainIndex {
+    fn first(&self) -> Option<(Nanos, u64)> {
+        self.runs.front().map(|run| self.slab[run.span().start])
+    }
+
+    fn last(&self) -> Option<(Nanos, u64)> {
+        self.runs.back().map(|run| self.slab[run.span().end - 1])
+    }
+
+    /// Index of the first run whose last key satisfies `!below`, or the run
+    /// count (`below` holds for a prefix of the keys).
+    fn run_where(&self, below: impl Fn((Nanos, u64)) -> bool) -> usize {
+        self.runs.partition_point(|run| below(self.slab[run.span().end - 1]))
+    }
+
+    fn insert(&mut self, key: (Nanos, u64)) {
+        self.len += 1;
+        let r = self.run_where(|k| k < key);
+        let Some(run) = self.runs.get(r) else {
+            // After every key: the usual case, as drains mostly complete
+            // in the order they start.
+            return self.append(key);
+        };
+        let span = run.span();
+        let p = span.start + self.slab[span].partition_point(|&k| k < key);
+        let (r, p) = if self.runs[r].len() == RUN { self.split(r, p) } else { (r, p) };
+        self.insert_at(r, p, key);
+    }
+
+    /// Place `key` after every key.
+    fn append(&mut self, key: (Nanos, u64)) {
+        match self.runs.back_mut() {
+            Some(run) if usize::from(run.hi) < RUN => {
+                self.slab[run.span().end] = key;
+                run.hi += 1;
+            }
+            // A run begun by an append starts at the front of its slot, so
+            // appends fill it.
+            _ => {
+                let slot = self.take_slot();
+                self.slab[slot as usize * RUN] = key;
+                self.runs.push_back(Run { slot, lo: 0, hi: 1 });
+            }
+        }
+    }
+
+    /// Insert `key` at slab index `p` of run `r`, which has room.
+    fn insert_at(&mut self, r: usize, p: usize, key: (Nanos, u64)) {
+        let run = &mut self.runs[r];
+        let Range { start: lo, end: hi } = run.span();
+        if run.lo > 0 && (p - lo < hi - p || usize::from(run.hi) == RUN) {
+            self.slab.copy_within(lo..p, lo - 1);
+            self.slab[p - 1] = key;
+            run.lo -= 1;
+        } else {
+            self.slab.copy_within(p..hi, p + 1);
+            self.slab[p] = key;
+            run.hi += 1;
+        }
+    }
+
+    /// Split full run `r` into two centred halves; returns where slab index
+    /// `p` of the old run now lies.
+    fn split(&mut self, r: usize, p: usize) -> (usize, usize) {
+        let slot = self.take_slot();
+        let run = self.runs[r];
+        let (half, quarter) = (RUN / 2, RUN / 4);
+        let base = run.slot as usize * RUN;
+        let new_base = slot as usize * RUN;
+        self.slab.copy_within(base + half..base + RUN, new_base + quarter);
+        self.slab.copy_within(base..base + half, base + quarter);
+        let (lo, hi) = (quarter as u16, (quarter + half) as u16);
+        self.runs[r] = Run { lo, hi, ..run };
+        self.runs.insert(r + 1, Run { slot, lo, hi });
+        let k = p - base;
+        if k <= half {
+            (r, base + quarter + k)
+        } else {
+            (r + 1, new_base + quarter + k - half)
+        }
+    }
+
+    /// Remove `key`; false when it is not in the index.
+    fn remove(&mut self, key: (Nanos, u64)) -> bool {
+        let r = self.run_where(|k| k < key);
+        let Some(run) = self.runs.get_mut(r) else {
+            return false;
+        };
+        let Range { start: lo, end: hi } = run.span();
+        let j = lo + self.slab[lo..hi].partition_point(|&k| k < key);
+        if self.slab[j] != key {
+            return false;
+        }
+        self.len -= 1;
+        if hi - lo == 1 {
+            self.free.push(run.slot);
+            self.runs.remove(r);
+        } else if j - lo < hi - 1 - j {
+            self.slab.copy_within(lo..j, lo + 1);
+            run.lo += 1;
+        } else {
+            self.slab.copy_within(j + 1..hi, j);
+            run.hi -= 1;
+        }
+        true
+    }
+
+    /// Take the first key if its completion is at or before `t`.
+    fn pop_first_by(&mut self, t: Nanos) -> Option<(Nanos, u64)> {
+        let run = self.runs.front_mut()?;
+        let key = self.slab[run.span().start];
+        if key.0 > t {
+            return None;
+        }
+        self.len -= 1;
+        run.lo += 1;
+        if run.lo == run.hi {
+            self.free.push(run.slot);
+            self.runs.pop_front();
+        }
+        Some(key)
+    }
+
+    /// Keys whose completion is at or before `t`: the run holding the
+    /// boundary by binary search, then whole runs from the nearer end.
+    fn count_by(&self, t: Nanos) -> usize {
+        let r = self.run_where(|(done, _)| done <= t);
+        let Some(run) = self.runs.get(r) else {
+            return self.len;
+        };
+        let within = self.slab[run.span()].partition_point(|&(done, _)| done <= t);
+        if r <= self.runs.len() / 2 {
+            self.runs.range(..r).map(Run::len).sum::<usize>() + within
+        } else {
+            self.len - self.runs.range(r..).map(Run::len).sum::<usize>() + within
+        }
+    }
+
+    fn clear(&mut self) {
+        self.free.extend(self.runs.drain(..).map(|run| run.slot));
+        self.len = 0;
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &(Nanos, u64)> {
+        self.runs.iter().flat_map(|run| &self.slab[run.span()])
+    }
+
+    /// A free slab slot, growing the slab (and with it the run list's and
+    /// the free list's capacity, which never exceed one entry per slot)
+    /// when there is none.
+    fn take_slot(&mut self) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            return slot;
+        }
+        let slots = self.slab.len() / RUN + 1;
+        self.slab.resize(slots * RUN, (0, 0));
+        self.runs.reserve(slots - self.runs.len());
+        self.free.reserve(slots);
+        (slots - 1) as u32
+    }
+}
+
+/// The write cache.
+#[derive(Debug)]
 pub struct WriteCache {
-    entries: HashMap<u64, CacheEntry>,
+    /// Per exported LPN, one more than the slab index of its entry; 0 when
+    /// the LPN is not cached. Zero-initialised, so only the pages of LPNs
+    /// ever cached become resident.
+    index: Vec<u32>,
+    /// The entries; `None` at the indices `free` holds.
+    slab: Vec<Option<CacheEntry>>,
+    /// Slab indices no entry holds (its capacity covers the slab's).
+    free: Vec<u32>,
     /// FIFO of `(lpn, generation)` awaiting drain. May contain stale
     /// references; `pop_dirty` skips them by generation mismatch.
     fifo: VecDeque<(u64, u64)>,
     /// Number of entries not yet handed to the flusher (== live fifo refs).
     dirty: usize,
     next_gen: u64,
-    /// `(done, lpn)` for every entry with a known drain completion time,
-    /// sorted ascending by `done`. Exactly mirrors the entries whose
-    /// `draining_until` is `Some(d)` with `d != DRAIN_PENDING`.
-    draining_by_done: VecDeque<(Nanos, u64)>,
+    /// Exactly the `(done, lpn)` of the entries whose `draining_until` is
+    /// `Some(done)` with `done != DRAIN_PENDING`.
+    drains: DrainIndex,
     /// Lazy min-heap of `(ackable_at, lpn, gen)` over dirty entries. May
     /// hold stale tuples (dead generation, changed ack time, drained);
     /// `next_ackable` pops them on sight.
@@ -94,14 +312,64 @@ pub struct WriteCache {
 }
 
 impl WriteCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty cache for a device exporting `capacity_pages` LPNs.
+    pub fn new(capacity_pages: u64) -> Self {
+        Self {
+            index: vec![0; capacity_pages as usize],
+            slab: Vec::new(),
+            free: Vec::new(),
+            fifo: VecDeque::new(),
+            dirty: 0,
+            next_gen: 0,
+            drains: DrainIndex::default(),
+            ack_heap: BinaryHeap::new(),
+            coalesced: 0,
+        }
+    }
+
+    /// The entry at slab index + 1 `s` (nonzero).
+    fn at(&self, s: u32) -> &CacheEntry {
+        self.slab[s as usize - 1].as_ref().expect("an indexed slot holds an entry")
+    }
+
+    fn get_mut(&mut self, lpn: u64) -> Option<&mut CacheEntry> {
+        let s = self.index[lpn as usize].checked_sub(1)?;
+        Some(self.slab[s as usize].as_mut().expect("an indexed slot holds an entry"))
+    }
+
+    /// Store `e` as `lpn`'s entry; returns the entry it replaced.
+    fn put(&mut self, lpn: u64, e: CacheEntry) -> Option<CacheEntry> {
+        let s = &mut self.index[lpn as usize];
+        if let Some(i) = s.checked_sub(1) {
+            return self.slab[i as usize].replace(e);
+        }
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.slab[i as usize] = Some(e);
+                i
+            }
+            None => {
+                self.slab.push(Some(e));
+                if self.free.capacity() < self.slab.capacity() {
+                    self.free.reserve(self.slab.capacity() - self.free.len());
+                }
+                (self.slab.len() - 1) as u32
+            }
+        };
+        *s = i + 1;
+        None
+    }
+
+    /// Remove `lpn`'s entry, returning it.
+    fn take(&mut self, lpn: u64) -> Option<CacheEntry> {
+        let i = std::mem::take(&mut self.index[lpn as usize]).checked_sub(1)?;
+        self.free.push(i);
+        self.slab[i as usize].take()
     }
 
     /// Total occupied slots (dirty + draining).
     pub fn occupied(&self) -> usize {
-        self.entries.len()
+        self.slab.len() - self.free.len()
     }
 
     /// Slots still occupied at time `t`: entries whose drain has not
@@ -110,8 +378,7 @@ impl WriteCache {
     /// in DRAM until the device knows no power cut can predate its program
     /// (see `Ssd::note_arrival`).
     pub fn occupied_at(&self, t: Nanos) -> usize {
-        let drained = self.draining_by_done.partition_point(|&(done, _)| done <= t);
-        self.entries.len() - drained
+        self.occupied() - self.drains.count_by(t)
     }
 
     /// Slots waiting for the flusher.
@@ -121,20 +388,23 @@ impl WriteCache {
 
     /// Occupied bytes (what the capacitors must be able to dump).
     pub fn occupied_bytes(&self) -> u64 {
-        self.entries.len() as u64 * 4096
+        self.occupied() as u64 * 4096
     }
 
     /// Look up a slot (read hit path). Draining entries still hit. The
     /// caller copies into its own buffer — the cache never clones a page to
     /// serve a read.
     pub fn get(&self, lpn: u64) -> Option<&[u8]> {
-        self.entries.get(&lpn).map(|e| &*e.data)
+        self.entry(lpn).map(|e| &*e.data)
     }
 
     /// A slot's entry: its cell and provenance (the flusher's view of a
     /// slot it just popped).
     pub fn entry(&self, lpn: u64) -> Option<&CacheEntry> {
-        self.entries.get(&lpn)
+        match self.index[lpn as usize] {
+            0 => None,
+            s => Some(self.at(s)),
+        }
     }
 
     /// Overwrites coalesced onto still-dirty slots so far (NAND programs
@@ -143,51 +413,30 @@ impl WriteCache {
         self.coalesced
     }
 
-    /// Remove the `(done, lpn)` reference from the sorted drain index.
+    /// Remove the `(done, lpn)` reference from the drain index.
     fn remove_drain_ref(&mut self, done: Nanos, lpn: u64) {
         if done == DRAIN_PENDING {
             return; // sentinel entries are not indexed
         }
-        let mut i = self.draining_by_done.partition_point(|&(d, _)| d < done);
-        while let Some(&(d, l)) = self.draining_by_done.get(i) {
-            debug_assert!(d >= done);
-            if d != done {
-                break;
-            }
-            if l == lpn {
-                self.draining_by_done.remove(i);
-                return;
-            }
-            i += 1;
-        }
-        debug_assert!(false, "drain ref ({done}, {lpn}) missing from index");
-    }
-
-    /// Insert `(done, lpn)` into the sorted drain index (usually at the
-    /// back: completions are handed out in near-ascending order).
-    fn insert_drain_ref(&mut self, done: Nanos, lpn: u64) {
-        let i = self.draining_by_done.partition_point(|&(d, _)| d <= done);
-        if i == self.draining_by_done.len() {
-            self.draining_by_done.push_back((done, lpn));
-        } else {
-            self.draining_by_done.insert(i, (done, lpn));
-        }
+        let found = self.drains.remove((done, lpn));
+        debug_assert!(found, "drain ref ({done}, {lpn}) missing from index");
     }
 
     /// Drop stale tuples so the heap stays proportional to the live set.
+    /// The heap is rebuilt in place: its allocation is kept.
     fn maybe_shrink_ack_heap(&mut self) {
-        if self.ack_heap.len() > 2 * self.entries.len() + 1024 {
+        if self.ack_heap.len() > 2 * self.occupied() + 1024 {
             let mut heap = std::mem::take(&mut self.ack_heap);
-            let drained: Vec<_> = heap.drain().collect();
-            for Reverse((a, lpn, gen)) in drained {
-                if let Some(e) = self.entries.get(&lpn) {
-                    if e.gen == gen && e.draining_until.is_none() && e.ackable_at == a {
-                        heap.push(Reverse((a, lpn, gen)));
-                    }
-                }
-            }
+            heap.retain(|&Reverse((a, lpn, gen))| self.is_ackable(a, lpn, gen));
             self.ack_heap = heap;
         }
+    }
+
+    /// Whether the ack tuple `(a, lpn, gen)` is live: its entry is still
+    /// dirty, at that generation and ack time.
+    fn is_ackable(&self, a: Nanos, lpn: u64, gen: u64) -> bool {
+        self.entry(lpn)
+            .is_some_and(|e| e.gen == gen && e.draining_until.is_none() && e.ackable_at == a)
     }
 
     /// Insert or coalesce a host write whose command acknowledges at
@@ -203,13 +452,16 @@ impl WriteCache {
     ) -> Option<CacheEntry> {
         // Coalescing with a still-dirty copy keeps its FIFO position (same
         // generation); otherwise the entry gets a fresh reference.
-        let keep_gen = self.entries.get(&lpn).and_then(|e| {
-            if e.draining_until.is_none() {
-                Some(e.gen)
-            } else {
-                None
-            }
-        });
+        let keep_gen =
+            self.entry(lpn).and_then(
+                |e| {
+                    if e.draining_until.is_none() {
+                        Some(e.gen)
+                    } else {
+                        None
+                    }
+                },
+            );
         let gen = keep_gen.unwrap_or_else(|| {
             self.next_gen += 1;
             self.next_gen
@@ -217,9 +469,7 @@ impl WriteCache {
         if keep_gen.is_some() {
             self.coalesced += 1;
         }
-        let prev = self
-            .entries
-            .insert(lpn, CacheEntry { data, draining_until: None, ackable_at, cause, gen });
+        let prev = self.put(lpn, CacheEntry { data, draining_until: None, ackable_at, cause, gen });
         if let Some(p) = &prev {
             if let Some(d) = p.draining_until {
                 // Replaced a draining entry: its completion no longer
@@ -252,7 +502,7 @@ impl WriteCache {
     pub fn rollback(&mut self, lpn: u64, pre: Option<CacheEntry>) {
         // 1. Retire whatever currently occupies the slot (the state the
         //    rolled-back write left behind, if anything).
-        if let Some(cur) = self.entries.remove(&lpn) {
+        if let Some(cur) = self.take(lpn) {
             match cur.draining_until {
                 None => self.dirty -= 1, // its FIFO ref goes stale
                 Some(d) => self.remove_drain_ref(d, lpn),
@@ -263,9 +513,9 @@ impl WriteCache {
         match e.draining_until {
             Some(d) => {
                 if d != DRAIN_PENDING {
-                    self.insert_drain_ref(d, lpn);
+                    self.drains.insert((d, lpn));
                 }
-                self.entries.insert(lpn, e);
+                self.put(lpn, e);
             }
             None => {
                 // A restored dirty entry needs a guaranteed-live FIFO slot
@@ -277,7 +527,7 @@ impl WriteCache {
                 self.fifo.push_back((lpn, e.gen));
                 self.dirty += 1;
                 self.ack_heap.push(Reverse((e.ackable_at, lpn, e.gen)));
-                self.entries.insert(lpn, e);
+                self.put(lpn, e);
             }
         }
     }
@@ -289,15 +539,15 @@ impl WriteCache {
     /// [`WriteCache::set_draining`] once the program is scheduled.
     pub fn pop_dirty(&mut self, now: Nanos) -> Option<u64> {
         while let Some(&(lpn, gen)) = self.fifo.front() {
-            match self.entries.get_mut(&lpn) {
+            match self.get_mut(lpn) {
                 Some(e) if e.gen == gen && e.draining_until.is_none() => {
                     if e.ackable_at > now {
                         // FIFO order tracks ack order; nothing older exists.
                         return None;
                     }
+                    e.draining_until = Some(DRAIN_PENDING);
                     self.fifo.pop_front();
                     self.dirty -= 1;
-                    e.draining_until = Some(DRAIN_PENDING);
                     return Some(lpn);
                 }
                 // Stale reference: removed, replaced or already draining.
@@ -313,14 +563,10 @@ impl WriteCache {
     /// any entry is still gated on its command acknowledgement.
     pub fn next_ackable(&mut self) -> Option<Nanos> {
         while let Some(&Reverse((a, lpn, gen))) = self.ack_heap.peek() {
-            match self.entries.get(&lpn) {
-                Some(e) if e.gen == gen && e.draining_until.is_none() && e.ackable_at == a => {
-                    return Some(a);
-                }
-                _ => {
-                    self.ack_heap.pop();
-                }
+            if self.is_ackable(a, lpn, gen) {
+                return Some(a);
             }
+            self.ack_heap.pop();
         }
         None
     }
@@ -328,25 +574,21 @@ impl WriteCache {
     /// Record the NAND completion time for an entry handed out by
     /// [`WriteCache::pop_dirty`].
     pub fn set_draining(&mut self, lpn: u64, done: Nanos) {
-        let Some(e) = self.entries.get_mut(&lpn) else { return };
+        let Some(e) = self.get_mut(lpn) else { return };
         let old = e.draining_until.replace(done);
         match old {
             Some(o) if o == done => return, // already indexed at this time
-            Some(o) if o != DRAIN_PENDING => self.remove_drain_ref(o, lpn),
-            _ => {}
+            Some(o) => self.remove_drain_ref(o, lpn),
+            None => {}
         }
-        self.insert_drain_ref(done, lpn);
+        self.drains.insert((done, lpn));
     }
 
     /// Reclaim slots whose programs completed by `now`. Their handles drop
     /// with the entries; the cells stay with the pages they drained to.
     pub fn reclaim(&mut self, now: Nanos) {
-        while let Some(&(done, lpn)) = self.draining_by_done.front() {
-            if done > now {
-                break;
-            }
-            self.draining_by_done.pop_front();
-            let removed = self.entries.remove(&lpn);
+        while let Some((done, lpn)) = self.drains.pop_first_by(now) {
+            let removed = self.take(lpn);
             debug_assert!(
                 removed.as_ref().is_some_and(|e| e.draining_until == Some(done)),
                 "drain index out of sync for lpn {lpn}"
@@ -356,24 +598,28 @@ impl WriteCache {
 
     /// Earliest completion among draining entries (for flow-control waits).
     pub fn earliest_drain_done(&self) -> Option<Nanos> {
-        self.draining_by_done.front().map(|&(done, _)| done)
+        self.drains.first().map(|(done, _)| done)
     }
 
     /// Latest completion among draining entries (FLUSH CACHE waits for the
     /// entire in-flight set).
     pub fn latest_drain_done(&self) -> Option<Nanos> {
-        self.draining_by_done.back().map(|&(done, _)| done)
+        self.drains.last().map(|(done, _)| done)
     }
 
-    /// All occupied entries (dump path).
-    pub fn iter(&self) -> impl Iterator<Item = (&u64, &CacheEntry)> {
-        self.entries.iter()
+    /// All occupied entries, in LPN order (dump path).
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &CacheEntry)> {
+        (0u64..)
+            .zip(&self.index)
+            .filter(|&(_, &s)| s != 0)
+            .take(self.occupied())
+            .map(|(lpn, &s)| (lpn, self.at(s)))
     }
 
     /// Remove an entry outright (TRIM): whatever state it was in, it is
     /// gone and will not be flushed.
     pub fn remove(&mut self, lpn: u64) {
-        if let Some(e) = self.entries.remove(&lpn) {
+        if let Some(e) = self.take(lpn) {
             match e.draining_until {
                 None => self.dirty = self.dirty.saturating_sub(1),
                 Some(d) => self.remove_drain_ref(d, lpn),
@@ -387,29 +633,27 @@ impl WriteCache {
     ///
     /// The requeue order is deterministic — drain-completion time first
     /// (mirroring the order the flusher issued the programs), lpn as the
-    /// tie-break, schedule-pending entries last — because `entries` is a
-    /// hash map whose iteration order varies per process, and recovery must
-    /// replay identically for a fixed seed.
+    /// tie-break, schedule-pending entries last — so recovery replays
+    /// identically for a fixed seed.
     pub fn requeue_draining(&mut self) -> usize {
-        let mut order: Vec<(Nanos, u64)> = self
-            .entries
-            .iter()
-            .filter_map(|(lpn, e)| e.draining_until.map(|d| (d, *lpn)))
-            .collect();
+        let mut order: Vec<(Nanos, u64)> =
+            self.iter().filter_map(|(lpn, e)| e.draining_until.map(|d| (d, lpn))).collect();
         order.sort_unstable();
         let n = order.len();
         for (_, lpn) in order {
-            let e = self.entries.get_mut(&lpn).expect("collected above");
+            self.next_gen += 1;
+            let gen = self.next_gen;
+            let e = self.get_mut(lpn).expect("collected above");
             e.draining_until = None;
             // The re-program is recovery work, not host traffic: attribute
             // it to the dump replay, whatever originally wrote the page.
             e.cause = WriteCause::EmergencyDump;
-            self.next_gen += 1;
-            e.gen = self.next_gen;
-            self.fifo.push_back((lpn, e.gen));
-            self.ack_heap.push(Reverse((e.ackable_at, lpn, e.gen)));
+            e.gen = gen;
+            let ack = Reverse((e.ackable_at, lpn, gen));
+            self.fifo.push_back((lpn, gen));
+            self.ack_heap.push(ack);
         }
-        self.draining_by_done.clear();
+        self.drains.clear();
         self.dirty += n;
         n
     }
@@ -423,20 +667,23 @@ impl WriteCache {
     /// 2. **FIFO coverage**: every dirty entry is reachable through exactly
     ///    one live FIFO reference (an unreferenced dirty entry would never
     ///    be flushed — a permanent slot leak);
-    /// 3. **drain index**: `draining_by_done` is sorted ascending and is
-    ///    exactly the multiset of `(done, lpn)` for entries draining at a
-    ///    known completion time (sentinel-marked entries are not indexed).
+    /// 3. **drain index**: the index is sorted and is exactly the set of
+    ///    `(done, lpn)` for entries draining at a known completion time
+    ///    (sentinel-marked entries are not indexed), every run holds
+    ///    1..=`RUN` keys and its count is exact;
+    /// 4. **slot table**: every slab index is held by exactly one LPN, and
+    ///    holds its entry, or by the free list, and holds none.
     pub fn check_invariants(&self) -> Result<(), String> {
         // 1 + 2. Dirty entries vs live FIFO references.
         let mut live_refs: HashMap<u64, usize> = HashMap::new();
         for &(lpn, gen) in &self.fifo {
-            if let Some(e) = self.entries.get(&lpn) {
+            if let Some(e) = self.entry(lpn) {
                 if e.gen == gen && e.draining_until.is_none() {
                     *live_refs.entry(lpn).or_insert(0) += 1;
                 }
             }
         }
-        let dirty_entries = self.entries.values().filter(|e| e.draining_until.is_none()).count();
+        let dirty_entries = self.iter().filter(|(_, e)| e.draining_until.is_none()).count();
         if dirty_entries != self.dirty {
             return Err(format!(
                 "dirty count drift: counter = {}, entries say {dirty_entries}",
@@ -447,9 +694,9 @@ impl WriteCache {
         if total_refs != self.dirty {
             return Err(format!("dirty count {} != live fifo refs {total_refs}", self.dirty));
         }
-        for (lpn, e) in &self.entries {
+        for (lpn, e) in self.iter() {
             if e.draining_until.is_none() {
-                match live_refs.get(lpn) {
+                match live_refs.get(&lpn) {
                     Some(1) => {}
                     Some(n) => return Err(format!("dirty lpn {lpn} has {n} live fifo refs")),
                     None => {
@@ -461,26 +708,44 @@ impl WriteCache {
             }
         }
         // 3. Drain index mirrors the draining entries exactly.
-        let mut want: Vec<(Nanos, u64)> = self
-            .entries
-            .iter()
-            .filter_map(|(&lpn, e)| match e.draining_until {
-                Some(d) if d != DRAIN_PENDING => Some((d, lpn)),
-                _ => None,
-            })
-            .collect();
-        want.sort_unstable();
-        let mut have: Vec<(Nanos, u64)> = self.draining_by_done.iter().copied().collect();
-        if have.windows(2).any(|w| w[0].0 > w[1].0) {
-            return Err("draining_by_done not sorted by completion time".into());
+        let want: Vec<(Nanos, u64)> = {
+            let mut v: Vec<_> = self
+                .iter()
+                .filter_map(|(lpn, e)| match e.draining_until {
+                    Some(d) if d != DRAIN_PENDING => Some((d, lpn)),
+                    _ => None,
+                })
+                .collect();
+            v.sort_unstable();
+            v
+        };
+        let have: Vec<(Nanos, u64)> = self.drains.iter().copied().collect();
+        if have.windows(2).any(|w| w[0] >= w[1]) {
+            return Err("drain index not sorted by (completion time, lpn)".into());
         }
-        have.sort_unstable();
-        if have != want {
+        if have != want || self.drains.len != have.len() {
             return Err(format!(
-                "drain index mismatch: index has {} refs, entries say {}",
+                "drain index mismatch: index has {} refs (counted {}), entries say {}",
                 have.len(),
+                self.drains.len,
                 want.len()
             ));
+        }
+        if let Some(run) = self.drains.runs.iter().find(|run| !(1..=RUN).contains(&run.len())) {
+            return Err(format!("drain index run of {} keys", run.len()));
+        }
+        // 4. Every slab index is held by one LPN (and holds an entry) or by
+        //    the free list (and holds none).
+        let mut held = vec![false; self.slab.len()];
+        let indexed = self.index.iter().filter_map(|&s| s.checked_sub(1)).map(|i| (i, true));
+        for (i, entry) in indexed.chain(self.free.iter().map(|&i| (i, false))) {
+            let i = i as usize;
+            if std::mem::replace(&mut held[i], true) || self.slab[i].is_some() != entry {
+                return Err(format!("slot table: slab index {i} held twice or in the wrong state"));
+            }
+        }
+        if let Some(i) = held.iter().position(|&h| !h) {
+            return Err(format!("slot table: slab index {i} is neither indexed nor free"));
         }
         Ok(())
     }
@@ -489,10 +754,12 @@ impl WriteCache {
     /// slots were lost. Cells only the cache held return to the pool
     /// immediately.
     pub fn discard_all(&mut self) -> usize {
-        let n = self.entries.len();
-        self.entries.clear();
+        let n = self.occupied();
+        self.index.iter_mut().filter(|s| **s != 0).take(n).for_each(|s| *s = 0);
+        self.slab.clear();
+        self.free.clear();
         self.fifo.clear();
-        self.draining_by_done.clear();
+        self.drains.clear();
         self.ack_heap.clear();
         self.dirty = 0;
         n
@@ -504,8 +771,15 @@ mod tests {
     use super::*;
     use simkit::BufPool;
 
+    /// LPNs the unit tests' caches export.
+    const LPNS: u64 = 64;
+
     fn pool() -> BufPool {
         BufPool::default()
+    }
+
+    fn cache() -> WriteCache {
+        WriteCache::new(LPNS)
     }
 
     fn data(pool: &BufPool, fill: u8) -> SharedBuf {
@@ -517,7 +791,7 @@ mod tests {
     #[test]
     fn insert_and_get() {
         let p = pool();
-        let mut c = WriteCache::new();
+        let mut c = cache();
         assert!(c.insert(5, data(&p, 1), 0, WriteCause::HostData).is_none());
         assert_eq!(c.get(5).unwrap()[0], 1);
         assert_eq!(c.occupied(), 1);
@@ -527,7 +801,7 @@ mod tests {
     #[test]
     fn coalescing_keeps_one_copy() {
         let p = pool();
-        let mut c = WriteCache::new();
+        let mut c = cache();
         c.insert(5, data(&p, 1), 0, WriteCause::HostData);
         let prev = c.insert(5, data(&p, 2), 0, WriteCause::HostData).unwrap();
         assert_eq!(prev.data[0], 1);
@@ -544,7 +818,7 @@ mod tests {
     #[test]
     fn fifo_order_preserved() {
         let p = pool();
-        let mut c = WriteCache::new();
+        let mut c = cache();
         c.insert(1, data(&p, 1), 0, WriteCause::HostData);
         c.insert(2, data(&p, 2), 0, WriteCause::HostData);
         c.insert(3, data(&p, 3), 0, WriteCause::HostData);
@@ -554,9 +828,22 @@ mod tests {
     }
 
     #[test]
+    fn iteration_is_in_lpn_order() {
+        let p = pool();
+        let mut c = cache();
+        for lpn in [9, 3, 40, 0, 63] {
+            c.insert(lpn, data(&p, lpn as u8), 0, WriteCause::HostData);
+        }
+        c.remove(40);
+        let lpns: Vec<u64> = c.iter().map(|(lpn, _)| lpn).collect();
+        assert_eq!(lpns, [0, 3, 9, 63]);
+        assert!(c.iter().all(|(lpn, e)| e.data[0] == lpn as u8));
+    }
+
+    #[test]
     fn pop_serves_data_in_place_without_copying() {
         let p = pool();
-        let mut c = WriteCache::new();
+        let mut c = cache();
         c.insert(7, data(&p, 9), 0, WriteCause::HostData);
         let before = p.checkouts();
         let lpn = c.pop_dirty(u64::MAX).unwrap();
@@ -574,7 +861,7 @@ mod tests {
     #[test]
     fn draining_entries_still_serve_reads_then_reclaim() {
         let p = pool();
-        let mut c = WriteCache::new();
+        let mut c = cache();
         c.insert(7, data(&p, 9), 0, WriteCause::HostData);
         let lpn = c.pop_dirty(u64::MAX).unwrap();
         c.set_draining(lpn, 1000);
@@ -590,7 +877,7 @@ mod tests {
     #[test]
     fn rewrite_of_draining_entry_requeues() {
         let p = pool();
-        let mut c = WriteCache::new();
+        let mut c = cache();
         c.insert(7, data(&p, 1), 0, WriteCause::HostData);
         let lpn = c.pop_dirty(u64::MAX).unwrap();
         c.set_draining(lpn, 1000);
@@ -605,7 +892,7 @@ mod tests {
     #[test]
     fn rollback_restores_preimage() {
         let p = pool();
-        let mut c = WriteCache::new();
+        let mut c = cache();
         c.insert(7, data(&p, 1), 0, WriteCause::HostData);
         let pre = c.insert(7, data(&p, 2), 0, WriteCause::HostData);
         c.rollback(7, pre);
@@ -620,7 +907,7 @@ mod tests {
     #[test]
     fn rollback_of_draining_preimage_keeps_drain_index_consistent() {
         let p = pool();
-        let mut c = WriteCache::new();
+        let mut c = cache();
         c.insert(7, data(&p, 1), 0, WriteCause::HostData);
         let lpn = c.pop_dirty(u64::MAX).unwrap();
         c.set_draining(lpn, 1000);
@@ -638,19 +925,22 @@ mod tests {
     #[test]
     fn discard_all_clears_everything() {
         let p = pool();
-        let mut c = WriteCache::new();
+        let mut c = cache();
         c.insert(1, data(&p, 1), 0, WriteCause::HostData);
         c.insert(2, data(&p, 2), 0, WriteCause::HostData);
         assert_eq!(c.discard_all(), 2);
         assert_eq!(c.occupied(), 0);
         assert!(c.pop_dirty(u64::MAX).is_none());
         assert_eq!(p.outstanding(), 0, "discarded cells returned to pool");
+        assert!(c.get(1).is_none() && c.iter().next().is_none());
+        c.insert(2, data(&p, 3), 0, WriteCause::HostData);
+        c.check_invariants().unwrap();
     }
 
     #[test]
     fn earliest_and_latest_drain_done() {
         let p = pool();
-        let mut c = WriteCache::new();
+        let mut c = cache();
         c.insert(1, data(&p, 1), 0, WriteCause::HostData);
         c.insert(2, data(&p, 2), 0, WriteCause::HostData);
         let a = c.pop_dirty(u64::MAX).unwrap();
@@ -664,7 +954,7 @@ mod tests {
     #[test]
     fn occupied_at_counts_by_completion_time() {
         let p = pool();
-        let mut c = WriteCache::new();
+        let mut c = cache();
         for lpn in 0..4 {
             c.insert(lpn, data(&p, lpn as u8), 0, WriteCause::HostData);
         }
@@ -682,7 +972,7 @@ mod tests {
     #[test]
     fn unacked_entries_are_not_drainable() {
         let p = pool();
-        let mut c = WriteCache::new();
+        let mut c = cache();
         c.insert(1, data(&p, 1), 100, WriteCause::HostData); // acks at t=100
         assert!(c.pop_dirty(50).is_none(), "flusher must not see unacked data");
         assert_eq!(c.next_ackable(), Some(100));
@@ -692,7 +982,7 @@ mod tests {
     #[test]
     fn ack_gate_blocks_younger_entries_behind_fifo_head() {
         let p = pool();
-        let mut c = WriteCache::new();
+        let mut c = cache();
         c.insert(1, data(&p, 1), 100, WriteCause::HostData);
         c.insert(2, data(&p, 2), 50, WriteCause::HostData);
         // FIFO head (lpn 1) not ackable at 60: drain stalls even though
@@ -705,7 +995,7 @@ mod tests {
     #[test]
     fn next_ackable_tracks_coalesced_ack_times() {
         let p = pool();
-        let mut c = WriteCache::new();
+        let mut c = cache();
         c.insert(1, data(&p, 1), 100, WriteCause::HostData);
         // Coalescing moves the ack time later; the stale heap tuple must
         // not surface.
@@ -723,7 +1013,7 @@ mod tests {
     #[test]
     fn remove_clears_any_state() {
         let p = pool();
-        let mut c = WriteCache::new();
+        let mut c = cache();
         c.insert(1, data(&p, 1), 0, WriteCause::HostData);
         c.remove(1);
         assert!(c.get(1).is_none());
@@ -741,7 +1031,7 @@ mod tests {
     #[test]
     fn requeue_draining_restores_dirty_and_clears_index() {
         let p = pool();
-        let mut c = WriteCache::new();
+        let mut c = cache();
         c.insert(1, data(&p, 1), 0, WriteCause::HostData);
         c.insert(2, data(&p, 2), 0, WriteCause::HostData);
         for _ in 0..2 {
@@ -755,18 +1045,36 @@ mod tests {
         assert_eq!(c.pop_dirty(u64::MAX).unwrap(), 2);
     }
 
+    /// Hammer one LPN with coalescing writes: each insert pushes a heap
+    /// tuple but the live set stays small. The lazy shrink keeps the heap
+    /// bounded, in place, and never changes what `next_ackable` answers.
     #[test]
     fn ack_heap_shrinks_under_churn() {
         let p = pool();
-        let mut c = WriteCache::new();
-        // Hammer one LPN with coalescing writes: each insert pushes a heap
-        // tuple but the live set stays size 1. The lazy shrink keeps the
-        // heap bounded.
-        for i in 0..100_000u64 {
-            c.insert(1, data(&p, (i % 251) as u8), i, WriteCause::HostData);
+        let mut c = cache();
+        // Live entries acking before every churned write, so the heap's top
+        // is live and `next_ackable` pops nothing.
+        for lpn in 2..10 {
+            c.insert(lpn, data(&p, 0), 10 + lpn, WriteCause::HostData);
         }
-        assert!(c.ack_heap.len() <= 2 * c.entries.len() + 1024);
-        assert_eq!(c.next_ackable(), Some(99_999));
+        let mut shrinks = 0;
+        for i in 0..100_000u64 {
+            let (len, cap) = (c.ack_heap.len(), c.ack_heap.capacity());
+            let before = c.next_ackable();
+            c.insert(1, data(&p, (i % 251) as u8), 1_000 + i, WriteCause::HostData);
+            if c.ack_heap.len() <= len {
+                shrinks += 1;
+                assert_eq!(c.ack_heap.len(), 9, "only the live tuples are left");
+                assert_eq!(c.ack_heap.capacity(), cap, "rebuilt in place");
+            }
+            assert_eq!(c.next_ackable(), before, "a shrink changes no answer");
+            assert!(c.ack_heap.len() <= 2 * c.occupied() + 1024);
+        }
+        assert!(shrinks >= 90, "{shrinks} shrinks");
+        for lpn in 2..10 {
+            c.remove(lpn);
+        }
+        assert_eq!(c.next_ackable(), Some(100_999));
     }
 
     /// Regression, found by the simtest fuzzer (`--target dura --seed 0`,
@@ -778,7 +1086,7 @@ mod tests {
     #[test]
     fn rollback_over_draining_preimage_keeps_dirty_count() {
         let p = pool();
-        let mut c = WriteCache::new();
+        let mut c = cache();
         c.insert(5, data(&p, 1), 0, WriteCause::HostData);
         assert_eq!(c.pop_dirty(u64::MAX).unwrap(), 5);
         c.set_draining(5, 1_000);
@@ -803,7 +1111,7 @@ mod tests {
     #[test]
     fn rollback_after_trim_restores_dirty_accounting() {
         let p = pool();
-        let mut c = WriteCache::new();
+        let mut c = cache();
         c.insert(7, data(&p, 1), 0, WriteCause::HostData);
         // Overwrite while still dirty: coalesces, pre-image is dirty.
         let pre = c.insert(7, data(&p, 2), 10, WriteCause::HostData);
@@ -824,7 +1132,7 @@ mod tests {
     #[test]
     fn rollback_without_preimage_clears_the_slot() {
         let p = pool();
-        let mut c = WriteCache::new();
+        let mut c = cache();
         let pre = c.insert(9, data(&p, 3), 5, WriteCause::HostData);
         assert!(pre.is_none());
         c.rollback(9, pre);
@@ -832,5 +1140,180 @@ mod tests {
         assert_eq!(c.occupied(), 0);
         assert_eq!(c.dirty(), 0);
         assert!(c.get(9).is_none());
+    }
+
+    /// The drain index as one sorted deque, before runs: the oracle the
+    /// run-based index is compared with.
+    mod reference {
+        use simkit::Nanos;
+        use std::collections::VecDeque;
+
+        #[derive(Default)]
+        pub struct DrainIndex(VecDeque<(Nanos, u64)>);
+
+        impl DrainIndex {
+            /// Usually at the back: completions are handed out in
+            /// near-ascending order.
+            pub fn insert(&mut self, done: Nanos, lpn: u64) {
+                let i = self.0.partition_point(|&(d, _)| d <= done);
+                if i == self.0.len() {
+                    self.0.push_back((done, lpn));
+                } else {
+                    self.0.insert(i, (done, lpn));
+                }
+            }
+
+            pub fn remove(&mut self, done: Nanos, lpn: u64) {
+                let mut i = self.0.partition_point(|&(d, _)| d < done);
+                while let Some(&(d, l)) = self.0.get(i) {
+                    assert_eq!(d, done, "drain ref ({done}, {lpn}) missing");
+                    if l == lpn {
+                        self.0.remove(i);
+                        return;
+                    }
+                    i += 1;
+                }
+                panic!("drain ref ({done}, {lpn}) missing");
+            }
+
+            /// Entries whose drain completed by `t`.
+            pub fn drained(&self, t: Nanos) -> usize {
+                self.0.partition_point(|&(done, _)| done <= t)
+            }
+
+            pub fn earliest(&self) -> Option<Nanos> {
+                self.0.front().map(|&(done, _)| done)
+            }
+
+            pub fn latest(&self) -> Option<Nanos> {
+                self.0.back().map(|&(done, _)| done)
+            }
+
+            /// The LPNs a reclaim at `now` frees.
+            pub fn reclaim(&mut self, now: Nanos) -> Vec<u64> {
+                let n = self.drained(now);
+                self.0.drain(..n).map(|(_, lpn)| lpn).collect()
+            }
+
+            pub fn clear(&mut self) {
+                self.0.clear();
+            }
+        }
+    }
+
+    /// The indexed completion time of `lpn`'s entry, if it has one.
+    fn drain_ref(c: &WriteCache, lpn: u64) -> Option<Nanos> {
+        c.entry(lpn)?.draining_until.filter(|&d| d != DRAIN_PENDING)
+    }
+
+    /// The run-based drain index against the flat deque, call for call,
+    /// through the cache: inserts, coalescing onto dirty slots, overwrites
+    /// of draining and drained slots, re-timed drains, rollbacks to dirty
+    /// and draining pre-images, removals, reclaims and requeues. After every
+    /// call, `occupied_at` at random times, both ends of the index and the
+    /// set a reclaim frees agree, and the cache's invariants hold.
+    #[test]
+    fn drain_index_matches_the_flat_deque() {
+        use simkit::dist::{rng, Rng};
+        let p = pool();
+        let mut r = rng(0xD4A1);
+        let (mut splits, mut emptied, mut freed) = (0, 0, 0);
+        for case in 0..24 {
+            let lpns = [40, 600, 2_000][case % 3];
+            let mut c = WriteCache::new(lpns);
+            let mut old = reference::DrainIndex::default();
+            let mut pre_images: Vec<(u64, Option<CacheEntry>)> = Vec::new();
+            // Completions spread wide enough that most inserts land inside
+            // the index, not at its back.
+            let spread: Nanos = [1_000, 100_000, 10_000_000][case % 3];
+            let mut clock: Nanos = 0;
+            for call in 0..r.gen_range(500..6_000usize) {
+                clock += r.gen_range(0..100u64);
+                let lpn = r.gen_range(0..lpns);
+                // The LPN whose drain reference the call may change, and its
+                // reference before the call.
+                let mut touched = Some((lpn, drain_ref(&c, lpn)));
+                let (runs, free) = (c.drains.runs.len(), c.drains.free.len());
+                // A drain set inside the index, not at its back, into a
+                // full run splits it.
+                let mut drain_at = |c: &mut WriteCache, l: u64, done: Nanos| {
+                    c.set_draining(l, done);
+                    let inner = c.drains.last() != Some((done, l));
+                    splits += usize::from(inner && c.drains.runs.len() > runs);
+                };
+                match r.gen_range(0..1_000u32) {
+                    0..=299 => {
+                        let pre = c.insert(lpn, data(&p, 0), clock, WriteCause::HostData);
+                        if r.gen_range(0..4u32) == 0 {
+                            pre_images.push((lpn, pre));
+                        }
+                    }
+                    300..=599 => {
+                        if let Some(l) = c.pop_dirty(clock) {
+                            touched = Some((l, drain_ref(&c, l)));
+                            drain_at(&mut c, l, clock + r.gen_range(0..spread));
+                        }
+                    }
+                    600..=679 => {
+                        // Re-time a drain; a slot not draining is left alone.
+                        if c.entry(lpn).is_some_and(|e| e.draining_until.is_some()) {
+                            drain_at(&mut c, lpn, clock + r.gen_range(0..spread));
+                        }
+                    }
+                    680..=739 => {
+                        if let Some(i) =
+                            (!pre_images.is_empty()).then(|| r.gen_range(0..pre_images.len()))
+                        {
+                            let (l, pre) = pre_images.swap_remove(i);
+                            touched = Some((l, drain_ref(&c, l)));
+                            c.rollback(l, pre);
+                        }
+                    }
+                    740..=789 => c.remove(lpn),
+                    790..=997 => {
+                        let now = clock.saturating_sub(r.gen_range(0..spread));
+                        let before: Vec<u64> = c.iter().map(|(l, _)| l).collect();
+                        c.reclaim(now);
+                        let mut gone: Vec<u64> =
+                            before.into_iter().filter(|&l| c.entry(l).is_none()).collect();
+                        let mut want = old.reclaim(now);
+                        want.sort_unstable();
+                        gone.sort_unstable();
+                        assert_eq!(gone, want, "reclaim({now}) frees the same set");
+                        freed += gone.len();
+                        touched = None;
+                    }
+                    _ => {
+                        c.requeue_draining();
+                        old.clear();
+                        touched = None;
+                    }
+                }
+                // Mirror the call's effect on the indexed set into the deque.
+                if let Some((l, before)) = touched {
+                    let after = drain_ref(&c, l);
+                    if before != after {
+                        if let Some(d) = before {
+                            old.remove(d, l);
+                        }
+                        if let Some(d) = after {
+                            old.insert(d, l);
+                        }
+                    }
+                }
+                emptied += usize::from(c.drains.free.len() > free);
+                assert_eq!(c.earliest_drain_done(), old.earliest());
+                assert_eq!(c.latest_drain_done(), old.latest());
+                for _ in 0..4 {
+                    let t = clock.saturating_sub(spread) + r.gen_range(0..3 * spread);
+                    assert_eq!(c.occupied_at(t), c.occupied() - old.drained(t), "at {t}");
+                }
+                if call % 8 == 0 {
+                    c.check_invariants().unwrap();
+                }
+            }
+            c.check_invariants().unwrap();
+        }
+        assert!(splits > 30 && emptied > 100 && freed > 4_000, "{splits} {emptied} {freed}");
     }
 }

@@ -103,7 +103,7 @@ impl Ssd {
         Self {
             nand: NandArray::new(cfg.geometry),
             ftl: Ftl::new(&cfg),
-            cache: WriteCache::new(),
+            cache: WriteCache::new(cfg.logical_capacity_pages),
             sata: Timeline::new(),
             pipe: Timeline::new(),
             stats: DeviceStats::default(),
@@ -839,19 +839,16 @@ impl BlockDevice for Ssd {
         self.cache.reclaim(now);
         // Snapshot the cache *after* the atomic-writer rollback: what is
         // left are the slots the host believes durable and flash does not
-        // hold yet.
+        // hold yet, in LPN order.
         pm.dirty_slots = self
             .cache
             .iter()
-            .map(|(&lpn, e)| CacheSlotSnap {
+            .map(|(lpn, e)| CacheSlotSnap {
                 lpn,
                 draining: e.draining_until.is_some(),
                 ackable_at: e.ackable_at,
             })
             .collect();
-        // The slot table iterates in hash order; sort so postmortem reports
-        // are byte-identical run to run.
-        pm.dirty_slots.sort_unstable_by_key(|s| s.lpn);
         match self.cfg.protection {
             CacheProtection::Volatile => {
                 // 3a. Acked-but-cached data evaporates; un-journalled
@@ -1448,7 +1445,7 @@ mod tests {
         }
         let drains_ending = |d: &Ssd, after_cut: bool| -> Vec<u64> {
             let ends = |e: &CacheEntry| e.draining_until.filter(|&done| (done > cut) == after_cut);
-            d.cache.iter().filter(|(_, e)| ends(e).is_some()).map(|(&lpn, _)| lpn).collect()
+            d.cache.iter().filter(|(_, e)| ends(e).is_some()).map(|(lpn, _)| lpn).collect()
         };
         let (on_media, in_flight) = (drains_ending(&d, false), drains_ending(&d, true));
         assert!(!on_media.is_empty() && !in_flight.is_empty(), "the cut must meet both kinds");

@@ -120,10 +120,10 @@ pub struct NandArray {
     slots: Vec<Option<SharedBuf>>,
     channel_bus: Vec<Timeline>,
     planes: Vec<Timeline>,
-    /// A lower bound on every plane's and bus's first interval end: a purge
-    /// before it has nothing to drop on any of them. Each acquire lowers it
-    /// to its own completion time, and a purge that runs recomputes it.
-    purge_floor: Nanos,
+    /// The callers' arrival watermark (see [`NandArray::purge_before`]): no
+    /// command arrives before it. A timeline is purged to it only when a
+    /// command is about to use it; queries answer as if all had been.
+    watermark: Nanos,
     stats: NandStats,
     /// Programs/erases whose completion may still be in the future; purged
     /// lazily. Used to shear pages on power cuts.
@@ -164,7 +164,7 @@ impl NandArray {
             slots: vec![None; total * spp],
             channel_bus: vec![Timeline::new(); geo.channels],
             planes: vec![Timeline::new(); geo.planes()],
-            purge_floor: Nanos::MAX,
+            watermark: 0,
             geo,
             stats: NandStats::default(),
             inflight_programs: Vec::new(),
@@ -194,7 +194,7 @@ impl NandArray {
     /// NCQ-style occupancy gauge (lower bound; back-to-back commands
     /// coalesce).
     pub fn channel_occupancy_at(&self, channel: usize, t: Nanos) -> usize {
-        self.channel_bus[channel].intervals_after(t)
+        self.channel_bus[channel].intervals_after(t.max(self.watermark))
     }
 
     /// Attach a telemetry handle: every program/erase (and read) emits a
@@ -329,10 +329,8 @@ impl NandArray {
         let plane = self.geo.plane_of_block(block);
         let channel = self.geo.channel_of_block(block);
         let bus = self.geo.bus_time(self.geo.page_size);
-        let cell_done = self.planes[plane].acquire(now, self.geo.t_read);
-        let done = self.channel_bus[channel].acquire(cell_done, bus);
-        // The earlier of the two completions lowers the floor for both.
-        self.purge_floor = self.purge_floor.min(cell_done);
+        let cell_done = self.on_plane(plane, now, self.geo.t_read);
+        let done = self.on_channel(channel, cell_done, bus);
         self.last_service = self.geo.t_read + bus;
         self.last_wait = (done - now).saturating_sub(self.last_service);
         self.stats.reads += 1;
@@ -397,10 +395,8 @@ impl NandArray {
         let plane = self.geo.plane_of_block(block);
         let channel = self.geo.channel_of_block(block);
         let bus = self.geo.bus_time(self.geo.page_size);
-        let xfer_done = self.channel_bus[channel].acquire(now, bus);
-        let done = self.planes[plane].acquire(xfer_done, self.geo.t_program);
-        // The earlier of the two completions lowers the floor for both.
-        self.purge_floor = self.purge_floor.min(xfer_done);
+        let xfer_done = self.on_channel(channel, now, bus);
+        let done = self.on_plane(plane, xfer_done, self.geo.t_program);
         self.last_service = bus + self.geo.t_program;
         self.last_wait = (done - now).saturating_sub(self.last_service);
         // A page re-programmed after a shear (its block restored by a cut
@@ -463,8 +459,7 @@ impl NandArray {
         }
         self.purge_inflight(now);
         let plane = self.geo.plane_of_block(block);
-        let done = self.planes[plane].acquire(now, self.geo.t_erase);
-        self.purge_floor = self.purge_floor.min(done);
+        let done = self.on_plane(plane, now, self.geo.t_erase);
         let st = &mut self.blocks[block as usize];
         let saved_next = st.next_page;
         st.next_page = 0;
@@ -553,38 +548,59 @@ impl NandArray {
             }
         }
         self.inflight_programs.clear();
-        // Whatever the controller had queued on buses/planes is abandoned.
-        for t in &mut self.channel_bus {
+        // Whatever the controller had queued on buses/planes is abandoned,
+        // and arrivals after reboot start again from the reset clock.
+        for t in self.planes.iter_mut().chain(&mut self.channel_bus) {
             t.reset();
         }
-        for t in &mut self.planes {
-            t.reset();
+        self.watermark = 0;
+    }
+
+    /// Reserve a plane for `service` from `now`, purged to the watermark
+    /// first; returns the completion time.
+    fn on_plane(&mut self, plane: usize, now: Nanos, service: Nanos) -> Nanos {
+        let tl = &mut self.planes[plane];
+        tl.purge_before(self.watermark);
+        tl.acquire(now, service)
+    }
+
+    /// Reserve a channel bus for `service` from `now`, purged to the
+    /// watermark first; returns the completion time.
+    fn on_channel(&mut self, channel: usize, now: Nanos, service: Nanos) -> Nanos {
+        let tl = &mut self.channel_bus[channel];
+        tl.purge_before(self.watermark);
+        tl.acquire(now, service)
+    }
+
+    /// A timeline's last interval end `end` as if it had been purged to the
+    /// watermark: 0 when that interval ends by then.
+    fn purged_end(&self, end: Nanos) -> Nanos {
+        if end > self.watermark {
+            end
+        } else {
+            0
         }
     }
 
     /// When a given plane becomes free (for backend idle checks).
     pub fn plane_busy_until(&self, plane: usize) -> Nanos {
-        self.planes[plane].busy_until()
+        self.purged_end(self.planes[plane].busy_until())
     }
 
     /// Inform the array that no future operation will be scheduled before
-    /// `t` (host arrival watermark): old busy intervals can be dropped.
+    /// `t` (host arrival watermark): busy intervals that end by then can be
+    /// dropped. Only the watermark is recorded; each plane and bus drops
+    /// its intervals when a command next uses it, so every placement is the
+    /// one an eager purge of all of them would give, and a command costs
+    /// the timelines it touches, not all of them.
     pub fn purge_before(&mut self, t: Nanos) {
-        if t < self.purge_floor {
-            return;
-        }
-        self.purge_floor = Nanos::MAX;
-        for tl in self.planes.iter_mut().chain(&mut self.channel_bus) {
-            tl.purge_before(t);
-            self.purge_floor = self.purge_floor.min(tl.first_end());
-        }
+        self.watermark = self.watermark.max(t);
     }
 
     /// Virtual time at which every queued plane/bus operation has drained.
     pub fn all_quiet(&self) -> Nanos {
-        let p = self.planes.iter().map(Timeline::busy_until).max().unwrap_or(0);
-        let c = self.channel_bus.iter().map(Timeline::busy_until).max().unwrap_or(0);
-        p.max(c)
+        let last = self.planes.iter().chain(&self.channel_bus).map(Timeline::busy_until).max();
+        self.purged_end(last.unwrap_or(0))
     }
 }
 
@@ -816,34 +832,100 @@ mod tests {
         a.program(0, &page(2), d2).unwrap();
     }
 
-    /// The purge floor skips only purges with nothing to drop: after every
-    /// `purge_before(t)`, no plane or bus holds an interval ending by `t`.
+    /// Purge every plane and bus at `w` now, as the array did before it
+    /// purged only what a command touches.
+    fn purge_all(a: &mut NandArray, w: Nanos) {
+        for tl in a.planes.iter_mut().chain(&mut a.channel_bus) {
+            tl.purge_before(w);
+        }
+    }
+
+    /// Lazy purging answers as eager purging does: one random stream of
+    /// programs, reads and erases, with a watermark that rises (and a power
+    /// cut that resets it), goes to an array told `purge_before(w)` and to
+    /// one whose every timeline is purged at `w` at once. Every completion
+    /// and every query agrees.
     #[test]
-    fn purge_floor_skips_only_empty_purges() {
+    fn lazy_purge_answers_as_an_eager_purge() {
         use simkit::dist::{rng, Rng};
-        let mut a = array();
-        let g = *a.geometry();
+        let (mut lazy, mut eager) = (array(), array());
+        let g = *lazy.geometry();
         let mut r = rng(0xF100);
         let mut next = vec![0u32; g.blocks()];
-        let mut t: Nanos = 0;
-        for _ in 0..3_000 {
+        let (mut t, mut w): (Nanos, Nanos) = (0, 0);
+        // Timelines whose every interval ends by `w` but is still held.
+        let stale = |a: &NandArray, w: Nanos| {
+            let all = a.planes.iter().chain(&a.channel_bus);
+            all.filter(|tl| (1..=w).contains(&tl.busy_until())).count()
+        };
+        let mut held = 0;
+        for _ in 0..4_000 {
             let block = r.gen_range(0..g.blocks() as u32);
-            let now = t + r.gen_range(0..4_000_000u64);
-            match r.gen_range(0..8u32) {
-                0 => _ = a.read(g.make_ppn(block, 0), &mut page(0), now),
+            // Arrivals run up to 4 ms ahead of the clock, never below `w`.
+            let now = w.max(t + r.gen_range(0..4_000_000u64));
+            // The command's completion: a watermark set exactly there puts
+            // an interval's end on it.
+            let done = match r.gen_range(0..32u32) {
+                0 => {
+                    // A cut abandons all queued work and the watermark;
+                    // every written block is erased again from time 0.
+                    lazy.power_cut(now);
+                    eager.power_cut(now);
+                    (t, w) = (0, 0);
+                    next.fill(0);
+                    for b in 0..g.blocks() as u32 {
+                        if lazy.has_torn_erase(b) || lazy.next_free_page(b) > 0 {
+                            assert_eq!(lazy.erase(b, 0), eager.erase(b, 0));
+                        }
+                    }
+                    Ok(0)
+                }
+                1..=6 => {
+                    let ppn = g.make_ppn(block, 0);
+                    let l = lazy.read(ppn, &mut page(0), now);
+                    assert_eq!(l, eager.read(ppn, &mut page(0), now));
+                    l
+                }
                 _ if next[block as usize] as usize == g.pages_per_block => {
-                    a.erase(block, now).unwrap();
                     next[block as usize] = 0;
+                    let l = lazy.erase(block, now);
+                    assert_eq!(l, eager.erase(block, now));
+                    l
                 }
                 _ => {
-                    a.program(g.make_ppn(block, next[block as usize]), &page(1), now).unwrap();
+                    let ppn = g.make_ppn(block, next[block as usize]);
                     next[block as usize] += 1;
+                    let l = lazy.program(ppn, &page(1), now);
+                    assert_eq!(l, eager.program(ppn, &page(1), now));
+                    l
+                }
+            };
+            assert_eq!(lazy.last_split(), eager.last_split());
+            t += r.gen_range(0..1_000_000u64);
+            if r.gen_range(0..4u32) == 0 {
+                let to = match done {
+                    Ok(done) if r.gen_range(0..3u32) == 0 => done,
+                    _ => t.saturating_sub(r.gen_range(0..2_000_000u64)),
+                };
+                // `to` can lie below `w`: a late watermark drops nothing.
+                w = w.max(to);
+                lazy.purge_before(to);
+                purge_all(&mut eager, to);
+            }
+            assert_eq!(stale(&eager, w), 0);
+            held += stale(&lazy, w);
+            for p in 0..g.planes() {
+                assert_eq!(lazy.plane_busy_until(p), eager.plane_busy_until(p), "plane {p}");
+            }
+            assert_eq!(lazy.all_quiet(), eager.all_quiet());
+            for ch in 0..g.channels {
+                for probe in [w / 2, w, w + 100_000, t, t + 2_000_000] {
+                    let l = lazy.channel_occupancy_at(ch, probe);
+                    assert_eq!(l, eager.channel_occupancy_at(ch, probe), "channel {ch} at {probe}");
                 }
             }
-            t += r.gen_range(0..1_000_000u64);
-            a.purge_before(t);
-            assert!(a.planes.iter().chain(&a.channel_bus).all(|tl| tl.first_end() > t));
         }
+        assert!(held > 200, "the lazy array held purgeable timelines {held} times");
     }
 
     #[test]

@@ -24,6 +24,17 @@
 //! so code that reads a fresh checkout before writing it sees garbage
 //! instead of silently reading stale page contents.
 //!
+//! ## The one copy
+//!
+//! An admitted page is copied exactly once, by [`BufPool::checkout_from`],
+//! and it streams: on x86_64 the copy uses non-temporal 16-byte stores. The
+//! destination is a recycled cell that returned to the free list when its
+//! last handle dropped, usually long ago, so it is cold by construction; an
+//! ordinary store would first read each of its 64 lines from memory only to
+//! overwrite them. The cell's bytes come first in it, so they share the
+//! allocation's 16-byte alignment. An unaligned cell, and every other
+//! architecture, takes `copy_from_slice`.
+//!
 //! The pool is intentionally *elastic*: `checkout` on an empty free list
 //! allocates (cold path / warmup), and the free list is unbounded — sizing
 //! is governed by the natural high-water mark of the layer that owns the
@@ -64,10 +75,13 @@ impl PoolInner {
     }
 }
 
-/// One cell: its bytes and the pool it returns to.
+/// One cell: its bytes and the pool it returns to. The bytes come first, so
+/// they start right after the `Rc`'s two counts, 16 bytes into a block the
+/// system allocator aligns to 16.
+#[repr(C)]
 struct PoolCell {
-    home: Weak<PoolInner>,
     bytes: [u8; CELL_BYTES],
+    home: Weak<PoolInner>,
 }
 
 /// A slab of interchangeable 4 KiB cells.
@@ -130,10 +144,12 @@ impl BufPool {
         PageBuf(SharedBuf { cell: ManuallyDrop::new(cell) })
     }
 
-    /// Lease a cell initialised from `src` (must be exactly 4 KiB).
+    /// Lease a cell initialised from `src` (must be exactly 4 KiB), copied
+    /// in with streaming stores where the cell allows (see the module doc).
     pub fn checkout_from(&self, src: &[u8]) -> PageBuf {
+        let src: &[u8; CELL_BYTES] = src.try_into().expect("a cell is filled from 4 KiB");
         let mut b = self.checkout();
-        b.copy_from_slice(src);
+        copy_cell(b.bytes_mut(), src);
         b
     }
 
@@ -172,6 +188,10 @@ impl PageBuf {
     pub fn freeze(self) -> SharedBuf {
         self.0
     }
+
+    fn bytes_mut(&mut self) -> &mut [u8; CELL_BYTES] {
+        &mut Rc::get_mut(&mut self.0.cell).expect("a checkout is the cell's only handle").bytes
+    }
 }
 
 impl std::ops::Deref for PageBuf {
@@ -183,8 +203,32 @@ impl std::ops::Deref for PageBuf {
 
 impl std::ops::DerefMut for PageBuf {
     fn deref_mut(&mut self) -> &mut [u8] {
-        &mut Rc::get_mut(&mut self.0.cell).expect("a checkout is the cell's only handle").bytes
+        self.bytes_mut()
     }
+}
+
+/// Copy one cell's worth of bytes: with non-temporal stores on x86_64 when
+/// `dst` is 16-byte aligned, else with `copy_from_slice`.
+fn copy_cell(dst: &mut [u8; CELL_BYTES], src: &[u8; CELL_BYTES]) {
+    #[cfg(target_arch = "x86_64")]
+    if dst.as_ptr().addr().is_multiple_of(16) {
+        use std::arch::x86_64::{__m128i, _mm_loadu_si128, _mm_sfence, _mm_stream_si128};
+        let (d, s) = (dst.as_mut_ptr().cast::<__m128i>(), src.as_ptr().cast::<__m128i>());
+        // SAFETY: SSE2 is part of the x86_64 baseline. Both arrays hold
+        // `CELL_BYTES` bytes, so each of the `CELL_BYTES / 16` lanes is in
+        // bounds of both; the loads are unaligned, and the streaming stores
+        // go to `dst`, whose 16-byte alignment was checked above. The fence
+        // orders the streamed stores before every later store, so the cell
+        // reads back as if `copy_from_slice` had written it.
+        unsafe {
+            for i in 0..CELL_BYTES / 16 {
+                _mm_stream_si128(d.add(i), _mm_loadu_si128(s.add(i)));
+            }
+            _mm_sfence();
+        }
+        return;
+    }
+    dst.copy_from_slice(src);
 }
 
 /// A read-only handle on a pool cell; derefs to `[u8]`.
@@ -262,12 +306,59 @@ mod tests {
         }
     }
 
+    /// A source whose every 16-byte lane differs, so a lane copied to the
+    /// wrong place or left out cannot match.
+    fn pattern(seed: u32) -> Vec<u8> {
+        (0..CELL_BYTES as u32).map(|i| (i.wrapping_mul(31) ^ (i >> 8) ^ seed) as u8).collect()
+    }
+
     #[test]
     fn checkout_from_copies_source() {
         let pool = BufPool::default();
-        let src: Vec<u8> = (0..CELL_BYTES).map(|i| i as u8).collect();
+        let src = pattern(0);
         let b = pool.checkout_from(&src);
         assert_eq!(&*b, &src[..]);
+        // Cells are aligned for the streaming path wherever it exists.
+        if cfg!(target_arch = "x86_64") {
+            assert!(b.as_ptr().addr().is_multiple_of(16), "cell bytes are 16-byte aligned");
+        }
+    }
+
+    /// The streaming copy into a recycled cell (poisoned in debug builds)
+    /// and a source that is itself unaligned: byte-exact.
+    #[test]
+    fn checkout_from_into_a_recycled_cell_is_byte_exact() {
+        let pool = BufPool::default();
+        let mut a = pool.checkout();
+        a.fill(0xAA);
+        drop(a);
+        let src = pattern(7);
+        let b = pool.checkout_from(&src);
+        assert_eq!((pool.fresh_allocs(), &*b), (1, &src[..]), "the recycled cell, fully written");
+        drop(b);
+        let mut shifted = vec![0u8; CELL_BYTES + 1];
+        shifted[1..].copy_from_slice(&pattern(9));
+        let c = pool.checkout_from(&shifted[1..]);
+        assert_eq!(&*c, &shifted[1..]);
+    }
+
+    /// The fallback, forced with a destination off 16-byte alignment.
+    #[test]
+    fn unaligned_destination_takes_the_plain_copy() {
+        let mut buf = vec![POISON; CELL_BYTES + 16];
+        let off = 1 + buf.as_ptr().addr().next_multiple_of(16) - buf.as_ptr().addr();
+        let dst: &mut [u8; CELL_BYTES] = (&mut buf[off..off + CELL_BYTES]).try_into().unwrap();
+        assert!(!dst.as_ptr().addr().is_multiple_of(16));
+        let src: [u8; CELL_BYTES] = pattern(3).try_into().unwrap();
+        copy_cell(dst, &src);
+        assert_eq!(&buf[off..off + CELL_BYTES], &src[..]);
+        assert!(buf[..off].iter().chain(&buf[off + CELL_BYTES..]).all(|&b| b == POISON));
+    }
+
+    #[test]
+    #[should_panic(expected = "4 KiB")]
+    fn checkout_from_rejects_a_short_source() {
+        BufPool::default().checkout_from(&[0; 16]);
     }
 
     #[test]

@@ -341,13 +341,6 @@ impl Timeline {
         self.last_end
     }
 
-    /// End of the earliest busy interval still held, `Nanos::MAX` when
-    /// there is none: [`Timeline::purge_before`] any earlier time drops
-    /// nothing.
-    pub fn first_end(&self) -> Nanos {
-        self.first_end
-    }
-
     /// Total service time this resource has performed.
     pub fn busy_time(&self) -> Nanos {
         self.busy_time
