@@ -71,6 +71,17 @@ if grep -rn purge_floor crates src tests examples; then
     echo "removed NAND purge floor referenced above" >&2
     exit 1
 fi
+# One copy of the sorted-run mechanics: `simkit::runs` holds the layout the
+# timelines and the write cache's drain index share. The drain index's own
+# copy survives only as the flat-deque test oracle in cache.rs's
+# `mod reference`.
+if grep -rnE 'const RUN\b|fn take_slot|struct Run\b' crates | grep -v '^crates/simkit/src/runs.rs:' ||
+    grep -rn DrainIndex crates src tests examples | grep -v '^crates/core/src/cache.rs:' ||
+    awk '/mod reference \{/ { exit } /DrainIndex/ { print FILENAME ":" FNR ": " $0; found = 1 }
+        END { exit !found }' crates/core/src/cache.rs; then
+    echo "sorted-run mechanics outside simkit::runs referenced above" >&2
+    exit 1
+fi
 if grep -n forensics crates/storage/Cargo.toml crates/wal/Cargo.toml; then
     echo "storage and wal must not depend on forensics" >&2
     exit 1

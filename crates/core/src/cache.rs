@@ -28,15 +28,12 @@
 //!   outgrows the cache's peak occupancy. [`iter`](WriteCache::iter) walks
 //!   the table, so it yields LPN order;
 //! * the drain index — `(done, lpn)` for every entry with a known drain
-//!   completion time, sorted, in runs of at most [`RUN`] keys in the slots
-//!   of one slab (the layout of `simkit::Timeline`'s intervals). An insert
-//!   or a removal anywhere shifts at most one run, so an overwrite of a
-//!   draining slot costs the same wherever its completion sits;
+//!   completion time, a sorted set in [`Runs`], so an overwrite of a
+//!   draining slot shifts one run wherever its completion sits;
 //!   [`earliest_drain_done`](WriteCache::earliest_drain_done) and
 //!   [`latest_drain_done`](WriteCache::latest_drain_done) read the ends,
 //!   [`reclaim`](WriteCache::reclaim) pops from the front, and
-//!   [`occupied_at`](WriteCache::occupied_at) finds its run by binary
-//!   search and counts whole runs from the nearer end;
+//!   [`occupied_at`](WriteCache::occupied_at) counts from the nearer end;
 //! * `ack_heap` — a lazy min-heap over command acknowledgement times, so
 //!   [`next_ackable`](WriteCache::next_ackable) is an amortised peek.
 //!
@@ -44,10 +41,10 @@
 //! of the slot table would, so virtual-time results are byte-identical. None
 //! of it allocates once past its peak size.
 
+use simkit::runs::Runs;
 use simkit::{Nanos, SharedBuf};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::ops::Range;
 use storage::device::WriteCause;
 
 /// `draining_until` sentinel between `pop_dirty` and `set_draining`: the
@@ -78,208 +75,6 @@ pub struct CacheEntry {
     gen: u64,
 }
 
-/// Most keys one run of the drain index holds: the bound on what an insert
-/// or a removal shifts.
-const RUN: usize = 128;
-
-/// One run of the drain index: entries `lo..hi` of slab slot `slot`.
-#[derive(Debug, Clone, Copy)]
-struct Run {
-    slot: u32,
-    lo: u16,
-    hi: u16,
-}
-
-impl Run {
-    fn len(&self) -> usize {
-        usize::from(self.hi - self.lo)
-    }
-
-    /// Slab indices of the run's keys.
-    fn span(&self) -> Range<usize> {
-        let base = self.slot as usize * RUN;
-        base + usize::from(self.lo)..base + usize::from(self.hi)
-    }
-}
-
-/// The sorted set of `(done, lpn)` drain references. Runs hold 1..=`RUN`
-/// keys each in their own slot of one slab: an insert shifts toward the
-/// run's shorter side where the slot has room, a full run splits into two
-/// halves centred in their slots, and an emptied run hands its slot to a
-/// free list. The slab, the run list and the free list grow together and
-/// only when the slab does.
-#[derive(Debug, Default)]
-struct DrainIndex {
-    slab: Vec<(Nanos, u64)>,
-    /// The runs, in key order.
-    runs: VecDeque<Run>,
-    /// Slab slots no run holds.
-    free: Vec<u32>,
-    len: usize,
-}
-
-impl DrainIndex {
-    fn first(&self) -> Option<(Nanos, u64)> {
-        self.runs.front().map(|run| self.slab[run.span().start])
-    }
-
-    fn last(&self) -> Option<(Nanos, u64)> {
-        self.runs.back().map(|run| self.slab[run.span().end - 1])
-    }
-
-    /// Index of the first run whose last key satisfies `!below`, or the run
-    /// count (`below` holds for a prefix of the keys).
-    fn run_where(&self, below: impl Fn((Nanos, u64)) -> bool) -> usize {
-        self.runs.partition_point(|run| below(self.slab[run.span().end - 1]))
-    }
-
-    fn insert(&mut self, key: (Nanos, u64)) {
-        self.len += 1;
-        let r = self.run_where(|k| k < key);
-        let Some(run) = self.runs.get(r) else {
-            // After every key: the usual case, as drains mostly complete
-            // in the order they start.
-            return self.append(key);
-        };
-        let span = run.span();
-        let p = span.start + self.slab[span].partition_point(|&k| k < key);
-        let (r, p) = if self.runs[r].len() == RUN { self.split(r, p) } else { (r, p) };
-        self.insert_at(r, p, key);
-    }
-
-    /// Place `key` after every key.
-    fn append(&mut self, key: (Nanos, u64)) {
-        match self.runs.back_mut() {
-            Some(run) if usize::from(run.hi) < RUN => {
-                self.slab[run.span().end] = key;
-                run.hi += 1;
-            }
-            // A run begun by an append starts at the front of its slot, so
-            // appends fill it.
-            _ => {
-                let slot = self.take_slot();
-                self.slab[slot as usize * RUN] = key;
-                self.runs.push_back(Run { slot, lo: 0, hi: 1 });
-            }
-        }
-    }
-
-    /// Insert `key` at slab index `p` of run `r`, which has room.
-    fn insert_at(&mut self, r: usize, p: usize, key: (Nanos, u64)) {
-        let run = &mut self.runs[r];
-        let Range { start: lo, end: hi } = run.span();
-        if run.lo > 0 && (p - lo < hi - p || usize::from(run.hi) == RUN) {
-            self.slab.copy_within(lo..p, lo - 1);
-            self.slab[p - 1] = key;
-            run.lo -= 1;
-        } else {
-            self.slab.copy_within(p..hi, p + 1);
-            self.slab[p] = key;
-            run.hi += 1;
-        }
-    }
-
-    /// Split full run `r` into two centred halves; returns where slab index
-    /// `p` of the old run now lies.
-    fn split(&mut self, r: usize, p: usize) -> (usize, usize) {
-        let slot = self.take_slot();
-        let run = self.runs[r];
-        let (half, quarter) = (RUN / 2, RUN / 4);
-        let base = run.slot as usize * RUN;
-        let new_base = slot as usize * RUN;
-        self.slab.copy_within(base + half..base + RUN, new_base + quarter);
-        self.slab.copy_within(base..base + half, base + quarter);
-        let (lo, hi) = (quarter as u16, (quarter + half) as u16);
-        self.runs[r] = Run { lo, hi, ..run };
-        self.runs.insert(r + 1, Run { slot, lo, hi });
-        let k = p - base;
-        if k <= half {
-            (r, base + quarter + k)
-        } else {
-            (r + 1, new_base + quarter + k - half)
-        }
-    }
-
-    /// Remove `key`; false when it is not in the index.
-    fn remove(&mut self, key: (Nanos, u64)) -> bool {
-        let r = self.run_where(|k| k < key);
-        let Some(run) = self.runs.get_mut(r) else {
-            return false;
-        };
-        let Range { start: lo, end: hi } = run.span();
-        let j = lo + self.slab[lo..hi].partition_point(|&k| k < key);
-        if self.slab[j] != key {
-            return false;
-        }
-        self.len -= 1;
-        if hi - lo == 1 {
-            self.free.push(run.slot);
-            self.runs.remove(r);
-        } else if j - lo < hi - 1 - j {
-            self.slab.copy_within(lo..j, lo + 1);
-            run.lo += 1;
-        } else {
-            self.slab.copy_within(j + 1..hi, j);
-            run.hi -= 1;
-        }
-        true
-    }
-
-    /// Take the first key if its completion is at or before `t`.
-    fn pop_first_by(&mut self, t: Nanos) -> Option<(Nanos, u64)> {
-        let run = self.runs.front_mut()?;
-        let key = self.slab[run.span().start];
-        if key.0 > t {
-            return None;
-        }
-        self.len -= 1;
-        run.lo += 1;
-        if run.lo == run.hi {
-            self.free.push(run.slot);
-            self.runs.pop_front();
-        }
-        Some(key)
-    }
-
-    /// Keys whose completion is at or before `t`: the run holding the
-    /// boundary by binary search, then whole runs from the nearer end.
-    fn count_by(&self, t: Nanos) -> usize {
-        let r = self.run_where(|(done, _)| done <= t);
-        let Some(run) = self.runs.get(r) else {
-            return self.len;
-        };
-        let within = self.slab[run.span()].partition_point(|&(done, _)| done <= t);
-        if r <= self.runs.len() / 2 {
-            self.runs.range(..r).map(Run::len).sum::<usize>() + within
-        } else {
-            self.len - self.runs.range(r..).map(Run::len).sum::<usize>() + within
-        }
-    }
-
-    fn clear(&mut self) {
-        self.free.extend(self.runs.drain(..).map(|run| run.slot));
-        self.len = 0;
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &(Nanos, u64)> {
-        self.runs.iter().flat_map(|run| &self.slab[run.span()])
-    }
-
-    /// A free slab slot, growing the slab (and with it the run list's and
-    /// the free list's capacity, which never exceed one entry per slot)
-    /// when there is none.
-    fn take_slot(&mut self) -> u32 {
-        if let Some(slot) = self.free.pop() {
-            return slot;
-        }
-        let slots = self.slab.len() / RUN + 1;
-        self.slab.resize(slots * RUN, (0, 0));
-        self.runs.reserve(slots - self.runs.len());
-        self.free.reserve(slots);
-        (slots - 1) as u32
-    }
-}
-
 /// The write cache.
 #[derive(Debug)]
 pub struct WriteCache {
@@ -299,7 +94,7 @@ pub struct WriteCache {
     next_gen: u64,
     /// Exactly the `(done, lpn)` of the entries whose `draining_until` is
     /// `Some(done)` with `done != DRAIN_PENDING`.
-    drains: DrainIndex,
+    drains: Runs<(Nanos, u64)>,
     /// Lazy min-heap of `(ackable_at, lpn, gen)` over dirty entries. May
     /// hold stale tuples (dead generation, changed ack time, drained);
     /// `next_ackable` pops them on sight.
@@ -321,7 +116,7 @@ impl WriteCache {
             fifo: VecDeque::new(),
             dirty: 0,
             next_gen: 0,
-            drains: DrainIndex::default(),
+            drains: Runs::default(),
             ack_heap: BinaryHeap::new(),
             coalesced: 0,
         }
@@ -378,7 +173,7 @@ impl WriteCache {
     /// in DRAM until the device knows no power cut can predate its program
     /// (see `Ssd::note_arrival`).
     pub fn occupied_at(&self, t: Nanos) -> usize {
-        self.occupied() - self.drains.count_by(t)
+        self.occupied() - self.drains.count_while(|&(done, _)| done <= t)
     }
 
     /// Slots waiting for the flusher.
@@ -587,7 +382,7 @@ impl WriteCache {
     /// Reclaim slots whose programs completed by `now`. Their handles drop
     /// with the entries; the cells stay with the pages they drained to.
     pub fn reclaim(&mut self, now: Nanos) {
-        while let Some((done, lpn)) = self.drains.pop_first_by(now) {
+        while let Some((done, lpn)) = self.drains.pop_front_if(|&(done, _)| done <= now) {
             let removed = self.take(lpn);
             debug_assert!(
                 removed.as_ref().is_some_and(|e| e.draining_until == Some(done)),
@@ -636,11 +431,12 @@ impl WriteCache {
     /// tie-break, schedule-pending entries last — so recovery replays
     /// identically for a fixed seed.
     pub fn requeue_draining(&mut self) -> usize {
-        let mut order: Vec<(Nanos, u64)> =
-            self.iter().filter_map(|(lpn, e)| e.draining_until.map(|d| (d, lpn))).collect();
-        order.sort_unstable();
+        // The index holds the scheduled drains in that order.
+        let pending = self.iter().filter(|(_, e)| e.draining_until == Some(DRAIN_PENDING));
+        let order: Vec<u64> =
+            self.drains.iter().map(|&(_, lpn)| lpn).chain(pending.map(|(lpn, _)| lpn)).collect();
         let n = order.len();
-        for (_, lpn) in order {
+        for lpn in order {
             self.next_gen += 1;
             let gen = self.next_gen;
             let e = self.get_mut(lpn).expect("collected above");
@@ -667,10 +463,9 @@ impl WriteCache {
     /// 2. **FIFO coverage**: every dirty entry is reachable through exactly
     ///    one live FIFO reference (an unreferenced dirty entry would never
     ///    be flushed — a permanent slot leak);
-    /// 3. **drain index**: the index is sorted and is exactly the set of
-    ///    `(done, lpn)` for entries draining at a known completion time
-    ///    (sentinel-marked entries are not indexed), every run holds
-    ///    1..=`RUN` keys and its count is exact;
+    /// 3. **drain index**: the index passes its own audit ([`Runs::check`])
+    ///    and is exactly the set of `(done, lpn)` for entries draining at a
+    ///    known completion time (sentinel-marked entries are not indexed);
     /// 4. **slot table**: every slab index is held by exactly one LPN, and
     ///    holds its entry, or by the free list, and holds none.
     pub fn check_invariants(&self) -> Result<(), String> {
@@ -707,32 +502,24 @@ impl WriteCache {
                 }
             }
         }
-        // 3. Drain index mirrors the draining entries exactly.
-        let want: Vec<(Nanos, u64)> = {
-            let mut v: Vec<_> = self
-                .iter()
-                .filter_map(|(lpn, e)| match e.draining_until {
-                    Some(d) if d != DRAIN_PENDING => Some((d, lpn)),
-                    _ => None,
-                })
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        let have: Vec<(Nanos, u64)> = self.drains.iter().copied().collect();
-        if have.windows(2).any(|w| w[0] >= w[1]) {
-            return Err("drain index not sorted by (completion time, lpn)".into());
-        }
-        if have != want || self.drains.len != have.len() {
+        // 3. Drain index mirrors the draining entries exactly: its keys are
+        //    distinct, each names an entry draining at that time, and there
+        //    are as many as such entries.
+        self.drains.check().map_err(|e| format!("drain index: {e}"))?;
+        let stray = self
+            .drains
+            .iter()
+            .find(|&&(done, lpn)| self.entry(lpn).and_then(|e| e.draining_until) != Some(done));
+        if let Some((done, lpn)) = stray {
             return Err(format!(
-                "drain index mismatch: index has {} refs (counted {}), entries say {}",
-                have.len(),
-                self.drains.len,
-                want.len()
+                "drain index holds ({done}, {lpn}); lpn {lpn} does not drain then"
             ));
         }
-        if let Some(run) = self.drains.runs.iter().find(|run| !(1..=RUN).contains(&run.len())) {
-            return Err(format!("drain index run of {} keys", run.len()));
+        let draining =
+            self.iter().filter(|(_, e)| e.draining_until.is_some_and(|d| d != DRAIN_PENDING));
+        let (have, want) = (self.drains.iter().count(), draining.count());
+        if have != want {
+            return Err(format!("drain index holds {have} refs, entries say {want}"));
         }
         // 4. Every slab index is held by one LPN (and holds an entry) or by
         //    the free list (and holds none).
@@ -1028,21 +815,53 @@ mod tests {
         assert_eq!(c.earliest_drain_done(), None);
     }
 
+    /// Requeued entries go back to the flusher by drain completion, LPN
+    /// breaking a tie, and the popped-but-unscheduled ones last in LPN
+    /// order, behind the entries that were still dirty.
     #[test]
     fn requeue_draining_restores_dirty_and_clears_index() {
         let p = pool();
         let mut c = cache();
-        c.insert(1, data(&p, 1), 0, WriteCause::HostData);
-        c.insert(2, data(&p, 2), 0, WriteCause::HostData);
-        for _ in 0..2 {
-            let l = c.pop_dirty(u64::MAX).unwrap();
-            c.set_draining(l, 900);
+        for lpn in [7, 3, 9, 1, 5, 2] {
+            c.insert(lpn, data(&p, lpn as u8), 0, WriteCause::HostData);
         }
-        assert_eq!(c.requeue_draining(), 2);
-        assert_eq!(c.dirty(), 2);
+        // Completions out of LPN order, lpns 7 and 1 tied at 900, and lpn 5
+        // popped with no completion yet; lpn 2 stays dirty.
+        for done in [900, 100, 300, 900] {
+            let l = c.pop_dirty(u64::MAX).unwrap();
+            c.set_draining(l, done);
+        }
+        assert_eq!(c.pop_dirty(u64::MAX), Some(5));
+        assert_eq!(c.requeue_draining(), 5);
+        assert_eq!(c.dirty(), 6);
         assert_eq!(c.earliest_drain_done(), None);
-        assert_eq!(c.pop_dirty(u64::MAX).unwrap(), 1);
-        assert_eq!(c.pop_dirty(u64::MAX).unwrap(), 2);
+        c.check_invariants().unwrap();
+        let order: Vec<u64> = std::iter::from_fn(|| c.pop_dirty(u64::MAX)).collect();
+        assert_eq!(order, [2, 3, 9, 1, 7, 5]);
+        assert!(c.iter().all(|(lpn, e)| lpn == 2 || e.cause == WriteCause::EmergencyDump));
+    }
+
+    /// The audit finds a drain missing from the index, and a key no entry
+    /// drains at in its place.
+    #[test]
+    fn check_invariants_finds_a_drain_index_out_of_step() {
+        let p = pool();
+        let mut c = cache();
+        for lpn in [3, 4] {
+            c.insert(lpn, data(&p, 0), 0, WriteCause::HostData);
+        }
+        for done in [700, 900] {
+            let l = c.pop_dirty(u64::MAX).unwrap();
+            c.set_draining(l, done);
+        }
+        c.check_invariants().unwrap();
+        assert!(c.drains.remove((700, 3)));
+        assert!(c.check_invariants().is_err(), "a drain is missing");
+        c.drains.insert((800, 3));
+        assert!(c.check_invariants().is_err(), "lpn 3 drains at 700, not 800");
+        c.drains.remove((800, 3));
+        c.drains.insert((700, 3));
+        c.check_invariants().unwrap();
     }
 
     /// Hammer one LPN with coalescing writes: each insert pushes a heap
@@ -1233,13 +1052,13 @@ mod tests {
                 // The LPN whose drain reference the call may change, and its
                 // reference before the call.
                 let mut touched = Some((lpn, drain_ref(&c, lpn)));
-                let (runs, free) = (c.drains.runs.len(), c.drains.free.len());
+                let (runs, free) = (c.drains.run_count(), c.drains.free_slots());
                 // A drain set inside the index, not at its back, into a
                 // full run splits it.
                 let mut drain_at = |c: &mut WriteCache, l: u64, done: Nanos| {
                     c.set_draining(l, done);
                     let inner = c.drains.last() != Some((done, l));
-                    splits += usize::from(inner && c.drains.runs.len() > runs);
+                    splits += usize::from(inner && c.drains.run_count() > runs);
                 };
                 match r.gen_range(0..1_000u32) {
                     0..=299 => {
@@ -1301,7 +1120,7 @@ mod tests {
                         }
                     }
                 }
-                emptied += usize::from(c.drains.free.len() > free);
+                emptied += usize::from(c.drains.free_slots() > free);
                 assert_eq!(c.earliest_drain_done(), old.earliest());
                 assert_eq!(c.latest_drain_done(), old.latest());
                 for _ in 0..4 {

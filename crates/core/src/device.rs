@@ -539,8 +539,9 @@ impl Ssd {
     }
 
     /// Structural audit across the whole device, for the simulation-test
-    /// harness: delegates to [`Ftl::check_invariants`] and
-    /// [`WriteCache::check_invariants`], then reconciles the slot pool's
+    /// harness: delegates to [`Ftl::check_invariants`],
+    /// [`WriteCache::check_invariants`] and the NAND array's timeline audit
+    /// ([`NandArray::check_timelines`]), then reconciles the slot pool's
     /// lease accounting — every outstanding cell must be referenced by a
     /// cache entry, an in-flight pre-image, a NAND page or the parked
     /// contents of an erase in flight (a cell several of them share counts
@@ -548,6 +549,7 @@ impl Ssd {
     pub fn check_invariants(&self) -> Result<(), String> {
         self.ftl.check_invariants(&self.nand).map_err(|e| format!("ftl: {e}"))?;
         self.cache.check_invariants().map_err(|e| format!("cache: {e}"))?;
+        self.nand.check_timelines().map_err(|e| format!("nand: {e}"))?;
         // Host-boundary provenance conservation: every page the host wrote
         // carries exactly one cause tag.
         let by_cause: u64 = self.stats.pages_by_cause.iter().sum();

@@ -602,6 +602,17 @@ impl NandArray {
         let last = self.planes.iter().chain(&self.channel_bus).map(Timeline::busy_until).max();
         self.purged_end(last.unwrap_or(0))
     }
+
+    /// Structural audit of every plane's and channel bus's timeline
+    /// ([`Timeline::check_invariants`]), naming the first that fails.
+    pub fn check_timelines(&self) -> Result<(), String> {
+        let planes = self.planes.iter().enumerate().map(|(i, t)| ("plane", i, t));
+        let buses = self.channel_bus.iter().enumerate().map(|(i, t)| ("channel bus", i, t));
+        for (kind, i, t) in planes.chain(buses) {
+            t.check_invariants().map_err(|e| format!("{kind} {i} timeline: {e}"))?;
+        }
+        Ok(())
+    }
 }
 
 /// Copy one slot's bytes out; an absent slot reads as zeros.
@@ -918,6 +929,7 @@ mod tests {
                 assert_eq!(lazy.plane_busy_until(p), eager.plane_busy_until(p), "plane {p}");
             }
             assert_eq!(lazy.all_quiet(), eager.all_quiet());
+            lazy.check_timelines().unwrap();
             for ch in 0..g.channels {
                 for probe in [w / 2, w, w + 100_000, t, t + 2_000_000] {
                     let l = lazy.channel_occupancy_at(ch, probe);

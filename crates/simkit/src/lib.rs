@@ -21,6 +21,7 @@ pub mod pool;
 pub mod recovered;
 pub mod resource;
 pub mod rng;
+pub mod runs;
 pub mod stats;
 pub mod timed;
 

@@ -10,18 +10,18 @@
 //! backfills a request into the earliest gap that fits at or after its
 //! arrival.
 //!
-//! The intervals are kept in short runs of one slab (see [`Timeline`]): an
-//! insert shifts within one run, and a gap scan walks only the runs whose
-//! gap bound admits the request, even on a GC-heavy plane that holds tens
-//! of thousands of intervals.
+//! The intervals are kept in sorted runs ([`crate::runs`]): an insert
+//! shifts within one run, and a gap scan walks only the runs whose gap
+//! bound admits the request, even on a GC-heavy plane that holds tens of
+//! thousands of intervals.
 //!
 //! A [`MultiServer`] models a pool of `k` identical servers where a request
 //! takes the earliest-fitting server.
 
 use crate::clock::Nanos;
+use crate::runs::{Runs, RUN};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-use std::ops::Range;
+use std::collections::BinaryHeap;
 
 /// How far behind the newest arrival intervals are retained. This is not a
 /// safe bound: where GC runs ahead on its own clock (`fio_gc`), arrivals fall
@@ -31,54 +31,21 @@ use std::ops::Range;
 /// depends on this value, so it stays until that is fixed on purpose.
 const PURGE_HORIZON: Nanos = 10_000_000_000;
 
-/// Most intervals one run holds: the bound on what an insert shifts and what
-/// a gap scan walks before it can skip a run whole.
-const RUN: usize = 128;
-
-/// One run of a [`Timeline`]: entries `lo..hi` of slab slot `slot`.
-#[derive(Debug, Clone, Copy)]
-struct Run {
-    slot: u32,
-    lo: u16,
-    hi: u16,
-    /// An upper bound on every gap between consecutive intervals of the
-    /// run. Inserts and merges only fill gaps and purges only drop them, so
-    /// the bound stays valid with no upkeep; only an interval added at
-    /// either end of the run opens an inner gap and raises it. A scan of the
-    /// whole run tightens it.
-    max_gap: Nanos,
-}
-
-impl Run {
-    fn len(&self) -> usize {
-        usize::from(self.hi - self.lo)
-    }
-
-    /// Slab indices of the run's intervals.
-    fn span(&self) -> Range<usize> {
-        let base = self.slot as usize * RUN;
-        base + usize::from(self.lo)..base + usize::from(self.hi)
-    }
-}
-
 /// A single-server resource with gap backfill.
 ///
 /// The busy intervals are sorted, disjoint and never touching (a request
 /// that touches a neighbour merges into it), so the list is fixed by the
-/// busy time alone, however it is split into runs. Runs hold at most `RUN`
-/// intervals, each run in its own slot of one slab: an insert shifts toward
-/// the run's shorter side where the slot has room, a full run splits into
-/// two halves centred in their slots, and an emptied run hands its slot to
-/// a free list. The slab, the run list and the free list grow together and
-/// only when the slab does, so a timeline past its peak length allocates
-/// nothing.
+/// busy time alone, however it is split into runs. Each run's metadata is
+/// `max_gap`, an upper bound on every gap between consecutive intervals of
+/// the run. Inserts and merges only fill gaps and purges only drop them, so
+/// the bound stays valid with no upkeep; only an interval added at either
+/// end of the run opens an inner gap and raises it. A scan of the whole run
+/// tightens it.
 #[derive(Debug, Clone)]
 pub struct Timeline {
-    slab: Vec<(Nanos, Nanos)>,
-    /// The runs, in time order.
-    runs: VecDeque<Run>,
-    /// Slab slots no run holds.
-    free: Vec<u32>,
+    /// The busy intervals `(start, end)`; each run's metadata is its
+    /// `max_gap`.
+    iv: Runs<(Nanos, Nanos), Nanos>,
     /// End of the first interval, `Nanos::MAX` when there is none.
     first_end: Nanos,
     /// End of the last interval, 0 when there is none.
@@ -99,9 +66,7 @@ impl Timeline {
     /// Create an idle timeline.
     pub fn new() -> Self {
         Self {
-            slab: Vec::new(),
-            runs: VecDeque::new(),
-            free: Vec::new(),
+            iv: Runs::default(),
             first_end: Nanos::MAX,
             last_end: 0,
             busy_time: 0,
@@ -133,19 +98,12 @@ impl Timeline {
 
     /// Place `[start, end)` after every interval; `start >= busy_until`.
     fn append(&mut self, start: Nanos, end: Nanos) -> Nanos {
-        match self.runs.back_mut() {
-            Some(run) if start == self.last_end => self.slab[run.span().end - 1].1 = end,
-            Some(run) if usize::from(run.hi) < RUN => {
-                run.max_gap = run.max_gap.max(start - self.last_end);
-                self.slab[run.span().end] = (start, end);
-                run.hi += 1;
-            }
-            // A run begun by an append starts at the front of its slot:
-            // appends fill it, and backfills into it split it when full.
+        match self.iv.runs.back() {
+            Some(run) if start == self.last_end => self.iv.slab[run.span().end - 1].1 = end,
             _ => {
-                let slot = self.take_slot();
-                self.slab[slot as usize * RUN] = (start, end);
-                self.runs.push_back(Run { slot, lo: 0, hi: 1, max_gap: 0 });
+                if let Some(max_gap) = self.iv.push_back((start, end)) {
+                    *max_gap = (*max_gap).max(start - self.last_end);
+                }
             }
         }
         end
@@ -155,14 +113,13 @@ impl Timeline {
     /// lies before the last interval's end, and place the request there.
     fn backfill(&mut self, now: Nanos, service: Nanos) -> Nanos {
         // Intervals ending at or before `now` cannot influence the
-        // placement: find the first one past it, in runs then in one run.
-        let mut r = self.run_after(now);
-        let slab = &self.slab;
-        let span = self.runs[r].span();
-        let mut i = span.start + slab[span].partition_point(|&(_, e)| e <= now);
+        // placement: start at the first one past it.
+        let (mut r, mut i) =
+            self.iv.search(|&(_, e)| e <= now).expect("an interval ends after `now`");
+        let slab = &self.iv.slab;
         let mut start = now;
         loop {
-            let run = self.runs[r];
+            let run = self.iv.runs[r];
             let span = run.span();
             let whole = i == span.start;
             // The gap before interval `i`: from `now` or from the previous
@@ -172,7 +129,7 @@ impl Timeline {
                 return self.place(r, i, start, start + service);
             }
             start = e;
-            if run.max_gap < service {
+            if run.meta < service {
                 // No inner gap fits: skip the rest of the run.
                 start = slab[span.end - 1].1;
             } else {
@@ -185,11 +142,11 @@ impl Timeline {
                     start = e;
                 }
                 if whole {
-                    self.runs[r].max_gap = widest;
+                    self.iv.runs[r].meta = widest;
                 }
             }
             r += 1;
-            match self.runs.get(r) {
+            match self.iv.runs.get(r) {
                 Some(next) => i = next.span().start,
                 // Past the last interval: `start` is its end, so it grows.
                 None => return self.append(start, start + service),
@@ -197,143 +154,49 @@ impl Timeline {
         }
     }
 
-    /// Index of the first run whose last interval ends after `t`, or the
-    /// run count. A galloping search from the front, then a binary one:
-    /// arrivals mostly land in the first run, behind work scheduled ahead.
-    fn run_after(&self, t: Nanos) -> usize {
-        let ends_by = |r: usize| self.slab[self.runs[r].span().end - 1].1 <= t;
-        let n = self.runs.len();
-        // Every run before `lo` ends by `t`; none from `hi` on does.
-        let (mut lo, mut hi, mut step) = (0, 0, 1);
-        while hi < n && ends_by(hi) {
-            lo = hi + 1;
-            hi += step;
-            step *= 2;
-        }
-        hi = hi.min(n);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if ends_by(mid) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
     /// Record `[start, end)` in the gap before slab entry `j` of run `r`,
     /// merging with whichever neighbour it touches.
     fn place(&mut self, r: usize, j: usize, start: Nanos, end: Nanos) -> Nanos {
-        let first = self.runs[r].span().start;
+        let iv = &mut self.iv;
+        let first = iv.runs[r].span().start;
         let prev = if j > first {
             Some(j - 1)
         } else {
-            r.checked_sub(1).map(|p| self.runs[p].span().end - 1)
+            r.checked_sub(1).map(|p| iv.runs[p].span().end - 1)
         };
-        let prev = prev.filter(|&p| self.slab[p].1 == start);
-        let joins_next = self.slab[j].0 == end;
+        let prev = prev.filter(|&p| iv.slab[p].1 == start);
+        let joins_next = iv.slab[j].0 == end;
         match prev {
             Some(p) if joins_next => {
-                self.slab[p].1 = self.slab[j].1;
-                self.remove(r, j);
+                iv.slab[p].1 = iv.slab[j].1;
+                iv.remove_at(r, j);
             }
-            Some(p) => self.slab[p].1 = end,
-            None if joins_next => self.slab[j].0 = start,
+            Some(p) => iv.slab[p].1 = end,
+            None if joins_next => iv.slab[j].0 = start,
             // Inside the run: no new inner gap.
-            None if j > first => self.insert(r, j, (start, end)),
+            None if j > first => iv.insert_at(r, j, (start, end)),
             // Between two runs: onto the end of the previous one if it has
             // room there, else onto the front of this one.
             None => match r.checked_sub(1) {
-                Some(p) if usize::from(self.runs[p].hi) < RUN => {
-                    let span = self.runs[p].span();
-                    let run = &mut self.runs[p];
-                    run.max_gap = run.max_gap.max(start - self.slab[span.end - 1].1);
-                    self.insert(p, span.end, (start, end));
+                Some(p) if usize::from(iv.runs[p].hi) < RUN => {
+                    let run = &mut iv.runs[p];
+                    let span = run.span();
+                    run.meta = run.meta.max(start - iv.slab[span.end - 1].1);
+                    iv.insert_at(p, span.end, (start, end));
                 }
                 _ => {
-                    let run = &mut self.runs[r];
-                    run.max_gap = run.max_gap.max(self.slab[j].0 - end);
-                    self.insert(r, j, (start, end));
+                    let run = &mut iv.runs[r];
+                    run.meta = run.meta.max(iv.slab[j].0 - end);
+                    iv.insert_at(r, j, (start, end));
                 }
             },
         }
         end
     }
 
-    /// Insert `iv` at slab index `p` of run `r` (`lo <= p <= hi`).
-    fn insert(&mut self, mut r: usize, mut p: usize, iv: (Nanos, Nanos)) {
-        if self.runs[r].len() == RUN {
-            (r, p) = self.split(r, p);
-        }
-        let run = &mut self.runs[r];
-        let Range { start: lo, end: hi } = run.span();
-        if run.lo > 0 && (p - lo < hi - p || usize::from(run.hi) == RUN) {
-            self.slab.copy_within(lo..p, lo - 1);
-            self.slab[p - 1] = iv;
-            run.lo -= 1;
-        } else {
-            self.slab.copy_within(p..hi, p + 1);
-            self.slab[p] = iv;
-            run.hi += 1;
-        }
-    }
-
-    /// Split full run `r` into two centred halves; returns where slab index
-    /// `p` of the old run now lies.
-    fn split(&mut self, r: usize, p: usize) -> (usize, usize) {
-        let slot = self.take_slot();
-        let run = self.runs[r];
-        let (half, quarter) = (RUN / 2, RUN / 4);
-        let base = run.slot as usize * RUN;
-        let new_base = slot as usize * RUN;
-        self.slab.copy_within(base + half..base + RUN, new_base + quarter);
-        self.slab.copy_within(base..base + half, base + quarter);
-        let (lo, hi) = (quarter as u16, (quarter + half) as u16);
-        self.runs[r] = Run { lo, hi, ..run };
-        self.runs.insert(r + 1, Run { slot, lo, hi, max_gap: run.max_gap });
-        let k = p - base;
-        if k <= half {
-            (r, base + quarter + k)
-        } else {
-            (r + 1, new_base + quarter + k - half)
-        }
-    }
-
-    /// Remove slab entry `j` of run `r`, dropping the run if it empties.
-    fn remove(&mut self, r: usize, j: usize) {
-        let run = &mut self.runs[r];
-        let Range { start: lo, end: hi } = run.span();
-        if hi - lo == 1 {
-            self.free.push(run.slot);
-            self.runs.remove(r);
-        } else if j - lo < hi - 1 - j {
-            self.slab.copy_within(lo..j, lo + 1);
-            run.lo += 1;
-        } else {
-            self.slab.copy_within(j + 1..hi, j);
-            run.hi -= 1;
-        }
-    }
-
-    /// A free slab slot, growing the slab (and with it the run list's and
-    /// the free list's capacity, which never exceed one entry per slot)
-    /// when there is none.
-    fn take_slot(&mut self) -> u32 {
-        if let Some(slot) = self.free.pop() {
-            return slot;
-        }
-        let slots = self.slab.len() / RUN + 1;
-        self.slab.resize(slots * RUN, (0, 0));
-        self.runs.reserve(slots - self.runs.len());
-        self.free.reserve(slots);
-        (slots - 1) as u32
-    }
-
     fn refresh_ends(&mut self) {
-        let slab = &self.slab;
-        self.first_end = self.runs.front().map_or(Nanos::MAX, |r| slab[r.span().start].1);
-        self.last_end = self.runs.back().map_or(0, |r| slab[r.span().end - 1].1);
+        self.first_end = self.iv.first().map_or(Nanos::MAX, |(_, e)| e);
+        self.last_end = self.iv.last().map_or(0, |(_, e)| e);
     }
 
     /// The time at which all currently queued work is done.
@@ -357,12 +220,7 @@ impl Timeline {
     /// lower bound on the commands outstanding (contiguous commands
     /// coalesce into one interval), used as a cheap occupancy gauge.
     pub fn intervals_after(&self, t: Nanos) -> usize {
-        let r = self.run_after(t);
-        let Some(run) = self.runs.get(r) else {
-            return 0;
-        };
-        let open = run.len() - self.slab[run.span()].partition_point(|&(_, e)| e <= t);
-        open + self.runs.range(r + 1..).map(Run::len).sum::<usize>()
+        self.iv.len() - self.iv.count_while(|&(_, e)| e <= t)
     }
 
     /// Drop intervals that end at or before `t`: no future request will
@@ -372,26 +230,23 @@ impl Timeline {
         if self.first_end > t {
             return;
         }
-        while let Some(run) = self.runs.front_mut() {
-            let span = run.span();
-            let due = self.slab[span.clone()].partition_point(|&(_, e)| e <= t);
-            if due < span.len() {
-                run.lo += due as u16;
-                break;
-            }
-            self.free.push(run.slot);
-            self.runs.pop_front();
-        }
+        while self.iv.pop_front_if(|&(_, e)| e <= t).is_some() {}
         self.refresh_ends();
     }
 
     /// Forget any queued work (used when a power cut wipes device state).
     pub fn reset(&mut self) {
-        self.free.extend(self.runs.drain(..).map(|run| run.slot));
+        self.iv.clear();
         self.first_end = Nanos::MAX;
         self.last_end = 0;
         self.busy_time = 0;
         self.max_arrival = 0;
+    }
+
+    /// Structural audit of the interval runs ([`Runs::check`]), for
+    /// simulation-test harnesses.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        self.iv.check()
     }
 }
 
@@ -742,21 +597,16 @@ mod tests {
             }
         }
 
-        /// The runs' own invariants: every run holds 1..=`RUN` intervals,
-        /// the intervals are sorted and never touch (across runs too), each
-        /// `max_gap` bounds its run's inner gaps, the cached ends are exact,
-        /// and every slot is held by exactly one run or the free list, whose
-        /// capacities cover every slot.
+        /// The container's audit, then what is the timeline's own: the
+        /// intervals never touch (across runs too), each `max_gap` bounds
+        /// its run's inner gaps, and the cached ends are exact.
         fn check_runs(t: &Timeline) {
-            let slots = t.slab.len() / RUN;
-            let mut held = vec![false; slots];
+            t.check_invariants().unwrap();
             let mut last: Option<(Nanos, Nanos)> = None;
-            for run in &t.runs {
-                assert!((1..=RUN).contains(&run.len()), "run length {}", run.len());
-                assert!(!std::mem::replace(&mut held[run.slot as usize], true));
-                let ivs = &t.slab[run.span()];
+            for run in &t.iv.runs {
+                let ivs = &t.iv.slab[run.span()];
                 for w in ivs.windows(2) {
-                    assert!(w[1].0 - w[0].1 <= run.max_gap, "gap above the bound");
+                    assert!(w[1].0 - w[0].1 <= run.meta, "gap above the bound");
                 }
                 for &(s, e) in ivs {
                     assert!(s < e);
@@ -764,13 +614,7 @@ mod tests {
                     last = Some((s, e));
                 }
             }
-            for &slot in &t.free {
-                assert!(!std::mem::replace(&mut held[slot as usize], true));
-            }
-            assert!(held.iter().all(|&h| h), "a slot is lost");
-            assert!(t.runs.capacity() >= slots && t.free.capacity() >= slots);
-            let first = t.runs.front().map_or(Nanos::MAX, |r| t.slab[r.span().start].1);
-            assert_eq!(t.first_end, first);
+            assert_eq!(t.first_end, t.iv.first().map_or(Nanos::MAX, |(_, e)| e));
             assert_eq!(t.last_end, last.map_or(0, |(_, e)| e));
         }
 
@@ -798,7 +642,7 @@ mod tests {
                 ][case % 4];
                 let (mut clock, mut watermark): (Nanos, Nanos) = (0, 0);
                 for call in 0..r.gen_range(1..12_000usize) {
-                    let (runs, free) = (new.runs.len(), new.free.len());
+                    let (runs, free) = (new.iv.run_count(), new.iv.free_slots());
                     match r.gen_range(0..1_000u32) {
                         0 => {
                             new.reset();
@@ -828,14 +672,14 @@ mod tests {
                             };
                             let behind = now < new.busy_until();
                             skippable += usize::from(
-                                behind && new.runs.iter().any(|run| run.max_gap < service),
+                                behind && new.iv.runs.iter().any(|run| run.meta < service),
                             );
                             assert_eq!(new.acquire(now, service), old.acquire(now, service));
                             // Only a backfill splits a run.
-                            splits += usize::from(behind && new.runs.len() > runs);
+                            splits += usize::from(behind && new.iv.run_count() > runs);
                         }
                     }
-                    emptied += usize::from(new.free.len() > free);
+                    emptied += usize::from(new.iv.free_slots() > free);
                     if call % 8 == 0 {
                         check_runs(&new);
                     }
