@@ -82,6 +82,14 @@ if grep -rnE 'const RUN\b|fn take_slot|struct Run\b' crates | grep -v '^crates/s
     echo "sorted-run mechanics outside simkit::runs referenced above" >&2
     exit 1
 fi
+# One unit-level durability oracle: the store targets of simtest reconcile
+# against the forensics ledger, and a delete is a tombstone, not the digest
+# of an empty value.
+if grep -rnF -e KvOracle -e absorb_recovered -e finish_recovery -e 'digest(&[])' \
+    crates src tests examples; then
+    echo "second durability oracle or delete-as-empty-digest referenced above" >&2
+    exit 1
+fi
 if grep -n forensics crates/storage/Cargo.toml crates/wal/Cargo.toml; then
     echo "storage and wal must not depend on forensics" >&2
     exit 1

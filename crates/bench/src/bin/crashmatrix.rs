@@ -4,12 +4,12 @@
 //! (barriers+double-write ON, or both OFF), run a commit-per-op workload on
 //! the relational engine with a *durability ledger* attached, cut power at a
 //! seeded mid-workload point, collect the device postmortems captured inside
-//! `power_cut`, recover, probe every attempted key, and reconcile: each unit
-//! is classified `survived | acked-lost | torn | stale | never-acked` and
-//! every loss is attributed to the layer that dropped it (cache slot,
-//! channel queue, lazy FTL map, HDD write cache, host). The same sweep runs
-//! the document store with per-update fsync. Cut points repeat `--cuts`
-//! times with fresh seeded positions.
+//! `power_cut`, recover, probe every unit the ledger recorded, and
+//! reconcile: each unit is classified `survived | acked-lost | torn | stale |
+//! never-acked` and every loss is attributed to the layer that dropped it
+//! (cache slot, channel queue, lazy FTL map, HDD write cache, host). The same
+//! sweep runs the document store with per-update fsync. Cut points repeat
+//! `--cuts` times with fresh seeded positions.
 //!
 //! Expected result (the paper's thesis):
 //! * ON/ON is safe on every device — at a large performance cost;
@@ -32,9 +32,7 @@ use bench::{
 };
 use docstore::{DocStore, DocStoreConfig};
 use durassd::Ssd;
-use forensics::{
-    reconcile, AckContract, CampaignReport, CutReport, Forensic, Ledger, Probe, ProbeResult,
-};
+use forensics::{reconcile, AckContract, CampaignReport, CutReport, Forensic, Ledger, ProbeResult};
 use relstore::{Engine, EngineConfig};
 use simkit::dist::{rng, Rng};
 use simkit::Recovered;
@@ -127,8 +125,7 @@ where
             // gone, so every acknowledged one is acked-lost and attribution
             // runs off the postmortem evidence (discarded cache slots,
             // rolled-back mapping entries, ...).
-            let probes: Vec<Probe> =
-                (0..=cut_op).map(|i| Probe::new(&key_of(i), ProbeResult::Missing)).collect();
+            let probes = ledger.probe(|_| ProbeResult::Missing);
             let mut row = reconcile(
                 label,
                 cut_op,
@@ -147,17 +144,12 @@ where
             recs.extend(e2.data_volume().device().recovery_snap().cloned());
             recs.extend(e2.log_volume().device().recovery_snap().cloned());
             let health = health(e2.data_volume().device());
-            let mut probes = Vec::with_capacity(cut_op as usize + 1);
             let mut t2 = ready;
-            for i in 0..=cut_op {
-                let (v, t3) = e2.get(tree, &key_of(i), t2).into_parts();
+            let probes = ledger.probe(|key| {
+                let (v, t3) = e2.get(tree, key, t2).into_parts();
                 t2 = t3;
-                let result = match v {
-                    Some(bytes) => ProbeResult::Value(Ledger::digest(&bytes)),
-                    None => ProbeResult::Missing,
-                };
-                probes.push(Probe::new(&key_of(i), result));
-            }
+                ProbeResult::of(v.as_deref())
+            });
             let row =
                 reconcile(label, cut_op, phase.as_str(), cut_at_ns, &ledger, &probes, pms, recs);
             TrialOut { row, health }
@@ -189,16 +181,11 @@ fn doc_trial(
     let (mut s2, mut t2) = DocStore::recover(dev, cfg, cut_at_ns + 1).into_parts();
     let recs: Vec<_> = s2.device().recovery_snap().cloned().into_iter().collect();
     let health = Some(ssd_health_line(s2.device()));
-    let mut probes = Vec::with_capacity(cut_op as usize + 1);
-    for i in 0..=cut_op {
-        let (v, t3) = s2.get(&key_of(i), t2).into_parts();
+    let probes = ledger.probe(|key| {
+        let (v, t3) = s2.get(key, t2).into_parts();
         t2 = t3;
-        let result = match v {
-            Some(bytes) => ProbeResult::Value(Ledger::digest(&bytes)),
-            None => ProbeResult::Missing,
-        };
-        probes.push(Probe::new(&key_of(i), result));
-    }
+        ProbeResult::of(v.as_deref())
+    });
     let row = reconcile(label, cut_op, "after-set", cut_at_ns, &ledger, &probes, pms, recs);
     TrialOut { row, health }
 }

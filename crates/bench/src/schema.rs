@@ -1207,13 +1207,13 @@ mod tests {
     fn sample_campaign() -> forensics::CampaignReport {
         use forensics::{
             reconcile, AckContract, CacheSlotSnap, CampaignReport, DevicePostmortem, DumpOutcome,
-            Ledger, Probe, ProbeResult, RecoverySnap, UnitKind,
+            Ledger, ProbeResult, RecoverySnap, UnitKind,
         };
         let l = Ledger::new(AckContract::VolatileAck);
-        l.pend(UnitKind::RelstoreCommit, b"k0", Ledger::digest(b"v0"), 5);
-        l.pend(UnitKind::RelstoreCommit, b"k1", Ledger::digest(b"v1"), 6);
+        l.pend(UnitKind::RelstoreCommit, b"k0", Some(b"v0"));
+        l.pend(UnitKind::RelstoreCommit, b"k1", Some(b"v1"));
         l.ack_all_pending(9, false);
-        l.pend(UnitKind::RelstoreCommit, b"k2", Ledger::digest(b"v2"), 12);
+        l.pend(UnitKind::RelstoreCommit, b"k2", Some(b"v2"));
         let pm = DevicePostmortem {
             device: "ssd".into(),
             protection: "volatile".into(),
@@ -1234,11 +1234,7 @@ mod tests {
             recovered_via_dump: false,
             scan_only: true,
         };
-        let probes = vec![
-            Probe::new(b"k0", ProbeResult::Value(Ledger::digest(b"v0"))),
-            Probe::new(b"k1", ProbeResult::Missing),
-            Probe::new(b"k2", ProbeResult::Missing),
-        ];
+        let probes = l.probe(|key| ProbeResult::of((key == b"k0").then_some(&b"v0"[..])));
         let row = reconcile(
             "engine SSD-A OFF/OFF",
             2,

@@ -555,7 +555,7 @@ impl<D: BlockDevice> DocStore<D> {
         self.stats.sets += 1;
         let scope = self.scope("doc.set", now);
         if let Some(ledger) = &self.ledger {
-            ledger.pend(UnitKind::DocstoreUpdate, key, Ledger::digest(doc), now);
+            ledger.pend(UnitKind::DocstoreUpdate, key, Some(doc));
         }
         // The document is framed as a self-describing `DocSet` record — the
         // same versioned, CRC-guarded framing the WAL uses, so the append
@@ -584,8 +584,8 @@ impl<D: BlockDevice> DocStore<D> {
         self.stats.deletes += 1;
         let scope = self.scope("doc.delete", now);
         if let Some(ledger) = &self.ledger {
-            // Tombstone digest: a surviving delete reads back as Missing.
-            ledger.pend(UnitKind::DocstoreUpdate, key, Ledger::digest(&[]), now);
+            // A tombstone: a surviving delete reads back as Missing.
+            ledger.pend(UnitKind::DocstoreUpdate, key, None);
         }
         // Breadcrumb record: the tombstone itself lives in the tree entry
         // (ptr 0 / len 0), but the append stream stays self-describing.

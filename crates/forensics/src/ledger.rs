@@ -8,24 +8,30 @@
 //! crash the reconciler can say precisely which promises were broken and by
 //! which layer.
 //!
-//! One entry ([`LedgerEntry`]) is recorded per app-level unit — a relational
-//! key/value put or a document update — carrying a value digest so the
-//! post-recovery probe can distinguish `survived` from `stale` from `torn`.
-//! How many WAL flushes, fsyncs, FLUSH CACHE commands and checkpoints stood
-//! behind those acks is not the ledger's business: each layer counts its own
+//! The ledger keeps one [`UnitHistory`] per app-level unit — a relational
+//! key or a document, keyed by its raw key bytes: the acknowledged versions
+//! in order and the intents still pending. Each version is an [`Intent`]: a
+//! value digest, or a tombstone for a delete, so the post-recovery probe can
+//! distinguish `survived` from `stale` from `torn`. How many WAL flushes,
+//! fsyncs, FLUSH CACHE commands and checkpoints stood behind those acks is
+//! not the ledger's business: each layer counts its own
 //! (`WalStats::flushes`, `Volume::fsync_count`, `DeviceStats::flushes`,
 //! `EngineStats::checkpoints`).
 //!
 //! The ledger is a shared `Rc<RefCell<..>>` handle (the same pattern as
 //! `telemetry::Telemetry`): the campaign driver creates one per trial,
 //! attaches it to the engine or document store — the only layers that know
-//! a unit — and reads it back after recovery. When no ledger is attached,
-//! every recording call is skipped — the hot paths stay free.
+//! a unit — and [`Ledger::probe`]s every recorded unit after recovery. When
+//! no ledger is attached, every recording call is skipped — the hot paths
+//! stay free.
 
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use simkit::Nanos;
+
+use crate::reconcile::{Probe, ProbeResult};
 
 /// The durability contract behind an acknowledgement (§2.1/§3.2 of the
 /// paper): what the acknowledging layer believed made the write safe.
@@ -72,30 +78,51 @@ impl UnitKind {
     }
 }
 
-/// One acknowledged (or still-pending) app-level unit.
+/// What one write asks its unit to read back as.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Intent {
+    /// A put: the [`Ledger::digest`] of the value written.
+    Value(u64),
+    /// A delete: the unit reads back as missing. Distinct from every value
+    /// digest, the empty value's included.
+    Tombstone,
+}
+
+impl Intent {
+    /// The intent of writing `value` (`None` is a delete), or equally what a
+    /// read that returned `value` observed.
+    pub fn of(value: Option<&[u8]>) -> Self {
+        value.map_or(Intent::Tombstone, |v| Intent::Value(Ledger::digest(v)))
+    }
+}
+
+/// One acknowledged version of a unit.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Ack {
+    /// What the acknowledged write asked the unit to read back as.
+    pub intent: Intent,
+    /// Virtual time the acknowledgement was given.
+    pub at: Nanos,
+    /// The contract behind the acknowledgement.
+    pub contract: AckContract,
+}
+
+/// Everything the ledger recorded for one unit.
 #[derive(Clone, Debug)]
-pub struct LedgerEntry {
-    /// Monotone sequence number in issue order.
-    pub seq: u64,
+pub struct UnitHistory {
     /// What layer produced the unit.
     pub kind: UnitKind,
-    /// Printable unit identifier (lossy UTF-8 of the key).
-    pub unit: String,
-    /// Digest of the value as written (see [`Ledger::digest`]).
-    pub digest: u64,
-    /// Virtual time the write was issued.
-    pub issued_at: Nanos,
-    /// Virtual time the unit was acknowledged durable; `None` while pending.
-    pub acked_at: Option<Nanos>,
-    /// The contract behind the acknowledgement; `None` while pending.
-    pub contract: Option<AckContract>,
+    /// Acknowledged versions, oldest first.
+    pub acked: Vec<Ack>,
+    /// Intents issued since the unit's last acknowledgement, oldest first.
+    pub pending: Vec<Intent>,
 }
 
 struct Inner {
     device_contract: AckContract,
-    next_seq: u64,
-    entries: Vec<LedgerEntry>,
-    pending: Vec<usize>,
+    units: BTreeMap<Vec<u8>, UnitHistory>,
+    /// Keys of the units with at least one pending intent.
+    pending: Vec<Vec<u8>>,
 }
 
 /// Shared handle to the durability ledger (clone freely; all clones record
@@ -112,15 +139,9 @@ impl Ledger {
     pub fn new(device_contract: AckContract) -> Self {
         Ledger(Rc::new(RefCell::new(Inner {
             device_contract,
-            next_seq: 0,
-            entries: Vec::new(),
+            units: BTreeMap::new(),
             pending: Vec::new(),
         })))
-    }
-
-    /// The contract backing barrierless acknowledgements on this device.
-    pub fn device_contract(&self) -> AckContract {
-        self.0.borrow().device_contract
     }
 
     /// FNV-1a digest of a value as written. Both the recording layer and the
@@ -143,42 +164,66 @@ impl Ledger {
     }
 
     /// Record a write *intent*: the unit was issued but not yet acknowledged.
-    /// Returns the entry's sequence number.
-    pub fn pend(&self, kind: UnitKind, key: &[u8], digest: u64, issued_at: Nanos) -> u64 {
+    /// `value` is what was written; `None` records a delete.
+    pub fn pend(&self, kind: UnitKind, key: &[u8], value: Option<&[u8]>) {
+        let intent = Intent::of(value);
         let mut s = self.0.borrow_mut();
-        let seq = s.next_seq;
-        s.next_seq += 1;
-        let idx = s.entries.len();
-        s.entries.push(LedgerEntry {
-            seq,
+        let s = &mut *s;
+        let unit = s.units.entry(key.to_vec()).or_insert_with(|| UnitHistory {
             kind,
-            unit: Self::unit_name(key),
-            digest,
-            issued_at,
-            acked_at: None,
-            contract: None,
+            acked: Vec::new(),
+            pending: Vec::new(),
         });
-        s.pending.push(idx);
-        seq
+        if unit.pending.is_empty() {
+            s.pending.push(key.to_vec());
+        }
+        unit.pending.push(intent);
     }
 
-    /// Acknowledge every pending unit as durable at `acked_at`. `barriered`
+    /// Acknowledge every pending intent as durable at `acked_at`. `barriered`
     /// says whether the acknowledging layer issued an explicit flush barrier
     /// for this ack; if not, the device's own contract applies.
     pub fn ack_all_pending(&self, acked_at: Nanos, barriered: bool) {
         let mut s = self.0.borrow_mut();
+        let s = &mut *s;
         let contract = if barriered { AckContract::FlushBarrierAck } else { s.device_contract };
-        let pending = std::mem::take(&mut s.pending);
-        for idx in pending {
-            let e = &mut s.entries[idx];
-            e.acked_at = Some(acked_at);
-            e.contract = Some(contract);
+        for key in s.pending.drain(..) {
+            let unit = s.units.get_mut(&key).expect("pending units are recorded");
+            let acks = unit.pending.drain(..).map(|intent| Ack { intent, at: acked_at, contract });
+            unit.acked.extend(acks);
         }
     }
 
-    /// Snapshot of every entry (issue order).
-    pub fn entries(&self) -> Vec<LedgerEntry> {
-        self.0.borrow().entries.clone()
+    /// What a read of `key` must return right now: the unit's latest
+    /// recorded intent, or a tombstone if nothing was ever recorded for it.
+    pub fn latest(&self, key: &[u8]) -> Intent {
+        let s = self.0.borrow();
+        let Some(unit) = s.units.get(key) else { return Intent::Tombstone };
+        let acked = || unit.acked.last().expect("a recorded unit has an intent").intent;
+        unit.pending.last().copied().unwrap_or_else(acked)
+    }
+
+    /// Everything recorded for `key`, if anything was.
+    pub fn history(&self, key: &[u8]) -> Option<UnitHistory> {
+        self.0.borrow().units.get(key).cloned()
+    }
+
+    /// Probe every recorded unit, in key order: `read` reads one key back
+    /// from the recovered store. The ledger is not borrowed while `read`
+    /// runs, so it may drive a store the ledger is attached to.
+    pub fn probe(&self, mut read: impl FnMut(&[u8]) -> ProbeResult) -> Vec<Probe> {
+        let keys: Vec<Vec<u8>> = self.0.borrow().units.keys().cloned().collect();
+        keys.into_iter()
+            .map(|key| {
+                let result = read(&key);
+                Probe { key, result }
+            })
+            .collect()
+    }
+
+    /// The per-unit histories, for the reconciler.
+    pub(crate) fn units(&self) -> Ref<'_, BTreeMap<Vec<u8>, UnitHistory>> {
+        Ref::map(self.0.borrow(), |s| &s.units)
     }
 }
 
@@ -189,18 +234,61 @@ mod tests {
     #[test]
     fn pend_then_ack_assigns_contract_and_timestamp() {
         let l = Ledger::new(AckContract::DurableCacheAck);
-        l.pend(UnitKind::RelstoreCommit, b"k1", Ledger::digest(b"v1"), 10);
-        l.pend(UnitKind::RelstoreCommit, b"k2", Ledger::digest(b"v2"), 11);
-        assert!(l.entries().iter().all(|e| e.acked_at.is_none() && e.contract.is_none()));
+        l.pend(UnitKind::RelstoreCommit, b"k1", Some(b"v1"));
+        l.pend(UnitKind::RelstoreCommit, b"k2", Some(b"v2"));
+        let h = l.history(b"k1").unwrap();
+        assert!(h.acked.is_empty());
+        assert_eq!(h.pending, [Intent::of(Some(b"v1"))]);
         l.ack_all_pending(50, false);
-        let es = l.entries();
-        assert_eq!(es.len(), 2);
-        assert!(es.iter().all(|e| e.acked_at == Some(50)));
-        assert!(es.iter().all(|e| e.contract == Some(AckContract::DurableCacheAck)));
-        // A barriered ack upgrades the contract regardless of the device.
-        l.pend(UnitKind::RelstoreCommit, b"k3", Ledger::digest(b"v3"), 60);
+        for key in [b"k1", b"k2"] {
+            let h = l.history(key).unwrap();
+            assert!(h.pending.is_empty());
+            assert_eq!(h.acked.len(), 1);
+            assert_eq!(h.acked[0].at, 50);
+            assert_eq!(h.acked[0].contract, AckContract::DurableCacheAck);
+        }
+        // A barriered ack upgrades the contract regardless of the device, and
+        // touches only the units pending at the time.
+        l.pend(UnitKind::RelstoreCommit, b"k3", Some(b"v3"));
         l.ack_all_pending(70, true);
-        assert_eq!(l.entries()[2].contract, Some(AckContract::FlushBarrierAck));
+        assert_eq!(l.history(b"k3").unwrap().acked[0].contract, AckContract::FlushBarrierAck);
+        assert_eq!(l.history(b"k1").unwrap().acked.len(), 1);
+    }
+
+    #[test]
+    fn latest_is_the_newest_pending_then_the_newest_acked_intent() {
+        let l = Ledger::new(AckContract::DurableCacheAck);
+        assert_eq!(l.latest(b"k"), Intent::Tombstone, "never recorded reads as absent");
+        l.pend(UnitKind::DocstoreUpdate, b"k", Some(b"v1"));
+        l.ack_all_pending(10, false);
+        assert_eq!(l.latest(b"k"), Intent::of(Some(b"v1")));
+        l.pend(UnitKind::DocstoreUpdate, b"k", None);
+        assert_eq!(l.latest(b"k"), Intent::Tombstone);
+        l.pend(UnitKind::DocstoreUpdate, b"k", Some(b"v2"));
+        l.ack_all_pending(20, false);
+        assert_eq!(l.latest(b"k"), Intent::of(Some(b"v2")));
+    }
+
+    #[test]
+    fn a_delete_is_not_an_empty_value() {
+        assert_ne!(Intent::of(None), Intent::of(Some(b"")));
+        assert_eq!(Intent::of(Some(b"v")), Intent::Value(Ledger::digest(b"v")));
+    }
+
+    #[test]
+    fn probe_visits_every_recorded_unit_in_key_order() {
+        let l = Ledger::new(AckContract::DurableCacheAck);
+        for key in [&b"b"[..], b"a", b"c", b"a"] {
+            l.pend(UnitKind::RelstoreCommit, key, Some(key));
+        }
+        let mut read = Vec::new();
+        let probes = l.probe(|key| {
+            read.push(key.to_vec());
+            ProbeResult::Missing
+        });
+        assert_eq!(read, [b"a", b"b", b"c"]);
+        let keys: Vec<&[u8]> = probes.iter().map(|p| &p.key[..]).collect();
+        assert_eq!(keys, [b"a", b"b", b"c"]);
     }
 
     #[test]

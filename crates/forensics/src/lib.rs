@@ -6,9 +6,11 @@
 //! was lost, *where* in the stack the durability contract was broken, and
 //! *why* DuraSSD's capacitor dump saved the equivalent write. Three pieces:
 //!
-//! * [`Ledger`] — a shadow record of every durably-acknowledged unit
-//!   (relational commits, document updates), tagged with its
-//!   [`AckContract`] and virtual ack timestamp.
+//! * [`Ledger`] — one history per app-level unit (relational key,
+//!   document): every acknowledged version, tagged with its
+//!   [`AckContract`] and virtual ack timestamp, and the intents still
+//!   pending; a delete is a tombstone. [`Ledger::probe`] reads every
+//!   recorded unit back after recovery.
 //! * [`DevicePostmortem`] / [`RecoverySnap`] — snapshots captured *inside*
 //!   `power_cut` and `reboot` by devices implementing [`Forensic`]: dirty
 //!   cache slots with owner LBAs, per-channel drain positions, the emergency
@@ -25,7 +27,7 @@ mod reconcile;
 mod report;
 mod snapshot;
 
-pub use ledger::{AckContract, Ledger, LedgerEntry, UnitKind};
+pub use ledger::{Ack, AckContract, Intent, Ledger, UnitHistory, UnitKind};
 pub use reconcile::{
     reconcile, Classification, CutReport, LossLayer, Probe, ProbeResult, Tally, UnitFinding,
 };

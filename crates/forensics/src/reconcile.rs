@@ -1,18 +1,24 @@
 //! The reconciler: ledger × post-recovery probes × postmortems → findings.
 //!
-//! After recovery the campaign driver re-reads every unit the workload
-//! attempted and hands the observed digests here. Classification is a pure
-//! function of the ledger's version history for the unit:
+//! After recovery the campaign driver re-reads every unit the ledger
+//! recorded ([`Ledger::probe`]) and hands the observations here.
+//! Classification is a pure function of the unit's history in the ledger. A
+//! value read back is compared by digest, a missing unit against the
+//! tombstones deletes left:
 //!
-//! | probe result              | vs. ledger                         | class |
-//! |---------------------------|------------------------------------|-------|
-//! | value == latest acked     |                                    | `survived` |
-//! | value == older acked      | newer acked version vanished       | `stale` |
-//! | value == pending (unacked)| write survived without an ack      | `survived` |
-//! | value matches nothing     | content from no recorded version   | `torn` |
-//! | read error                | page shorn / unreadable            | `torn` |
-//! | missing, unit was acked   | acknowledged write lost            | `acked-lost` |
-//! | missing, never acked      | loss the contract permits          | `never-acked` |
+//! | probe result                    | vs. ledger                          | class |
+//! |---------------------------------|-------------------------------------|-------|
+//! | value / missing == latest acked |                                     | `survived` |
+//! | value / missing == pending      | write survived without an ack       | `survived` |
+//! | value / missing == older acked  | newer acked version vanished        | `stale` |
+//! | value matches nothing           | content from no recorded version    | `torn` |
+//! | read error                      | page shorn / unreadable             | `torn` |
+//! | missing, unit was acked         | acknowledged write lost             | `acked-lost` |
+//! | missing, never acked            | loss the contract permits           | `never-acked` |
+//!
+//! A missing unit matches a tombstone: after an acknowledged delete it
+//! survived, after an acknowledged delete and a newer acknowledged put it is
+//! stale, and after an acknowledged put of the empty value it is acked-lost.
 //!
 //! Losses are then attributed to the layer that dropped them using the
 //! device postmortems as evidence (dirty cache slots discarded → cache
@@ -21,7 +27,7 @@
 
 use simkit::Nanos;
 
-use crate::ledger::{AckContract, Ledger, UnitKind};
+use crate::ledger::{AckContract, Intent, Ledger, UnitKind};
 use crate::snapshot::{DevicePostmortem, RecoverySnap};
 
 /// What the post-recovery probe observed for one unit.
@@ -35,21 +41,20 @@ pub enum ProbeResult {
     ReadError(String),
 }
 
+impl ProbeResult {
+    /// The observation of a read that returned `value` (`None`: absent).
+    pub fn of(value: Option<&[u8]>) -> Self {
+        value.map_or(ProbeResult::Missing, |v| ProbeResult::Value(Ledger::digest(v)))
+    }
+}
+
 /// One probed unit.
 #[derive(Clone, Debug)]
 pub struct Probe {
-    /// Printable unit identifier — must match [`Ledger::unit_name`] of the
-    /// key used when the unit was recorded.
-    pub unit: String,
+    /// The unit's key, as recorded in the ledger.
+    pub key: Vec<u8>,
     /// What recovery handed back.
     pub result: ProbeResult,
-}
-
-impl Probe {
-    /// Convenience constructor from the raw key bytes.
-    pub fn new(key: &[u8], result: ProbeResult) -> Self {
-        Probe { unit: Ledger::unit_name(key), result }
-    }
 }
 
 /// Final classification of one unit after reconciliation.
@@ -174,16 +179,7 @@ pub struct CutReport {
     pub verdict: String,
 }
 
-/// Per-unit view assembled from the ledger.
-struct UnitView {
-    kind: UnitKind,
-    /// Acked versions in ack order: (digest, acked_at, contract).
-    acked: Vec<(u64, Nanos, AckContract)>,
-    /// Digests of never-acked intents.
-    pending: Vec<u64>,
-}
-
-fn attribute(class: Classification, acked: bool, pms: &[DevicePostmortem]) -> (LossLayer, String) {
+fn attribute(class: Classification, pms: &[DevicePostmortem]) -> (LossLayer, String) {
     let shorn: u64 = pms.iter().map(|p| p.nand_shorn_pages).sum();
     let rolled: u64 = pms.iter().map(|p| p.rolled_back_map_entries).sum();
     let ssd_discarded: u64 =
@@ -213,7 +209,7 @@ fn attribute(class: Classification, acked: bool, pms: &[DevicePostmortem]) -> (L
         Classification::Stale => {
             (LossLayer::Unattributed, "an older acknowledged version reappeared".into())
         }
-        // AckedLost (and any other loss reaching here):
+        // AckedLost:
         _ if hdd_discarded > 0 && ssd_discarded == 0 => (
             LossLayer::HddWriteCache,
             format!("{hdd_discarded} acked page(s) cleared from the HDD write cache"),
@@ -228,11 +224,7 @@ fn attribute(class: Classification, acked: bool, pms: &[DevicePostmortem]) -> (L
         ),
         _ => (
             LossLayer::Unattributed,
-            if acked {
-                "acknowledged unit missing with no device-side evidence".into()
-            } else {
-                "unit missing with no device-side evidence".into()
-            },
+            "acknowledged unit missing with no device-side evidence".into(),
         ),
     }
 }
@@ -250,62 +242,49 @@ pub fn reconcile(
     postmortems: Vec<DevicePostmortem>,
     recoveries: Vec<RecoverySnap>,
 ) -> CutReport {
-    use std::collections::BTreeMap;
-    let mut units: BTreeMap<String, UnitView> = BTreeMap::new();
-    for e in ledger.entries() {
-        let v = units.entry(e.unit.clone()).or_insert(UnitView {
-            kind: e.kind,
-            acked: Vec::new(),
-            pending: Vec::new(),
-        });
-        match (e.acked_at, e.contract) {
-            (Some(t), Some(c)) => v.acked.push((e.digest, t, c)),
-            _ => v.pending.push(e.digest),
-        }
-    }
-
+    let units = ledger.units();
     let mut tally = Tally::default();
     let mut losses = Vec::new();
     for p in probes {
-        let Some(v) = units.get(&p.unit) else { continue };
-        let latest = v.acked.last().copied();
-        let (class, note) = match &p.result {
-            ProbeResult::Value(d) if latest.map(|(ld, _, _)| ld == *d).unwrap_or(false) => {
-                (Classification::Survived, String::new())
+        let Some(unit) = units.get(&p.key) else { continue };
+        let latest = unit.acked.last().copied();
+        let seen = match &p.result {
+            ProbeResult::Value(d) => Some(Intent::Value(*d)),
+            ProbeResult::Missing => Some(Intent::Tombstone),
+            ProbeResult::ReadError(_) => None,
+        };
+        let class = match seen {
+            Some(i) if latest.is_some_and(|a| a.intent == i) || unit.pending.contains(&i) => {
+                Classification::Survived
             }
-            ProbeResult::Value(d) if v.acked.iter().any(|(ad, _, _)| ad == d) => {
-                (Classification::Stale, String::new())
-            }
-            ProbeResult::Value(d) if v.pending.contains(d) => {
-                (Classification::Survived, "unacknowledged write survived".to_string())
-            }
-            ProbeResult::Value(_) => (Classification::Torn, String::new()),
-            ProbeResult::ReadError(e) => (Classification::Torn, format!("read error: {e}")),
-            ProbeResult::Missing if latest.is_some() => (Classification::AckedLost, String::new()),
-            ProbeResult::Missing => (Classification::NeverAcked, String::new()),
+            Some(i) if unit.acked.iter().any(|a| a.intent == i) => Classification::Stale,
+            Some(Intent::Tombstone) if latest.is_some() => Classification::AckedLost,
+            Some(Intent::Tombstone) => Classification::NeverAcked,
+            Some(Intent::Value(_)) | None => Classification::Torn,
         };
         match class {
-            Classification::Survived => tally.survived += 1,
+            Classification::Survived => {
+                tally.survived += 1;
+                continue;
+            }
             Classification::AckedLost => tally.acked_lost += 1,
             Classification::Torn => tally.torn += 1,
             Classification::Stale => tally.stale += 1,
             Classification::NeverAcked => tally.never_acked += 1,
         }
-        if class != Classification::Survived {
-            let (layer, mut evidence) = attribute(class, latest.is_some(), &postmortems);
-            if !note.is_empty() {
-                evidence = format!("{note}; {evidence}");
-            }
-            losses.push(UnitFinding {
-                unit: p.unit.clone(),
-                kind: v.kind,
-                classification: class,
-                contract: latest.map(|(_, _, c)| c),
-                acked_at: latest.map(|(_, t, _)| t),
-                layer: Some(layer),
-                evidence,
-            });
+        let (layer, mut evidence) = attribute(class, &postmortems);
+        if let ProbeResult::ReadError(e) = &p.result {
+            evidence = format!("read error: {e}; {evidence}");
         }
+        losses.push(UnitFinding {
+            unit: Ledger::unit_name(&p.key),
+            kind: unit.kind,
+            classification: class,
+            contract: latest.map(|a| a.contract),
+            acked_at: latest.map(|a| a.at),
+            layer: Some(layer),
+            evidence,
+        });
     }
 
     let durable = tally.durable();
@@ -339,6 +318,10 @@ mod tests {
     use super::*;
     use crate::snapshot::CacheSlotSnap;
 
+    fn probe(key: &[u8], result: ProbeResult) -> Probe {
+        Probe { key: key.to_vec(), result }
+    }
+
     fn ssd_pm(discarded: u64, shorn: u64, rolled: u64) -> DevicePostmortem {
         DevicePostmortem {
             device: "ssd".into(),
@@ -360,7 +343,7 @@ mod tests {
     fn acked_ledger(keys: &[&[u8]], vals: &[&[u8]]) -> Ledger {
         let l = Ledger::new(AckContract::VolatileAck);
         for (k, v) in keys.iter().zip(vals) {
-            l.pend(UnitKind::RelstoreCommit, k, Ledger::digest(v), 10);
+            l.pend(UnitKind::RelstoreCommit, k, Some(v));
         }
         l.ack_all_pending(20, false);
         l
@@ -370,8 +353,8 @@ mod tests {
     fn survived_and_acked_lost_with_cache_attribution() {
         let l = acked_ledger(&[b"a", b"b"], &[b"va", b"vb"]);
         let probes = vec![
-            Probe::new(b"a", ProbeResult::Value(Ledger::digest(b"va"))),
-            Probe::new(b"b", ProbeResult::Missing),
+            probe(b"a", ProbeResult::Value(Ledger::digest(b"va"))),
+            probe(b"b", ProbeResult::Missing),
         ];
         let r = reconcile("t", 2, "end", 1_000, &l, &probes, vec![ssd_pm(1, 0, 0)], vec![]);
         assert_eq!(r.tally, Tally { survived: 1, acked_lost: 1, ..Default::default() });
@@ -386,13 +369,13 @@ mod tests {
     #[test]
     fn torn_from_read_error_attributes_channel_queue() {
         let l = acked_ledger(&[b"a"], &[b"va"]);
-        let probes = vec![Probe::new(b"a", ProbeResult::ReadError("shorn page".into()))];
+        let probes = vec![probe(b"a", ProbeResult::ReadError("shorn page".into()))];
         let r = reconcile("t", 1, "end", 1_000, &l, &probes, vec![ssd_pm(0, 2, 0)], vec![]);
         assert_eq!(r.tally.torn, 1);
         assert_eq!(r.losses[0].layer, Some(LossLayer::ChannelQueue));
         assert!(r.losses[0].evidence.contains("shorn"), "{}", r.losses[0].evidence);
         // Torn also covers "value matches no recorded version".
-        let probes = vec![Probe::new(b"a", ProbeResult::Value(12345))];
+        let probes = vec![probe(b"a", ProbeResult::Value(12345))];
         let r = reconcile("t", 1, "end", 1_000, &l, &probes, vec![ssd_pm(0, 0, 0)], vec![]);
         assert_eq!(r.tally.torn, 1);
         assert_eq!(r.losses[0].layer, Some(LossLayer::Unattributed));
@@ -401,12 +384,12 @@ mod tests {
     #[test]
     fn stale_attributes_lazy_ftl_map() {
         let l = Ledger::new(AckContract::VolatileAck);
-        l.pend(UnitKind::RelstoreCommit, b"a", Ledger::digest(b"v1"), 10);
+        l.pend(UnitKind::RelstoreCommit, b"a", Some(b"v1"));
         l.ack_all_pending(20, false);
-        l.pend(UnitKind::RelstoreCommit, b"a", Ledger::digest(b"v2"), 30);
+        l.pend(UnitKind::RelstoreCommit, b"a", Some(b"v2"));
         l.ack_all_pending(40, false);
         // Recovery handed back v1: the v2 ack vanished.
-        let probes = vec![Probe::new(b"a", ProbeResult::Value(Ledger::digest(b"v1")))];
+        let probes = vec![probe(b"a", ProbeResult::Value(Ledger::digest(b"v1")))];
         let r = reconcile("t", 2, "end", 1_000, &l, &probes, vec![ssd_pm(0, 0, 3)], vec![]);
         assert_eq!(r.tally.stale, 1);
         assert_eq!(r.losses[0].classification, Classification::Stale);
@@ -417,15 +400,15 @@ mod tests {
     #[test]
     fn never_acked_is_expected_loss_not_violation() {
         let l = Ledger::new(AckContract::DurableCacheAck);
-        l.pend(UnitKind::RelstoreCommit, b"a", Ledger::digest(b"v"), 10);
+        l.pend(UnitKind::RelstoreCommit, b"a", Some(b"v"));
         // No ack before the cut.
-        let probes = vec![Probe::new(b"a", ProbeResult::Missing)];
+        let probes = vec![probe(b"a", ProbeResult::Missing)];
         let r = reconcile("t", 1, "after-put", 1_000, &l, &probes, vec![], vec![]);
         assert_eq!(r.tally.never_acked, 1);
         assert!(r.durable, "never-acked does not break durability");
         assert_eq!(r.losses[0].layer, Some(LossLayer::HostInFlight));
         // An unacked write that *survived* is counted as survived.
-        let probes = vec![Probe::new(b"a", ProbeResult::Value(Ledger::digest(b"v")))];
+        let probes = vec![probe(b"a", ProbeResult::Value(Ledger::digest(b"v")))];
         let r = reconcile("t", 1, "after-put", 1_000, &l, &probes, vec![], vec![]);
         assert_eq!(r.tally.survived, 1);
     }
@@ -439,7 +422,7 @@ mod tests {
             discarded_dirty_slots: 5,
             ..Default::default()
         };
-        let probes = vec![Probe::new(b"a", ProbeResult::Missing)];
+        let probes = vec![probe(b"a", ProbeResult::Missing)];
         let r = reconcile("t", 1, "end", 1_000, &l, &probes, vec![pm], vec![]);
         assert_eq!(r.losses[0].layer, Some(LossLayer::HddWriteCache));
     }
@@ -447,8 +430,91 @@ mod tests {
     #[test]
     fn probe_of_unrecorded_unit_is_ignored() {
         let l = acked_ledger(&[b"a"], &[b"va"]);
-        let probes = vec![Probe::new(b"zz", ProbeResult::Missing)];
+        let probes = vec![probe(b"zz", ProbeResult::Missing)];
         let r = reconcile("t", 1, "end", 1_000, &l, &probes, vec![], vec![]);
         assert_eq!(r.tally, Tally::default());
+    }
+
+    /// Reconcile one probe of `key` against `l` with no postmortem evidence.
+    fn classify(l: &Ledger, key: &[u8], result: ProbeResult) -> Tally {
+        reconcile("t", 1, "end", 1_000, l, &[probe(key, result)], vec![], vec![]).tally
+    }
+
+    fn missing(l: &Ledger) -> Tally {
+        classify(l, b"k", ProbeResult::Missing)
+    }
+
+    /// Record `writes` for the unit `k` (`None` is a delete), acknowledging
+    /// each one.
+    fn acked_writes(writes: &[Option<&[u8]>]) -> Ledger {
+        let l = Ledger::new(AckContract::DurableCacheAck);
+        for (t, w) in writes.iter().enumerate() {
+            l.pend(UnitKind::RelstoreCommit, b"k", *w);
+            l.ack_all_pending(10 * t as u64 + 10, false);
+        }
+        l
+    }
+
+    #[test]
+    fn a_surviving_acknowledged_delete_is_survived() {
+        let l = acked_writes(&[Some(b"v"), None]);
+        assert_eq!(missing(&l), Tally { survived: 1, ..Default::default() });
+    }
+
+    #[test]
+    fn a_delete_undone_by_a_lost_put_is_stale() {
+        let l = acked_writes(&[None, Some(b"v")]);
+        assert_eq!(missing(&l), Tally { stale: 1, ..Default::default() });
+    }
+
+    #[test]
+    fn a_lost_empty_value_is_acked_lost_not_a_delete() {
+        let l = acked_writes(&[Some(b"")]);
+        assert_eq!(missing(&l), Tally { acked_lost: 1, ..Default::default() });
+        let r = classify(&l, b"k", ProbeResult::of(Some(b"")));
+        assert_eq!(r, Tally { survived: 1, ..Default::default() });
+    }
+
+    #[test]
+    fn a_pending_delete_may_survive() {
+        let l = acked_writes(&[Some(b"v1"), None, Some(b"v2")]);
+        l.pend(UnitKind::RelstoreCommit, b"k", None);
+        assert_eq!(missing(&l), Tally { survived: 1, ..Default::default() });
+    }
+
+    /// `k` committed as `v1`, then overwritten twice (`v2`, `v3`) without a
+    /// commit: the stores batch acknowledgements, so a crash may truncate
+    /// to any of the three.
+    fn committed_v1_pending_v2_v3() -> Ledger {
+        let l = acked_writes(&[Some(b"v1")]);
+        l.pend(UnitKind::DocstoreUpdate, b"k", Some(b"v2"));
+        l.pend(UnitKind::DocstoreUpdate, b"k", Some(b"v3"));
+        l
+    }
+
+    #[test]
+    fn any_durable_point_after_the_last_ack_survives() {
+        let l = committed_v1_pending_v2_v3();
+        for v in [b"v1", b"v2", b"v3"] {
+            let t = classify(&l, b"k", ProbeResult::of(Some(v)));
+            assert_eq!(t, Tally { survived: 1, ..Default::default() }, "{v:?}");
+        }
+    }
+
+    #[test]
+    fn impossible_recoveries_are_not_durable() {
+        // A version never written for the key is torn.
+        let t = classify(&committed_v1_pending_v2_v3(), b"k", ProbeResult::of(Some(b"v9")));
+        assert_eq!(t, Tally { torn: 1, ..Default::default() });
+        assert!(!t.durable());
+        // Losing a committed value is acked-lost.
+        let t = missing(&acked_writes(&[Some(b"v")]));
+        assert_eq!(t, Tally { acked_lost: 1, ..Default::default() });
+        assert!(!t.durable());
+        // A value from before the last commit barrier is stale.
+        let l = acked_writes(&[Some(b"old"), Some(b"newer")]);
+        let t = classify(&l, b"k", ProbeResult::of(Some(b"old")));
+        assert_eq!(t, Tally { stale: 1, ..Default::default() });
+        assert!(!t.durable());
     }
 }

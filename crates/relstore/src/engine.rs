@@ -640,7 +640,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
         };
         self.log_op(Some(OpRef::Put { tree, key, value }), structural, root_change);
         if let Some(ledger) = &self.ledger {
-            ledger.pend(UnitKind::RelstoreCommit, key, Ledger::digest(value), now);
+            ledger.pend(UnitKind::RelstoreCommit, key, Some(value));
         }
         scope.map_or(t, |s| s.close(t))
     }
@@ -682,9 +682,9 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             self.op(now, |trees, view, t| trees[tree as usize].delete(view, key, t));
         self.log_op(Some(OpRef::Delete { tree, key }), structural, None);
         if let Some(ledger) = &self.ledger {
-            // A delete's "value" is absence: record the tombstone digest so
-            // the reconciler expects `Missing` for a surviving delete.
-            ledger.pend(UnitKind::RelstoreCommit, key, Ledger::digest(&[]), now);
+            // A tombstone: the reconciler expects `Missing` for a surviving
+            // delete.
+            ledger.pend(UnitKind::RelstoreCommit, key, None);
         }
         Timed::new(existed, scope.map_or(t, |s| s.close(t)))
     }

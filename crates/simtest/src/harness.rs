@@ -1,6 +1,8 @@
 //! Replays op sequences against the real implementations, checking every
 //! observable against the shadow oracles and auditing structural
-//! invariants after every single step.
+//! invariants after every single step. The device targets check against
+//! [`DeviceOracle`]; the store targets record every unit into a
+//! [`forensics::Ledger`] and, after each crash, probe and reconcile it.
 //!
 //! Every case runs with latency anatomy enabled: each op executes inside a
 //! telemetry frame and the audit after every step asserts the conservation
@@ -10,14 +12,18 @@
 
 use docstore::{DocStore, DocStoreConfig};
 use durassd::{Ssd, SsdConfig};
-use relstore::{Engine, EngineConfig};
+use forensics::{
+    reconcile, AckContract, Classification, DevicePostmortem, Forensic, Intent, Ledger,
+    ProbeResult, UnitKind,
+};
+use relstore::{Engine, EngineConfig, TreeId};
 use simkit::rng::SimRng;
 use simkit::Nanos;
 use storage::device::{BlockDevice, LOGICAL_PAGE};
 use telemetry::{SegKind, Telemetry};
 
 use crate::ops::{generate, Alphabet, Op};
-use crate::oracle::{page_bytes, parse_page, DeviceOracle, KvOracle};
+use crate::oracle::{page_bytes, parse_page, DeviceOracle};
 
 /// Which stack a case drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,9 +128,9 @@ pub fn run_case(target: Target, ops: &[Op]) -> Result<(), Failure> {
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match target {
         Target::Dura => run_device_case(ops, false),
         Target::Volatile => run_device_case(ops, true),
-        Target::Engine => run_engine_case(ops, &EngineCase::commit_interleavings()),
-        Target::EngineRedo => run_engine_case(ops, &EngineCase::redo_outstanding()),
-        Target::Doc => run_doc_case(ops),
+        Target::Engine => run_store_case(ops, EngineStore::commit_interleavings()),
+        Target::EngineRedo => run_store_case(ops, EngineStore::redo_outstanding()),
+        Target::Doc => run_store_case(ops, doc_case()),
     }));
     match run {
         Ok(verdict) => verdict,
@@ -361,7 +367,7 @@ fn run_device_case(ops: &[Op], volatile: bool) -> Result<(), Failure> {
     Ok(())
 }
 
-// ---------------------------------------------------------------- engine
+// ----------------------------------------------------------------- stores
 
 fn key_of(key: u64) -> Vec<u8> {
     format!("k{key:04}").into_bytes()
@@ -377,24 +383,128 @@ fn val_of(key: u64, version: u64, (base, spread): Pad) -> Vec<u8> {
     format!("v{version}:{key}:{}", "x".repeat(base + (version % spread) as usize)).into_bytes()
 }
 
-/// Decode a stored value back to its version number.
-fn version_of(val: &[u8], key: u64, pad: Pad) -> Result<u64, String> {
-    let s = std::str::from_utf8(val).map_err(|_| format!("key {key}: non-utf8 value"))?;
-    let rest = s.strip_prefix('v').ok_or_else(|| format!("key {key}: bad value {s:?}"))?;
-    let (ver, _) = rest.split_once(':').ok_or_else(|| format!("key {key}: bad value {s:?}"))?;
-    let v: u64 = ver.parse().map_err(|_| format!("key {key}: bad version in {s:?}"))?;
-    if val != val_of(key, v, pad) {
-        return Err(format!("key {key}: value body mangled: {s:?}"));
+/// A key-value store under test. What the relational engine and the
+/// document store do differently lives in the two impls; one loop
+/// ([`run_store_case`]) drives either.
+trait Store: Sized {
+    /// The unit the store records into its ledger.
+    const KIND: UnitKind;
+    /// Put `val` at `key`, or delete `key` when `val` is `None`.
+    fn write(&mut self, key: &[u8], val: Option<&[u8]>, now: Nanos) -> Nanos;
+    fn get(&mut self, key: &[u8], now: Nanos) -> (Option<Vec<u8>>, Nanos);
+    /// `c`, `ck` or `ckpt`, as this store reads them.
+    fn sync(&mut self, op: &Op, now: Nanos) -> Nanos;
+    /// Cut power at `at`, harvest the devices' postmortems, recover and
+    /// re-attach `tel`. Returns the recovered store and when it is ready.
+    fn crash_recover(
+        self,
+        at: Nanos,
+        tel: &Telemetry,
+    ) -> Result<(Self, Nanos, Vec<DevicePostmortem>), String>;
+    fn attach_ledger(&mut self, ledger: Ledger);
+    fn check_invariants(&self) -> Result<(), String>;
+    /// After a recovery: check what a full scan returns against `live`, the
+    /// keys the probe read back. Returns the completion time.
+    fn check_scan(&mut self, _live: &[Vec<u8>], now: Nanos) -> Result<Nanos, String> {
+        Ok(now)
     }
-    Ok(v)
 }
 
-/// What distinguishes one relational fuzz target from another: the mount
-/// and the value sizes (the key space comes with the target's alphabet).
-struct EngineCase {
-    cfg: EngineConfig,
+/// A store ready for its first op, with the ledger it records into.
+struct StoreCase<S> {
+    store: S,
+    ledger: Ledger,
+    tel: Telemetry,
+    now: Nanos,
     pad: Pad,
 }
+
+impl<S: Store> StoreCase<S> {
+    fn new(mut store: S, tel: Telemetry, now: Nanos, pad: Pad) -> Self {
+        // The stores sit on DuraSSDs: a barrierless ack is durable.
+        let ledger = Ledger::new(AckContract::DurableCacheAck);
+        store.attach_ledger(ledger.clone());
+        Self { store, ledger, tel, now, pad }
+    }
+}
+
+fn run_store_case<S: Store>(ops: &[Op], case: StoreCase<S>) -> Result<(), Failure> {
+    let StoreCase { mut store, mut ledger, tel, mut now, pad } = case;
+    let mut version = 0;
+    for (step, op) in ops.iter().enumerate() {
+        match *op {
+            Op::Put { key } => {
+                version += 1;
+                now = store.write(&key_of(key), Some(&val_of(key, version, pad)), now);
+            }
+            Op::GetKey { key } => {
+                let key = key_of(key);
+                let (got, t) = store.get(&key, now);
+                now = t;
+                let want = ledger.latest(&key);
+                if Intent::of(got.as_deref()) != want {
+                    let got = got.map(|v| String::from_utf8_lossy(&v).into_owned());
+                    let unit = Ledger::unit_name(&key);
+                    let msg = format!("{unit}: read {got:?}, but the latest intent is {want:?}");
+                    return Err(fail(step, op, msg));
+                }
+            }
+            Op::Del { key } => now = store.write(&key_of(key), None, now),
+            Op::Commit | Op::Checkpoint | Op::Ckpt => now = store.sync(op, now),
+            Op::CrashRecover => {
+                let cut_at = now + 1;
+                let (recovered, ready, pms) =
+                    store.crash_recover(cut_at, &tel).map_err(|m| fail(step, op, m))?;
+                store = recovered;
+                now = ready;
+                let mut seen = Vec::new();
+                let probes = ledger.probe(|key| {
+                    let (got, t) = store.get(key, now);
+                    now = t;
+                    let result = ProbeResult::of(got.as_deref());
+                    seen.push(got);
+                    result
+                });
+                let label = S::KIND.as_str();
+                let cut =
+                    reconcile(label, step as u64, "cr", cut_at, &ledger, &probes, pms, vec![]);
+                if !cut.durable {
+                    let broken: Vec<String> = cut
+                        .losses
+                        .iter()
+                        .filter(|f| f.classification != Classification::NeverAcked)
+                        .map(|f| {
+                            format!("{} [{}]: {}", f.unit, f.classification.as_str(), f.evidence)
+                        })
+                        .collect();
+                    return Err(fail(step, op, format!("{}: {}", cut.verdict, broken.join("; "))));
+                }
+                let live: Vec<Vec<u8>> = probes
+                    .iter()
+                    .filter(|p| matches!(p.result, ProbeResult::Value(_)))
+                    .map(|p| p.key.clone())
+                    .collect();
+                now = store.check_scan(&live, now).map_err(|m| fail(step, op, m))?;
+                // What recovery returned is the state later checks hold the
+                // store to: every unit as observed, acknowledged.
+                ledger = Ledger::new(AckContract::DurableCacheAck);
+                for (p, got) in probes.iter().zip(&seen) {
+                    ledger.pend(S::KIND, &p.key, got.as_deref());
+                }
+                ledger.ack_all_pending(ready, false);
+                store.attach_ledger(ledger.clone());
+            }
+            _ => return Err(fail(step, op, "not a store op")),
+        }
+        store
+            .check_invariants()
+            .map_err(|m| fail(step, op, format!("invariant violation: {m}")))?;
+        audit_anatomy(&tel).map_err(|m| fail(step, op, format!("anatomy audit: {m}")))?;
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------- engine
 
 /// The paper's lean mount on DuraSSD: no barriers, no double write — safe
 /// *because* the cache is capacitor-backed. Exactly the claim the fuzzer
@@ -412,151 +522,121 @@ fn lean_cfg(frames: u64, log_file_blocks: u64) -> EngineConfig {
     }
 }
 
-impl EngineCase {
+/// A store's device, reporting to `tel`.
+fn store_dev(tel: &Telemetry) -> Ssd {
+    let mut dev = Ssd::new(SsdConfig::tiny_test());
+    dev.attach_telemetry(tel.clone());
+    dev
+}
+
+/// The relational engine with its one tree.
+struct EngineStore {
+    eng: Engine<Ssd, Ssd>,
+    tree: TreeId,
+    cfg: EngineConfig,
+}
+
+impl EngineStore {
+    /// A fresh engine on `cfg`, its tree created and checkpointed.
+    fn case(cfg: EngineConfig, pad: Pad) -> StoreCase<Self> {
+        let tel = fuzz_tel();
+        let (mut eng, t0) = Engine::create(store_dev(&tel), store_dev(&tel), cfg, 0).into_parts();
+        eng.attach_telemetry(tel.clone());
+        let (tree, t1) = eng.create_tree(t0).into_parts();
+        let now = eng.checkpoint(t1);
+        StoreCase::new(EngineStore { eng, tree, cfg }, tel, now, pad)
+    }
+
     /// `engine`: a pool that holds the whole one-leaf tree, and a
     /// commit-count policy with a short interval so the policy-driven
     /// `ckpt` op actually fires checkpoints mid-trace.
-    fn commit_interleavings() -> Self {
+    fn commit_interleavings() -> StoreCase<Self> {
         let checkpoint_policy = relstore::CheckpointPolicy::EveryNCommits(6);
-        Self { cfg: EngineConfig { checkpoint_policy, ..lean_cfg(32, 64) }, pad: PAD_48 }
+        Self::case(EngineConfig { checkpoint_policy, ..lean_cfg(32, 64) }, PAD_48)
     }
 
     /// `engine_redo`: eight frames under a tree of dozens of leaves, values
     /// of 70–130 bytes, a log that holds a whole trace, and checkpoints
     /// only where the trace has a `ck`.
-    fn redo_outstanding() -> Self {
+    fn redo_outstanding() -> StoreCase<Self> {
         let checkpoint_policy = relstore::CheckpointPolicy::Explicit;
-        Self { cfg: EngineConfig { checkpoint_policy, ..lean_cfg(8, 384) }, pad: (70, 61) }
+        Self::case(EngineConfig { checkpoint_policy, ..lean_cfg(8, 384) }, (70, 61))
     }
 }
 
-fn engine_dev() -> Ssd {
-    Ssd::new(SsdConfig::tiny_test())
-}
+impl Store for EngineStore {
+    const KIND: UnitKind = UnitKind::RelstoreCommit;
 
-fn check_engine_invariants(e: &Engine<Ssd, Ssd>) -> Result<(), String> {
-    e.data_volume().device().check_invariants().map_err(|m| format!("data dev: {m}"))?;
-    e.log_volume().device().check_invariants().map_err(|m| format!("log dev: {m}"))
-}
-
-fn run_engine_case(ops: &[Op], case: &EngineCase) -> Result<(), Failure> {
-    let EngineCase { cfg, pad } = *case;
-    let tel = fuzz_tel();
-    let mut data = engine_dev();
-    data.attach_telemetry(tel.clone());
-    let mut log = engine_dev();
-    log.attach_telemetry(tel.clone());
-    let (mut eng, t0) = Engine::create(data, log, cfg, 0).into_parts();
-    eng.attach_telemetry(tel.clone());
-    let (tree, t1) = eng.create_tree(t0).into_parts();
-    let mut now = eng.checkpoint(t1);
-    let mut oracle = KvOracle::new();
-    for (step, op) in ops.iter().enumerate() {
-        match *op {
-            Op::Put { key } => {
-                let v = oracle.issue_version();
-                now = eng.put(tree, &key_of(key), &val_of(key, v, pad), now);
-                oracle.put(key, v);
-            }
-            Op::GetKey { key } => {
-                let (got, t) = eng.get(tree, &key_of(key), now).into_parts();
-                now = t;
-                let got_v = match got {
-                    Some(bytes) => {
-                        Some(version_of(&bytes, key, pad).map_err(|m| fail(step, op, m))?)
-                    }
-                    None => None,
-                };
-                let want = oracle.expect(key);
-                if got_v != want {
-                    return Err(fail(
-                        step,
-                        op,
-                        format!("key {key}: engine returned {got_v:?}, oracle expects {want:?}"),
-                    ));
-                }
-            }
-            Op::Del { key } => {
-                let (_, t) = eng.delete(tree, &key_of(key), now).into_parts();
-                now = t;
-                oracle.del(key);
-            }
-            Op::Commit => {
-                now = eng.commit(now);
-                oracle.commit();
-            }
-            Op::Checkpoint => {
-                now = eng.checkpoint(now);
-            }
-            Op::Ckpt => {
-                // Policy-driven: checkpoint only if the WAL's policy says
-                // one is due — exercises the lag-one header advance.
-                if eng.needs_checkpoint() {
-                    now = eng.checkpoint(now);
-                }
-            }
-            Op::CrashRecover => {
-                let (d, l) = eng.crash(now + 1);
-                let recovered = Engine::recover(d, l, cfg, now + 2)
-                    .map_err(|e| fail(step, op, format!("recovery failed: {e}")))?;
-                let (e2, t2) = recovered.into_parts();
-                eng = e2;
-                // The devices keep their telemetry through the crash;
-                // recovery itself runs unframed, post-recovery ops frame
-                // again once the engine is re-attached.
-                eng.attach_telemetry(tel.clone());
-                now = t2;
-                for key in oracle.keys() {
-                    let (got, t) = eng.get(tree, &key_of(key), now).into_parts();
-                    now = t;
-                    let got_v = match got {
-                        Some(bytes) => {
-                            Some(version_of(&bytes, key, pad).map_err(|m| fail(step, op, m))?)
-                        }
-                        None => None,
-                    };
-                    oracle.absorb_recovered(key, got_v).map_err(|m| fail(step, op, m))?;
-                }
-                oracle.finish_recovery();
-                // The leaf chain must hold exactly what the point lookups
-                // found: an invented, duplicated or misplaced key fails as
-                // loudly as a lost one.
-                let live: Vec<Vec<u8>> = oracle
-                    .keys()
-                    .into_iter()
-                    .filter(|&key| oracle.expect(key).is_some())
-                    .map(key_of)
-                    .collect();
-                // One more than can be right, so a looping chain ends.
-                let (rows, t) = eng.scan(tree, b"", live.len() + 1, now).into_parts();
-                now = t;
-                let scanned: Vec<Vec<u8>> = rows.into_iter().map(|(k, _)| k).collect();
-                if scanned != live {
-                    let show = |keys: &[Vec<u8>], other: &[Vec<u8>]| {
-                        let odd = keys.iter().filter(|k| !other.contains(k));
-                        odd.map(|k| String::from_utf8_lossy(k).into_owned()).collect::<Vec<_>>()
-                    };
-                    return Err(fail(
-                        step,
-                        op,
-                        format!(
-                            "full scan returned {} keys, point lookups found {}: only in scan \
-                             {:?}, missing from scan {:?}",
-                            scanned.len(),
-                            live.len(),
-                            show(&scanned, &live),
-                            show(&live, &scanned)
-                        ),
-                    ));
-                }
-            }
-            _ => return Err(fail(step, op, "not a store op")),
+    fn write(&mut self, key: &[u8], val: Option<&[u8]>, now: Nanos) -> Nanos {
+        match val {
+            Some(val) => self.eng.put(self.tree, key, val, now),
+            None => self.eng.delete(self.tree, key, now).done,
         }
-        check_engine_invariants(&eng)
-            .map_err(|m| fail(step, op, format!("invariant violation: {m}")))?;
-        audit_anatomy(&tel).map_err(|m| fail(step, op, format!("anatomy audit: {m}")))?;
     }
-    Ok(())
+
+    fn get(&mut self, key: &[u8], now: Nanos) -> (Option<Vec<u8>>, Nanos) {
+        self.eng.get(self.tree, key, now).into_parts()
+    }
+
+    fn sync(&mut self, op: &Op, now: Nanos) -> Nanos {
+        match op {
+            Op::Commit => self.eng.commit(now),
+            // `ckpt` only if the WAL's policy says one is due — exercises
+            // the lag-one header advance.
+            Op::Ckpt if !self.eng.needs_checkpoint() => now,
+            _ => self.eng.checkpoint(now),
+        }
+    }
+
+    fn crash_recover(
+        self,
+        at: Nanos,
+        tel: &Telemetry,
+    ) -> Result<(Self, Nanos, Vec<DevicePostmortem>), String> {
+        let (mut d, mut l) = self.eng.crash(at);
+        let pms = d.take_postmortem().into_iter().chain(l.take_postmortem()).collect();
+        let recovered =
+            Engine::recover(d, l, self.cfg, at + 1).map_err(|e| format!("recovery failed: {e}"))?;
+        let (mut eng, ready) = recovered.into_parts();
+        // The devices keep their telemetry through the crash; recovery
+        // itself runs unframed, post-recovery ops frame again once the
+        // engine is re-attached.
+        eng.attach_telemetry(tel.clone());
+        Ok((EngineStore { eng, ..self }, ready, pms))
+    }
+
+    fn attach_ledger(&mut self, ledger: Ledger) {
+        self.eng.attach_ledger(ledger);
+    }
+
+    fn check_invariants(&self) -> Result<(), String> {
+        let e = &self.eng;
+        e.data_volume().device().check_invariants().map_err(|m| format!("data dev: {m}"))?;
+        e.log_volume().device().check_invariants().map_err(|m| format!("log dev: {m}"))
+    }
+
+    /// The leaf chain must hold exactly what the point lookups found: an
+    /// invented, duplicated or misplaced key fails as loudly as a lost one.
+    fn check_scan(&mut self, live: &[Vec<u8>], now: Nanos) -> Result<Nanos, String> {
+        // One more than can be right, so a looping chain ends.
+        let (rows, t) = self.eng.scan(self.tree, b"", live.len() + 1, now).into_parts();
+        let scanned: Vec<Vec<u8>> = rows.into_iter().map(|(k, _)| k).collect();
+        if scanned == live {
+            return Ok(t);
+        }
+        let show = |keys: &[Vec<u8>], other: &[Vec<u8>]| {
+            let odd = keys.iter().filter(|k| !other.contains(k));
+            odd.map(|k| String::from_utf8_lossy(k).into_owned()).collect::<Vec<_>>()
+        };
+        Err(format!(
+            "full scan returned {} keys, point lookups found {}: only in scan {:?}, missing \
+             from scan {:?}",
+            scanned.len(),
+            live.len(),
+            show(&scanned, live),
+            show(live, &scanned)
+        ))
+    }
 }
 
 // --------------------------------------------------------------- docstore
@@ -570,80 +650,56 @@ fn doc_cfg() -> DocStoreConfig {
     }
 }
 
-fn run_doc_case(ops: &[Op]) -> Result<(), Failure> {
+fn doc_case() -> StoreCase<DocStore<Ssd>> {
     let tel = fuzz_tel();
-    let mut dev = engine_dev();
-    dev.attach_telemetry(tel.clone());
-    let mut store = DocStore::create(dev, doc_cfg());
+    let mut store = DocStore::create(store_dev(&tel), doc_cfg());
     store.attach_telemetry(tel.clone());
-    let mut now: Nanos = store.commit_header(0);
-    let mut oracle = KvOracle::new();
-    for (step, op) in ops.iter().enumerate() {
-        match *op {
-            Op::Put { key } => {
-                let v = oracle.issue_version();
-                now = store.set(&key_of(key), &val_of(key, v, PAD_48), now);
-                oracle.put(key, v);
-            }
-            Op::GetKey { key } => {
-                let (got, t) = store.get(&key_of(key), now).into_parts();
-                now = t;
-                let got_v = match got {
-                    Some(bytes) => {
-                        Some(version_of(&bytes, key, PAD_48).map_err(|m| fail(step, op, m))?)
-                    }
-                    None => None,
-                };
-                let want = oracle.expect(key);
-                if got_v != want {
-                    return Err(fail(
-                        step,
-                        op,
-                        format!("key {key}: docstore returned {got_v:?}, oracle expects {want:?}"),
-                    ));
-                }
-            }
-            Op::Del { key } => {
-                now = store.delete(&key_of(key), now);
-                oracle.del(key);
-            }
-            // Every header is the store's checkpoint: there is no policy
-            // to consult.
-            Op::Commit | Op::Ckpt => {
-                now = store.commit_header(now);
-                oracle.commit();
-            }
-            Op::Checkpoint => {
-                now = store.compact(now);
-            }
-            Op::CrashRecover => {
-                let dev = store.crash(now + 1);
-                let (s2, t2) = DocStore::recover(dev, doc_cfg(), now + 2).into_parts();
-                store = s2;
-                store.attach_telemetry(tel.clone());
-                now = t2;
-                for key in oracle.keys() {
-                    let (got, t) = store.get(&key_of(key), now).into_parts();
-                    now = t;
-                    let got_v = match got {
-                        Some(bytes) => {
-                            Some(version_of(&bytes, key, PAD_48).map_err(|m| fail(step, op, m))?)
-                        }
-                        None => None,
-                    };
-                    oracle.absorb_recovered(key, got_v).map_err(|m| fail(step, op, m))?;
-                }
-                oracle.finish_recovery();
-            }
-            _ => return Err(fail(step, op, "not a store op")),
+    let now = store.commit_header(0);
+    StoreCase::new(store, tel, now, PAD_48)
+}
+
+impl Store for DocStore<Ssd> {
+    const KIND: UnitKind = UnitKind::DocstoreUpdate;
+
+    fn write(&mut self, key: &[u8], val: Option<&[u8]>, now: Nanos) -> Nanos {
+        match val {
+            Some(val) => self.set(key, val, now),
+            None => self.delete(key, now),
         }
-        store
-            .device()
-            .check_invariants()
-            .map_err(|m| fail(step, op, format!("invariant violation: {m}")))?;
-        audit_anatomy(&tel).map_err(|m| fail(step, op, format!("anatomy audit: {m}")))?;
     }
-    Ok(())
+
+    fn get(&mut self, key: &[u8], now: Nanos) -> (Option<Vec<u8>>, Nanos) {
+        DocStore::get(self, key, now).into_parts()
+    }
+
+    fn sync(&mut self, op: &Op, now: Nanos) -> Nanos {
+        match op {
+            Op::Checkpoint => self.compact(now),
+            // Every header is the store's checkpoint: `ckpt` has no policy
+            // to consult.
+            _ => self.commit_header(now),
+        }
+    }
+
+    fn crash_recover(
+        self,
+        at: Nanos,
+        tel: &Telemetry,
+    ) -> Result<(Self, Nanos, Vec<DevicePostmortem>), String> {
+        let mut dev = self.crash(at);
+        let pms = dev.take_postmortem().into_iter().collect();
+        let (mut store, ready) = DocStore::recover(dev, doc_cfg(), at + 1).into_parts();
+        store.attach_telemetry(tel.clone());
+        Ok((store, ready, pms))
+    }
+
+    fn attach_ledger(&mut self, ledger: Ledger) {
+        DocStore::attach_ledger(self, ledger);
+    }
+
+    fn check_invariants(&self) -> Result<(), String> {
+        self.device().check_invariants()
+    }
 }
 
 #[cfg(test)]
@@ -685,6 +741,36 @@ mod tests {
         let v = case.oracle.issue_version();
         case.oracle.write(9, v); // planted lie
         assert!(case.checked_read(9, 1).is_err());
+    }
+
+    /// Plant an acknowledged put of `k0009` that the store never received,
+    /// then run `trace`: the case must fail at the crash, naming the key.
+    fn planted_ack_fails<S: Store>(case: StoreCase<S>, trace: &str) {
+        case.ledger.pend(S::KIND, &key_of(9), Some(b"planted"));
+        case.ledger.ack_all_pending(case.now, false);
+        let err = run_store_case(&parse_trace(trace).unwrap(), case).unwrap_err();
+        assert_eq!(err.op, "cr", "{err}");
+        assert!(err.msg.contains("k0009 [acked-lost]"), "{err}");
+    }
+
+    #[test]
+    fn store_oracle_catches_a_planted_lost_ack() {
+        planted_ack_fails(EngineStore::commit_interleavings(), "p:1 c cr");
+        planted_ack_fails(EngineStore::redo_outstanding(), "p:1 c cr");
+        planted_ack_fails(doc_case(), "p:1 c cr");
+    }
+
+    #[test]
+    fn docstore_acks_each_batch_without_a_commit() {
+        // batch_size 4: the fourth set writes a header, and the ledger holds
+        // the store to that acknowledgement across the cut.
+        let case = doc_case();
+        let ledger = case.ledger.clone();
+        run_store_case(&parse_trace("p:1 p:2 p:3 p:4 cr gk:1 gk:4").unwrap(), case).unwrap();
+        for key in 1..=4 {
+            let unit = ledger.history(&key_of(key)).unwrap();
+            assert_eq!((unit.acked.len(), unit.pending.len()), (1, 0), "k{key:04}");
+        }
     }
 
     #[test]

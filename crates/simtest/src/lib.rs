@@ -6,8 +6,9 @@
 //! cuts landing *inside* a write's un-acked window), a harness replays them
 //! against the real [`durassd::Ssd`], the relational [`relstore::Engine`]
 //! and the document store, and a *shadow oracle* — a flat `lpn → version`
-//! model for the device, ordered-map models for the stores — checks every
-//! observable result. After **every** step the structural invariant hooks
+//! model for the device, the `forensics` durability ledger and its
+//! reconciler for the stores — checks every observable result. After
+//! **every** step the structural invariant hooks
 //! (`Ftl::check_invariants`, `WriteCache::check_invariants`,
 //! `Ssd::check_invariants`) audit the internal state, so corruption is
 //! caught at the step that introduces it rather than at the read that

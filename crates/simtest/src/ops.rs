@@ -43,7 +43,7 @@ pub enum Op {
     // ---- store targets (relational engine / document store) ----
     /// Upsert a deterministic value for `key`.
     Put { key: u64 },
-    /// Point lookup + oracle check.
+    /// Point lookup, checked against the unit's latest recorded intent.
     GetKey { key: u64 },
     /// Delete `key`.
     Del { key: u64 },
@@ -56,7 +56,7 @@ pub enum Op {
     /// (every header is its checkpoint) and commits a header.
     Ckpt,
     /// Crash the store (power-cuts the device(s) underneath), recover,
-    /// audit every key against the shadow model.
+    /// probe every unit the ledger recorded and reconcile.
     CrashRecover,
 }
 

@@ -1,5 +1,6 @@
-//! Shadow oracles: reference models the real implementations are checked
-//! against.
+//! The shadow oracle of the device targets: a page-level reference model the
+//! real device is checked against. (The store targets check against the
+//! `forensics` ledger instead; see `harness`.)
 //!
 //! # Page payload encoding
 //!
@@ -21,8 +22,6 @@
 //!   the documented corruption the paper's DuraSSD removes. Clean lpns
 //!   stay strict, and a fresh write or trim snaps the lpn back to strict
 //!   checking. Structural invariants are enforced at all times regardless.
-
-use std::collections::BTreeMap;
 
 use storage::device::{DevError, LOGICAL_PAGE};
 
@@ -182,110 +181,6 @@ impl DeviceOracle {
     }
 }
 
-/// Shadow model for the key-value store targets.
-///
-/// Strict before a crash: a `get` must return exactly the latest acked
-/// value. Across a crash the oracle is *relaxed to the durability
-/// contract*: a key must read as its last committed value or any value
-/// issued for it since the last commit — the stores batch fsyncs, so a
-/// crash can truncate the un-synced tail back to any intermediate
-/// durable point. Whatever the recovered store answers is then adopted
-/// as the new committed state so later checks are strict again. What the
-/// relaxation still forbids — values from before the last commit
-/// barrier, values never written for the key, mangled bodies — is
-/// exactly the set of real durability bugs.
-pub struct KvOracle {
-    /// State as of the last commit barrier.
-    committed: BTreeMap<u64, u64>,
-    /// Every update since the last commit, in order:
-    /// `Some(version)` = put, `None` = del.
-    pending: BTreeMap<u64, Vec<Option<u64>>>,
-    next_version: u64,
-}
-
-impl Default for KvOracle {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl KvOracle {
-    pub fn new() -> Self {
-        Self { committed: BTreeMap::new(), pending: BTreeMap::new(), next_version: 0 }
-    }
-
-    pub fn issue_version(&mut self) -> u64 {
-        self.next_version += 1;
-        self.next_version
-    }
-
-    pub fn put(&mut self, key: u64, version: u64) {
-        self.pending.entry(key).or_default().push(Some(version));
-    }
-
-    pub fn del(&mut self, key: u64) {
-        self.pending.entry(key).or_default().push(None);
-    }
-
-    pub fn commit(&mut self) {
-        for (k, versions) in std::mem::take(&mut self.pending) {
-            match versions.last().copied().flatten() {
-                Some(ver) => {
-                    self.committed.insert(k, ver);
-                }
-                None => {
-                    self.committed.remove(&k);
-                }
-            }
-        }
-    }
-
-    /// Expected value of `key` right now (merged view), pre-crash strict.
-    pub fn expect(&self, key: u64) -> Option<u64> {
-        match self.pending.get(&key).and_then(|v| v.last()) {
-            Some(over) => *over,
-            None => self.committed.get(&key).copied(),
-        }
-    }
-
-    /// All keys that have ever been touched (committed or pending).
-    pub fn keys(&self) -> Vec<u64> {
-        let mut ks: Vec<u64> = self.committed.keys().chain(self.pending.keys()).copied().collect();
-        ks.sort_unstable();
-        ks.dedup();
-        ks
-    }
-
-    /// Check and absorb one key's post-recovery observation. The observed
-    /// value must be the committed one or any un-committed update issued
-    /// for the key; the observation then *becomes* the committed state.
-    pub fn absorb_recovered(&mut self, key: u64, observed: Option<u64>) -> Result<(), String> {
-        let committed = self.committed.get(&key).copied();
-        let pending = self.pending.get(&key).map(Vec::as_slice).unwrap_or(&[]);
-        let ok = observed == committed || pending.contains(&observed);
-        if !ok {
-            return Err(format!(
-                "key {key}: recovered {observed:?}, but committed state was {committed:?} \
-                 and pending updates were {pending:?}"
-            ));
-        }
-        match observed {
-            Some(v) => {
-                self.committed.insert(key, v);
-            }
-            None => {
-                self.committed.remove(&key);
-            }
-        }
-        Ok(())
-    }
-
-    /// Finish a crash-recovery audit: drop all pending updates.
-    pub fn finish_recovery(&mut self) {
-        self.pending.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,54 +245,5 @@ mod tests {
         o.power_cut();
         assert!(o.check_read(0, &PageObs::Value { lpn: 0, version: v }).is_ok());
         assert!(o.check_read(0, &PageObs::Zeros).is_err());
-    }
-
-    fn committed_v1_pending_v2_v3() -> (KvOracle, u64, u64, u64) {
-        let mut o = KvOracle::new();
-        let v1 = o.issue_version();
-        o.put(7, v1);
-        o.commit();
-        let v2 = o.issue_version();
-        o.put(7, v2); // un-committed overwrite...
-        let v3 = o.issue_version();
-        o.put(7, v3); // ...twice
-        (o, v1, v2, v3)
-    }
-
-    #[test]
-    fn kv_oracle_accepts_any_durable_point_after_crash() {
-        // The committed value and every pending update are acceptable —
-        // the stores batch fsyncs, so a crash truncates to an
-        // intermediate durable point.
-        for pick in 0..3 {
-            let (mut o, v1, v2, v3) = committed_v1_pending_v2_v3();
-            let observed = [v1, v2, v3][pick];
-            assert!(o.absorb_recovered(7, Some(observed)).is_ok());
-            o.finish_recovery();
-            // The observation is adopted: later checks are strict again.
-            assert_eq!(o.expect(7), Some(observed));
-        }
-    }
-
-    #[test]
-    fn kv_oracle_rejects_impossible_recoveries() {
-        // A version never written for the key.
-        let (mut o, _, _, v3) = committed_v1_pending_v2_v3();
-        assert!(o.absorb_recovered(7, Some(v3 + 100)).is_err());
-        // Losing a *committed* value is never acceptable.
-        let mut o = KvOracle::new();
-        let v = o.issue_version();
-        o.put(3, v);
-        o.commit();
-        assert!(o.absorb_recovered(3, None).is_err());
-        // A value from before the last commit barrier must not resurface.
-        let mut o = KvOracle::new();
-        let old = o.issue_version();
-        o.put(3, old);
-        o.commit();
-        let newer = o.issue_version();
-        o.put(3, newer);
-        o.commit();
-        assert!(o.absorb_recovered(3, Some(old)).is_err());
     }
 }

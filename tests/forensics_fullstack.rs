@@ -11,7 +11,7 @@ use bench::schema::check_forensics_report;
 use durassd::{Ssd, SsdConfig};
 use forensics::{
     reconcile, AckContract, CampaignReport, Classification, CutReport, Forensic, Ledger, LossLayer,
-    Probe, ProbeResult, UnitKind,
+    ProbeResult, UnitKind,
 };
 use relstore::{Engine, EngineConfig};
 use storage::device::{BlockDevice, LOGICAL_PAGE};
@@ -67,25 +67,19 @@ fn engine_cut_trial(
     let phase = if commit_last { "after-commit" } else { "after-put" };
     match Engine::recover(d, l, cfg, cut_ns + 1) {
         Err(_) => {
-            let probes: Vec<Probe> =
-                (0..=cut_op).map(|i| Probe::new(&key_of(i), ProbeResult::Missing)).collect();
+            let probes = ledger.probe(|_| ProbeResult::Missing);
             reconcile("unrecoverable", cut_op, phase, cut_ns, &ledger, &probes, pms, Vec::new())
         }
         Ok(timed) => {
             let (mut e2, ready) = timed.into_parts();
             let recs: Vec<_> =
                 e2.data_volume().device().recovery_snap().cloned().into_iter().collect();
-            let mut probes = Vec::new();
             let mut t2 = ready;
-            for i in 0..=cut_op {
-                let (v, t3) = e2.get(tree, &key_of(i), t2).into_parts();
+            let probes = ledger.probe(|key| {
+                let (v, t3) = e2.get(tree, key, t2).into_parts();
                 t2 = t3;
-                let r = match v {
-                    Some(bytes) => ProbeResult::Value(Ledger::digest(&bytes)),
-                    None => ProbeResult::Missing,
-                };
-                probes.push(Probe::new(&key_of(i), r));
-            }
+                ProbeResult::of(v.as_deref())
+            });
             reconcile("trial", cut_op, phase, cut_ns, &ledger, &probes, pms, recs)
         }
     }
@@ -174,23 +168,20 @@ fn docstore_ledger_round_trip_and_report_validation() {
     for i in 0..n {
         now = s.set(&key_of(i), &val_of(i), now);
     }
-    let acked = ledger.entries().iter().filter(|e| e.acked_at.is_some()).count();
-    assert_eq!(acked as u64, n, "batch_size=1 acks every set");
+    for i in 0..n {
+        let unit = ledger.history(&key_of(i)).expect("every set is recorded");
+        assert_eq!((unit.acked.len(), unit.pending.len()), (1, 0), "batch_size=1 acks every set");
+    }
     let cut_ns = now + 1;
     let mut dev = s.crash(cut_ns);
     let pms: Vec<_> = dev.take_postmortem().into_iter().collect();
     let (mut s2, mut t2) = DocStore::recover(dev, cfg, cut_ns + 1).into_parts();
     let recs: Vec<_> = s2.device().recovery_snap().cloned().into_iter().collect();
-    let mut probes = Vec::new();
-    for i in 0..n {
-        let (v, t3) = s2.get(&key_of(i), t2).into_parts();
+    let probes = ledger.probe(|key| {
+        let (v, t3) = s2.get(key, t2).into_parts();
         t2 = t3;
-        let r = match v {
-            Some(bytes) => ProbeResult::Value(Ledger::digest(&bytes)),
-            None => ProbeResult::Missing,
-        };
-        probes.push(Probe::new(&key_of(i), r));
-    }
+        ProbeResult::of(v.as_deref())
+    });
     let row = reconcile(
         "doc volatile nobarrier",
         n - 1,
@@ -262,13 +253,13 @@ fn every_layer_counts_its_own_acks() {
         now = e.put(tree, &key_of(i), &val_of(i), now);
         now = e.commit(now);
     }
-    let entries = ledger.entries();
-    assert_eq!(entries.len(), 30);
-    assert!(entries.iter().all(|e| e.acked_at.is_some()), "nothing is left pending");
-    // Every commit carried the flush-barrier contract (barriers ON).
-    for entry in &entries {
-        assert_eq!(entry.kind, UnitKind::RelstoreCommit);
-        assert_eq!(entry.contract, Some(AckContract::FlushBarrierAck));
+    for i in 0..30u64 {
+        let unit = ledger.history(&key_of(i)).expect("every put is recorded");
+        assert!(unit.pending.is_empty(), "nothing is left pending");
+        assert_eq!(unit.kind, UnitKind::RelstoreCommit);
+        // Every commit carried the flush-barrier contract (barriers ON).
+        assert_eq!(unit.acked.len(), 1);
+        assert_eq!(unit.acked[0].contract, AckContract::FlushBarrierAck);
     }
     assert!(e.wal_stats().flushes > 0);
     assert!(e.log_volume().fsync_count() > 0);
