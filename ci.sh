@@ -113,6 +113,18 @@ fi
 echo "== cargo test -q =="
 cargo test --workspace -q
 
+echo "== AddressSanitizer over the unsafe code (simkit, nand, core library tests) =="
+# The slot pool hands out cells by number and frees its chunks with the last
+# one; a use-after-free there need not fail the plain suite, and the
+# sanitizer names it. The sanitized build gets its own target directory, so
+# it never reruns a stale binary.
+if cargo +nightly --version >/dev/null 2>&1; then
+    RUSTFLAGS=-Zsanitizer=address CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}/asan" \
+        cargo +nightly test -q -p simkit -p nand -p durassd --lib --target x86_64-unknown-linux-gnu
+else
+    echo "nightly toolchain not installed; skipping"
+fi
+
 echo "== trace smoke (tiny workload, self-checked Chrome JSON + CSV) =="
 TRACE_TMP="$(mktemp -d)"
 trap 'rm -rf "$TRACE_TMP"' EXIT

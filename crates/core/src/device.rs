@@ -7,8 +7,8 @@ use crate::error::Error;
 use crate::ftl::{Ftl, SlotRead, MAX_SPP};
 use forensics::{CacheSlotSnap, DevicePostmortem, DumpOutcome, Forensic, RecoverySnap};
 use nand::NandArray;
-use simkit::{BufPool, Nanos, Timeline};
-use std::collections::{HashSet, VecDeque};
+use simkit::{BufPool, Nanos, SharedBuf, Timeline};
+use std::collections::{HashMap, VecDeque};
 use storage::device::{
     check_io, BlockDevice, DevError, DevResult, DeviceStats, WriteCause, LOGICAL_PAGE,
 };
@@ -545,7 +545,8 @@ impl Ssd {
     /// lease accounting — every outstanding cell must be referenced by a
     /// cache entry, an in-flight pre-image, a NAND page or the parked
     /// contents of an erase in flight (a cell several of them share counts
-    /// once).
+    /// once), and each cell's reference count must equal its number of
+    /// holders.
     pub fn check_invariants(&self) -> Result<(), String> {
         self.ftl.check_invariants(&self.nand).map_err(|e| format!("ftl: {e}"))?;
         self.cache.check_invariants().map_err(|e| format!("cache: {e}"))?;
@@ -562,17 +563,24 @@ impl Ssd {
         let cached = self.cache.iter().map(|(_, e)| &e.data);
         let preimages =
             self.inflight.iter().flat_map(|w| w.preimages.iter().flat_map(|(_, p)| p.as_ref()));
-        let held: HashSet<*const u8> = cached
-            .chain(preimages.map(|e| &e.data))
-            .chain(self.nand.cells())
-            .map(|cell| cell.as_ptr())
-            .collect();
+        // Per cell: one of its handles and how many holders have one.
+        let mut held: HashMap<*const u8, (&SharedBuf, u32)> = HashMap::new();
+        for cell in cached.chain(preimages.map(|e| &e.data)).chain(self.nand.cells()) {
+            held.entry(cell.as_ptr()).or_insert((cell, 0)).1 += 1;
+        }
         let outstanding = self.nand.slot_pool().outstanding();
         if outstanding != held.len() {
             return Err(format!(
                 "slot-pool accounting: {outstanding} cells outstanding, but the cache, the \
                  atomic writer's pre-images and the NAND array reference {}",
                 held.len()
+            ));
+        }
+        if let Some((cell, holders)) = held.values().find(|(cell, n)| cell.ref_count() != *n) {
+            return Err(format!(
+                "slot-pool accounting: a cell counts {} handles, but the cache, the atomic \
+                 writer's pre-images and the NAND array hold {holders}",
+                cell.ref_count()
             ));
         }
         Ok(())
@@ -1364,6 +1372,22 @@ mod tests {
         for j in 0..cap * 3 {
             t = d.write(j % cap, &page((j % 199) as u8), t).unwrap();
         }
+        d.check_invariants().unwrap();
+    }
+
+    /// The audit counts each cell's holders against its reference count: a
+    /// handle held outside the device is a count the audit cannot place.
+    #[test]
+    fn audit_finds_a_handle_no_holder_accounts_for() {
+        let mut d = dura();
+        d.write(3, &page(7), 0).unwrap();
+        d.check_invariants().unwrap();
+        let stray = d.cache.entry(3).expect("lpn 3 is cached").data.clone();
+        let n = stray.ref_count();
+        let err = d.check_invariants().expect_err("a stray handle");
+        let (counts, holders) = (format!("counts {n} handles"), format!("hold {}", n - 1));
+        assert!(err.contains(&counts) && err.contains(&holders), "{err}");
+        drop(stray);
         d.check_invariants().unwrap();
     }
 
