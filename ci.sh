@@ -102,6 +102,20 @@ if grep -rnE -e '--bin (table[1-5]|fig[56]|waf|latency|tail)' ./*.md ci.sh crate
     echo "removed bench bin referenced above (use: --bin paper -- <id>, --bin observe)" >&2
     exit 1
 fi
+# `trace` is `observe --trace-out`, and `ablation` went with the knobs only it
+# turned; the volume's host-boundary counter restated the device's
+# `pages_by_cause`. None may come back or be pointed to.
+for bin in trace ablation; do
+    if [ -e "crates/bench/src/bin/$bin.rs" ]; then
+        echo "removed bench bin crates/bench/src/bin/$bin.rs is back" >&2
+        exit 1
+    fi
+done
+if grep -rnE -e '--bin (trace|ablation)\b' -e 'host_pages_by_caus[e]' \
+    crates src tests examples ci.sh README.md DESIGN.md; then
+    echo "removed bench bin or volume counter referenced above (use: --bin observe -- --trace-out)" >&2
+    exit 1
+fi
 
 echo "== one JSON writer (a single string escaper under crates/) =="
 escapers="$(grep -rlF 'u{:04x}' crates)"
@@ -125,7 +139,6 @@ else
     echo "nightly toolchain not installed; skipping"
 fi
 
-echo "== trace smoke (tiny workload, self-checked Chrome JSON + CSV) =="
 TRACE_TMP="$(mktemp -d)"
 trap 'rm -rf "$TRACE_TMP"' EXIT
 
@@ -142,13 +155,6 @@ golden() {
         exit 1
     fi
 }
-cargo run -p bench --release -q --bin trace -- \
-    --out "$TRACE_TMP/smoke" --records 400 --ops 200 --txns 60 --check \
-    --telemetry-out "$TRACE_TMP/smoke_telemetry.json"
-test -s "$TRACE_TMP/smoke.trace.json"
-test -s "$TRACE_TMP/smoke.series.csv"
-test -s "$TRACE_TMP/smoke_telemetry.json"
-
 echo "== crash-campaign smoke (--check fails on any DuraSSD acked-lost) =="
 cargo run -p bench --release -q --bin crashmatrix -- \
     --keys 300 --cuts 3 --seed 7 --json "$TRACE_TMP/crash.json" --check \
@@ -188,6 +194,30 @@ grep -q '"schema":"durassd.waf.v1"' "$TRACE_TMP/waf.json"
 grep -q '"schema":"durassd.latency.v1"' "$TRACE_TMP/latency.json"
 golden "$TRACE_TMP/waf.json" waf_smoke.json
 golden "$TRACE_TMP/latency.json" latency_smoke.json
+
+echo "== observe traced smoke (per-cell Chrome trace + gauge series, self-checked) =="
+# The same cells with --trace-out: each cell also exports its Chrome trace
+# and a gauge series sampled every 5 ms of virtual time. --check adds
+# bench::schema::check_traced_cell over every cell: the trace is well-formed
+# (every B closed, timestamps monotone per track), the volatile TPC-C cell
+# carries engine.commit and flush_cache on one track (a commit's chain down to
+# FLUSH CACHE under one trace-ID), every series has a t_ns header, >= 3 gauges
+# and >= 1 sample, and each registry names its workload's op histograms.
+# Tracing and sampling must not perturb the model: the WAF document is the
+# golden byte for byte, and the latency document is too once the tail rows'
+# trace-IDs (0 when tracing is off) are zeroed.
+cargo run -p bench --release -q --bin observe -- \
+    --fio-ops 4000 --fio-span 512 --ycsb-records 200 --ycsb-ops 800 \
+    --warehouses 1 --txns 40 --tail-ops 20000 --waf-out "$TRACE_TMP/waf_traced.json" \
+    --latency-out "$TRACE_TMP/latency_traced.json" --check \
+    --trace-out "$TRACE_TMP/obs" --telemetry-out "$TRACE_TMP/obs_telemetry.json" \
+    >"$TRACE_TMP/observe_traced.out"
+test -s "$TRACE_TMP/obs.tpcc_relstore.volatile.trace.json"
+test -s "$TRACE_TMP/obs.tpcc_relstore.volatile.series.csv"
+test -s "$TRACE_TMP/obs_telemetry.json"
+cmp "$TRACE_TMP/waf_traced.json" tests/golden/waf_smoke.json
+sed 's/"trace":[0-9]*/"trace":0/g' "$TRACE_TMP/latency_traced.json" |
+    cmp - tests/golden/latency_smoke.json
 
 echo "== paper (Tables 1-5, Figs 5/6 at full scale: shape claims + byte-identical document) =="
 # --check fails when a shape claim expected to hold does not, or when a
@@ -229,13 +259,15 @@ echo "== allocation gates (noise-free proxies for the engines' and the device's 
 # window, so each write still gets a fresh pre-image vector); fio_flush_rw:
 # 0.0821667 over 4.96 simulated seconds. The device path's indexes allocate
 # nothing past their peak: one that allocated on 1 op in 12 or more would
-# fail the fio_flush_rw gate.
+# fail the fio_flush_rw gate. Since the closed-loop driver stopped keeping
+# every op's latency, the three measure 1.00139, 1.014 and 0.0775833.
 # ycsb_doc: 5.10625 (the driver's key_of and get's owned return, plus the
 # cold gets of the end-of-run verification); the parent measured 116.15.
-# tpcc_rel: 13.0375 (the four of each one-transaction `tpcc::run` call's
-# driver and RNG set-up, and the page-image sidecars of splits); the parent
-# measured 100.9375, most of it the workload's key and row builders and
-# get's owned return.
+# tpcc_rel: 13.0375 (each one-transaction `tpcc::run` call's driver and RNG
+# set-up, and the page-image sidecars of splits); the parent measured
+# 100.9375, most of it the workload's key and row builders and get's owned
+# return. The driver's latency vector was one of that set-up's four
+# allocations; without it tpcc_rel measures 11.8875 and ycsb_doc 3.53125.
 alloc_gate() {
     "$BENCH_BIN" --workload "$1" --seed 1 --seconds 1 --scale-pct 4 --trace 0 | tail -n 1 |
         python3 -c "

@@ -35,13 +35,24 @@
 //! Flags: `--fio-ops N`, `--fio-span N`, `--ycsb-records N`, `--ycsb-ops N`,
 //! `--warehouses N`, `--txns N`, `--tail-ops N`, `--top-k N` (outliers kept
 //! per op), `--waf-out PATH` (default `BENCH_waf.json`), `--latency-out PATH`
-//! (default `BENCH_latency.json`), `--check`, `--trace-out PREFIX` (per-cell
-//! Chrome trace + tail-outlier JSON sibling), `--telemetry-out PATH` (every
-//! cell's full registry).
+//! (default `BENCH_latency.json`), `--check`, `--trace-out PREFIX` (per cell
+//! `PREFIX.<workload>.<mode>.{trace.json,series.csv,outliers.json}`: the
+//! Chrome trace, the gauge series sampled every 5 ms of virtual time, the
+//! tail outliers), `--telemetry-out PATH` (every cell's full registry).
+//! With both `--trace-out` and `--check`, every cell's trace, series and
+//! registry must pass [`bench::schema::check_traced_cell`].
+//!
+//! Open a trace in Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`:
+//! each host operation (a `doc.set`, an `engine.commit`, ...) is one track,
+//! and every span it caused below it — WAL flush, pool eviction, device
+//! write, FLUSH CACHE, cache drain, NAND program — nests on that track.
 //!
 //! Run: `cargo run -p bench --release --bin observe`
 
-use bench::schema::{check_latency_report, check_waf_report, LATENCY_SCHEMA, WAF_SCHEMA};
+use bench::schema::{
+    check_latency_report, check_traced_cell, check_waf_report, TracedCell, LATENCY_SCHEMA,
+    WAF_SCHEMA,
+};
 use bench::{
     arg_str, arg_u64, deployment_labels, finish_report, fio_cell, fmt_ns, rule, tail_cell,
     tpcc_cell, write_atomic, write_latency_row, ycsb_cell, TelemetrySink,
@@ -50,6 +61,9 @@ use durassd::Ssd;
 use simkit::json::Writer;
 use storage::device::{BlockDevice, CauseCounts, WriteCause};
 use telemetry::{SegKind, Telemetry};
+
+/// Virtual time between two gauge samples of a traced cell.
+const SAMPLE_CADENCE: simkit::Nanos = 5_000_000;
 
 /// The counters of every SSD under a finished cell, summed element-wise
 /// (conservation survives addition): the TPC-C cell sums its data and log
@@ -139,6 +153,7 @@ fn cells(scale: &Scale) -> Vec<Cell> {
         tel.enable_anatomy(scale.top_k as usize);
         if scale.trace {
             tel.enable_tracing(1 << 20);
+            tel.enable_sampling(SAMPLE_CADENCE);
         }
         tel
     };
@@ -304,6 +319,30 @@ fn print_latency(cells: &[Cell]) {
     );
 }
 
+/// Write every cell's trace, gauge series and tail outliers under `prefix`,
+/// and return what [`check_traced_cell`] finds wrong with them.
+fn write_traces(prefix: &str, cells: &[Cell]) -> Vec<String> {
+    let mut failures = Vec::new();
+    for c in cells {
+        let base = format!("{prefix}.{}.{}", c.name, c.mode);
+        let trace = c.tel.trace_chrome_json().expect("tracing enabled");
+        let series = c.tel.series_csv().expect("sampling enabled");
+        write_atomic(&format!("{base}.trace.json"), &trace).expect("trace path is writable");
+        write_atomic(&format!("{base}.series.csv"), &series).expect("series path is writable");
+        if let Some(doc) = c.tel.outliers_json() {
+            write_atomic(&format!("{base}.outliers.json"), &doc)
+                .expect("outlier output path is writable");
+        }
+        let registry = c.tel.to_json();
+        let (workload, mode) = (c.name, c.mode);
+        let cell =
+            TracedCell { workload, mode, trace: &trace, series: &series, registry: &registry };
+        failures.extend(check_traced_cell(&cell));
+    }
+    println!("\nwrote per-cell traces, series and outliers under {prefix}.*");
+    failures
+}
+
 fn main() {
     let trace_out = arg_str("--trace-out");
     let scale = Scale {
@@ -343,20 +382,7 @@ fn main() {
         sink.add(&format!("{}/{}", c.name, c.mode), &c.tel);
     }
     sink.finish();
-    if let Some(prefix) = trace_out {
-        for c in &cells {
-            let base = format!("{prefix}.{}.{}", c.name, c.mode);
-            if let Some(doc) = c.tel.trace_chrome_json() {
-                write_atomic(&format!("{base}.trace.json"), &doc)
-                    .expect("trace output path is writable");
-            }
-            if let Some(doc) = c.tel.outliers_json() {
-                write_atomic(&format!("{base}.outliers.json"), &doc)
-                    .expect("outlier output path is writable");
-            }
-        }
-        println!("\nwrote per-cell traces and outliers under {prefix}.*");
-    }
+    let traced = trace_out.map(|prefix| write_traces(&prefix, &cells));
 
     if finish_report(&render_waf(&cells), Some(&waf_out), "\nwrote ", check_waf_report) {
         println!("check : OK (schema, conservation, durable ≥ volatile absorption)");
@@ -366,5 +392,14 @@ fn main() {
             "check : OK (schema, conservation, durable tails flush-free, volatile tails \
              flush-dominated, read p99 ≥ 10x)"
         );
+    }
+    // The traces were written above, before any check could end the run.
+    if let Some(failures) = traced {
+        if finish_report("", None, "", |_| failures) {
+            println!(
+                "check : OK (traces well-formed, commit chain on one track, series, registry \
+                 histograms)"
+            );
+        }
     }
 }

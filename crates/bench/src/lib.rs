@@ -55,8 +55,9 @@ pub fn hdd_bench(cache_on: bool) -> Hdd {
 // on the document store, a TPC-C slice on the relational engine, readers
 // beside fsyncing writers — in two deployments, and reads its documents off
 // the finished cell: device counters for the WAF rows, the attached registry
-// for the latency rows. `trace` runs the YCSB and TPC-C configurations on one
-// shared timeline.
+// for the latency rows, and under `--trace-out` its trace and gauge series.
+// Each cell ends by taking the registry's final gauge sample at the run's end
+// (`Telemetry::finish_sampling`, a no-op unless sampling is on).
 
 /// `(mode, device)` labels of a deployment: **durable** is DuraSSD
 /// (capacitor-backed cache) with barriers OFF, the paper's deployment;
@@ -83,7 +84,8 @@ fn cell_device(durable: bool, tel: &Telemetry) -> Ssd {
 pub fn fio_cell(durable: bool, ops: u64, span: u64, tel: &Telemetry) -> Volume<Ssd> {
     let mut vol = Volume::new(cell_device(durable, tel), !durable);
     vol.attach_telemetry(tel.clone(), "fio");
-    fio::run(&mut vol, &FioSpec::random_write_4k(span, Some(1), ops), 0);
+    let rep = fio::run(&mut vol, &FioSpec::random_write_4k(span, Some(1), ops), 0);
+    tel.finish_sampling(rep.finished_at);
     vol
 }
 
@@ -111,7 +113,8 @@ pub fn tail_cell(durable: bool, ops: u64, tel: &Telemetry) -> Volume<Ssd> {
         seed: 0xFEED,
         ..FioSpec::random_write_4k(TAIL_SPAN, Some(8), ops)
     };
-    fio::run(&mut vol, &spec, t);
+    let rep = fio::run(&mut vol, &spec, t);
+    tel.finish_sampling(rep.finished_at);
     vol
 }
 
@@ -130,7 +133,8 @@ pub fn ycsb_cell(durable: bool, records: u64, ops: u64, tel: &Telemetry) -> DocS
     store.attach_telemetry(tel.clone());
     let spec = ycsb::YcsbSpec::workload_a(records, ops);
     let t0 = ycsb::load(&mut store, &spec, 0);
-    ycsb::run(&mut store, &spec, t0);
+    let rep = ycsb::run(&mut store, &spec, t0);
+    tel.finish_sampling(rep.finished_at);
     store
 }
 
@@ -157,23 +161,19 @@ pub fn tpcc_sized_config(
     (spec, ecfg)
 }
 
-/// The TPC-C slice of `observe` and `trace`: 8 clients on the
-/// MySQL-like engine at 4 KB pages, a buffer pool of a tenth of the database.
-pub fn tpcc_cell_config(warehouses: u32, txns: u64, barriers: bool) -> (TpccSpec, EngineConfig) {
-    let profile = EngineConfig { barriers, ..EngineConfig::mysql_like(4096) };
-    tpcc_sized_config(profile, 8, (10, 512 * 1024), warehouses, txns)
-}
-
-/// A TPC-C slice on the relational engine: WAL appends and double-write
-/// page images on the log device, home-page writes on the data device.
-/// Returns the engine after load + run.
+/// A TPC-C slice on the relational engine: 8 clients on the MySQL-like
+/// engine at 4 KB pages, a buffer pool of a tenth of the database, WAL
+/// appends and double-write page images on the log device, home-page writes
+/// on the data device. Returns the engine after load + run.
 pub fn tpcc_cell(durable: bool, warehouses: u32, txns: u64, tel: &Telemetry) -> Engine<Ssd, Ssd> {
-    let (spec, ecfg) = tpcc_cell_config(warehouses, txns, !durable);
+    let profile = EngineConfig { barriers: !durable, ..EngineConfig::mysql_like(4096) };
+    let (spec, ecfg) = tpcc_sized_config(profile, 8, (10, 512 * 1024), warehouses, txns);
     let (data, log) = (cell_device(durable, tel), cell_device(durable, tel));
     let (mut engine, t0) = Engine::create(data, log, ecfg, 0).into_parts();
     engine.attach_telemetry(tel.clone());
     let (mut db, t1) = tpcc::load(&mut engine, &spec, t0);
-    tpcc::run(&mut engine, &mut db, &spec, t1);
+    let rep = tpcc::run(&mut engine, &mut db, &spec, t1);
+    tel.finish_sampling(rep.finished_at);
     engine
 }
 
@@ -246,15 +246,11 @@ pub struct LinkCell {
     pub barriers: bool,
     /// InnoDB-style double-write buffer.
     pub double_write: bool,
-    /// PostgreSQL-style full-page writes.
-    pub full_page_writes: bool,
     /// Database page size in bytes.
     pub page_size: usize,
     /// Buffer pool as a percentage of the estimated database (the paper's
     /// 10 GB pool against a 100 GB database is 10).
     pub pool_pct: u64,
-    /// Size of each redo log file in 4 KB blocks.
-    pub log_file_blocks: u64,
     /// Graph nodes loaded.
     pub nodes: u64,
     /// Measured operations.
@@ -279,10 +275,8 @@ impl LinkCell {
         Self {
             barriers,
             double_write,
-            full_page_writes: false,
             page_size,
             pool_pct: 10,
-            log_file_blocks: 8192,
             nodes,
             ops,
             warmup_ops: ops / 5,
@@ -301,10 +295,9 @@ pub fn linkbench_cell(cell: &LinkCell, tel: &Telemetry) -> (LinkBenchReport, Eng
     let cfg = EngineConfig::builder(cell.page_size)
         .buffer_pool_bytes((est_db_bytes * cell.pool_pct / 100).max(512 * 1024))
         .double_write(cell.double_write)
-        .full_page_writes(cell.full_page_writes)
         .barriers(cell.barriers)
         .data_pages((est_db_bytes * 4 / cell.page_size as u64).max(8192))
-        .log_file_blocks(cell.log_file_blocks)
+        .log_file_blocks(8192)
         .build();
     let (mut engine, t0) = durassd_engine(cfg, tel);
     let spec = LinkBenchSpec {

@@ -1,10 +1,12 @@
 //! Validators for every machine-readable report the bench bins write.
 //!
-//! Five bins emit schema-tagged JSON documents — `recovery`
-//! (`BENCH_recovery.json`), `crashmatrix` (`--json`), `waf`
-//! (`BENCH_waf.json`), `latency` (`BENCH_latency.json`, also written by
-//! `tail --json`) and `paper` (`BENCH_paper.json`) — and each offers a
-//! `--check` flag that `ci.sh` runs as a regression gate.
+//! Four bins emit schema-tagged JSON documents — `recovery`
+//! (`BENCH_recovery.json`), `crashmatrix` (`--json`), `observe`
+//! (`BENCH_waf.json` and `BENCH_latency.json`) and `paper`
+//! (`BENCH_paper.json`) — and each offers a `--check` flag that `ci.sh` runs
+//! as a regression gate. Under `--trace-out`, `observe --check` also holds
+//! every cell's Chrome trace, gauge series and registry to
+//! [`check_traced_cell`].
 //!
 //! **Structure is data, claims are code.** What a document must look like —
 //! which keys, of what type, in what range, nested how — is one static
@@ -18,19 +20,18 @@
 //! reproduction is known to give.
 
 use simkit::json::{self, Field, JsonValue, Want::*, Writer};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use storage::device::WriteCause;
-use telemetry::SegKind;
+use telemetry::{validate_chrome_json, SegKind};
 use workloads::linkbench::OP_TYPES;
 
 /// Schema tag for `BENCH_recovery.json` (the `recovery` bin).
 pub const RECOVERY_SCHEMA: &str = "durassd.recovery.v3";
 /// Schema tag for crash-campaign reports (`crashmatrix --json`).
 pub const FORENSICS_SCHEMA: &str = "durassd.forensics.v2";
-/// Schema tag for `BENCH_waf.json` (the `waf` bin).
+/// Schema tag for `BENCH_waf.json` (written by `observe`).
 pub const WAF_SCHEMA: &str = "durassd.waf.v1";
-/// Schema tag for `BENCH_latency.json` (the `latency` bin) and the `tail`
-/// bin's `--json` output.
+/// Schema tag for `BENCH_latency.json` (written by `observe`).
 pub const LATENCY_SCHEMA: &str = "durassd.latency.v1";
 
 /// Schema tag for `BENCH_paper.json` (the `paper` bin).
@@ -455,6 +456,94 @@ pub fn check_latency_report(doc: &str) -> Vec<String> {
             None => failures.push(format!("{TAIL_READS}: rows missing")),
         }
     })
+}
+
+/// What `observe --trace-out` writes for one workload × deployment cell,
+/// as [`check_traced_cell`] reads it.
+pub struct TracedCell<'a> {
+    /// The cell's workload, as in its `BENCH_latency.json` rows.
+    pub workload: &'a str,
+    /// `durable` or `volatile`.
+    pub mode: &'a str,
+    /// The Chrome trace-event JSON (`Telemetry::trace_chrome_json`).
+    pub trace: &'a str,
+    /// The gauge series CSV (`Telemetry::series_csv`).
+    pub series: &'a str,
+    /// The registry document (`Telemetry::to_json`).
+    pub registry: &'a str,
+}
+
+/// The op histograms a traced cell's registry must name: the commit op of
+/// each store workload, and below the relational engine the WAL flush and,
+/// where barriers turn the log's fsyncs into FLUSH CACHE, the log device's
+/// flush.
+fn traced_histograms(workload: &str, mode: &str) -> &'static [&'static str] {
+    match (workload, mode) {
+        ("ycsb_a_docstore", _) => &["doc.set"],
+        ("tpcc_relstore", "volatile") => &["engine.commit", "wal.flush", "dev.log.flush"],
+        ("tpcc_relstore", _) => &["engine.commit", "wal.flush"],
+        _ => &[],
+    }
+}
+
+/// Validate the artifacts of one traced `observe` cell:
+///
+/// - the trace passes [`telemetry::validate_chrome_json`]: every event is
+///   well-formed, every `B` has its `E` on its track, timestamps are
+///   monotone per track;
+/// - in the volatile TPC-C cell (barriers on, strict commits) some track
+///   carries both an `engine.commit` and a `flush_cache` span: a commit's
+///   whole chain down to the device's FLUSH CACHE shares one trace-ID;
+/// - the series CSV has a `t_ns` header, at least 3 gauges and at least 1
+///   sample;
+/// - the registry parses and names the op histograms the cell's workload
+///   must produce.
+pub fn check_traced_cell(cell: &TracedCell) -> Vec<String> {
+    let tag = format!("{}/{}", cell.workload, cell.mode);
+    let mut failures = Vec::new();
+    if let Err(e) = validate_chrome_json(cell.trace) {
+        failures.push(format!("{tag}: {e}"));
+    } else if (cell.workload, cell.mode) == ("tpcc_relstore", "volatile") {
+        let doc = json::parse(cell.trace).expect("the trace validated");
+        let top = doc.as_object().expect("the trace validated");
+        let (commits, flushes) = (tracks(top, "engine.commit"), tracks(top, "flush_cache"));
+        if commits.is_disjoint(&flushes) {
+            failures.push(format!(
+                "{tag}: no track carries both engine.commit and flush_cache ({} commit tracks, \
+                 {} flush tracks): trace-ID propagation broken",
+                commits.len(),
+                flushes.len()
+            ));
+        }
+    }
+    let mut lines = cell.series.lines();
+    let header = lines.next().unwrap_or("");
+    let gauges = header.split(',').count() - 1;
+    if !header.starts_with("t_ns,") || gauges < 3 {
+        failures.push(format!("{tag}: series header {header:?}: want t_ns and ≥ 3 gauges"));
+    }
+    if lines.next().is_none() {
+        failures.push(format!("{tag}: series has no samples"));
+    }
+    match json::parse(cell.registry) {
+        Err(e) => failures.push(format!("{tag}: registry does not parse: {e}")),
+        Ok(doc) => {
+            let hists = doc.as_object().and_then(|o| o.get("histograms")?.as_object());
+            for name in traced_histograms(cell.workload, cell.mode) {
+                if !hists.is_some_and(|h| h.contains_key(*name)) {
+                    failures.push(format!("{tag}: registry has no {name:?} histogram"));
+                }
+            }
+        }
+    }
+    failures
+}
+
+/// The tracks (`tid`s) of a validated Chrome trace that carry an event
+/// named `name`.
+fn tracks(trace: &Row, name: &str) -> BTreeSet<u64> {
+    let named = objects(trace, "traceEvents").filter(|e| text(e, "name") == name);
+    named.filter_map(|e| e.get("tid")?.as_u64()).collect()
 }
 
 /// Ids of the paper's experiments, in the order `paper` runs them.
@@ -1097,6 +1186,89 @@ mod tests {
 
     /// A one-experiment `durassd.paper.v1` document over `(label, measured,
     /// paper)` rows, its claims derived the way `paper` derives them.
+    /// A Chrome trace of `(name, ph, tid)` events, one nanosecond apart.
+    fn chrome(events: &[(&str, &str, u64)]) -> String {
+        let mut w = Writer::new();
+        w.obj().key("traceEvents").arr();
+        for (ts, (name, ph, tid)) in events.iter().enumerate() {
+            w.obj().key("name").str(name).key("cat").str("t").key("ph").str(ph);
+            w.key("ts").num(ts).key("pid").num(1).key("tid").num(tid).end();
+        }
+        w.end().end();
+        w.finish()
+    }
+
+    /// One commit whose chain reaches FLUSH CACHE on its own track.
+    fn commit_chain(flush_tid: u64) -> String {
+        chrome(&[
+            ("engine.commit", "B", 1),
+            ("flush_cache", "B", flush_tid),
+            ("flush_cache", "E", flush_tid),
+            ("engine.commit", "E", 1),
+        ])
+    }
+
+    const SERIES: &str = "t_ns,a,b,c\n0,1,2,3\n";
+    const REGISTRY: &str =
+        r#"{"histograms":{"engine.commit":{},"wal.flush":{},"dev.log.flush":{}}}"#;
+
+    /// The volatile TPC-C cell, the one every traced check applies to.
+    fn tpcc<'a>(trace: &'a str, series: &'a str, registry: &'a str) -> TracedCell<'a> {
+        TracedCell { workload: "tpcc_relstore", mode: "volatile", trace, series, registry }
+    }
+
+    /// The failures of `cell`, asserting there is exactly one and that it
+    /// names `what`.
+    fn one_failure(cell: &TracedCell, what: &str) {
+        let failures = check_traced_cell(cell);
+        assert_eq!(failures.len(), 1, "{failures:#?}");
+        assert!(failures[0].starts_with("tpcc_relstore/volatile: "), "{failures:#?}");
+        assert!(failures[0].contains(what), "{failures:#?}");
+    }
+
+    #[test]
+    fn traced_cell_validation_accepts_good_artifacts() {
+        let trace = commit_chain(1);
+        assert_eq!(check_traced_cell(&tpcc(&trace, SERIES, REGISTRY)), Vec::<String>::new());
+        // The commit chain and the log device's flush are asked of the
+        // volatile TPC-C cell only.
+        let durable = TracedCell {
+            mode: "durable",
+            registry: r#"{"histograms":{"engine.commit":{},"wal.flush":{}}}"#,
+            ..tpcc(&trace, SERIES, REGISTRY)
+        };
+        assert_eq!(check_traced_cell(&durable), Vec::<String>::new());
+    }
+
+    #[test]
+    fn traced_cell_validation_rejects_a_commit_chain_split_across_tracks() {
+        one_failure(&tpcc(&commit_chain(2), SERIES, REGISTRY), "no track carries both");
+    }
+
+    #[test]
+    fn traced_cell_validation_rejects_a_series_of_two_gauges() {
+        let series = "t_ns,a,b\n0,1,2\n";
+        one_failure(&tpcc(&commit_chain(1), series, REGISTRY), "want t_ns and ≥ 3 gauges");
+    }
+
+    #[test]
+    fn traced_cell_validation_rejects_a_series_without_samples() {
+        one_failure(&tpcc(&commit_chain(1), "t_ns,a,b,c\n", REGISTRY), "no samples");
+    }
+
+    #[test]
+    fn traced_cell_validation_rejects_a_registry_missing_a_commit_histogram() {
+        let registry = r#"{"histograms":{"wal.flush":{},"dev.log.flush":{}}}"#;
+        one_failure(&tpcc(&commit_chain(1), SERIES, registry), "no \"engine.commit\" histogram");
+    }
+
+    #[test]
+    fn traced_cell_validation_rejects_an_unmatched_begin() {
+        let trace =
+            chrome(&[("engine.commit", "B", 1), ("flush_cache", "B", 1), ("flush_cache", "E", 1)]);
+        one_failure(&tpcc(&trace, SERIES, REGISTRY), "unclosed B (engine.commit)");
+    }
+
     fn paper_doc(id: &str, rows: &[(&str, Vec<f64>, Vec<f64>)]) -> String {
         let mut table = PaperTable::default();
         let mut w = Writer::new();

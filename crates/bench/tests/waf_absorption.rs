@@ -67,8 +67,4 @@ fn fio_attribution_conserves_and_stays_host_tagged() {
     for c in [WriteCause::WalAppend, WriteCause::PageImage, WriteCause::DocRewrite] {
         assert_eq!(s.media_pages_by_cause[c.index()], 0, "{} cannot appear in raw fio", c.label());
     }
-
-    // The volume tracks the same attribution at the host boundary.
-    let by_vol = vol.host_pages_by_cause();
-    assert_eq!(by_vol[WriteCause::HostData.index()], s.pages_written);
 }

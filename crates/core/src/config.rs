@@ -309,12 +309,6 @@ impl SsdConfigBuilder {
         self
     }
 
-    /// Background mapping-journal threshold (modified entries).
-    pub fn mapping_journal_threshold(mut self, entries: usize) -> Self {
-        self.cfg.mapping_journal_threshold = entries;
-        self
-    }
-
     /// Free blocks per plane below which GC kicks in.
     pub fn gc_free_threshold(mut self, blocks: usize) -> Self {
         self.cfg.gc_free_threshold = blocks;
@@ -324,12 +318,6 @@ impl SsdConfigBuilder {
     /// Blocks per plane reserved as the always-clean dump area (§3.4.1).
     pub fn dump_reserve_blocks(mut self, blocks: usize) -> Self {
         self.cfg.dump_reserve_blocks = blocks;
-        self
-    }
-
-    /// Sustained backend bandwidth cap in bytes per microsecond.
-    pub fn backend_bytes_per_us(mut self, bpu: u64) -> Self {
-        self.cfg.backend_bytes_per_us = bpu;
         self
     }
 

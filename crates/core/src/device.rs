@@ -178,12 +178,6 @@ impl Ssd {
         self.cache.occupied()
     }
 
-    /// Mapping entries modified since the last journal write (the crash
-    /// loss window on a volatile device).
-    pub fn unpersisted_mapping_entries(&self) -> usize {
-        self.ftl.unpersisted_entries()
-    }
-
     /// (min, max) block erase counts — the wear-leveling spread.
     pub fn wear_spread(&self) -> (u32, u32) {
         self.ftl.wear_spread(&self.nand)
@@ -1475,7 +1469,7 @@ mod tests {
         };
         let (on_media, in_flight) = (drains_ending(&d, false), drains_ending(&d, true));
         assert!(!on_media.is_empty() && !in_flight.is_empty(), "the cut must meet both kinds");
-        let unpersisted = d.unpersisted_mapping_entries() as u64;
+        let unpersisted = d.ftl.unpersisted_entries() as u64;
         d.power_cut(cut);
         let dump = d.postmortem().unwrap().dump.expect("capacitor-backed");
         let held = 48 - on_media.len() as u64;

@@ -149,12 +149,6 @@ impl EngineConfigBuilder {
         self
     }
 
-    /// PostgreSQL-style full-page writes on/off.
-    pub fn full_page_writes(mut self, on: bool) -> Self {
-        self.cfg.full_page_writes = on;
-        self
-    }
-
     /// Write barriers on the data volume (fsync ⇒ FLUSH CACHE).
     pub fn barriers(mut self, on: bool) -> Self {
         self.cfg.barriers = on;

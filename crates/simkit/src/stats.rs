@@ -68,11 +68,6 @@ impl LatencyStats {
         self.samples.iter().copied().max().unwrap_or(0)
     }
 
-    /// Smallest sample (0 when empty).
-    pub fn min(&self) -> Nanos {
-        self.samples.iter().copied().min().unwrap_or(0)
-    }
-
     /// Produce the Table 3 row shape.
     pub fn summary(&mut self) -> Summary {
         Summary {
@@ -120,7 +115,6 @@ mod tests {
         assert_eq!(s.percentile(99.0), 99);
         assert_eq!(s.percentile(100.0), 100);
         assert_eq!(s.percentile(1.0), 1);
-        assert_eq!(s.min(), 1);
         assert_eq!(s.max(), 100);
         assert!((s.mean() - 50.5).abs() < 1e-9);
     }

@@ -1,7 +1,7 @@
 //! Volumes: a block device plus the host's barrier policy, and a trivial
 //! extent allocator for carving page files out of a device.
 
-use crate::device::{BlockDevice, CauseCounts, DevResult, DeviceStats, WriteCause, LOGICAL_PAGE};
+use crate::device::{BlockDevice, DevResult, DeviceStats, WriteCause};
 use simkit::Nanos;
 use telemetry::{SegKind, Telemetry};
 
@@ -43,22 +43,12 @@ pub struct Volume<D: BlockDevice> {
     /// duration of a [`Volume::with_cause`] scope ([`WriteCause::HostData`]
     /// outside any).
     cause: WriteCause,
-    /// Host-issued logical pages per declared cause (host boundary of the
-    /// WAF pipeline; the device counts its own received/media boundaries).
-    host_pages_by_cause: CauseCounts,
 }
 
 impl<D: BlockDevice> Volume<D> {
     /// Mount `dev` with the given barrier policy.
     pub fn new(dev: D, barriers: bool) -> Self {
-        Self {
-            dev,
-            barriers,
-            fsyncs: 0,
-            tel: None,
-            cause: WriteCause::default(),
-            host_pages_by_cause: CauseCounts::default(),
-        }
+        Self { dev, barriers, fsyncs: 0, tel: None, cause: WriteCause::default() }
     }
 
     /// Run `f` with every write tagged `cause`; the enclosing cause is
@@ -73,11 +63,6 @@ impl<D: BlockDevice> Volume<D> {
     /// The cause the next write would be tagged with.
     pub fn current_cause(&self) -> WriteCause {
         self.cause
-    }
-
-    /// Host-issued logical pages per cause (see [`WriteCause::index`]).
-    pub fn host_pages_by_cause(&self) -> CauseCounts {
-        self.host_pages_by_cause
     }
 
     /// Attach a telemetry handle; latencies are recorded under
@@ -130,9 +115,7 @@ impl<D: BlockDevice> Volume<D> {
     /// Direct write of logical pages, tagged with the innermost declared
     /// cause (provenance for the WAF accounting at every boundary below).
     pub fn write(&mut self, lpn: u64, data: &[u8], now: Nanos) -> DevResult<Nanos> {
-        let cause = self.current_cause();
-        self.host_pages_by_cause[cause.index()] += (data.len() / LOGICAL_PAGE) as u64;
-        self.dev.set_write_cause(cause);
+        self.dev.set_write_cause(self.cause);
         self.command(|t| &t.write, now, |dev| dev.write(lpn, data, now))
     }
 
@@ -316,10 +299,51 @@ mod tests {
         assert_eq!(back, data, "no-op discard keeps data");
     }
 
+    /// A [`MemDevice`] that records the cause in force at each write.
+    struct CauseLog {
+        dev: MemDevice,
+        cause: WriteCause,
+        writes: Vec<(u64, WriteCause)>,
+    }
+
+    impl BlockDevice for CauseLog {
+        fn capacity_pages(&self) -> u64 {
+            self.dev.capacity_pages()
+        }
+        fn read(&mut self, lpn: u64, pages: u32, buf: &mut [u8], now: Nanos) -> DevResult<Nanos> {
+            self.dev.read(lpn, pages, buf, now)
+        }
+        fn write(&mut self, lpn: u64, data: &[u8], now: Nanos) -> DevResult<Nanos> {
+            self.writes.push((lpn, self.cause));
+            self.dev.write(lpn, data, now)
+        }
+        fn flush(&mut self, now: Nanos) -> DevResult<Nanos> {
+            self.dev.flush(now)
+        }
+        fn power_cut(&mut self, now: Nanos) {
+            self.dev.power_cut(now)
+        }
+        fn reboot(&mut self, now: Nanos) -> Nanos {
+            self.dev.reboot(now)
+        }
+        fn is_powered(&self) -> bool {
+            self.dev.is_powered()
+        }
+        fn set_write_cause(&mut self, cause: WriteCause) {
+            self.cause = cause;
+        }
+        fn stats(&self) -> DeviceStats {
+            self.dev.stats()
+        }
+    }
+
     #[test]
     fn cause_scopes_nest_innermost_wins_and_default_to_host_data() {
-        use crate::device::WriteCause;
-        let mut v = Volume::new(MemDevice::new(16), true);
+        // The log starts on a cause no write declares, so every entry below
+        // was set by the volume.
+        let dev =
+            CauseLog { dev: MemDevice::new(16), cause: WriteCause::Destage, writes: Vec::new() };
+        let mut v = Volume::new(dev, true);
         let data = vec![7u8; LOGICAL_PAGE];
         // No declared cause: host data.
         assert_eq!(v.current_cause(), WriteCause::HostData);
@@ -335,12 +359,9 @@ mod tests {
         });
         // Back to the default outside every scope.
         v.write(4, &data, 40).unwrap();
-        let by_cause = v.host_pages_by_cause();
-        assert_eq!(by_cause[WriteCause::HostData.index()], 2);
-        assert_eq!(by_cause[WriteCause::WalAppend.index()], 2);
-        assert_eq!(by_cause[WriteCause::PageImage.index()], 1);
-        let total: u64 = by_cause.iter().sum();
-        assert_eq!(total, v.device_stats().pages_written, "every host page attributed");
+        use WriteCause::*;
+        let want = [(0, HostData), (1, WalAppend), (2, PageImage), (3, WalAppend), (4, HostData)];
+        assert_eq!(v.device().writes, want, "the device is told the innermost cause");
     }
 
     #[test]
