@@ -638,11 +638,11 @@ mod tests {
         let t = Telemetry::new();
         t.enable_anatomy(1);
         assert_eq!(segment_mix(&t), "segments: none recorded");
-        let frame = t.frame("dev.x.write", 0);
+        let frame = t.frame(t.key("dev.x.write"), 0);
         t.seg(SegKind::MediaProgram, 3_000_000);
         frame.end(3_000_000);
         assert!(segment_mix(&t).contains("flush_cache  0.0%"), "{}", segment_mix(&t));
-        let frame = t.frame("dev.x.flush", 0);
+        let frame = t.frame(t.key("dev.x.flush"), 0);
         t.seg(SegKind::FlushCache, 1_000_000);
         frame.end(1_000_000);
         let line = segment_mix(&t);
@@ -666,7 +666,7 @@ mod tests {
         let mut sink = TelemetrySink::to_path(&path);
         assert!(sink.enabled());
         let t = Telemetry::new();
-        t.record("ops", 3);
+        t.record(t.key("ops"), 3);
         sink.add("row A", &t);
         sink.add("row A", &t); // duplicate label gets a suffix, not clobbered
         sink.add("tab\there", &t); // labels escape like every other string

@@ -54,22 +54,24 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
 /// pre-images than the measured workload (fsync every 32) can ever reach,
 /// pinning every high-water mark above the measurement window.
 ///
-/// With `observed`, the registry is attached to the device and the volume
-/// and the volume is mounted `nobarrier` (every fsync is the soft frame):
-/// the `fio_hot_obs` deployment.
+/// With `observed`, the registry is attached to the device and the volume.
+/// Mounted `nobarrier` every fsync is the soft frame (the `fio_hot_obs`
+/// deployment); with `barriers` it is a FLUSH CACHE.
 fn warm_volume(
+    cfg: SsdConfig,
     seed: u64,
     warmup_ops: u64,
     observed: Option<&Telemetry>,
+    barriers: bool,
 ) -> (Volume<Ssd>, u64, u64) {
-    let mut dev = Ssd::new(SsdConfig::tiny_test());
+    let mut dev = Ssd::new(cfg);
     // Media-side peaks (live NAND pages, in-flight erases) are geometric,
     // not workload-driven; prewarm pins them up front (8 MB raw here).
     dev.prewarm();
     if let Some(tel) = observed {
         dev.attach_telemetry(tel.clone());
     }
-    let mut vol = Volume::new(dev, observed.is_none());
+    let mut vol = Volume::new(dev, barriers);
     if let Some(tel) = observed {
         vol.attach_telemetry(tel.clone(), "t");
     }
@@ -108,7 +110,7 @@ fn warm_volume(
 /// checking out new ones — so the pool's checkouts grow by exactly the host
 /// pages admitted.
 fn steady_state_drained_writes() {
-    let (mut vol, span, mut t) = warm_volume(0x5EED, 10_000, None);
+    let (mut vol, span, mut t) = warm_volume(SsdConfig::tiny_test(), 0x5EED, 10_000, None, true);
     let pool = vol.device().slot_pool().clone();
     let stats = |vol: &Volume<Ssd>| (vol.device_stats().pages_written, vol.device().ftl_stats());
     let (pages0, ftl0) = stats(&vol);
@@ -138,7 +140,7 @@ fn steady_state_drained_writes() {
 }
 
 fn cache_hit_reads() {
-    let (mut vol, _span, mut t) = warm_volume(0xCAFE, 10_000, None);
+    let (mut vol, _span, mut t) = warm_volume(SsdConfig::tiny_test(), 0xCAFE, 10_000, None, true);
     let data = vec![7u8; 4096];
     let mut buf = vec![0u8; 4096];
     // A working set smaller than the 16-slot DRAM cache: these writes stay
@@ -163,28 +165,31 @@ fn cache_hit_reads() {
 
 fn telemetry_recording() {
     let tel = Telemetry::new();
-    // First samples intern the names.
-    tel.record("op.latency", 10);
-    tel.set_gauge("op.gauge", 5);
+    let (latency, gauge) = (tel.key("op.latency"), tel.key("op.gauge"));
+    // The first sample creates the histogram.
+    tel.record(latency, 10);
+    tel.set_gauge(gauge, 5);
     let allocs = allocs_during(|| {
         for i in 0..1_000u64 {
-            tel.record("op.latency", i);
-            tel.set_gauge("op.gauge", i as i64);
+            tel.record(latency, i);
+            tel.set_gauge(gauge, i as i64);
         }
     });
-    assert_eq!(allocs, 0, "metric recording must not allocate for known names");
+    assert_eq!(allocs, 0, "metric recording must not allocate for known keys");
 }
 
 fn disabled_tracing() {
     let tel = Telemetry::new();
+    let [dev, op, tick, nand, program] =
+        ["dev", "op", "tick", "nand", "nand.program"].map(|n| tel.key(n));
     // Tracing and anatomy never enabled: every scope must open and close
-    // without touching the heap (no interning, no ring work, no frame).
+    // without touching the heap (no ring work, no frame).
     let allocs = allocs_during(|| {
         for i in 0..1_000u64 {
-            let op = tel.op("dev", "op", i);
-            tel.trace_instant("dev", "tick", i);
-            tel.complete("nand", "nand.program", i, i + 1);
-            op.end(i + 1);
+            let scope = tel.op(dev, op, i);
+            tel.trace_instant(dev, tick, i);
+            tel.complete(nand, program, i, i + 1);
+            scope.end(i + 1);
         }
     });
     assert_eq!(allocs, 0, "disabled tracing must be free");
@@ -201,7 +206,8 @@ fn instrumented_writes() {
     let tel = Telemetry::new();
     tel.enable_anatomy(4);
     tel.enable_tracing(1 << 12);
-    let (mut vol, span, mut t) = warm_volume(0x0B5E, 10_000, Some(&tel));
+    let (mut vol, span, mut t) =
+        warm_volume(SsdConfig::tiny_test(), 0x0B5E, 10_000, Some(&tel), false);
     let mut r = rng(0xF10);
     let data = vec![3u8; 4096];
     let (recorded, dropped) = tel.trace_counts().unwrap();
@@ -218,6 +224,52 @@ fn instrumented_writes() {
     assert_eq!(allocs, 0, "instrumented writes + soft fsyncs must be allocation-free");
     assert!(tel.trace_counts().unwrap().0 >= recorded + 2 * 1_000, "every write was traced");
     assert_eq!(tel.last_breakdown().unwrap().name, "dev.t.write");
+    assert_eq!(tel.anatomy_violations(), 0);
+}
+
+/// Barrier flushes on a volatile device with anatomy and tracing on: the
+/// path `fio_flush_rw`'s traced pass and `observe` take. Each fsync is a
+/// FLUSH CACHE inside a `dev` span and frame, and under it the device opens
+/// the `flush_cache` span, samples `ssd.cache_drain`, refreshes its gauges
+/// and opens the `ftl.map_persist` span of the mapping persist the barrier
+/// forces. Warm, none of it allocates: every key was resolved when the
+/// registry was attached and every histogram exists. The outlier capturer
+/// keeps one op per name, so the warm-up's high-water burst and the
+/// second-long flush that ends it hold both places: a barriered flush's
+/// wall varies with GC, and a measured one that ranked among several kept
+/// flushes would be cloned into the capturer.
+fn instrumented_barrier_flushes() {
+    let tel = Telemetry::new();
+    tel.enable_anatomy(1);
+    tel.enable_tracing(1 << 12);
+    let (mut vol, span, mut t) =
+        warm_volume(SsdConfig::tiny_volatile(), 0xF1A5, 10_000, Some(&tel), true);
+    let mut r = rng(0xBA2);
+    let data = vec![3u8; 4096];
+    let flushes = |tel: &Telemetry| {
+        let count = |name| tel.histogram(name).map_or(0, |h| h.count());
+        (count("dev.t.flush"), count("ssd.cache_drain"))
+    };
+    let (dev0, drains0) = flushes(&tel);
+    let persists0 = vol.device().ftl_stats().meta_programs;
+    let allocs = allocs_during(|| {
+        for i in 0..2_000u64 {
+            let lpn = r.gen_range(0..span);
+            t = vol.write(lpn, &data, t).unwrap();
+            if i % 32 == 31 {
+                t = vol.fsync(t).unwrap();
+            }
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "instrumented barrier flushes on a volatile cache must be allocation-free"
+    );
+    let (dev, drains) = flushes(&tel);
+    assert_eq!((dev - dev0, drains - drains0), (62, 62), "every fsync was a FLUSH CACHE");
+    assert!(vol.device().ftl_stats().meta_programs > persists0, "the barriers persisted the map");
+    assert!(tel.gauge("ftl.gc_debt").is_some() && tel.gauge("ssd.cache_dirty").is_some());
+    assert!(tel.trace_chrome_json().unwrap().contains("\"name\":\"ftl.map_persist\""));
     assert_eq!(tel.anatomy_violations(), 0);
 }
 
@@ -386,6 +438,7 @@ fn hot_paths_are_allocation_free() {
     telemetry_recording();
     disabled_tracing();
     instrumented_writes();
+    instrumented_barrier_flushes();
     steady_state_drained_writes();
     cache_hit_reads();
     docstore_steady_state_set();

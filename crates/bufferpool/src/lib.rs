@@ -17,7 +17,7 @@
 
 use simkit::Nanos;
 use std::collections::HashMap;
-use telemetry::Telemetry;
+use telemetry::{Key, Telemetry};
 
 /// Storage interface the pool evicts to and faults from.
 pub trait PageBackend {
@@ -71,6 +71,18 @@ struct Frame {
     in_use: bool,
 }
 
+/// The attached telemetry handle and the pool's keys, resolved when it is
+/// attached.
+struct PoolTel {
+    tel: Telemetry,
+    cat: Key,
+    eviction: Key,
+    eviction_write: Key,
+    miss: Key,
+    miss_stall: Key,
+    dirty_pages: Key,
+}
+
 /// A fixed-capacity LRU buffer pool of `page_size`-byte frames.
 pub struct BufferPool {
     frames: Vec<Frame>,
@@ -86,7 +98,7 @@ pub struct BufferPool {
     ndirty: usize,
     /// Optional telemetry sink. The paper's "read blocked behind a write"
     /// time is the sum of the `pool.eviction_write` histogram.
-    tel: Option<Telemetry>,
+    tel: Option<PoolTel>,
 }
 
 impl BufferPool {
@@ -122,7 +134,15 @@ impl BufferPool {
     /// start — Fig. 1's blocked read) and `pool.miss_stall` (total fault
     /// time) histograms, under `pool.eviction` / `pool.miss` trace spans.
     pub fn attach_telemetry(&mut self, tel: Telemetry) {
-        self.tel = Some(tel);
+        self.tel = Some(PoolTel {
+            cat: tel.key("pool"),
+            eviction: tel.key("pool.eviction"),
+            eviction_write: tel.key("pool.eviction_write"),
+            miss: tel.key("pool.miss"),
+            miss_stall: tel.key("pool.miss_stall"),
+            dirty_pages: tel.key("pool.dirty_pages"),
+            tel,
+        });
     }
 
     /// Frame capacity.
@@ -247,10 +267,10 @@ impl BufferPool {
                 cur = self.frames[cur].prev;
             }
             let write_start = now;
-            let scope = self.tel.as_ref().map(|tel| tel.span("pool", "pool.eviction", now));
+            let scope = self.tel.as_ref().map(|t| t.tel.span(t.cat, t.eviction, now));
             now = self.write_back(&batch_idx[..nb], backend, now);
-            if let (Some(scope), Some(tel)) = (scope, &self.tel) {
-                tel.record("pool.eviction_write", now.saturating_sub(write_start));
+            if let (Some(scope), Some(t)) = (scope, &self.tel) {
+                t.tel.record(t.eviction_write, now.saturating_sub(write_start));
                 scope.end(now);
             }
             self.stats.dirty_evictions += nb as u64;
@@ -279,11 +299,11 @@ impl BufferPool {
             return (idx, now);
         }
         self.stats.misses += 1;
-        let scope = self.tel.as_ref().map(|tel| tel.span("pool", "pool.miss", now));
+        let scope = self.tel.as_ref().map(|t| t.tel.span(t.cat, t.miss, now));
         let (idx, t) = self.take_frame(backend, now);
         let t = backend.read_page(page_no, &mut self.frames[idx].data, t);
-        if let (Some(scope), Some(tel)) = (scope, &self.tel) {
-            tel.record("pool.miss_stall", t.saturating_sub(now));
+        if let (Some(scope), Some(tt)) = (scope, &self.tel) {
+            tt.tel.record(tt.miss_stall, t.saturating_sub(now));
             scope.end(t);
         }
         self.install(idx, page_no);
@@ -348,8 +368,8 @@ impl BufferPool {
 
     /// Mirror the incremental dirty count into the `pool.dirty_pages` gauge.
     fn note_dirty_gauge(&self) {
-        if let Some(tel) = &self.tel {
-            tel.set_gauge("pool.dirty_pages", self.ndirty as i64);
+        if let Some(t) = &self.tel {
+            t.tel.set_gauge(t.dirty_pages, self.ndirty as i64);
         }
     }
 

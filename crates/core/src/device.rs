@@ -12,7 +12,29 @@ use std::collections::{HashMap, VecDeque};
 use storage::device::{
     check_io, BlockDevice, DevError, DevResult, DeviceStats, WriteCause, LOGICAL_PAGE,
 };
-use telemetry::{SegKind, Telemetry};
+use telemetry::{Key, SegKind, Telemetry};
+
+/// The attached telemetry handle and the device's keys, resolved when it
+/// is attached.
+struct SsdTel {
+    tel: Telemetry,
+    cat: Key,
+    cache_admit: Key,
+    cache_drain: Key,
+    flush_cache: Key,
+    power_cut: Key,
+    postmortem_recovery: Key,
+    cache_occupancy: Key,
+    unpersisted_map: Key,
+    free_blocks: Key,
+    gc_debt: Key,
+    cache_dirty: Key,
+    ncq_backlog_ns: Key,
+    valid_ratio_pm: Key,
+    capacitor_reserve: Key,
+    /// `nand.ch<N>.queue`, one per channel.
+    ch_queue: Vec<Key>,
+}
 
 /// SSD-specific statistics on top of the generic [`DeviceStats`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -87,9 +109,7 @@ pub struct Ssd {
     /// Write counter used to throttle the O(blocks) valid-ratio gauge.
     gauge_tick: u32,
     /// Optional telemetry sink (cache-drain durations, occupancy gauge).
-    tel: Option<Telemetry>,
-    /// `nand.ch<N>.queue`, formatted once when the sink is attached.
-    ch_gauges: Vec<String>,
+    tel: Option<SsdTel>,
     /// Postmortem captured by the most recent `power_cut`.
     postmortem: Option<DevicePostmortem>,
     /// Snapshot captured by the most recent `reboot`.
@@ -117,7 +137,6 @@ impl Ssd {
             cur_cause: WriteCause::default(),
             gauge_tick: 0,
             tel: None,
-            ch_gauges: Vec::new(),
             postmortem: None,
             recovery: None,
             cfg,
@@ -132,9 +151,26 @@ impl Ssd {
     pub fn attach_telemetry(&mut self, tel: Telemetry) {
         self.ftl.attach_telemetry(tel.clone());
         self.nand.attach_telemetry(tel.clone());
-        self.ch_gauges =
-            (0..self.nand.channel_count()).map(|ch| format!("nand.ch{ch}.queue")).collect();
-        self.tel = Some(tel);
+        self.tel = Some(SsdTel {
+            cat: tel.key("ssd"),
+            cache_admit: tel.key("ssd.cache_admit"),
+            cache_drain: tel.key("ssd.cache_drain"),
+            flush_cache: tel.key("flush_cache"),
+            power_cut: tel.key("power_cut"),
+            postmortem_recovery: tel.key("postmortem_recovery"),
+            cache_occupancy: tel.key("ssd.cache_occupancy"),
+            unpersisted_map: tel.key("ftl.unpersisted_map"),
+            free_blocks: tel.key("ftl.free_blocks"),
+            gc_debt: tel.key("ftl.gc_debt"),
+            cache_dirty: tel.key("ssd.cache_dirty"),
+            ncq_backlog_ns: tel.key("ssd.ncq_backlog_ns"),
+            valid_ratio_pm: tel.key("ftl.valid_ratio_pm"),
+            capacitor_reserve: tel.key("ssd.capacitor_reserve"),
+            ch_queue: (0..self.nand.channel_count())
+                .map(|ch| tel.key(&format!("nand.ch{ch}.queue")))
+                .collect(),
+            tel,
+        });
     }
 
     /// Preallocate the NAND layer to its geometric bound (one 4KB cell per
@@ -252,8 +288,8 @@ impl Ssd {
         if ns == 0 {
             return;
         }
-        if let Some(tel) = &self.tel {
-            tel.seg(kind, ns);
+        if let Some(t) = &self.tel {
+            t.tel.seg(kind, ns);
         }
     }
 
@@ -297,7 +333,7 @@ impl Ssd {
             let e = self.cache.entry(lpn).expect("popped entry is present");
             (*cell, *cause) = (Some(e.data.clone()), e.cause);
         }
-        let scope = self.tel.as_ref().map(|tel| tel.span("ssd", "ssd.cache_drain", t));
+        let scope = self.tel.as_ref().map(|tt| tt.tel.span(tt.cat, tt.cache_drain, t));
         let done = self
             .ftl
             .program_slots_tagged(&mut self.nand, &lpns[..n], &cells[..n], &causes[..n], grant)
@@ -438,8 +474,8 @@ impl Ssd {
             preimages.push((slot_lpn, pre));
         }
         self.inflight.push_back(InflightWrite { done, preimages });
-        if let Some(tel) = &self.tel {
-            tel.trace_instant("ssd", "ssd.cache_admit", done);
+        if let Some(t) = &self.tel {
+            t.tel.trace_instant(t.cat, t.cache_admit, done);
         }
         self.opportunistic_drain(now)?;
         Ok(done)
@@ -586,21 +622,23 @@ impl Ssd {
     /// media valid ratio) and — on capacitor-backed devices — the remaining
     /// capacitor energy headroom in bytes.
     fn update_gauges(&mut self) {
-        let Some(tel) = self.tel.clone() else {
+        let Some(t) = &self.tel else {
             return;
         };
+        let tel = &t.tel;
         let occ = self.cache.occupied() as i64;
         let unpersisted = self.ftl.unpersisted_entries() as i64;
-        tel.set_gauge("ssd.cache_occupancy", occ);
-        tel.set_gauge("ftl.unpersisted_map", unpersisted);
-        tel.set_gauge("ftl.free_blocks", self.ftl.free_blocks() as i64);
-        tel.set_gauge("ftl.gc_debt", self.ftl.gc_debt() as i64);
+        let (free, debt) = self.ftl.free_and_gc_debt();
+        tel.set_gauge(t.cache_occupancy, occ);
+        tel.set_gauge(t.unpersisted_map, unpersisted);
+        tel.set_gauge(t.free_blocks, free as i64);
+        tel.set_gauge(t.gc_debt, debt as i64);
         // Queue-depth observability: the admission queue (dirty slots
         // waiting for the drain engine) and the host-interface NCQ backlog
         // (accepted-but-unfinished transfer time at the arrival watermark).
-        tel.set_gauge("ssd.cache_dirty", self.cache.dirty() as i64);
+        tel.set_gauge(t.cache_dirty, self.cache.dirty() as i64);
         tel.set_gauge(
-            "ssd.ncq_backlog_ns",
+            t.ncq_backlog_ns,
             self.sata.backlog_at(self.last_arrival).min(i64::MAX as u64) as i64,
         );
         // The valid ratio walks every block's counter; refresh it on a
@@ -609,18 +647,18 @@ impl Ssd {
         if self.gauge_tick.is_multiple_of(64) {
             let (live, total) = self.ftl.live_slots();
             if let Some(pm) = (live * 1000).checked_div(total) {
-                tel.set_gauge("ftl.valid_ratio_pm", pm as i64);
+                tel.set_gauge(t.valid_ratio_pm, pm as i64);
             }
-            for (ch, name) in self.ch_gauges.iter().enumerate() {
+            for (ch, &key) in t.ch_queue.iter().enumerate() {
                 let occ = self.nand.channel_occupancy_at(ch, self.last_arrival);
-                tel.set_gauge(name, occ as i64);
+                tel.set_gauge(key, occ as i64);
             }
         }
-        self.gauge_tick = self.gauge_tick.wrapping_add(1);
         if matches!(self.cfg.protection, CacheProtection::CapacitorBacked) {
             let live = occ * LOGICAL_PAGE as i64 + unpersisted * 8;
-            tel.set_gauge("ssd.capacitor_reserve", self.cfg.capacitor_energy_bytes as i64 - live);
+            tel.set_gauge(t.capacitor_reserve, self.cfg.capacitor_energy_bytes as i64 - live);
         }
+        self.gauge_tick = self.gauge_tick.wrapping_add(1);
     }
 }
 
@@ -717,17 +755,17 @@ impl BlockDevice for Ssd {
         let start = now.max(self.barrier_until);
         // The span every barrier pays and DuraSSD's nobarrier mount never
         // emits: the trace-level twin of the flush_cache segment.
-        let scope = self.tel.as_ref().map(|tel| {
-            tel.set_gauge("ssd.cache_occupancy", self.cache.occupied() as i64);
-            tel.span("ssd", "flush_cache", start)
+        let scope = self.tel.as_ref().map(|t| {
+            t.tel.set_gauge(t.cache_occupancy, self.cache.occupied() as i64);
+            t.tel.span(t.cat, t.flush_cache, start)
         });
         let gc_before = self.ftl.gc_time();
         let drained = self.drain_all(start)?;
-        if let Some(tel) = &self.tel {
+        if let Some(t) = &self.tel {
             // The cache-flush-queue drain time: how long FLUSH CACHE spends
             // pushing dirty slots to flash (§3.3 — DuraSSD avoids this wait
             // entirely by running the database with barriers disabled).
-            tel.record("ssd.cache_drain", drained.saturating_sub(start));
+            t.tel.record(t.cache_drain, drained.saturating_sub(start));
         }
         let persisted = if self.cfg.persist_mapping_on_flush {
             self.ftl.persist_mapping(&mut self.nand, drained)
@@ -801,8 +839,8 @@ impl BlockDevice for Ssd {
         let now = now.max(self.last_arrival);
         self.powered = false;
         self.barrier_until = 0;
-        if let Some(tel) = &self.tel {
-            tel.trace_instant("ssd", "power_cut", now);
+        if let Some(t) = &self.tel {
+            t.tel.trace_instant(t.cat, t.power_cut, now);
         }
         // Postmortem: capture everything the cut is about to destroy —
         // per-channel drain positions and the un-journalled mapping delta
@@ -888,7 +926,7 @@ impl BlockDevice for Ssd {
         }
         self.powered = true;
         self.last_arrival = 0;
-        let scope = self.tel.as_ref().map(|tel| tel.span("ssd", "postmortem_recovery", now));
+        let scope = self.tel.as_ref().map(|t| t.tel.span(t.cat, t.postmortem_recovery, now));
         // Torn-erase sweep: a cut during an in-flight erase leaves the
         // block refusing programs until it is erased again — but the FTL
         // already recycled it. Repair before serving I/O; skipping this
@@ -1501,7 +1539,7 @@ mod tests {
         now: Nanos,
         f: impl FnOnce(&mut Ssd, Nanos) -> DevResult<Nanos>,
     ) -> (Nanos, telemetry::OpBreakdown) {
-        let frame = tel.frame(name, now);
+        let frame = tel.frame(tel.key(name), now);
         let done = frame.end(f(d, now).unwrap());
         let bd = tel.last_breakdown().expect("frame closed");
         assert_eq!(bd.wall, done - now, "{name}: wall is the op latency");
@@ -1657,7 +1695,7 @@ mod tests {
         let (mut b, btel) = anatomy_dev(SsdConfig::tiny_test());
         let k = 8u64;
         for i in 0..k {
-            let frame = btel.frame("dev.write", 0);
+            let frame = btel.frame(btel.key("dev.write"), 0);
             frame.end(b.write(i, &page(1), 0).unwrap());
         }
         let svc = (btel.histogram("seg.xfer").unwrap().sum() / k as u128) as u64;

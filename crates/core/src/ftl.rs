@@ -21,7 +21,7 @@ use nand::{NandArray, NandError};
 use simkit::pool::CELL_BYTES;
 use simkit::{Nanos, SharedBuf};
 use storage::device::{CauseCounts, DevError, WriteCause};
-use telemetry::Telemetry;
+use telemetry::{Key, Telemetry};
 
 /// Sentinel: logical page not mapped / slot not in use.
 const NONE: u64 = u64::MAX;
@@ -81,6 +81,18 @@ pub struct FtlStats {
     pub slots_by_cause: CauseCounts,
 }
 
+/// The attached telemetry handle and the FTL's keys, resolved when it is
+/// attached.
+struct FtlTel {
+    tel: Telemetry,
+    cat: Key,
+    gc: Key,
+    gc_pause: Key,
+    map_persist: Key,
+    program: Key,
+    erase: Key,
+}
+
 /// The flash translation layer.
 pub struct Ftl {
     spp: usize,
@@ -113,7 +125,7 @@ pub struct Ftl {
     gc_lpns: Vec<u64>,
     gc_cells: Vec<Option<SharedBuf>>,
     stats: FtlStats,
-    tel: Option<Telemetry>,
+    tel: Option<FtlTel>,
     /// GC pause of the most recent [`Ftl::program_slots_tagged`] call (0
     /// when no GC preempted it): the latency-anatomy `gc_wait` segment for
     /// the command that suffered it. Read together with
@@ -184,7 +196,15 @@ impl Ftl {
     /// `ftl.gc_pause` and NAND program/erase service times under
     /// `nand.program` / `nand.erase`.
     pub fn attach_telemetry(&mut self, tel: Telemetry) {
-        self.tel = Some(tel);
+        self.tel = Some(FtlTel {
+            cat: tel.key("ftl"),
+            gc: tel.key("ftl.gc"),
+            gc_pause: tel.key("ftl.gc_pause"),
+            map_persist: tel.key("ftl.map_persist"),
+            program: tel.key("nand.program"),
+            erase: tel.key("nand.erase"),
+            tel,
+        });
     }
 
     /// FTL statistics.
@@ -352,14 +372,14 @@ impl Ftl {
             // both as a histogram sample and as a trace span.
             let pause = gc_end - now;
             self.stats.gc_ns += pause;
-            if let Some(tel) = &self.tel {
-                tel.record("ftl.gc_pause", pause);
-                tel.complete("ftl", "ftl.gc", now, gc_end);
+            if let Some(t) = &self.tel {
+                t.tel.record(t.gc_pause, pause);
+                t.tel.complete(t.cat, t.gc, now, gc_end);
             }
         }
         let done = self.program_on_plane(nand, plane, lpns, cells, now);
-        if let Some(tel) = &self.tel {
-            tel.record("nand.program", done.saturating_sub(now));
+        if let Some(t) = &self.tel {
+            t.tel.record(t.program, done.saturating_sub(now));
         }
         self.stats.data_programs += 1;
         self.stats.slots_programmed += lpns.len() as u64;
@@ -542,8 +562,8 @@ impl Ftl {
         self.gc_lpns = gc_lpns;
         self.gc_cells = gc_cells;
         let end = nand.erase(victim, t).expect("victim block exists");
-        if let Some(tel) = &self.tel {
-            tel.record("nand.erase", end.saturating_sub(t));
+        if let Some(tt) = &self.tel {
+            tt.tel.record(tt.erase, end.saturating_sub(t));
         }
         self.stats.gc_erases += 1;
         self.role[victim as usize] = Role::Free;
@@ -590,7 +610,7 @@ impl Ftl {
         let geo = *nand.geometry();
         let entries_per_page = geo.page_size / 8; // (lpn, slot) pairs, 8B packed
         let pages = self.up_list.len().div_ceil(entries_per_page).max(1);
-        let scope = self.tel.as_ref().map(|tel| tel.span("ftl", "ftl.map_persist", now));
+        let scope = self.tel.as_ref().map(|t| t.tel.span(t.cat, t.map_persist, now));
         let mut t = now;
         for _ in 0..pages {
             t = self.program_meta_page(nand, t);
@@ -826,12 +846,15 @@ impl Ftl {
         self.plane_free.iter().map(Vec::len).sum()
     }
 
-    /// GC pressure: how many free blocks each plane is short of its GC
-    /// trigger threshold, summed across planes (0 = no pressure; every
+    /// `(free blocks, GC debt)` in one pass over the plane free lists. The
+    /// debt is GC pressure: how many free blocks each plane is short of its
+    /// GC trigger threshold, summed across planes (0 = no pressure; every
     /// positive unit means the next program on that plane stalls behind a
     /// collection).
-    pub fn gc_debt(&self) -> usize {
-        self.plane_free.iter().map(|f| self.gc_threshold.saturating_sub(f.len())).sum()
+    pub fn free_and_gc_debt(&self) -> (usize, usize) {
+        self.plane_free.iter().fold((0, 0), |(free, debt), f| {
+            (free + f.len(), debt + self.gc_threshold.saturating_sub(f.len()))
+        })
     }
 
     /// `(live, total)` data-slot counts on media — the numerator and

@@ -32,7 +32,7 @@ use std::hash::BuildHasherDefault;
 use storage::device::{BlockDevice, WriteCause};
 use storage::file::PageFile;
 use storage::volume::{Volume, VolumeManager};
-use telemetry::{Scope, Telemetry};
+use telemetry::{Key, Scope, Telemetry};
 use wal::{DocSetRef, LogRecord};
 
 const HEADER_MAGIC: u64 = 0x434f_5543_4848_4452;
@@ -198,6 +198,17 @@ pub struct DocStats {
     pub compactions: u64,
 }
 
+/// The attached telemetry handle and the store's op keys, resolved when it
+/// is attached.
+struct DocTel {
+    tel: Telemetry,
+    cat: Key,
+    commit: Key,
+    set: Key,
+    delete: Key,
+    get: Key,
+}
+
 /// The document store over a block device.
 pub struct DocStore<D: BlockDevice> {
     vol: Volume<D>,
@@ -233,7 +244,7 @@ pub struct DocStore<D: BlockDevice> {
     updates_since_sync: u32,
     stats: DocStats,
     /// Optional telemetry sink; see [`DocStore::attach_telemetry`].
-    tel: Option<Telemetry>,
+    tel: Option<DocTel>,
     /// Optional durability ledger; see [`DocStore::attach_ledger`].
     ledger: Option<Ledger>,
 }
@@ -324,7 +335,14 @@ impl<D: BlockDevice> DocStore<D> {
     /// `doc.get` / `doc.commit` operation latencies.
     pub fn attach_telemetry(&mut self, tel: Telemetry) {
         self.vol.attach_telemetry(tel.clone(), "doc");
-        self.tel = Some(tel);
+        self.tel = Some(DocTel {
+            cat: tel.key("doc"),
+            commit: tel.key("doc.commit"),
+            set: tel.key("doc.set"),
+            delete: tel.key("doc.delete"),
+            get: tel.key("doc.get"),
+            tel,
+        });
     }
 
     /// Attach a durability ledger. Every `set` / `delete` pends a
@@ -343,8 +361,8 @@ impl<D: BlockDevice> DocStore<D> {
     /// nest: `doc.set` may contain a `doc.commit` frame; both see the same
     /// segments, so each level's conservation identity holds). Closing
     /// records the op latency under `name` and ticks the gauge sampler.
-    fn scope(&self, name: &'static str, now: Nanos) -> Option<Scope<'static>> {
-        self.tel.as_ref().map(|tel| tel.op("doc", name, now))
+    fn scope(&self, name: fn(&DocTel) -> Key, now: Nanos) -> Option<Scope> {
+        self.tel.as_ref().map(|t| t.tel.op(t.cat, name(t), now))
     }
 
     /// Tree depth (levels of internal nodes above the leaves).
@@ -528,7 +546,7 @@ impl<D: BlockDevice> DocStore<D> {
     /// the store's checkpoint: it names the root of a complete tree, so
     /// recovery needs the newest one and nothing before it.
     pub fn commit_header(&mut self, now: Nanos) -> Nanos {
-        let scope = self.scope("doc.commit", now);
+        let scope = self.scope(|t| t.commit, now);
         self.seq += 1;
         self.space.align_to_block();
         let header = Header { seq: self.seq, root: self.root, depth: self.depth };
@@ -553,7 +571,7 @@ impl<D: BlockDevice> DocStore<D> {
     /// Insert or update a document. Returns the completion time.
     pub fn set(&mut self, key: &[u8], doc: &[u8], now: Nanos) -> Nanos {
         self.stats.sets += 1;
-        let scope = self.scope("doc.set", now);
+        let scope = self.scope(|t| t.set, now);
         if let Some(ledger) = &self.ledger {
             ledger.pend(UnitKind::DocstoreUpdate, key, Some(doc));
         }
@@ -582,7 +600,7 @@ impl<D: BlockDevice> DocStore<D> {
     /// Delete a document (tombstone entry).
     pub fn delete(&mut self, key: &[u8], now: Nanos) -> Nanos {
         self.stats.deletes += 1;
-        let scope = self.scope("doc.delete", now);
+        let scope = self.scope(|t| t.delete, now);
         if let Some(ledger) = &self.ledger {
             // A tombstone: a surviving delete reads back as Missing.
             ledger.pend(UnitKind::DocstoreUpdate, key, None);
@@ -601,7 +619,7 @@ impl<D: BlockDevice> DocStore<D> {
     /// Fetch a document. Memory-first: the object cache serves hot keys; a
     /// miss walks the on-disk tree.
     pub fn get(&mut self, key: &[u8], now: Nanos) -> Timed<Option<Vec<u8>>> {
-        let scope = self.scope("doc.get", now);
+        let scope = self.scope(|t| t.get, now);
         let (v, done) = self.get_inner(key, now);
         Timed::new(v, scope.map_or(done, |s| s.close(done)))
     }

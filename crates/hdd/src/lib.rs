@@ -24,7 +24,7 @@ use std::collections::{BTreeMap, BinaryHeap};
 use storage::device::{
     check_io, BlockDevice, DevError, DevResult, DeviceStats, WriteCause, LOGICAL_PAGE,
 };
-use telemetry::{SegKind, Telemetry};
+use telemetry::{Key, SegKind, Telemetry};
 
 /// Tunable disk parameters. Defaults approximate a 15krpm enterprise drive.
 #[derive(Debug, Clone, Copy)]
@@ -71,6 +71,18 @@ impl Default for HddConfig {
     }
 }
 
+/// The attached telemetry handle and the disk's keys, resolved when it is
+/// attached.
+struct HddTel {
+    tel: Telemetry,
+    cat: Key,
+    destage: Key,
+    cache_dirty: Key,
+    flush_cache: Key,
+    power_cut: Key,
+    postmortem_recovery: Key,
+}
+
 /// The disk model.
 pub struct Hdd {
     cfg: HddConfig,
@@ -97,7 +109,7 @@ pub struct Hdd {
     /// [`BlockDevice::set_write_cause`]).
     cur_cause: WriteCause,
     /// Optional telemetry sink (destage-batch durations, dirty gauge).
-    tel: Option<Telemetry>,
+    tel: Option<HddTel>,
     /// Postmortem captured by the most recent `power_cut`.
     postmortem: Option<DevicePostmortem>,
     /// Snapshot captured by the most recent `reboot`.
@@ -129,7 +141,15 @@ impl Hdd {
     /// Attach a telemetry sink: records destage-batch mechanical time
     /// (`hdd.destage`) and a dirty-page gauge (`hdd.cache_dirty`).
     pub fn attach_telemetry(&mut self, tel: Telemetry) {
-        self.tel = Some(tel);
+        self.tel = Some(HddTel {
+            cat: tel.key("hdd"),
+            destage: tel.key("hdd.destage"),
+            cache_dirty: tel.key("hdd.cache_dirty"),
+            flush_cache: tel.key("flush_cache"),
+            power_cut: tel.key("power_cut"),
+            postmortem_recovery: tel.key("postmortem_recovery"),
+            tel,
+        });
     }
 
     /// Estimated outstanding commands at `now` (for scheduler benefit).
@@ -230,13 +250,13 @@ impl Hdd {
                 destaged += 1;
             }
         }
-        if let Some(tel) = &self.tel {
-            tel.record("hdd.destage", done.saturating_sub(now));
-            tel.set_gauge("hdd.cache_dirty", self.cache.len() as i64);
+        if let Some(t) = &self.tel {
+            t.tel.record(t.destage, done.saturating_sub(now));
+            t.tel.set_gauge(t.cache_dirty, self.cache.len() as i64);
             if done > now {
                 // Span only when the arm actually moved; zero-length
                 // destages (empty cache) would just be trace noise.
-                tel.complete("hdd", "hdd.destage", now, done);
+                t.tel.complete(t.cat, t.destage, now, done);
             }
         }
         done
@@ -247,8 +267,8 @@ impl Hdd {
         if ns == 0 {
             return;
         }
-        if let Some(tel) = &self.tel {
-            tel.seg(kind, ns);
+        if let Some(t) = &self.tel {
+            t.tel.seg(kind, ns);
         }
     }
 
@@ -373,7 +393,7 @@ impl BlockDevice for Hdd {
         let arrival = now;
         let now = now.max(self.barrier_until);
         self.seg(SegKind::FlushCache, now - arrival);
-        let scope = self.tel.as_ref().map(|tel| tel.span("hdd", "flush_cache", now));
+        let scope = self.tel.as_ref().map(|t| t.tel.span(t.cat, t.flush_cache, now));
         let drained = self.destage_all(now);
         self.seg(SegKind::HddDestage, drained - now);
         self.draining.clear();
@@ -390,8 +410,8 @@ impl BlockDevice for Hdd {
 
     fn power_cut(&mut self, now: Nanos) {
         self.powered = false;
-        if let Some(tel) = &self.tel {
-            tel.trace_instant("hdd", "power_cut", now);
+        if let Some(t) = &self.tel {
+            t.tel.trace_instant(t.cat, t.power_cut, now);
         }
         // Postmortem: the pages the volatile write cache is about to drop,
         // with their owner LBAs, captured before the cache is cleared.
@@ -421,8 +441,8 @@ impl BlockDevice for Hdd {
         self.powered = true;
         // Spin-up.
         let ready = now + 5_000_000_000;
-        if let Some(tel) = &self.tel {
-            tel.complete("hdd", "postmortem_recovery", now, ready);
+        if let Some(t) = &self.tel {
+            t.tel.complete(t.cat, t.postmortem_recovery, now, ready);
         }
         self.recovery = Some(RecoverySnap {
             device: "hdd".into(),
@@ -481,11 +501,11 @@ mod tests {
         tel.enable_anatomy(2);
         let mut d = disk(true);
         d.attach_telemetry(tel.clone());
-        let frame = tel.frame("w", 0);
+        let frame = tel.frame(tel.key("w"), 0);
         let t = frame.end(d.write(0, &page(1), 0).unwrap());
         assert!(tel.last_breakdown().unwrap().is_conserved());
         // Flush: cache destage plus journal commit, fully attributed.
-        let frame = tel.frame("f", t);
+        let frame = tel.frame(tel.key("f"), t);
         frame.end(d.flush(t).unwrap());
         let bd = tel.last_breakdown().unwrap();
         assert!(bd.seg(SegKind::HddDestage) > 0, "destage span attributed");
@@ -494,7 +514,7 @@ mod tests {
         // Write-through disk: mechanical service shows up as media program.
         let mut d2 = disk(false);
         d2.attach_telemetry(tel.clone());
-        let frame = tel.frame("w2", 0);
+        let frame = tel.frame(tel.key("w2"), 0);
         frame.end(d2.write(0, &page(1), 0).unwrap());
         let bd = tel.last_breakdown().unwrap();
         assert!(bd.seg(SegKind::MediaProgram) > 0);

@@ -4,7 +4,7 @@ use crate::geometry::{Geometry, Ppn};
 use simkit::pool::CELL_BYTES;
 use simkit::{BufPool, Nanos, SharedBuf, Timeline};
 use std::ops::Range;
-use telemetry::Telemetry;
+use telemetry::{Key, Telemetry};
 
 /// Errors raised by raw NAND operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,6 +99,16 @@ struct EraseInFlight {
     saved: Parked,
 }
 
+/// The attached telemetry handle and the keys of the media trace events,
+/// resolved when it is attached.
+struct NandTel {
+    tel: Telemetry,
+    cat: Key,
+    read: Key,
+    program: Key,
+    erase: Key,
+}
+
 /// The flash array.
 ///
 /// All operations take "now" and return the virtual completion time.
@@ -138,7 +148,7 @@ pub struct NandArray {
     /// Optional telemetry sink: media-level trace events are emitted here,
     /// at the source, under whatever trace-ID the host operation above us
     /// pushed — the bottom of the causal chain.
-    tel: Option<Telemetry>,
+    tel: Option<NandTel>,
     /// Queueing wait of the most recent read/program (completion minus
     /// issue minus pure service): the raw material for the latency-anatomy
     /// channel-wait attribution.
@@ -200,7 +210,13 @@ impl NandArray {
     /// Attach a telemetry handle: every program/erase (and read) emits a
     /// trace span under the caller's current trace-ID.
     pub fn attach_telemetry(&mut self, tel: Telemetry) {
-        self.tel = Some(tel);
+        self.tel = Some(NandTel {
+            cat: tel.key("nand"),
+            read: tel.key("nand.read"),
+            program: tel.key("nand.program"),
+            erase: tel.key("nand.erase"),
+            tel,
+        });
     }
 
     /// The pool every slot's cell comes from. A device checks its host
@@ -252,9 +268,9 @@ impl NandArray {
 
     /// Emit a completed media-operation span (`B` at issue, `E` at the
     /// virtual completion time).
-    fn trace_span(&self, name: &str, start: Nanos, done: Nanos) {
-        if let Some(tel) = &self.tel {
-            tel.complete("nand", name, start, done);
+    fn trace_span(&self, name: fn(&NandTel) -> Key, start: Nanos, done: Nanos) {
+        if let Some(t) = &self.tel {
+            t.tel.complete(t.cat, name(t), start, done);
         }
     }
 
@@ -334,7 +350,7 @@ impl NandArray {
         self.last_service = self.geo.t_read + bus;
         self.last_wait = (done - now).saturating_sub(self.last_service);
         self.stats.reads += 1;
-        self.trace_span("nand.read", now, done);
+        self.trace_span(|t| t.read, now, done);
         match self.pages[ppn as usize] {
             Page::Erased => Err(NandError::Unwritten { ppn }),
             Page::Shorn => Err(NandError::Shorn { ppn }),
@@ -404,7 +420,7 @@ impl NandArray {
         self.pages[ppn as usize] = Page::Programmed;
         self.inflight_programs.push((ppn, done));
         self.stats.programs += 1;
-        self.trace_span("nand.program", now, done);
+        self.trace_span(|t| t.program, now, done);
         Ok(done)
     }
 
@@ -484,7 +500,7 @@ impl NandArray {
             saved,
         });
         self.stats.erases += 1;
-        self.trace_span("nand.erase", now, done);
+        self.trace_span(|t| t.erase, now, done);
         Ok(done)
     }
 

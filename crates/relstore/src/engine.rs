@@ -83,7 +83,7 @@ use std::collections::{BTreeMap, HashSet};
 use storage::device::{at_queue_depth, BlockDevice, DevError, WriteCause};
 use storage::file::PageFile;
 use storage::volume::{Volume, VolumeManager};
-use telemetry::{Scope, Telemetry};
+use telemetry::{Key, Scope, Telemetry};
 use wal::{CheckpointPolicy, LogRecord, Lsn, OpRef, ScannedRecord, Wal, WalStats};
 
 /// Identifier of a tree (table/index) within the engine.
@@ -347,6 +347,19 @@ impl<D: BlockDevice, L: BlockDevice> View<'_, D, L> {
     }
 }
 
+/// The attached telemetry handle and the engine's op keys, resolved when it
+/// is attached.
+struct EngineTel {
+    tel: Telemetry,
+    cat: Key,
+    put: Key,
+    get: Key,
+    delete: Key,
+    scan: Key,
+    commit: Key,
+    checkpoint: Key,
+}
+
 /// The storage engine over a data device `D` and a log device `L`.
 pub struct Engine<D: BlockDevice, L: BlockDevice> {
     cfg: EngineConfig,
@@ -363,7 +376,7 @@ pub struct Engine<D: BlockDevice, L: BlockDevice> {
     /// (full-page-writes mode).
     fpw_logged: HashSet<u64>,
     /// Optional telemetry sink; see [`Engine::attach_telemetry`].
-    tel: Option<Telemetry>,
+    tel: Option<EngineTel>,
     /// Optional durability ledger; see [`Engine::attach_ledger`].
     ledger: Option<Ledger>,
 }
@@ -448,7 +461,16 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
         self.io.logv.attach_telemetry(tel.clone(), "log");
         self.pool.attach_telemetry(tel.clone());
         self.io.wal.attach_telemetry(tel.clone());
-        self.tel = Some(tel);
+        self.tel = Some(EngineTel {
+            cat: tel.key("engine"),
+            put: tel.key("engine.put"),
+            get: tel.key("engine.get"),
+            delete: tel.key("engine.delete"),
+            scan: tel.key("engine.scan"),
+            commit: tel.key("engine.commit"),
+            checkpoint: tel.key("engine.checkpoint"),
+            tel,
+        });
     }
 
     /// Attach a durability ledger: `put`/`delete` register pending units
@@ -470,8 +492,8 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
     /// against it, and closing it audits that they never exceed the op's
     /// wall latency. Closing records the op latency under `name` and ticks
     /// the gauge sampler.
-    fn scope(&self, name: &'static str, now: Nanos) -> Option<Scope<'static>> {
-        self.tel.as_ref().map(|tel| tel.op("engine", name, now))
+    fn scope(&self, name: fn(&EngineTel) -> Key, now: Nanos) -> Option<Scope> {
+        self.tel.as_ref().map(|t| t.tel.op(t.cat, name(t), now))
     }
 
     /// Engine configuration.
@@ -627,7 +649,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             self.trees.len()
         );
         self.io.stats.puts += 1;
-        let scope = self.scope("engine.put", now);
+        let scope = self.scope(|t| t.put, now);
         let root_before = self.trees[tree as usize].root();
         let height_before = self.trees[tree as usize].height();
         let (_, structural, t) =
@@ -665,7 +687,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             return Timed::new(f(None), now);
         }
         self.io.stats.gets += 1;
-        let scope = self.scope("engine.get", now);
+        let scope = self.scope(|t| t.get, now);
         let (r, _, t) =
             self.op(now, |trees, view, t| trees[tree as usize].get_with(view, key, t, f));
         Timed::new(r, scope.map_or(t, |s| s.close(t)))
@@ -677,7 +699,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             return Timed::new(false, now); // tree lost with the catalog: nothing to delete
         }
         self.io.stats.deletes += 1;
-        let scope = self.scope("engine.delete", now);
+        let scope = self.scope(|t| t.delete, now);
         let (existed, structural, t) =
             self.op(now, |trees, view, t| trees[tree as usize].delete(view, key, t));
         self.log_op(Some(OpRef::Delete { tree, key }), structural, None);
@@ -703,7 +725,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             return now; // tree lost with the catalog: empty scan
         }
         self.io.stats.gets += 1;
-        let scope = self.scope("engine.scan", now);
+        let scope = self.scope(|t| t.scan, now);
         let (_, _, t) =
             self.op(now, |trees, view, t| trees[tree as usize].scan(view, from, t, visit));
         scope.map_or(t, |s| s.close(t))
@@ -734,7 +756,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
     /// polling [`Engine::needs_checkpoint`].
     pub fn commit(&mut self, now: Nanos) -> Nanos {
         self.io.stats.commits += 1;
-        let scope = self.scope("engine.commit", now);
+        let scope = self.scope(|t| t.commit, now);
         let target = self.io.wal.next_lsn();
         let mut t = self.io.wal.commit(&mut self.io.logv, target, now);
         if let Some(ledger) = &self.ledger {
@@ -776,7 +798,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
     /// leaves the previous one in force (module docs).
     pub fn checkpoint(&mut self, now: Nanos) -> Nanos {
         self.io.stats.checkpoints += 1;
-        let scope = self.scope("engine.checkpoint", now);
+        let scope = self.scope(|t| t.checkpoint, now);
         let t = self.io.wal.quiesce(&mut self.io.logv, now);
         let begin = self.io.wal.next_lsn();
         let t = self.pool.flush_all(&mut self.io, t);

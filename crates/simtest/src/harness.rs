@@ -205,7 +205,7 @@ impl DeviceCase {
         f: impl FnOnce(&mut Ssd) -> Result<Nanos, E>,
     ) -> Result<Result<Nanos, E>, String> {
         self.gc_mark = self.dev.gc_time();
-        let frame = self.tel.frame(name, issue);
+        let frame = self.tel.frame(self.tel.key(name), issue);
         let res = f(&mut self.dev).map(|done| frame.end(done));
         self.audit(name)?;
         Ok(res)

@@ -3,22 +3,23 @@
 
 use crate::device::{BlockDevice, DevResult, DeviceStats, WriteCause};
 use simkit::Nanos;
-use telemetry::{SegKind, Telemetry};
+use telemetry::{Key, SegKind, Telemetry};
 
 /// Cost of an `fsync` that does **not** reach the device (metadata bookkeeping
 /// in the kernel): a couple of microseconds. This is what the paper's
 /// `nobarrier` mount option reduces fsync to.
 const FSYNC_SOFT_COST: Nanos = 2_000;
 
-/// Pre-formatted telemetry names for one volume, so the hot path does not
-/// re-allocate metric keys per I/O.
+/// The attached telemetry handle and the volume's keys, resolved once when
+/// it is attached.
 struct VolumeTel {
     tel: Telemetry,
-    read: String,
-    write: String,
-    flush: String,
-    fsync_soft: String,
-    discard: String,
+    cat: Key,
+    read: Key,
+    write: Key,
+    flush: Key,
+    fsync_soft: Key,
+    discard: Key,
 }
 
 /// A mounted device with a write-barrier policy.
@@ -68,13 +69,15 @@ impl<D: BlockDevice> Volume<D> {
     /// Attach a telemetry handle; latencies are recorded under
     /// `dev.<label>.{read,write,flush,discard}`.
     pub fn attach_telemetry(&mut self, tel: Telemetry, label: &str) {
+        let op = |name: &str| tel.key(&format!("dev.{label}.{name}"));
         self.tel = Some(VolumeTel {
+            cat: tel.key("dev"),
+            read: op("read"),
+            write: op("write"),
+            flush: op("flush"),
+            fsync_soft: op("fsync_soft"),
+            discard: op("discard"),
             tel,
-            read: format!("dev.{label}.read"),
-            write: format!("dev.{label}.write"),
-            flush: format!("dev.{label}.flush"),
-            fsync_soft: format!("dev.{label}.fsync_soft"),
-            discard: format!("dev.{label}.discard"),
         });
     }
 
@@ -89,8 +92,7 @@ impl<D: BlockDevice> Volume<D> {
     }
 
     /// Issue one device command inside its scope: a `dev` trace span, an
-    /// anatomy frame and a latency sample, all under the command's
-    /// pre-formatted name. The frame makes the device's segment charges —
+    /// anatomy frame and a latency sample, all under the command's key. The frame makes the device's segment charges —
     /// NCQ wait, channel wait, media service, GC, flush-cache — land both in
     /// the command's own breakdown and, because frames nest, in whatever
     /// host operation (engine commit, docstore set) encloses it. A failed
@@ -98,25 +100,25 @@ impl<D: BlockDevice> Volume<D> {
     /// so no frame dangles to corrupt later attribution.
     fn command(
         &mut self,
-        name: fn(&VolumeTel) -> &str,
+        name: fn(&VolumeTel) -> Key,
         now: Nanos,
         issue: impl FnOnce(&mut D) -> DevResult<Nanos>,
     ) -> DevResult<Nanos> {
-        let scope = self.tel.as_ref().map(|t| t.tel.framed_span("dev", name(t), now));
+        let scope = self.tel.as_ref().map(|t| t.tel.framed_span(t.cat, name(t), now));
         let end = issue(&mut self.dev)?;
         Ok(scope.map_or(end, |s| s.close(end)))
     }
 
     /// Direct read of logical pages.
     pub fn read(&mut self, lpn: u64, pages: u32, buf: &mut [u8], now: Nanos) -> DevResult<Nanos> {
-        self.command(|t| &t.read, now, |dev| dev.read(lpn, pages, buf, now))
+        self.command(|t| t.read, now, |dev| dev.read(lpn, pages, buf, now))
     }
 
     /// Direct write of logical pages, tagged with the innermost declared
     /// cause (provenance for the WAF accounting at every boundary below).
     pub fn write(&mut self, lpn: u64, data: &[u8], now: Nanos) -> DevResult<Nanos> {
         self.dev.set_write_cause(self.cause);
-        self.command(|t| &t.write, now, |dev| dev.write(lpn, data, now))
+        self.command(|t| t.write, now, |dev| dev.write(lpn, data, now))
     }
 
     /// `fsync`: flush the device cache if barriers are on, otherwise only
@@ -131,17 +133,17 @@ impl<D: BlockDevice> Volume<D> {
     pub fn fsync(&mut self, now: Nanos) -> DevResult<Nanos> {
         self.fsyncs += 1;
         if self.barriers {
-            self.command(|t| &t.flush, now, |dev| dev.flush(now))
+            self.command(|t| t.flush, now, |dev| dev.flush(now))
         } else {
             let done = now + FSYNC_SOFT_COST;
             if let Some(tel) = &self.tel {
-                tel.tel.trace_instant("dev", &tel.fsync_soft, now);
+                tel.tel.trace_instant(tel.cat, tel.fsync_soft, now);
                 // The in-kernel cost of a nobarrier fsync is WAL-fsync
                 // time in the anatomy: it is what commit-time durability
                 // costs when no FLUSH CACHE is issued, and it is the
                 // *only* durability segment a durable-cache deployment
                 // should ever show.
-                let frame = tel.tel.frame(&tel.fsync_soft, now);
+                let frame = tel.tel.frame(tel.fsync_soft, now);
                 tel.tel.seg(SegKind::WalFsync, FSYNC_SOFT_COST);
                 frame.close(done);
             }
@@ -161,7 +163,7 @@ impl<D: BlockDevice> Volume<D> {
 
     /// TRIM a range (file deletion, compaction).
     pub fn discard(&mut self, lpn: u64, pages: u32, now: Nanos) -> DevResult<Nanos> {
-        self.command(|t| &t.discard, now, |dev| dev.discard(lpn, pages, now))
+        self.command(|t| t.discard, now, |dev| dev.discard(lpn, pages, now))
     }
 
     /// Cut power to the underlying device.
@@ -393,7 +395,7 @@ mod tests {
         let mut v = Volume::new(MemDevice::new(16), false);
         v.attach_telemetry(tel.clone(), "t");
         // Enclosing host-op frame, as a commit would open.
-        let commit = tel.frame("engine.commit", 0);
+        let commit = tel.frame(tel.key("engine.commit"), 0);
         let done = v.fsync(0).unwrap();
         commit.end(done);
         let bd = tel.last_breakdown().unwrap();

@@ -51,8 +51,8 @@
 
 use simkit::json::Writer;
 use simkit::Nanos;
-use std::collections::BTreeMap;
 
+use crate::names::Key;
 use crate::trace::TraceId;
 
 /// Number of segment kinds (length of [`SegKind::ALL`]).
@@ -173,8 +173,8 @@ impl SegKind {
 }
 
 /// An open per-operation attribution frame (one entry of the frame stack).
-/// It does not own its name: the scope that closes it hands the name to
-/// [`Anatomy::end`], so opening a frame allocates nothing.
+/// It does not own its name: the scope that closes it hands the name's key
+/// to [`Anatomy::end`], so opening a frame allocates nothing.
 #[derive(Debug, Clone)]
 struct Frame {
     start: Nanos,
@@ -256,17 +256,18 @@ impl OpBreakdown {
 
 /// Bounded tail-outlier capture: the top-K slowest operations per op name,
 /// each with its full segment breakdown. Memory is bounded at
-/// `K × distinct op names` breakdowns regardless of run length.
+/// `K × distinct op names` breakdowns regardless of run length. Lists are
+/// kept by the op name's [`Key`]; the export sorts them by name.
 #[derive(Debug, Clone)]
 pub struct OutlierCap {
     k: usize,
-    per_op: BTreeMap<String, Vec<OpBreakdown>>,
+    per_op: Vec<Vec<OpBreakdown>>,
 }
 
 impl OutlierCap {
     /// Capture the `k` slowest ops per name.
     pub fn new(k: usize) -> Self {
-        Self { k: k.max(1), per_op: BTreeMap::new() }
+        Self { k: k.max(1), per_op: Vec::new() }
     }
 
     /// Capacity per op name.
@@ -274,25 +275,25 @@ impl OutlierCap {
         self.k
     }
 
-    /// Offer a closed breakdown; retained iff it ranks in the top-K wall
-    /// latencies for its op name. The per-name list stays sorted slowest
-    /// first, so insertion is a short shift in a K-length vector.
-    pub fn offer(&mut self, bd: &OpBreakdown) {
-        if let Some(v) = self.per_op.get_mut(&bd.name) {
-            if v.len() >= self.k && bd.wall <= v.last().map_or(0, |b| b.wall) {
-                return; // fast path: slower than every retained outlier
-            }
-            let pos = v.partition_point(|b| b.wall >= bd.wall);
-            v.insert(pos, bd.clone());
-            v.truncate(self.k);
-        } else {
-            self.per_op.insert(bd.name.clone(), vec![bd.clone()]);
+    /// Offer a closed breakdown of the op `key`; retained iff it ranks in
+    /// the top-K wall latencies for that op. The per-op list stays sorted
+    /// slowest first, so insertion is a short shift in a K-length vector.
+    pub fn offer(&mut self, key: Key, bd: &OpBreakdown) {
+        if self.per_op.len() <= key.idx() {
+            self.per_op.resize_with(key.idx() + 1, Vec::new);
         }
+        let v = &mut self.per_op[key.idx()];
+        if v.len() >= self.k && bd.wall <= v.last().map_or(0, |b| b.wall) {
+            return; // fast path: slower than every retained outlier
+        }
+        let pos = v.partition_point(|b| b.wall >= bd.wall);
+        v.insert(pos, bd.clone());
+        v.truncate(self.k);
     }
 
-    /// The retained outliers for one op name, slowest first.
-    pub fn for_op(&self, name: &str) -> &[OpBreakdown] {
-        self.per_op.get(name).map_or(&[], |v| v.as_slice())
+    /// The retained outliers for the op `key`, slowest first.
+    pub fn for_op(&self, key: Key) -> &[OpBreakdown] {
+        self.per_op.get(key.idx()).map_or(&[], |v| v.as_slice())
     }
 
     /// Drop all retained outliers (capacity unchanged).
@@ -300,13 +301,16 @@ impl OutlierCap {
         self.per_op.clear();
     }
 
-    /// JSON document: `{"k":K,"ops":{"<name>":[<breakdown>...]}}`, written
-    /// next to the Chrome trace by bench bins.
+    /// JSON document: `{"k":K,"ops":{"<name>":[<breakdown>...]}}` in name
+    /// order, written next to the Chrome trace by bench bins.
     pub fn to_json(&self) -> String {
+        let mut ops: Vec<&[OpBreakdown]> =
+            self.per_op.iter().filter(|v| !v.is_empty()).map(Vec::as_slice).collect();
+        ops.sort_unstable_by(|a, b| a[0].name.cmp(&b[0].name));
         let mut w = Writer::new();
         w.obj().key("k").num(self.k).key("ops").obj();
-        for (name, v) in &self.per_op {
-            w.key(name).arr();
+        for v in ops {
+            w.key(&v[0].name).arr();
             for bd in v {
                 bd.write_json(&mut w);
             }
@@ -371,12 +375,12 @@ impl Anatomy {
         self.floor = floor;
     }
 
-    /// Close the innermost frame — the op `name`, opened at `start` — at
-    /// `ts`: compute wall, audit the conservation identity, sweep the
-    /// unattributed remainder into [`SegKind::Host`], and offer the
-    /// breakdown to the outlier capturer. Returns the host remainder (for
-    /// histogram recording), or `None` if no frame was open.
-    pub fn end(&mut self, name: &str, start: Nanos, ts: Nanos) -> Option<Nanos> {
+    /// Close the innermost frame — the op `key`, named `name`, opened at
+    /// `start` — at `ts`: compute wall, audit the conservation identity,
+    /// sweep the unattributed remainder into [`SegKind::Host`], and offer
+    /// the breakdown to the outlier capturer. Returns the host remainder
+    /// (for histogram recording), or `None` if no frame was open.
+    pub fn end(&mut self, key: Key, name: &str, start: Nanos, ts: Nanos) -> Option<Nanos> {
         let mut f = self.frames.pop()?;
         debug_assert_eq!(f.start, start, "anatomy frame stack mismatch closing {name}");
         let wall = ts.saturating_sub(f.start);
@@ -395,7 +399,7 @@ impl Anatomy {
         bd.name.clear();
         bd.name.push_str(name);
         (bd.start, bd.wall, bd.trace, bd.segs) = (f.start, wall, f.trace, f.segs);
-        self.outliers.offer(bd);
+        self.outliers.offer(key, bd);
         Some(host)
     }
 
@@ -433,6 +437,17 @@ impl Anatomy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::names::Names;
+    use std::cell::RefCell;
+
+    thread_local! {
+        static NAMES: RefCell<Names> = RefCell::new(Names::new());
+    }
+
+    /// The key of `name` in one table shared by the tests.
+    fn key(name: &str) -> Key {
+        NAMES.with(|n| n.borrow_mut().key(name))
+    }
 
     fn bd(name: &str, wall: Nanos) -> OpBreakdown {
         let mut segs = [0; N_SEG];
@@ -455,7 +470,7 @@ mod tests {
         a.begin(100, 7);
         assert!(a.charge(SegKind::MediaRead, 30));
         assert!(a.charge(SegKind::NcqWait, 20));
-        let host = a.end("op", 100, 180).unwrap();
+        let host = a.end(key("op"), "op", 100, 180).unwrap();
         assert_eq!(host, 30, "180-100 wall minus 50 attributed");
         let b = a.last().unwrap();
         assert_eq!(b.wall, 80);
@@ -473,9 +488,9 @@ mod tests {
         a.charge(SegKind::WalFsync, 10);
         a.begin(50, 2);
         a.charge(SegKind::MediaProgram, 25); // lands in both frames
-        a.end("inner", 50, 80);
+        a.end(key("inner"), "inner", 50, 80);
         let inner = a.last().unwrap().clone();
-        a.end("outer", 0, 200);
+        a.end(key("outer"), "outer", 0, 200);
         let outer = a.last().unwrap();
         assert_eq!(inner.wall, 30);
         assert_eq!(inner.seg(SegKind::MediaProgram), 25);
@@ -495,7 +510,7 @@ mod tests {
         let mut a = Anatomy::new(4);
         a.begin(0, 0);
         a.charge(SegKind::Xfer, 500);
-        a.end("op", 0, 100); // wall 100 < claimed 500
+        a.end(key("op"), "op", 0, 100); // wall 100 < claimed 500
         assert_eq!(a.violations(), 1);
         let b = a.last().unwrap();
         assert_eq!(b.seg(SegKind::Host), 0, "no negative remainder");
@@ -507,7 +522,7 @@ mod tests {
         let mut a = Anatomy::new(4);
         assert!(!a.charge(SegKind::MediaRead, 99));
         a.begin(0, 0);
-        a.end("op", 0, 10);
+        a.end(key("op"), "op", 0, 10);
         assert_eq!(a.last().unwrap().seg(SegKind::MediaRead), 0);
     }
 
@@ -520,11 +535,11 @@ mod tests {
         // A background command that began before the op did.
         a.begin(100, 0);
         assert!(a.charge(SegKind::FlushCache, 900));
-        a.end("bg", 100, 1_000);
+        a.end(key("bg"), "bg", 100, 1_000);
         assert!(a.last().unwrap().is_conserved());
         a.resume(floor);
         assert!(a.charge(SegKind::Xfer, 5));
-        a.end("op", 1_000, 1_010);
+        a.end(key("op"), "op", 1_000, 1_010);
         let op = a.last().unwrap();
         assert_eq!(op.seg(SegKind::FlushCache), 0, "background time is not the op's");
         assert_eq!(op.seg(SegKind::Xfer), 5);
@@ -536,13 +551,13 @@ mod tests {
     fn outlier_cap_keeps_top_k_sorted() {
         let mut cap = OutlierCap::new(3);
         for wall in [50, 10, 99, 5, 70, 99, 20] {
-            cap.offer(&bd("engine.commit", wall));
+            cap.offer(key("engine.commit"), &bd("engine.commit", wall));
         }
-        cap.offer(&bd("doc.set", 1));
-        let top: Vec<Nanos> = cap.for_op("engine.commit").iter().map(|b| b.wall).collect();
+        cap.offer(key("doc.set"), &bd("doc.set", 1));
+        let top: Vec<Nanos> = cap.for_op(key("engine.commit")).iter().map(|b| b.wall).collect();
         assert_eq!(top, vec![99, 99, 70], "slowest first, duplicates kept");
-        assert_eq!(cap.for_op("doc.set").len(), 1);
-        assert_eq!(cap.for_op("missing").len(), 0);
+        assert_eq!(cap.for_op(key("doc.set")).len(), 1);
+        assert_eq!(cap.for_op(key("missing")).len(), 0);
     }
 
     #[test]
@@ -554,7 +569,7 @@ mod tests {
         b.segs = [0; N_SEG];
         b.segs[SegKind::FlushCache.index()] = 30;
         b.segs[SegKind::Host.index()] = 10;
-        cap.offer(&b);
+        cap.offer(key("doc.set"), &b);
         let j = cap.to_json();
         assert_eq!(
             j,
@@ -580,13 +595,13 @@ mod tests {
         let mut a = Anatomy::new(2);
         a.begin(0, 0);
         a.charge(SegKind::Xfer, 10);
-        a.end("op", 0, 5); // violation
+        a.end(key("op"), "op", 0, 5); // violation
         a.begin(0, 0);
         a.clear();
         assert_eq!(a.depth(), 0);
         assert_eq!(a.violations(), 0);
         assert!(a.last().is_none());
-        assert!(a.outliers().for_op("op").is_empty());
+        assert!(a.outliers().for_op(key("op")).is_empty());
         assert_eq!(a.outliers().k(), 2);
     }
 }

@@ -11,8 +11,10 @@
 //!   buckets with 16 linear sub-buckets each) with p50/p90/p99/p999/max.
 //! * [`Telemetry`] — a cheaply clonable handle (the simulation is
 //!   single-threaded virtual time, so `Rc<RefCell<_>>`) to one domain's
-//!   named histograms and gauges, plus — each opt-in — the event trace
-//!   ring, the gauge sampler and the latency anatomy.
+//!   histograms and gauges, plus — each opt-in — the event trace ring, the
+//!   gauge sampler and the latency anatomy.
+//! * [`Key`] — a resolved name: every recording call takes one (see *Key
+//!   lifecycle* below).
 //! * [`Scope`] — the one way to bracket an operation: a guard that owns the
 //!   trace `Begin`/`End` pair, the anatomy frame and the latency histogram
 //!   sample of one op, and closes all three on every exit path.
@@ -25,6 +27,24 @@
 //!   ([`simkit::json`]); histograms carry their raw buckets, so the document
 //!   is lossless.
 //!
+//! # Key lifecycle
+//!
+//! A domain has one name table ([`Names`]). A layer resolves every name it
+//! records under — histogram, gauge, trace category, event or op name —
+//! with [`Telemetry::key`] once, in its `attach_telemetry`, and keeps the
+//! [`Key`]s. Recording ([`Telemetry::record`], [`Telemetry::set_gauge`],
+//! the scope openers, [`Telemetry::complete`], [`Telemetry::trace_instant`])
+//! takes keys only: histograms and gauges are vectors indexed by key, the
+//! trace ring stores keys, the outlier capturer keeps its lists by key, and
+//! the twelve `seg.*` histograms are pre-registered, so
+//! [`Telemetry::seg`] indexes directly. Nothing on the recording path
+//! hashes or compares a string. Names come back only at the edges: the
+//! readers ([`Telemetry::histogram`], [`Telemetry::gauge`],
+//! [`Telemetry::outliers_for`]) take a name, and every export sorts its
+//! entries by name, so the documents do not depend on the order keys were
+//! resolved in. A key resolved but never recorded or set appears nowhere.
+//! Keys stay valid across [`Telemetry::reset`].
+//!
 //! # Op scopes
 //!
 //! [`Telemetry::op`] opens a *host operation* (an engine or docstore call):
@@ -35,7 +55,7 @@
 //! opens a frame (one device command at the volume), and
 //! [`Telemetry::frame`] opens only the frame. [`Scope::close`] ends the
 //! scope at the operation's virtual completion time and records
-//! `end - start` into the histogram named like the scope; [`Scope::end`]
+//! `end - start` into the histogram keyed like the scope; [`Scope::end`]
 //! does the same without the histogram sample, for spans whose metric has
 //! another name or none. A scope that is merely dropped — an early `?`
 //! return — ends at its opening time with no sample, so an error path can
@@ -44,15 +64,16 @@
 use simkit::json::Writer;
 use simkit::Nanos;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 mod anatomy;
 mod hist;
+mod names;
 mod trace;
 
 pub use anatomy::{Anatomy, OpBreakdown, OutlierCap, SegKind, N_SEG};
 pub use hist::Histogram;
+pub use names::{Key, Names};
 pub use simkit::json::{parse as parse_json, JsonValue};
 pub use trace::{
     validate_chrome_json, Event, Phase, Sampler, Series, TraceBuf, TraceCheck, TraceId,
@@ -60,11 +81,13 @@ pub use trace::{
 };
 
 /// The backing store of one telemetry domain. Plain data: every operation
-/// on it is a method of [`Telemetry`].
-#[derive(Debug, Default)]
+/// on it is a method of [`Telemetry`]. `hists` and `gauges` are indexed by
+/// key and always as long as `names`; `None` is a key never recorded or set.
+#[derive(Debug)]
 struct State {
-    hists: BTreeMap<String, Histogram>,
-    gauges: BTreeMap<String, i64>,
+    names: Names,
+    hists: Vec<Option<Histogram>>,
+    gauges: Vec<Option<i64>>,
     trace: Option<TraceBuf>,
     trace_stack: Vec<TraceId>,
     next_trace: u64,
@@ -72,21 +95,32 @@ struct State {
     anatomy: Option<Anatomy>,
 }
 
-/// Record one sample into a named histogram. Steady-state recording is
-/// allocation-free: the name is only turned into an owned `String` the
-/// first time it is seen.
-fn record_into(hists: &mut BTreeMap<String, Histogram>, name: &str, ns: Nanos) {
-    if let Some(h) = hists.get_mut(name) {
-        h.record(ns);
-    } else {
-        hists.entry(name.to_string()).or_default().record(ns);
+impl Default for State {
+    fn default() -> Self {
+        let names = Names::new();
+        Self {
+            hists: vec![None; names.len()],
+            gauges: vec![None; names.len()],
+            names,
+            trace: None,
+            trace_stack: Vec::new(),
+            next_trace: 0,
+            sampler: None,
+            anatomy: None,
+        }
     }
+}
+
+/// Record one sample into the histogram `key`. Steady-state recording is
+/// allocation-free: the histogram is created by the key's first sample.
+fn record_into(hists: &mut [Option<Histogram>], key: Key, ns: Nanos) {
+    hists[key.idx()].get_or_insert_with(Histogram::new).record(ns);
 }
 
 /// Cheaply clonable handle to one telemetry domain. The simulation runs on
 /// a single thread in virtual time, so interior mutability via `RefCell` is
-/// sufficient (and keeps recording on the hot path allocation-free for
-/// existing names).
+/// sufficient (and keeps recording on the hot path allocation-free once a
+/// key has its first sample).
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
     inner: Rc<RefCell<State>>,
@@ -98,64 +132,64 @@ impl Telemetry {
         Self::default()
     }
 
-    /// Record one latency sample into the named histogram.
-    pub fn record(&self, name: &str, ns: Nanos) {
-        record_into(&mut self.inner.borrow_mut().hists, name, ns);
+    /// Resolve `name` to its key in this domain, registering it on first
+    /// sight. Layers call this once per name, when they are attached.
+    pub fn key(&self, name: &str) -> Key {
+        let s = &mut *self.inner.borrow_mut();
+        let key = s.names.key(name);
+        s.hists.resize(s.names.len(), None);
+        s.gauges.resize(s.names.len(), None);
+        key
     }
 
-    /// Set a named gauge (allocation-free after the first sample).
-    pub fn set_gauge(&self, name: &str, value: i64) {
-        let s = &mut *self.inner.borrow_mut();
-        if let Some(g) = s.gauges.get_mut(name) {
-            *g = value;
-        } else {
-            s.gauges.insert(name.to_string(), value);
-        }
+    /// Record one latency sample into the histogram `key`.
+    pub fn record(&self, key: Key, ns: Nanos) {
+        record_into(&mut self.inner.borrow_mut().hists, key, ns);
+    }
+
+    /// Set the gauge `key`.
+    pub fn set_gauge(&self, key: Key, value: i64) {
+        self.inner.borrow_mut().gauges[key.idx()] = Some(value);
     }
 
     /// Clone of the named histogram, if any samples were recorded.
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.inner.borrow().hists.get(name).cloned()
+        let s = self.inner.borrow();
+        s.names.get(name).and_then(|k| s.hists[k.idx()].clone())
     }
 
     /// Named gauge, if set.
     pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.inner.borrow().gauges.get(name).copied()
+        let s = self.inner.borrow();
+        s.names.get(name).and_then(|k| s.gauges[k.idx()])
     }
 
     /// Open a host-operation scope: allocates a fresh [`TraceId`] (every
     /// event emitted underneath — WAL, volume, device, NAND — inherits it),
     /// emits `Begin`, and opens an anatomy frame. Closing it also ticks the
     /// gauge sampler, so bench loops never need to.
-    pub fn op<'a>(&self, cat: &'a str, name: &'a str, now: Nanos) -> Scope<'a> {
+    pub fn op(&self, cat: Key, name: Key, now: Nanos) -> Scope {
         self.open(Some(cat), name, now, true, true)
     }
 
     /// Open an inner span: a `Begin`/`End` pair under the current trace-ID.
-    pub fn span<'a>(&self, cat: &'a str, name: &'a str, now: Nanos) -> Scope<'a> {
+    pub fn span(&self, cat: Key, name: Key, now: Nanos) -> Scope {
         self.open(Some(cat), name, now, false, false)
     }
 
     /// Open a span that is also an anatomy frame (one device command): the
     /// device's segment charges land in the command's own breakdown and,
     /// because frames nest, in whatever host op encloses it.
-    pub fn framed_span<'a>(&self, cat: &'a str, name: &'a str, now: Nanos) -> Scope<'a> {
+    pub fn framed_span(&self, cat: Key, name: Key, now: Nanos) -> Scope {
         self.open(Some(cat), name, now, false, true)
     }
 
     /// Open an anatomy frame that emits no trace events.
-    pub fn frame<'a>(&self, name: &'a str, now: Nanos) -> Scope<'a> {
+    pub fn frame(&self, name: Key, now: Nanos) -> Scope {
         self.open(None, name, now, false, true)
     }
 
-    fn open<'a>(
-        &self,
-        cat: Option<&'a str>,
-        name: &'a str,
-        now: Nanos,
-        fresh: bool,
-        framed: bool,
-    ) -> Scope<'a> {
+    fn open(&self, cat: Option<Key>, name: Key, now: Nanos, fresh: bool, framed: bool) -> Scope {
         let s = &mut *self.inner.borrow_mut();
         if let (Some(t), Some(cat)) = (s.trace.as_mut(), cat) {
             if fresh {
@@ -175,7 +209,7 @@ impl Telemetry {
     /// Emit a completed span (`Begin` at `start`, `End` at `end`) under the
     /// current trace-ID: a media operation whose completion time is already
     /// known when it is reported.
-    pub fn complete(&self, cat: &str, name: &str, start: Nanos, end: Nanos) {
+    pub fn complete(&self, cat: Key, name: Key, start: Nanos, end: Nanos) {
         let s = &mut *self.inner.borrow_mut();
         let Some(t) = s.trace.as_mut() else { return };
         let id = *s.trace_stack.last().unwrap_or(&0);
@@ -184,8 +218,8 @@ impl Telemetry {
     }
 
     /// Record an `Instant` event under the current trace-ID. No-op when
-    /// tracing is disabled — returns before any name interning happens.
-    pub fn trace_instant(&self, cat: &str, name: &str, ts: Nanos) {
+    /// tracing is disabled.
+    pub fn trace_instant(&self, cat: Key, name: Key, ts: Nanos) {
         let s = &mut *self.inner.borrow_mut();
         let Some(t) = s.trace.as_mut() else { return };
         t.push(ts, *s.trace_stack.last().unwrap_or(&0), Phase::Instant, cat, name);
@@ -208,7 +242,8 @@ impl Telemetry {
     /// Export the trace ring as Chrome trace-event JSON, if tracing is
     /// enabled.
     pub fn trace_chrome_json(&self) -> Option<String> {
-        self.inner.borrow().trace.as_ref().map(|t| t.to_chrome_json())
+        let s = self.inner.borrow();
+        s.trace.as_ref().map(|t| t.to_chrome_json(&s.names))
     }
 
     /// `(recorded, dropped)` event totals of the trace ring, if enabled.
@@ -216,7 +251,7 @@ impl Telemetry {
         self.inner.borrow().trace.as_ref().map(|t| (t.recorded(), t.dropped()))
     }
 
-    /// Start sampling all gauges every `cadence` virtual nanoseconds. The
+    /// Start sampling all set gauges every `cadence` virtual nanoseconds. The
     /// sampler is ticked whenever an [`Telemetry::op`] scope closes.
     pub fn enable_sampling(&self, cadence: Nanos) {
         self.inner.borrow_mut().sampler = Some(Sampler::new(cadence));
@@ -233,7 +268,8 @@ impl Telemetry {
 
     /// Export the sampled gauge series as CSV, if sampling is enabled.
     pub fn series_csv(&self) -> Option<String> {
-        self.inner.borrow().sampler.as_ref().map(|s| s.to_csv())
+        let s = self.inner.borrow();
+        s.sampler.as_ref().map(|sm| sm.to_csv(&s.names))
     }
 
     /// Start per-operation latency-anatomy tracking, capturing the `k`
@@ -253,7 +289,7 @@ impl Telemetry {
         }
         let s = &mut *self.inner.borrow_mut();
         if s.anatomy.as_mut().is_some_and(|a| a.charge(kind, ns)) {
-            record_into(&mut s.hists, kind.hist_name(), ns);
+            record_into(&mut s.hists, kind.key(), ns);
         }
     }
 
@@ -277,7 +313,10 @@ impl Telemetry {
     /// Retained tail outliers for one op name, slowest first.
     pub fn outliers_for(&self, name: &str) -> Vec<OpBreakdown> {
         let s = self.inner.borrow();
-        s.anatomy.as_ref().map_or_else(Vec::new, |a| a.outliers().for_op(name).to_vec())
+        match (s.anatomy.as_ref(), s.names.get(name)) {
+            (Some(a), Some(key)) => a.outliers().for_op(key).to_vec(),
+            _ => Vec::new(),
+        }
     }
 
     /// JSON export of the tail-outlier capturer (written next to the
@@ -287,11 +326,11 @@ impl Telemetry {
     }
 
     /// Drop all recorded data (tracing, sampling and anatomy stay enabled
-    /// but their buffers empty).
+    /// but their buffers empty; every key stays valid).
     pub fn reset(&self) {
         let s = &mut *self.inner.borrow_mut();
-        s.hists.clear();
-        s.gauges.clear();
+        s.hists.fill(None);
+        s.gauges.fill(None);
         if let Some(t) = &mut s.trace {
             t.clear();
         }
@@ -303,23 +342,24 @@ impl Telemetry {
         }
     }
 
-    /// Serialise the domain to a JSON object. Histograms are exported with
-    /// their raw (index, count) bucket list so the export is lossless.
-    /// Anatomy outliers and the trace ring export separately.
+    /// Serialise the domain to a JSON object, each section in name order.
+    /// Histograms are exported with their raw (index, count) bucket list so
+    /// the export is lossless. Anatomy outliers and the trace ring export
+    /// separately.
     pub fn to_json(&self) -> String {
         let s = self.inner.borrow();
         let mut w = Writer::new();
         w.obj().key("gauges").obj();
-        for (k, v) in &s.gauges {
+        for (k, v) in s.names.by_name(&s.gauges) {
             w.key(k).num(v);
         }
         w.end().key("histograms").obj();
-        for (k, h) in &s.hists {
+        for (k, h) in s.names.by_name(&s.hists) {
             h.write_json(w.key(k));
         }
         w.end();
         if let Some(sm) = &s.sampler {
-            sm.write_json(w.key("series"));
+            sm.write_json(w.key("series"), &s.names);
         }
         w.end();
         w.finish()
@@ -328,16 +368,15 @@ impl Telemetry {
 
 /// An open operation scope (see the crate docs): created by
 /// [`Telemetry::op`], [`Telemetry::span`], [`Telemetry::framed_span`] or
-/// [`Telemetry::frame`]. It borrows its name and holds only a handle clone,
-/// and the anatomy frame under it is plain data, so opening one allocates
-/// nothing.
+/// [`Telemetry::frame`]. It holds its keys and a handle clone, and the
+/// anatomy frame under it is plain data, so opening one allocates nothing.
 #[derive(Debug)]
 #[must_use = "a scope that is dropped at once ends at its opening time"]
-pub struct Scope<'a> {
+pub struct Scope {
     tel: Telemetry,
     /// `None` for a frame-only scope that emits no trace events.
-    cat: Option<&'a str>,
-    name: &'a str,
+    cat: Option<Key>,
+    name: Key,
     start: Nanos,
     /// Owns a trace-ID and ticks the sampler (a host op).
     fresh: bool,
@@ -345,9 +384,9 @@ pub struct Scope<'a> {
     open: bool,
 }
 
-impl Scope<'_> {
+impl Scope {
     /// Close the scope at virtual time `end`: emit `End`, close the frame
-    /// and record `end - start` into the histogram named like the scope.
+    /// and record `end - start` into the histogram keyed like the scope.
     /// Returns `end` so call sites can thread the clock through.
     pub fn close(mut self, end: Nanos) -> Nanos {
         self.finish(end, true);
@@ -355,7 +394,7 @@ impl Scope<'_> {
     }
 
     /// [`Scope::close`] without the histogram sample, for a span whose
-    /// metric is recorded under another name or not at all.
+    /// metric is recorded under another key or not at all.
     pub fn end(mut self, end: Nanos) -> Nanos {
         self.finish(end, false);
         end
@@ -369,9 +408,10 @@ impl Scope<'_> {
         }
         if self.framed {
             // Sweep the frame's unattributed remainder into `seg.host`.
-            let host = s.anatomy.as_mut().and_then(|a| a.end(self.name, self.start, end));
+            let name = s.names.name(self.name);
+            let host = s.anatomy.as_mut().and_then(|a| a.end(self.name, name, self.start, end));
             if let Some(host) = host.filter(|&h| h > 0) {
-                record_into(&mut s.hists, SegKind::Host.hist_name(), host);
+                record_into(&mut s.hists, SegKind::Host.key(), host);
             }
         }
         if let (Some(t), Some(cat)) = (s.trace.as_mut(), self.cat) {
@@ -390,7 +430,7 @@ impl Scope<'_> {
     }
 }
 
-impl Drop for Scope<'_> {
+impl Drop for Scope {
     fn drop(&mut self) {
         if self.open {
             self.finish(self.start, false);
@@ -432,8 +472,8 @@ mod tests {
     #[test]
     fn gauges_hold_the_last_value_set() {
         let t = Telemetry::new();
-        t.set_gauge("depth", 7);
-        t.set_gauge("depth", -4);
+        t.set_gauge(t.key("depth"), 7);
+        t.set_gauge(t.key("depth"), -4);
         assert_eq!(t.gauge("depth"), Some(-4));
         assert_eq!(t.gauge("missing"), None);
     }
@@ -442,27 +482,27 @@ mod tests {
     fn shared_handle_sees_all_writes() {
         let a = Telemetry::new();
         let b = a.clone();
-        a.record("x", 1);
-        b.record("x", 3);
+        a.record(a.key("x"), 1);
+        b.record(b.key("x"), 3);
         assert_eq!(a.histogram("x").unwrap().count(), 2);
     }
 
     #[test]
     fn closed_scopes_record_durations_and_thread_the_clock() {
         let t = Telemetry::new();
-        let sp = t.span("wal", "wal.commit", 100);
+        let sp = t.span(t.key("wal"), t.key("wal.commit"), 100);
         assert_eq!(sp.close(350), 350);
         let h = t.histogram("wal.commit").unwrap();
         assert_eq!(h.count(), 1);
         assert_eq!(h.max(), 250);
         // `end` is `close` without the sample.
-        assert_eq!(t.span("pool", "pool.miss", 0).end(40), 40);
+        assert_eq!(t.span(t.key("pool"), t.key("pool.miss"), 0).end(40), 40);
         assert!(t.histogram("pool.miss").is_none());
     }
 
     /// A fallible layer: the scope is open across the `?`.
     fn command(t: &Telemetry, now: Nanos, res: Result<Nanos, ()>) -> Result<Nanos, ()> {
-        let scope = t.framed_span("dev", "dev.x.write", now);
+        let scope = t.framed_span(t.key("dev"), t.key("dev.x.write"), now);
         let end = res?;
         Ok(scope.close(end))
     }
@@ -491,11 +531,11 @@ mod tests {
     #[test]
     fn json_export_parses_with_awkward_names_and_extreme_values() {
         let t = Telemetry::new();
-        t.set_gauge("neg", -3);
+        t.set_gauge(t.key("neg"), -3);
         for v in [0u64, 1, 5, 1000, 123_456_789, u64::MAX] {
-            t.record("dev.write", v);
+            t.record(t.key("dev.write"), v);
         }
-        t.record("odd \"name\" \\ here", 77);
+        t.record(t.key("odd \"name\" \\ here"), 77);
         let doc = parse_json(&t.to_json()).expect("the export is JSON");
         let doc = doc.as_object().unwrap();
         assert_eq!(doc["gauges"].as_object().unwrap()["neg"].as_i64(), Some(-3));
@@ -517,23 +557,23 @@ mod tests {
     fn op_scopes_assign_trace_ids_and_nest() {
         let t = Telemetry::new();
         // Disabled: an op is a free no-op on trace-ID 0.
-        t.op("engine", "engine.put", 0).end(0);
+        t.op(t.key("engine"), t.key("engine.put"), 0).end(0);
         assert_eq!(t.trace_counts(), None);
         t.enable_tracing(1024);
         t.enable_anatomy(2);
-        let put = t.op("engine", "engine.put", 10);
-        t.span("wal", "wal.append", 12).end(20);
+        let put = t.op(t.key("engine"), t.key("engine.put"), 10);
+        t.span(t.key("wal"), t.key("wal.append"), 12).end(20);
         // A nested op gets its own trace-ID and hands the outer one back.
-        let inner = t.op("engine", "engine.checkpoint", 21);
+        let inner = t.op(t.key("engine"), t.key("engine.checkpoint"), 21);
         assert_eq!(t.frame_depth(), 2);
         inner.close(23);
         assert_eq!(t.last_breakdown().unwrap().trace, 2);
-        t.complete("nand", "nand.program", 23, 24);
+        t.complete(t.key("nand"), t.key("nand.program"), 23, 24);
         put.close(25);
         assert_eq!(t.last_breakdown().unwrap().trace, 1, "outer trace-ID restored");
-        t.op("engine", "engine.commit", 30).close(40);
+        t.op(t.key("engine"), t.key("engine.commit"), 30).close(40);
         assert_eq!(t.last_breakdown().unwrap().trace, 3, "each op gets a fresh trace-ID");
-        t.trace_instant("dev", "power_cut", 50);
+        t.trace_instant(t.key("dev"), t.key("power_cut"), 50);
         let doc = t.trace_chrome_json().unwrap();
         let chk = validate_chrome_json(&doc).expect("valid chrome trace");
         assert_eq!((chk.begins, chk.instants, chk.tracks), (5, 1, 4));
@@ -553,27 +593,148 @@ mod tests {
         assert_eq!(t.histogram("engine.put").unwrap().max(), 15);
     }
 
+    /// The registry `json_export_bytes_are_pinned` exports, its names
+    /// resolved in the order given before anything is recorded.
+    fn pinned_registry(order: [&str; 3]) -> Telemetry {
+        let t = Telemetry::new();
+        for name in order {
+            t.key(name);
+        }
+        t.enable_sampling(100);
+        t.set_gauge(t.key("pool.dirty \"pages\""), -5);
+        t.sample(0);
+        t.set_gauge(t.key("ssd.cache_occupancy"), 3);
+        t.finish_sampling(220);
+        t.record(t.key("dev.write"), 7);
+        t.record(t.key("dev.write"), 70_000);
+        t
+    }
+
     #[test]
     fn json_export_bytes_are_pinned() {
+        let names = ["pool.dirty \"pages\"", "ssd.cache_occupancy", "dev.write"];
+        let mut reversed = names;
+        reversed.reverse();
+        // Exports sort by name: the order keys were resolved in (here the
+        // gauges' keys both ways round) does not reach the bytes.
+        for order in [names, reversed] {
+            assert_eq!(
+                pinned_registry(order).to_json(),
+                concat!(
+                    r#"{"gauges":{"pool.dirty \"pages\"":-5,"ssd.cache_occupancy":3},"#,
+                    r#""histograms":{"dev.write":{"count":2,"sum":70007,"min":7,"max":70000,"#,
+                    r#""p50":7,"p90":70000,"p99":70000,"p999":70000,"buckets":[[7,1],[209,1]]}},"#,
+                    r#""series":{"cadence":100,"times":[0,220],"gauges":{"#,
+                    r#""pool.dirty \"pages\"":{"start":0,"values":[-5,-5]},"#,
+                    r#""ssd.cache_occupancy":{"start":1,"values":[3]}}}}"#,
+                ),
+                "keys resolved in the order {order:?}"
+            );
+            assert_eq!(
+                pinned_registry(order).series_csv().unwrap(),
+                "t_ns,pool.dirty \"pages\",ssd.cache_occupancy\n0,-5,\n220,-5,3\n"
+            );
+        }
+    }
+
+    /// One traced, anatomised commit with its names resolved in the order
+    /// given: a device write under it, a NAND program and an instant.
+    fn traced_registry(order: &[&str]) -> Telemetry {
         let t = Telemetry::new();
-        t.enable_sampling(100);
-        t.set_gauge("pool.dirty \"pages\"", -5);
-        t.sample(0);
-        t.set_gauge("ssd.cache_occupancy", 3);
-        t.finish_sampling(220);
-        t.record("dev.write", 7);
-        t.record("dev.write", 70_000);
-        assert_eq!(
-            t.to_json(),
-            concat!(
-                r#"{"gauges":{"pool.dirty \"pages\"":-5,"ssd.cache_occupancy":3},"#,
-                r#""histograms":{"dev.write":{"count":2,"sum":70007,"min":7,"max":70000,"#,
-                r#""p50":7,"p90":70000,"p99":70000,"p999":70000,"buckets":[[7,1],[209,1]]}},"#,
-                r#""series":{"cadence":100,"times":[0,220],"gauges":{"#,
-                r#""pool.dirty \"pages\"":{"start":0,"values":[-5,-5]},"#,
-                r#""ssd.cache_occupancy":{"start":1,"values":[3]}}}}"#,
-            )
+        for name in order {
+            t.key(name);
+        }
+        t.enable_tracing(64);
+        t.enable_anatomy(2);
+        let k = |name| t.key(name);
+        let op = t.op(k("engine"), k("engine.commit"), 1_000);
+        let dev = t.framed_span(k("dev"), k("dev.log.write"), 1_100);
+        t.seg(SegKind::MediaProgram, 300);
+        t.complete(k("nand"), k("nand.program"), 1_150, 1_450);
+        dev.close(1_500);
+        op.close(2_000);
+        t.frame(k("dev.log.flush"), 2_000).close(2_400);
+        t.trace_instant(k("dev"), k("power_cut"), 2_500);
+        t
+    }
+
+    #[test]
+    fn chrome_and_outlier_exports_name_what_they_did_before_keys() {
+        let mut order = [
+            "engine",
+            "engine.commit",
+            "dev",
+            "dev.log.write",
+            "nand",
+            "nand.program",
+            "power_cut",
+        ];
+        let chrome = concat!(
+            r#"{"displayTimeUnit":"ns","traceEvents":["#,
+            r#"{"name":"engine.commit","cat":"engine","ph":"B","ts":1.000,"pid":1,"tid":1},"#,
+            r#"{"name":"dev.log.write","cat":"dev","ph":"B","ts":1.100,"pid":1,"tid":1},"#,
+            r#"{"name":"nand.program","cat":"nand","ph":"B","ts":1.150,"pid":1,"tid":1},"#,
+            r#"{"name":"nand.program","cat":"nand","ph":"E","ts":1.450,"pid":1,"tid":1},"#,
+            r#"{"name":"dev.log.write","cat":"dev","ph":"E","ts":1.500,"pid":1,"tid":1},"#,
+            r#"{"name":"engine.commit","cat":"engine","ph":"E","ts":2.000,"pid":1,"tid":1},"#,
+            r#"{"name":"power_cut","cat":"dev","ph":"i","ts":2.500,"pid":1,"tid":0}]}"#,
         );
+        let outliers = concat!(
+            r#"{"k":2,"ops":{"#,
+            r#""dev.log.flush":[{"name":"dev.log.flush","trace":0,"start":2000,"wall":400,"#,
+            r#""segments":{"host":400}}],"#,
+            r#""dev.log.write":[{"name":"dev.log.write","trace":1,"start":1100,"wall":400,"#,
+            r#""segments":{"media_program":300,"host":100}}],"#,
+            r#""engine.commit":[{"name":"engine.commit","trace":1,"start":1000,"wall":1000,"#,
+            r#""segments":{"media_program":300,"host":700}}]}}"#,
+        );
+        for _ in 0..2 {
+            let t = traced_registry(&order);
+            assert_eq!(t.trace_chrome_json().unwrap(), chrome, "keys resolved as {order:?}");
+            assert_eq!(t.outliers_json().unwrap(), outliers, "keys resolved as {order:?}");
+            order.reverse();
+        }
+    }
+
+    #[test]
+    fn a_key_never_recorded_or_set_appears_nowhere() {
+        let t = Telemetry::new();
+        t.enable_sampling(10);
+        t.enable_anatomy(2);
+        let (idle_hist, idle_gauge, idle_op) = (t.key("idle.h"), t.key("idle.g"), t.key("idle.op"));
+        let _ = (idle_hist, idle_gauge, idle_op);
+        t.set_gauge(t.key("g"), 1);
+        t.record(t.key("h"), 5);
+        t.finish_sampling(0);
+        let json = t.to_json();
+        assert!(!json.contains("idle."), "{json}");
+        assert_eq!(t.series_csv().unwrap(), "t_ns,g\n0,1\n");
+        assert!(t.histogram("idle.h").is_none());
+        assert_eq!(t.gauge("idle.g"), None);
+        assert!(t.outliers_for("idle.op").is_empty());
+        // Nor does a segment kind no frame was ever charged with.
+        assert!(t.histogram(SegKind::GcWait.hist_name()).is_none());
+        assert!(!json.contains("seg."), "{json}");
+    }
+
+    #[test]
+    fn keys_stay_valid_across_reset() {
+        let t = Telemetry::new();
+        t.enable_anatomy(2);
+        let (h, g, op) = (t.key("h"), t.key("g"), t.key("op"));
+        t.record(h, 1);
+        t.set_gauge(g, 2);
+        t.frame(op, 0).close(10);
+        t.reset();
+        assert!(t.histogram("h").is_none() && t.gauge("g").is_none());
+        assert_eq!(t.key("h"), h, "a name resolves to the same key after reset");
+        t.record(h, 7);
+        t.set_gauge(g, 8);
+        t.frame(op, 20).close(50);
+        assert_eq!(t.histogram("h").unwrap().max(), 7);
+        assert_eq!(t.gauge("g"), Some(8));
+        assert_eq!(t.histogram("op").unwrap().count(), 1, "only the post-reset sample");
+        assert_eq!(t.outliers_for("op")[0].wall, 30);
     }
 
     #[test]
@@ -581,12 +742,12 @@ mod tests {
         let t = Telemetry::new();
         t.sample(0); // no-op before enable
         t.enable_sampling(1_000);
-        t.set_gauge("g", 1);
-        t.op("doc", "doc.set", 0).close(0);
-        t.op("doc", "doc.set", 5).close(10); // below cadence: skipped
-        t.span("wal", "wal.flush", 10).close(5_000); // only ops tick
-        t.op("doc", "doc.set", 990).close(999);
-        t.op("doc", "doc.set", 999).close(1_000);
+        t.set_gauge(t.key("g"), 1);
+        t.op(t.key("doc"), t.key("doc.set"), 0).close(0);
+        t.op(t.key("doc"), t.key("doc.set"), 5).close(10); // below cadence: skipped
+        t.span(t.key("wal"), t.key("wal.flush"), 10).close(5_000); // only ops tick
+        t.op(t.key("doc"), t.key("doc.set"), 990).close(999);
+        t.op(t.key("doc"), t.key("doc.set"), 999).close(1_000);
         t.finish_sampling(1_500);
         assert_eq!(t.series_csv().unwrap(), "t_ns,g\n0,1\n1000,1\n1500,1\n");
     }
@@ -596,15 +757,15 @@ mod tests {
         let t = Telemetry::new();
         t.enable_tracing(64);
         t.enable_sampling(10);
-        t.set_gauge("g", 1);
-        t.op("engine", "op", 0).close(5);
+        t.set_gauge(t.key("g"), 1);
+        t.op(t.key("engine"), t.key("op"), 0).close(5);
         t.reset();
         assert_eq!(t.trace_counts().map(|(r, _)| r), Some(2), "counters survive reset");
         let doc = t.trace_chrome_json().unwrap();
         assert_eq!(validate_chrome_json(&doc).unwrap().events, 0);
         assert!(t.series_csv().unwrap().lines().count() == 1, "header only");
         // Trace-IDs keep advancing; no reuse after reset.
-        t.op("engine", "op", 10).close(11);
+        t.op(t.key("engine"), t.key("op"), 10).close(11);
         assert!(t.trace_chrome_json().unwrap().contains("\"tid\":2"));
     }
 
@@ -612,7 +773,7 @@ mod tests {
     fn anatomy_frames_ride_op_scopes_and_conserve() {
         let t = Telemetry::new();
         // Disabled: all hooks are free no-ops.
-        let f = t.frame("engine.commit", 0);
+        let f = t.frame(t.key("engine.commit"), 0);
         t.seg(SegKind::WalFsync, 10);
         f.end(100);
         assert!(t.last_breakdown().is_none());
@@ -620,9 +781,9 @@ mod tests {
 
         t.enable_anatomy(4);
         // Ops open frames even with tracing disabled (trace-ID 0).
-        let op = t.op("engine", "engine.commit", 1_000);
+        let op = t.op(t.key("engine"), t.key("engine.commit"), 1_000);
         assert_eq!(t.frame_depth(), 1);
-        let dev = t.framed_span("dev", "dev.log.write", 1_100);
+        let dev = t.framed_span(t.key("dev"), t.key("dev.log.write"), 1_100);
         t.seg(SegKind::MediaProgram, 300);
         t.seg(SegKind::NcqWait, 50);
         dev.close(1_500);
@@ -656,11 +817,11 @@ mod tests {
     fn background_work_does_not_charge_the_open_op() {
         let t = Telemetry::new();
         t.enable_anatomy(2);
-        let op = t.op("engine", "engine.commit", 1_000);
+        let op = t.op(t.key("engine"), t.key("engine.commit"), 1_000);
         {
             // A queued flush fired retroactively: it began before the op.
             let _bg = t.background();
-            let dev = t.framed_span("dev", "dev.log.flush", 200);
+            let dev = t.framed_span(t.key("dev"), t.key("dev.log.flush"), 200);
             t.seg(SegKind::FlushCache, 700);
             dev.close(900);
             assert!(t.last_breakdown().unwrap().is_conserved());
@@ -680,8 +841,8 @@ mod tests {
         let t = Telemetry::new();
         t.enable_tracing(256);
         t.enable_anatomy(2);
-        let op = t.op("doc", "doc.set", 10);
-        t.frame("dev.doc.fsync_soft", 20).end(30);
+        let op = t.op(t.key("doc"), t.key("doc.set"), 10);
+        t.frame(t.key("dev.doc.fsync_soft"), 20).end(30);
         assert_eq!(t.last_breakdown().unwrap().trace, 1, "frame carries op trace-ID");
         op.close(40);
         assert_eq!(t.last_breakdown().unwrap().trace, 1);
@@ -699,7 +860,7 @@ mod tests {
         let walls = [700u64, 23, 9_999, 140, 3, 9_999, 512];
         let mut now = 0;
         for w in walls {
-            now = t.frame("doc.set", now).close(now + w);
+            now = t.frame(t.key("doc.set"), now).close(now + w);
         }
         let h = t.histogram("doc.set").unwrap();
         assert_eq!(h.max(), 9_999);
@@ -717,7 +878,7 @@ mod tests {
         // Anatomy state lives outside the registry JSON (outliers export
         // separately).
         let t = Telemetry::new();
-        t.record("ops", 1);
+        t.record(t.key("ops"), 1);
         let before = t.to_json();
         t.enable_anatomy(4);
         assert_eq!(t.to_json(), before);
@@ -727,9 +888,9 @@ mod tests {
     fn reset_clears_everything_but_keeps_anatomy_enabled() {
         let t = Telemetry::new();
         t.enable_anatomy(3);
-        t.set_gauge("a", 1);
-        t.record("h", 10);
-        let f = t.frame("op", 0);
+        t.set_gauge(t.key("a"), 1);
+        t.record(t.key("h"), 10);
+        let f = t.frame(t.key("op"), 0);
         t.seg(SegKind::Xfer, 10);
         f.end(50);
         assert!(t.last_breakdown().is_some());
@@ -740,7 +901,7 @@ mod tests {
         assert!(t.last_breakdown().is_none());
         assert_eq!(t.anatomy_violations(), 0);
         assert!(t.outliers_for("op").is_empty());
-        t.frame("op2", 100).end(130);
+        t.frame(t.key("op2"), 100).end(130);
         assert_eq!(t.last_breakdown().unwrap().wall, 30);
     }
 }

@@ -6,13 +6,13 @@
 //!
 //! * [`TraceBuf`] — a bounded, overwrite-on-full ring buffer of timestamped
 //!   events. Each event is `Begin`/`End`/`Instant` ([`Phase`]), stamped with
-//!   virtual [`Nanos`], an interned category and name, and the [`TraceId`]
-//!   of the host operation it belongs to. Export to Chrome trace-event JSON
-//!   ([`TraceBuf::to_chrome_json`]) loads directly in Perfetto or
-//!   `chrome://tracing`: one track (`tid`) per trace-ID, so a single
-//!   commit's causal chain — engine → WAL → volume → device cache → NAND —
-//!   reads top to bottom.
-//! * [`Sampler`] — snapshots every named gauge on a virtual-time cadence
+//!   virtual [`Nanos`], the [`Key`]s of its category and name, and the
+//!   [`TraceId`] of the host operation it belongs to. Export to Chrome
+//!   trace-event JSON ([`TraceBuf::to_chrome_json`]) loads directly in
+//!   Perfetto or `chrome://tracing`: one track (`tid`) per trace-ID, so a
+//!   single commit's causal chain — engine → WAL → volume → device cache →
+//!   NAND — reads top to bottom.
+//! * [`Sampler`] — snapshots every set gauge on a virtual-time cadence
 //!   into per-gauge time-series, for plotting how cache occupancy, GC debt,
 //!   capacitor reserve or dirty-page counts evolve across a burst.
 //! * [`validate_chrome_json`] — schema/consistency checker used by the CI
@@ -36,6 +36,8 @@ use simkit::Nanos;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt::Write as _;
 
+use crate::names::{Key, Names};
+
 /// Identity of one host-level operation (put/commit/get/…). `0` means
 /// "outside any traced operation" and renders as the background track.
 pub type TraceId = u64;
@@ -51,8 +53,8 @@ pub enum Phase {
     Instant,
 }
 
-/// One recorded event. Category and name are indices into the owning
-/// [`TraceBuf`]'s intern table, keeping events 4 words each.
+/// One recorded event. Category and name are [`Key`]s of the domain's
+/// [`Names`] table, keeping events 4 words each.
 #[derive(Debug, Clone, Copy)]
 pub struct Event {
     /// Virtual timestamp.
@@ -61,23 +63,22 @@ pub struct Event {
     pub trace: TraceId,
     /// Begin / End / Instant.
     pub ph: Phase,
-    /// Interned category index.
-    pub cat: u32,
-    /// Interned name index.
-    pub name: u32,
+    /// Category key.
+    pub cat: Key,
+    /// Name key.
+    pub name: Key,
 }
 
-/// Bounded, overwrite-on-full event ring with string interning.
+/// Bounded, overwrite-on-full event ring.
 ///
 /// When the ring is full the **oldest** event is dropped and the drop
 /// counter advances; recording never fails and never reallocates past the
-/// configured capacity.
+/// configured capacity. Events hold keys; the names they stand for are
+/// looked up only at export.
 #[derive(Debug, Clone)]
 pub struct TraceBuf {
     cap: usize,
     events: VecDeque<Event>,
-    names: Vec<String>,
-    intern: HashMap<String, u32>,
     recorded: u64,
     dropped: u64,
 }
@@ -86,30 +87,11 @@ impl TraceBuf {
     /// Ring holding at most `capacity` events (minimum 1).
     pub fn new(capacity: usize) -> Self {
         let cap = capacity.max(1);
-        Self {
-            cap,
-            events: VecDeque::with_capacity(cap.min(1 << 16)),
-            names: Vec::new(),
-            intern: HashMap::new(),
-            recorded: 0,
-            dropped: 0,
-        }
-    }
-
-    fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&i) = self.intern.get(s) {
-            return i;
-        }
-        let i = self.names.len() as u32;
-        self.names.push(s.to_string());
-        self.intern.insert(s.to_string(), i);
-        i
+        Self { cap, events: VecDeque::with_capacity(cap.min(1 << 16)), recorded: 0, dropped: 0 }
     }
 
     /// Append one event, evicting the oldest if the ring is full.
-    pub fn push(&mut self, ts: Nanos, trace: TraceId, ph: Phase, cat: &str, name: &str) {
-        let cat = self.intern(cat);
-        let name = self.intern(name);
+    pub fn push(&mut self, ts: Nanos, trace: TraceId, ph: Phase, cat: Key, name: Key) {
         if self.events.len() == self.cap {
             self.events.pop_front();
             self.dropped += 1;
@@ -143,14 +125,9 @@ impl TraceBuf {
         self.dropped
     }
 
-    /// Drop buffered events (intern table and counters survive).
+    /// Drop buffered events (counters survive).
     pub fn clear(&mut self) {
         self.events.clear();
-    }
-
-    /// Resolve an interned index back to its string.
-    pub fn name(&self, idx: u32) -> &str {
-        &self.names[idx as usize]
     }
 
     /// Iterate buffered events oldest-first.
@@ -158,7 +135,8 @@ impl TraceBuf {
         self.events.iter()
     }
 
-    /// Export as Chrome trace-event JSON (Perfetto / `chrome://tracing`).
+    /// Export as Chrome trace-event JSON (Perfetto / `chrome://tracing`),
+    /// naming each event through `names`, the table its keys came from.
     ///
     /// Guarantees on the output, regardless of ring wraparound:
     /// * every `B` has a matching `E` on its track — an unmatched `Begin`
@@ -167,10 +145,10 @@ impl TraceBuf {
     /// * an orphan `E` whose `B` was overwritten by the ring is skipped;
     /// * timestamps are monotone non-decreasing per track (asynchronous
     ///   completions are clamped; see module docs).
-    pub fn to_chrome_json(&self) -> String {
+    pub fn to_chrome_json(&self, names: &Names) -> String {
         struct Out {
-            name: u32,
-            cat: u32,
+            name: Key,
+            cat: Key,
             ph: &'static str,
             ts: Nanos,
             tid: TraceId,
@@ -224,8 +202,8 @@ impl TraceBuf {
         let mut w = Writer::new();
         w.obj().key("displayTimeUnit").str("ns").key("traceEvents").arr();
         for e in &out {
-            w.obj().key("name").str(&self.names[e.name as usize]);
-            w.key("cat").str(&self.names[e.cat as usize]);
+            w.obj().key("name").str(names.name(e.name));
+            w.key("cat").str(names.name(e.cat));
             w.key("ph").str(e.ph);
             // Chrome `ts` is in microseconds; keep nanosecond precision as
             // a three-digit fraction.
@@ -319,31 +297,35 @@ pub struct Series {
     pub values: Vec<i64>,
 }
 
-/// Snapshots every named gauge on a virtual-time cadence.
+/// Snapshots every set gauge on a virtual-time cadence.
 ///
 /// Drive it with [`Sampler::sample_if_due`] from any point that observes
 /// the virtual clock (the engine and docstore tick it once per operation),
 /// and close the run with [`Sampler::finish`], which always takes a final
 /// sample — so a zero-duration run, or a cadence longer than the run,
 /// still yields at least one point per gauge.
+///
+/// Gauges arrive as a key-indexed table (`None` for a key never set), and
+/// series are kept by key; exports name and sort them through the domain's
+/// [`Names`].
 #[derive(Debug, Clone, Default)]
 pub struct Sampler {
     cadence: Nanos,
     next_due: Nanos,
     times: Vec<Nanos>,
-    series: BTreeMap<String, Series>,
+    series: Vec<Option<Series>>,
 }
 
 impl Sampler {
     /// Sampler firing every `cadence` virtual nanoseconds (minimum 1). The
     /// first `sample_if_due` call always fires.
     pub fn new(cadence: Nanos) -> Self {
-        Self { cadence: cadence.max(1), next_due: 0, times: Vec::new(), series: BTreeMap::new() }
+        Self { cadence: cadence.max(1), next_due: 0, times: Vec::new(), series: Vec::new() }
     }
 
     /// Take a sample iff `now` has reached the next due time. Returns
     /// whether a sample was taken.
-    pub fn sample_if_due(&mut self, now: Nanos, gauges: &BTreeMap<String, i64>) -> bool {
+    pub fn sample_if_due(&mut self, now: Nanos, gauges: &[Option<i64>]) -> bool {
         if now < self.next_due {
             return false;
         }
@@ -353,23 +335,25 @@ impl Sampler {
 
     /// Unconditionally take a final sample at `now` (deduplicated if the
     /// last sample already landed on `now`).
-    pub fn finish(&mut self, now: Nanos, gauges: &BTreeMap<String, i64>) {
+    pub fn finish(&mut self, now: Nanos, gauges: &[Option<i64>]) {
         if self.times.last() == Some(&now) {
             return;
         }
         self.take(now, gauges);
     }
 
-    fn take(&mut self, now: Nanos, gauges: &BTreeMap<String, i64>) {
+    fn take(&mut self, now: Nanos, gauges: &[Option<i64>]) {
         self.times.push(now);
         let idx = self.times.len() - 1;
-        for (k, &v) in gauges {
-            match self.series.get_mut(k) {
+        if self.series.len() < gauges.len() {
+            self.series.resize(gauges.len(), None);
+        }
+        for (series, &g) in self.series.iter_mut().zip(gauges) {
+            let Some(v) = g else { continue };
+            match series {
                 Some(s) => s.values.push(v),
-                None => {
-                    // Gauge born mid-run: series begins at this sample.
-                    self.series.insert(k.clone(), Series { start: idx, values: vec![v] });
-                }
+                // Gauge born mid-run: series begins at this sample.
+                None => *series = Some(Series { start: idx, values: vec![v] }),
             }
         }
         self.next_due = now.saturating_add(self.cadence);
@@ -390,9 +374,9 @@ impl Sampler {
         &self.times
     }
 
-    /// All series, keyed by gauge name.
-    pub fn series(&self) -> &BTreeMap<String, Series> {
-        &self.series
+    /// The series of the gauge `key`, if it was ever sampled.
+    pub fn series(&self, key: Key) -> Option<&Series> {
+        self.series.get(key.idx()).and_then(Option::as_ref)
     }
 
     /// Drop all samples (cadence survives; the next sample fires
@@ -403,19 +387,21 @@ impl Sampler {
         self.next_due = 0;
     }
 
-    /// Export as CSV: header `t_ns,<gauge>,…`; one row per sample. Cells
-    /// before a mid-run gauge's first sample are empty, not zero.
-    pub fn to_csv(&self) -> String {
+    /// Export as CSV: header `t_ns,<gauge>,…` in name order; one row per
+    /// sample. Cells before a mid-run gauge's first sample are empty, not
+    /// zero.
+    pub fn to_csv(&self, names: &Names) -> String {
+        let series = names.by_name(&self.series);
         let mut out = String::new();
         out.push_str("t_ns");
-        for name in self.series.keys() {
+        for (name, _) in &series {
             out.push(',');
             out.push_str(name);
         }
         out.push('\n');
         for (i, t) in self.times.iter().enumerate() {
             let _ = write!(out, "{t}");
-            for s in self.series.values() {
+            for (_, s) in &series {
                 out.push(',');
                 if i >= s.start {
                     let _ = write!(out, "{}", s.values[i - s.start]);
@@ -427,13 +413,13 @@ impl Sampler {
     }
 
     /// JSON object form, embedded in the registry export as `"series"`.
-    pub(crate) fn write_json(&self, w: &mut Writer) {
+    pub(crate) fn write_json(&self, w: &mut Writer, names: &Names) {
         w.obj().key("cadence").num(self.cadence).key("times").arr();
         for t in &self.times {
             w.num(t);
         }
         w.end().key("gauges").obj();
-        for (k, s) in &self.series {
+        for (k, s) in names.by_name(&self.series) {
             w.key(k).obj().key("start").num(s.start).key("values").arr();
             for v in &s.values {
                 w.num(v);
@@ -447,14 +433,53 @@ impl Sampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::ops::Deref;
 
-    fn gauges(pairs: &[(&str, i64)]) -> BTreeMap<String, i64> {
-        pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect()
+    /// A ring with its own name table, pushed to by name.
+    struct Ring {
+        buf: TraceBuf,
+        names: Names,
+    }
+
+    impl Ring {
+        fn new(capacity: usize) -> Self {
+            Self { buf: TraceBuf::new(capacity), names: Names::new() }
+        }
+
+        fn push(&mut self, ts: Nanos, trace: TraceId, ph: Phase, cat: &str, name: &str) {
+            let (cat, name) = (self.names.key(cat), self.names.key(name));
+            self.buf.push(ts, trace, ph, cat, name);
+        }
+
+        fn to_chrome_json(&self) -> String {
+            self.buf.to_chrome_json(&self.names)
+        }
+    }
+
+    impl Deref for Ring {
+        type Target = TraceBuf;
+        fn deref(&self) -> &TraceBuf {
+            &self.buf
+        }
+    }
+
+    /// A key-indexed gauge table set from `(name, value)` pairs.
+    fn gauges(names: &mut Names, pairs: &[(&str, i64)]) -> Vec<Option<i64>> {
+        let keys: Vec<Key> = pairs.iter().map(|(k, _)| names.key(k)).collect();
+        let mut table = vec![None; names.len()];
+        for (k, (_, v)) in keys.iter().zip(pairs) {
+            table[k.idx()] = Some(*v);
+        }
+        table
+    }
+
+    fn series<'a>(s: &'a Sampler, names: &Names, name: &str) -> &'a Series {
+        s.series(names.get(name).unwrap()).unwrap()
     }
 
     #[test]
     fn ring_wraparound_drops_oldest_and_counts() {
-        let mut b = TraceBuf::new(3);
+        let mut b = Ring::new(3);
         for i in 0..5u64 {
             b.push(i * 10, 1, Phase::Instant, "t", &format!("e{i}"));
         }
@@ -462,13 +487,13 @@ mod tests {
         assert_eq!(b.capacity(), 3);
         assert_eq!(b.recorded(), 5);
         assert_eq!(b.dropped(), 2);
-        let names: Vec<&str> = b.events().map(|e| b.name(e.name)).collect();
+        let names: Vec<&str> = b.events().map(|e| b.names.name(e.name)).collect();
         assert_eq!(names, ["e2", "e3", "e4"], "oldest events must be the ones dropped");
     }
 
     #[test]
     fn unmatched_begin_closed_at_end_of_trace() {
-        let mut b = TraceBuf::new(16);
+        let mut b = Ring::new(16);
         b.push(10, 1, Phase::Begin, "t", "outer");
         b.push(20, 1, Phase::Begin, "t", "inner");
         b.push(30, 1, Phase::Instant, "t", "tick");
@@ -484,7 +509,7 @@ mod tests {
 
     #[test]
     fn orphan_end_from_wraparound_is_dropped() {
-        let mut b = TraceBuf::new(2);
+        let mut b = Ring::new(2);
         b.push(10, 1, Phase::Begin, "t", "a");
         b.push(20, 1, Phase::Instant, "t", "x"); // evicts nothing yet
         b.push(30, 1, Phase::End, "t", "a"); // evicts the Begin
@@ -497,7 +522,7 @@ mod tests {
 
     #[test]
     fn async_children_clamped_monotone_per_track() {
-        let mut b = TraceBuf::new(16);
+        let mut b = Ring::new(16);
         // Parent acks at 50 but its async child completes at 80: the E for
         // the parent is emitted after the child's E with a smaller ts.
         b.push(10, 7, Phase::Begin, "t", "parent");
@@ -511,7 +536,7 @@ mod tests {
 
     #[test]
     fn tracks_are_independent() {
-        let mut b = TraceBuf::new(16);
+        let mut b = Ring::new(16);
         b.push(100, 1, Phase::Begin, "t", "op1");
         b.push(10, 2, Phase::Begin, "t", "op2"); // earlier ts, other track: fine
         b.push(15, 2, Phase::End, "t", "op2");
@@ -547,18 +572,19 @@ mod tests {
     #[test]
     fn sampler_zero_duration_run_yields_one_sample() {
         let mut s = Sampler::new(1_000_000);
-        s.finish(0, &gauges(&[("g", 42)]));
+        let mut n = Names::new();
+        s.finish(0, &gauges(&mut n, &[("g", 42)]));
         assert_eq!(s.len(), 1);
         assert_eq!(s.times(), &[0]);
-        assert_eq!(s.series()["g"].values, [42]);
-        let csv = s.to_csv();
+        assert_eq!(series(&s, &n, "g").values, [42]);
+        let csv = s.to_csv(&n);
         assert_eq!(csv, "t_ns,g\n0,42\n");
     }
 
     #[test]
     fn sampler_cadence_longer_than_run() {
         let mut s = Sampler::new(1_000_000_000);
-        let g = gauges(&[("depth", 3)]);
+        let g = gauges(&mut Names::new(), &[("depth", 3)]);
         assert!(s.sample_if_due(0, &g), "first sample always fires");
         assert!(!s.sample_if_due(500, &g));
         assert!(!s.sample_if_due(9_000, &g));
@@ -570,7 +596,7 @@ mod tests {
     #[test]
     fn sampler_finish_dedupes_same_instant() {
         let mut s = Sampler::new(10);
-        let g = gauges(&[("g", 1)]);
+        let g = gauges(&mut Names::new(), &[("g", 1)]);
         assert!(s.sample_if_due(100, &g));
         s.finish(100, &g);
         assert_eq!(s.len(), 1, "finish at the same instant must not duplicate");
@@ -579,16 +605,17 @@ mod tests {
     #[test]
     fn gauge_created_mid_run_starts_at_first_sample() {
         let mut s = Sampler::new(10);
-        s.sample_if_due(0, &gauges(&[("early", 1)]));
-        s.sample_if_due(10, &gauges(&[("early", 2)]));
-        s.sample_if_due(20, &gauges(&[("early", 3), ("late", 100)]));
-        s.finish(25, &gauges(&[("early", 4), ("late", 101)]));
-        let late = &s.series()["late"];
+        let mut n = Names::new();
+        s.sample_if_due(0, &gauges(&mut n, &[("early", 1)]));
+        s.sample_if_due(10, &gauges(&mut n, &[("early", 2)]));
+        s.sample_if_due(20, &gauges(&mut n, &[("early", 3), ("late", 100)]));
+        s.finish(25, &gauges(&mut n, &[("early", 4), ("late", 101)]));
+        let late = series(&s, &n, "late");
         assert_eq!(late.start, 2, "late gauge's series starts at its first sample");
         assert_eq!(late.values, [100, 101]);
-        assert_eq!(s.series()["early"].values, [1, 2, 3, 4]);
+        assert_eq!(series(&s, &n, "early").values, [1, 2, 3, 4]);
         // CSV: absent cells are empty, not zero.
-        let csv = s.to_csv();
+        let csv = s.to_csv(&n);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], "t_ns,early,late");
         assert_eq!(lines[1], "0,1,");
@@ -599,7 +626,7 @@ mod tests {
 
     #[test]
     fn chrome_export_is_parseable_json_with_schema_fields() {
-        let mut b = TraceBuf::new(8);
+        let mut b = Ring::new(8);
         b.push(1_234_567, 3, Phase::Begin, "engine", "engine.commit");
         b.push(1_500_000, 3, Phase::End, "engine", "engine.commit");
         let doc = b.to_chrome_json();

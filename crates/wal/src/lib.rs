@@ -53,7 +53,7 @@ use std::ops::Range;
 use storage::device::{BlockDevice, DevResult, WriteCause, LOGICAL_PAGE};
 use storage::file::PageFile;
 use storage::volume::{Volume, VolumeManager};
-use telemetry::{SegKind, Telemetry};
+use telemetry::{Key, SegKind, Telemetry};
 
 pub use record::{CheckpointPolicy, DocSetRef, LogRecord, OpRef, RECORD_VERSION};
 
@@ -128,6 +128,18 @@ pub struct WalStats {
     pub bytes_written: u64,
 }
 
+/// The attached telemetry handle and the log's keys, resolved when it is
+/// attached.
+struct WalTel {
+    tel: Telemetry,
+    cat: Key,
+    flush: Key,
+    commit: Key,
+    quiesce: Key,
+    checkpoint: Key,
+    buffered_bytes: Key,
+}
+
 /// The write-ahead log.
 pub struct Wal {
     files: Vec<PageFile>,
@@ -160,7 +172,7 @@ pub struct Wal {
     image_bytes_buffered: u64,
     stats: WalStats,
     /// Optional telemetry sink.
-    tel: Option<Telemetry>,
+    tel: Option<WalTel>,
 }
 
 impl Wal {
@@ -214,7 +226,15 @@ impl Wal {
     /// charges time a committer spends queued behind a flush it did not
     /// issue to the enclosing op's anatomy (see [`Wal::commit`]).
     pub fn attach_telemetry(&mut self, tel: Telemetry) {
-        self.tel = Some(tel);
+        self.tel = Some(WalTel {
+            cat: tel.key("wal"),
+            flush: tel.key("wal.flush"),
+            commit: tel.key("wal.commit"),
+            quiesce: tel.key("wal.quiesce"),
+            checkpoint: tel.key("wal.checkpoint"),
+            buffered_bytes: tel.key("wal.buffered_bytes"),
+            tel,
+        });
     }
 
     /// Next LSN to be assigned.
@@ -317,8 +337,8 @@ impl Wal {
         hdr[4..12].copy_from_slice(&lsn.to_le_bytes());
         hdr[12..].copy_from_slice(&crc32(payload).to_le_bytes());
         self.stats.appends += 1;
-        if let Some(tel) = &self.tel {
-            tel.set_gauge("wal.buffered_bytes", self.unflushed() as i64);
+        if let Some(t) = &self.tel {
+            t.tel.set_gauge(t.buffered_bytes, self.unflushed() as i64);
         }
         lsn
     }
@@ -350,7 +370,7 @@ impl Wal {
     /// completion time. Caller manages `inflight`/`durable_lsn`.
     fn flush_buffer<D: BlockDevice>(&mut self, vol: &mut Volume<D>, now: Nanos) -> Nanos {
         debug_assert!(self.unflushed() > 0);
-        let scope = self.tel.as_ref().map(|tel| tel.span("wal", "wal.flush", now));
+        let scope = self.tel.as_ref().map(|t| t.tel.span(t.cat, t.flush, now));
         // Provenance: a flush dominated by full-page-image sidecars is
         // page-image traffic, otherwise plain log appends. (One flush covers
         // one cause — block-granular classification by majority byte count,
@@ -384,9 +404,9 @@ impl Wal {
         self.buf.truncate(tail_off);
         self.buf_start = self.next_lsn;
         self.stats.flushes += 1;
-        if let (Some(scope), Some(tel)) = (scope, &self.tel) {
+        if let (Some(scope), Some(tt)) = (scope, &self.tel) {
             scope.close(t);
-            tel.set_gauge("wal.buffered_bytes", 0);
+            tt.tel.set_gauge(tt.buffered_bytes, 0);
         }
         t
     }
@@ -407,8 +427,8 @@ impl Wal {
     /// is pure log commit, `wal_fsync`.
     fn note_wait(&self, ns: Nanos, barriers: bool) {
         if ns > 0 {
-            if let Some(tel) = &self.tel {
-                tel.seg(if barriers { SegKind::FlushCache } else { SegKind::WalFsync }, ns);
+            if let Some(t) = &self.tel {
+                t.tel.seg(if barriers { SegKind::FlushCache } else { SegKind::WalFsync }, ns);
             }
         }
     }
@@ -427,7 +447,7 @@ impl Wal {
                     // The queued group flush starts right where the previous
                     // one ended.
                     let covers = self.next_lsn;
-                    let background = self.tel.as_ref().map(Telemetry::background);
+                    let background = self.tel.as_ref().map(|t| t.tel.background());
                     let done = self.flush_buffer(vol, end);
                     drop(background);
                     self.last_flush_dur = done.saturating_sub(end).max(1);
@@ -443,7 +463,7 @@ impl Wal {
     /// flush already in flight just waits for it; in group-commit mode, a
     /// commit whose records are *not* covered joins the next batched flush.
     pub fn commit<D: BlockDevice>(&mut self, vol: &mut Volume<D>, lsn: Lsn, now: Nanos) -> Nanos {
-        let scope = self.tel.as_ref().map(|tel| tel.span("wal", "wal.commit", now));
+        let scope = self.tel.as_ref().map(|t| t.tel.span(t.cat, t.commit, now));
         self.commits_since_ckpt += 1;
         let done = self.commit_inner(vol, lsn, now);
         scope.map_or(done, |s| s.close(done))
@@ -502,7 +522,7 @@ impl Wal {
     /// checkpoints and by crash harnesses that need strict durability under
     /// group-commit mode. Returns the completion time.
     pub fn quiesce<D: BlockDevice>(&mut self, vol: &mut Volume<D>, now: Nanos) -> Nanos {
-        let scope = self.tel.as_ref().map(|tel| tel.span("wal", "wal.quiesce", now));
+        let scope = self.tel.as_ref().map(|t| t.tel.span(t.cat, t.quiesce, now));
         let mut t = now;
         if let Some((end, upto)) = self.inflight.take() {
             self.note_wait(end.saturating_sub(t), vol.barriers());
@@ -530,7 +550,7 @@ impl Wal {
         assert!(lsn <= self.next_lsn);
         self.checkpoint_lsn = self.checkpoint_lsn.max(lsn);
         self.commits_since_ckpt = 0;
-        let scope = self.tel.as_ref().map(|tel| tel.span("wal", "wal.checkpoint", now));
+        let scope = self.tel.as_ref().map(|t| t.tel.span(t.cat, t.checkpoint, now));
         let done = self.write_header(vol, now);
         scope.map_or(done, |s| s.close(done))
     }
@@ -836,7 +856,7 @@ mod tests {
         // — barrier-backed device time from before the op began.
         let c = wal.append(&rec(b"c"));
         let late = promised + 10_000_000;
-        let op = tel.frame("engine.commit", late);
+        let op = tel.frame(tel.key("engine.commit"), late);
         let done = wal.commit(&mut vol, c, late);
         assert_eq!(wal.stats().flushes, 2, "the queued group flush ran");
         op.end(done);

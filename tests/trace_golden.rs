@@ -11,27 +11,33 @@
 //! To regenerate after an intentional schema change:
 //! `UPDATE_GOLDEN=1 cargo test --test trace_golden` and review the diff.
 
-use telemetry::{parse_json, validate_chrome_json, Phase, TraceBuf, CHROME_EVENT_FIELDS};
+use telemetry::{parse_json, validate_chrome_json, Names, Phase, TraceBuf, CHROME_EVENT_FIELDS};
 
 fn golden_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/trace_schema.json")
 }
 
 /// The fixed event sequence: covers B/E nesting, an instant, a second
-/// track, fractional-microsecond timestamps, and an unmatched Begin.
+/// track, fractional-microsecond timestamps, and an unmatched Begin. Events
+/// hold keys; the names resolve through the table at export.
 fn reference_trace() -> String {
+    let mut names = Names::new();
     let mut buf = TraceBuf::new(64);
-    buf.push(0, 1, Phase::Begin, "engine", "engine.commit");
-    buf.push(1_500, 1, Phase::Begin, "wal", "wal.flush");
-    buf.push(2_750, 1, Phase::Instant, "ssd", "ssd.cache_admit");
-    buf.push(10_000, 1, Phase::End, "wal", "wal.flush");
-    buf.push(12_345_678, 1, Phase::End, "engine", "engine.commit");
-    buf.push(5_000, 2, Phase::Begin, "nand", "nand.program");
-    buf.push(9_001, 2, Phase::End, "nand", "nand.program");
+    let mut push = |ts, trace, ph, cat: &str, name: &str| {
+        let (cat, name) = (names.key(cat), names.key(name));
+        buf.push(ts, trace, ph, cat, name);
+    };
+    push(0, 1, Phase::Begin, "engine", "engine.commit");
+    push(1_500, 1, Phase::Begin, "wal", "wal.flush");
+    push(2_750, 1, Phase::Instant, "ssd", "ssd.cache_admit");
+    push(10_000, 1, Phase::End, "wal", "wal.flush");
+    push(12_345_678, 1, Phase::End, "engine", "engine.commit");
+    push(5_000, 2, Phase::Begin, "nand", "nand.program");
+    push(9_001, 2, Phase::End, "nand", "nand.program");
     // Background track with an unmatched Begin: the exporter must close it
     // at the trace's max timestamp instead of dropping it.
-    buf.push(100, 0, Phase::Begin, "ftl", "ftl.gc");
-    buf.to_chrome_json()
+    push(100, 0, Phase::Begin, "ftl", "ftl.gc");
+    buf.to_chrome_json(&names)
 }
 
 #[test]
